@@ -23,12 +23,12 @@ from .metrics import crosscheck, distribution_metrics, pcd_metrics
 from .protocols import (
     ChainScenario,
     SegmentSpec,
-    _uniform_spins,
     distribute_bell,
     pcd,
     purify_analytic,
     purify_round,
     run_chain,
+    uniform_spins,
 )
 from .qstate import StateVector, superposition
 from .timebin import NoiseChannel, OpticalElement, apply_element, apply_noise, decode, encode, photon_register
@@ -449,7 +449,7 @@ def cmd_pcd(args):
     _write_table(_metrics_header("p"), [row], args.output)
     if args.simulate:
         coeffs = resonant_coeffs(params, delta)
-        outcomes = pcd(_uniform_spins(("e1", "e2")), "e1", "e2", coeffs, eta_in=eta_in)
+        outcomes = pcd(uniform_spins(("e1", "e2")), "e1", "e2", coeffs, eta_in=eta_in)
         sys.stdout.write("\n".join(_branch_lines(outcomes)) + "\n")
     return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cavity import ScatterCoeffs
-from .protocols import distribute_bell, pcd, _uniform_spins
+from .protocols import check_eta_in, distribute_bell, pcd, uniform_spins
 from .timebin import NoiseChannel
 
 
@@ -52,6 +52,8 @@ def distribution_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> 
     ``eta_in`` multiplies the total efficiency once per photon pass; a
     distribution run has two.
     """
+    if eta_in is not None:
+        check_eta_in(eta_in)
     eta_even, eta_odd, eta, f_even = _core(coeffs)
     adjusted = eta * eta_in ** 2 if eta_in is not None else None
     return DistributionMetrics(
@@ -61,6 +63,8 @@ def distribution_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> 
 
 def pcd_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> DistributionMetrics:
     """Heralded efficiency and fidelity of one parity check (single photon pass)."""
+    if eta_in is not None:
+        check_eta_in(eta_in)
     eta_even, eta_odd, eta, f_even = _core(coeffs)
     adjusted = eta * eta_in if eta_in is not None else None
     return DistributionMetrics(
@@ -103,7 +107,7 @@ def crosscheck(coeffs: ScatterCoeffs) -> CrosscheckReport:
             rows.append(CrosscheckRow(f"distribute F({out.detection})", out.fidelity, f_ref))
 
     pm = pcd_metrics(coeffs)
-    for out in pcd(_uniform_spins(("e1", "e2")), "e1", "e2", coeffs):
+    for out in pcd(uniform_spins(("e1", "e2")), "e1", "e2", coeffs):
         even = out.detection.startswith("R")
         p_ref = (pm.eta_d_even if even else pm.eta_d_odd) / 2.0
         rows.append(CrosscheckRow(f"pcd p({out.detection})", out.probability, p_ref))

@@ -40,6 +40,7 @@ from .qstate import (
     apply_map,
     fidelity,
     hadamard,
+    linear_map,
     measure,
     sigma_x,
     sigma_z,
@@ -117,7 +118,8 @@ def phi_plus(labels) -> StateVector:
     return ghz_state(labels, +1)
 
 
-def _uniform_spins(labels) -> StateVector:
+def uniform_spins(labels) -> StateVector:
+    """Equal superposition of every basis state of fresh spins."""
     n = len(labels)
     reg = spin_register(labels)
     return StateVector(reg, np.full(2 ** n, 2.0 ** (-n / 2.0), dtype=complex))
@@ -154,7 +156,7 @@ def _run_distribution(photon_names, noises, coeffs_list, phase_photon, spin_labe
         (RT2, {pol_label(nm): "H" for nm in photon_names}),
         (RT2, {pol_label(nm): "V" for nm in photon_names}),
     ])
-    state = tensor(photonic, _uniform_spins(spin_labels))
+    state = tensor(photonic, uniform_spins(spin_labels))
 
     for nm, ch in zip(photon_names, noises):
         state = encode(state, nm)
@@ -227,6 +229,12 @@ def _bell_correction(pattern):
     return () if pattern[0] == pattern[1] else (("x", 1),)
 
 
+def check_eta_in(eta_in: float) -> None:
+    """Reject an input-coupling efficiency outside (0, 1]."""
+    if not (0.0 < eta_in <= 1.0):
+        raise ValueError(f"eta_in = {eta_in} outside (0, 1]")
+
+
 def distribute_bell(
     noise_a: NoiseChannel,
     noise_b: NoiseChannel,
@@ -242,6 +250,7 @@ def distribute_bell(
     flip on the second node.  The declared target is
     (|up,up> - |dn,dn>)/sqrt(2).
     """
+    check_eta_in(eta_in)
     grouped, _ = _run_distribution(
         photon_names, (noise_a, noise_b), (coeffs_a, coeffs_b),
         phase_photon=photon_names[1], spin_labels=spin_labels)
@@ -306,6 +315,7 @@ def distribute_ghz(
     """
     if n < 2:
         raise ValueError("GHZ distribution needs at least two parties")
+    check_eta_in(eta_in)
     noise = list(noise)
     coeffs = list(coeffs)
     if len(noise) != n or len(coeffs) != n:
@@ -404,7 +414,7 @@ def _controlled_scatter(coeffs: ScatterCoeffs, arm: int) -> LinearMap:
     for path in (0, 1):
         sub = blk if path == arm else np.eye(8)
         full[path * 8:(path + 1) * 8, path * 8:(path + 1) * 8] = sub
-    return LinearMap(full, unitary=bool(np.max(np.abs(full.conj().T @ full - np.eye(16))) <= 1e-12))
+    return linear_map(full)
 
 
 def _cpbs_interference() -> LinearMap:
@@ -437,6 +447,7 @@ def pcd(
     fidelity compares each branch with the ideal-interface branch for the
     same input spins.
     """
+    check_eta_in(eta_in)
     for lab in (spin1, spin2):
         if not state.register.has(lab):
             raise RegisterError(f"no spin labeled {lab!r} in the input state")
@@ -485,15 +496,23 @@ def pcd(
 
 
 def _merge_parity(outcomes) -> dict[str, tuple[float, StateVector | None]]:
-    """Collapse the four detector ports into even/odd parity branches."""
+    """Collapse the four detector ports into even/odd parity branches.
+
+    The two ports of a parity carry equal probability and must herald the
+    same state.  They are compared as heralded amplitudes sqrt(p) * post, so
+    ports of rounding-level probability, whose normalized states are
+    rounding noise, cannot fail the comparison.
+    """
     merged = {}
     for parity, ports in (("even", ("R_a1", "R_a2")), ("odd", ("L_a1", "L_a2"))):
         members = [o for o in outcomes if o.detection in ports]
         p = sum(o.probability for o in members)
-        posts = [o.post_state for o in members if o.post_state is not None]
-        if len(posts) == 2 and not allclose_upto_phase(posts[0], posts[1], _MERGE_TOL):
+        live = [o for o in members if o.post_state is not None]
+        heralded = [StateVector(o.post_state.register, math.sqrt(o.probability) * o.post_state.amplitudes)
+                    for o in live]
+        if len(heralded) == 2 and not allclose_upto_phase(heralded[0], heralded[1], _MERGE_TOL):
             raise RuntimeError(f"{parity} ports herald different states; cannot merge")
-        merged[parity] = (p, posts[0] if posts else None)
+        merged[parity] = (p, live[0].post_state if live else None)
     return merged
 
 
@@ -515,6 +534,7 @@ def extend_chain(
     extended GHZ state (|up...up> - |dn...dn>)/sqrt(2) after the recorded
     correction on the fresh end spin.
     """
+    check_eta_in(eta_in)
     label_z, label_zp = joint_node
     if not ghz.register.has(label_z):
         raise RegisterError(f"label {label_z!r} not in the chain state")
@@ -575,71 +595,76 @@ def _extension_gates(parity, m1, m2, label_d):
 # purification
 # ---------------------------------------------------------------------------
 
-def _purify_core(members, pair_a, pair_b, keep, coeffs_a, coeffs_b, eta_in: float = 1.0):
-    """Run the two-PCD purification on a weighted list of 4-spin states.
+def _relabel_spins(state: StateVector, mapping: dict[str, str]) -> StateVector:
+    subs = []
+    for s in state.register.subsystems:
+        subs.append(Subsystem(mapping.get(s.label, s.label), s.kind, s.levels))
+    return StateVector(Register(tuple(subs)), state.amplitudes)
 
-    ``pair_a`` and ``pair_b`` are (measured, kept) label pairs for the two
-    parties; ``keep`` are the two surviving labels.  Returns the accepted
-    weighted branches and the success probability.
+
+def _purify_ensemble(ens: Ensemble, labels, coeffs_a, coeffs_b, eta_in: float = 1.0):
+    """One purification round on an arbitrary two-spin mixture.
+
+    Both copies are Hadamard-rotated so the phase error becomes a bit error,
+    checked by one PCD per party; equal parities are kept (odd-odd after a
+    recorded flip) and the first copy is measured out.  One probe photon per
+    party, so ``eta_in`` enters the success probability squared.
     """
+    la, lb = labels
+    lac, lbc = f"{la}_c", f"{lb}_c"
+    copy = {la: lac, lb: lbc}
     accepted = []
-    for w, st in members:
-        if w <= _ZERO:
-            continue
-        par_a = _merge_parity(pcd(st, pair_a[0], pair_a[1], coeffs_a, eta_in=eta_in))
-        for parity_a, (p_a, post_a) in par_a.items():
-            if post_a is None or p_a <= _ZERO:
+    for w1, s1 in ens.members:
+        for w2, s2 in ens.members:
+            w = w1 * w2
+            if w <= _ZERO:
                 continue
-            par_b = _merge_parity(pcd(post_a, pair_b[0], pair_b[1], coeffs_b, eta_in=eta_in))
-            for parity_b, (p_b, post_b) in par_b.items():
+            st = tensor(s1, _relabel_spins(s2, copy))
+            st = _apply_gates(st, tuple(("h", lab) for lab in (la, lb, lac, lbc)))
+            par_a = _merge_parity(pcd(st, la, lac, coeffs_a, eta_in=eta_in))
+            for parity, (p_a, post_a) in par_a.items():
+                if post_a is None or p_a <= _ZERO:
+                    continue
+                # cross parity heralds an error; only the matching branch is kept
+                p_b, post_b = _merge_parity(pcd(post_a, lb, lbc, coeffs_b, eta_in=eta_in))[parity]
                 if post_b is None or p_b <= _ZERO:
                     continue
-                if parity_a != parity_b:
-                    continue    # cross parity heralds an error; discard
                 work = post_b
-                if parity_a == "odd":
-                    work = _apply_gates(work, (("x", pair_a[0]), ("x", pair_b[0])))
-                work = _apply_gates(work, (("h", pair_a[0]), ("h", pair_b[0])))
-                for br in measure(work, [pair_a[0], pair_b[0]], min_prob=None):
+                if parity == "odd":
+                    work = _apply_gates(work, (("x", la), ("x", lb)))
+                work = _apply_gates(work, (("h", la), ("h", lb)))
+                for br in measure(work, [la, lb], min_prob=None):
                     if br.post is None or br.probability <= _ZERO:
                         continue
-                    weight = w * p_a * p_b * br.probability
                     final = br.post
                     if br.outcome[0] != br.outcome[1]:
-                        final = _apply_gates(final, (("z", keep[0]),))
-                    final = _apply_gates(final, (("h", keep[0]), ("h", keep[1])))
-                    accepted.append((weight, final))
-    return accepted, math.fsum(w for w, _ in accepted)
+                        final = _apply_gates(final, (("z", lac),))
+                    final = _apply_gates(final, (("h", lac), ("h", lbc)))
+                    accepted.append((w * p_a * p_b * br.probability, final))
+    success = math.fsum(w for w, _ in accepted)
+    if success <= _ZERO:
+        raise RuntimeError("purification heralded no surviving branches")
+    back = {lac: la, lbc: lb}
+    ens_out = _normalized_ensemble([(w, _relabel_spins(st, back)) for w, st in accepted])
+    return ens_out, success
 
 
 def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[PurificationState, float]:
     """One purification round on two copies of the (mu, 1-mu) Bell mixture.
 
-    Both copies are Hadamard-rotated so the phase error becomes a bit error,
-    checked by one PCD per party; equal parities are kept (odd-odd after a
-    recorded flip) and the first copy is measured out.  At ideal
-    coefficients the kept weight follows mu -> mu^2/(mu^2 + (1-mu)^2) with
-    success probability mu^2 + (1-mu)^2.
+    This is the chain's mixture purification applied to the mixture of
+    Phi- (weight mu) and Phi+ (weight 1-mu), with ``coeffs`` at both
+    parties.  At ideal coefficients the kept weight follows
+    mu -> mu^2/(mu^2 + (1-mu)^2) with success probability mu^2 + (1-mu)^2.
     """
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"mu = {mu} outside [0, 1]")
-    pair_a = ("e_a", "e_b")
-    pair_b = ("e_ap", "e_bp")
-    members = []
-    for w1, sign1 in ((mu, -1), (1.0 - mu, +1)):
-        for w2, sign2 in ((mu, -1), (1.0 - mu, +1)):
-            if w1 * w2 <= _ZERO:
-                continue
-            st = tensor(ghz_state(pair_a, sign1), ghz_state(pair_b, sign2))
-            st = _apply_gates(st, tuple(("h", lab) for lab in pair_a + pair_b))
-            members.append((w1 * w2, st))
-    accepted, success = _purify_core(
-        members, ("e_a", "e_ap"), ("e_b", "e_bp"), ("e_ap", "e_bp"), coeffs, coeffs)
-    if success <= _ZERO:
-        raise RuntimeError("purification heralded no surviving branches")
-    ens = _normalized_ensemble(accepted)
-    mu_out = fidelity(ens, phi_minus(pair_b))
-    return PurificationState(mu=min(mu_out, 1.0), round=1, success_probability=success), 1.0 - success
+    labels = ("e_a", "e_b")
+    mixture = ((mu, phi_minus(labels)), (1.0 - mu, phi_plus(labels)))
+    ens = Ensemble(tuple((w, st) for w, st in mixture if w > 0.0))
+    ens, success = _purify_ensemble(ens, labels, coeffs, coeffs)
+    return PurificationState(mu=fidelity(ens, phi_minus(labels)), round=1,
+                             success_probability=success), 1.0 - success
 
 
 def purify_analytic(mu: float, rounds: int) -> list[PurificationState]:
@@ -693,8 +718,7 @@ class ChainScenario:
                 raise ValueError(
                     f"inconsistent node wiring: segment {nxt.name} starts at "
                     f"{nxt.left!r} but the chain so far ends at {prev.right!r}")
-        if not (0.0 < self.eta_in <= 1.0):
-            raise ValueError("eta_in must lie in (0, 1]")
+        check_eta_in(self.eta_in)
         if self.purify_rounds < 0:
             raise ValueError("purify_rounds must be nonnegative")
 
@@ -714,39 +738,6 @@ class ChainReport:
     final_fidelity: float
     total_probability: float
     final_state: Ensemble
-
-
-def _relabel_spins(state: StateVector, mapping: dict[str, str]) -> StateVector:
-    subs = []
-    for s in state.register.subsystems:
-        subs.append(Subsystem(mapping.get(s.label, s.label), s.kind, s.levels))
-    return StateVector(Register(tuple(subs)), state.amplitudes)
-
-
-def _purify_ensemble(ens: Ensemble, labels, coeffs_a, coeffs_b, eta_in: float = 1.0):
-    """One purification round on an arbitrary two-spin mixture.
-
-    One probe photon per party, so ``eta_in`` enters the success
-    probability squared.
-    """
-    la, lb = labels
-    copy = {la: f"{la}_c", lb: f"{lb}_c"}
-    members = []
-    for w1, s1 in ens.members:
-        for w2, s2 in ens.members:
-            if w1 * w2 <= _ZERO:
-                continue
-            st = tensor(s1, _relabel_spins(s2, copy))
-            st = _apply_gates(st, tuple(("h", lab) for lab in (la, lb, copy[la], copy[lb])))
-            members.append((w1 * w2, st))
-    accepted, success = _purify_core(
-        members, (la, copy[la]), (lb, copy[lb]), (copy[la], copy[lb]),
-        coeffs_a, coeffs_b, eta_in=eta_in)
-    if success <= _ZERO:
-        raise RuntimeError("purification heralded no surviving branches")
-    back = {copy[la]: la, copy[lb]: lb}
-    ens_out = _normalized_ensemble([(w, _relabel_spins(st, back)) for w, st in accepted])
-    return ens_out, success
 
 
 def _extend_ensembles(ens_a: Ensemble, ens_b: Ensemble, joint, coeffs, eta_in):

@@ -228,28 +228,17 @@ class MeasurementBranch:
     post: StateVector | None
 
 
-def _is_unitary(m: np.ndarray) -> bool:
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-12)
-
-
 def linear_map(matrix) -> LinearMap:
     """Wrap a matrix, detecting unitarity numerically."""
     m = np.asarray(matrix, dtype=np.complex128)
-    return LinearMap(m, unitary=_is_unitary(m))
+    unitary = bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-12)
+    return LinearMap(m, unitary=unitary)
 
 
 # Common single-subsystem maps.
 
-def identity_map(dim: int = 2) -> LinearMap:
-    return LinearMap(np.eye(dim), unitary=True)
-
-
 def sigma_x() -> LinearMap:
     return LinearMap(np.array([[0, 1], [1, 0]], dtype=complex), unitary=True)
-
-
-def sigma_y() -> LinearMap:
-    return LinearMap(np.array([[0, -1j], [1j, 0]]), unitary=True)
 
 
 def sigma_z() -> LinearMap:

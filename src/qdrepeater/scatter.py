@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cavity import ScatterCoeffs
-from .qstate import LinearMap, RegisterError, StateVector, _is_unitary, apply_map
+from .qstate import LinearMap, RegisterError, StateVector, apply_map, linear_map
 
 #: (polarization, direction, spin) triples that couple to the dipole.
 _COUPLED = {
@@ -57,7 +57,7 @@ def scatter_map(coeffs: ScatterCoeffs) -> LinearMap:
                 else:
                     m[col, col] += coeffs.t0
                     m[idx(*flipped), col] += coeffs.r0
-    return LinearMap(m, unitary=_is_unitary(m))
+    return linear_map(m)
 
 
 def scatter(state: StateVector, photon: str, spin: str, coeffs: ScatterCoeffs) -> StateVector:

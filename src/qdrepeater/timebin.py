@@ -92,10 +92,6 @@ class NoiseChannel:
             if abs(abs(d) ** 2 + abs(e) ** 2 - 1.0) > ATOL:
                 raise ValueError(f"{which}-bin rotation is not normalized: |delta|^2+|eta|^2 != 1")
 
-    @property
-    def symmetric(self) -> bool:
-        return self.delta_l == self.delta and self.eta_l == self.eta
-
     def early_unitary(self) -> np.ndarray:
         d, e = self.delta, self.eta
         return np.array([[d, -np.conj(e)], [e, np.conj(d)]])
@@ -128,8 +124,8 @@ class NoiseChannel:
 class OpticalElement:
     """One element of the protocol optics; each acts unitarily on its subspace.
 
-    Kinds: PBS and CPBS (polarization routed onto a two-level direction or
-    path subsystem, the second level flipped for V or L), QWP (relabel of
+    Kinds: PBS (polarization routed onto a two-level direction or path
+    subsystem, the second level flipped for V or L), QWP (relabel of
     the polarization levels between linear and circular), HWP (polarization
     Hadamard), PC (window-gated polarization flip on selected time bins),
     BS (50/50 splitter on a path subsystem), PHASE (phase on one
@@ -141,7 +137,7 @@ class OpticalElement:
     params: dict[str, Any] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("PBS", "CPBS", "QWP", "HWP", "PC", "BS", "PHASE", "DELAY"):
+        if self.kind not in ("PBS", "QWP", "HWP", "PC", "BS", "PHASE", "DELAY"):
             raise ValueError(f"unknown optical element kind {self.kind!r}")
         object.__setattr__(self, "params", dict(self.params or {}))
 
@@ -182,13 +178,6 @@ def to_circular(state: StateVector, photon: str) -> StateVector:
     if state.register.subsystem(lab).levels != POL_LINEAR:
         raise RegisterError(f"photon {photon!r} is not in the linear basis")
     return rename_levels(state, lab, POL_CIRCULAR)
-
-
-def to_linear(state: StateVector, photon: str) -> StateVector:
-    lab = pol_label(photon)
-    if state.register.subsystem(lab).levels != POL_CIRCULAR:
-        raise RegisterError(f"photon {photon!r} is not in the circular basis")
-    return rename_levels(state, lab, POL_LINEAR)
 
 
 def _delay_expand(state: StateVector, photon: str, delayed_pol: str) -> StateVector:
@@ -255,7 +244,7 @@ def apply_element(state: StateVector, element: OpticalElement, targets) -> State
     targets = list(targets)
     reg = state.register
     kind = element.kind
-    if kind in ("PBS", "CPBS"):
+    if kind == "PBS":
         return apply_map(state, routing_map(), targets)
     if kind == "QWP":
         (lab,) = targets

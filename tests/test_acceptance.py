@@ -14,7 +14,6 @@ from qdrepeater.cavity import IDEAL, CavityParams, probability_sum, resonant_coe
 from qdrepeater.cli import main
 from qdrepeater.metrics import crosscheck, distribution_metrics, pcd_metrics
 from qdrepeater.protocols import (
-    _uniform_spins,
     distribute_bell,
     distribute_ghz,
     extend_chain,
@@ -23,6 +22,7 @@ from qdrepeater.protocols import (
     phi_minus,
     purify_analytic,
     purify_round,
+    uniform_spins,
 )
 from qdrepeater.qstate import tensor
 from qdrepeater.timebin import NoiseChannel
@@ -104,7 +104,7 @@ def test_criterion_4_odd_branch_perfection():
         for out in distribute_bell(QUIET, QUIET, sc, sc):
             if out.detection in ODD:
                 worst = max(worst, abs(out.fidelity - 1.0))
-        for out in pcd(_uniform_spins(("e1", "e2")), "e1", "e2", sc):
+        for out in pcd(uniform_spins(("e1", "e2")), "e1", "e2", sc):
             if out.detection.startswith("L"):
                 worst = max(worst, abs(out.fidelity - 1.0))
     assert worst < 1e-12, f"odd-branch fidelity deviates by {worst}"
@@ -194,7 +194,7 @@ def test_criterion_9_heralded_completeness():
         worst = max(worst, abs(heralded + (1.0 - heralded) - 1.0),
                     abs(heralded - distribution_metrics(sc).eta_d))
 
-        pouts = pcd(_uniform_spins(("e1", "e2")), "e1", "e2", sc)
+        pouts = pcd(uniform_spins(("e1", "e2")), "e1", "e2", sc)
         p_heralded = sum(o.probability for o in pouts)
         worst = max(worst, abs(p_heralded - pcd_metrics(sc).eta_d))
 

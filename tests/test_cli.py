@@ -82,6 +82,18 @@ def test_unknown_quantity_is_usage_error(capsys):
 
 # --- grids and sweeps --------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ("distribute", "--eta-in", "1.5", "--simulate"),
+    ("pcd", "--eta-in", "-0.5", "--simulate"),
+    ("sweep", "--quantity", "distribution", "--eta-in", "0"),
+])
+def test_eta_in_outside_unit_interval_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "eta_in" in err
+
+
 def test_grid_parsing():
     assert _grid("0,0.6,1.2") == [0.0, 0.6, 1.2]
     assert _grid("0:1:3") == [0.0, 0.5, 1.0]

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
-from qdrepeater.metrics import distribution_metrics
+from qdrepeater.metrics import distribution_metrics, pcd_metrics
 from qdrepeater.protocols import (
     ChainScenario,
     SegmentSpec,
-    _uniform_spins,
     channel_mixing_weight,
     distribute_bell,
     distribute_ghz,
@@ -22,6 +21,7 @@ from qdrepeater.protocols import (
     purify_round,
     run_chain,
     spin_register,
+    uniform_spins,
 )
 from qdrepeater.qstate import (
     Ensemble,
@@ -230,7 +230,7 @@ def test_ghz_noise_immunity(rng):
 # --- parity-check detection --------------------------------------------------------
 
 def test_pcd_on_uniform_spins_ideal():
-    outs = pcd(_uniform_spins(("e1", "e2")), "e1", "e2", IDEAL)
+    outs = pcd(uniform_spins(("e1", "e2")), "e1", "e2", IDEAL)
     assert [o.detection for o in outs] == ["R_a1", "R_a2", "L_a1", "L_a2"]
     even_p = sum(o.probability for o in outs if o.detection.startswith("R"))
     odd_p = sum(o.probability for o in outs if o.detection.startswith("L"))
@@ -254,7 +254,7 @@ def test_pcd_aligned_spins_herald_even_with_certainty():
 
 
 def test_pcd_practical_reference_numbers():
-    outs = pcd(_uniform_spins(("e1", "e2")), "e1", "e2", REF)
+    outs = pcd(uniform_spins(("e1", "e2")), "e1", "e2", REF)
     odd_p = sum(o.probability for o in outs if o.detection.startswith("L"))
     assert odd_p == pytest.approx(0.3833780, abs=5e-7)
     for o in outs:
@@ -296,13 +296,13 @@ def test_pcd_rejects_bad_probe():
     from qdrepeater.protocols import _probe_state
 
     bad = apply_map(_probe_state(), LinearMap(np.diag([1.0, 0.0]).astype(complex)), ["probe_pol"])
-    spins = _uniform_spins(("e1", "e2"))
+    spins = uniform_spins(("e1", "e2"))
     with pytest.raises(ValueError):
         pcd(spins, "e1", "e2", IDEAL, probe=StateVector(bad.register, bad.amplitudes / math.sqrt(bad.norm2)))
 
 
 def test_pcd_rejects_unknown_spin():
-    spins = _uniform_spins(("e1", "e2"))
+    spins = uniform_spins(("e1", "e2"))
     with pytest.raises(Exception):
         pcd(spins, "e1", "nope", IDEAL)
 
@@ -472,6 +472,62 @@ def test_chain_input_coupling():
     report = run_chain(scenario)
     assert report.total_probability == pytest.approx(0.81, abs=1e-10)
     assert report.final_fidelity == pytest.approx(1.0, abs=1e-10)
+
+
+def test_chain_with_rounding_level_parity_ports():
+    # ideal -> (g=2.4, ks=0.1) -> (g=1.2, ks=0.2) behind asymmetric fibers:
+    # in one purification PCD the odd ports herald p ~ 1e-24 each, and their
+    # normalized post states are rounding noise that disagree in overlap
+    q = resonant_coeffs(CavityParams(g=2.4, kappa_s=0.1))
+    scenario = ChainScenario(
+        nodes={"n0": IDEAL, "n1": q, "n2": REF},
+        segments=[
+            SegmentSpec("s0", "n0", "n1",
+                        NoiseChannel((0.0628476289781431-0.0499944094042439j),
+                                     (0.11928947588670098+0.9896063639158869j),
+                                     (-0.34651586383907135+0.1899312833764904j),
+                                     (0.91860548664152+0.004101660019753711j)),
+                        NoiseChannel((0.8727444606654313-0.47665096798113243j),
+                                     (0.08047339113587026-0.06815419590566632j),
+                                     (-0.31811386315867474+0.25979087992107525j),
+                                     (-0.6397949458924587-0.6495957943110185j))),
+            SegmentSpec("s1", "n1", "n2",
+                        NoiseChannel((0.28359467155000806+0.3336147419278929j),
+                                     (0.4524627321309792+0.7768865697573863j),
+                                     (-0.2358664978576113+0.5576412185929951j),
+                                     (0.04121059057691217+0.7947986875547839j)),
+                        NoiseChannel((0.9479023602355074+0.26632121751135457j),
+                                     (-0.14888673194642404+0.09157983191477154j),
+                                     (-0.6108409376726804+0.719202617488421j),
+                                     (-0.27625430379639854+0.18249521499187804j))),
+        ],
+        purify_rounds=1, eta_in=0.8582862963260186)
+    report = run_chain(scenario)
+    assert [s.stage for s in report.stages] == ["distribute", "purify", "distribute", "purify", "extend"]
+    for st in report.stages:
+        assert 0.0 <= st.probability <= 1.0
+        assert 0.0 <= st.fidelity <= 1.0
+    assert 0.0 <= report.total_probability <= 1.0
+    assert 0.0 <= report.final_fidelity <= 1.0
+
+
+@pytest.mark.parametrize("eta_in", [0.0, -1.0, 1.5, float("nan")])
+def test_eta_in_outside_unit_interval_rejected(eta_in):
+    spins = uniform_spins(("e1", "e2"))
+    calls = [
+        lambda: distribute_bell(QUIET, QUIET, IDEAL, IDEAL, eta_in=eta_in),
+        lambda: distribute_ghz(3, [QUIET] * 3, [IDEAL] * 3, eta_in=eta_in),
+        lambda: pcd(spins, "e1", "e2", IDEAL, eta_in=eta_in),
+        lambda: extend_chain(phi_minus(("a", "z")), phi_minus(("zp", "d")), ("z", "zp"),
+                             IDEAL, eta_in=eta_in),
+        lambda: distribution_metrics(IDEAL, eta_in=eta_in),
+        lambda: pcd_metrics(IDEAL, eta_in=eta_in),
+        lambda: ChainScenario(nodes={"A": IDEAL, "B": IDEAL},
+                              segments=[SegmentSpec("AB", "A", "B")], eta_in=eta_in).validate(),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="eta_in"):
+            call()
 
 
 def test_wiring_validation():
