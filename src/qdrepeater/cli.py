@@ -495,7 +495,14 @@ def cmd_crosscheck(args):
     return 0 if report.ok else 2
 
 
+#: sweep quantities that take --eta-in
+_ETA_IN_QUANTITIES = ("distribution", "pcd")
+
+
 def cmd_sweep(args):
+    # checked before the config fills it: [defaults] is shared by every subcommand
+    if args.eta_in is not None and args.quantity not in _ETA_IN_QUANTITIES:
+        raise UsageError(f"--eta-in applies only to --quantity {' or '.join(_ETA_IN_QUANTITIES)}")
     _apply_defaults(args, ("gamma", "eta_in", "rounds"))
     gamma = _resolve(args, "gamma", 0.1)
     eta_in = _resolve(args, "eta_in", 1.0)

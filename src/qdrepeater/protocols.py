@@ -6,7 +6,9 @@ Four protocols are implemented by exact state-vector evolution:
   time-bin encoded, sent through noisy fibers, decoded, scattered off one
   spin per node and detected.  Every two-photon (n-photon) detection pattern
   heralds a spin state; a recorded single-spin correction turns each pattern
-  into the same target state.
+  into the same target state.  Each photon's path is compiled into a small
+  transfer array from the matrices of the dense time-bin pipeline, and the
+  branches are tensor products of those arrays.
 * Parity-check detection (PCD): a single probe photon is split over two
   local cavities, recombined and detected; the detected polarization heralds
   the even or odd parity subspace of the two spins without measuring them.
@@ -22,6 +24,7 @@ the leak/noise (plus input-coupling) loss.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,6 +41,7 @@ from .qstate import (
     Subsystem,
     allclose_upto_phase,
     apply_map,
+    basis_state,
     fidelity,
     hadamard,
     linear_map,
@@ -47,20 +51,24 @@ from .qstate import (
     superposition,
     tensor,
 )
-from .scatter import scatter, scatter_map
+from .scatter import scatter_map
 from .timebin import (
+    DIRECTION,
+    POL_CIRCULAR,
+    POL_LINEAR,
+    TB_DECODED,
+    TB_RAW,
     NoiseChannel,
     OpticalElement,
     apply_element,
-    apply_noise,
     decode,
-    dir_label,
-    encode,
+    encode_map,
+    fiber_map,
+    phase_shift_map,
     photon_register,
     pol_label,
     routing_map,
     tb_label,
-    to_circular,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -139,62 +147,105 @@ def _detection_label(pattern) -> str:
 # entanglement distribution
 # ---------------------------------------------------------------------------
 
-def _run_distribution(photon_names, noises, coeffs_list, phase_photon, spin_labels):
-    """Evolve source -> encoders -> fibers -> decoders -> cavities, then detect.
+#: per-photon detection outcomes a branch lists, port by port, each with its
+#: sp and lp arrival class; rows of the 8-dimensional (circular polarization,
+#: direction, decoded time bin) output of one photon's path
+_PORT_ROWS = [4 * POL_CIRCULAR.index(pol) + 2 * DIRECTION.index(d) + k
+              for pol, d in _PORTS for k in range(len(TB_DECODED))]
 
-    Returns (grouped, survival): grouped maps each (pol, dir) detection
-    pattern to a list of (time-bin outcome, probability, raw post state);
-    survival is the squared norm after scattering, i.e. one minus the
-    leak/noise loss.
+
+@functools.cache
+def _decoder_matrix() -> np.ndarray:
+    """`decode` as an 8x4 matrix from (polarization, raw time bin) to
+    (polarization, direction, decoded time bin).
+
+    Read off the dense pipeline once per process by decoding the four basis
+    inputs.  The decoder only routes amplitude, so the columns must be
+    orthonormal.
     """
-    n = len(photon_names)
-    subsystems = []
-    for nm in photon_names:
-        subsystems.extend(photon_register(nm).subsystems)
-    photons_reg = Register(tuple(subsystems))
-    photonic = superposition(photons_reg, [
-        (RT2, {pol_label(nm): "H" for nm in photon_names}),
-        (RT2, {pol_label(nm): "V" for nm in photon_names}),
-    ])
-    state = tensor(photonic, uniform_spins(spin_labels))
+    reg = photon_register("x")
+    d = np.stack([
+        decode(basis_state(reg, {pol_label("x"): pol, tb_label("x"): tb}), "x").amplitudes
+        for pol in POL_LINEAR for tb in TB_RAW], axis=1)
+    dev = float(np.max(np.abs(d.conj().T @ d - np.eye(4))))
+    if dev > 1e-12:
+        raise RuntimeError(f"decoder matrix deviates from an isometry by {dev}")
+    return d
 
-    for nm, ch in zip(photon_names, noises):
-        state = encode(state, nm)
-        state = apply_noise(state, nm, ch)
-        state = decode(state, nm)
-    state = apply_element(state, OpticalElement("PHASE", {"angle": math.pi}),
-                          [pol_label(phase_photon)])
-    for nm in photon_names:
-        state = to_circular(state, nm)
-    for nm, lab, cf in zip(photon_names, spin_labels, coeffs_list):
-        state = scatter(state, nm, lab, cf)
 
-    survival = state.norm2
-    targets = []
-    for nm in photon_names:
-        targets.extend([pol_label(nm), dir_label(nm), tb_label(nm)])
-    branches = measure(state, targets, min_prob=None)
+def _photon_transfer(noise: NoiseChannel, coeffs: ScatterCoeffs, phased: bool) -> np.ndarray:
+    """Amplitudes v[s, o, spin] left by one photon's path.
 
-    grouped: dict[tuple, list] = {}
-    stray = 0.0
-    total = 0.0
-    for br in branches:
-        pattern = tuple((br.outcome[3 * i], br.outcome[3 * i + 1]) for i in range(n))
-        tb = tuple(br.outcome[3 * i + 2] for i in range(n))
-        total += br.probability
-        if any(pd not in _PORTS for pd in pattern):
-            stray += br.probability
-            continue
-        grouped.setdefault(pattern, []).append((tb, br.probability, br.post))
-    if stray > 1e-10:
-        raise RuntimeError(f"amplitude {stray} escaped the decoder routing")
-    if abs(total - survival) > 1e-10:
-        raise RuntimeError("detection probabilities do not add up to the surviving norm")
+    The photon leaves the source with polarization s (H, V) in the early
+    bin and runs encode -> fiber -> decode -> (pi phase) -> quarter-wave
+    relabel -> scatter off its spin, which starts in |+>.  o indexes the
+    photon's (circular polarization, direction, decoded time bin) outcome.
+    """
+    # source columns Hs and Vs of the (polarization, raw time bin) basis
+    path = _decoder_matrix() @ fiber_map(noise).matrix @ encode_map().matrix[:, [0, 2]]
+    if phased:
+        path = np.kron(phase_shift_map(math.pi).matrix, np.eye(4)) @ path
+    # scatter acts on (polarization, direction, spin); the time bin is a spectator
+    s_plus = scatter_map(coeffs).matrix.reshape(8, 4, 2) @ np.array([RT2, RT2])
+    v = np.einsum("pdxq,qts->spdtx", s_plus.reshape(2, 2, 2, 4), path.reshape(4, 2, 2))
+    return v.reshape(2, 8, 2)
+
+
+def distribution_branches(noises, coeffs_list, phase_photon: int, spin_labels):
+    """Detection branches of n-photon distribution from per-photon transfers.
+
+    The source emits (|H...H> + |V...V>)/sqrt(2), and every photon runs its
+    own path to its own spin, so the state before detection is
+    (x_i v_i[H] + x_i v_i[V])/sqrt(2) with x the tensor product; photon
+    ``phase_photon`` gets the pi phase.  Returns (grouped, survival):
+    grouped maps each port pattern to a list of (time-bin outcome,
+    probability, normalized post state or None at probability 0), in the
+    order a projective measurement of the photons lists them; survival is
+    the squared norm after scattering, i.e. one minus the leak/noise loss.
+    """
+    n = len(spin_labels)
+    v = [_photon_transfer(ch, cf, i == phase_photon)
+         for i, (ch, cf) in enumerate(zip(noises, coeffs_list))]
+    from_h, from_v = (functools.reduce(np.kron, [vi[s, _PORT_ROWS] for vi in v]) for s in (0, 1))
+    # rows run over (port_1, tb_1, ..., port_n, tb_n); regroup by port pattern
+    amps = (RT2 * (from_h + from_v)).reshape((2,) * (2 * n) + (-1,))
+    amps = amps.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n])
+    amps = amps.reshape(2 ** n, 2 ** n, 2 ** n)
+    probs = np.sum(np.abs(amps) ** 2, axis=2)
+
+    # <x_i a_i, x_i b_i> = prod_i <a_i, b_i> gives the full norm, stray ports included
+    overlap = [[math.prod(np.vdot(vi[a], vi[b]) for vi in v) for b in (0, 1)] for a in (0, 1)]
+    survival = 0.5 * float((overlap[0][0] + overlap[1][1] + 2.0 * overlap[0][1]).real)
+    if abs(float(probs.sum()) - survival) > 1e-10:
+        raise RuntimeError("port detections do not add up to the surviving norm")
+
+    reg = spin_register(spin_labels)
+    tbs = list(itertools.product(TB_DECODED, repeat=n))
+    grouped = {}
+    for pattern, pat_amps, pat_probs in zip(_structural_patterns(n), amps, probs):
+        grouped[pattern] = [
+            (tb, float(p), StateVector(reg, a / math.sqrt(p)) if p > 0.0 else None)
+            for tb, a, p in zip(tbs, pat_amps, pat_probs)]
     return grouped, survival
 
 
 def _structural_patterns(n):
     return list(itertools.product(_PORTS, repeat=n))
+
+
+@functools.cache
+def _correction_matrix(gates_idx, n: int) -> np.ndarray:
+    """The single-spin corrections of one pattern as one 2^n x 2^n matrix.
+
+    The corrections are Pauli gates, so the entries are 0 and +-1, and the
+    matrix moves and negates amplitudes exactly as the gates one by one do.
+    """
+    ops = [np.eye(2, dtype=complex) for _ in range(n)]
+    for g, i in gates_idx:
+        ops[i] = _GATES[g].matrix @ ops[i]
+    m = functools.reduce(np.kron, ops)
+    m.setflags(write=False)
+    return m
 
 
 def _collect_outcomes(grouped, n, spin_labels, correction_for, target, eta_in):
@@ -203,22 +254,26 @@ def _collect_outcomes(grouped, n, spin_labels, correction_for, target, eta_in):
     for pattern in _structural_patterns(n):
         gates_idx = correction_for(pattern)
         gates = tuple((g, spin_labels[i]) for g, i in gates_idx)
+        correction = _correction_matrix(gates_idx, n)
         entries = grouped.get(pattern, [])
-        live = [(tb, p, _apply_gates(post, gates))
-                for tb, p, post in entries if p > _ZERO]
+        live = [(tb, p, post) for tb, p, post in entries if p > _ZERO]
         label = _detection_label(pattern)
         if not live:
             outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
             continue
+        # the correction is exact, so comparing the raw states decides as
+        # comparing corrected ones
         first = live[0][2]
         if all(allclose_upto_phase(first, post, _MERGE_TOL) for _, _, post in live[1:]):
             p_total = sum(p for _, p, _ in live)
+            first = StateVector(first.register, correction @ first.amplitudes)
             outcomes.append(HeraldedOutcome(
                 label, p_total * scale, gates, first, fidelity(first, target)))
         else:
             # asymmetric fibers: arrival class carries which rotation acted,
             # so branches with different time stamps herald different states
             for tb, p, post in live:
+                post = StateVector(post.register, correction @ post.amplitudes)
                 outcomes.append(HeraldedOutcome(
                     f"{label}:{','.join(tb)}", p * scale, gates, post,
                     fidelity(post, target)))
@@ -242,7 +297,6 @@ def distribute_bell(
     coeffs_b: ScatterCoeffs,
     eta_in: float = 1.0,
     spin_labels=("e_a", "e_b"),
-    photon_names=("a", "b"),
 ) -> list[HeraldedOutcome]:
     """Distribute one Bell pair between two nodes; herald on both photons.
 
@@ -251,14 +305,17 @@ def distribute_bell(
     (|up,up> - |dn,dn>)/sqrt(2).
     """
     check_eta_in(eta_in)
-    grouped, _ = _run_distribution(
-        photon_names, (noise_a, noise_b), (coeffs_a, coeffs_b),
-        phase_photon=photon_names[1], spin_labels=spin_labels)
+    grouped, _ = distribution_branches(
+        (noise_a, noise_b), (coeffs_a, coeffs_b), phase_photon=1, spin_labels=spin_labels)
     target = phi_minus(spin_labels)
     return _collect_outcomes(grouped, 2, spin_labels, _bell_correction, target, eta_in)
 
 
 _GHZ_TABLE: dict[int, dict] = {}
+
+
+def _ghz_labels(n: int) -> list[str]:
+    return [f"e_{chr(ord('a') + i)}" for i in range(n)]
 
 
 def _ghz_correction_table(n: int) -> dict:
@@ -270,11 +327,9 @@ def _ghz_correction_table(n: int) -> dict:
     """
     if n in _GHZ_TABLE:
         return _GHZ_TABLE[n]
-    names = [chr(ord("a") + i) for i in range(n)]
-    labels = [f"e_{nm}" for nm in names]
-    grouped, _ = _run_distribution(
-        names, [NoiseChannel.identity()] * n, [IDEAL] * n,
-        phase_photon=names[0], spin_labels=labels)
+    labels = _ghz_labels(n)
+    grouped, _ = distribution_branches(
+        [NoiseChannel.identity()] * n, [IDEAL] * n, phase_photon=0, spin_labels=labels)
     target = phi_plus(labels)
     table = {}
     for pattern in _structural_patterns(n):
@@ -320,11 +375,9 @@ def distribute_ghz(
     coeffs = list(coeffs)
     if len(noise) != n or len(coeffs) != n:
         raise ValueError("need one noise channel and one coefficient set per photon")
-    names = [chr(ord("a") + i) for i in range(n)]
-    labels = [f"e_{nm}" for nm in names]
+    labels = _ghz_labels(n)
     table = _ghz_correction_table(n)
-    grouped, _ = _run_distribution(names, noise, coeffs,
-                                   phase_photon=names[0], spin_labels=labels)
+    grouped, _ = distribution_branches(noise, coeffs, phase_photon=0, spin_labels=labels)
     target = phi_plus(labels)
     return _collect_outcomes(grouped, n, labels, lambda pat: table[pat], target, eta_in)
 
@@ -771,8 +824,7 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
         outcomes = distribute_bell(
             seg.noise_left, seg.noise_right,
             scenario.nodes[seg.left], scenario.nodes[seg.right],
-            eta_in=scenario.eta_in, spin_labels=labels,
-            photon_names=(f"ph{i}a", f"ph{i}b"))
+            eta_in=scenario.eta_in, spin_labels=labels)
         ens, p = heralded_ensemble(outcomes)
         fid = fidelity(ens, phi_minus(labels))
         stages.append(StageResult("distribute", seg.name, p, fid))

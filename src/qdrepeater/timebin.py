@@ -272,6 +272,33 @@ def apply_element(state: StateVector, element: OpticalElement, targets) -> State
     raise ValueError(f"unhandled element kind {kind!r}")
 
 
+def encode_map() -> LinearMap:
+    """Encoder on (polarization, raw time bin), basis order Hs, Hl, Vs, Vl.
+
+    Physical columns: Hs -> Hs, Vs -> Hl (long path plus window flip).  The
+    late-bin columns are a formal unitary completion; `encode` keeps them
+    unreachable by requiring the bin register in |s>.
+    """
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = 1.0   # Hs -> Hs
+    m[1, 2] = 1.0   # Vs -> Hl
+    m[3, 1] = 1.0   # Hl -> Vl (completion)
+    m[2, 3] = 1.0   # Vl -> Vs (completion)
+    return LinearMap(m, unitary=True)
+
+
+def fiber_map(ch: NoiseChannel) -> LinearMap:
+    """Fiber rotation on (polarization, raw time bin): one polarization block per bin."""
+    u_s = ch.early_unitary()
+    u_l = ch.late_unitary()
+    m = np.zeros((4, 4), dtype=complex)
+    for p_out in (0, 1):
+        for p_in in (0, 1):
+            m[p_out * 2 + 0, p_in * 2 + 0] = u_s[p_out, p_in]
+            m[p_out * 2 + 1, p_in * 2 + 1] = u_l[p_out, p_in]
+    return LinearMap(m, unitary=True)
+
+
 def encode(state: StateVector, photon: str) -> StateVector:
     """Convert polarization into an early/late time bin, all output H-polarized.
 
@@ -289,15 +316,7 @@ def encode(state: StateVector, photon: str) -> StateVector:
     psi = np.moveaxis(state.tensor_axes(), reg.position(tb), 0)
     if float(np.sum(np.abs(psi[1]) ** 2)) > 1e-20:
         raise RegisterError(f"photon {photon!r} time bin must start in |s>")
-    # (pol, tb) basis order: Hs, Hl, Vs, Vl.  Physical columns: Hs -> Hs,
-    # Vs -> Hl (long path plus window flip).  The late-bin columns are a
-    # formal unitary completion; the precondition keeps them unreachable.
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0   # Hs -> Hs
-    m[1, 2] = 1.0   # Vs -> Hl
-    m[3, 1] = 1.0   # Hl -> Vl (completion)
-    m[2, 3] = 1.0   # Vl -> Vs (completion)
-    return apply_map(state, LinearMap(m, unitary=True), [pol, tb])
+    return apply_map(state, encode_map(), [pol, tb])
 
 
 def apply_noise(state: StateVector, photon: str, ch: NoiseChannel) -> StateVector:
@@ -306,15 +325,7 @@ def apply_noise(state: StateVector, photon: str, ch: NoiseChannel) -> StateVecto
     tb = tb_label(photon)
     if reg.subsystem(tb).levels != TB_RAW:
         raise RegisterError(f"photon {photon!r} must be in the raw (s, l) time-bin form")
-    u_s = ch.early_unitary()
-    u_l = ch.late_unitary()
-    # (pol, tb) ordering: block per bin
-    m = np.zeros((4, 4), dtype=complex)
-    for p_out in (0, 1):
-        for p_in in (0, 1):
-            m[p_out * 2 + 0, p_in * 2 + 0] = u_s[p_out, p_in]
-            m[p_out * 2 + 1, p_in * 2 + 1] = u_l[p_out, p_in]
-    return apply_map(state, LinearMap(m, unitary=True), [pol_label(photon), tb])
+    return apply_map(state, fiber_map(ch), [pol_label(photon), tb])
 
 
 #: Collapse table for the decoder output: total delay count decides the class.

@@ -86,12 +86,33 @@ def test_unknown_quantity_is_usage_error(capsys):
     ("distribute", "--eta-in", "1.5", "--simulate"),
     ("pcd", "--eta-in", "-0.5", "--simulate"),
     ("sweep", "--quantity", "distribution", "--eta-in", "0"),
+    ("sweep", "--quantity", "distribution", "--eta-in", "1.5"),
 ])
 def test_eta_in_outside_unit_interval_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert "eta_in" in err
+
+
+@pytest.mark.parametrize("quantity", ["coeffs", "purify", "chain"])
+def test_sweep_eta_in_on_a_quantity_without_it_is_usage_error(tmp_path, capsys, quantity):
+    scenario = tmp_path / "chain.ini"
+    scenario.write_text(IDEAL_SCENARIO)
+    code, out, err = run(capsys, "sweep", "--quantity", quantity, "--scenario", str(scenario),
+                         "--eta-in", "-3" if quantity == "purify" else "0.5")
+    assert code == 1
+    assert out == ""
+    assert "--eta-in" in err and "distribution or pcd" in err
+
+
+def test_sweep_eta_in_from_config_defaults_is_allowed(tmp_path, capsys):
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text("[defaults]\neta_in = 0.5\n")
+    code, out, _ = run(capsys, "sweep", "--quantity", "purify", "--config", str(cfg),
+                       "--mu-grid", "0.7", "--rounds", "1")
+    assert code == 0
+    assert out.splitlines()[0] == ",".join(PURIFY_HEADER)
 
 
 def test_grid_parsing():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
 from qdrepeater.metrics import distribution_metrics, pcd_metrics
@@ -11,6 +13,7 @@ from qdrepeater.protocols import (
     channel_mixing_weight,
     distribute_bell,
     distribute_ghz,
+    distribution_branches,
     extend_chain,
     ghz_state,
     heralded_ensemble,
@@ -24,7 +27,6 @@ from qdrepeater.protocols import (
     uniform_spins,
 )
 from qdrepeater.qstate import (
-    Ensemble,
     LinearMap,
     StateVector,
     allclose_upto_phase,
@@ -37,6 +39,7 @@ from qdrepeater.qstate import (
 from qdrepeater.timebin import NoiseChannel
 
 from conftest import random_coeffs
+from dense_oracle import run_distribution
 
 RT2 = 1.0 / math.sqrt(2.0)
 QUIET = NoiseChannel.identity()
@@ -140,8 +143,6 @@ def test_distribution_branches_match_tensor_oracle(rng):
     # (t, t0) on its spin, the swapped port leaves the reflection pair
     # (r, r0); each two-photon branch is a difference of two such products
     # with overall weight 1/8
-    from qdrepeater.protocols import _run_distribution
-
     for _ in range(5):
         ca = random_coeffs(rng)
         cb = random_coeffs(rng)
@@ -155,8 +156,8 @@ def test_distribution_branches_match_tensor_oracle(rng):
             (("R", "up"), ("L", "dn")): np.kron(t_a, r_b) - np.kron(r_a, t_b),
             (("L", "dn"), ("R", "up")): np.kron(r_a, t_b) - np.kron(t_a, r_b),
         }
-        grouped, _ = _run_distribution(("a", "b"), (QUIET, QUIET), (ca, cb),
-                                       phase_photon="b", spin_labels=("e_a", "e_b"))
+        grouped, _ = run_distribution(("a", "b"), (QUIET, QUIET), (ca, cb),
+                                      phase_photon="b", spin_labels=("e_a", "e_b"))
         for pattern, vec in vectors.items():
             entries = [e for e in grouped[pattern] if e[1] > 1e-24]
             p_sim = sum(p for _, p, _ in entries)
@@ -164,6 +165,77 @@ def test_distribution_branches_match_tensor_oracle(rng):
             if p_sim > 1e-12:
                 expected = StateVector(spin_register(("e_a", "e_b")), vec / np.linalg.norm(vec))
                 assert allclose_upto_phase(entries[0][2], expected, 1e-10)
+
+
+def _assert_matches_dense_oracle(noises, coeffs, phase_photon):
+    n = len(noises)
+    names = [chr(ord("a") + i) for i in range(n)]
+    labels = [f"e_{nm}" for nm in names]
+    dense, dense_survival = run_distribution(names, noises, coeffs, names[phase_photon], labels)
+    grouped, survival = distribution_branches(noises, coeffs, phase_photon, labels)
+    assert survival == pytest.approx(dense_survival, abs=1e-12)
+    assert set(grouped) == set(dense)
+    for pattern, entries in grouped.items():
+        assert [tb for tb, _, _ in entries] == [tb for tb, _, _ in dense[pattern]]
+        for (_, p, post), (_, p_dense, post_dense) in zip(entries, dense[pattern]):
+            assert p == pytest.approx(p_dense, abs=1e-12)
+            assert (post is None) == (p == 0.0)
+            heralded = np.zeros(2 ** n) if post is None else math.sqrt(p) * post.amplitudes
+            heralded_dense = (np.zeros(2 ** n) if post_dense is None
+                              else math.sqrt(p_dense) * post_dense.amplitudes)
+            assert np.max(np.abs(heralded - heralded_dense)) < 1e-12
+            if p > 1e-6:
+                assert np.max(np.abs(post.amplitudes - post_dense.amplitudes)) < 1e-12
+
+
+def _asymmetric_fiber(early, late):
+    a = NoiseChannel.symmetric_from_angles(*early)
+    b = NoiseChannel.symmetric_from_angles(*late)
+    return NoiseChannel(a.delta, a.eta, b.delta, b.eta)
+
+
+_angles = st.floats(0.0, 2.0 * math.pi)
+_rotations = st.tuples(_angles, _angles, _angles)
+_fibers = st.one_of(
+    _rotations.map(lambda a: NoiseChannel.symmetric_from_angles(*a)),
+    st.tuples(_rotations, _rotations).map(lambda ab: _asymmetric_fiber(*ab)),
+)
+_nodes = st.builds(lambda g, ks, gamma: resonant_coeffs(CavityParams(g=g, kappa_s=ks, gamma=gamma)),
+                   st.floats(0.2, 3.0), st.floats(0.0, 0.3), st.floats(0.02, 0.5))
+
+
+@st.composite
+def _distribution_inputs(draw):
+    n = draw(st.integers(2, 4))
+    noises = draw(st.lists(_fibers, min_size=n, max_size=n))
+    coeffs = draw(st.lists(_nodes, min_size=n, max_size=n))
+    return noises, coeffs, draw(st.sampled_from((0, n - 1)))
+
+
+@given(_distribution_inputs())
+@settings(max_examples=25, deadline=None)
+def test_transfer_branches_match_dense_oracle(inputs):
+    _assert_matches_dense_oracle(*inputs)
+
+
+def test_transfer_branches_match_dense_oracle_five_photons():
+    rng = np.random.default_rng(55)
+    noises = [NoiseChannel.random_asymmetric(rng)] + [NoiseChannel.random_symmetric(rng) for _ in range(4)]
+    _assert_matches_dense_oracle(noises, [random_coeffs(rng) for _ in range(5)], 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_transfer_branches_keep_the_oracle_zero_branches(n):
+    # ideal nodes and quiet fibers leave most time-bin outcomes exactly empty
+    names = [chr(ord("a") + i) for i in range(n)]
+    labels = [f"e_{nm}" for nm in names]
+    dense, _ = run_distribution(names, [QUIET] * n, [IDEAL] * n, names[0], labels)
+    grouped, _ = distribution_branches([QUIET] * n, [IDEAL] * n, 0, labels)
+    zeros = [(pattern, tb) for pattern, entries in grouped.items()
+             for tb, p, post in entries if p == 0.0 and post is None]
+    assert len(zeros) > 4 ** n // 2
+    assert zeros == [(pattern, tb) for pattern, entries in dense.items()
+                     for tb, p, post in entries if p == 0.0 and post is None]
 
 
 # --- GHZ distribution ------------------------------------------------------------
@@ -178,12 +250,10 @@ def test_ghz_needs_two_parties():
 def test_ghz_two_party_matches_bell_branchwise():
     # raw heralded states agree branch by branch up to a global phase; only
     # the declared targets (and hence corrections) differ between protocols
-    from qdrepeater.protocols import _run_distribution
-
-    bell_raw, _ = _run_distribution(("a", "b"), (QUIET, QUIET), (IDEAL, IDEAL),
-                                    phase_photon="b", spin_labels=("e_a", "e_b"))
-    ghz_raw, _ = _run_distribution(("a", "b"), (QUIET, QUIET), (IDEAL, IDEAL),
-                                   phase_photon="a", spin_labels=("e_a", "e_b"))
+    bell_raw, _ = run_distribution(("a", "b"), (QUIET, QUIET), (IDEAL, IDEAL),
+                                   phase_photon="b", spin_labels=("e_a", "e_b"))
+    ghz_raw, _ = run_distribution(("a", "b"), (QUIET, QUIET), (IDEAL, IDEAL),
+                                  phase_photon="a", spin_labels=("e_a", "e_b"))
     assert set(bell_raw) == set(ghz_raw)
     for pattern, bell_entries in bell_raw.items():
         ghz_entries = ghz_raw[pattern]

@@ -11,7 +11,6 @@ from qdrepeater.qstate import (
     Subsystem,
     basis_state,
     superposition,
-    tensor,
 )
 from qdrepeater.scatter import scatter, scatter_map
 

@@ -6,12 +6,10 @@ import pytest
 from qdrepeater.qstate import (
     RegisterError,
     Register,
-    StateVector,
     allclose_upto_phase,
     basis_state,
     schmidt_rank,
     superposition,
-    tensor,
 )
 from qdrepeater.timebin import (
     NoiseChannel,
