@@ -49,7 +49,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _grid(spec: str) -> list[float]:
+def parse_grid(spec: str) -> list[float]:
     """Parse "start:stop:count" (inclusive linspace) or a comma list."""
     try:
         if ":" in spec:
@@ -508,27 +508,27 @@ def cmd_sweep(args):
     eta_in = _resolve(args, "eta_in", 1.0)
     quantity = args.quantity
     if quantity == "coeffs":
-        g_grid = _grid(args.g_grid or "1.2")
-        ks_grid = _grid(args.kappa_s_grid or "0")
-        d_grid = _grid(args.delta_grid or "0")
+        g_grid = parse_grid(args.g_grid or "1.2")
+        ks_grid = parse_grid(args.kappa_s_grid or "0")
+        d_grid = parse_grid(args.delta_grid or "0")
         rows = [_coeffs_row(g, ks, gamma, d)
                 for g in g_grid for ks in ks_grid for d in d_grid]
         _write_table(COEFFS_HEADER, rows, args.output)
     elif quantity in ("distribution", "pcd"):
-        g_grid = _grid(args.g_grid or "1.2")
-        ks_grid = _grid(args.kappa_s_grid or "0")
-        d_grid = _grid(args.delta_grid or "0")
+        g_grid = parse_grid(args.g_grid or "1.2")
+        ks_grid = parse_grid(args.kappa_s_grid or "0")
+        d_grid = parse_grid(args.delta_grid or "0")
         rows = [_metrics_row(quantity, g, ks, gamma, d, eta_in)
                 for g in g_grid for ks in ks_grid for d in d_grid]
         _write_table(_metrics_header("d" if quantity == "distribution" else "p"), rows, args.output)
     elif quantity == "purify":
-        mu_grid = _grid(args.mu_grid or "0.6,0.7,0.8,0.9")
+        mu_grid = parse_grid(args.mu_grid or "0.6,0.7,0.8,0.9")
         rounds = int(_resolve(args, "rounds", 3))
         _write_table(PURIFY_HEADER, _purify_rows(mu_grid, rounds), args.output)
     elif quantity == "chain":
         if not args.scenario:
             raise UsageError("chain sweep needs --scenario FILE")
-        g_grid = _grid(args.g_grid or "1.2")
+        g_grid = parse_grid(args.g_grid or "1.2")
         header = ["g", "total_probability", "final_fidelity"]
         rows = []
         for g in g_grid:
@@ -603,10 +603,12 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_photon)
 
-    p = sub.add_parser("sweep", help="parameter sweeps with CSV output")
+    # the grids carry g, kappa_s and delta; no abbreviations, so that --g,
+    # --kappa-s or --delta is rejected, not read as the grid flag it prefixes
+    p = sub.add_parser("sweep", help="parameter sweeps with CSV output", allow_abbrev=False)
     p.add_argument("--quantity", required=True,
                    choices=("coeffs", "distribution", "pcd", "purify", "chain"))
-    _add_cavity_flags(p)
+    p.add_argument("--gamma", type=float, default=None, help="dipole decay rate (default 0.1)")
     p.add_argument("--g-grid", dest="g_grid", default=None)
     p.add_argument("--kappa-s-grid", dest="kappa_s_grid", default=None)
     p.add_argument("--delta-grid", dest="delta_grid", default=None)

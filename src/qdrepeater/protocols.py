@@ -12,6 +12,8 @@ Four protocols are implemented by exact state-vector evolution:
 * Parity-check detection (PCD): a single probe photon is split over two
   local cavities, recombined and detected; the detected polarization heralds
   the even or odd parity subspace of the two spins without measuring them.
+  The probe never flips a spin, so its optics act on the two spins as one
+  diagonal operator per parity.
 * Chain extension: a PCD plus two single-spin measurements splices a fresh
   Bell pair onto an existing entangled chain.
 * Purification: two noisy copies are distilled into one of higher quality
@@ -39,12 +41,12 @@ from .qstate import (
     RegisterError,
     StateVector,
     Subsystem,
+    _unit,
     allclose_upto_phase,
     apply_map,
     basis_state,
     fidelity,
     hadamard,
-    linear_map,
     measure,
     sigma_x,
     sigma_z,
@@ -59,15 +61,12 @@ from .timebin import (
     TB_DECODED,
     TB_RAW,
     NoiseChannel,
-    OpticalElement,
-    apply_element,
     decode,
     encode_map,
     fiber_map,
     phase_shift_map,
     photon_register,
     pol_label,
-    routing_map,
     tb_label,
 )
 
@@ -224,7 +223,7 @@ def distribution_branches(noises, coeffs_list, phase_photon: int, spin_labels):
     grouped = {}
     for pattern, pat_amps, pat_probs in zip(_structural_patterns(n), amps, probs):
         grouped[pattern] = [
-            (tb, float(p), StateVector(reg, a / math.sqrt(p)) if p > 0.0 else None)
+            (tb, float(p), StateVector(reg, _unit(a, p)) if p > 0.0 else None)
             for tb, a, p in zip(tbs, pat_amps, pat_probs)]
     return grouped, survival
 
@@ -447,41 +446,44 @@ def heralded_ensemble(outcomes) -> tuple[Ensemble, float]:
 # parity-check detection
 # ---------------------------------------------------------------------------
 
-_PROBE = "probe"
+@functools.lru_cache(maxsize=16)
+def _parity_operators(coeffs: ScatterCoeffs) -> tuple[tuple[str, LinearMap], ...]:
+    """The probe optics of a PCD as one diagonal operator per parity.
+
+    The probe never flips a spin: an arm whose spin is up (dn) multiplies
+    the probe by u = r + t (v = r0 + t0), and the output combiner turns the
+    two arms into their half sum (even) or half difference (odd).  On
+    (spin1, spin2) that gives diag(u, (u+v)/2, (u+v)/2, v) for even and
+    diag(0, (u-v)/2, (v-u)/2, 0) for odd.
+    """
+    u = coeffs.r + coeffs.t
+    v = coeffs.r0 + coeffs.t0
+    return (("even", LinearMap(np.diag([u, (u + v) / 2.0, (u + v) / 2.0, v]))),
+            ("odd", LinearMap(np.diag([0.0, (u - v) / 2.0, (v - u) / 2.0, 0.0]))))
 
 
-def _probe_state() -> StateVector:
-    reg = Register((
-        Subsystem(f"{_PROBE}_pol", "polarization", ("R", "L")),
-        Subsystem(f"{_PROBE}_dir", "path", ("up", "dn")),
-        Subsystem(f"{_PROBE}_path", "path", ("a1", "a2")),
-    ))
-    return superposition(reg, [(RT2, {f"{_PROBE}_pol": "R"}),
-                               (RT2, {f"{_PROBE}_pol": "L"})])
+#: detector ports in measurement order: (label, parity, sign of the amplitude)
+_PCD_PORTS = (("R_a1", "even", 1.0), ("R_a2", "even", 1.0),
+              ("L_a1", "odd", 1.0), ("L_a2", "odd", -1.0))
 
 
-def _controlled_scatter(coeffs: ScatterCoeffs, arm: int) -> LinearMap:
-    """Scatter acting only in one spatial arm; identity in the other."""
-    blk = scatter_map(coeffs).matrix
-    full = np.zeros((16, 16), dtype=complex)
-    for path in (0, 1):
-        sub = blk if path == arm else np.eye(8)
-        full[path * 8:(path + 1) * 8, path * 8:(path + 1) * 8] = sub
-    return linear_map(full)
+def _parity_branches(state: StateVector, spin1: str, spin2: str, coeffs: ScatterCoeffs,
+                     eta_in: float) -> dict[str, tuple[float, StateVector | None]]:
+    """Even and odd PCD branches as parity -> (probability, post state).
 
-
-def _cpbs_interference() -> LinearMap:
-    """Output combiner: transmits R, swaps the spatial modes for L."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0          # R keeps a1
-    m[1, 1] = 1.0          # R keeps a2
-    m[2, 3] = 1.0          # L a2 -> a1
-    m[3, 2] = 1.0          # L a1 -> a2
-    return LinearMap(m, unitary=True)
-
-
-_K_EVEN = LinearMap(np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex))
-_K_ODD = LinearMap(np.diag([0.0, 1.0, -1.0, 0.0]).astype(complex))
+    Both ports of a parity carry K/sqrt(2), so each herald half of the
+    probability and the same state.  A parity whose ports carry no more
+    than the dead-branch weight has probability 0 and post state None.
+    """
+    branches = {}
+    for parity, kraus in _parity_operators(coeffs):
+        heralded = apply_map(state, kraus, [spin1, spin2])
+        p = heralded.norm2
+        if p / 2.0 <= _ZERO:
+            branches[parity] = (0.0, None)
+        else:
+            branches[parity] = (p * eta_in, heralded.normalized())
+    return branches
 
 
 def pcd(
@@ -490,15 +492,15 @@ def pcd(
     spin2: str,
     coeffs: ScatterCoeffs,
     eta_in: float = 1.0,
-    probe: StateVector | None = None,
 ) -> list[HeraldedOutcome]:
     """Parity-check detection on two co-located spins.
 
     A probe photon in (|R> + |L>)/sqrt(2) is split over the two cavities,
     recombined and detected.  An R click (ports R_a1, R_a2) heralds the even
-    parity subspace, an L click (L_a1, L_a2) the odd one.  The reported
-    fidelity compares each branch with the ideal-interface branch for the
-    same input spins.
+    parity subspace, an L click (L_a1, L_a2) the odd one.  The probe optics
+    act on the spins as the two diagonal operators of `_parity_operators`.
+    The reported fidelity compares each branch with the ideal-interface
+    branch for the same input spins.
     """
     check_eta_in(eta_in)
     for lab in (spin1, spin2):
@@ -506,67 +508,24 @@ def pcd(
             raise RegisterError(f"no spin labeled {lab!r} in the input state")
     if abs(state.norm2 - 1.0) > 1e-9:
         raise ValueError("PCD input state must be normalized")
-    if probe is None:
-        probe = _probe_state()
-    else:
-        if not allclose_upto_phase(probe, _probe_state(), 1e-10):
-            raise ValueError("probe must be (|R> + |L>)/sqrt(2) on input port a1")
 
-    pol = f"{_PROBE}_pol"
-    direc = f"{_PROBE}_dir"
-    path = f"{_PROBE}_path"
-    work = tensor(probe, state)
-    work = apply_element(work, OpticalElement("BS"), [path])
-    work = apply_map(work, routing_map(), [pol, direc])
-    work = apply_map(work, _controlled_scatter(coeffs, 0), [path, pol, direc, spin1])
-    work = apply_map(work, _controlled_scatter(coeffs, 1), [path, pol, direc, spin2])
-    work = apply_map(work, routing_map(), [pol, direc])
-    work = apply_map(work, _cpbs_interference(), [pol, path])
-    work = apply_element(work, OpticalElement("HWP"), [pol])
-
+    branches = _parity_branches(state, spin1, spin2, coeffs, eta_in)
     ideal_targets = {}
-    for parity, kraus in (("even", _K_EVEN), ("odd", _K_ODD)):
+    for parity, kraus in _parity_operators(IDEAL):
         branch = apply_map(state, kraus, [spin1, spin2])
         ideal_targets[parity] = branch.normalized() if branch.norm2 > _ZERO else None
 
-    branches = measure(work, [pol, path, direc], min_prob=None)
     outcomes = []
-    for br in branches:
-        pol_out, path_out, dir_out = br.outcome
-        if dir_out != "up":
-            if br.probability > 1e-10:
-                raise RuntimeError("amplitude escaped the output recombination")
-            continue
-        parity = "even" if pol_out == "R" else "odd"
-        label = f"{pol_out}_{path_out}"
-        if br.probability <= _ZERO or br.post is None:
+    for label, parity, sign in _PCD_PORTS:
+        p, post = branches[parity]
+        if post is None:
             outcomes.append(HeraldedOutcome(label, 0.0, (), None, None))
             continue
+        post = StateVector(post.register, sign * post.amplitudes)
         tgt = ideal_targets[parity]
-        fid = fidelity(br.post, tgt) if tgt is not None else None
-        outcomes.append(HeraldedOutcome(label, br.probability * eta_in, (), br.post, fid))
+        fid = fidelity(post, tgt) if tgt is not None else None
+        outcomes.append(HeraldedOutcome(label, p / 2.0, (), post, fid))
     return outcomes
-
-
-def _merge_parity(outcomes) -> dict[str, tuple[float, StateVector | None]]:
-    """Collapse the four detector ports into even/odd parity branches.
-
-    The two ports of a parity carry equal probability and must herald the
-    same state.  They are compared as heralded amplitudes sqrt(p) * post, so
-    ports of rounding-level probability, whose normalized states are
-    rounding noise, cannot fail the comparison.
-    """
-    merged = {}
-    for parity, ports in (("even", ("R_a1", "R_a2")), ("odd", ("L_a1", "L_a2"))):
-        members = [o for o in outcomes if o.detection in ports]
-        p = sum(o.probability for o in members)
-        live = [o for o in members if o.post_state is not None]
-        heralded = [StateVector(o.post_state.register, math.sqrt(o.probability) * o.post_state.amplitudes)
-                    for o in live]
-        if len(heralded) == 2 and not allclose_upto_phase(heralded[0], heralded[1], _MERGE_TOL):
-            raise RuntimeError(f"{parity} ports herald different states; cannot merge")
-        merged[parity] = (p, live[0].post_state if live else None)
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +561,10 @@ def extend_chain(
     survivors = [lab for lab in state.register.labels if lab not in (label_z, label_zp)]
     target = _ghz_minus_over(state.register, survivors)
 
-    merged = _merge_parity(pcd(state, label_z, label_zp, coeffs, eta_in=eta_in))
+    branches = _parity_branches(state, label_z, label_zp, coeffs, eta_in)
     outcomes = []
     for parity in ("even", "odd"):
-        p_par, post = merged[parity]
+        p_par, post = branches[parity]
         if post is None:
             for m1, m2 in itertools.product(("up", "dn"), repeat=2):
                 gates = _extension_gates(parity, m1, m2, label_d)
@@ -613,7 +572,7 @@ def extend_chain(
                     f"{parity}:{m1},{m2}", 0.0, gates, None, None))
             continue
         rotated = _apply_gates(post, (("h", label_z), ("h", label_zp)))
-        for br in measure(rotated, [label_z, label_zp], min_prob=None):
+        for br in measure(rotated, [label_z, label_zp]):
             m1, m2 = br.outcome
             gates = _extension_gates(parity, m1, m2, label_d)
             p = p_par * br.probability
@@ -674,19 +633,19 @@ def _purify_ensemble(ens: Ensemble, labels, coeffs_a, coeffs_b, eta_in: float = 
                 continue
             st = tensor(s1, _relabel_spins(s2, copy))
             st = _apply_gates(st, tuple(("h", lab) for lab in (la, lb, lac, lbc)))
-            par_a = _merge_parity(pcd(st, la, lac, coeffs_a, eta_in=eta_in))
+            par_a = _parity_branches(st, la, lac, coeffs_a, eta_in)
             for parity, (p_a, post_a) in par_a.items():
                 if post_a is None or p_a <= _ZERO:
                     continue
                 # cross parity heralds an error; only the matching branch is kept
-                p_b, post_b = _merge_parity(pcd(post_a, lb, lbc, coeffs_b, eta_in=eta_in))[parity]
+                p_b, post_b = _parity_branches(post_a, lb, lbc, coeffs_b, eta_in)[parity]
                 if post_b is None or p_b <= _ZERO:
                     continue
                 work = post_b
                 if parity == "odd":
                     work = _apply_gates(work, (("x", la), ("x", lb)))
                 work = _apply_gates(work, (("h", la), ("h", lb)))
-                for br in measure(work, [la, lb], min_prob=None):
+                for br in measure(work, [la, lb]):
                     if br.post is None or br.probability <= _ZERO:
                         continue
                     final = br.post

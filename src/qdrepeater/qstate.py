@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 ATOL = 1e-12            # tolerance for algebraic identities
-PRUNE_EPS = 1e-14       # measurement branches below this weight are dead
 _NORM_SLACK = 1e-9      # construction-time slack on norm**2 <= 1
+_TINY = float(np.finfo(float).tiny)     # smallest normal float
 
 KINDS = ("polarization", "timebin", "path", "spin")
 
@@ -217,8 +217,17 @@ class LinearMap:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "LinearMap":
-        return LinearMap(self.matrix.conj().T, unitary=self.unitary)
+
+def _unit(amps: np.ndarray, norm2: float) -> np.ndarray:
+    """``amps / sqrt(norm2)``, with ``norm2`` the caller's sum of |amps|^2.
+
+    Below the smallest normal float that sum has lost its precision, so the
+    amplitudes are rescaled and their squared norm is summed again first.
+    """
+    if norm2 < _TINY:
+        amps = amps / np.max(np.abs(amps))
+        norm2 = float(np.vdot(amps, amps).real)
+    return amps / math.sqrt(norm2)
 
 
 @dataclass(frozen=True)
@@ -313,37 +322,28 @@ def apply_map(state: StateVector, m: LinearMap, targets) -> StateVector:
     return StateVector(state.register, psi.reshape(-1))
 
 
-def measure(
-    state: StateVector,
-    targets,
-    basis: LinearMap | None = None,
-    min_prob: float | None = PRUNE_EPS,
-) -> list[MeasurementBranch]:
+def measure(state: StateVector, targets) -> list[MeasurementBranch]:
     """Projective measurement of the target subsystems.
 
-    Outcomes are labeled by level names in target order.  Branch
-    probabilities sum to the squared norm of the input.  Post states are
-    normalized and live on the register with the measured subsystems
-    removed.  With ``min_prob=None`` every combinatorial outcome is
-    reported, including zero-probability ones (post state ``None``).
+    Outcomes are labeled by level names in target order, and every
+    combinatorial outcome is listed.  Branch probabilities sum to the
+    squared norm of the input.  Post states are normalized and live on the
+    register with the measured subsystems removed; a zero-probability
+    outcome has post state ``None``.
     """
     targets = list(targets)
     if not targets:
         raise RegisterError("measurement needs at least one target")
-    work = state if basis is None else apply_map(state, basis.dagger(), targets)
-    block, tdims, rest_shape, _ = _front_axes(work, targets)
-    probs = np.abs(block) ** 2
-    probs = probs.sum(axis=1)
-    remaining = work.register.without(targets)
-    level_sets = [work.register.subsystem(t).levels for t in targets]
+    block = _front_axes(state, targets)[0]
+    probs = np.sum(np.abs(block) ** 2, axis=1)
+    remaining = state.register.without(targets)
+    level_sets = [state.register.subsystem(t).levels for t in targets]
     branches = []
     for k, outcome in enumerate(itertools.product(*level_sets)):
         p = float(probs[k])
-        if min_prob is not None and p < min_prob:
-            continue
         post = None
         if p > 0.0:
-            post = StateVector(remaining, block[k] / math.sqrt(p))
+            post = StateVector(remaining, _unit(block[k], p))
         branches.append(MeasurementBranch(outcome=outcome, probability=p, post=post))
     return branches
 

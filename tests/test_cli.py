@@ -1,6 +1,6 @@
 import pytest
 
-from qdrepeater.cli import COEFFS_HEADER, PURIFY_HEADER, _grid, main
+from qdrepeater.cli import COEFFS_HEADER, PURIFY_HEADER, main, parse_grid
 
 IDEAL_SCENARIO = """\
 [defaults]
@@ -115,11 +115,20 @@ def test_sweep_eta_in_from_config_defaults_is_allowed(tmp_path, capsys):
     assert out.splitlines()[0] == ",".join(PURIFY_HEADER)
 
 
+@pytest.mark.parametrize("flag,value", [("--g", "2.4"), ("--kappa-s", "0.3"), ("--delta", "1.0")])
+def test_sweep_rejects_single_point_cavity_flags(capsys, flag, value):
+    # the grids carry g, kappa_s and delta; a single-point flag would be ignored
+    code, out, err = run(capsys, "sweep", "--quantity", "coeffs", flag, value)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
 def test_grid_parsing():
-    assert _grid("0,0.6,1.2") == [0.0, 0.6, 1.2]
-    assert _grid("0:1:3") == [0.0, 0.5, 1.0]
+    assert parse_grid("0,0.6,1.2") == [0.0, 0.6, 1.2]
+    assert parse_grid("0:1:3") == [0.0, 0.5, 1.0]
     with pytest.raises(Exception):
-        _grid("0:1")
+        parse_grid("0:1")
 
 
 def test_sweep_rows_cover_the_grid(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
@@ -39,7 +39,7 @@ from qdrepeater.qstate import (
 from qdrepeater.timebin import NoiseChannel
 
 from conftest import random_coeffs
-from dense_oracle import run_distribution
+from dense_oracle import run_distribution, run_pcd
 
 RT2 = 1.0 / math.sqrt(2.0)
 QUIET = NoiseChannel.identity()
@@ -224,6 +224,15 @@ def test_transfer_branches_match_dense_oracle_five_photons():
     _assert_matches_dense_oracle(noises, [random_coeffs(rng) for _ in range(5)], 4)
 
 
+def test_transfer_branches_match_dense_oracle_near_identity_fibers():
+    # rotations of 1e-45 and 1e-112 leave time-bin branches whose
+    # probability is a subnormal float
+    fibers = [NoiseChannel.symmetric_from_angles(theta)
+              for theta in (0.0, 0.0, 1.401298464324817e-45, 1.7235558102405707e-112)]
+    node = resonant_coeffs(CavityParams(g=1.0, kappa_s=0.0, gamma=0.5))
+    _assert_matches_dense_oracle(fibers, [node] * 4, 0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_transfer_branches_keep_the_oracle_zero_branches(n):
     # ideal nodes and quiet fibers leave most time-bin outcomes exactly empty
@@ -362,13 +371,58 @@ def test_pcd_matches_contraction_pair_oracle(rng):
             assert allclose_upto_phase(outs["L_a1"].post_state, odd_ref.normalized(), 1e-8)
 
 
-def test_pcd_rejects_bad_probe():
-    from qdrepeater.protocols import _probe_state
+@st.composite
+def _pcd_inputs(draw):
+    # zeroing the amplitudes of one parity of the checked pair draws dead
+    # branches and, at ideal coefficients, branches with no ideal target
+    n = draw(st.integers(2, 4))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    amps = np.array([complex(draw(parts), draw(parts)) for _ in range(2 ** n)])
+    labels = tuple(f"e{i}" for i in range(n))
+    spin1, spin2 = draw(st.permutations(labels))[:2]
+    dead = draw(st.sampled_from((None, "even", "odd")))
+    if dead is not None:
+        bits = [(np.arange(2 ** n) >> (n - 1 - labels.index(lab))) & 1 for lab in (spin1, spin2)]
+        amps[(bits[0] == bits[1]) == (dead == "even")] = 0.0
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    ideal = dead is not None and draw(st.booleans())
+    coeffs = IDEAL if ideal else random_coeffs(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    eta_in = draw(st.floats(0.5, 1.0, exclude_min=True))
+    return StateVector(spin_register(labels), amps / norm), spin1, spin2, coeffs, eta_in
 
-    bad = apply_map(_probe_state(), LinearMap(np.diag([1.0, 0.0]).astype(complex)), ["probe_pol"])
-    spins = uniform_spins(("e1", "e2"))
-    with pytest.raises(ValueError):
-        pcd(spins, "e1", "e2", IDEAL, probe=StateVector(bad.register, bad.amplitudes / math.sqrt(bad.norm2)))
+
+@given(_pcd_inputs())
+@settings(max_examples=60, deadline=None)
+def test_pcd_matches_dense_oracle(inputs):
+    state, spin1, spin2, coeffs, eta_in = inputs
+    dense = run_pcd(state, spin1, spin2, coeffs, eta_in)
+    outs = pcd(state, spin1, spin2, coeffs, eta_in)
+    assert [o.detection for o in outs] == [o.detection for o in dense]
+    for o, d in zip(outs, dense):
+        assert o.probability == pytest.approx(d.probability, abs=1e-12)
+        assert (o.post_state is None) == (d.post_state is None)
+        assert (o.fidelity is None) == (d.fidelity is None)
+        if o.fidelity is not None:
+            assert o.fidelity == pytest.approx(d.fidelity, abs=1e-12)
+        if o.post_state is not None:
+            heralded = math.sqrt(o.probability) * o.post_state.amplitudes
+            heralded_dense = math.sqrt(d.probability) * d.post_state.amplitudes
+            assert np.max(np.abs(heralded - heralded_dense)) < 1e-12
+
+
+@given(_pcd_inputs())
+@settings(max_examples=30, deadline=None)
+def test_dense_pcd_ports_of_a_parity_herald_the_same_state(inputs):
+    by = outcome_map(run_pcd(*inputs))
+    for first, second in (("R_a1", "R_a2"), ("L_a1", "L_a2")):
+        a, b = by[first], by[second]
+        assert a.probability == pytest.approx(b.probability, abs=1e-15)
+        assert (a.post_state is None) == (b.post_state is None)
+        if a.post_state is not None:
+            ha = StateVector(a.post_state.register, math.sqrt(a.probability) * a.post_state.amplitudes)
+            hb = StateVector(b.post_state.register, math.sqrt(b.probability) * b.post_state.amplitudes)
+            assert allclose_upto_phase(ha, hb, 1e-12)
 
 
 def test_pcd_rejects_unknown_spin():
