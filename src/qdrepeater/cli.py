@@ -2,27 +2,31 @@
 
 Subcommands: coeffs, distribute, pcd, purify, chain, sweep, plus crosscheck
 (simulation against the closed forms) and photon (single-photon element
-scripts).  Every numeric parameter can come from a flag or from the
-[defaults] section of an INI config file given with --config; flags win.
-CSV output uses 12 significant digits and a fixed column order, so identical
-inputs produce byte-identical files.  Exit codes: 0 success, 1 usage or
-configuration error, 2 runtime failure.
+scripts).  The parser holds every flag's default; with --config, the
+[defaults] entries of an INI file replace those defaults, so argparse
+converts and checks them like flags, and flags still win.  CSV output uses
+12 significant digits and a fixed column order, so identical inputs produce
+byte-identical files.  Exit codes: 0 success, 1 bad input (usage or
+configuration error), 2 internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import itertools
 import math
 import sys
 
 import numpy as np
 
-from .cavity import IDEAL, CavityParams, full_coeffs, resonant_coeffs
+from .cavity import IDEAL, CavityParams, ScatterCoeffs, full_coeffs, resonant_coeffs
 from .metrics import crosscheck, distribution_metrics, pcd_metrics
 from .protocols import (
     ChainScenario,
     SegmentSpec,
+    check_eta_in,
     distribute_bell,
     pcd,
     purify_analytic,
@@ -43,6 +47,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@contextlib.contextmanager
+def _user_values():
+    """Report a ValueError raised while user values become library objects
+    as a usage error; anywhere else it is an internal failure."""
+    try:
+        yield
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def _fmt(x: float) -> str:
     if x == 0:
         x = 0.0     # normalize the sign of zero
@@ -60,7 +74,9 @@ def parse_grid(spec: str) -> list[float]:
             return [float(x) for x in np.linspace(float(a), float(b), count)]
         return [float(x) for x in spec.split(",") if x != ""]
     except ValueError:
-        raise UsageError(f"cannot parse grid {spec!r}; use start:stop:count or a comma list")
+        # argparse prefixes the message with the flag the spec came from
+        raise argparse.ArgumentTypeError(
+            f"cannot parse grid {spec!r}; use start:stop:count or a comma list") from None
 
 
 def _write_table(header, rows, output):
@@ -93,45 +109,15 @@ def _read_config(path) -> configparser.ConfigParser:
     return cp
 
 
-def _apply_defaults(args, keys):
-    """Fill unset flags from the [defaults] section of --config."""
-    if not getattr(args, "config", None):
-        return
-    cp = _read_config(args.config)
-    if not cp.has_section("defaults"):
-        return
-    for key in keys:
-        if getattr(args, key, None) is None and cp.has_option("defaults", key):
-            raw = cp.get("defaults", key)
-            try:
-                setattr(args, key, type_of(key)(raw))
-            except ValueError:
-                raise UsageError(f"config defaults.{key}: cannot parse {raw!r}")
-
-
-_KEY_TYPES = {"rounds": int}
-
-
-def type_of(key):
-    return _KEY_TYPES.get(key, float)
-
-
-def _resolve(args, key, fallback):
-    val = getattr(args, key, None)
-    return fallback if val is None else val
-
-
-def _coeffs_for(args) -> tuple[CavityParams, float]:
-    g = _resolve(args, "g", 1.2)
-    ks = _resolve(args, "kappa_s", 0.0)
-    gamma = _resolve(args, "gamma", 0.1)
-    delta = _resolve(args, "delta", 0.0)
-    return CavityParams(g=g, kappa_s=ks, gamma=gamma), delta
-
-
 # ---------------------------------------------------------------------------
 # row builders
 # ---------------------------------------------------------------------------
+
+def _node(g, ks, gamma, delta) -> ScatterCoeffs:
+    with _user_values():
+        params = CavityParams(g=g, kappa_s=ks, gamma=gamma)
+    return resonant_coeffs(params, delta)
+
 
 COEFFS_HEADER = [
     "g", "kappa_s", "gamma", "delta",
@@ -141,7 +127,8 @@ COEFFS_HEADER = [
 
 
 def _coeffs_row(g, ks, gamma, delta):
-    base = CavityParams(g=g, kappa_s=ks, gamma=gamma)
+    with _user_values():
+        base = CavityParams(g=g, kappa_s=ks, gamma=gamma)
     probe = base.with_detuning(delta)
     R, T, S, N = full_coeffs(probe)
     p_sum = abs(R) ** 2 + abs(T) ** 2 + abs(S) ** 2 + abs(N) ** 2
@@ -160,7 +147,9 @@ def _metrics_header(prefix):
 
 
 def _metrics_row(which, g, ks, gamma, delta, eta_in):
-    coeffs = resonant_coeffs(CavityParams(g=g, kappa_s=ks, gamma=gamma), delta)
+    coeffs = _node(g, ks, gamma, delta)
+    with _user_values():
+        check_eta_in(eta_in)
     fn = distribution_metrics if which == "distribution" else pcd_metrics
     m = fn(coeffs, eta_in=eta_in)
     vals = [g, ks, gamma, delta, eta_in,
@@ -175,7 +164,9 @@ def _purify_rows(mu_values, rounds):
     rows = []
     for mu0 in mu_values:
         cumulative = 1.0
-        for st in purify_analytic(mu0, rounds):
+        with _user_values():
+            states = purify_analytic(mu0, rounds)
+        for st in states:
             cumulative *= st.success_probability
             rows.append([_fmt(mu0), str(st.round), _fmt(st.mu),
                          _fmt(st.success_probability), _fmt(cumulative)])
@@ -220,8 +211,10 @@ def _segment_noise(cp, section, side):
         raise UsageError(f"{section}: {exc}")
 
 
-def load_scenario(path, g_override: float | None = None) -> ChainScenario:
-    """Build a chain scenario from an INI file.
+@_user_values()
+def scenario_from_config(cp: configparser.ConfigParser,
+                         g_override: float | None = None) -> ChainScenario:
+    """Build a chain scenario from a parsed INI scenario file.
 
     Sections: [defaults] (gamma, kappa_s, delta, eta_in, purify_rounds),
     one [node X] per node (ideal = true, or g / kappa_s / gamma / delta),
@@ -229,7 +222,6 @@ def load_scenario(path, g_override: float | None = None) -> ChainScenario:
     and [chain] with the ordered segment list.  ``g_override`` replaces the
     coupling of every non-ideal node (used by the chain sweep).
     """
-    cp = _read_config(path)
     gamma0 = cp.getfloat("defaults", "gamma", fallback=0.1)
     ks0 = cp.getfloat("defaults", "kappa_s", fallback=0.0)
     delta0 = cp.getfloat("defaults", "delta", fallback=0.0)
@@ -280,10 +272,7 @@ def load_scenario(path, g_override: float | None = None) -> ChainScenario:
         eta_in=cp.getfloat("chain", "eta_in",
                            fallback=cp.getfloat("defaults", "eta_in", fallback=1.0)),
     )
-    try:
-        scenario.validate()
-    except ValueError as e:
-        raise UsageError(str(e))
+    scenario.validate()
     return scenario
 
 
@@ -319,6 +308,7 @@ def _parse_step(token):
     return name.strip().lower(), args
 
 
+@_user_values()
 def _run_photon_script(state: StateVector, photon: str, steps) -> StateVector:
     """Apply an ordered optical-element script to one photon."""
     pol = f"{photon}_pol"
@@ -361,8 +351,8 @@ def _run_photon_script(state: StateVector, photon: str, steps) -> StateVector:
 def load_photon_script(path):
     """Read a single-photon element script: [photon] amplitudes, [script] steps."""
     cp = _read_config(path)
-    if not cp.has_section("script"):
-        raise UsageError("script file needs a [script] section")
+    if not cp.has_option("script", "steps"):
+        raise UsageError("script file needs a [script] section with steps")
     name = cp.get("photon", "name", fallback="a")
     h = _parse_complex(cp.get("photon", "h", fallback="1"), "[photon]")
     v = _parse_complex(cp.get("photon", "v", fallback="0"), "[photon]")
@@ -409,9 +399,7 @@ def _chain_rows(report):
 # ---------------------------------------------------------------------------
 
 def cmd_coeffs(args):
-    _apply_defaults(args, ("g", "kappa_s", "gamma", "delta"))
-    params, delta = _coeffs_for(args)
-    row = _coeffs_row(params.g, params.kappa_s, params.gamma, delta)
+    row = _coeffs_row(args.g, args.kappa_s, args.gamma, args.delta)
     _write_table(COEFFS_HEADER, [row], args.output)
     return 0
 
@@ -428,39 +416,30 @@ def _branch_lines(outcomes):
 
 
 def cmd_distribute(args):
-    _apply_defaults(args, ("g", "kappa_s", "gamma", "delta", "eta_in"))
-    params, delta = _coeffs_for(args)
-    eta_in = _resolve(args, "eta_in", 1.0)
-    row = _metrics_row("distribution", params.g, params.kappa_s, params.gamma, delta, eta_in)
+    row = _metrics_row("distribution", args.g, args.kappa_s, args.gamma, args.delta, args.eta_in)
     _write_table(_metrics_header("d"), [row], args.output)
     if args.simulate:
-        coeffs = resonant_coeffs(params, delta)
+        coeffs = _node(args.g, args.kappa_s, args.gamma, args.delta)
         quiet = NoiseChannel.identity()
-        outcomes = distribute_bell(quiet, quiet, coeffs, coeffs, eta_in=eta_in)
+        outcomes = distribute_bell(quiet, quiet, coeffs, coeffs, eta_in=args.eta_in)
         sys.stdout.write("\n".join(_branch_lines(outcomes)) + "\n")
     return 0
 
 
 def cmd_pcd(args):
-    _apply_defaults(args, ("g", "kappa_s", "gamma", "delta", "eta_in"))
-    params, delta = _coeffs_for(args)
-    eta_in = _resolve(args, "eta_in", 1.0)
-    row = _metrics_row("pcd", params.g, params.kappa_s, params.gamma, delta, eta_in)
+    row = _metrics_row("pcd", args.g, args.kappa_s, args.gamma, args.delta, args.eta_in)
     _write_table(_metrics_header("p"), [row], args.output)
     if args.simulate:
-        coeffs = resonant_coeffs(params, delta)
-        outcomes = pcd(uniform_spins(("e1", "e2")), "e1", "e2", coeffs, eta_in=eta_in)
+        coeffs = _node(args.g, args.kappa_s, args.gamma, args.delta)
+        outcomes = pcd(uniform_spins(("e1", "e2")), "e1", "e2", coeffs, eta_in=args.eta_in)
         sys.stdout.write("\n".join(_branch_lines(outcomes)) + "\n")
     return 0
 
 
 def cmd_purify(args):
-    _apply_defaults(args, ("mu", "rounds"))
-    mu = _resolve(args, "mu", 0.7)
-    rounds = int(_resolve(args, "rounds", 2))
-    rows = _purify_rows([mu], rounds)
+    rows = _purify_rows([args.mu], args.rounds)
     if args.simulate:
-        current = mu
+        current = args.mu
         for row in rows:
             state, _ = purify_round(current)
             row.append(_fmt(state.mu))
@@ -474,8 +453,7 @@ def cmd_purify(args):
 def cmd_chain(args):
     if not args.scenario:
         raise UsageError("chain needs --scenario FILE")
-    scenario = load_scenario(args.scenario)
-    report = run_chain(scenario)
+    report = run_chain(scenario_from_config(_read_config(args.scenario)))
     _write_table(CHAIN_HEADER, _chain_rows(report), args.output)
     summary = (f"fidelity {report.final_fidelity:.6f}, "
                f"probability {report.total_probability:.6f}\n")
@@ -484,9 +462,7 @@ def cmd_chain(args):
 
 
 def cmd_crosscheck(args):
-    _apply_defaults(args, ("g", "kappa_s", "gamma", "delta"))
-    params, delta = _coeffs_for(args)
-    report = crosscheck(resonant_coeffs(params, delta))
+    report = crosscheck(_node(args.g, args.kappa_s, args.gamma, args.delta))
     header = ["quantity", "simulated", "analytic", "deviation"]
     rows = [[r.quantity, _fmt(r.simulated), _fmt(r.analytic), _fmt(r.deviation)]
             for r in report.rows]
@@ -500,43 +476,29 @@ _ETA_IN_QUANTITIES = ("distribution", "pcd")
 
 
 def cmd_sweep(args):
-    # checked before the config fills it: [defaults] is shared by every subcommand
-    if args.eta_in is not None and args.quantity not in _ETA_IN_QUANTITIES:
+    # only a command-line --eta-in is checked: [defaults] is shared by every subcommand
+    if args.eta_in_given and args.quantity not in _ETA_IN_QUANTITIES:
         raise UsageError(f"--eta-in applies only to --quantity {' or '.join(_ETA_IN_QUANTITIES)}")
-    _apply_defaults(args, ("gamma", "eta_in", "rounds"))
-    gamma = _resolve(args, "gamma", 0.1)
-    eta_in = _resolve(args, "eta_in", 1.0)
     quantity = args.quantity
+    points = list(itertools.product(args.g, args.kappa_s, args.delta))
     if quantity == "coeffs":
-        g_grid = parse_grid(args.g_grid or "1.2")
-        ks_grid = parse_grid(args.kappa_s_grid or "0")
-        d_grid = parse_grid(args.delta_grid or "0")
-        rows = [_coeffs_row(g, ks, gamma, d)
-                for g in g_grid for ks in ks_grid for d in d_grid]
+        rows = [_coeffs_row(g, ks, args.gamma, d) for g, ks, d in points]
         _write_table(COEFFS_HEADER, rows, args.output)
-    elif quantity in ("distribution", "pcd"):
-        g_grid = parse_grid(args.g_grid or "1.2")
-        ks_grid = parse_grid(args.kappa_s_grid or "0")
-        d_grid = parse_grid(args.delta_grid or "0")
-        rows = [_metrics_row(quantity, g, ks, gamma, d, eta_in)
-                for g in g_grid for ks in ks_grid for d in d_grid]
+    elif quantity in _ETA_IN_QUANTITIES:
+        rows = [_metrics_row(quantity, g, ks, args.gamma, d, args.eta_in) for g, ks, d in points]
         _write_table(_metrics_header("d" if quantity == "distribution" else "p"), rows, args.output)
     elif quantity == "purify":
-        mu_grid = parse_grid(args.mu_grid or "0.6,0.7,0.8,0.9")
-        rounds = int(_resolve(args, "rounds", 3))
-        _write_table(PURIFY_HEADER, _purify_rows(mu_grid, rounds), args.output)
-    elif quantity == "chain":
+        _write_table(PURIFY_HEADER, _purify_rows(args.mu, args.rounds), args.output)
+    else:  # chain, the last of the --quantity choices
         if not args.scenario:
             raise UsageError("chain sweep needs --scenario FILE")
-        g_grid = parse_grid(args.g_grid or "1.2")
+        cp = _read_config(args.scenario)
         header = ["g", "total_probability", "final_fidelity"]
         rows = []
-        for g in g_grid:
-            report = run_chain(load_scenario(args.scenario, g_override=g))
+        for g in args.g:
+            report = run_chain(scenario_from_config(cp, g_override=g))
             rows.append([_fmt(g), _fmt(report.total_probability), _fmt(report.final_fidelity)])
         _write_table(header, rows, args.output)
-    else:
-        raise UsageError(f"unknown sweep quantity {quantity!r}")
     return 0
 
 
@@ -544,98 +506,125 @@ def cmd_sweep(args):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Given(argparse.Action):
+    """Store the flag's value and mark it given; a [defaults] value is not marked."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_given", True)
+
+
+def _add_gamma(p):
+    p.add_argument("--gamma", type=float, default=0.1, help="dipole decay rate in units of kappa")
+
+
+def _add_eta_in(p, action="store"):
+    p.add_argument("--eta-in", dest="eta_in", type=float, default=1.0, action=action,
+                   help="input-coupling efficiency per photon pass, in (0, 1]")
+
+
 def _add_cavity_flags(p):
-    p.add_argument("--g", type=float, default=None, help="coupling strength in units of kappa")
-    p.add_argument("--kappa-s", dest="kappa_s", type=float, default=None,
+    p.add_argument("--g", type=float, default=1.2, help="coupling strength in units of kappa")
+    p.add_argument("--kappa-s", dest="kappa_s", type=float, default=0.0,
                    help="side-leakage rate in units of kappa")
-    p.add_argument("--gamma", type=float, default=None, help="dipole decay rate (default 0.1)")
-    p.add_argument("--delta", type=float, default=None, help="probe detuning in units of kappa")
+    _add_gamma(p)
+    p.add_argument("--delta", type=float, default=0.0, help="probe detuning in units of kappa")
 
 
 def build_parser() -> _Parser:
+    """The qdrepeater parser; ``parser.commands`` maps each subcommand to its parser."""
     parser = _Parser(prog="qdrepeater",
                      description="Heralded quantum-repeater simulator for spin-cavity nodes")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    def common(p):
-        p.add_argument("--config", default=None, help="INI file; [defaults] fills unset flags")
-        p.add_argument("--output", default=None, help="write CSV here instead of stdout")
+    def command(name, func, help, **kwargs):
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                           **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("coeffs", help="scattering coefficients at one parameter point")
+    p = command("coeffs", cmd_coeffs, "scattering coefficients at one parameter point")
     _add_cavity_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("distribute", help="entanglement-distribution metrics")
+    p = command("distribute", cmd_distribute, "entanglement-distribution metrics")
     _add_cavity_flags(p)
-    p.add_argument("--eta-in", dest="eta_in", type=float, default=None)
+    _add_eta_in(p)
     p.add_argument("--simulate", action="store_true", help="print the heralded branch table")
-    common(p)
-    p.set_defaults(func=cmd_distribute)
 
-    p = sub.add_parser("pcd", help="parity-check detector metrics")
+    p = command("pcd", cmd_pcd, "parity-check detector metrics")
     _add_cavity_flags(p)
-    p.add_argument("--eta-in", dest="eta_in", type=float, default=None)
-    p.add_argument("--simulate", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_pcd)
+    _add_eta_in(p)
+    p.add_argument("--simulate", action="store_true", help="print the heralded branch table")
 
-    p = sub.add_parser("purify", help="purification recursion table")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--rounds", type=int, default=None)
+    p = command("purify", cmd_purify, "purification recursion table")
+    p.add_argument("--mu", type=float, default=0.7, help="starting weight of the phase-correct Bell state")
+    p.add_argument("--rounds", type=int, default=2, help="purification rounds")
     p.add_argument("--simulate", action="store_true",
                    help="add a column with the fully simulated per-round weight")
-    common(p)
-    p.set_defaults(func=cmd_purify)
 
-    p = sub.add_parser("chain", help="run a multi-segment scenario file")
+    p = command("chain", cmd_chain, "run a multi-segment scenario file")
     p.add_argument("--scenario", default=None, help="INI scenario file")
-    common(p)
-    p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("crosscheck", help="simulation vs closed forms at one point")
+    p = command("crosscheck", cmd_crosscheck, "simulation vs closed forms at one point")
     _add_cavity_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("photon", help="run an optical-element script on one photon")
+    p = command("photon", cmd_photon, "run an optical-element script on one photon")
     p.add_argument("--script", default=None, help="INI file with [photon] and [script] sections")
-    common(p)
-    p.set_defaults(func=cmd_photon)
 
     # the grids carry g, kappa_s and delta; no abbreviations, so that --g,
     # --kappa-s or --delta is rejected, not read as the grid flag it prefixes
-    p = sub.add_parser("sweep", help="parameter sweeps with CSV output", allow_abbrev=False)
+    p = command("sweep", cmd_sweep, "parameter sweeps with CSV output", allow_abbrev=False)
     p.add_argument("--quantity", required=True,
                    choices=("coeffs", "distribution", "pcd", "purify", "chain"))
-    p.add_argument("--gamma", type=float, default=None, help="dipole decay rate (default 0.1)")
-    p.add_argument("--g-grid", dest="g_grid", default=None)
-    p.add_argument("--kappa-s-grid", dest="kappa_s_grid", default=None)
-    p.add_argument("--delta-grid", dest="delta_grid", default=None)
-    p.add_argument("--mu-grid", dest="mu_grid", default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--eta-in", dest="eta_in", type=float, default=None)
-    p.add_argument("--scenario", default=None)
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    _add_gamma(p)
+    grids = (("--g-grid", "g", "1.2", "coupling strengths"),
+             ("--kappa-s-grid", "kappa_s", "0", "side-leakage rates"),
+             ("--delta-grid", "delta", "0", "probe detunings"),
+             ("--mu-grid", "mu", "0.6,0.7,0.8,0.9", "starting weights (purify)"))
+    for flag, dest, default, what in grids:
+        p.add_argument(flag, dest=dest, type=parse_grid, default=default, metavar="GRID",
+                       help=f"{what}: start:stop:count or a comma list")
+    p.add_argument("--rounds", type=int, default=3, help="purification rounds (purify)")
+    _add_eta_in(p, action=_Given)
+    p.add_argument("--scenario", default=None, help="INI scenario file (chain)")
+    p.set_defaults(eta_in_given=False)
 
+    for p in parser.commands.values():
+        p.add_argument("--config", default=None,
+                       help="INI file whose [defaults] entries replace the defaults of these flags")
+        p.add_argument("--output", default=None, help="write CSV here instead of stdout")
     return parser
 
 
-def main(argv=None) -> int:
+def value_flags(command: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The flags of a subcommand that take a value and that [defaults] can set, by dest."""
+    return {a.dest: a for a in command._actions
+            if a.option_strings and a.nargs != 0 and not a.required and a.dest != "config"}
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line.  With --config, the file's [defaults] entries
+    become the chosen subcommand's defaults for its value flags and the
+    command line is parsed again, so argparse converts and rejects them as
+    it does flags, and flags on the command line still win."""
     parser = build_parser()
-    try:
+    args = parser.parse_args(argv)
+    if args.config:
+        cp = _read_config(args.config)
+        command = parser.commands[args.command]
+        command.set_defaults(**{dest: cp.get("defaults", dest) for dest in value_flags(command)
+                                if cp.has_option("defaults", dest)})
         args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
+    return args
+
+
+def main(argv=None) -> int:
     try:
+        args = parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {e}", file=sys.stderr)

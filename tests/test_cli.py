@@ -1,6 +1,7 @@
 import pytest
 
-from qdrepeater.cli import COEFFS_HEADER, PURIFY_HEADER, main, parse_grid
+from qdrepeater import cli
+from qdrepeater.cli import COEFFS_HEADER, PURIFY_HEADER, build_parser, main, parse_args, parse_grid, value_flags
 
 IDEAL_SCENARIO = """\
 [defaults]
@@ -367,3 +368,130 @@ def test_config_supplies_all_defaults(tmp_path, capsys):
     code, out, _ = run(capsys, "distribute", "--config", str(cfg))
     assert code == 0
     assert float(out.strip().splitlines()[1].split(",")[7]) == pytest.approx(0.983, abs=1e-3)
+
+
+def _value_flag_cases():
+    for name, command in build_parser().commands.items():
+        for dest, action in value_flags(command).items():
+            yield pytest.param(name, action, id=f"{name}{action.option_strings[0]}")
+
+
+#: flags the command line must give; [defaults] cannot stand in for them
+REQUIRED = {"sweep": ["--quantity", "coeffs"]}
+
+
+@pytest.mark.parametrize("command,action", list(_value_flag_cases()))
+def test_config_defaults_feed_every_value_flag(tmp_path, command, action):
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text(f"[defaults]\n{action.dest} = 4\n")
+    argv = [command, *REQUIRED.get(command, []), "--config", str(cfg)]
+    convert = action.type or str
+    assert getattr(parse_args(argv), action.dest) == convert("4")
+    assert getattr(parse_args(argv + [action.option_strings[0], "5"]), action.dest) == convert("5")
+
+
+def test_bad_config_default_is_usage_error_naming_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text("[defaults]\ng = abc\n")
+    code, out, err = run(capsys, "coeffs", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "--g" in err and "abc" in err
+
+
+def test_sweep_takes_cavity_defaults_as_one_point_grids(tmp_path, capsys):
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text("[defaults]\ng = 2.4\nkappa_s = 0.3\ndelta = 0.5\n")
+    code, single, _ = run(capsys, "coeffs", "--config", str(cfg))
+    assert code == 0
+    code, swept, _ = run(capsys, "sweep", "--quantity", "coeffs", "--config", str(cfg))
+    assert code == 0
+    assert swept == single
+    assert single.splitlines()[1].startswith("2.4,0.3,0.1,0.5,")
+
+
+def test_sweep_takes_mu_default_as_one_point_grid(tmp_path, capsys):
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text("[defaults]\nmu = 0.8\n")
+    code, out, _ = run(capsys, "sweep", "--quantity", "purify", "--config", str(cfg))
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.startswith("0.8,") for row in rows)
+
+
+def test_sweep_eta_in_equal_to_its_default_is_still_rejected(capsys):
+    code, out, err = run(capsys, "sweep", "--quantity", "purify", "--eta-in", "1")
+    assert code == 1
+    assert out == ""
+    assert "--eta-in" in err
+
+
+def test_help_shows_the_defaults(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["coeffs", "--help"])
+    assert exit_info.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "(default: 1.2)" in help_text
+
+
+# --- exit codes: 1 for bad input, 2 for internal failures --------------------------------
+
+@pytest.mark.parametrize("argv,message", [
+    (("coeffs", "--g", "-1"), "g must be nonnegative"),
+    (("coeffs", "--gamma", "0"), "gamma must be positive"),
+    (("sweep", "--quantity", "coeffs", "--kappa-s-grid=-1"), "kappa_s must be nonnegative"),
+    (("purify", "--mu", "1.5"), "mu = 1.5 outside [0, 1]"),
+    (("purify", "--rounds", "-1"), "rounds must be nonnegative"),
+    (("sweep", "--quantity", "purify", "--mu-grid", "1.5"), "mu = 1.5 outside [0, 1]"),
+    (("distribute", "--eta-in", "1.5"), "eta_in = 1.5 outside (0, 1]"),
+])
+def test_rejected_values_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: {message}")
+
+
+@pytest.mark.parametrize("steps,message", [
+    ("encode, decode, decode", "already expanded or decoded"),
+    ("noise(1, 1)", "rotation is not normalized"),
+    ("phase(abc)", "could not convert string to float"),
+])
+def test_photon_script_input_errors_are_usage_errors(tmp_path, capsys, steps, message):
+    path = tmp_path / "script.ini"
+    path.write_text(f"[script]\nsteps = {steps}\n")
+    code, _, err = run(capsys, "photon", "--script", str(path))
+    assert code == 1
+    assert err.startswith("usage error: ") and message in err
+
+
+def test_photon_script_without_steps_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "script.ini"
+    path.write_text("[script]\nsteep = encode\n")
+    code, _, err = run(capsys, "photon", "--script", str(path))
+    assert code == 1
+    assert "steps" in err
+
+
+def test_value_error_inside_a_command_is_runtime_failure(monkeypatch, capsys):
+    def broken(coeffs):
+        raise ValueError("internal inconsistency")
+
+    monkeypatch.setattr(cli, "crosscheck", broken)
+    code, _, err = run(capsys, "crosscheck")
+    assert code == 2
+    assert err == "runtime failure: internal inconsistency\n"
+
+
+def test_chain_sweep_reads_the_scenario_once(tmp_path, monkeypatch, capsys):
+    scenario = tmp_path / "chain.ini"
+    scenario.write_text(IDEAL_SCENARIO.replace("ideal = true", "g = 1.2\nkappa_s = 0.2"))
+    reads = []
+    read_config = cli._read_config
+    monkeypatch.setattr(cli, "_read_config", lambda path: reads.append(path) or read_config(path))
+    code, out, _ = run(capsys, "sweep", "--quantity", "chain", "--scenario", str(scenario),
+                       "--g-grid", "1.2,1.8,2.4")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 3
+    assert reads == [str(scenario)]

@@ -635,6 +635,44 @@ def test_chain_with_rounding_level_parity_ports():
     assert 0.0 <= report.final_fidelity <= 1.0
 
 
+@st.composite
+def _chain_inputs(draw):
+    segments = draw(st.integers(1, 3))
+    seeds = draw(st.lists(st.none() | st.integers(0, 2 ** 32 - 1),
+                          min_size=segments + 1, max_size=segments + 1))
+    nodes = {f"n{i}": IDEAL if seed is None else random_coeffs(np.random.default_rng(seed))
+             for i, seed in enumerate(seeds)}
+    rotations = draw(st.lists(st.tuples(_rotations, _rotations), min_size=segments, max_size=segments))
+    rounds = draw(st.integers(0, 1))
+    eta_in = draw(st.floats(0.5, 1.0, exclude_min=True))
+    return nodes, rotations, rounds, eta_in
+
+
+def _chain_scenario(nodes, fibers, rounds, eta_in):
+    segments = [SegmentSpec(f"s{i}", f"n{i}", f"n{i + 1}", *pair) for i, pair in enumerate(fibers)]
+    return ChainScenario(nodes=nodes, segments=segments, purify_rounds=rounds, eta_in=eta_in)
+
+
+@given(_chain_inputs())
+@settings(max_examples=10, deadline=None)
+def test_run_chain_invariants_under_collective_fiber_noise(inputs):
+    nodes, rotations, rounds, eta_in = inputs
+    fibers = [tuple(NoiseChannel.symmetric_from_angles(*r) for r in pair) for pair in rotations]
+    report = run_chain(_chain_scenario(nodes, fibers, rounds, eta_in))
+    quiet = run_chain(_chain_scenario(nodes, [(QUIET, QUIET)] * len(fibers), rounds, eta_in))
+    for stage in report.stages:
+        assert 0.0 <= stage.probability <= 1.0
+        assert 0.0 <= stage.fidelity <= 1.0
+    assert report.total_probability == pytest.approx(
+        math.prod(stage.probability for stage in report.stages), abs=1e-12)
+    assert math.fsum(w for w, _ in report.final_state.members) == pytest.approx(1.0, abs=1e-12)
+    # heralded states do not depend on collective fiber rotations
+    assert [(s.stage, s.label) for s in report.stages] == [(s.stage, s.label) for s in quiet.stages]
+    for stage, reference in zip(report.stages, quiet.stages):
+        assert stage.probability == pytest.approx(reference.probability, abs=1e-10)
+        assert stage.fidelity == pytest.approx(reference.fidelity, abs=1e-10)
+
+
 @pytest.mark.parametrize("eta_in", [0.0, -1.0, 1.5, float("nan")])
 def test_eta_in_outside_unit_interval_rejected(eta_in):
     spins = uniform_spins(("e1", "e2"))
