@@ -42,7 +42,10 @@ class CavityParams:
         if delta is not None:
             if self.omega_c != 0.0 or self.omega_x != 0.0 or self.omega != 0.0:
                 raise ValueError("give either delta or explicit frequencies, not both")
-            object.__setattr__(self, "omega", self.omega_c - delta)
+            object.__setattr__(self, "omega", self.omega_c - _check_detuning(delta))
+        for name in ("g", "kappa_s", "gamma", "kappa", "omega_c", "omega_x", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa <= 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.g < 0.0:
@@ -63,8 +66,15 @@ class CavityParams:
     def with_detuning(self, delta: float) -> "CavityParams":
         return CavityParams(
             g=self.g, kappa_s=self.kappa_s, gamma=self.gamma, kappa=self.kappa,
-            omega_c=self.omega_c, omega_x=self.omega_x, omega=self.omega_c - delta,
+            omega_c=self.omega_c, omega_x=self.omega_x, omega=self.omega_c - _check_detuning(delta),
         )
+
+
+def _check_detuning(delta: float) -> float:
+    """Reject a NaN or infinite probe detuning; return it otherwise."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    return delta
 
 
 @dataclass(frozen=True)
@@ -129,6 +139,7 @@ def resonant_coeffs(p: CavityParams, delta: float = 0.0) -> ScatterCoeffs:
     """
     if not p.resonant:
         raise ValueError("resonant convention requires omega_c == omega_x")
+    _check_detuning(delta)
     d_dip = 1j * delta + p.gamma / 2.0
     den_hot = 1j * delta + p.kappa + p.kappa_s / 2.0 + p.g ** 2 / d_dip
     t = -p.kappa / den_hot

@@ -98,7 +98,7 @@ def _write_table(header, rows, output):
 # ---------------------------------------------------------------------------
 
 def _read_config(path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=str(path))
@@ -115,8 +115,7 @@ def _read_config(path) -> configparser.ConfigParser:
 
 def _node(g, ks, gamma, delta) -> ScatterCoeffs:
     with _user_values():
-        params = CavityParams(g=g, kappa_s=ks, gamma=gamma)
-    return resonant_coeffs(params, delta)
+        return resonant_coeffs(CavityParams(g=g, kappa_s=ks, gamma=gamma), delta)
 
 
 COEFFS_HEADER = [
@@ -129,7 +128,7 @@ COEFFS_HEADER = [
 def _coeffs_row(g, ks, gamma, delta):
     with _user_values():
         base = CavityParams(g=g, kappa_s=ks, gamma=gamma)
-    probe = base.with_detuning(delta)
+        probe = base.with_detuning(delta)
     R, T, S, N = full_coeffs(probe)
     p_sum = abs(R) ** 2 + abs(T) ** 2 + abs(S) ** 2 + abs(N) ** 2
     sc = resonant_coeffs(base, delta)

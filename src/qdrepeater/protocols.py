@@ -19,6 +19,10 @@ Four protocols are implemented by exact state-vector evolution:
 * Purification: two noisy copies are distilled into one of higher quality
   using one PCD per party.
 
+Extension and purification are applied as one fixed map per heralded branch
+(parity and two measured spins), cached per coefficient set; the chain runs
+every pair of mixture members through those maps.
+
 Branch probabilities are exact: imperfect cavity coefficients shrink the
 pre-detection norm, and one minus the sum of all heralded probabilities is
 the leak/noise (plus input-coupling) loss.
@@ -47,7 +51,6 @@ from .qstate import (
     basis_state,
     fidelity,
     hadamard,
-    measure,
     sigma_x,
     sigma_z,
     superposition,
@@ -130,12 +133,6 @@ def uniform_spins(labels) -> StateVector:
     n = len(labels)
     reg = spin_register(labels)
     return StateVector(reg, np.full(2 ** n, 2.0 ** (-n / 2.0), dtype=complex))
-
-
-def _apply_gates(state: StateVector, gates) -> StateVector:
-    for name, label in gates:
-        state = apply_map(state, _GATES[name], [label])
-    return state
 
 
 def _detection_label(pattern) -> str:
@@ -310,13 +307,11 @@ def distribute_bell(
     return _collect_outcomes(grouped, 2, spin_labels, _bell_correction, target, eta_in)
 
 
-_GHZ_TABLE: dict[int, dict] = {}
-
-
 def _ghz_labels(n: int) -> list[str]:
     return [f"e_{chr(ord('a') + i)}" for i in range(n)]
 
 
+@functools.cache
 def _ghz_correction_table(n: int) -> dict:
     """Per-pattern single-spin corrections, derived once at ideal coefficients.
 
@@ -324,8 +319,6 @@ def _ghz_correction_table(n: int) -> dict:
     optionally followed by a phase flip on the first spin; the shortest
     candidate reaching unit fidelity against the GHZ target wins.
     """
-    if n in _GHZ_TABLE:
-        return _GHZ_TABLE[n]
     labels = _ghz_labels(n)
     grouped, _ = distribution_branches(
         [NoiseChannel.identity()] * n, [IDEAL] * n, phase_photon=0, spin_labels=labels)
@@ -345,14 +338,13 @@ def _ghz_correction_table(n: int) -> dict:
         candidates.sort(key=len)
         chosen = None
         for cand in candidates:
-            trial = _apply_gates(post, tuple((g, labels[i]) for g, i in cand))
+            trial = StateVector(post.register, _correction_matrix(cand, n) @ post.amplitudes)
             if abs(fidelity(trial, target) - 1.0) < 1e-10:
                 chosen = cand
                 break
         if chosen is None:
             raise RuntimeError(f"no single-spin correction found for pattern {pattern}")
         table[pattern] = chosen
-    _GHZ_TABLE[n] = table
     return table
 
 
@@ -467,25 +459,6 @@ _PCD_PORTS = (("R_a1", "even", 1.0), ("R_a2", "even", 1.0),
               ("L_a1", "odd", 1.0), ("L_a2", "odd", -1.0))
 
 
-def _parity_branches(state: StateVector, spin1: str, spin2: str, coeffs: ScatterCoeffs,
-                     eta_in: float) -> dict[str, tuple[float, StateVector | None]]:
-    """Even and odd PCD branches as parity -> (probability, post state).
-
-    Both ports of a parity carry K/sqrt(2), so each herald half of the
-    probability and the same state.  A parity whose ports carry no more
-    than the dead-branch weight has probability 0 and post state None.
-    """
-    branches = {}
-    for parity, kraus in _parity_operators(coeffs):
-        heralded = apply_map(state, kraus, [spin1, spin2])
-        p = heralded.norm2
-        if p / 2.0 <= _ZERO:
-            branches[parity] = (0.0, None)
-        else:
-            branches[parity] = (p * eta_in, heralded.normalized())
-    return branches
-
-
 def pcd(
     state: StateVector,
     spin1: str,
@@ -509,10 +482,15 @@ def pcd(
     if abs(state.norm2 - 1.0) > 1e-9:
         raise ValueError("PCD input state must be normalized")
 
-    branches = _parity_branches(state, spin1, spin2, coeffs, eta_in)
-    ideal_targets = {}
-    for parity, kraus in _parity_operators(IDEAL):
-        branch = apply_map(state, kraus, [spin1, spin2])
+    # both ports of a parity carry K/sqrt(2), so each heralds half of the
+    # probability and the same state; a parity whose ports carry no more
+    # than the dead-branch weight has probability 0 and post state None
+    branches, ideal_targets = {}, {}
+    for (parity, kraus), (_, ideal) in zip(_parity_operators(coeffs), _parity_operators(IDEAL)):
+        heralded = apply_map(state, kraus, [spin1, spin2])
+        p = heralded.norm2
+        branches[parity] = (0.0, None) if p / 2.0 <= _ZERO else (p * eta_in, heralded.normalized())
+        branch = apply_map(state, ideal, [spin1, spin2])
         ideal_targets[parity] = branch.normalized() if branch.norm2 > _ZERO else None
 
     outcomes = []
@@ -529,8 +507,75 @@ def pcd(
 
 
 # ---------------------------------------------------------------------------
-# chain extension
+# chain extension and purification as branch maps
 # ---------------------------------------------------------------------------
+
+#: the heralded branches of one parity check followed by the measurement of
+#: two spins, as (parity, m1, m2) in the order the check and `measure` list them
+_BRANCHES = tuple((parity, m1, m2) for parity in ("even", "odd")
+                  for m1, m2 in itertools.product(("up", "dn"), repeat=2))
+
+
+def _gate_product(names) -> np.ndarray:
+    """The single-spin gates ``names``, applied in order, as one 2x2 matrix."""
+    return functools.reduce(lambda m, g: _GATES[g].matrix @ m, names, np.eye(2))
+
+
+def _outcome_row(ops: np.ndarray, m1: str, m2: str) -> np.ndarray:
+    """Row <m1 m2| of a two-spin operator."""
+    return ops[2 * ("up", "dn").index(m1) + ("up", "dn").index(m2)]
+
+
+def _extension_gates(parity, m1, m2, label_d):
+    """Recorded correction on d: a flip after odd parity, a phase flip after unequal outcomes."""
+    return ((("x", label_d),) if parity == "odd" else ()) + ((("z", label_d),) if m1 != m2 else ())
+
+
+@functools.lru_cache(maxsize=16)
+def _extension_maps(coeffs: ScatterCoeffs) -> tuple[np.ndarray, ...]:
+    """One 2x8 map from (z, z', d) to d per branch of `_BRANCHES`.
+
+    Each is G_d <m1 m2|(H x H) K_parity: the parity check of z and z', their
+    Hadamard rotation and measurement, and the recorded correction on the
+    fresh end spin d.  The input coupling is left to the caller.
+    """
+    h = _GATES["h"].matrix
+    kraus = dict(_parity_operators(coeffs))
+    maps = []
+    for parity, m1, m2 in _BRANCHES:
+        row = _outcome_row(np.kron(h, h) @ kraus[parity].matrix, m1, m2)
+        gate = _gate_product(g for g, _ in _extension_gates(parity, m1, m2, None))
+        maps.append(np.kron(row, gate))
+        maps[-1].setflags(write=False)
+    return tuple(maps)
+
+
+@functools.lru_cache(maxsize=16)
+def _purification_maps(coeffs_a: ScatterCoeffs, coeffs_b: ScatterCoeffs) -> tuple[np.ndarray, ...]:
+    """One 4x16 map from two copies (a, b, a', b') to (a', b') per branch of `_BRANCHES`.
+
+    All four spins are Hadamard-rotated so the phase error becomes a bit
+    error, checked by one PCD per party, (a, a') with ``coeffs_a`` and
+    (b, b') with ``coeffs_b``; equal parities are kept (odd-odd after a
+    recorded flip of a and b), a and b are measured in the Hadamard basis,
+    unequal outcomes record a phase flip on a', and a', b' are rotated back.
+    One probe photon per party, so the caller scales by eta_in squared.
+    """
+    h = _GATES["h"].matrix
+    rotate = functools.reduce(np.kron, [h] * 4)
+    kraus_a, kraus_b = dict(_parity_operators(coeffs_a)), dict(_parity_operators(coeffs_b))
+    maps = []
+    for parity, m1, m2 in _BRANCHES:
+        # both checks are diagonal: entry (a, b, a', b') is K_a[a, a'] K_b[b, b']
+        check = np.einsum("ac,bd->abcd", np.diag(kraus_a[parity].matrix).reshape(2, 2),
+                          np.diag(kraus_b[parity].matrix).reshape(2, 2)).reshape(16)
+        pre = _gate_product(("x", "h") if parity == "odd" else ("h",))
+        row = _outcome_row(np.kron(pre, pre), m1, m2)
+        post = np.kron(_gate_product(("z", "h") if m1 != m2 else ("h",)), h)
+        maps.append(np.kron(row, post) @ (check[:, None] * rotate))
+        maps[-1].setflags(write=False)
+    return tuple(maps)
+
 
 def extend_chain(
     ghz: StateVector,
@@ -558,107 +603,50 @@ def extend_chain(
     label_d = others[0]
 
     state = tensor(ghz, bell)
-    survivors = [lab for lab in state.register.labels if lab not in (label_z, label_zp)]
-    target = _ghz_minus_over(state.register, survivors)
-
-    branches = _parity_branches(state, label_z, label_zp, coeffs, eta_in)
+    reg = state.register.without((label_z, label_zp))
+    target = phi_minus(reg.labels)
+    # the rest of the chain keeps its order and d, from the fresh pair, comes last
+    pos = [state.register.position(lab) for lab in (label_z, label_zp, label_d)]
+    psi = np.moveaxis(state.tensor_axes(), pos, (0, 1, 2)).reshape(8, -1)
     outcomes = []
-    for parity in ("even", "odd"):
-        p_par, post = branches[parity]
-        if post is None:
-            for m1, m2 in itertools.product(("up", "dn"), repeat=2):
-                gates = _extension_gates(parity, m1, m2, label_d)
-                outcomes.append(HeraldedOutcome(
-                    f"{parity}:{m1},{m2}", 0.0, gates, None, None))
+    for (parity, m1, m2), m in zip(_BRANCHES, _extension_maps(coeffs)):
+        label = f"{parity}:{m1},{m2}"
+        gates = _extension_gates(parity, m1, m2, label_d)
+        out = (m @ psi).T.reshape(-1)
+        p = float(np.vdot(out, out).real)
+        if eta_in * p <= _ZERO:
+            outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
             continue
-        rotated = _apply_gates(post, (("h", label_z), ("h", label_zp)))
-        for br in measure(rotated, [label_z, label_zp]):
-            m1, m2 = br.outcome
-            gates = _extension_gates(parity, m1, m2, label_d)
-            p = p_par * br.probability
-            if br.post is None or p <= _ZERO:
-                outcomes.append(HeraldedOutcome(
-                    f"{parity}:{m1},{m2}", 0.0, gates, None, None))
-                continue
-            final = _apply_gates(br.post, gates)
-            outcomes.append(HeraldedOutcome(
-                f"{parity}:{m1},{m2}", p, gates, final, fidelity(final, target)))
+        final = StateVector(reg, _unit(out, p))
+        outcomes.append(HeraldedOutcome(label, eta_in * p, gates, final, fidelity(final, target)))
     return outcomes
 
 
-def _ghz_minus_over(register: Register, labels) -> StateVector:
-    reg = Register(tuple(register.subsystem(lab) for lab in labels))
-    return superposition(reg, [
-        (RT2, {lab: "up" for lab in labels}),
-        (-RT2, {lab: "dn" for lab in labels}),
-    ])
+def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, scale: float, labels,
+                stage: str) -> tuple[Ensemble, float]:
+    """Every member pair of two two-spin mixtures through every branch map.
 
-
-def _extension_gates(parity, m1, m2, label_d):
-    gates = []
-    if parity == "odd":
-        gates.append(("x", label_d))
-    if m1 != m2:
-        gates.append(("z", label_d))
-    return tuple(gates)
-
-
-# ---------------------------------------------------------------------------
-# purification
-# ---------------------------------------------------------------------------
-
-def _relabel_spins(state: StateVector, mapping: dict[str, str]) -> StateVector:
-    subs = []
-    for s in state.register.subsystems:
-        subs.append(Subsystem(mapping.get(s.label, s.label), s.kind, s.levels))
-    return StateVector(Register(tuple(subs)), state.amplitudes)
-
-
-def _purify_ensemble(ens: Ensemble, labels, coeffs_a, coeffs_b, eta_in: float = 1.0):
-    """One purification round on an arbitrary two-spin mixture.
-
-    Both copies are Hadamard-rotated so the phase error becomes a bit error,
-    checked by one PCD per party; equal parities are kept (odd-odd after a
-    recorded flip) and the first copy is measured out.  One probe photon per
-    party, so ``eta_in`` enters the success probability squared.
+    Each map takes the Kronecker product of one member of each mixture to
+    the two spins ``labels``; ``scale`` is the input coupling of a branch.
+    Returns the heralded mixture and its success probability.  Accepted
+    states are listed pair by pair, branch by branch, which fixes the order
+    in which `_normalized_ensemble` pools them.
     """
-    la, lb = labels
-    lac, lbc = f"{la}_c", f"{lb}_c"
-    copy = {la: lac, lb: lbc}
+    reg = spin_register(labels)
     accepted = []
-    for w1, s1 in ens.members:
-        for w2, s2 in ens.members:
-            w = w1 * w2
-            if w <= _ZERO:
-                continue
-            st = tensor(s1, _relabel_spins(s2, copy))
-            st = _apply_gates(st, tuple(("h", lab) for lab in (la, lb, lac, lbc)))
-            par_a = _parity_branches(st, la, lac, coeffs_a, eta_in)
-            for parity, (p_a, post_a) in par_a.items():
-                if post_a is None or p_a <= _ZERO:
-                    continue
-                # cross parity heralds an error; only the matching branch is kept
-                p_b, post_b = _parity_branches(post_a, lb, lbc, coeffs_b, eta_in)[parity]
-                if post_b is None or p_b <= _ZERO:
-                    continue
-                work = post_b
-                if parity == "odd":
-                    work = _apply_gates(work, (("x", la), ("x", lb)))
-                work = _apply_gates(work, (("h", la), ("h", lb)))
-                for br in measure(work, [la, lb]):
-                    if br.post is None or br.probability <= _ZERO:
-                        continue
-                    final = br.post
-                    if br.outcome[0] != br.outcome[1]:
-                        final = _apply_gates(final, (("z", lac),))
-                    final = _apply_gates(final, (("h", lac), ("h", lbc)))
-                    accepted.append((w * p_a * p_b * br.probability, final))
+    for w1, s1 in ens_a.members:
+        for w2, s2 in ens_b.members:
+            psi = np.kron(s1.amplitudes, s2.amplitudes)
+            for m in maps:
+                out = m @ psi
+                p = float(np.vdot(out, out).real)
+                w = w1 * w2 * scale * p
+                if w > _ZERO:
+                    accepted.append((w, StateVector(reg, _unit(out, p))))
     success = math.fsum(w for w, _ in accepted)
     if success <= _ZERO:
-        raise RuntimeError("purification heralded no surviving branches")
-    back = {lac: la, lbc: lb}
-    ens_out = _normalized_ensemble([(w, _relabel_spins(st, back)) for w, st in accepted])
-    return ens_out, success
+        raise RuntimeError(f"{stage} heralded no surviving branches")
+    return _normalized_ensemble(accepted), success
 
 
 def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[PurificationState, float]:
@@ -674,7 +662,8 @@ def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[Purification
     labels = ("e_a", "e_b")
     mixture = ((mu, phi_minus(labels)), (1.0 - mu, phi_plus(labels)))
     ens = Ensemble(tuple((w, st) for w, st in mixture if w > 0.0))
-    ens, success = _purify_ensemble(ens, labels, coeffs, coeffs)
+    ens, success = _pair_stage(ens, ens, _purification_maps(coeffs, coeffs), 1.0, labels,
+                               "purification")
     return PurificationState(mu=fidelity(ens, phi_minus(labels)), round=1,
                              success_probability=success), 1.0 - success
 
@@ -752,20 +741,6 @@ class ChainReport:
     final_state: Ensemble
 
 
-def _extend_ensembles(ens_a: Ensemble, ens_b: Ensemble, joint, coeffs, eta_in):
-    collected = []
-    for w1, s1 in ens_a.members:
-        for w2, s2 in ens_b.members:
-            for out in extend_chain(s1, s2, joint, coeffs, eta_in=eta_in):
-                if out.probability <= _ZERO or out.post_state is None:
-                    continue
-                collected.append((w1 * w2 * out.probability, out.post_state))
-    total = math.fsum(w for w, _ in collected)
-    if total <= _ZERO:
-        raise RuntimeError("extension heralded no surviving branches")
-    return _normalized_ensemble(collected), total
-
-
 def run_chain(scenario: ChainScenario) -> ChainReport:
     """Distribute every segment, purify, then extend left to right.
 
@@ -789,9 +764,8 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
         stages.append(StageResult("distribute", seg.name, p, fid))
         total_p *= p
         for r in range(scenario.purify_rounds):
-            ens, p_r = _purify_ensemble(
-                ens, labels, scenario.nodes[seg.left], scenario.nodes[seg.right],
-                eta_in=scenario.eta_in)
+            maps = _purification_maps(scenario.nodes[seg.left], scenario.nodes[seg.right])
+            ens, p_r = _pair_stage(ens, ens, maps, scenario.eta_in ** 2, labels, "purification")
             fid = fidelity(ens, phi_minus(labels))
             stages.append(StageResult("purify", f"{seg.name} round {r + 1}", p_r, fid))
             total_p *= p_r
@@ -803,10 +777,11 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     right_end = segment_labels[0][1]
     for i in range(1, len(segment_ens)):
         seg = scenario.segments[i]
-        joint = (right_end, segment_labels[i][0])
-        ens, p = _extend_ensembles(ens, segment_ens[i], joint,
-                                   scenario.nodes[seg.left], scenario.eta_in)
         right_end = segment_labels[i][1]
+        # the chain's left end is a spectator of the splice at seg.left
+        maps = [np.kron(np.eye(2), m) for m in _extension_maps(scenario.nodes[seg.left])]
+        ens, p = _pair_stage(ens, segment_ens[i], maps, scenario.eta_in, (left_end, right_end),
+                             "extension")
         fid = fidelity(ens, phi_minus((left_end, right_end)))
         stages.append(StageResult("extend", f"at {seg.left}", p, fid))
         total_p *= p

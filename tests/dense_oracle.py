@@ -1,4 +1,4 @@
-"""Dense references for entanglement distribution and the parity check.
+"""Dense references for distribution, the parity check, extension and purification.
 
 `run_distribution` evolves all photons and spins as one state vector
 through the time-bin pipeline (encode, fiber, decode, phase, quarter-wave
@@ -8,21 +8,43 @@ branches from per-photon transfer amplitudes; the tests compare the two.
 `run_pcd` evolves the probe photon of a parity check together with the
 spins through the detector optics and measures it.  The library applies
 the same optics as two diagonal spin operators; the tests compare the two.
+
+`extend_chain_gates`, `purify_gates` and `run_chain_gates` run chain
+extension and purification gate by gate: a parity check from the `pcd`
+ports, Hadamard and Pauli gates one spin at a time, and `measure`.  The
+library applies each heralded branch as one cached map; the tests compare
+the two.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from qdrepeater.protocols import HeraldedOutcome, uniform_spins
+from qdrepeater.protocols import (
+    ChainReport,
+    HeraldedOutcome,
+    StageResult,
+    distribute_bell,
+    ghz_state,
+    heralded_ensemble,
+    pcd,
+    phi_minus,
+    spin_register,
+    uniform_spins,
+)
 from qdrepeater.qstate import (
     LinearMap,
     Register,
+    StateVector,
     Subsystem,
     apply_map,
     fidelity,
+    hadamard,
     linear_map,
     measure,
+    sigma_x,
+    sigma_z,
     superposition,
     tensor,
 )
@@ -180,3 +202,137 @@ def run_pcd(state, spin1, spin2, coeffs, eta_in=1.0):
         fid = fidelity(br.post, tgt) if tgt is not None else None
         outcomes.append(HeraldedOutcome(label, br.probability * eta_in, (), br.post, fid))
     return outcomes
+
+
+# ---------------------------------------------------------------------------
+# chain extension and purification, gate by gate
+# ---------------------------------------------------------------------------
+
+GATES = {"x": sigma_x(), "z": sigma_z(), "h": hadamard()}
+
+
+def apply_gates(state, gates):
+    for name, label in gates:
+        state = apply_map(state, GATES[name], [label])
+    return state
+
+
+def parity_branches(state, spin1, spin2, coeffs, eta_in):
+    """parity -> (probability, post state or None) from the pcd ports R_a1 and L_a1.
+
+    The two ports of a parity herald the same state with half the probability each.
+    """
+    ports = {o.detection: o for o in pcd(state, spin1, spin2, coeffs, eta_in)}
+    return {parity: (2.0 * ports[port].probability, ports[port].post_state)
+            for parity, port in (("even", "R_a1"), ("odd", "L_a1"))}
+
+
+def extension_gates(parity, m1, m2, label_d):
+    """Recorded correction on the fresh end spin: a flip after an odd parity,
+    a phase flip after unequal measurement outcomes."""
+    return ((("x", label_d),) if parity == "odd" else ()) + ((("z", label_d),) if m1 != m2 else ())
+
+
+def extend_chain_gates(ghz, bell, joint_node, coeffs, eta_in=1.0):
+    """`extend_chain` as parity check, two Hadamards and a measurement of (z, z')."""
+    label_z, label_zp = joint_node
+    label_d = next(lab for lab in bell.register.labels if lab != label_zp)
+    state = tensor(ghz, bell)
+    survivors = [lab for lab in state.register.labels if lab not in (label_z, label_zp)]
+    target = ghz_state(survivors, -1)
+    outcomes = []
+    for parity, (p_par, post) in parity_branches(state, label_z, label_zp, coeffs, eta_in).items():
+        branches = (measure(apply_gates(post, (("h", label_z), ("h", label_zp))), [label_z, label_zp])
+                    if post is not None else [])
+        for m1, m2 in itertools.product(("up", "dn"), repeat=2):
+            gates = extension_gates(parity, m1, m2, label_d)
+            label = f"{parity}:{m1},{m2}"
+            br = next((b for b in branches if b.outcome == (m1, m2)), None)
+            p = p_par * br.probability if br is not None else 0.0
+            if br is None or br.post is None or p <= ZERO:
+                outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
+                continue
+            final = apply_gates(br.post, gates)
+            outcomes.append(HeraldedOutcome(label, p, gates, final, fidelity(final, target)))
+    return outcomes
+
+
+def merge(weighted):
+    """The library's ensemble merge of (weight, state) pairs, through `heralded_ensemble`."""
+    return heralded_ensemble([HeraldedOutcome("", w, (), st, None) for w, st in weighted])
+
+
+def relabel(state, labels):
+    return StateVector(spin_register(labels), state.amplitudes)
+
+
+def purify_gates(ens, labels, coeffs_a, coeffs_b, eta_in=1.0):
+    """One purification round on a two-spin mixture, member pair by member pair.
+
+    Both copies are Hadamard-rotated, one parity check per party keeps equal
+    parities (odd-odd after a flip of the first copy), the first copy is
+    measured in the Hadamard basis and unequal outcomes flip the phase of the
+    kept copy.  Returns (ensemble, success probability).
+    """
+    la, lb = labels
+    lac, lbc = f"{la}_c", f"{lb}_c"
+    accepted = []
+    for w1, s1 in ens.members:
+        for w2, s2 in ens.members:
+            st = tensor(s1, relabel(s2, (lac, lbc)))
+            st = apply_gates(st, [("h", lab) for lab in (la, lb, lac, lbc)])
+            for parity, (p_a, post_a) in parity_branches(st, la, lac, coeffs_a, eta_in).items():
+                if post_a is None:
+                    continue
+                p_b, post_b = parity_branches(post_a, lb, lbc, coeffs_b, eta_in)[parity]
+                if post_b is None:
+                    continue
+                if parity == "odd":
+                    post_b = apply_gates(post_b, (("x", la), ("x", lb)))
+                post_b = apply_gates(post_b, (("h", la), ("h", lb)))
+                for br in measure(post_b, [la, lb]):
+                    if br.post is None:
+                        continue
+                    final = br.post
+                    if br.outcome[0] != br.outcome[1]:
+                        final = apply_gates(final, (("z", lac),))
+                    final = apply_gates(final, (("h", lac), ("h", lbc)))
+                    accepted.append((w1 * w2 * p_a * p_b * br.probability, relabel(final, labels)))
+    return merge(accepted)
+
+
+def run_chain_gates(scenario):
+    """`run_chain` with `purify_gates` and `extend_chain_gates` on every member pair."""
+    scenario.validate()
+    stages = []
+    segments = []
+    for i, seg in enumerate(scenario.segments):
+        labels = (f"e{i}_{seg.left}", f"e{i}_{seg.right}")
+        ens, p = heralded_ensemble(distribute_bell(
+            seg.noise_left, seg.noise_right, scenario.nodes[seg.left], scenario.nodes[seg.right],
+            eta_in=scenario.eta_in, spin_labels=labels))
+        stages.append(StageResult("distribute", seg.name, p, fidelity(ens, phi_minus(labels))))
+        for r in range(scenario.purify_rounds):
+            ens, p = purify_gates(ens, labels, scenario.nodes[seg.left], scenario.nodes[seg.right],
+                                  scenario.eta_in)
+            stages.append(StageResult("purify", f"{seg.name} round {r + 1}", p,
+                                      fidelity(ens, phi_minus(labels))))
+        segments.append((ens, labels))
+
+    ens, (left_end, right_end) = segments[0]
+    for seg, (ens_b, labels_b) in zip(scenario.segments[1:], segments[1:]):
+        collected = []
+        for w1, s1 in ens.members:
+            for w2, s2 in ens_b.members:
+                for out in extend_chain_gates(s1, s2, (right_end, labels_b[0]),
+                                              scenario.nodes[seg.left], scenario.eta_in):
+                    if out.post_state is not None:
+                        collected.append((w1 * w2 * out.probability, out.post_state))
+        ens, p = merge(collected)
+        right_end = labels_b[1]
+        stages.append(StageResult("extend", f"at {seg.left}", p,
+                                  fidelity(ens, phi_minus((left_end, right_end)))))
+    return ChainReport(stages=tuple(stages), end_labels=(left_end, right_end),
+                       final_fidelity=fidelity(ens, phi_minus((left_end, right_end))),
+                       total_probability=math.prod(st.probability for st in stages),
+                       final_state=ens)

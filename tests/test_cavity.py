@@ -129,6 +129,22 @@ def test_invalid_rates_rejected():
         CavityParams(g=1.0, gamma=0.0)
 
 
+@pytest.mark.parametrize("field", ["g", "kappa_s", "gamma", "kappa", "omega_c", "omega_x", "omega", "delta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_params_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CavityParams(**{"g": 1.0, field: value})
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_non_finite_detuning_rejected(delta):
+    p = CavityParams(g=1.0)
+    with pytest.raises(ValueError, match="delta must be finite"):
+        p.with_detuning(delta)
+    with pytest.raises(ValueError, match="delta must be finite"):
+        resonant_coeffs(p, delta)
+
+
 def test_delta_shorthand_conflicts_with_frequencies():
     with pytest.raises(ValueError):
         CavityParams(g=1.0, omega=0.3, delta=0.5)

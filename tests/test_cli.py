@@ -453,6 +453,41 @@ def test_rejected_values_are_usage_errors(capsys, argv, message):
     assert err.startswith(f"usage error: {message}")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("coeffs", "--g", "nan"), "g must be finite, got nan"),
+    (("coeffs", "--gamma", "inf"), "gamma must be finite, got inf"),
+    (("coeffs", "--delta", "nan"), "delta must be finite, got nan"),
+    (("distribute", "--g", "nan", "--simulate"), "g must be finite, got nan"),
+    (("pcd", "--kappa-s", "nan", "--simulate"), "kappa_s must be finite, got nan"),
+    (("crosscheck", "--delta=-inf"), "delta must be finite, got -inf"),
+    (("sweep", "--quantity", "coeffs", "--g-grid", "1.2,nan"), "g must be finite, got nan"),
+    (("sweep", "--quantity", "pcd", "--delta-grid", "0,nan"), "delta must be finite, got nan"),
+])
+def test_non_finite_cavity_values_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: {message}")
+
+
+def test_config_values_are_read_literally(tmp_path, capsys):
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text(f"[defaults]\noutput = {tmp_path / '100%.csv'}\n")
+    code, out, _ = run(capsys, "coeffs", "--config", str(cfg))
+    assert code == 0
+    assert out == ""
+    assert (tmp_path / "100%.csv").read_text().startswith(",".join(COEFFS_HEADER))
+
+
+def test_percent_in_a_scenario_value_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "percent.ini"
+    path.write_text(IDEAL_SCENARIO.replace("[node B]\nideal = true", "[node B]\ng = 5%"))
+    code, out, err = run(capsys, "chain", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert "5%" in err
+
+
 @pytest.mark.parametrize("steps,message", [
     ("encode, decode, decode", "already expanded or decoded"),
     ("noise(1, 1)", "rotation is not normalized"),

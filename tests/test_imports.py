@@ -1,9 +1,11 @@
-"""The tests reach the library only through its public names."""
+"""The tests, the CLI, the metrics and the scripts reach the library only
+through its public names."""
 
 import ast
 import pathlib
 
 TESTS = pathlib.Path(__file__).resolve().parent
+ROOT = TESTS.parent
 
 
 def _is_private(name: str) -> bool:
@@ -11,14 +13,19 @@ def _is_private(name: str) -> bool:
 
 
 def private_imports(source: str) -> list[str]:
-    """Every ``_``-prefixed name imported from the qdrepeater package."""
+    """Every ``_``-prefixed name imported from the qdrepeater package.
+
+    A relative import (``from .protocols import _x``) is read as one from the
+    package: only the package's own modules use them.
+    """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            parts = node.module.split(".")
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("qdrepeater", node.module))) if node.level else node.module
+            parts = (module or "").split(".")
             if parts[0] == "qdrepeater":
-                found += [f"{node.module}.{p}" for p in parts[1:] if _is_private(p)]
-                found += [f"{node.module}.{a.name}" for a in node.names if _is_private(a.name)]
+                found += [".".join(parts[:i + 1]) for i, p in enumerate(parts) if i and _is_private(p)]
+                found += [f"{module}.{a.name}" for a in node.names if _is_private(a.name)]
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
@@ -27,14 +34,33 @@ def private_imports(source: str) -> list[str]:
     return found
 
 
+def _scan(files) -> dict[str, list[str]]:
+    found = {f.name: private_imports(f.read_text(encoding="utf-8")) for f in files}
+    return {name: names for name, names in found.items() if names}
+
+
 def test_scan_flags_private_imports():
     assert private_imports("from qdrepeater.protocols import pcd, _helper") == ["qdrepeater.protocols._helper"]
     assert private_imports("def f():\n    import qdrepeater._impl\n") == ["qdrepeater._impl"]
     assert private_imports("from qdrepeater import __version__, pcd") == []
 
 
+def test_scan_flags_relative_private_imports():
+    assert private_imports("from .protocols import pcd, _extension_maps") == [
+        "qdrepeater.protocols._extension_maps"]
+    assert private_imports("from . import _impl") == ["qdrepeater._impl"]
+    assert private_imports("from ._impl import pcd") == ["qdrepeater._impl"]
+    assert private_imports("from .protocols import pcd") == []
+
+
 def test_tests_import_no_private_names():
     files = sorted(TESTS.glob("*.py"))
     assert files
-    found = {f.name: private_imports(f.read_text(encoding="utf-8")) for f in files}
-    assert {name: names for name, names in found.items() if names} == {}
+    assert _scan(files) == {}
+
+
+def test_cli_metrics_and_scripts_import_no_private_names():
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert scripts
+    package = ROOT / "src" / "qdrepeater"
+    assert _scan([package / "cli.py", package / "metrics.py", *scripts]) == {}

@@ -1,8 +1,9 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
@@ -27,6 +28,7 @@ from qdrepeater.protocols import (
     uniform_spins,
 )
 from qdrepeater.qstate import (
+    Ensemble,
     LinearMap,
     StateVector,
     allclose_upto_phase,
@@ -39,7 +41,7 @@ from qdrepeater.qstate import (
 from qdrepeater.timebin import NoiseChannel
 
 from conftest import random_coeffs
-from dense_oracle import run_distribution, run_pcd
+from dense_oracle import extend_chain_gates, purify_gates, run_chain_gates, run_distribution, run_pcd
 
 RT2 = 1.0 / math.sqrt(2.0)
 QUIET = NoiseChannel.identity()
@@ -298,6 +300,16 @@ def test_ghz_four_needs_a_phase_flip_on_the_all_r_branch():
     assert all(abs(o.fidelity - 1.0) < 1e-10 for o in outs)
 
 
+def test_ghz_corrections_match_the_golden_table():
+    # the per-pattern corrections are derived once per n; they must not drift
+    golden = pathlib.Path(__file__).parent / "golden" / "ghz_corrections.txt"
+    lines = []
+    for n in range(2, 7):
+        for o in distribute_ghz(n, [QUIET] * n, [IDEAL] * n):
+            lines.append(f"{n} {o.detection} " + (" ".join(f"{g}({lab})" for g, lab in o.correction) or "-"))
+    assert lines == golden.read_text(encoding="utf-8").splitlines()
+
+
 def test_ghz_noise_immunity(rng):
     for n in (3, 4):
         chans = [NoiseChannel.random_symmetric(rng) for _ in range(n)]
@@ -478,6 +490,52 @@ def test_extend_rejects_missing_joint_labels():
         extend_chain(ghz, bell, ("e_z", "oops"), IDEAL)
 
 
+@st.composite
+def _extension_inputs(draw):
+    # a chain of 2-4 spins and a fresh pair with random amplitudes; fixing
+    # the joint spins of both to basis levels kills one parity, exactly or
+    # down to a weight below the dead-branch threshold
+    n = draw(st.integers(2, 4))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def amplitudes(size):
+        return np.array([complex(draw(parts), draw(parts)) for _ in range(size)])
+
+    labels = tuple(f"e{i}" for i in range(n))
+    label_z = draw(st.sampled_from(labels))
+    pair = draw(st.sampled_from((("zp", "d"), ("d", "zp"))))
+    chain, fresh = amplitudes(2 ** n), amplitudes(4)
+    if draw(st.booleans()):
+        residue = draw(st.sampled_from((0.0, 1e-13)))
+        bits = (np.arange(2 ** n) >> (n - 1 - labels.index(label_z))) & 1
+        chain[bits != draw(st.integers(0, 1))] *= residue
+        fresh[((np.arange(4) >> (1 - pair.index("zp"))) & 1) != draw(st.integers(0, 1))] *= residue
+    assume(np.linalg.norm(chain) > 1e-3 and np.linalg.norm(fresh) > 1e-3)
+    ideal = draw(st.booleans())
+    coeffs = IDEAL if ideal else random_coeffs(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    eta_in = draw(st.floats(0.5, 1.0, exclude_min=True))
+    return (StateVector(spin_register(labels), chain / np.linalg.norm(chain)),
+            StateVector(spin_register(pair), fresh / np.linalg.norm(fresh)),
+            (label_z, "zp"), coeffs, eta_in)
+
+
+@given(_extension_inputs())
+@settings(max_examples=60, deadline=None)
+def test_extend_chain_matches_gate_oracle(inputs):
+    outs = extend_chain(*inputs)
+    gates = extend_chain_gates(*inputs)
+    assert [(o.detection, o.correction) for o in outs] == [(o.detection, o.correction) for o in gates]
+    for o, g in zip(outs, gates):
+        assert (o.post_state is None) == (g.post_state is None)
+        assert (o.fidelity is None) == (g.fidelity is None)
+        assert o.probability == pytest.approx(g.probability, abs=1e-12)
+        if o.fidelity is not None:
+            assert o.fidelity == pytest.approx(g.fidelity, abs=1e-12)
+        if o.probability > 1e-6:
+            assert o.post_state.register == g.post_state.register
+            assert np.max(np.abs(o.post_state.amplitudes - g.post_state.amplitudes)) < 1e-12
+
+
 # --- purification ------------------------------------------------------------------
 
 def test_purify_fixed_points():
@@ -509,6 +567,19 @@ def test_purify_strictly_improves_above_half(rng):
     for mu in rng.uniform(0.51, 0.99, size=10):
         state, _ = purify_round(float(mu))
         assert state.mu > mu
+
+
+@given(st.floats(0.0, 1.0), st.none() | st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_purify_round_matches_gate_oracle(mu, seed):
+    coeffs = IDEAL if seed is None else random_coeffs(np.random.default_rng(seed))
+    state, discarded = purify_round(mu, coeffs)
+    labels = ("e_a", "e_b")
+    mixture = ((mu, phi_minus(labels)), (1.0 - mu, phi_plus(labels)))
+    ens, success = purify_gates(Ensemble(tuple(m for m in mixture if m[0] > 0.0)), labels, coeffs, coeffs)
+    assert state.mu == pytest.approx(fidelity(ens, phi_minus(labels)), abs=1e-12)
+    assert state.success_probability == pytest.approx(success, abs=1e-12)
+    assert discarded == pytest.approx(1.0 - success, abs=1e-12)
 
 
 def test_purify_rejects_bad_mu():
@@ -671,6 +742,49 @@ def test_run_chain_invariants_under_collective_fiber_noise(inputs):
     for stage, reference in zip(report.stages, quiet.stages):
         assert stage.probability == pytest.approx(reference.probability, abs=1e-10)
         assert stage.fidelity == pytest.approx(reference.fidelity, abs=1e-10)
+
+
+@st.composite
+def _mixed_end_chains(draw):
+    # the two ends of every segment differ, so each purification round runs
+    # with different coefficients at the two parties; two segments with two
+    # rounds each would take the oracle about a second alone
+    segments, rounds = draw(st.sampled_from(((1, 1), (2, 1), (1, 2), (2, 0))))
+    seeds = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=segments + 1, max_size=segments + 1,
+                          unique=True))
+    nodes = {f"n{i}": random_coeffs(np.random.default_rng(seed)) for i, seed in enumerate(seeds)}
+    if draw(st.booleans()):
+        nodes[f"n{draw(st.integers(0, segments))}"] = IDEAL
+    fibers = [(_asymmetric_fiber(*draw(st.tuples(_rotations, _rotations))), draw(_fibers))
+              for _ in range(segments)]
+    return _chain_scenario(nodes, fibers, rounds, draw(st.floats(0.5, 1.0, exclude_min=True)))
+
+
+#: (g=1.2, ks=0.2) -> (g=2.4, ks=0.1) behind asymmetric fibers, one round,
+#: eta_in below 1: each party's coefficients and the input coupling show
+_PURIFIED_PRACTICAL_SEGMENT = _chain_scenario(
+    {"n0": REF, "n1": resonant_coeffs(CavityParams(g=2.4, kappa_s=0.1))},
+    [(_asymmetric_fiber((0.3, 1.0, 2.0), (0.5, 0.2, 0.1)), _asymmetric_fiber((1.1, 0.4, 0.0), (0.7, 2.5, 1.3)))],
+    1, 0.9)
+
+
+@given(_mixed_end_chains())
+@example(_PURIFIED_PRACTICAL_SEGMENT)
+@settings(max_examples=2, deadline=None)
+def test_run_chain_matches_gate_oracle(scenario):
+    report = run_chain(scenario)
+    oracle = run_chain_gates(scenario)
+    assert [(s.stage, s.label) for s in report.stages] == [(s.stage, s.label) for s in oracle.stages]
+    for stage, expected in zip(report.stages, oracle.stages):
+        assert stage.probability == pytest.approx(expected.probability, abs=1e-12)
+        assert stage.fidelity == pytest.approx(expected.fidelity, abs=1e-12)
+    assert report.end_labels == oracle.end_labels
+    assert report.total_probability == pytest.approx(oracle.total_probability, abs=1e-12)
+    assert report.final_fidelity == pytest.approx(oracle.final_fidelity, abs=1e-12)
+    # the fidelity misses a flip of both spins, which keeps every Bell state
+    rho, rho_oracle = ([sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in r.final_state.members)
+                        for r in (report, oracle)])
+    assert np.max(np.abs(rho - rho_oracle)) < 1e-12
 
 
 @pytest.mark.parametrize("eta_in", [0.0, -1.0, 1.5, float("nan")])
