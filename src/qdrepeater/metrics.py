@@ -34,7 +34,10 @@ class DistributionMetrics:
     eta_in_adjusted: float | None = None
 
 
-def _core(coeffs: ScatterCoeffs) -> tuple[float, float, float, float]:
+def _metrics(coeffs: ScatterCoeffs, eta_in: float | None, passes: int) -> DistributionMetrics:
+    """The closed forms, with ``eta_in`` applied once per photon pass."""
+    if eta_in is not None:
+        check_eta_in(eta_in)
     u = 1.0 + 2.0 * coeffs.t
     v = 1.0 + 2.0 * coeffs.t0
     eta_even = (abs(u) ** 2 + abs(v) ** 2 + 2.0 * abs(1.0 + coeffs.t + coeffs.t0) ** 2) / 4.0
@@ -43,7 +46,9 @@ def _core(coeffs: ScatterCoeffs) -> tuple[float, float, float, float]:
     if abs(eta - (eta_even + eta_odd)) > 1e-12:
         raise AssertionError("parallelogram identity eta = eta_even + eta_odd failed")
     f_even = abs(coeffs.t0 - coeffs.t) ** 2 / (2.0 * eta_even) if eta_even > 0.0 else 0.0
-    return eta_even, eta_odd, eta, f_even
+    return DistributionMetrics(
+        eta_d_even=eta_even, eta_d_odd=eta_odd, eta_d=eta, f_even=f_even, f_odd=1.0,
+        eta_in_adjusted=eta * eta_in ** passes if eta_in is not None else None)
 
 
 def distribution_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> DistributionMetrics:
@@ -52,24 +57,12 @@ def distribution_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> 
     ``eta_in`` multiplies the total efficiency once per photon pass; a
     distribution run has two.
     """
-    if eta_in is not None:
-        check_eta_in(eta_in)
-    eta_even, eta_odd, eta, f_even = _core(coeffs)
-    adjusted = eta * eta_in ** 2 if eta_in is not None else None
-    return DistributionMetrics(
-        eta_d_even=eta_even, eta_d_odd=eta_odd, eta_d=eta,
-        f_even=f_even, f_odd=1.0, eta_in_adjusted=adjusted)
+    return _metrics(coeffs, eta_in, passes=2)
 
 
 def pcd_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> DistributionMetrics:
     """Heralded efficiency and fidelity of one parity check (single photon pass)."""
-    if eta_in is not None:
-        check_eta_in(eta_in)
-    eta_even, eta_odd, eta, f_even = _core(coeffs)
-    adjusted = eta * eta_in if eta_in is not None else None
-    return DistributionMetrics(
-        eta_d_even=eta_even, eta_d_odd=eta_odd, eta_d=eta,
-        f_even=f_even, f_odd=1.0, eta_in_adjusted=adjusted)
+    return _metrics(coeffs, eta_in, passes=1)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ Four protocols are implemented by exact state-vector evolution:
 * Bell / GHZ entanglement distribution: photons from a central source are
   time-bin encoded, sent through noisy fibers, decoded, scattered off one
   spin per node and detected.  Every two-photon (n-photon) detection pattern
-  heralds a spin state; a recorded single-spin correction turns each pattern
-  into the same target state.  Each photon's path is compiled into a small
-  transfer array from the matrices of the dense time-bin pipeline, and the
-  branches are tensor products of those arrays.
+  heralds a spin state; a fixed single-spin correction, given by a rule per
+  pattern, turns each pattern into the same target state.  Each photon's
+  path is compiled into a small transfer array from the matrices of the
+  dense time-bin pipeline.  Their tensor products form one (pattern, time
+  bin, spin) amplitude array, from which the outcomes are read directly.
 * Parity-check detection (PCD): a single probe photon is split over two
   local cavities, recombined and detected; the detected polarization heralds
   the even or odd parity subspace of the two spins without measuring them.
@@ -45,6 +46,7 @@ from .qstate import (
     RegisterError,
     StateVector,
     Subsystem,
+    _equal_upto_phase,
     _unit,
     allclose_upto_phase,
     apply_map,
@@ -187,19 +189,19 @@ def _photon_transfer(noise: NoiseChannel, coeffs: ScatterCoeffs, phased: bool) -
     return v.reshape(2, 8, 2)
 
 
-def distribution_branches(noises, coeffs_list, phase_photon: int, spin_labels):
-    """Detection branches of n-photon distribution from per-photon transfers.
+def distribution_branches(noises, coeffs_list, phase_photon: int):
+    """Heralded spin amplitudes of n-photon distribution from per-photon transfers.
 
     The source emits (|H...H> + |V...V>)/sqrt(2), and every photon runs its
     own path to its own spin, so the state before detection is
     (x_i v_i[H] + x_i v_i[V])/sqrt(2) with x the tensor product; photon
-    ``phase_photon`` gets the pi phase.  Returns (grouped, survival):
-    grouped maps each port pattern to a list of (time-bin outcome,
-    probability, normalized post state or None at probability 0), in the
-    order a projective measurement of the photons lists them; survival is
-    the squared norm after scattering, i.e. one minus the leak/noise loss.
+    ``phase_photon`` gets the pi phase.  Returns (amps, survival): amps[k, j]
+    holds the unnormalized 2^n spin amplitudes of port pattern k and
+    time-bin outcome j, both listed photon by photon in ``itertools.product``
+    order (ports ("R", "up"), ("L", "dn"); time bins `TB_DECODED`); survival
+    is the squared norm after scattering, i.e. one minus the leak/noise loss.
     """
-    n = len(spin_labels)
+    n = len(noises)
     v = [_photon_transfer(ch, cf, i == phase_photon)
          for i, (ch, cf) in enumerate(zip(noises, coeffs_list))]
     from_h, from_v = (functools.reduce(np.kron, [vi[s, _PORT_ROWS] for vi in v]) for s in (0, 1))
@@ -207,22 +209,13 @@ def distribution_branches(noises, coeffs_list, phase_photon: int, spin_labels):
     amps = (RT2 * (from_h + from_v)).reshape((2,) * (2 * n) + (-1,))
     amps = amps.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n])
     amps = amps.reshape(2 ** n, 2 ** n, 2 ** n)
-    probs = np.sum(np.abs(amps) ** 2, axis=2)
 
     # <x_i a_i, x_i b_i> = prod_i <a_i, b_i> gives the full norm, stray ports included
     overlap = [[math.prod(np.vdot(vi[a], vi[b]) for vi in v) for b in (0, 1)] for a in (0, 1)]
     survival = 0.5 * float((overlap[0][0] + overlap[1][1] + 2.0 * overlap[0][1]).real)
-    if abs(float(probs.sum()) - survival) > 1e-10:
+    if abs(float(np.sum(np.abs(amps) ** 2)) - survival) > 1e-10:
         raise RuntimeError("port detections do not add up to the surviving norm")
-
-    reg = spin_register(spin_labels)
-    tbs = list(itertools.product(TB_DECODED, repeat=n))
-    grouped = {}
-    for pattern, pat_amps, pat_probs in zip(_structural_patterns(n), amps, probs):
-        grouped[pattern] = [
-            (tb, float(p), StateVector(reg, _unit(a, p)) if p > 0.0 else None)
-            for tb, a, p in zip(tbs, pat_amps, pat_probs)]
-    return grouped, survival
+    return amps, survival
 
 
 def _structural_patterns(n):
@@ -244,40 +237,50 @@ def _correction_matrix(gates_idx, n: int) -> np.ndarray:
     return m
 
 
-def _collect_outcomes(grouped, n, spin_labels, correction_for, target, eta_in):
-    outcomes = []
+def _collect_outcomes(amps, spin_labels, correction_for, target, eta_in):
+    """One outcome per port pattern, or one per live time-bin outcome of a
+    pattern whose time-bin outcomes herald different states."""
+    n = len(spin_labels)
+    reg = spin_register(spin_labels)
     scale = eta_in ** n
-    for pattern in _structural_patterns(n):
+    tbs = list(itertools.product(TB_DECODED, repeat=n))
+    probs = np.sum(np.abs(amps) ** 2, axis=2)
+    outcomes = []
+    for pattern, pat_amps, pat_probs in zip(_structural_patterns(n), amps, probs):
         gates_idx = correction_for(pattern)
         gates = tuple((g, spin_labels[i]) for g, i in gates_idx)
-        correction = _correction_matrix(gates_idx, n)
-        entries = grouped.get(pattern, [])
-        live = [(tb, p, post) for tb, p, post in entries if p > _ZERO]
         label = _detection_label(pattern)
-        if not live:
+        live = np.flatnonzero(pat_probs > _ZERO)
+        if not live.size:
             outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
             continue
+        posts = np.array([_unit(pat_amps[j], pat_probs[j]) for j in live])
         # the correction is exact, so comparing the raw states decides as
         # comparing corrected ones
-        first = live[0][2]
-        if all(allclose_upto_phase(first, post, _MERGE_TOL) for _, _, post in live[1:]):
-            p_total = sum(p for _, p, _ in live)
-            first = StateVector(first.register, correction @ first.amplitudes)
-            outcomes.append(HeraldedOutcome(
-                label, p_total * scale, gates, first, fidelity(first, target)))
+        if all(_equal_upto_phase(posts[0], post, _MERGE_TOL) for post in posts[1:]):
+            reported = [(label, sum(pat_probs[live].tolist()))]
+            posts = posts[:1]
         else:
             # asymmetric fibers: arrival class carries which rotation acted,
             # so branches with different time stamps herald different states
-            for tb, p, post in live:
-                post = StateVector(post.register, correction @ post.amplitudes)
-                outcomes.append(HeraldedOutcome(
-                    f"{label}:{','.join(tb)}", p * scale, gates, post,
-                    fidelity(post, target)))
+            reported = [(f"{label}:{','.join(tbs[j])}", float(pat_probs[j])) for j in live]
+        posts = posts @ _correction_matrix(gates_idx, n).T
+        fids = np.abs(posts @ target.amplitudes.conj()) ** 2 / np.sum(np.abs(posts) ** 2, axis=1)
+        for (name, p), post, fid in zip(reported, posts, fids):
+            outcomes.append(HeraldedOutcome(name, p * scale, gates, StateVector(reg, post), float(fid)))
     return outcomes
 
 
 def _bell_correction(pattern):
     return () if pattern[0] == pattern[1] else (("x", 1),)
+
+
+def _ghz_correction(pattern):
+    """Flip the spins of the smaller port class (R on a tie), then the phase
+    of the first spin when the number of parties is even."""
+    classes = [[i for i, pd in enumerate(pattern) if pd == port] for port in _PORTS]
+    flips = min(classes, key=len)
+    return tuple(("x", i) for i in flips) + ((("z", 0),) if len(pattern) % 2 == 0 else ())
 
 
 def check_eta_in(eta_in: float) -> None:
@@ -301,51 +304,12 @@ def distribute_bell(
     (|up,up> - |dn,dn>)/sqrt(2).
     """
     check_eta_in(eta_in)
-    grouped, _ = distribution_branches(
-        (noise_a, noise_b), (coeffs_a, coeffs_b), phase_photon=1, spin_labels=spin_labels)
-    target = phi_minus(spin_labels)
-    return _collect_outcomes(grouped, 2, spin_labels, _bell_correction, target, eta_in)
+    amps, _ = distribution_branches((noise_a, noise_b), (coeffs_a, coeffs_b), phase_photon=1)
+    return _collect_outcomes(amps, spin_labels, _bell_correction, phi_minus(spin_labels), eta_in)
 
 
 def _ghz_labels(n: int) -> list[str]:
     return [f"e_{chr(ord('a') + i)}" for i in range(n)]
-
-
-@functools.cache
-def _ghz_correction_table(n: int) -> dict:
-    """Per-pattern single-spin corrections, derived once at ideal coefficients.
-
-    Candidates are spin flips on the photons detected in one port class,
-    optionally followed by a phase flip on the first spin; the shortest
-    candidate reaching unit fidelity against the GHZ target wins.
-    """
-    labels = _ghz_labels(n)
-    grouped, _ = distribution_branches(
-        [NoiseChannel.identity()] * n, [IDEAL] * n, phase_photon=0, spin_labels=labels)
-    target = phi_plus(labels)
-    table = {}
-    for pattern in _structural_patterns(n):
-        entries = [e for e in grouped.get(pattern, []) if e[1] > _ZERO]
-        post = entries[0][2]
-        flips_r = tuple(i for i, pd in enumerate(pattern) if pd == ("R", "up"))
-        flips_l = tuple(i for i, pd in enumerate(pattern) if pd == ("L", "dn"))
-        candidates = []
-        for flips in ((), flips_r, flips_l):
-            for z in ((), (("z", 0),)):
-                cand = tuple(("x", i) for i in flips) + z
-                if cand not in candidates:
-                    candidates.append(cand)
-        candidates.sort(key=len)
-        chosen = None
-        for cand in candidates:
-            trial = StateVector(post.register, _correction_matrix(cand, n) @ post.amplitudes)
-            if abs(fidelity(trial, target) - 1.0) < 1e-10:
-                chosen = cand
-                break
-        if chosen is None:
-            raise RuntimeError(f"no single-spin correction found for pattern {pattern}")
-        table[pattern] = chosen
-    return table
 
 
 def distribute_ghz(
@@ -356,8 +320,10 @@ def distribute_ghz(
 ) -> list[HeraldedOutcome]:
     """Distribute an n-party GHZ state; herald on all n photons.
 
-    The declared target is (|up...up> + |dn...dn>)/sqrt(2); the recorded
-    corrections map every detection pattern onto it.
+    The declared target is (|up...up> + |dn...dn>)/sqrt(2).  Each detection
+    pattern records spin flips on the photons of its smaller port class (the
+    R class on a tie), then a phase flip on the first spin when n is even;
+    these map every pattern onto the target.
     """
     if n < 2:
         raise ValueError("GHZ distribution needs at least two parties")
@@ -367,10 +333,8 @@ def distribute_ghz(
     if len(noise) != n or len(coeffs) != n:
         raise ValueError("need one noise channel and one coefficient set per photon")
     labels = _ghz_labels(n)
-    table = _ghz_correction_table(n)
-    grouped, _ = distribution_branches(noise, coeffs, phase_photon=0, spin_labels=labels)
-    target = phi_plus(labels)
-    return _collect_outcomes(grouped, n, labels, lambda pat: table[pat], target, eta_in)
+    amps, _ = distribution_branches(noise, coeffs, phase_photon=0)
+    return _collect_outcomes(amps, labels, _ghz_correction, phi_plus(labels), eta_in)
 
 
 def channel_mixing_weight(channels) -> float:

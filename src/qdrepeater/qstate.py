@@ -140,7 +140,7 @@ class StateVector:
                 f"amplitude length {amps.shape[0]} does not match register dimension {self.register.dim}"
             )
         n2 = float(np.vdot(amps, amps).real)
-        if n2 > 1.0 + _NORM_SLACK:
+        if not n2 <= 1.0 + _NORM_SLACK:
             raise ValueError(f"norm**2 = {n2} exceeds 1; amplitudes cannot grow")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -204,11 +204,11 @@ class LinearMap:
             raise ValueError(f"linear map must be square, got shape {m.shape}")
         if self.unitary:
             dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-            if dev > ATOL:
+            if not dev <= ATOL:
                 raise ValueError(f"matrix flagged unitary deviates from unitarity by {dev}")
         else:
             smax = float(np.linalg.svd(m, compute_uv=False)[0])
-            if smax > 1.0 + ATOL:
+            if not smax <= 1.0 + ATOL:
                 raise ValueError(f"largest singular value {smax} exceeds 1; map would grow norm")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -363,23 +363,21 @@ def fidelity(state: StateVector | Ensemble, target: StateVector) -> float:
     return float(abs(ov) ** 2 / n2)
 
 
-def schmidt_coefficients(state: StateVector, cut_labels) -> np.ndarray:
-    """Singular values of the amplitude matrix across the given bipartition."""
-    cut = list(cut_labels)
-    block, _, _, _ = _front_axes(state, cut)
-    return np.linalg.svd(block, compute_uv=False)
-
-
 def schmidt_rank(state: StateVector, cut_labels, tol: float = 1e-10) -> int:
-    sv = schmidt_coefficients(state, cut_labels)
-    return int(np.sum(sv > tol))
+    """Number of singular values above ``tol`` across the given bipartition."""
+    block = _front_axes(state, list(cut_labels))[0]
+    return int(np.sum(np.linalg.svd(block, compute_uv=False) > tol))
 
 
 def allclose_upto_phase(a: StateVector, b: StateVector, atol: float = 1e-10) -> bool:
     """State equality up to a single global phase."""
     if a.register.dims != b.register.dims:
         return False
-    va, vb = a.amplitudes, b.amplitudes
+    return _equal_upto_phase(a.amplitudes, b.amplitudes, atol)
+
+
+def _equal_upto_phase(va: np.ndarray, vb: np.ndarray, atol: float) -> bool:
+    """Amplitude vectors equal up to a single global phase."""
     k = int(np.argmax(np.abs(vb)))
     if abs(vb[k]) < atol:
         return bool(np.allclose(va, vb, atol=atol))

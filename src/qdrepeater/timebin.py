@@ -89,7 +89,7 @@ class NoiseChannel:
         object.__setattr__(self, "delta_l", dl)
         object.__setattr__(self, "eta_l", el)
         for d, e, which in ((self.delta, self.eta, "early"), (dl, el, "late")):
-            if abs(abs(d) ** 2 + abs(e) ** 2 - 1.0) > ATOL:
+            if not abs(abs(d) ** 2 + abs(e) ** 2 - 1.0) <= ATOL:
                 raise ValueError(f"{which}-bin rotation is not normalized: |delta|^2+|eta|^2 != 1")
 
     def early_unitary(self) -> np.ndarray:

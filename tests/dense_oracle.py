@@ -4,6 +4,8 @@
 through the time-bin pipeline (encode, fiber, decode, phase, quarter-wave
 relabel, scatter) and measures every photon.  The library builds the same
 branches from per-photon transfer amplitudes; the tests compare the two.
+`ghz_correction_search` finds each GHZ pattern's correction by trying
+candidates at ideal nodes; the library applies a fixed rule.
 
 `run_pcd` evolves the probe photon of a parity check together with the
 spins through the detector optics and measures it.  The library applies
@@ -21,11 +23,13 @@ import math
 
 import numpy as np
 
+from qdrepeater.cavity import IDEAL
 from qdrepeater.protocols import (
     ChainReport,
     HeraldedOutcome,
     StageResult,
     distribute_bell,
+    distribution_branches,
     ghz_state,
     heralded_ensemble,
     pcd,
@@ -50,6 +54,7 @@ from qdrepeater.qstate import (
 )
 from qdrepeater.scatter import scatter, scatter_map
 from qdrepeater.timebin import (
+    NoiseChannel,
     OpticalElement,
     apply_element,
     apply_noise,
@@ -67,6 +72,9 @@ RT2 = 1.0 / math.sqrt(2.0)
 
 #: structurally possible single-photon detections after the decoder routing
 PORTS = (("R", "up"), ("L", "dn"))
+
+#: branch weights below this are numerically dead, as in the library
+ZERO = 1e-24
 
 
 def run_distribution(photon_names, noises, coeffs_list, phase_photon, spin_labels):
@@ -123,12 +131,37 @@ def run_distribution(photon_names, noises, coeffs_list, phase_photon, spin_label
     return grouped, survival
 
 
+def ghz_correction_search(n):
+    """Per-pattern corrections of n-party GHZ distribution, found by search.
+
+    At ideal nodes and quiet fibers each pattern heralds one state.  The
+    candidates are spin flips on the photons detected in one port class,
+    optionally followed by a phase flip on the first spin; the shortest
+    candidate that reaches unit fidelity against the GHZ target wins.
+    Returns {pattern: ((gate, spin label), ...)} in pattern product order.
+    """
+    labels = [f"e_{chr(ord('a') + i)}" for i in range(n)]
+    amps, _ = distribution_branches([NoiseChannel.identity()] * n, [IDEAL] * n, phase_photon=0)
+    target = ghz_state(labels)
+    table = {}
+    for pattern, pat_amps in zip(itertools.product(PORTS, repeat=n), amps):
+        heralded = next(a for a in pat_amps if np.vdot(a, a).real > ZERO)
+        post = StateVector(spin_register(labels), heralded / np.linalg.norm(heralded))
+        classes = [tuple(("x", lab) for lab, pd in zip(labels, pattern) if pd == port) for port in PORTS]
+        candidates = []
+        for flips in ((), *classes):
+            for z in ((), (("z", labels[0]),)):
+                if flips + z not in candidates:
+                    candidates.append(flips + z)
+        candidates.sort(key=len)
+        table[pattern] = next(cand for cand in candidates
+                              if abs(fidelity(apply_gates(post, cand), target) - 1.0) < 1e-10)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # parity-check detection
 # ---------------------------------------------------------------------------
-
-#: branch weights below this are numerically dead, as in the library
-ZERO = 1e-24
 
 #: the ideal-interface parity projections (up to sign) on (spin1, spin2)
 K_EVEN_IDEAL = LinearMap(np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex))

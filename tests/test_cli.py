@@ -479,6 +479,15 @@ def test_config_values_are_read_literally(tmp_path, capsys):
     assert (tmp_path / "100%.csv").read_text().startswith(",".join(COEFFS_HEADER))
 
 
+def test_nan_fiber_rotation_in_a_scenario_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text(IDEAL_SCENARIO.replace("right = B\n", "right = B\nnoise_delta = nan\nnoise_eta = 0\n"))
+    code, out, err = run(capsys, "chain", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: segment AB: ") and "rotation is not normalized" in err
+
+
 def test_percent_in_a_scenario_value_is_usage_error(tmp_path, capsys):
     path = tmp_path / "percent.ini"
     path.write_text(IDEAL_SCENARIO.replace("[node B]\nideal = true", "[node B]\ng = 5%"))
@@ -492,6 +501,8 @@ def test_percent_in_a_scenario_value_is_usage_error(tmp_path, capsys):
     ("encode, decode, decode", "already expanded or decoded"),
     ("noise(1, 1)", "rotation is not normalized"),
     ("phase(abc)", "could not convert string to float"),
+    ("encode, noise(nan, 0), decode", "rotation is not normalized"),
+    ("phase(nan)", "deviates from unitarity"),
 ])
 def test_photon_script_input_errors_are_usage_errors(tmp_path, capsys, steps, message):
     path = tmp_path / "script.ini"

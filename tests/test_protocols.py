@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 
@@ -38,10 +39,18 @@ from qdrepeater.qstate import (
     superposition,
     tensor,
 )
-from qdrepeater.timebin import NoiseChannel
+from qdrepeater.timebin import TB_DECODED, NoiseChannel
 
 from conftest import random_coeffs
-from dense_oracle import extend_chain_gates, purify_gates, run_chain_gates, run_distribution, run_pcd
+from dense_oracle import (
+    PORTS,
+    extend_chain_gates,
+    ghz_correction_search,
+    purify_gates,
+    run_chain_gates,
+    run_distribution,
+    run_pcd,
+)
 
 RT2 = 1.0 / math.sqrt(2.0)
 QUIET = NoiseChannel.identity()
@@ -174,20 +183,21 @@ def _assert_matches_dense_oracle(noises, coeffs, phase_photon):
     names = [chr(ord("a") + i) for i in range(n)]
     labels = [f"e_{nm}" for nm in names]
     dense, dense_survival = run_distribution(names, noises, coeffs, names[phase_photon], labels)
-    grouped, survival = distribution_branches(noises, coeffs, phase_photon, labels)
+    amps, survival = distribution_branches(noises, coeffs, phase_photon)
     assert survival == pytest.approx(dense_survival, abs=1e-12)
-    assert set(grouped) == set(dense)
-    for pattern, entries in grouped.items():
-        assert [tb for tb, _, _ in entries] == [tb for tb, _, _ in dense[pattern]]
-        for (_, p, post), (_, p_dense, post_dense) in zip(entries, dense[pattern]):
+    # amps[k, j] is port pattern k and time-bin outcome j, both in product order
+    assert list(dense) == list(itertools.product(PORTS, repeat=n))
+    assert amps.shape == (2 ** n, 2 ** n, 2 ** n)
+    for pat_amps, entries in zip(amps, dense.values()):
+        assert [tb for tb, _, _ in entries] == list(itertools.product(TB_DECODED, repeat=n))
+        for heralded, (_, p_dense, post_dense) in zip(pat_amps, entries):
+            p = float(np.vdot(heralded, heralded).real)
             assert p == pytest.approx(p_dense, abs=1e-12)
-            assert (post is None) == (p == 0.0)
-            heralded = np.zeros(2 ** n) if post is None else math.sqrt(p) * post.amplitudes
             heralded_dense = (np.zeros(2 ** n) if post_dense is None
                               else math.sqrt(p_dense) * post_dense.amplitudes)
             assert np.max(np.abs(heralded - heralded_dense)) < 1e-12
             if p > 1e-6:
-                assert np.max(np.abs(post.amplitudes - post_dense.amplitudes)) < 1e-12
+                assert np.max(np.abs(heralded / math.sqrt(p) - post_dense.amplitudes)) < 1e-12
 
 
 def _asymmetric_fiber(early, late):
@@ -241,12 +251,12 @@ def test_transfer_branches_keep_the_oracle_zero_branches(n):
     names = [chr(ord("a") + i) for i in range(n)]
     labels = [f"e_{nm}" for nm in names]
     dense, _ = run_distribution(names, [QUIET] * n, [IDEAL] * n, names[0], labels)
-    grouped, _ = distribution_branches([QUIET] * n, [IDEAL] * n, 0, labels)
-    zeros = [(pattern, tb) for pattern, entries in grouped.items()
-             for tb, p, post in entries if p == 0.0 and post is None]
+    amps, _ = distribution_branches([QUIET] * n, [IDEAL] * n, 0)
+    probs = np.sum(np.abs(amps) ** 2, axis=2)
+    zeros = list(zip(*np.nonzero(probs == 0.0)))
     assert len(zeros) > 4 ** n // 2
-    assert zeros == [(pattern, tb) for pattern, entries in dense.items()
-                     for tb, p, post in entries if p == 0.0 and post is None]
+    assert zeros == [(k, j) for k, entries in enumerate(dense.values())
+                     for j, (_, p, post) in enumerate(entries) if p == 0.0 and post is None]
 
 
 # --- GHZ distribution ------------------------------------------------------------
@@ -308,6 +318,16 @@ def test_ghz_corrections_match_the_golden_table():
         for o in distribute_ghz(n, [QUIET] * n, [IDEAL] * n):
             lines.append(f"{n} {o.detection} " + (" ".join(f"{g}({lab})" for g, lab in o.correction) or "-"))
     assert lines == golden.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_ghz_corrections_follow_the_searched_corrections(n):
+    # the rule (flip the smaller port class, phase-flip the first spin at
+    # even n) is what a search over candidate corrections finds
+    searched = ghz_correction_search(n)
+    outs = distribute_ghz(n, [QUIET] * n, [IDEAL] * n)
+    assert [o.correction for o in outs] == list(searched.values())
+    assert all(abs(o.fidelity - 1.0) < 1e-10 for o in outs)
 
 
 def test_ghz_noise_immunity(rng):

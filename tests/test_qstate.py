@@ -176,6 +176,11 @@ def test_linear_map_validation():
     assert linear_map(np.eye(2)).unitary
 
 
+def test_unitarity_check_rejects_nan():
+    with pytest.raises(ValueError, match="unitarity"):
+        LinearMap(np.diag([1.0, np.nan]), unitary=True)
+
+
 # --- measure ---------------------------------------------------------------
 
 def test_measure_bell_marginals():
@@ -292,6 +297,11 @@ def test_fidelity_is_phase_insensitive():
 def test_amplitudes_cannot_exceed_unit_norm():
     with pytest.raises(ValueError):
         StateVector(spin("e"), [1.0, 1.0])
+
+
+def test_nan_amplitudes_rejected():
+    with pytest.raises(ValueError):
+        StateVector(spin("e"), [np.nan, 0.0])
 
 
 def test_ensemble_weights_must_sum_to_one():

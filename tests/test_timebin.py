@@ -85,6 +85,13 @@ def test_channel_normalization_enforced():
         NoiseChannel(1.0, 0.0, 0.5, 0.5)
 
 
+def test_channel_rejects_nan_rotation():
+    with pytest.raises(ValueError):
+        NoiseChannel(math.nan, 0.0)
+    with pytest.raises(ValueError):
+        NoiseChannel(1.0, 0.0, math.nan, 0.0)
+
+
 def test_symmetric_channel_rotates_both_bins_identically():
     delta, eta = 0.6, 0.8
     state = encode(one_photon("H"), "a")
