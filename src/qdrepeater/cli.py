@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .cavity import IDEAL, CavityParams, ScatterCoeffs, full_coeffs, resonant_coeffs
+from .cavity import IDEAL, CavityParams, ScatterCoeffs, full_coeffs, probability_sum, resonant_coeffs
 from .metrics import crosscheck, distribution_metrics, pcd_metrics
 from .protocols import (
     ChainScenario,
@@ -115,7 +115,7 @@ def _read_config(path) -> configparser.ConfigParser:
 
 def _node(g, ks, gamma, delta) -> ScatterCoeffs:
     with _user_values():
-        return resonant_coeffs(CavityParams(g=g, kappa_s=ks, gamma=gamma), delta)
+        return resonant_coeffs(CavityParams(g=g, kappa_s=ks, gamma=gamma, delta=delta))
 
 
 COEFFS_HEADER = [
@@ -127,13 +127,11 @@ COEFFS_HEADER = [
 
 def _coeffs_row(g, ks, gamma, delta):
     with _user_values():
-        base = CavityParams(g=g, kappa_s=ks, gamma=gamma)
-        probe = base.with_detuning(delta)
-    R, T, S, N = full_coeffs(probe)
-    p_sum = abs(R) ** 2 + abs(T) ** 2 + abs(S) ** 2 + abs(N) ** 2
-    sc = resonant_coeffs(base, delta)
+        p = CavityParams(g=g, kappa_s=ks, gamma=gamma, delta=delta)
+    R, T, S, N = full_coeffs(p)
+    sc = resonant_coeffs(p)
     vals = [g, ks, gamma, delta,
-            R.real, R.imag, T.real, T.imag, S.real, S.imag, N.real, N.imag, p_sum,
+            R.real, R.imag, T.real, T.imag, S.real, S.imag, N.real, N.imag, probability_sum(p),
             sc.r.real, sc.r.imag, sc.t.real, sc.t.imag,
             sc.r0.real, sc.r0.imag, sc.t0.real, sc.t0.imag]
     return [_fmt(v) for v in vals]
@@ -235,12 +233,12 @@ def scenario_from_config(cp: configparser.ConfigParser,
                 continue
             try:
                 g = cp.getfloat(section, "g") if g_override is None else g_override
-                params = CavityParams(
+                nodes[name] = resonant_coeffs(CavityParams(
                     g=g,
                     kappa_s=cp.getfloat(section, "kappa_s", fallback=ks0),
                     gamma=cp.getfloat(section, "gamma", fallback=gamma0),
-                )
-                nodes[name] = resonant_coeffs(params, cp.getfloat(section, "delta", fallback=delta0))
+                    delta=cp.getfloat(section, "delta", fallback=delta0),
+                ))
             except (configparser.Error, ValueError) as e:
                 raise UsageError(f"[{section}]: {e}")
         elif section.startswith("segment "):

@@ -258,16 +258,6 @@ def hadamard() -> LinearMap:
     return LinearMap(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2), unitary=True)
 
 
-def phase_map(angle: float) -> LinearMap:
-    return LinearMap(np.diag([1.0, np.exp(1j * angle)]), unitary=True)
-
-
-def projector(dim: int, level: int) -> LinearMap:
-    m = np.zeros((dim, dim), dtype=complex)
-    m[level, level] = 1.0
-    return LinearMap(m, unitary=False)
-
-
 def basis_state(register: Register, assignment: dict[str, str] | None = None) -> StateVector:
     amps = np.zeros(register.dim, dtype=complex)
     amps[register.basis_index(assignment or {})] = 1.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ params_strategy = st.builds(
     g=st.floats(0.0, 3.0),
     kappa_s=st.floats(0.0, 0.5),
     gamma=st.floats(0.01, 0.5),
+    delta=st.floats(-5.0, 5.0),
 )
 
 
@@ -46,12 +49,7 @@ def test_probability_sum_is_one_on_the_figure_grid():
         for ks in (0.0, 0.05, 0.15, 0.2):
             base = CavityParams(g=g, kappa_s=ks, gamma=0.1)
             for d in deltas:
-                assert probability_sum(base.with_detuning(d)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_probability_sum_holds_off_resonance():
-    p = CavityParams(g=1.7, kappa_s=0.12, gamma=0.2, omega_c=0.0, omega_x=0.8, omega=-0.3)
-    assert probability_sum(p) == pytest.approx(1.0, abs=1e-12)
+                assert probability_sum(dataclasses.replace(base, delta=d)) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- resonant reduced coefficients -------------------------------------------
@@ -77,18 +75,18 @@ def test_strong_coupling_reflection():
     assert abs(sc.r - 1.0) < 0.01
 
 
-@given(params_strategy, st.floats(-5.0, 5.0))
+@given(params_strategy)
 @settings(max_examples=200, deadline=None)
-def test_beam_splitter_identities(p, delta):
-    sc = resonant_coeffs(p, delta)
+def test_beam_splitter_identities(p):
+    sc = resonant_coeffs(p)
     assert abs(sc.r - (1.0 + sc.t)) <= 1e-12
     assert abs(sc.r0 - (1.0 + sc.t0)) <= 1e-12
 
 
-@given(params_strategy, st.floats(-5.0, 5.0))
+@given(params_strategy)
 @settings(max_examples=100, deadline=None)
-def test_coupled_channels_carry_unit_probability(p, delta):
-    sc = resonant_coeffs(p, delta)
+def test_coupled_channels_carry_unit_probability(p):
+    sc = resonant_coeffs(p)
     total = abs(sc.r) ** 2 + abs(sc.t) ** 2 + abs(sc.s_leak) ** 2 + abs(sc.n_noise) ** 2
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -96,29 +94,30 @@ def test_coupled_channels_carry_unit_probability(p, delta):
 def test_reflection_magnitude_is_even_in_detuning():
     p = CavityParams(g=2.4, kappa_s=0.1, gamma=0.1)
     for d in np.linspace(0.0, 5.0, 51):
-        plus = resonant_coeffs(p, d)
-        minus = resonant_coeffs(p, -d)
+        plus = resonant_coeffs(dataclasses.replace(p, delta=d))
+        minus = resonant_coeffs(dataclasses.replace(p, delta=-d))
         assert abs(plus.r) == pytest.approx(abs(minus.r), abs=1e-12)
         assert abs(plus.t) == pytest.approx(abs(minus.t), abs=1e-12)
 
 
 def test_cold_coefficients_match_uncoupled_full_response():
-    p = CavityParams(g=1.2, kappa_s=0.15, gamma=0.1)
-    sc = resonant_coeffs(p, 0.4)
-    cold = CavityParams(g=0.0, kappa_s=0.15, gamma=0.1).with_detuning(0.4)
-    R0, T0, _, _ = full_coeffs(cold)
+    sc = resonant_coeffs(CavityParams(g=1.2, kappa_s=0.15, gamma=0.1, delta=0.4))
+    R0, T0, _, _ = full_coeffs(CavityParams(g=0.0, kappa_s=0.15, gamma=0.1, delta=0.4))
     assert sc.r0 == pytest.approx(R0, abs=1e-12)
     assert sc.t0 == pytest.approx(T0, abs=1e-12)
 
 
+@given(params_strategy)
+@settings(max_examples=100, deadline=None)
+def test_resonant_coeffs_use_the_stored_detuning(p):
+    # the hot amplitudes are the four-channel response at p.delta itself
+    sc = resonant_coeffs(p)
+    assert (sc.r, sc.t, sc.s_leak, sc.n_noise) == full_coeffs(p)
+    R0, T0, _, _ = full_coeffs(dataclasses.replace(p, g=0.0))
+    assert (sc.r0, sc.t0) == (R0, T0)
+
+
 # --- validation ---------------------------------------------------------------
-
-def test_nonpositive_kappa_rejected():
-    with pytest.raises(ValueError):
-        CavityParams(g=1.0, kappa=0.0)
-    with pytest.raises(ValueError):
-        CavityParams(g=1.0, kappa=-1.0)
-
 
 def test_invalid_rates_rejected():
     with pytest.raises(ValueError):
@@ -129,7 +128,7 @@ def test_invalid_rates_rejected():
         CavityParams(g=1.0, gamma=0.0)
 
 
-@pytest.mark.parametrize("field", ["g", "kappa_s", "gamma", "kappa", "omega_c", "omega_x", "omega", "delta"])
+@pytest.mark.parametrize("field", ["g", "kappa_s", "gamma", "delta"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_params_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -138,22 +137,13 @@ def test_non_finite_params_rejected(field, value):
 
 @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
 def test_non_finite_detuning_rejected(delta):
-    p = CavityParams(g=1.0)
+    # detuning a validated cavity goes through the same checks
     with pytest.raises(ValueError, match="delta must be finite"):
-        p.with_detuning(delta)
-    with pytest.raises(ValueError, match="delta must be finite"):
-        resonant_coeffs(p, delta)
+        dataclasses.replace(CavityParams(g=1.0), delta=delta)
 
 
-def test_delta_shorthand_conflicts_with_frequencies():
-    with pytest.raises(ValueError):
-        CavityParams(g=1.0, omega=0.3, delta=0.5)
-
-
-def test_resonant_convention_enforced():
-    p = CavityParams(g=1.0, omega_c=0.0, omega_x=0.5)
-    with pytest.raises(ValueError):
-        resonant_coeffs(p, 0.0)
+def test_cavity_params_fields():
+    assert [f.name for f in dataclasses.fields(CavityParams)] == ["g", "kappa_s", "gamma", "delta"]
 
 
 def test_scatter_coeffs_identity_enforced():
@@ -161,6 +151,14 @@ def test_scatter_coeffs_identity_enforced():
         ScatterCoeffs(r=0.9, t=0.0, r0=0.0, t0=-1.0)
     with pytest.raises(ValueError):
         ScatterCoeffs(r=1.0, t=0.0, r0=0.2, t0=-1.0)
+
+
+@pytest.mark.parametrize("field", ["r", "t", "r0", "t0", "s_leak", "n_noise"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_scatter_coeffs_reject_non_finite_amplitudes(field, value):
+    amplitudes = {"r": 1.0, "t": 0.0, "r0": 0.0, "t0": -1.0, field: value}
+    with pytest.raises(ValueError):
+        ScatterCoeffs(**amplitudes)
 
 
 def test_ideal_constant():

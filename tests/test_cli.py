@@ -1,7 +1,11 @@
+import configparser
+
 import pytest
 
 from qdrepeater import cli
-from qdrepeater.cli import COEFFS_HEADER, PURIFY_HEADER, build_parser, main, parse_args, parse_grid, value_flags
+from qdrepeater.cavity import CavityParams, resonant_coeffs
+from qdrepeater.cli import (COEFFS_HEADER, PURIFY_HEADER, build_parser, main, parse_args, parse_grid,
+                            scenario_from_config, value_flags)
 
 IDEAL_SCENARIO = """\
 [defaults]
@@ -188,6 +192,14 @@ def test_practical_scenario_probability(tmp_path, capsys):
     code, out, _ = run(capsys, "chain", "--scenario", str(path))
     assert code == 0
     assert "probability 0.770058" in out
+
+
+def test_node_delta_detunes_that_node():
+    cp = configparser.ConfigParser()
+    cp.read_string(IDEAL_SCENARIO.replace("ideal = true", "g = 1.2\nkappa_s = 0.2\ndelta = 0.4", 1))
+    nodes = scenario_from_config(cp).nodes
+    assert nodes["A"] == resonant_coeffs(CavityParams(g=1.2, kappa_s=0.2, gamma=0.1, delta=0.4))
+    assert nodes["A"] != resonant_coeffs(CavityParams(g=1.2, kappa_s=0.2, gamma=0.1))
 
 
 def test_three_node_scenario(tmp_path, capsys):

@@ -13,7 +13,7 @@ from conftest import random_coeffs
 
 
 def at(g, ks, gamma=0.1, delta=0.0):
-    return resonant_coeffs(CavityParams(g=g, kappa_s=ks, gamma=gamma), delta)
+    return resonant_coeffs(CavityParams(g=g, kappa_s=ks, gamma=gamma, delta=delta))
 
 
 # --- reference working points --------------------------------------------------

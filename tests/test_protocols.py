@@ -744,7 +744,17 @@ def _chain_scenario(nodes, fibers, rounds, eta_in):
     return ChainScenario(nodes=nodes, segments=segments, purify_rounds=rounds, eta_in=eta_in)
 
 
+#: a stage probability is a sum of branch weights; at these nodes it is 1 in
+#: exact arithmetic, and the extension at n2 reports 1.0000000000000004
+_ROUNDING_EXAMPLE = (
+    {"n0": IDEAL, "n1": random_coeffs(np.random.default_rng(104)), "n2": IDEAL, "n3": IDEAL},
+    [((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))] * 3, 0, 1.0)
+#: rounding allowance on the upper bounds of probabilities and fidelities
+_ROUNDING = 1e-12
+
+
 @given(_chain_inputs())
+@example(_ROUNDING_EXAMPLE)
 @settings(max_examples=10, deadline=None)
 def test_run_chain_invariants_under_collective_fiber_noise(inputs):
     nodes, rotations, rounds, eta_in = inputs
@@ -752,8 +762,8 @@ def test_run_chain_invariants_under_collective_fiber_noise(inputs):
     report = run_chain(_chain_scenario(nodes, fibers, rounds, eta_in))
     quiet = run_chain(_chain_scenario(nodes, [(QUIET, QUIET)] * len(fibers), rounds, eta_in))
     for stage in report.stages:
-        assert 0.0 <= stage.probability <= 1.0
-        assert 0.0 <= stage.fidelity <= 1.0
+        assert 0.0 <= stage.probability <= 1.0 + _ROUNDING
+        assert 0.0 <= stage.fidelity <= 1.0 + _ROUNDING
     assert report.total_probability == pytest.approx(
         math.prod(stage.probability for stage in report.stages), abs=1e-12)
     assert math.fsum(w for w, _ in report.final_state.members) == pytest.approx(1.0, abs=1e-12)

@@ -19,13 +19,12 @@ from qdrepeater.qstate import (
     hadamard,
     linear_map,
     measure,
-    phase_map,
-    projector,
     schmidt_rank,
     sigma_x,
     superposition,
     tensor,
 )
+from qdrepeater.timebin import phase_shift_map
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -142,7 +141,7 @@ def test_hadamard_makes_even_superposition():
 
 def test_projection_drops_norm():
     st_in = StateVector(pol("ph"), [0.6, 0.8])
-    out = apply_map(st_in, projector(2, 0), ["ph"])
+    out = apply_map(st_in, LinearMap(np.diag([1.0, 0.0]), unitary=False), ["ph"])
     assert out.amplitude({"ph": "H"}) == pytest.approx(0.6)
     assert out.amplitude({"ph": "V"}) == 0.0
     assert out.norm2 == pytest.approx(0.36, abs=1e-12)
@@ -164,7 +163,7 @@ def test_map_acts_only_on_targets():
 @settings(max_examples=30, deadline=None)
 def test_unitary_preserves_norm(t):
     state = normalized_qubit("e", t)
-    for gate in (sigma_x(), hadamard(), phase_map(0.37)):
+    for gate in (sigma_x(), hadamard(), phase_shift_map(0.37)):
         assert apply_map(state, gate, ["e"]).norm2 == pytest.approx(state.norm2, abs=1e-12)
 
 
