@@ -45,6 +45,6 @@ from .qstate import (
     tensor,
 )
 from .scatter import scatter, scatter_map
-from .timebin import NoiseChannel, OpticalElement, apply_element, apply_noise, decode, encode, photon_register
+from .timebin import NoiseChannel, apply_noise, decode, encode, photon_register
 
 __version__ = "0.1.0"

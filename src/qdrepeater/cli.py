@@ -34,8 +34,9 @@ from .protocols import (
     run_chain,
     uniform_spins,
 )
-from .qstate import StateVector, superposition
-from .timebin import NoiseChannel, OpticalElement, apply_element, apply_noise, decode, encode, photon_register
+from .qstate import StateVector, apply_map, hadamard, superposition
+from .timebin import (NoiseChannel, apply_noise, decode, delay, dir_label, encode, phase_shift_map,
+                      photon_register, pockels, pol_label, qwp, routing_map)
 
 
 class UsageError(Exception):
@@ -305,43 +306,35 @@ def _parse_step(token):
     return name.strip().lower(), args
 
 
+#: Script step -> (function of (state, photon, *args), allowed argument counts).
+_PHOTON_STEPS = {
+    "encode": (encode, (0,)),
+    "decode": (decode, (0,)),
+    "noise": (lambda s, p, *a: apply_noise(s, p, NoiseChannel(*(_parse_complex(x, "script") for x in a))),
+              (2, 4)),
+    "qwp": (qwp, (0,)),
+    "hwp": (lambda s, p: apply_map(s, hadamard(), [pol_label(p)]), (0,)),
+    "pbs": (lambda s, p: apply_map(s, routing_map(), [pol_label(p), dir_label(p)]), (0,)),
+    "bs": (lambda s, p: apply_map(s, hadamard(), [dir_label(p)]), (0,)),
+    "phase": (lambda s, p, angle=math.pi: apply_map(s, phase_shift_map(float(angle)), [pol_label(p)]),
+              (0, 1)),
+    "pc": (lambda s, p, *window: pockels(s, p, window), range(1, sys.maxsize)),
+    "delay": (delay, (1,)),
+}
+
+
 @_user_values()
 def _run_photon_script(state: StateVector, photon: str, steps) -> StateVector:
     """Apply an ordered optical-element script to one photon."""
-    pol = f"{photon}_pol"
-    direc = f"{photon}_dir"
-    tb = f"{photon}_tb"
     for name, args in steps:
-        if name == "encode":
-            state = encode(state, photon)
-        elif name == "decode":
-            state = decode(state, photon)
-        elif name == "noise":
-            if len(args) not in (2, 4):
-                raise UsageError("noise takes (delta, eta) or (delta, eta, delta_l, eta_l)")
-            vals = [_parse_complex(a, "script") for a in args]
-            state = apply_noise(state, photon, NoiseChannel(*vals))
-        elif name == "qwp":
-            state = apply_element(state, OpticalElement("QWP"), [pol])
-        elif name == "hwp":
-            state = apply_element(state, OpticalElement("HWP"), [pol])
-        elif name == "pbs":
-            state = apply_element(state, OpticalElement("PBS"), [pol, direc])
-        elif name == "bs":
-            state = apply_element(state, OpticalElement("BS"), [direc])
-        elif name == "phase":
-            angle = float(args[0]) if args else 3.141592653589793
-            state = apply_element(state, OpticalElement("PHASE", {"angle": angle}), [pol])
-        elif name == "pc":
-            if not args:
-                raise UsageError("pc needs a window of time-bin labels")
-            state = apply_element(state, OpticalElement("PC", {"window": tuple(args)}), [pol, tb])
-        elif name == "delay":
-            if len(args) != 1:
-                raise UsageError("delay takes the polarization level that is delayed")
-            state = apply_element(state, OpticalElement("DELAY", {"delayed": args[0]}), [pol, tb])
-        else:
-            raise UsageError(f"unknown script step {name!r}")
+        if name not in _PHOTON_STEPS:
+            raise UsageError(f"unknown script step {name!r}; supported steps: {', '.join(_PHOTON_STEPS)}")
+        step, counts = _PHOTON_STEPS[name]
+        if len(args) not in counts:
+            allowed = (f"at least {counts.start}" if isinstance(counts, range)
+                       else " or ".join(map(str, counts)))
+            raise UsageError(f"script step {name!r} takes {allowed} argument(s), got {len(args)}")
+        state = step(state, photon, *args)
     return state
 
 
@@ -353,7 +346,9 @@ def load_photon_script(path):
     name = cp.get("photon", "name", fallback="a")
     h = _parse_complex(cp.get("photon", "h", fallback="1"), "[photon]")
     v = _parse_complex(cp.get("photon", "v", fallback="0"), "[photon]")
-    norm = math.sqrt(abs(h) ** 2 + abs(v) ** 2)
+    norm = math.hypot(h.real, h.imag, v.real, v.imag)
+    if not math.isfinite(norm):
+        raise UsageError(f"[photon]: amplitudes h = {h}, v = {v} need a finite norm")
     if norm == 0.0:
         raise UsageError("[photon]: zero input amplitudes")
     state = superposition(photon_register(name), [

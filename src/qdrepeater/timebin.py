@@ -1,4 +1,4 @@
-"""Optical elements and the time-bin pipeline that defeats collective fiber noise.
+"""Photon optics and the time-bin pipeline that defeats collective fiber noise.
 
 One photon is modeled by three subsystems: polarization (levels H, V on the
 linear side, R, L after a quarter-wave relabel), a direction tag written by
@@ -16,13 +16,18 @@ indistinguishable and are collapsed back to a two-level register.  The two
 output classes are labeled sp and lp, with sp the class that carries the
 unrotated (channel-diagonal) amplitude; in raw delay counts sp is the
 two-delay window and lp the one-delay window.
+
+Each optical element is a plain function of one photon or a matrix:
+`qwp`, `delay` and `pockels` act on the photon named; a half-wave plate or a
+50/50 splitter is `qstate.hadamard()`, the polarizing splitter
+`routing_map()` and a phase plate `phase_shift_map(angle)`, each applied
+with `apply_map` to the subsystems it acts on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -34,7 +39,6 @@ from .qstate import (
     StateVector,
     Subsystem,
     apply_map,
-    hadamard,
     rename_levels,
 )
 
@@ -120,28 +124,6 @@ class NoiseChannel:
         return cls(a.delta, a.eta, b.delta, b.eta)
 
 
-@dataclass(frozen=True)
-class OpticalElement:
-    """One element of the protocol optics; each acts unitarily on its subspace.
-
-    Kinds: PBS (polarization routed onto a two-level direction or path
-    subsystem, the second level flipped for V or L), QWP (relabel of
-    the polarization levels between linear and circular), HWP (polarization
-    Hadamard), PC (window-gated polarization flip on selected time bins),
-    BS (50/50 splitter on a path subsystem), PHASE (phase on one
-    polarization level), DELAY (time-bin register expansion: the selected
-    polarization level receives one delay interval).
-    """
-
-    kind: str
-    params: dict[str, Any] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("PBS", "QWP", "HWP", "PC", "BS", "PHASE", "DELAY"):
-            raise ValueError(f"unknown optical element kind {self.kind!r}")
-        object.__setattr__(self, "params", dict(self.params or {}))
-
-
 def routing_map() -> LinearMap:
     """Polarizing splitter: flips the routing qubit for the V (or L) component."""
     m = np.zeros((4, 4), dtype=complex)
@@ -166,36 +148,40 @@ def pc_map(tb_levels: tuple[str, ...], window) -> LinearMap:
     return LinearMap(m, unitary=True)
 
 
-def phase_shift_map(angle: float, level: int = 1) -> LinearMap:
-    d = np.ones(2, dtype=complex)
-    d[level] = np.exp(1j * angle)
-    return LinearMap(np.diag(d), unitary=True)
+def phase_shift_map(angle: float) -> LinearMap:
+    """Phase plate: multiplies the second polarization level (V or L) by exp(i angle)."""
+    return LinearMap(np.diag([1.0, np.exp(1j * angle)]), unitary=True)
 
 
-def to_circular(state: StateVector, photon: str) -> StateVector:
-    """Quarter-wave plate: relabels H -> R and V -> L, amplitudes untouched."""
+def qwp(state: StateVector, photon: str) -> StateVector:
+    """Quarter-wave plate: relabels H <-> R and V <-> L, amplitudes untouched."""
     lab = pol_label(photon)
-    if state.register.subsystem(lab).levels != POL_LINEAR:
-        raise RegisterError(f"photon {photon!r} is not in the linear basis")
-    return rename_levels(state, lab, POL_CIRCULAR)
+    levels = state.register.subsystem(lab).levels
+    return rename_levels(state, lab, POL_CIRCULAR if levels == POL_LINEAR else POL_LINEAR)
 
 
-def _delay_expand(state: StateVector, photon: str, delayed_pol: str) -> StateVector:
+def pockels(state: StateVector, photon: str, window) -> StateVector:
+    """Pockels cell: flips the photon's polarization inside the listed time bins."""
+    pol, tb = pol_label(photon), tb_label(photon)
+    return apply_map(state, pc_map(state.register.subsystem(tb).levels, window), [pol, tb])
+
+
+def delay(state: StateVector, photon: str, pol: str) -> StateVector:
     """Append one delay slot to the photon's time-bin register.
 
-    The component with polarization ``delayed_pol`` takes the long path
-    (suffix "l"); the other polarization takes the short path (suffix "s").
-    The register dimension doubles.
+    The component with polarization ``pol`` takes the long path (suffix
+    "l"); the other polarization takes the short path (suffix "s").  The
+    register dimension doubles.
     """
     reg = state.register
-    pol = reg.subsystem(pol_label(photon))
+    pol_sub = reg.subsystem(pol_label(photon))
     tb = reg.subsystem(tb_label(photon))
-    d_idx = pol.level_index(delayed_pol)
+    d_idx = pol_sub.level_index(pol)
     new_levels = tuple(x + c for x in tb.levels for c in ("s", "l"))
     new_tb = Subsystem(tb.label, "timebin", new_levels)
     new_reg = reg.replace(tb.label, new_tb)
 
-    p_ax = reg.position(pol.label)
+    p_ax = reg.position(pol_sub.label)
     t_ax = reg.position(tb.label)
     psi = state.tensor_axes()
     psi = np.moveaxis(psi, (p_ax, t_ax), (0, 1))
@@ -205,7 +191,7 @@ def _delay_expand(state: StateVector, photon: str, delayed_pol: str) -> StateVec
         for k, lev in enumerate(tb.levels):
             out[p, new_levels.index(lev + suffix)] = psi[p, k]
     # the new register orders subsystems identically, only the tb axis grew
-    new_p_ax = new_reg.position(pol.label)
+    new_p_ax = new_reg.position(pol_sub.label)
     new_t_ax = new_reg.position(tb.label)
     out = np.moveaxis(out, (0, 1), (new_p_ax, new_t_ax))
     return StateVector(new_reg, out.reshape(-1))
@@ -237,39 +223,6 @@ def _collapse_timebin(state: StateVector, photon: str, mapping: dict[str, str],
     if abs(result.norm2 - state.norm2) > 1e-10:
         raise RegisterError("arrival-window collapse changed the norm; windows were not disjoint")
     return result
-
-
-def apply_element(state: StateVector, element: OpticalElement, targets) -> StateVector:
-    """Apply one optical element to the listed subsystem labels."""
-    targets = list(targets)
-    reg = state.register
-    kind = element.kind
-    if kind == "PBS":
-        return apply_map(state, routing_map(), targets)
-    if kind == "QWP":
-        (lab,) = targets
-        levels = reg.subsystem(lab).levels
-        new = POL_CIRCULAR if levels == POL_LINEAR else POL_LINEAR
-        return rename_levels(state, lab, new)
-    if kind == "HWP":
-        return apply_map(state, hadamard(), targets)
-    if kind == "BS":
-        return apply_map(state, hadamard(), targets)
-    if kind == "PHASE":
-        angle = element.params.get("angle", math.pi)
-        level = element.params.get("level", 1)
-        return apply_map(state, phase_shift_map(angle, level), targets)
-    if kind == "PC":
-        window = element.params["window"]
-        (pol_lab, tb_lab) = targets
-        return apply_map(state, pc_map(reg.subsystem(tb_lab).levels, window), [pol_lab, tb_lab])
-    if kind == "DELAY":
-        (pol_lab, tb_lab) = targets
-        photon = pol_lab.removesuffix("_pol")
-        if tb_lab != tb_label(photon):
-            raise RegisterError("DELAY expects the polarization and time bin of one photon")
-        return _delay_expand(state, photon, element.params["delayed"])
-    raise ValueError(f"unhandled element kind {kind!r}")
 
 
 def encode_map() -> LinearMap:
@@ -357,8 +310,8 @@ def decode(state: StateVector, photon: str) -> StateVector:
     if float(np.sum(np.abs(psi[1]) ** 2)) > 1e-20:
         raise RegisterError(f"photon {photon!r} direction tag must be clear before decoding")
 
-    state = apply_element(state, OpticalElement("DELAY", {"delayed": "H"}), [pol, tb])
-    state = apply_element(state, OpticalElement("PC", {"window": ("sl", "ls")}), [pol, tb])
-    state = apply_element(state, OpticalElement("PBS"), [pol, direc])
-    state = apply_element(state, OpticalElement("DELAY", {"delayed": "V"}), [pol, tb])
+    state = delay(state, photon, "H")
+    state = pockels(state, photon, ("sl", "ls"))
+    state = apply_map(state, routing_map(), [pol, direc])
+    state = delay(state, photon, "V")
     return _collapse_timebin(state, photon, _DECODE_CLASSES, TB_DECODED)

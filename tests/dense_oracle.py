@@ -55,17 +55,16 @@ from qdrepeater.qstate import (
 from qdrepeater.scatter import scatter, scatter_map
 from qdrepeater.timebin import (
     NoiseChannel,
-    OpticalElement,
-    apply_element,
     apply_noise,
     decode,
     dir_label,
     encode,
+    phase_shift_map,
     photon_register,
     pol_label,
+    qwp,
     routing_map,
     tb_label,
-    to_circular,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -100,10 +99,9 @@ def run_distribution(photon_names, noises, coeffs_list, phase_photon, spin_label
         state = encode(state, nm)
         state = apply_noise(state, nm, ch)
         state = decode(state, nm)
-    state = apply_element(state, OpticalElement("PHASE", {"angle": math.pi}),
-                          [pol_label(phase_photon)])
+    state = apply_map(state, phase_shift_map(math.pi), [pol_label(phase_photon)])
     for nm in photon_names:
-        state = to_circular(state, nm)
+        state = qwp(state, nm)
     for nm, lab, cf in zip(photon_names, spin_labels, coeffs_list):
         state = scatter(state, nm, lab, cf)
 
@@ -206,13 +204,13 @@ def run_pcd(state, spin1, spin2, coeffs, eta_in=1.0):
     ideal-interface branch of the same parity.
     """
     work = tensor(probe_state(), state)
-    work = apply_element(work, OpticalElement("BS"), ["probe_path"])
+    work = apply_map(work, hadamard(), ["probe_path"])
     work = apply_map(work, routing_map(), ["probe_pol", "probe_dir"])
     work = apply_map(work, _arm_scatter(coeffs, 0), ["probe_path", "probe_pol", "probe_dir", spin1])
     work = apply_map(work, _arm_scatter(coeffs, 1), ["probe_path", "probe_pol", "probe_dir", spin2])
     work = apply_map(work, routing_map(), ["probe_pol", "probe_dir"])
     work = apply_map(work, _cpbs_interference(), ["probe_pol", "probe_path"])
-    work = apply_element(work, OpticalElement("HWP"), ["probe_pol"])
+    work = apply_map(work, hadamard(), ["probe_pol"])
 
     ideal_targets = {}
     for parity, kraus in (("even", K_EVEN_IDEAL), ("odd", K_ODD_IDEAL)):

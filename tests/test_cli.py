@@ -325,6 +325,60 @@ def test_photon_script_rejects_unknown_step(tmp_path, capsys):
     assert "teleport" in err
 
 
+#: One script through all ten steps; tests/golden/photon_steps.csv holds its output.
+PHOTON_STEPS_SCRIPT = """\
+[photon]
+name = a
+h = 0.6
+v = 0.8j
+
+[script]
+steps = encode, noise(0.6, 0.8j, 0.8, 0.6), decode, hwp, phase(0.7), pc(sp), delay(V), pbs, bs, qwp
+"""
+
+
+def test_photon_script_through_every_step_matches_golden(tmp_path, capsys):
+    import pathlib
+
+    path = tmp_path / "script.ini"
+    path.write_text(PHOTON_STEPS_SCRIPT)
+    code, out, _ = run(capsys, "photon", "--script", str(path))
+    assert code == 0
+    assert out == (pathlib.Path(__file__).parent / "golden" / "photon_steps.csv").read_text()
+
+
+def test_photon_phase_defaults_to_pi(tmp_path, capsys):
+    outputs = []
+    for steps in ("hwp, phase", "hwp, phase(3.141592653589793)"):
+        path = tmp_path / "script.ini"
+        path.write_text(f"[script]\nsteps = {steps}\n")
+        code, out, _ = run(capsys, "photon", "--script", str(path))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert "|V,up,s>,-0.707106781187," in outputs[0]
+
+
+@pytest.mark.parametrize("amplitudes", ["h = nan", "h = inf", "v = 1e400", "h = 1\nv = -infj"])
+def test_photon_non_finite_amplitudes_are_usage_errors(tmp_path, capsys, amplitudes):
+    path = tmp_path / "script.ini"
+    path.write_text(f"[photon]\n{amplitudes}\n\n[script]\nsteps = encode\n")
+    code, out, err = run(capsys, "photon", "--script", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: [photon]: ") and "finite" in err
+
+
+@pytest.mark.parametrize("h,v", [("1e200", "1e200"), ("1e-300", "1e-300j")])
+def test_photon_amplitudes_of_any_finite_scale_are_normalized(tmp_path, capsys, h, v):
+    path = tmp_path / "script.ini"
+    path.write_text(f"[photon]\nh = {h}\nv = {v}\n\n[script]\nsteps = encode\n")
+    code, out, _ = run(capsys, "photon", "--script", str(path))
+    assert code == 0
+    assert "|H,up,s>,0.707106781187,0" in out
+    assert out.strip().splitlines()[-1] == "norm2,1,"
+
+
 # --- remaining sweep quantities ----------------------------------------------------------
 
 def test_purify_sweep(tmp_path, capsys):
@@ -515,6 +569,18 @@ def test_percent_in_a_scenario_value_is_usage_error(tmp_path, capsys):
     ("phase(abc)", "could not convert string to float"),
     ("encode, noise(nan, 0), decode", "rotation is not normalized"),
     ("phase(nan)", "deviates from unitarity"),
+    ("encode(7)", "script step 'encode' takes 0"),
+    ("qwp(x)", "script step 'qwp' takes 0"),
+    ("hwp(1), bs(2), pbs(3)", "script step 'hwp' takes 0"),
+    ("bs(2)", "script step 'bs' takes 0"),
+    ("pbs(3)", "script step 'pbs' takes 0"),
+    ("decode(0)", "script step 'decode' takes 0"),
+    ("phase(1, 2)", "script step 'phase' takes 0 or 1"),
+    ("pc()", "script step 'pc' takes at least 1"),
+    ("delay()", "script step 'delay' takes 1"),
+    ("delay(H,V)", "script step 'delay' takes 1"),
+    ("noise(1)", "script step 'noise' takes 2 or 4"),
+    ("noise(1, 0, 1)", "script step 'noise' takes 2 or 4"),
 ])
 def test_photon_script_input_errors_are_usage_errors(tmp_path, capsys, steps, message):
     path = tmp_path / "script.ini"

@@ -32,3 +32,13 @@ def test_ini_block_runs(command, flag, section, tmp_path, capsys):
     path = tmp_path / f"{section}.ini"
     path.write_text(_ini_block(section), encoding="utf-8")
     assert main([command, flag, str(path)]) == 0
+
+
+def test_supported_steps_match_the_cli(tmp_path, capsys):
+    (listed,) = re.findall(r"^Supported steps: (.*?)\n\n", README, flags=re.MULTILINE | re.DOTALL)
+    documented = {item.split("(")[0] for item in re.findall(r"`([^`]+)`", listed)}
+    path = tmp_path / "script.ini"
+    path.write_text("[script]\nsteps = teleport\n")
+    assert main(["photon", "--script", str(path)]) == 1
+    supported = capsys.readouterr().err.strip().split("supported steps: ")[1].split(", ")
+    assert documented == set(supported)

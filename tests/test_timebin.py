@@ -7,22 +7,26 @@ from qdrepeater.qstate import (
     RegisterError,
     Register,
     allclose_upto_phase,
+    apply_map,
     basis_state,
+    hadamard,
     schmidt_rank,
     superposition,
 )
 from qdrepeater.timebin import (
     NoiseChannel,
-    OpticalElement,
-    apply_element,
     apply_noise,
     decode,
+    delay,
     encode,
+    pc_map,
+    phase_shift_map,
     photon_register,
+    pockels,
     pol_label,
+    qwp,
     routing_map,
     tb_label,
-    to_circular,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -211,28 +215,28 @@ def test_decode_unitary_under_asymmetric_noise(rng):
 # --- optical elements ----------------------------------------------------------
 
 def test_qwp_relabels_polarization():
-    state = to_circular(one_photon("H"), "a")
+    state = qwp(one_photon("H"), "a")
     assert state.register.subsystem("a_pol").levels == ("R", "L")
     assert state.amplitude({"a_pol": "R"}) == pytest.approx(1.0)
 
 
 def test_qwp_element_toggles():
-    state = apply_element(one_photon("V"), OpticalElement("QWP"), ["a_pol"])
+    state = qwp(one_photon("V"), "a")
     assert state.amplitude({"a_pol": "L"}) == pytest.approx(1.0)
-    back = apply_element(state, OpticalElement("QWP"), ["a_pol"])
+    back = qwp(state, "a")
     assert back.register.subsystem("a_pol").levels == ("H", "V")
 
 
 def test_phase_element_flips_v_sign():
     plus = superposition(photon_register("a"), [(RT2, {"a_pol": "H"}), (RT2, {"a_pol": "V"})])
-    out = apply_element(plus, OpticalElement("PHASE", {"angle": math.pi}), ["a_pol"])
+    out = apply_map(plus, phase_shift_map(math.pi), ["a_pol"])
     assert out.amplitude({"a_pol": "H"}) == pytest.approx(RT2)
     assert out.amplitude({"a_pol": "V"}) == pytest.approx(-RT2)
 
 
 def test_bs_splits_path():
     state = basis_state(photon_register("a"))
-    out = apply_element(state, OpticalElement("BS"), ["a_dir"])
+    out = apply_map(state, hadamard(), ["a_dir"])
     assert out.amplitude({"a_dir": "up"}) == pytest.approx(RT2)
     assert out.amplitude({"a_dir": "dn"}) == pytest.approx(RT2)
 
@@ -247,21 +251,13 @@ def test_routing_map_is_a_polarization_controlled_flip():
 
 def test_pc_element_flips_inside_window_only():
     state = encode(one_photon("V"), "a")    # H polarized, late bin
-    out = apply_element(state, OpticalElement("PC", {"window": ("l",)}), ["a_pol", "a_tb"])
+    out = pockels(state, "a", ("l",))
     assert out.amplitude({"a_pol": "V", "a_tb": "l"}) == pytest.approx(1.0)
-    out2 = apply_element(state, OpticalElement("PC", {"window": ("s",)}), ["a_pol", "a_tb"])
+    out2 = pockels(state, "a", ("s",))
     assert out2.amplitude({"a_pol": "H", "a_tb": "l"}) == pytest.approx(1.0)
 
 
-def test_unknown_element_kind_rejected():
-    with pytest.raises(ValueError):
-        OpticalElement("PRISM")
-
-
 def test_matrix_elements_are_unitary():
-    from qdrepeater.timebin import pc_map, phase_shift_map
-    from qdrepeater.qstate import hadamard
-
     maps = [
         routing_map(),
         pc_map(("ss", "sl", "ls", "ll"), ("sl", "ls")),
@@ -276,7 +272,7 @@ def test_matrix_elements_are_unitary():
 
 def test_delay_element_expands_the_register():
     state = encode(one_photon("V"), "a")
-    out = apply_element(state, OpticalElement("DELAY", {"delayed": "H"}), ["a_pol", "a_tb"])
+    out = delay(state, "a", "H")
     assert out.register.subsystem("a_tb").levels == ("ss", "sl", "ls", "ll")
     assert out.amplitude({"a_pol": "H", "a_tb": "ll"}) == pytest.approx(1.0)
     assert out.norm2 == pytest.approx(1.0, abs=1e-12)
