@@ -16,6 +16,7 @@ r = 1 + t and r0 = 1 + t0 exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -87,13 +88,16 @@ IDEAL = ScatterCoeffs(r=1.0, t=0.0, r0=0.0, t0=-1.0)
 
 def _response(p: CavityParams, g: float) -> tuple[complex, complex, complex, complex]:
     """Reflection, transmission, leak and noise amplitudes of ``p`` with coupling ``g``."""
-    d_dip = 1j * p.delta + p.gamma / 2.0
-    den = 1j * p.delta + 1.0 + p.kappa_s / 2.0 + g ** 2 / d_dip
-    R = (den - 1.0) / den
-    T = -1.0 / den
-    S = -math.sqrt(p.kappa_s) / den
-    N = (1j * g * math.sqrt(p.gamma) / d_dip) / den
-    return R, T, S, N
+    try:
+        d_dip = 1j * p.delta + p.gamma / 2.0
+        den = 1j * p.delta + 1.0 + p.kappa_s / 2.0 + g ** 2 / d_dip
+        amps = ((den - 1.0) / den, -1.0 / den, -math.sqrt(p.kappa_s) / den,
+                (1j * g * math.sqrt(p.gamma) / d_dip) / den)
+    except (OverflowError, ZeroDivisionError):  # g ** 2 overflows, or gamma / 2 underflows to 0
+        amps = (cmath.nan,)
+    if not all(map(cmath.isfinite, amps)):
+        raise ValueError(f"cavity response of {p} is not finite")
+    return amps
 
 
 def full_coeffs(p: CavityParams) -> tuple[complex, complex, complex, complex]:

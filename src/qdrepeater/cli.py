@@ -65,7 +65,7 @@ def _fmt(x: float) -> str:
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Parse "start:stop:count" (inclusive linspace) or a comma list."""
+    """Parse "start:stop:count" (inclusive linspace) or a comma list of at least one value."""
     try:
         if ":" in spec:
             a, b, n = spec.split(":")
@@ -73,7 +73,10 @@ def parse_grid(spec: str) -> list[float]:
             if count < 1:
                 raise ValueError
             return [float(x) for x in np.linspace(float(a), float(b), count)]
-        return [float(x) for x in spec.split(",") if x != ""]
+        values = [float(x) for x in spec.split(",") if x != ""]
+        if not values:
+            raise ValueError
+        return values
     except ValueError:
         # argparse prefixes the message with the flag the spec came from
         raise argparse.ArgumentTypeError(
@@ -129,10 +132,11 @@ COEFFS_HEADER = [
 def _coeffs_row(g, ks, gamma, delta):
     with _user_values():
         p = CavityParams(g=g, kappa_s=ks, gamma=gamma, delta=delta)
-    R, T, S, N = full_coeffs(p)
-    sc = resonant_coeffs(p)
+        R, T, S, N = full_coeffs(p)
+        sc = resonant_coeffs(p)
+        prob_sum = probability_sum(p)
     vals = [g, ks, gamma, delta,
-            R.real, R.imag, T.real, T.imag, S.real, S.imag, N.real, N.imag, probability_sum(p),
+            R.real, R.imag, T.real, T.imag, S.real, S.imag, N.real, N.imag, prob_sum,
             sc.r.real, sc.r.imag, sc.t.real, sc.t.imag,
             sc.r0.real, sc.r0.imag, sc.t0.real, sc.t0.imag]
     return [_fmt(v) for v in vals]
@@ -209,6 +213,11 @@ def _segment_noise(cp, section, side):
         raise UsageError(f"{section}: {exc}")
 
 
+def _given(cp, section, keys, get) -> dict:
+    """The entries of ``section`` among ``keys``, each read with ``get``; absent keys are left out."""
+    return {k: get(section, k) for k in keys if cp.has_option(section, k)}
+
+
 @_user_values()
 def scenario_from_config(cp: configparser.ConfigParser,
                          g_override: float | None = None) -> ChainScenario:
@@ -220,9 +229,8 @@ def scenario_from_config(cp: configparser.ConfigParser,
     and [chain] with the ordered segment list.  ``g_override`` replaces the
     coupling of every non-ideal node (used by the chain sweep).
     """
-    gamma0 = cp.getfloat("defaults", "gamma", fallback=0.1)
-    ks0 = cp.getfloat("defaults", "kappa_s", fallback=0.0)
-    delta0 = cp.getfloat("defaults", "delta", fallback=0.0)
+    # read eagerly, so a malformed entry is rejected even when every node is ideal
+    cavity_defaults = _given(cp, "defaults", ("gamma", "kappa_s", "delta"), cp.getfloat)
 
     nodes = {}
     segments = {}
@@ -234,12 +242,8 @@ def scenario_from_config(cp: configparser.ConfigParser,
                 continue
             try:
                 g = cp.getfloat(section, "g") if g_override is None else g_override
-                nodes[name] = resonant_coeffs(CavityParams(
-                    g=g,
-                    kappa_s=cp.getfloat(section, "kappa_s", fallback=ks0),
-                    gamma=cp.getfloat(section, "gamma", fallback=gamma0),
-                    delta=cp.getfloat(section, "delta", fallback=delta0),
-                ))
+                params = _given(cp, section, ("kappa_s", "gamma", "delta"), cp.getfloat)
+                nodes[name] = resonant_coeffs(CavityParams(g=g, **{**cavity_defaults, **params}))
             except (configparser.Error, ValueError) as e:
                 raise UsageError(f"[{section}]: {e}")
         elif section.startswith("segment "):
@@ -262,14 +266,11 @@ def scenario_from_config(cp: configparser.ConfigParser,
     missing = [nm for nm in order if nm not in segments]
     if missing:
         raise UsageError(f"[chain]: unknown segments {missing}")
-    scenario = ChainScenario(
-        nodes=nodes,
-        segments=[segments[nm] for nm in order],
-        purify_rounds=cp.getint("chain", "purify_rounds",
-                                fallback=cp.getint("defaults", "purify_rounds", fallback=0)),
-        eta_in=cp.getfloat("chain", "eta_in",
-                           fallback=cp.getfloat("defaults", "eta_in", fallback=1.0)),
-    )
+    chain = {}
+    for key, get in (("purify_rounds", cp.getint), ("eta_in", cp.getfloat)):
+        for section in ("defaults", "chain"):
+            chain.update(_given(cp, section, (key,), get))
+    scenario = ChainScenario(nodes=nodes, segments=[segments[nm] for nm in order], **chain)
     scenario.validate()
     return scenario
 

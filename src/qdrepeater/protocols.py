@@ -110,7 +110,7 @@ class PurificationState:
 
 
 def spin_register(labels) -> Register:
-    return Register(tuple(Subsystem(lab, "spin", ("up", "dn")) for lab in labels))
+    return Register(tuple(Subsystem(lab, ("up", "dn")) for lab in labels))
 
 
 def ghz_state(labels, sign: int = 1) -> StateVector:

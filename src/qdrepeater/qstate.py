@@ -8,8 +8,10 @@ reports branch probabilities relative to the squared norm of its input, so
 probability bookkeeping stays exact through an arbitrary chain of maps.
 
 Mixed states are weighted lists of pure states (`Ensemble`), never dense
-density matrices; every mixture in the protocols has at most a handful of
-components and the ensemble form keeps branch bookkeeping exact.
+density matrices.  Every chain mixture is over two spins, so a 4x4 density
+matrix would do; the mixtures stay ensembles until the benchmark's reference
+values are re-recorded, because exact pooling of the members moves the
+two-round chains by up to 6e-8.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ ATOL = 1e-12            # tolerance for algebraic identities
 _NORM_SLACK = 1e-9      # construction-time slack on norm**2 <= 1
 _TINY = float(np.finfo(float).tiny)     # smallest normal float
 
-KINDS = ("polarization", "timebin", "path", "spin")
-
 
 class RegisterError(ValueError):
     """Malformed register, unknown label, or dimension mismatch."""
@@ -36,19 +36,14 @@ class Subsystem:
     """One named degree of freedom with explicitly named levels."""
 
     label: str
-    kind: str
     levels: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        if self.kind not in KINDS:
-            raise RegisterError(f"unknown subsystem kind {self.kind!r}")
         if len(self.levels) < 2:
             raise RegisterError(f"{self.label}: a subsystem needs at least two levels")
         if len(set(self.levels)) != len(self.levels):
             raise RegisterError(f"{self.label}: duplicate level names")
-        if self.kind in ("polarization", "spin") and len(self.levels) != 2:
-            raise RegisterError(f"{self.label}: {self.kind} subsystems have dimension 2")
 
     @property
     def dim(self) -> int:
@@ -237,13 +232,6 @@ class MeasurementBranch:
     post: StateVector | None
 
 
-def linear_map(matrix) -> LinearMap:
-    """Wrap a matrix, detecting unitarity numerically."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    unitary = bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-12)
-    return LinearMap(m, unitary=unitary)
-
-
 # Common single-subsystem maps.
 
 def sigma_x() -> LinearMap:
@@ -377,11 +365,3 @@ def _equal_upto_phase(va: np.ndarray, vb: np.ndarray, atol: float) -> bool:
     phase = phase / abs(phase)
     return bool(np.allclose(va, phase * vb, atol=atol))
 
-
-def rename_levels(state: StateVector, label: str, new_levels) -> StateVector:
-    """Rename the levels of one subsystem; amplitudes are untouched."""
-    sub = state.register.subsystem(label)
-    new = Subsystem(sub.label, sub.kind, tuple(new_levels))
-    if new.dim != sub.dim:
-        raise RegisterError("renaming cannot change the dimension")
-    return StateVector(state.register.replace(label, new), state.amplitudes)

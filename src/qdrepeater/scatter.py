@@ -17,10 +17,13 @@ renormalization happens here; branches are normalized only when heralded.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .cavity import ScatterCoeffs
-from .qstate import LinearMap, RegisterError, StateVector, apply_map, linear_map
+from .qstate import LinearMap, RegisterError, StateVector, apply_map
+from .timebin import DIRECTION, POL_CIRCULAR, dir_label, pol_label
 
 #: (polarization, direction, spin) triples that couple to the dipole.
 _COUPLED = {
@@ -30,49 +33,38 @@ _COUPLED = {
     ("L", "up", "dn"),
 }
 
-_POL = ("R", "L")
-_DIR = ("up", "dn")
 _SPIN = ("up", "dn")
-
-
-def _flip(pair: str, table=("R", "L")) -> str:
-    return table[1 - table.index(pair)]
 
 
 def scatter_map(coeffs: ScatterCoeffs) -> LinearMap:
     """8x8 map on (polarization, direction, spin), in that Kronecker order."""
     m = np.zeros((8, 8), dtype=complex)
-
-    def idx(pol, dr, sp):
-        return (_POL.index(pol) * 2 + _DIR.index(dr)) * 2 + _SPIN.index(sp)
-
-    for pol in _POL:
-        for dr in _DIR:
-            for sp in _SPIN:
-                col = idx(pol, dr, sp)
-                flipped = (_flip(pol, _POL), _flip(dr, _DIR), sp)
-                if (pol, dr, sp) in _COUPLED:
-                    m[idx(*flipped), col] += coeffs.r
-                    m[col, col] += coeffs.t
-                else:
-                    m[col, col] += coeffs.t0
-                    m[idx(*flipped), col] += coeffs.r0
-    return linear_map(m)
+    for (p, pol), (d, dr), (s, sp) in itertools.product(
+            enumerate(POL_CIRCULAR), enumerate(DIRECTION), enumerate(_SPIN)):
+        # reflection flips both polarization and direction
+        col, flipped = (2 * p + d) * 2 + s, (2 * (1 - p) + 1 - d) * 2 + s
+        if (pol, dr, sp) in _COUPLED:
+            m[flipped, col] += coeffs.r
+            m[col, col] += coeffs.t
+        else:
+            m[col, col] += coeffs.t0
+            m[flipped, col] += coeffs.r0
+    return LinearMap(m)
 
 
 def scatter(state: StateVector, photon: str, spin: str, coeffs: ScatterCoeffs) -> StateVector:
     """Scatter one photon off one spin; output norm may shrink (leak/noise loss)."""
-    pol = f"{photon}_pol"
-    direction = f"{photon}_dir"
+    pol = pol_label(photon)
+    direction = dir_label(photon)
     reg = state.register
     if not reg.has(direction):
         raise RegisterError(f"photon {photon!r} has no direction subsystem")
     if not reg.has(pol):
         raise RegisterError(f"photon {photon!r} has no polarization subsystem")
-    if reg.subsystem(pol).levels != _POL:
+    if reg.subsystem(pol).levels != POL_CIRCULAR:
         raise RegisterError(
             f"photon {photon!r} must be in the circular basis (R, L); apply the quarter-wave relabel first"
         )
-    if reg.subsystem(direction).levels != _DIR:
-        raise RegisterError(f"photon {photon!r} direction levels must be {_DIR}")
+    if reg.subsystem(direction).levels != DIRECTION:
+        raise RegisterError(f"photon {photon!r} direction levels must be {DIRECTION}")
     return apply_map(state, scatter_map(coeffs), [pol, direction, spin])

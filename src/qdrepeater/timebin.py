@@ -39,7 +39,6 @@ from .qstate import (
     StateVector,
     Subsystem,
     apply_map,
-    rename_levels,
 )
 
 POL_LINEAR = ("H", "V")
@@ -61,12 +60,12 @@ def tb_label(photon: str) -> str:
     return f"{photon}_tb"
 
 
-def photon_register(photon: str, circular: bool = False) -> Register:
-    """Polarization + direction + time-bin register for one photon."""
+def photon_register(photon: str) -> Register:
+    """Polarization (linear) + direction + time-bin register for one photon."""
     return Register((
-        Subsystem(pol_label(photon), "polarization", POL_CIRCULAR if circular else POL_LINEAR),
-        Subsystem(dir_label(photon), "path", DIRECTION),
-        Subsystem(tb_label(photon), "timebin", TB_RAW),
+        Subsystem(pol_label(photon), POL_LINEAR),
+        Subsystem(dir_label(photon), DIRECTION),
+        Subsystem(tb_label(photon), TB_RAW),
     ))
 
 
@@ -156,8 +155,8 @@ def phase_shift_map(angle: float) -> LinearMap:
 def qwp(state: StateVector, photon: str) -> StateVector:
     """Quarter-wave plate: relabels H <-> R and V <-> L, amplitudes untouched."""
     lab = pol_label(photon)
-    levels = state.register.subsystem(lab).levels
-    return rename_levels(state, lab, POL_CIRCULAR if levels == POL_LINEAR else POL_LINEAR)
+    levels = POL_CIRCULAR if state.register.subsystem(lab).levels == POL_LINEAR else POL_LINEAR
+    return StateVector(state.register.replace(lab, Subsystem(lab, levels)), state.amplitudes)
 
 
 def pockels(state: StateVector, photon: str, window) -> StateVector:
@@ -171,14 +170,15 @@ def delay(state: StateVector, photon: str, pol: str) -> StateVector:
 
     The component with polarization ``pol`` takes the long path (suffix
     "l"); the other polarization takes the short path (suffix "s").  The
-    register dimension doubles.
+    register dimension doubles: level k becomes levels 2k (short) and
+    2k + 1 (long).
     """
     reg = state.register
     pol_sub = reg.subsystem(pol_label(photon))
     tb = reg.subsystem(tb_label(photon))
     d_idx = pol_sub.level_index(pol)
     new_levels = tuple(x + c for x in tb.levels for c in ("s", "l"))
-    new_tb = Subsystem(tb.label, "timebin", new_levels)
+    new_tb = Subsystem(tb.label, new_levels)
     new_reg = reg.replace(tb.label, new_tb)
 
     p_ax = reg.position(pol_sub.label)
@@ -187,9 +187,7 @@ def delay(state: StateVector, photon: str, pol: str) -> StateVector:
     psi = np.moveaxis(psi, (p_ax, t_ax), (0, 1))
     out = np.zeros((2, len(new_levels)) + psi.shape[2:], dtype=complex)
     for p in (0, 1):
-        suffix = "l" if p == d_idx else "s"
-        for k, lev in enumerate(tb.levels):
-            out[p, new_levels.index(lev + suffix)] = psi[p, k]
+        out[p, int(p == d_idx)::2] = psi[p]
     # the new register orders subsystems identically, only the tb axis grew
     new_p_ax = new_reg.position(pol_sub.label)
     new_t_ax = new_reg.position(tb.label)
@@ -217,7 +215,7 @@ def _collapse_timebin(state: StateVector, photon: str, mapping: dict[str, str],
                 raise RegisterError(f"unexpected amplitude {weight} in arrival window {lev!r}")
             continue
         out[new_levels.index(dest)] += psi[k]
-    new_reg = reg.replace(tb.label, Subsystem(tb.label, "timebin", new_levels))
+    new_reg = reg.replace(tb.label, Subsystem(tb.label, new_levels))
     out = np.moveaxis(out, 0, new_reg.position(tb.label))
     result = StateVector(new_reg, out.reshape(-1))
     if abs(result.norm2 - state.norm2) > 1e-10:

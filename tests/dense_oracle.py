@@ -45,7 +45,6 @@ from qdrepeater.qstate import (
     apply_map,
     fidelity,
     hadamard,
-    linear_map,
     measure,
     sigma_x,
     sigma_z,
@@ -169,9 +168,9 @@ K_ODD_IDEAL = LinearMap(np.diag([0.0, 1.0, -1.0, 0.0]).astype(complex))
 def probe_state():
     """The probe photon (|R> + |L>)/sqrt(2), moving up, on input port a1."""
     reg = Register((
-        Subsystem("probe_pol", "polarization", ("R", "L")),
-        Subsystem("probe_dir", "path", ("up", "dn")),
-        Subsystem("probe_path", "path", ("a1", "a2")),
+        Subsystem("probe_pol", ("R", "L")),
+        Subsystem("probe_dir", ("up", "dn")),
+        Subsystem("probe_path", ("a1", "a2")),
     ))
     return superposition(reg, [(RT2, {"probe_pol": "R"}), (RT2, {"probe_pol": "L"})])
 
@@ -182,7 +181,7 @@ def _arm_scatter(coeffs, arm):
     full = np.zeros((16, 16), dtype=complex)
     for path in (0, 1):
         full[path * 8:(path + 1) * 8, path * 8:(path + 1) * 8] = blk if path == arm else np.eye(8)
-    return linear_map(full)
+    return LinearMap(full)
 
 
 def _cpbs_interference():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,16 @@ def test_non_finite_detuning_rejected(delta):
     # detuning a validated cavity goes through the same checks
     with pytest.raises(ValueError, match="delta must be finite"):
         dataclasses.replace(CavityParams(g=1.0), delta=delta)
+
+
+@pytest.mark.parametrize("params", [
+    {"g": 1e160}, {"g": 1e200, "kappa_s": 0.2}, {"g": 1.2, "gamma": 1e-320}, {"g": 1.2, "gamma": 5e-324},
+])
+@pytest.mark.parametrize("response", [full_coeffs, resonant_coeffs, probability_sum])
+def test_response_beyond_float_range_names_the_parameters(params, response):
+    p = CavityParams(**params)
+    with pytest.raises(ValueError, match=re.escape(f"cavity response of {p!r} is not finite")):
+        response(p)
 
 
 def test_cavity_params_fields():

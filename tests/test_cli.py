@@ -134,6 +134,9 @@ def test_grid_parsing():
     assert parse_grid("0:1:3") == [0.0, 0.5, 1.0]
     with pytest.raises(Exception):
         parse_grid("0:1")
+    for empty in ("", ","):
+        with pytest.raises(Exception):
+            parse_grid(empty)
 
 
 def test_sweep_rows_cover_the_grid(tmp_path, capsys):
@@ -511,6 +514,20 @@ def test_help_shows_the_defaults(capsys):
     (("purify", "--rounds", "-1"), "rounds must be nonnegative"),
     (("sweep", "--quantity", "purify", "--mu-grid", "1.5"), "mu = 1.5 outside [0, 1]"),
     (("distribute", "--eta-in", "1.5"), "eta_in = 1.5 outside (0, 1]"),
+    # a grid with no values
+    (("sweep", "--quantity", "coeffs", "--g-grid", ","), "argument --g-grid: cannot parse grid"),
+    (("sweep", "--quantity", "coeffs", "--g-grid="), "argument --g-grid: cannot parse grid"),
+    (("sweep", "--quantity", "distribution", "--delta-grid", ",,"), "argument --delta-grid: cannot parse"),
+    (("sweep", "--quantity", "purify", "--mu-grid", ","), "argument --mu-grid: cannot parse grid"),
+    (("sweep", "--quantity", "chain", "--g-grid", ",", "--scenario", "no-such-file.ini"),
+     "argument --g-grid: cannot parse grid"),
+    # g ** 2 overflows, or gamma / 2 underflows, so the cavity response is not finite
+    (("coeffs", "--g", "1e160"), "cavity response of CavityParams("),
+    (("coeffs", "--gamma", "1e-320"), "cavity response of CavityParams("),
+    (("coeffs", "--gamma", "5e-324"), "cavity response of CavityParams("),
+    (("distribute", "--g", "1e200"), "cavity response of CavityParams("),
+    (("pcd", "--g", "1e200", "--simulate"), "cavity response of CavityParams("),
+    (("sweep", "--quantity", "coeffs", "--g-grid", "1.2,1e160"), "cavity response of CavityParams("),
 ])
 def test_rejected_values_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -534,6 +551,37 @@ def test_non_finite_cavity_values_are_usage_errors(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.startswith(f"usage error: {message}")
+
+
+def test_scenario_node_beyond_float_range_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.ini"
+    path.write_text(IDEAL_SCENARIO.replace("[node B]\nideal = true", "[node B]\ng = 1e200"))
+    code, out, err = run(capsys, "chain", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: [node B]: cavity response of CavityParams(g=1e+200")
+
+
+@pytest.mark.parametrize("entry", ["gamma = abc", "kappa_s = abc", "delta = abc",
+                                   "purify_rounds = abc", "eta_in = abc"])
+def test_malformed_scenario_default_is_rejected_with_ideal_nodes(tmp_path, capsys, entry):
+    path = tmp_path / "defaults.ini"
+    path.write_text(IDEAL_SCENARIO.replace("gamma = 0.1", entry))
+    code, out, err = run(capsys, "chain", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and "'abc'" in err
+
+
+def test_scenario_node_takes_file_defaults_then_library_defaults():
+    cp = configparser.ConfigParser()
+    cp.read_string(IDEAL_SCENARIO.replace("gamma = 0.1", "kappa_s = 0.2")
+                   .replace("ideal = true", "g = 1.2", 1)
+                   .replace("[node B]\nideal = true", "[node B]\ng = 2.4\nkappa_s = 0.1\ngamma = 0.3"))
+    scenario = scenario_from_config(cp)
+    assert scenario.nodes["A"] == resonant_coeffs(CavityParams(g=1.2, kappa_s=0.2))
+    assert scenario.nodes["B"] == resonant_coeffs(CavityParams(g=2.4, kappa_s=0.1, gamma=0.3))
+    assert (scenario.purify_rounds, scenario.eta_in) == (0, 1.0)
 
 
 def test_config_values_are_read_literally(tmp_path, capsys):

@@ -17,7 +17,6 @@ from qdrepeater.qstate import (
     basis_state,
     fidelity,
     hadamard,
-    linear_map,
     measure,
     schmidt_rank,
     sigma_x,
@@ -30,15 +29,15 @@ RT2 = 1.0 / math.sqrt(2.0)
 
 
 def spin(label):
-    return Register((Subsystem(label, "spin", ("up", "dn")),))
+    return Register((Subsystem(label, ("up", "dn")),))
 
 
 def pol(label):
-    return Register((Subsystem(label, "polarization", ("H", "V")),))
+    return Register((Subsystem(label, ("H", "V")),))
 
 
 def two_spins(a="s1", b="s2"):
-    return Register((Subsystem(a, "spin", ("up", "dn")), Subsystem(b, "spin", ("up", "dn"))))
+    return Register((Subsystem(a, ("up", "dn")), Subsystem(b, ("up", "dn"))))
 
 
 def bell_minus(reg):
@@ -65,25 +64,20 @@ def normalized_qubit(label, t):
 
 def test_register_rejects_duplicate_labels():
     with pytest.raises(RegisterError):
-        Register((Subsystem("x", "spin", ("up", "dn")), Subsystem("x", "spin", ("up", "dn"))))
-
-
-def test_polarization_must_be_two_level():
-    with pytest.raises(RegisterError):
-        Subsystem("p", "polarization", ("H", "V", "D"))
+        Register((Subsystem("x", ("up", "dn")), Subsystem("x", ("up", "dn"))))
 
 
 def test_timebin_may_have_eight_levels():
     levels = tuple("abcdefgh")
-    sub = Subsystem("tb", "timebin", levels)
+    sub = Subsystem("tb", levels)
     assert sub.dim == 8
 
 
 def test_basis_index_roundtrip():
     reg = Register((
-        Subsystem("p", "polarization", ("H", "V")),
-        Subsystem("tb", "timebin", ("s", "l")),
-        Subsystem("e", "spin", ("up", "dn")),
+        Subsystem("p", ("H", "V")),
+        Subsystem("tb", ("s", "l")),
+        Subsystem("e", ("up", "dn")),
     ))
     for idx in range(reg.dim):
         levels = reg.basis_levels(idx)
@@ -172,7 +166,6 @@ def test_linear_map_validation():
         LinearMap(np.array([[1.0, 0.0], [0.0, 2.0]]), unitary=True)
     with pytest.raises(ValueError):
         LinearMap(np.array([[1.0, 0.0], [0.0, 1.5]]), unitary=False)
-    assert linear_map(np.eye(2)).unitary
 
 
 def test_unitarity_check_rejects_nan():

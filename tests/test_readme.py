@@ -1,5 +1,6 @@
-"""The examples in README.md run as written."""
+"""The examples in README.md run as written, and the names it documents exist."""
 
+import importlib
 import pathlib
 import re
 
@@ -42,3 +43,41 @@ def test_supported_steps_match_the_cli(tmp_path, capsys):
     assert main(["photon", "--script", str(path)]) == 1
     supported = capsys.readouterr().err.strip().split("supported steps: ")[1].split(", ")
     assert documented == set(supported)
+
+
+def _layout_names():
+    """(module, name) for every backticked identifier in the "Library layout" table."""
+    (table,) = re.findall(r"^## Library layout\n\n(.*?)\n\n", README, flags=re.MULTILINE | re.DOTALL)
+    for row in table.splitlines()[2:]:
+        module_cell, contents = row.strip("|").split("|")
+        (module,) = re.findall(r"`([^`]+)`", module_cell)
+        yield module, module
+        for quoted in re.findall(r"`([^`]+)`", contents):
+            # a call signature such as `CavityParams(g, ...)` names its callable
+            name = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", quoted)
+            if name:
+                yield module, name.group(1)
+
+
+def _resolve(dotted):
+    """Import the longest module prefix of ``dotted`` and read the rest as attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+@pytest.mark.parametrize("module,name", sorted(set(_layout_names())))
+def test_library_layout_names_resolve(module, name):
+    # a bare name belongs to its row's module, a dotted one to the package
+    if "." not in name:
+        dotted = f"{module}.{name}"
+    else:
+        dotted = name if name.startswith("qdrepeater.") else f"qdrepeater.{name}"
+    _resolve(dotted)

@@ -6,6 +6,7 @@ import pytest
 from qdrepeater.qstate import (
     RegisterError,
     Register,
+    StateVector,
     allclose_upto_phase,
     apply_map,
     basis_state,
@@ -276,3 +277,21 @@ def test_delay_element_expands_the_register():
     assert out.register.subsystem("a_tb").levels == ("ss", "sl", "ls", "ll")
     assert out.amplitude({"a_pol": "H", "a_tb": "ll"}) == pytest.approx(1.0)
     assert out.norm2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_chained_delays_place_each_amplitude_by_its_polarization(rng):
+    # photon b's time bin before its polarization, with spectators around and between them
+    pol, direction, tb = photon_register("b").subsystems
+    reg = Register(photon_register("a").subsystems[:2] + (tb, direction, pol))
+    v = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
+    state = StateVector(reg, v / np.linalg.norm(v))
+    for pol in ("H", "V", "V", "H"):
+        out = delay(state, "b", pol)
+        expected = np.zeros(out.register.dim, dtype=complex)
+        for idx, amp in enumerate(state.amplitudes):
+            levels = dict(zip(state.register.labels, state.register.basis_levels(idx)))
+            levels["b_tb"] += "l" if levels["b_pol"] == pol else "s"
+            expected[out.register.basis_index(levels)] = amp
+        np.testing.assert_array_equal(out.amplitudes, expected)
+        state = out
+    assert len(state.register.subsystem("b_tb").levels) == 2 ** 5
