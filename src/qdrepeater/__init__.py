@@ -39,8 +39,6 @@ from .qstate import (
     apply_map,
     basis_state,
     fidelity,
-    measure,
-    schmidt_rank,
     superposition,
     tensor,
 )

@@ -8,10 +8,10 @@ kappa_s/kappa, Delta/kappa).  Energy conservation makes
 |R|^2 + |T|^2 + |S|^2 + |N|^2 = 1 for every parameter choice.
 
 The dipole sits on the cavity resonance and the probe is detuned from both
-by delta.  One response formula gives the coupled ("hot") pair (r, t) and,
-at g = 0, the uncoupled ("cold") pair (r0, t0).  Reflection and
-transmission share a denominator, which pins the beam-splitter identities
-r = 1 + t and r0 = 1 + t0 exactly.
+by delta.  One response formula gives the coupled ("hot") transmission t
+and, at g = 0, the uncoupled ("cold") one t0.  Reflection and transmission
+share a denominator, so the reflections follow as r = 1 + t and r0 = 1 + t0,
+and a node is the pair (t, t0).
 """
 
 from __future__ import annotations
@@ -50,40 +50,37 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class ScatterCoeffs:
-    """Hot (r, t) and cold (r0, t0) amplitudes plus the hot leak/noise channels."""
+    """Hot (t) and cold (t0) transmission amplitudes of one node.
 
-    r: complex
+    Reflection and transmission share a denominator, so the reflections are
+    r = 1 + t and r0 = 1 + t0.  Neither pair can carry more than the whole
+    photon: |1 + t|^2 + |t|^2 <= 1, and the rest is lost to leak and noise.
+    """
+
     t: complex
-    r0: complex
     t0: complex
-    s_leak: complex = 0.0
-    n_noise: complex = 0.0
 
     def __post_init__(self):
-        for name, val in (("r", self.r), ("t", self.t), ("r0", self.r0),
-                          ("t0", self.t0), ("s_leak", self.s_leak), ("n_noise", self.n_noise)):
-            object.__setattr__(self, name, complex(val))
-        if not abs(self.r - (1.0 + self.t)) <= ATOL:
-            raise ValueError(f"beam-splitter identity r = 1 + t violated: r={self.r}, t={self.t}")
-        if not abs(self.r0 - (1.0 + self.t0)) <= ATOL:
-            raise ValueError(f"beam-splitter identity r0 = 1 + t0 violated: r0={self.r0}, t0={self.t0}")
-        total = abs(self.r) ** 2 + abs(self.t) ** 2 + abs(self.s_leak) ** 2 + abs(self.n_noise) ** 2
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"coupled channels must carry unit probability, got {total}")
+        for name in ("t", "t0"):
+            amp = complex(getattr(self, name))
+            object.__setattr__(self, name, amp)
+            kept = abs(1.0 + amp) ** 2 + abs(amp) ** 2
+            if not kept <= 1.0 + ATOL:
+                raise ValueError(f"{name} = {amp}: |1 + {name}|^2 + |{name}|^2 = {kept}, "
+                                 "not a finite value at most 1")
 
     @property
-    def hot_survival(self) -> float:
-        """Probability that a coupled photon stays in the reflection/transmission modes."""
-        return abs(self.r) ** 2 + abs(self.t) ** 2
+    def r(self) -> complex:
+        return 1.0 + self.t
 
     @property
-    def cold_survival(self) -> float:
-        return abs(self.r0) ** 2 + abs(self.t0) ** 2
+    def r0(self) -> complex:
+        return 1.0 + self.t0
 
 
 #: Perfect birefringent interface: full reflection when coupled, full
 #: transmission (with the pi phase) when uncoupled.
-IDEAL = ScatterCoeffs(r=1.0, t=0.0, r0=0.0, t0=-1.0)
+IDEAL = ScatterCoeffs(t=0.0, t0=-1.0)
 
 
 def _response(p: CavityParams, g: float) -> tuple[complex, complex, complex, complex]:
@@ -111,7 +108,5 @@ def probability_sum(p: CavityParams) -> float:
 
 
 def resonant_coeffs(p: CavityParams) -> ScatterCoeffs:
-    """Hot amplitudes of ``p`` and cold ones of the same cavity with g = 0."""
-    r, t, s_leak, n_noise = full_coeffs(p)
-    r0, t0, _, _ = _response(p, 0.0)
-    return ScatterCoeffs(r=r, t=t, r0=r0, t0=t0, s_leak=s_leak, n_noise=n_noise)
+    """Hot transmission of ``p`` and cold one of the same cavity with g = 0."""
+    return ScatterCoeffs(t=_response(p, p.g)[1], t0=_response(p, 0.0)[1])

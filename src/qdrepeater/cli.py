@@ -449,7 +449,8 @@ def cmd_chain(args):
     report = run_chain(scenario_from_config(_read_config(args.scenario)))
     _write_table(CHAIN_HEADER, _chain_rows(report), args.output)
     summary = (f"fidelity {report.final_fidelity:.6f}, "
-               f"probability {report.total_probability:.6f}\n")
+               f"probability {report.total_probability:.6f}, "
+               f"log10 probability {report.log10_total_probability:.6g}\n")
     sys.stdout.write(summary)
     return 0
 

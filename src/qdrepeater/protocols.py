@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,6 @@ from .qstate import (
     StateVector,
     Subsystem,
     _equal_upto_phase,
-    _unit,
     allclose_upto_phase,
     apply_map,
     basis_state,
@@ -254,7 +254,7 @@ def _collect_outcomes(amps, spin_labels, correction_for, target, eta_in):
         if not live.size:
             outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
             continue
-        posts = np.array([_unit(pat_amps[j], pat_probs[j]) for j in live])
+        posts = np.array([pat_amps[j] / math.sqrt(pat_probs[j]) for j in live])
         # the correction is exact, so comparing the raw states decides as
         # comparing corrected ones
         if all(_equal_upto_phase(posts[0], post, _MERGE_TOL) for post in posts[1:]):
@@ -361,8 +361,6 @@ def _normalized_ensemble(pairs) -> Ensemble:
     """
     distinct: list[tuple[float, StateVector]] = []
     for w, st in pairs:
-        if w <= _ZERO:
-            continue
         for i, (wd, sd) in enumerate(distinct):
             if allclose_upto_phase(sd, st, _MERGE_TOL):
                 distinct[i] = (wd + w, sd)
@@ -390,8 +388,12 @@ def _normalized_ensemble(pairs) -> Ensemble:
 
 
 def heralded_ensemble(outcomes) -> tuple[Ensemble, float]:
-    """Mixture of corrected branch states, weighted by branch probability."""
-    live = [(o.probability, o.post_state) for o in outcomes if o.probability > _ZERO]
+    """Mixture of corrected branch states, weighted by branch probability.
+
+    The protocol has already decided which branches are dead: those are the
+    outcomes without a post state.
+    """
+    live = [(o.probability, o.post_state) for o in outcomes if o.post_state is not None]
     total = math.fsum(w for w, _ in live)
     if total <= 0.0:
         raise ValueError("no surviving branches")
@@ -475,7 +477,7 @@ def pcd(
 # ---------------------------------------------------------------------------
 
 #: the heralded branches of one parity check followed by the measurement of
-#: two spins, as (parity, m1, m2) in the order the check and `measure` list them
+#: two spins, as (parity, m1, m2): even before odd, outcomes in product order
 _BRANCHES = tuple((parity, m1, m2) for parity in ("even", "odd")
                   for m1, m2 in itertools.product(("up", "dn"), repeat=2))
 
@@ -578,10 +580,10 @@ def extend_chain(
         gates = _extension_gates(parity, m1, m2, label_d)
         out = (m @ psi).T.reshape(-1)
         p = float(np.vdot(out, out).real)
-        if eta_in * p <= _ZERO:
+        if p <= _ZERO:
             outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
             continue
-        final = StateVector(reg, _unit(out, p))
+        final = StateVector(reg, out / math.sqrt(p))
         outcomes.append(HeraldedOutcome(label, eta_in * p, gates, final, fidelity(final, target)))
     return outcomes
 
@@ -591,10 +593,11 @@ def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, scale: float, labels,
     """Every member pair of two two-spin mixtures through every branch map.
 
     Each map takes the Kronecker product of one member of each mixture to
-    the two spins ``labels``; ``scale`` is the input coupling of a branch.
-    Returns the heralded mixture and its success probability.  Accepted
-    states are listed pair by pair, branch by branch, which fixes the order
-    in which `_normalized_ensemble` pools them.
+    the two spins ``labels``; ``scale``, the input coupling of a branch,
+    multiplies the success probability only.  Returns the heralded mixture
+    and its success probability.  Accepted states are listed pair by pair,
+    branch by branch, which fixes the order in which `_normalized_ensemble`
+    pools them.
     """
     reg = spin_register(labels)
     accepted = []
@@ -604,13 +607,12 @@ def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, scale: float, labels,
             for m in maps:
                 out = m @ psi
                 p = float(np.vdot(out, out).real)
-                w = w1 * w2 * scale * p
+                w = w1 * w2 * p     # decided dead or live before the input coupling
                 if w > _ZERO:
-                    accepted.append((w, StateVector(reg, _unit(out, p))))
-    success = math.fsum(w for w, _ in accepted)
-    if success <= _ZERO:
+                    accepted.append((w, StateVector(reg, out / math.sqrt(p))))
+    if not accepted:
         raise RuntimeError(f"{stage} heralded no surviving branches")
-    return _normalized_ensemble(accepted), success
+    return _normalized_ensemble(accepted), scale * math.fsum(w for w, _ in accepted)
 
 
 def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[PurificationState, float]:
@@ -698,10 +700,19 @@ class StageResult:
 
 @dataclass(frozen=True)
 class ChainReport:
+    """Stage results and the end-to-end state of a chain.
+
+    ``total_probability`` is the product of the stage probabilities, or 0.0
+    where that product falls below the smallest normal float;
+    ``log10_total_probability`` holds the `math.fsum` of their base-10
+    logarithms in either case.
+    """
+
     stages: tuple[StageResult, ...]
     end_labels: tuple[str, str]
     final_fidelity: float
     total_probability: float
+    log10_total_probability: float
     final_state: Ensemble
 
 
@@ -713,7 +724,6 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     """
     scenario.validate()
     stages: list[StageResult] = []
-    total_p = 1.0
 
     segment_ens = []
     segment_labels = []
@@ -726,13 +736,11 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
         ens, p = heralded_ensemble(outcomes)
         fid = fidelity(ens, phi_minus(labels))
         stages.append(StageResult("distribute", seg.name, p, fid))
-        total_p *= p
         for r in range(scenario.purify_rounds):
             maps = _purification_maps(scenario.nodes[seg.left], scenario.nodes[seg.right])
             ens, p_r = _pair_stage(ens, ens, maps, scenario.eta_in ** 2, labels, "purification")
             fid = fidelity(ens, phi_minus(labels))
             stages.append(StageResult("purify", f"{seg.name} round {r + 1}", p_r, fid))
-            total_p *= p_r
         segment_ens.append(ens)
         segment_labels.append(labels)
 
@@ -748,13 +756,14 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
                              "extension")
         fid = fidelity(ens, phi_minus((left_end, right_end)))
         stages.append(StageResult("extend", f"at {seg.left}", p, fid))
-        total_p *= p
 
     final_fid = fidelity(ens, phi_minus((left_end, right_end)))
+    total_p = math.prod(st.probability for st in stages)
     return ChainReport(
         stages=tuple(stages),
         end_labels=(left_end, right_end),
         final_fidelity=final_fid,
-        total_probability=total_p,
+        total_probability=total_p if total_p >= sys.float_info.min else 0.0,
+        log10_total_probability=math.fsum(math.log10(st.probability) for st in stages),
         final_state=ens,
     )

@@ -3,9 +3,7 @@
 States are dense amplitude vectors over a register of named subsystems
 (polarizations, time bins, spatial paths, spins).  Nothing is renormalized
 implicitly: a heralded (non-unitary) map shrinks the squared norm, and that
-deficit is exactly the probability lost to undetected channels.  Measurement
-reports branch probabilities relative to the squared norm of its input, so
-probability bookkeeping stays exact through an arbitrary chain of maps.
+deficit is exactly the probability lost to undetected channels.
 
 Mixed states are weighted lists of pure states (`Ensemble`), never dense
 density matrices.  Every chain mixture is over two spins, so a 4x4 density
@@ -16,7 +14,6 @@ two-round chains by up to 6e-8.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +21,6 @@ import numpy as np
 
 ATOL = 1e-12            # tolerance for algebraic identities
 _NORM_SLACK = 1e-9      # construction-time slack on norm**2 <= 1
-_TINY = float(np.finfo(float).tiny)     # smallest normal float
 
 
 class RegisterError(ValueError):
@@ -213,25 +209,6 @@ class LinearMap:
         return self.matrix.shape[0]
 
 
-def _unit(amps: np.ndarray, norm2: float) -> np.ndarray:
-    """``amps / sqrt(norm2)``, with ``norm2`` the caller's sum of |amps|^2.
-
-    Below the smallest normal float that sum has lost its precision, so the
-    amplitudes are rescaled and their squared norm is summed again first.
-    """
-    if norm2 < _TINY:
-        amps = amps / np.max(np.abs(amps))
-        norm2 = float(np.vdot(amps, amps).real)
-    return amps / math.sqrt(norm2)
-
-
-@dataclass(frozen=True)
-class MeasurementBranch:
-    outcome: tuple[str, ...]
-    probability: float
-    post: StateVector | None
-
-
 # Common single-subsystem maps.
 
 def sigma_x() -> LinearMap:
@@ -300,32 +277,6 @@ def apply_map(state: StateVector, m: LinearMap, targets) -> StateVector:
     return StateVector(state.register, psi.reshape(-1))
 
 
-def measure(state: StateVector, targets) -> list[MeasurementBranch]:
-    """Projective measurement of the target subsystems.
-
-    Outcomes are labeled by level names in target order, and every
-    combinatorial outcome is listed.  Branch probabilities sum to the
-    squared norm of the input.  Post states are normalized and live on the
-    register with the measured subsystems removed; a zero-probability
-    outcome has post state ``None``.
-    """
-    targets = list(targets)
-    if not targets:
-        raise RegisterError("measurement needs at least one target")
-    block = _front_axes(state, targets)[0]
-    probs = np.sum(np.abs(block) ** 2, axis=1)
-    remaining = state.register.without(targets)
-    level_sets = [state.register.subsystem(t).levels for t in targets]
-    branches = []
-    for k, outcome in enumerate(itertools.product(*level_sets)):
-        p = float(probs[k])
-        post = None
-        if p > 0.0:
-            post = StateVector(remaining, _unit(block[k], p))
-        branches.append(MeasurementBranch(outcome=outcome, probability=p, post=post))
-    return branches
-
-
 def fidelity(state: StateVector | Ensemble, target: StateVector) -> float:
     """Overlap fidelity with a normalized pure target; phase-insensitive."""
     if not target.is_normalized:
@@ -339,12 +290,6 @@ def fidelity(state: StateVector | Ensemble, target: StateVector) -> float:
         raise ValueError("fidelity of a zero-norm state is undefined")
     ov = np.vdot(target.amplitudes, state.amplitudes)
     return float(abs(ov) ** 2 / n2)
-
-
-def schmidt_rank(state: StateVector, cut_labels, tol: float = 1e-10) -> int:
-    """Number of singular values above ``tol`` across the given bipartition."""
-    block = _front_axes(state, list(cut_labels))[0]
-    return int(np.sum(np.linalg.svd(block, compute_uv=False) > tol))
 
 
 def allclose_upto_phase(a: StateVector, b: StateVector, atol: float = 1e-10) -> bool:

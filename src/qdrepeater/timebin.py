@@ -26,7 +26,6 @@ with `apply_map` to the subsystems it acts on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,21 +105,6 @@ class NoiseChannel:
     @classmethod
     def identity(cls) -> "NoiseChannel":
         return cls(1.0, 0.0)
-
-    @classmethod
-    def symmetric_from_angles(cls, theta: float, phi_d: float = 0.0, phi_e: float = 0.0) -> "NoiseChannel":
-        return cls(math.cos(theta) * np.exp(1j * phi_d), math.sin(theta) * np.exp(1j * phi_e))
-
-    @classmethod
-    def random_symmetric(cls, rng: np.random.Generator) -> "NoiseChannel":
-        theta, pd, pe = rng.uniform(0, 2 * math.pi, size=3)
-        return cls.symmetric_from_angles(theta, pd, pe)
-
-    @classmethod
-    def random_asymmetric(cls, rng: np.random.Generator) -> "NoiseChannel":
-        a = cls.random_symmetric(rng)
-        b = cls.random_symmetric(rng)
-        return cls(a.delta, a.eta, b.delta, b.eta)
 
 
 def routing_map() -> LinearMap:

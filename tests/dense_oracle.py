@@ -16,10 +16,13 @@ extension and purification gate by gate: a parity check from the `pcd`
 ports, Hadamard and Pauli gates one spin at a time, and `measure`.  The
 library applies each heralded branch as one cached map; the tests compare
 the two.
+
+`measure` is the projective measurement these references detect with.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +43,12 @@ from qdrepeater.protocols import (
 from qdrepeater.qstate import (
     LinearMap,
     Register,
+    RegisterError,
     StateVector,
     Subsystem,
     apply_map,
     fidelity,
     hadamard,
-    measure,
     sigma_x,
     sigma_z,
     superposition,
@@ -73,6 +76,54 @@ PORTS = (("R", "up"), ("L", "dn"))
 
 #: branch weights below this are numerically dead, as in the library
 ZERO = 1e-24
+
+
+@dataclass(frozen=True)
+class MeasurementBranch:
+    outcome: tuple[str, ...]
+    probability: float
+    post: StateVector | None
+
+
+def _unit(amps, norm2):
+    """``amps / sqrt(norm2)``, with ``norm2`` the sum of |amps|^2.
+
+    Below the smallest normal float that sum has lost its precision, so the
+    amplitudes are rescaled and their squared norm is summed again first.
+    """
+    if norm2 < np.finfo(float).tiny:
+        amps = amps / np.max(np.abs(amps))
+        norm2 = float(np.vdot(amps, amps).real)
+    return amps / math.sqrt(norm2)
+
+
+def measure(state, targets) -> list[MeasurementBranch]:
+    """Projective measurement of the target subsystems.
+
+    Outcomes are labeled by level names in target order, and every
+    combinatorial outcome is listed.  Branch probabilities sum to the
+    squared norm of the input.  Post states are normalized and live on the
+    register with the measured subsystems removed; a zero-probability
+    outcome has post state ``None``.
+    """
+    targets = list(targets)
+    if not targets:
+        raise RegisterError("measurement needs at least one target")
+    if len(set(targets)) != len(targets):
+        raise RegisterError(f"duplicate targets {targets}")
+    reg = state.register
+    pos = [reg.position(t) for t in targets]
+    level_sets = [reg.subsystems[p].levels for p in pos]
+    block = np.moveaxis(state.tensor_axes(), pos, range(len(pos)))
+    block = block.reshape(math.prod(len(levels) for levels in level_sets), -1)
+    probs = np.sum(np.abs(block) ** 2, axis=1)
+    remaining = reg.without(targets)
+    branches = []
+    for k, outcome in enumerate(itertools.product(*level_sets)):
+        p = float(probs[k])
+        post = StateVector(remaining, _unit(block[k], p)) if p > 0.0 else None
+        branches.append(MeasurementBranch(outcome=outcome, probability=p, post=post))
+    return branches
 
 
 def run_distribution(photon_names, noises, coeffs_list, phase_photon, spin_labels):
@@ -365,4 +416,5 @@ def run_chain_gates(scenario):
     return ChainReport(stages=tuple(stages), end_labels=(left_end, right_end),
                        final_fidelity=fidelity(ens, phi_minus((left_end, right_end))),
                        total_probability=math.prod(st.probability for st in stages),
+                       log10_total_probability=math.fsum(math.log10(st.probability) for st in stages),
                        final_state=ens)

@@ -188,6 +188,15 @@ def test_ideal_scenario_report(tmp_path, capsys):
     assert "fidelity 1.000000, probability 1.000000" in out
 
 
+def test_scenario_at_small_eta_in_keeps_every_branch(tmp_path, capsys):
+    path = tmp_path / "faint.ini"
+    path.write_text(IDEAL_SCENARIO.replace("segments = AB", "segments = AB\npurify_rounds = 1\neta_in = 1e-13"))
+    code, out, _ = run(capsys, "chain", "--scenario", str(path))
+    assert code == 0
+    assert "\ntotal,e0_A-e0_B,1e-52,1\n" in out
+    assert out.endswith("fidelity 1.000000, probability 0.000000, log10 probability -52\n")
+
+
 def test_practical_scenario_probability(tmp_path, capsys):
     path = tmp_path / "practical.ini"
     path.write_text(IDEAL_SCENARIO.replace(

@@ -64,3 +64,25 @@ def test_cli_metrics_and_scripts_import_no_private_names():
     assert scripts
     package = ROOT / "src" / "qdrepeater"
     assert _scan([package / "cli.py", package / "metrics.py", *scripts]) == {}
+
+
+#: every name ``qdrepeater/__init__.py`` imports; a change to the public
+#: surface shows up as a change to this list
+PUBLIC_NAMES = [
+    "CavityParams", "ChainReport", "ChainScenario", "CrosscheckReport", "DistributionMetrics",
+    "Ensemble", "HeraldedOutcome", "IDEAL", "LinearMap", "NoiseChannel", "PurificationState",
+    "Register", "RegisterError", "ScatterCoeffs", "SegmentSpec", "StateVector", "Subsystem",
+    "allclose_upto_phase", "apply_map", "apply_noise", "basis_state", "channel_mixing_weight",
+    "crosscheck", "decode", "distribute_bell", "distribute_ghz", "distribution_metrics", "encode",
+    "extend_chain", "fidelity", "full_coeffs", "ghz_state", "heralded_ensemble", "pcd",
+    "pcd_metrics", "phi_minus", "phi_plus", "photon_register", "probability_sum", "purify_analytic",
+    "purify_round", "resonant_coeffs", "run_chain", "scatter", "scatter_map", "spin_register",
+    "superposition", "tensor",
+]
+
+
+def test_public_names_are_pinned():
+    tree = ast.parse((ROOT / "src" / "qdrepeater" / "__init__.py").read_text(encoding="utf-8"))
+    imported = sorted(alias.asname or alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) for alias in node.names)
+    assert imported == PUBLIC_NAMES

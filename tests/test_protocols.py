@@ -41,7 +41,7 @@ from qdrepeater.qstate import (
 )
 from qdrepeater.timebin import TB_DECODED, NoiseChannel
 
-from conftest import random_coeffs
+from conftest import random_asymmetric, random_coeffs, random_symmetric, symmetric_from_angles
 from dense_oracle import (
     PORTS,
     extend_chain_gates,
@@ -104,8 +104,8 @@ def test_uncoupled_cavity_kills_the_odd_class():
 def test_noise_never_reaches_the_spins(rng):
     fids = []
     for _ in range(10):
-        ch_a = NoiseChannel.random_symmetric(rng)
-        ch_b = NoiseChannel.random_symmetric(rng)
+        ch_a = random_symmetric(rng)
+        ch_b = random_symmetric(rng)
         outs = distribute_bell(ch_a, ch_b, IDEAL, IDEAL)
         fids.extend(o.fidelity for o in outs)
     assert np.var(fids) < 1e-20
@@ -117,7 +117,7 @@ def test_completeness_with_random_coefficients(rng):
     # nodes the split reproduces the closed forms
     for _ in range(5):
         sc = random_coeffs(rng)
-        ch = NoiseChannel.random_symmetric(rng)
+        ch = random_symmetric(rng)
         outs = distribute_bell(ch, ch, sc, sc)
         heralded = sum(o.probability for o in outs)
         m = distribution_metrics(sc)
@@ -137,8 +137,8 @@ def test_input_coupling_scales_probabilities():
 
 def test_asymmetric_noise_splits_branches_and_mu_matches(rng):
     for _ in range(5):
-        ch_a = NoiseChannel.random_asymmetric(rng)
-        ch_b = NoiseChannel.random_asymmetric(rng)
+        ch_a = random_asymmetric(rng)
+        ch_b = random_asymmetric(rng)
         outs = distribute_bell(ch_a, ch_b, IDEAL, IDEAL)
         ens, total = heralded_ensemble(outs)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -201,15 +201,15 @@ def _assert_matches_dense_oracle(noises, coeffs, phase_photon):
 
 
 def _asymmetric_fiber(early, late):
-    a = NoiseChannel.symmetric_from_angles(*early)
-    b = NoiseChannel.symmetric_from_angles(*late)
+    a = symmetric_from_angles(*early)
+    b = symmetric_from_angles(*late)
     return NoiseChannel(a.delta, a.eta, b.delta, b.eta)
 
 
 _angles = st.floats(0.0, 2.0 * math.pi)
 _rotations = st.tuples(_angles, _angles, _angles)
 _fibers = st.one_of(
-    _rotations.map(lambda a: NoiseChannel.symmetric_from_angles(*a)),
+    _rotations.map(lambda a: symmetric_from_angles(*a)),
     st.tuples(_rotations, _rotations).map(lambda ab: _asymmetric_fiber(*ab)),
 )
 _nodes = st.builds(lambda g, ks, gamma: resonant_coeffs(CavityParams(g=g, kappa_s=ks, gamma=gamma)),
@@ -232,14 +232,14 @@ def test_transfer_branches_match_dense_oracle(inputs):
 
 def test_transfer_branches_match_dense_oracle_five_photons():
     rng = np.random.default_rng(55)
-    noises = [NoiseChannel.random_asymmetric(rng)] + [NoiseChannel.random_symmetric(rng) for _ in range(4)]
+    noises = [random_asymmetric(rng)] + [random_symmetric(rng) for _ in range(4)]
     _assert_matches_dense_oracle(noises, [random_coeffs(rng) for _ in range(5)], 4)
 
 
 def test_transfer_branches_match_dense_oracle_near_identity_fibers():
     # rotations of 1e-45 and 1e-112 leave time-bin branches whose
     # probability is a subnormal float
-    fibers = [NoiseChannel.symmetric_from_angles(theta)
+    fibers = [symmetric_from_angles(theta)
               for theta in (0.0, 0.0, 1.401298464324817e-45, 1.7235558102405707e-112)]
     node = resonant_coeffs(CavityParams(g=1.0, kappa_s=0.0, gamma=0.5))
     _assert_matches_dense_oracle(fibers, [node] * 4, 0)
@@ -332,7 +332,7 @@ def test_ghz_corrections_follow_the_searched_corrections(n):
 
 def test_ghz_noise_immunity(rng):
     for n in (3, 4):
-        chans = [NoiseChannel.random_symmetric(rng) for _ in range(n)]
+        chans = [random_symmetric(rng) for _ in range(n)]
         outs = distribute_ghz(n, chans, [IDEAL] * n)
         assert all(abs(o.fidelity - 1.0) < 1e-10 for o in outs)
         assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-10)
@@ -499,6 +499,26 @@ def test_extension_even_branch_before_measurement():
     expected = StateVector(state.register, expected.amplitudes)
     assert allclose_upto_phase(outs["R_a1"].post_state, expected, 1e-10)
     assert outs["R_a1"].probability + outs["R_a2"].probability == pytest.approx(0.5, abs=1e-12)
+
+
+def test_extension_at_small_eta_in_keeps_every_branch():
+    # a dead branch is decided on its weight before eta_in scales it
+    ghz = phi_minus(("a", "z"))
+    bell = phi_minus(("zp", "d"))
+    outs = extend_chain(ghz, bell, ("z", "zp"), IDEAL, eta_in=1e-30)
+    assert math.fsum(o.probability for o in outs) == pytest.approx(1e-30, rel=1e-12)
+    assert all(o.fidelity == pytest.approx(1.0, abs=1e-12) for o in outs)
+
+
+def test_extension_normalizes_a_branch_of_small_weight():
+    # a chain state of squared norm 1e-20 leaves branches of weight 1.25e-21,
+    # far below the amplitudes' own scale; each post state is still a unit vector
+    ghz = StateVector(spin_register(("a", "z")), 1e-10 * phi_minus(("a", "z")).amplitudes)
+    outs = extend_chain(ghz, phi_minus(("zp", "d")), ("z", "zp"), IDEAL)
+    for o in outs:
+        assert o.probability == pytest.approx(1.25e-21, rel=1e-12)
+        assert o.post_state.norm2 == pytest.approx(1.0, abs=1e-12)
+        assert o.fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extend_rejects_missing_joint_labels():
@@ -689,6 +709,47 @@ def test_chain_input_coupling():
     assert report.final_fidelity == pytest.approx(1.0, abs=1e-10)
 
 
+def test_chain_at_small_eta_in_keeps_every_branch():
+    scenario = ChainScenario(nodes={"A": IDEAL, "B": IDEAL},
+                             segments=[SegmentSpec("AB", "A", "B")], purify_rounds=1, eta_in=1e-13)
+    report = run_chain(scenario)
+    assert [s.probability for s in report.stages] == pytest.approx([1e-26, 1e-26], rel=1e-12)
+    assert report.total_probability == pytest.approx(1e-52, rel=1e-12)
+    assert report.final_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def _ideal_chain(segments, eta_in, rounds=0):
+    return ChainScenario(nodes={f"n{i}": IDEAL for i in range(segments + 1)},
+                         segments=[SegmentSpec(f"s{i}", f"n{i}", f"n{i + 1}") for i in range(segments)],
+                         purify_rounds=rounds, eta_in=eta_in)
+
+
+@pytest.mark.parametrize("segments", [10, 11, 12])
+def test_long_chain_total_below_the_normal_range_is_reported_as_zero(segments):
+    # 3 S - 1 photon passes at eta_in = 1e-10: 1e-290, 1e-320 (subnormal), 1e-350
+    report = run_chain(_ideal_chain(segments, 1e-10))
+    assert report.log10_total_probability == pytest.approx(-10.0 * (3 * segments - 1), rel=1e-12)
+    product = math.prod(s.probability for s in report.stages)
+    assert report.total_probability == (product if segments == 10 else 0.0)
+
+
+@given(st.integers(1, 4), st.integers(0, 2), st.floats(-12.0, 0.0),
+       st.lists(st.tuples(_rotations, _rotations), min_size=4, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_ideal_chain_probability_counts_every_photon_pass(segments, rounds, log_eta, rotations):
+    # eta_in^2 per distribution and per purification round of each segment,
+    # eta_in per extension; collective fibers change nothing
+    eta_in = 10.0 ** log_eta
+    scenario = _ideal_chain(segments, eta_in, rounds)
+    for seg, pair in zip(scenario.segments, rotations):
+        seg.noise_left, seg.noise_right = (symmetric_from_angles(*r) for r in pair)
+    report = run_chain(scenario)
+    assert report.final_fidelity == pytest.approx(1.0, abs=1e-12)
+    expected = (3 * segments + 2 * segments * rounds - 1) * math.log10(eta_in)
+    # the absolute floor covers eta_in near 1, where the logarithm is ~0
+    assert report.log10_total_probability == pytest.approx(expected, rel=1e-12, abs=1e-13)
+
+
 def test_chain_with_rounding_level_parity_ports():
     # ideal -> (g=2.4, ks=0.1) -> (g=1.2, ks=0.2) behind asymmetric fibers:
     # in one purification PCD the odd ports herald p ~ 1e-24 each, and their
@@ -758,7 +819,7 @@ _ROUNDING = 1e-12
 @settings(max_examples=10, deadline=None)
 def test_run_chain_invariants_under_collective_fiber_noise(inputs):
     nodes, rotations, rounds, eta_in = inputs
-    fibers = [tuple(NoiseChannel.symmetric_from_angles(*r) for r in pair) for pair in rotations]
+    fibers = [tuple(symmetric_from_angles(*r) for r in pair) for pair in rotations]
     report = run_chain(_chain_scenario(nodes, fibers, rounds, eta_in))
     quiet = run_chain(_chain_scenario(nodes, [(QUIET, QUIET)] * len(fibers), rounds, eta_in))
     for stage in report.stages:

@@ -17,13 +17,14 @@ from qdrepeater.qstate import (
     basis_state,
     fidelity,
     hadamard,
-    measure,
-    schmidt_rank,
     sigma_x,
     superposition,
     tensor,
 )
 from qdrepeater.timebin import phase_shift_map
+
+from conftest import schmidt_rank
+from dense_oracle import measure
 
 RT2 = 1.0 / math.sqrt(2.0)
 

@@ -117,8 +117,10 @@ def test_spin_populations_preserved(rng):
     # each spin sector is scattered by its own contraction; populations only
     # shrink by that sector's loss, never mix.  R-up couples to spin up (hot),
     # L-dn with spin dn sees the cold cavity.
-    assert spin_population(out, "up") == pytest.approx(0.36 * sc.hot_survival, abs=1e-12)
-    assert spin_population(out, "dn") == pytest.approx(0.64 * sc.cold_survival, abs=1e-12)
+    hot = abs(sc.r) ** 2 + abs(sc.t) ** 2
+    cold = abs(sc.r0) ** 2 + abs(sc.t0) ** 2
+    assert spin_population(out, "up") == pytest.approx(0.36 * hot, abs=1e-12)
+    assert spin_population(out, "dn") == pytest.approx(0.64 * cold, abs=1e-12)
 
 
 def test_random_input_unitarity_ideal(rng):

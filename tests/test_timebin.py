@@ -11,7 +11,6 @@ from qdrepeater.qstate import (
     apply_map,
     basis_state,
     hadamard,
-    schmidt_rank,
     superposition,
 )
 from qdrepeater.timebin import (
@@ -29,6 +28,8 @@ from qdrepeater.timebin import (
     routing_map,
     tb_label,
 )
+
+from conftest import random_asymmetric, random_symmetric, schmidt_rank
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -121,7 +122,7 @@ def test_asymmetric_channel_rotates_bins_differently():
 
 def test_channel_unitarity(rng):
     for _ in range(20):
-        ch = NoiseChannel.random_asymmetric(rng)
+        ch = random_asymmetric(rng)
         for u in (ch.early_unitary(), ch.late_unitary()):
             assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
@@ -159,8 +160,8 @@ def _encode_noise_decode(ch_a, ch_b):
 
 
 def test_decode_restores_polarization_entanglement(rng):
-    ch_a = NoiseChannel.random_symmetric(rng)
-    ch_b = NoiseChannel.random_symmetric(rng)
+    ch_a = random_symmetric(rng)
+    ch_b = random_symmetric(rng)
     out = _encode_noise_decode(ch_a, ch_b)
     assert out.norm2 == pytest.approx(1.0, abs=1e-12)
     expected = _expected_decoded(ch_a, ch_b, out.register)
@@ -169,8 +170,8 @@ def test_decode_restores_polarization_entanglement(rng):
 
 def test_decode_time_factor_is_spectator_product(rng):
     for _ in range(5):
-        out = _encode_noise_decode(NoiseChannel.random_symmetric(rng),
-                                   NoiseChannel.random_symmetric(rng))
+        out = _encode_noise_decode(random_symmetric(rng),
+                                   random_symmetric(rng))
         assert schmidt_rank(out, ["a_tb", "b_tb"]) == 1
         assert schmidt_rank(out, ["a_tb"]) == 1
         assert schmidt_rank(out, ["b_tb"]) == 1
@@ -208,8 +209,8 @@ def test_decode_rejects_expanded_register():
 
 
 def test_decode_unitary_under_asymmetric_noise(rng):
-    out = _encode_noise_decode(NoiseChannel.random_asymmetric(rng),
-                               NoiseChannel.random_asymmetric(rng))
+    out = _encode_noise_decode(random_asymmetric(rng),
+                               random_asymmetric(rng))
     assert out.norm2 == pytest.approx(1.0, abs=1e-12)
 
 
