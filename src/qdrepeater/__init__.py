@@ -35,7 +35,6 @@ from .qstate import (
     RegisterError,
     StateVector,
     Subsystem,
-    allclose_upto_phase,
     apply_map,
     basis_state,
     fidelity,

@@ -186,29 +186,30 @@ def _parse_complex(raw, where):
         raise UsageError(f"{where}: cannot parse complex value {raw!r}")
 
 
-def _segment_noise(cp, section, side):
-    def key(name):
-        for k in (f"{side}_{name}", name):
-            if cp.has_option(section, k):
-                return cp.get(section, k)
-        return None
+#: the noise entries of a segment, early bin first; each may carry a left_ or right_ prefix
+_NOISE = ("noise_delta", "noise_eta", "noise_delta_l", "noise_eta_l")
+#: the keys a [node] or [segment] section may hold; any other is a usage error
+_NODE_KEYS = ("ideal", "g", "kappa_s", "gamma", "delta")
+_SEGMENT_KEYS = ("left", "right", *(side + k for side in ("", "left_", "right_") for k in _NOISE))
 
-    delta = key("noise_delta")
-    eta = key("noise_eta")
-    if delta is None and eta is None:
+
+def _check_keys(cp, section, known) -> None:
+    for k in cp.options(section):
+        if k not in known:
+            raise UsageError(f"[{section}]: unknown key {k!r}")
+
+
+def _segment_noise(cp, section, side):
+    """One side's fiber noise; a ``left_``/``right_`` entry wins over the shared one."""
+    raw = [cp.get(section, f"{side}_{k}", fallback=cp.get(section, k, fallback=None)) for k in _NOISE]
+    if raw == [None] * 4:
         return NoiseChannel.identity()
-    if delta is None or eta is None:
+    if None in raw[:2]:
         raise UsageError(f"{section}: noise needs both noise_delta and noise_eta")
-    d = _parse_complex(delta, section)
-    e = _parse_complex(eta, section)
-    dl = key("noise_delta_l")
-    el = key("noise_eta_l")
-    if (dl is None) != (el is None):
+    if (raw[2] is None) != (raw[3] is None):
         raise UsageError(f"{section}: asymmetric noise needs both noise_delta_l and noise_eta_l")
     try:
-        if dl is None:
-            return NoiseChannel(d, e)
-        return NoiseChannel(d, e, _parse_complex(dl, section), _parse_complex(el, section))
+        return NoiseChannel(*(_parse_complex(x, section) for x in raw if x is not None))
     except ValueError as exc:
         raise UsageError(f"{section}: {exc}")
 
@@ -226,7 +227,8 @@ def scenario_from_config(cp: configparser.ConfigParser,
     Sections: [defaults] (gamma, kappa_s, delta, eta_in, purify_rounds),
     one [node X] per node (ideal = true, or g / kappa_s / gamma / delta),
     one [segment NAME] per fiber segment (left, right, optional noise_*),
-    and [chain] with the ordered segment list.  ``g_override`` replaces the
+    and [chain] with the ordered segment list.  Any other key in a node,
+    segment or chain section is a usage error.  ``g_override`` replaces the
     coupling of every non-ideal node (used by the chain sweep).
     """
     # read eagerly, so a malformed entry is rejected even when every node is ideal
@@ -237,7 +239,9 @@ def scenario_from_config(cp: configparser.ConfigParser,
     for section in cp.sections():
         if section.startswith("node "):
             name = section.split(" ", 1)[1]
-            if cp.getboolean(section, "ideal", fallback=False):
+            ideal = cp.getboolean(section, "ideal", fallback=False)
+            _check_keys(cp, section, ("ideal",) if ideal else _NODE_KEYS)
+            if ideal:
                 nodes[name] = IDEAL
                 continue
             try:
@@ -248,6 +252,7 @@ def scenario_from_config(cp: configparser.ConfigParser,
                 raise UsageError(f"[{section}]: {e}")
         elif section.startswith("segment "):
             name = section.split(" ", 1)[1]
+            _check_keys(cp, section, _SEGMENT_KEYS)
             try:
                 left = cp.get(section, "left")
                 right = cp.get(section, "right")
@@ -260,6 +265,7 @@ def scenario_from_config(cp: configparser.ConfigParser,
 
     if not cp.has_section("chain"):
         raise UsageError("scenario file needs a [chain] section")
+    _check_keys(cp, "chain", ("segments", "purify_rounds", "eta_in"))
     order = cp.get("chain", "segments", fallback="").replace(",", " ").split()
     if not order:
         raise UsageError("[chain]: empty segment list")
@@ -487,11 +493,12 @@ def cmd_sweep(args):
         if not args.scenario:
             raise UsageError("chain sweep needs --scenario FILE")
         cp = _read_config(args.scenario)
-        header = ["g", "total_probability", "final_fidelity"]
+        header = ["g", "total_probability", "final_fidelity", "log10_total_probability"]
         rows = []
         for g in args.g:
             report = run_chain(scenario_from_config(cp, g_override=g))
-            rows.append([_fmt(g), _fmt(report.total_probability), _fmt(report.final_fidelity)])
+            rows.append([_fmt(g), _fmt(report.total_probability), _fmt(report.final_fidelity),
+                         _fmt(report.log10_total_probability)])
         _write_table(header, rows, args.output)
     return 0
 

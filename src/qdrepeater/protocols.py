@@ -48,7 +48,6 @@ from .qstate import (
     StateVector,
     Subsystem,
     _equal_upto_phase,
-    allclose_upto_phase,
     apply_map,
     basis_state,
     fidelity,
@@ -350,41 +349,37 @@ def channel_mixing_weight(channels) -> float:
     return float((1.0 + c.real) / 2.0)
 
 
-def _normalized_ensemble(pairs) -> Ensemble:
-    """Ensemble from (weight, state) pairs.
+def _normalized_ensemble(reg: Register, pairs) -> Ensemble:
+    """Ensemble over ``reg`` from (weight, unit amplitude row) pairs.
 
-    Members equal up to a global phase are the same pure state, so their
-    weights are pooled.  If the distinct members still outnumber the
-    register dimension d, the mixture is rebuilt from the eigenbasis of its
-    density matrix, which represents any d-dimensional mixture exactly with
-    at most d pure components.  Exact summation keeps the weight total at 1.
+    Rows equal up to a global phase are the same pure state, so their
+    weights are pooled.  If the distinct rows still outnumber the register
+    dimension d, the mixture is rebuilt from the eigenbasis of its density
+    matrix, which represents any d-dimensional mixture exactly with at most
+    d pure components.  Exact summation keeps the weight total at 1.
     """
-    distinct: list[tuple[float, StateVector]] = []
-    for w, st in pairs:
-        for i, (wd, sd) in enumerate(distinct):
-            if allclose_upto_phase(sd, st, _MERGE_TOL):
-                distinct[i] = (wd + w, sd)
+    distinct: list[tuple[float, np.ndarray]] = []
+    for w, amps in pairs:
+        for i, (wd, ad) in enumerate(distinct):
+            if _equal_upto_phase(ad, amps, _MERGE_TOL):
+                distinct[i] = (wd + w, ad)
                 break
         else:
-            distinct.append((w, st))
+            distinct.append((w, amps))
     total = math.fsum(w for w, _ in distinct)
-    if total <= 0.0:
-        raise ValueError("no surviving branches")
 
-    reg = distinct[0][1].register
     if len(distinct) > reg.dim:
         rho = np.zeros((reg.dim, reg.dim), dtype=complex)
-        for w, st in distinct:
-            rho += (w / total) * np.outer(st.amplitudes, st.amplitudes.conj())
+        for w, amps in distinct:
+            rho += (w / total) * np.outer(amps, amps.conj())
         eigvals, eigvecs = np.linalg.eigh(rho)
-        distinct = [(float(lam), StateVector(reg, eigvecs[:, i]))
-                    for i, lam in enumerate(eigvals) if lam > _ZERO]
+        distinct = [(float(lam), eigvecs[:, i]) for i, lam in enumerate(eigvals) if lam > _ZERO]
         distinct.reverse()      # dominant component first
         total = math.fsum(w for w, _ in distinct)
 
-    scaled = [(w / total, st) for w, st in distinct]
+    scaled = [(w / total, amps) for w, amps in distinct]
     residual = math.fsum(w for w, _ in scaled)
-    return Ensemble(tuple((w / residual, st) for w, st in scaled))
+    return Ensemble(tuple((w / residual, StateVector(reg, amps)) for w, amps in scaled))
 
 
 def heralded_ensemble(outcomes) -> tuple[Ensemble, float]:
@@ -397,7 +392,7 @@ def heralded_ensemble(outcomes) -> tuple[Ensemble, float]:
     total = math.fsum(w for w, _ in live)
     if total <= 0.0:
         raise ValueError("no surviving branches")
-    return _normalized_ensemble(live), total
+    return _normalized_ensemble(live[0][1].register, [(w, st.amplitudes) for w, st in live]), total
 
 
 # ---------------------------------------------------------------------------
@@ -588,31 +583,29 @@ def extend_chain(
     return outcomes
 
 
-def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, scale: float, labels,
-                stage: str) -> tuple[Ensemble, float]:
+def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels, stage: str) -> tuple[Ensemble, float]:
     """Every member pair of two two-spin mixtures through every branch map.
 
     Each map takes the Kronecker product of one member of each mixture to
-    the two spins ``labels``; ``scale``, the input coupling of a branch,
-    multiplies the success probability only.  Returns the heralded mixture
-    and its success probability.  Accepted states are listed pair by pair,
-    branch by branch, which fixes the order in which `_normalized_ensemble`
-    pools them.
+    the two spins ``labels``; a map narrower than that product acts on its
+    trailing spins, the leading ones being spectators.  Returns the heralded
+    mixture and its success probability at unit input coupling.  Accepted
+    rows are listed pair by pair, branch by branch, which fixes the order in
+    which `_normalized_ensemble` pools them.
     """
-    reg = spin_register(labels)
     accepted = []
     for w1, s1 in ens_a.members:
         for w2, s2 in ens_b.members:
             psi = np.kron(s1.amplitudes, s2.amplitudes)
             for m in maps:
-                out = m @ psi
+                out = (psi.reshape(-1, m.shape[1]) @ m.T).reshape(-1)
                 p = float(np.vdot(out, out).real)
-                w = w1 * w2 * p     # decided dead or live before the input coupling
+                w = w1 * w2 * p
                 if w > _ZERO:
-                    accepted.append((w, StateVector(reg, out / math.sqrt(p))))
+                    accepted.append((w, out / math.sqrt(p)))
     if not accepted:
         raise RuntimeError(f"{stage} heralded no surviving branches")
-    return _normalized_ensemble(accepted), scale * math.fsum(w for w, _ in accepted)
+    return _normalized_ensemble(spin_register(labels), accepted), math.fsum(w for w, _ in accepted)
 
 
 def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[PurificationState, float]:
@@ -628,8 +621,7 @@ def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[Purification
     labels = ("e_a", "e_b")
     mixture = ((mu, phi_minus(labels)), (1.0 - mu, phi_plus(labels)))
     ens = Ensemble(tuple((w, st) for w, st in mixture if w > 0.0))
-    ens, success = _pair_stage(ens, ens, _purification_maps(coeffs, coeffs), 1.0, labels,
-                               "purification")
+    ens, success = _pair_stage(ens, ens, _purification_maps(coeffs, coeffs), labels, "purification")
     return PurificationState(mu=fidelity(ens, phi_minus(labels)), round=1,
                              success_probability=success), 1.0 - success
 
@@ -705,7 +697,7 @@ class ChainReport:
     ``total_probability`` is the product of the stage probabilities, or 0.0
     where that product falls below the smallest normal float;
     ``log10_total_probability`` holds the `math.fsum` of their base-10
-    logarithms in either case.
+    logarithms, taken before any underflow, in either case.
     """
 
     stages: tuple[StageResult, ...]
@@ -719,51 +711,49 @@ class ChainReport:
 def run_chain(scenario: ChainScenario) -> ChainReport:
     """Distribute every segment, purify, then extend left to right.
 
-    Stage probabilities are conditional on all earlier stages succeeding;
-    the report's total probability is their product.
+    Each stage runs at unit input coupling; its probability, conditional on
+    all earlier stages, then gains eta_in per photon pass through an input
+    coupler (two per distribution or purification round, one per extension)
+    and is reported as 0.0 below the smallest normal float.
     """
     scenario.validate()
+    eta_in = scenario.eta_in
     stages: list[StageResult] = []
+    logs: list[float] = []
 
-    segment_ens = []
-    segment_labels = []
+    def record(stage, label, p, passes, ens, labels):
+        scaled = p * eta_in ** passes
+        stages.append(StageResult(stage, label, scaled if scaled >= sys.float_info.min else 0.0,
+                                  fidelity(ens, phi_minus(labels))))
+        logs.append(math.log10(p) + passes * math.log10(eta_in))
+
+    segments = []
     for i, seg in enumerate(scenario.segments):
         labels = (f"e{i}_{seg.left}", f"e{i}_{seg.right}")
-        outcomes = distribute_bell(
-            seg.noise_left, seg.noise_right,
-            scenario.nodes[seg.left], scenario.nodes[seg.right],
-            eta_in=scenario.eta_in, spin_labels=labels)
+        outcomes = distribute_bell(seg.noise_left, seg.noise_right,
+                                   scenario.nodes[seg.left], scenario.nodes[seg.right],
+                                   spin_labels=labels)
         ens, p = heralded_ensemble(outcomes)
-        fid = fidelity(ens, phi_minus(labels))
-        stages.append(StageResult("distribute", seg.name, p, fid))
+        record("distribute", seg.name, p, 2, ens, labels)
         for r in range(scenario.purify_rounds):
             maps = _purification_maps(scenario.nodes[seg.left], scenario.nodes[seg.right])
-            ens, p_r = _pair_stage(ens, ens, maps, scenario.eta_in ** 2, labels, "purification")
-            fid = fidelity(ens, phi_minus(labels))
-            stages.append(StageResult("purify", f"{seg.name} round {r + 1}", p_r, fid))
-        segment_ens.append(ens)
-        segment_labels.append(labels)
+            ens, p = _pair_stage(ens, ens, maps, labels, "purification")
+            record("purify", f"{seg.name} round {r + 1}", p, 2, ens, labels)
+        segments.append((ens, labels))
 
-    ens = segment_ens[0]
-    left_end = segment_labels[0][0]
-    right_end = segment_labels[0][1]
-    for i in range(1, len(segment_ens)):
-        seg = scenario.segments[i]
-        right_end = segment_labels[i][1]
+    ens, (left_end, right_end) = segments[0]
+    for seg, (ens_b, (_, right_end)) in zip(scenario.segments[1:], segments[1:]):
         # the chain's left end is a spectator of the splice at seg.left
-        maps = [np.kron(np.eye(2), m) for m in _extension_maps(scenario.nodes[seg.left])]
-        ens, p = _pair_stage(ens, segment_ens[i], maps, scenario.eta_in, (left_end, right_end),
-                             "extension")
-        fid = fidelity(ens, phi_minus((left_end, right_end)))
-        stages.append(StageResult("extend", f"at {seg.left}", p, fid))
+        ens, p = _pair_stage(ens, ens_b, _extension_maps(scenario.nodes[seg.left]),
+                             (left_end, right_end), "extension")
+        record("extend", f"at {seg.left}", p, 1, ens, (left_end, right_end))
 
-    final_fid = fidelity(ens, phi_minus((left_end, right_end)))
     total_p = math.prod(st.probability for st in stages)
     return ChainReport(
         stages=tuple(stages),
         end_labels=(left_end, right_end),
-        final_fidelity=final_fid,
+        final_fidelity=stages[-1].fidelity,
         total_probability=total_p if total_p >= sys.float_info.min else 0.0,
-        log10_total_probability=math.fsum(math.log10(st.probability) for st in stages),
+        log10_total_probability=math.fsum(logs),
         final_state=ens,
     )

@@ -292,18 +292,9 @@ def fidelity(state: StateVector | Ensemble, target: StateVector) -> float:
     return float(abs(ov) ** 2 / n2)
 
 
-def allclose_upto_phase(a: StateVector, b: StateVector, atol: float = 1e-10) -> bool:
-    """State equality up to a single global phase."""
-    if a.register.dims != b.register.dims:
-        return False
-    return _equal_upto_phase(a.amplitudes, b.amplitudes, atol)
-
-
 def _equal_upto_phase(va: np.ndarray, vb: np.ndarray, atol: float) -> bool:
-    """Amplitude vectors equal up to a single global phase."""
+    """Unit amplitude vectors equal up to a single global phase."""
     k = int(np.argmax(np.abs(vb)))
-    if abs(vb[k]) < atol:
-        return bool(np.allclose(va, vb, atol=atol))
     if abs(va[k]) < atol:
         return False
     phase = va[k] / vb[k]

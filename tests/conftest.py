@@ -44,3 +44,18 @@ def schmidt_rank(state, cut_labels, tol: float = 1e-10) -> int:
     block = np.moveaxis(state.tensor_axes(), pos, range(len(pos)))
     block = block.reshape(math.prod(reg.subsystems[p].dim for p in pos), -1)
     return int(np.sum(np.linalg.svd(block, compute_uv=False) > tol))
+
+
+def allclose_upto_phase(a, b, atol: float = 1e-10) -> bool:
+    """State equality up to a single global phase; a state below ``atol``
+    everywhere equals only another such state."""
+    if a.register.dims != b.register.dims:
+        return False
+    va, vb = a.amplitudes, b.amplitudes
+    k = int(np.argmax(np.abs(vb)))
+    if abs(vb[k]) < atol:
+        return bool(np.allclose(va, vb, atol=atol))
+    if abs(va[k]) < atol:
+        return False
+    phase = va[k] / vb[k]
+    return bool(np.allclose(va, phase / abs(phase) * vb, atol=atol))

@@ -3,9 +3,11 @@ import configparser
 import pytest
 
 from qdrepeater import cli
-from qdrepeater.cavity import CavityParams, resonant_coeffs
+from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
 from qdrepeater.cli import (COEFFS_HEADER, PURIFY_HEADER, build_parser, main, parse_args, parse_grid,
                             scenario_from_config, value_flags)
+from qdrepeater.protocols import ChainScenario, SegmentSpec, run_chain
+from qdrepeater.timebin import NoiseChannel
 
 IDEAL_SCENARIO = """\
 [defaults]
@@ -195,6 +197,88 @@ def test_scenario_at_small_eta_in_keeps_every_branch(tmp_path, capsys):
     assert code == 0
     assert "\ntotal,e0_A-e0_B,1e-52,1\n" in out
     assert out.endswith("fidelity 1.000000, probability 0.000000, log10 probability -52\n")
+
+
+@pytest.mark.parametrize("eta_in,log10_total", [("1e-160", "-640"), ("1e-200", "-800")])
+def test_scenario_at_tiny_eta_in_reports_zero_stages_and_the_log(tmp_path, capsys, eta_in, log10_total):
+    # each stage probability, eta_in ** 2 at ideal nodes, lies below the
+    # smallest normal float and reads 0; the log still counts all four passes
+    path = tmp_path / "faint.ini"
+    path.write_text(IDEAL_SCENARIO.replace("segments = AB", f"segments = AB\npurify_rounds = 1\neta_in = {eta_in}"))
+    code, out, _ = run(capsys, "chain", "--scenario", str(path))
+    assert code == 0
+    assert out == ("stage,label,probability,fidelity\n"
+                   "distribute,AB,0,1\npurify,AB round 1,0,1\ntotal,e0_A-e0_B,0,1\n"
+                   f"fidelity 1.000000, probability 0.000000, log10 probability {log10_total}\n")
+
+
+@pytest.mark.parametrize("old,new,section,key", [
+    ("[node A]\nideal = true", "[node A]\ng = 1.2\nkapa_s = 0.9", "node A", "kapa_s"),
+    ("[node A]\nideal = true", "[node A]\nideal = true\ng = 1.2", "node A", "g"),
+    ("right = B\n", "right = B\nnoise_delta = 1\nnoise_eta = 0\nnoise_etta = 0\n", "segment AB", "noise_etta"),
+    ("right = B\n", "right = B\nmiddle_noise_delta = 1\n", "segment AB", "middle_noise_delta"),
+    ("segments = AB", "segments = AB\npurify_round = 3", "chain", "purify_round"),
+])
+def test_scenario_key_the_reader_does_not_use_is_usage_error(tmp_path, capsys, old, new, section, key):
+    path = tmp_path / "typo.ini"
+    path.write_text(IDEAL_SCENARIO.replace(old, new))
+    code, out, err = run(capsys, "chain", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: [{section}]: unknown key {key!r}\n"
+
+
+@pytest.mark.parametrize("keys", ["noise_delta_l = 0.6\nnoise_eta_l = 0.8",
+                                  "right_noise_delta_l = 0.6\nright_noise_eta_l = 0.8"])
+def test_scenario_late_bin_noise_without_the_early_bin_is_usage_error(tmp_path, capsys, keys):
+    path = tmp_path / "late.ini"
+    path.write_text(IDEAL_SCENARIO.replace("right = B\n", f"right = B\n{keys}\n"))
+    code, out, err = run(capsys, "chain", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: segment AB: noise needs both noise_delta and noise_eta\n"
+
+
+def test_scenario_sided_and_late_bin_noise_keys_build_the_same_chain():
+    cp = configparser.ConfigParser()
+    cp.read_string(IDEAL_SCENARIO.replace("ideal = true", "g = 1.2\nkappa_s = 0.2", 1).replace(
+        "right = B\n",
+        "right = B\nnoise_delta = 0.6\nnoise_eta = 0.8\nnoise_delta_l = 0.8\nnoise_eta_l = 0.6j\n"
+        "right_noise_delta = 0\nright_noise_eta = 1\n"
+        "right_noise_delta_l = 0.28+0.96j\nright_noise_eta_l = 0\n").replace(
+        "segments = AB", "segments = AB\npurify_rounds = 1\neta_in = 0.9"))
+    expected = ChainScenario(
+        nodes={"A": resonant_coeffs(CavityParams(g=1.2, kappa_s=0.2, gamma=0.1)), "B": IDEAL},
+        segments=[SegmentSpec("AB", "A", "B", NoiseChannel(0.6, 0.8, 0.8, 0.6j),
+                              NoiseChannel(0, 1, 0.28 + 0.96j, 0))],
+        purify_rounds=1, eta_in=0.9)
+    scenario = scenario_from_config(cp)
+    assert scenario == expected
+    report, want = run_chain(scenario), run_chain(expected)
+    assert report.stages == want.stages
+    assert report.final_fidelity < 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("eta_in", [1.0, 0.9])
+def test_pcd_simulation_total_is_the_closed_form_efficiency(capsys, eta_in):
+    code, out, _ = run(capsys, "pcd", "--simulate", "--g", "1.7", "--kappa-s", "0.15", "--eta-in", str(eta_in))
+    assert code == 0
+    header, row = (line.split(",") for line in out.splitlines()[:2])
+    heralded = [line for line in out.splitlines() if line.startswith("heralded total")]
+    assert len(heralded) == 1
+    eta_p = float(row[header.index("eta_p")])
+    assert float(heralded[0].split()[2]) == pytest.approx(eta_in * eta_p, abs=1e-10)
+    assert float(row[header.index("eta_in_adjusted")]) == pytest.approx(eta_in * eta_p, abs=1e-10)
+
+
+def test_purify_simulation_follows_the_recursion_on_every_round(capsys):
+    code, out, _ = run(capsys, "purify", "--simulate", "--mu", "0.65", "--rounds", "4")
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.strip().splitlines())
+    assert header == PURIFY_HEADER + ["mu_simulated"]
+    assert len(rows) == 4
+    for row in rows:
+        assert float(row[-1]) == pytest.approx(float(row[header.index("mu")]), abs=1e-10)
 
 
 def test_practical_scenario_probability(tmp_path, capsys):
@@ -424,8 +508,24 @@ def test_chain_sweep(tmp_path, capsys):
                      "--output", str(out_file))
     assert code == 0
     lines = out_file.read_text().strip().splitlines()
-    assert lines[0] == "g,total_probability,final_fidelity"
+    assert lines[0] == "g,total_probability,final_fidelity,log10_total_probability"
     assert lines[1].startswith("1.2,0.770058223136")
+
+
+def _ideal_chain_file(segments):
+    nodes = "".join(f"[node n{i}]\nideal = true\n\n" for i in range(segments + 1))
+    links = "".join(f"[segment s{i}]\nleft = n{i}\nright = n{i + 1}\n\n" for i in range(segments))
+    order = " ".join(f"s{i}" for i in range(segments))
+    return f"{nodes}{links}[chain]\nsegments = {order}\n"
+
+
+def test_chain_sweep_carries_the_log_of_a_total_below_the_normal_range(tmp_path, capsys):
+    # 3 * 11 - 1 photon passes at eta_in = 1e-10: the total 1e-320 is reported as 0
+    scenario = tmp_path / "long.ini"
+    scenario.write_text(_ideal_chain_file(11) + "eta_in = 1e-10\n")
+    code, out, _ = run(capsys, "sweep", "--quantity", "chain", "--scenario", str(scenario))
+    assert code == 0
+    assert out == "g,total_probability,final_fidelity,log10_total_probability\n1.2,0,1,-320\n"
 
 
 # --- config defaults ------------------------------------------------------------------

@@ -72,12 +72,12 @@ PUBLIC_NAMES = [
     "CavityParams", "ChainReport", "ChainScenario", "CrosscheckReport", "DistributionMetrics",
     "Ensemble", "HeraldedOutcome", "IDEAL", "LinearMap", "NoiseChannel", "PurificationState",
     "Register", "RegisterError", "ScatterCoeffs", "SegmentSpec", "StateVector", "Subsystem",
-    "allclose_upto_phase", "apply_map", "apply_noise", "basis_state", "channel_mixing_weight",
-    "crosscheck", "decode", "distribute_bell", "distribute_ghz", "distribution_metrics", "encode",
-    "extend_chain", "fidelity", "full_coeffs", "ghz_state", "heralded_ensemble", "pcd",
-    "pcd_metrics", "phi_minus", "phi_plus", "photon_register", "probability_sum", "purify_analytic",
-    "purify_round", "resonant_coeffs", "run_chain", "scatter", "scatter_map", "spin_register",
-    "superposition", "tensor",
+    "apply_map", "apply_noise", "basis_state", "channel_mixing_weight", "crosscheck", "decode",
+    "distribute_bell", "distribute_ghz", "distribution_metrics", "encode", "extend_chain",
+    "fidelity", "full_coeffs", "ghz_state", "heralded_ensemble", "pcd", "pcd_metrics", "phi_minus",
+    "phi_plus", "photon_register", "probability_sum", "purify_analytic", "purify_round",
+    "resonant_coeffs", "run_chain", "scatter", "scatter_map", "spin_register", "superposition",
+    "tensor",
 ]
 
 

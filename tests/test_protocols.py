@@ -32,7 +32,6 @@ from qdrepeater.qstate import (
     Ensemble,
     LinearMap,
     StateVector,
-    allclose_upto_phase,
     apply_map,
     basis_state,
     fidelity,
@@ -41,7 +40,8 @@ from qdrepeater.qstate import (
 )
 from qdrepeater.timebin import TB_DECODED, NoiseChannel
 
-from conftest import random_asymmetric, random_coeffs, random_symmetric, symmetric_from_angles
+from conftest import (allclose_upto_phase, random_asymmetric, random_coeffs, random_symmetric,
+                      symmetric_from_angles)
 from dense_oracle import (
     PORTS,
     extend_chain_gates,
@@ -715,6 +715,19 @@ def test_chain_at_small_eta_in_keeps_every_branch():
     report = run_chain(scenario)
     assert [s.probability for s in report.stages] == pytest.approx([1e-26, 1e-26], rel=1e-12)
     assert report.total_probability == pytest.approx(1e-52, rel=1e-12)
+    assert report.final_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("eta_in,log10_total", [(1e-160, -640.0), (1e-200, -800.0)])
+def test_chain_at_tiny_eta_in_reports_zero_stages_and_the_log(eta_in, log10_total):
+    # each stage runs at unit input coupling; eta_in ** 2 per stage lies below
+    # the smallest normal float, so every stage probability reads 0
+    scenario = ChainScenario(nodes={"A": IDEAL, "B": IDEAL},
+                             segments=[SegmentSpec("AB", "A", "B")], purify_rounds=1, eta_in=eta_in)
+    report = run_chain(scenario)
+    assert [s.probability for s in report.stages] == [0.0, 0.0]
+    assert report.total_probability == 0.0
+    assert report.log10_total_probability == pytest.approx(log10_total, rel=0, abs=1e-12)
     assert report.final_fidelity == pytest.approx(1.0, abs=1e-12)
 
 

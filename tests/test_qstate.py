@@ -12,7 +12,6 @@ from qdrepeater.qstate import (
     RegisterError,
     StateVector,
     Subsystem,
-    allclose_upto_phase,
     apply_map,
     basis_state,
     fidelity,
@@ -23,7 +22,7 @@ from qdrepeater.qstate import (
 )
 from qdrepeater.timebin import phase_shift_map
 
-from conftest import schmidt_rank
+from conftest import allclose_upto_phase, schmidt_rank
 from dense_oracle import measure
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -309,6 +308,10 @@ def test_allclose_upto_phase():
     b = StateVector(reg, -1j * a.amplitudes)
     assert allclose_upto_phase(a, b)
     assert not allclose_upto_phase(a, bell_plus(reg))
+    zero = StateVector(reg, np.zeros(4))
+    assert allclose_upto_phase(zero, zero)
+    assert not allclose_upto_phase(a, zero)
+    assert not allclose_upto_phase(zero, a)
 
 
 def test_schmidt_rank_detects_products_and_entanglement():

@@ -7,7 +7,6 @@ from qdrepeater.qstate import (
     RegisterError,
     Register,
     StateVector,
-    allclose_upto_phase,
     apply_map,
     basis_state,
     hadamard,
@@ -29,7 +28,7 @@ from qdrepeater.timebin import (
     tb_label,
 )
 
-from conftest import random_asymmetric, random_symmetric, schmidt_rank
+from conftest import allclose_upto_phase, random_asymmetric, random_symmetric, schmidt_rank
 
 RT2 = 1.0 / math.sqrt(2.0)
 
