@@ -41,7 +41,7 @@ from .qstate import (
     superposition,
     tensor,
 )
-from .scatter import scatter, scatter_map
+from .scatter import scatter_map
 from .timebin import NoiseChannel, apply_noise, decode, encode, photon_register
 
 __version__ = "0.1.0"

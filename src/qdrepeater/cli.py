@@ -26,7 +26,6 @@ from .metrics import crosscheck, distribution_metrics, pcd_metrics
 from .protocols import (
     ChainScenario,
     SegmentSpec,
-    check_eta_in,
     distribute_bell,
     pcd,
     purify_analytic,
@@ -142,18 +141,26 @@ def _coeffs_row(g, ks, gamma, delta):
     return [_fmt(v) for v in vals]
 
 
-def _metrics_header(prefix):
+#: sweep quantity -> (column prefix, closed form, the branches --simulate prints, from (coeffs, eta_in))
+_METRICS = {
+    "distribution": ("d", distribution_metrics, lambda c, eta_in: distribute_bell(
+        NoiseChannel.identity(), NoiseChannel.identity(), c, c, eta_in=eta_in)),
+    "pcd": ("p", pcd_metrics, lambda c, eta_in: pcd(
+        uniform_spins(("e1", "e2")), "e1", "e2", c, eta_in=eta_in)),
+}
+
+
+def _metrics_header(quantity):
+    prefix = _METRICS[quantity][0]
     return ["g", "kappa_s", "gamma", "delta", "eta_in",
             f"eta_{prefix}_even", f"eta_{prefix}_odd", f"eta_{prefix}",
             f"f_{prefix}_even", f"f_{prefix}_odd", "eta_in_adjusted"]
 
 
-def _metrics_row(which, g, ks, gamma, delta, eta_in):
+def _metrics_row(quantity, g, ks, gamma, delta, eta_in):
     coeffs = _node(g, ks, gamma, delta)
     with _user_values():
-        check_eta_in(eta_in)
-    fn = distribution_metrics if which == "distribution" else pcd_metrics
-    m = fn(coeffs, eta_in=eta_in)
+        m = _METRICS[quantity][1](coeffs, eta_in=eta_in)
     vals = [g, ks, gamma, delta, eta_in,
             m.eta_d_even, m.eta_d_odd, m.eta_d, m.f_even, m.f_odd, m.eta_in_adjusted]
     return [_fmt(v) for v in vals]
@@ -194,9 +201,16 @@ _SEGMENT_KEYS = ("left", "right", *(side + k for side in ("", "left_", "right_")
 
 
 def _check_keys(cp, section, known) -> None:
-    for k in cp.options(section):
+    for k in cp.options(section) if cp.has_section(section) else ():
         if k not in known:
             raise UsageError(f"[{section}]: unknown key {k!r}")
+
+
+def _check_sections(cp, known, layout) -> None:
+    """Reject each section ``known`` refuses, [DEFAULT] (whose entries reach every section) included."""
+    for section in [cp.default_section] * bool(cp.defaults()) + cp.sections():
+        if not known(section):
+            raise UsageError(f"unknown section [{section}]; {layout}")
 
 
 def _segment_noise(cp, section, side):
@@ -227,10 +241,12 @@ def scenario_from_config(cp: configparser.ConfigParser,
     Sections: [defaults] (gamma, kappa_s, delta, eta_in, purify_rounds),
     one [node X] per node (ideal = true, or g / kappa_s / gamma / delta),
     one [segment NAME] per fiber segment (left, right, optional noise_*),
-    and [chain] with the ordered segment list.  Any other key in a node,
-    segment or chain section is a usage error.  ``g_override`` replaces the
-    coupling of every non-ideal node (used by the chain sweep).
+    and [chain] with the ordered segment list.  Other sections, and other
+    keys of a node, segment or chain section, are usage errors.
+    ``g_override`` replaces the coupling of every non-ideal node (chain sweep).
     """
+    _check_sections(cp, lambda s: s in ("defaults", "chain") or s.startswith(("node ", "segment ")),
+                    "a scenario file holds [defaults], [chain], [node NAME] and [segment NAME]")
     # read eagerly, so a malformed entry is rejected even when every node is ideal
     cavity_defaults = _given(cp, "defaults", ("gamma", "kappa_s", "delta"), cp.getfloat)
 
@@ -346,10 +362,15 @@ def _run_photon_script(state: StateVector, photon: str, steps) -> StateVector:
 
 
 def load_photon_script(path):
-    """Read a single-photon element script: [photon] amplitudes, [script] steps."""
+    """Read a single-photon element script: [photon] amplitudes, [script] steps
+    and [defaults] for --config; any other section or key is a usage error."""
     cp = _read_config(path)
     if not cp.has_option("script", "steps"):
         raise UsageError("script file needs a [script] section with steps")
+    _check_sections(cp, lambda s: s in ("photon", "script", "defaults"),
+                    "a script file holds [photon], [script] and [defaults]")
+    for section, keys in (("photon", ("name", "h", "v")), ("script", ("steps",))):
+        _check_keys(cp, section, keys)
     name = cp.get("photon", "name", fallback="a")
     h = _parse_complex(cp.get("photon", "h", fallback="1"), "[photon]")
     v = _parse_complex(cp.get("photon", "v", fallback="0"), "[photon]")
@@ -414,23 +435,13 @@ def _branch_lines(outcomes):
     return lines
 
 
-def cmd_distribute(args):
-    row = _metrics_row("distribution", args.g, args.kappa_s, args.gamma, args.delta, args.eta_in)
-    _write_table(_metrics_header("d"), [row], args.output)
+def cmd_metrics(args):
+    """distribute and pcd: the closed-form row, and with --simulate the heralded branches."""
+    row = _metrics_row(args.quantity, args.g, args.kappa_s, args.gamma, args.delta, args.eta_in)
+    _write_table(_metrics_header(args.quantity), [row], args.output)
     if args.simulate:
         coeffs = _node(args.g, args.kappa_s, args.gamma, args.delta)
-        quiet = NoiseChannel.identity()
-        outcomes = distribute_bell(quiet, quiet, coeffs, coeffs, eta_in=args.eta_in)
-        sys.stdout.write("\n".join(_branch_lines(outcomes)) + "\n")
-    return 0
-
-
-def cmd_pcd(args):
-    row = _metrics_row("pcd", args.g, args.kappa_s, args.gamma, args.delta, args.eta_in)
-    _write_table(_metrics_header("p"), [row], args.output)
-    if args.simulate:
-        coeffs = _node(args.g, args.kappa_s, args.gamma, args.delta)
-        outcomes = pcd(uniform_spins(("e1", "e2")), "e1", "e2", coeffs, eta_in=args.eta_in)
+        outcomes = _METRICS[args.quantity][2](coeffs, args.eta_in)
         sys.stdout.write("\n".join(_branch_lines(outcomes)) + "\n")
     return 0
 
@@ -471,22 +482,18 @@ def cmd_crosscheck(args):
     return 0 if report.ok else 2
 
 
-#: sweep quantities that take --eta-in
-_ETA_IN_QUANTITIES = ("distribution", "pcd")
-
-
 def cmd_sweep(args):
     # only a command-line --eta-in is checked: [defaults] is shared by every subcommand
-    if args.eta_in_given and args.quantity not in _ETA_IN_QUANTITIES:
-        raise UsageError(f"--eta-in applies only to --quantity {' or '.join(_ETA_IN_QUANTITIES)}")
+    if args.eta_in_given and args.quantity not in _METRICS:
+        raise UsageError(f"--eta-in applies only to --quantity {' or '.join(_METRICS)}")
     quantity = args.quantity
     points = list(itertools.product(args.g, args.kappa_s, args.delta))
     if quantity == "coeffs":
         rows = [_coeffs_row(g, ks, args.gamma, d) for g, ks, d in points]
         _write_table(COEFFS_HEADER, rows, args.output)
-    elif quantity in _ETA_IN_QUANTITIES:
+    elif quantity in _METRICS:
         rows = [_metrics_row(quantity, g, ks, args.gamma, d, args.eta_in) for g, ks, d in points]
-        _write_table(_metrics_header("d" if quantity == "distribution" else "p"), rows, args.output)
+        _write_table(_metrics_header(quantity), rows, args.output)
     elif quantity == "purify":
         _write_table(PURIFY_HEADER, _purify_rows(args.mu, args.rounds), args.output)
     else:  # chain, the last of the --quantity choices
@@ -548,15 +555,13 @@ def build_parser() -> _Parser:
     p = command("coeffs", cmd_coeffs, "scattering coefficients at one parameter point")
     _add_cavity_flags(p)
 
-    p = command("distribute", cmd_distribute, "entanglement-distribution metrics")
-    _add_cavity_flags(p)
-    _add_eta_in(p)
-    p.add_argument("--simulate", action="store_true", help="print the heralded branch table")
-
-    p = command("pcd", cmd_pcd, "parity-check detector metrics")
-    _add_cavity_flags(p)
-    _add_eta_in(p)
-    p.add_argument("--simulate", action="store_true", help="print the heralded branch table")
+    for name, quantity, help in (("distribute", "distribution", "entanglement-distribution metrics"),
+                                 ("pcd", "pcd", "parity-check detector metrics")):
+        p = command(name, cmd_metrics, help)
+        p.set_defaults(quantity=quantity)
+        _add_cavity_flags(p)
+        _add_eta_in(p)
+        p.add_argument("--simulate", action="store_true", help="print the heralded branch table")
 
     p = command("purify", cmd_purify, "purification recursion table")
     p.add_argument("--mu", type=float, default=0.7, help="starting weight of the phase-correct Bell state")

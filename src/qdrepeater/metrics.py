@@ -87,26 +87,21 @@ class CrosscheckReport:
 
 def crosscheck(coeffs: ScatterCoeffs) -> CrosscheckReport:
     """Replay distribution and parity check by state evolution; compare formulas."""
-    dm = distribution_metrics(coeffs)
-    rows: list[CrosscheckRow] = []
-
     quiet = NoiseChannel.identity()
-    for out in distribute_bell(quiet, quiet, coeffs, coeffs):
-        even = out.detection in ("R↑R↑", "L↓L↓")
-        p_ref = (dm.eta_d_even if even else dm.eta_d_odd) / 2.0
-        rows.append(CrosscheckRow(f"distribute p({out.detection})", out.probability, p_ref))
-        if out.fidelity is not None:
-            f_ref = dm.f_even if even else dm.f_odd
-            rows.append(CrosscheckRow(f"distribute F({out.detection})", out.fidelity, f_ref))
-
-    pm = pcd_metrics(coeffs)
-    for out in pcd(uniform_spins(("e1", "e2")), "e1", "e2", coeffs):
-        even = out.detection.startswith("R")
-        p_ref = (pm.eta_d_even if even else pm.eta_d_odd) / 2.0
-        rows.append(CrosscheckRow(f"pcd p({out.detection})", out.probability, p_ref))
-        if out.fidelity is not None:
-            f_ref = pm.f_even if even else pm.f_odd
-            rows.append(CrosscheckRow(f"pcd F({out.detection})", out.fidelity, f_ref))
+    # (row label, closed forms, detections of the even parity, heralded branches)
+    primitives = (("distribute", distribution_metrics(coeffs), ("R↑R↑", "L↓L↓"),
+                   distribute_bell(quiet, quiet, coeffs, coeffs)),
+                  ("pcd", pcd_metrics(coeffs), ("R_a1", "R_a2"),
+                   pcd(uniform_spins(("e1", "e2")), "e1", "e2", coeffs)))
+    rows: list[CrosscheckRow] = []
+    for label, m, even_detections, outcomes in primitives:
+        for out in outcomes:
+            even = out.detection in even_detections
+            p_ref = (m.eta_d_even if even else m.eta_d_odd) / 2.0
+            rows.append(CrosscheckRow(f"{label} p({out.detection})", out.probability, p_ref))
+            if out.fidelity is not None:
+                f_ref = m.f_even if even else m.f_odd
+                rows.append(CrosscheckRow(f"{label} F({out.detection})", out.fidelity, f_ref))
 
     worst = max(r.deviation for r in rows)
     return CrosscheckReport(rows=tuple(rows), max_deviation=worst,

@@ -182,7 +182,7 @@ def _photon_transfer(noise: NoiseChannel, coeffs: ScatterCoeffs, phased: bool) -
     path = _decoder_matrix() @ fiber_map(noise).matrix @ encode_map().matrix[:, [0, 2]]
     if phased:
         path = np.kron(phase_shift_map(math.pi).matrix, np.eye(4)) @ path
-    # scatter acts on (polarization, direction, spin); the time bin is a spectator
+    # the scattering map acts on (polarization, direction, spin); the time bin is a spectator
     s_plus = scatter_map(coeffs).matrix.reshape(8, 4, 2) @ np.array([RT2, RT2])
     v = np.einsum("pdxq,qts->spdtx", s_plus.reshape(2, 2, 2, 4), path.reshape(4, 2, 2))
     return v.reshape(2, 8, 2)
@@ -415,9 +415,8 @@ def _parity_operators(coeffs: ScatterCoeffs) -> tuple[tuple[str, LinearMap], ...
             ("odd", LinearMap(np.diag([0.0, (u - v) / 2.0, (v - u) / 2.0, 0.0]))))
 
 
-#: detector ports in measurement order: (label, parity, sign of the amplitude)
-_PCD_PORTS = (("R_a1", "even", 1.0), ("R_a2", "even", 1.0),
-              ("L_a1", "odd", 1.0), ("L_a2", "odd", -1.0))
+#: the two detector ports of each parity: (label, sign of the amplitude)
+_PCD_PORTS = {"even": (("R_a1", 1.0), ("R_a2", 1.0)), "odd": (("L_a1", 1.0), ("L_a2", -1.0))}
 
 
 def pcd(
@@ -446,24 +445,19 @@ def pcd(
     # both ports of a parity carry K/sqrt(2), so each heralds half of the
     # probability and the same state; a parity whose ports carry no more
     # than the dead-branch weight has probability 0 and post state None
-    branches, ideal_targets = {}, {}
+    outcomes = []
     for (parity, kraus), (_, ideal) in zip(_parity_operators(coeffs), _parity_operators(IDEAL)):
         heralded = apply_map(state, kraus, [spin1, spin2])
         p = heralded.norm2
-        branches[parity] = (0.0, None) if p / 2.0 <= _ZERO else (p * eta_in, heralded.normalized())
-        branch = apply_map(state, ideal, [spin1, spin2])
-        ideal_targets[parity] = branch.normalized() if branch.norm2 > _ZERO else None
-
-    outcomes = []
-    for label, parity, sign in _PCD_PORTS:
-        p, post = branches[parity]
-        if post is None:
-            outcomes.append(HeraldedOutcome(label, 0.0, (), None, None))
+        if p / 2.0 <= _ZERO:
+            outcomes += [HeraldedOutcome(label, 0.0, (), None, None) for label, _ in _PCD_PORTS[parity]]
             continue
-        post = StateVector(post.register, sign * post.amplitudes)
-        tgt = ideal_targets[parity]
-        fid = fidelity(post, tgt) if tgt is not None else None
-        outcomes.append(HeraldedOutcome(label, p / 2.0, (), post, fid))
+        target = apply_map(state, ideal, [spin1, spin2])
+        target = target.normalized() if target.norm2 > _ZERO else None
+        for label, sign in _PCD_PORTS[parity]:
+            post = StateVector(heralded.register, sign * (heralded.amplitudes / math.sqrt(p)))
+            fid = fidelity(post, target) if target is not None else None
+            outcomes.append(HeraldedOutcome(label, p * eta_in / 2.0, (), post, fid))
     return outcomes
 
 

@@ -22,8 +22,8 @@ import itertools
 import numpy as np
 
 from .cavity import ScatterCoeffs
-from .qstate import LinearMap, RegisterError, StateVector, apply_map
-from .timebin import DIRECTION, POL_CIRCULAR, dir_label, pol_label
+from .qstate import LinearMap
+from .timebin import DIRECTION, POL_CIRCULAR
 
 #: (polarization, direction, spin) triples that couple to the dipole.
 _COUPLED = {
@@ -51,20 +51,3 @@ def scatter_map(coeffs: ScatterCoeffs) -> LinearMap:
             m[flipped, col] += coeffs.r0
     return LinearMap(m)
 
-
-def scatter(state: StateVector, photon: str, spin: str, coeffs: ScatterCoeffs) -> StateVector:
-    """Scatter one photon off one spin; output norm may shrink (leak/noise loss)."""
-    pol = pol_label(photon)
-    direction = dir_label(photon)
-    reg = state.register
-    if not reg.has(direction):
-        raise RegisterError(f"photon {photon!r} has no direction subsystem")
-    if not reg.has(pol):
-        raise RegisterError(f"photon {photon!r} has no polarization subsystem")
-    if reg.subsystem(pol).levels != POL_CIRCULAR:
-        raise RegisterError(
-            f"photon {photon!r} must be in the circular basis (R, L); apply the quarter-wave relabel first"
-        )
-    if reg.subsystem(direction).levels != DIRECTION:
-        raise RegisterError(f"photon {photon!r} direction levels must be {DIRECTION}")
-    return apply_map(state, scatter_map(coeffs), [pol, direction, spin])

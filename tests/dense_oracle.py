@@ -17,7 +17,9 @@ ports, Hadamard and Pauli gates one spin at a time, and `measure`.  The
 library applies each heralded branch as one cached map; the tests compare
 the two.
 
-`measure` is the projective measurement these references detect with.
+`measure` is the projective measurement these references detect with, and
+`scatter` applies the library's `scatter_map` to one photon and one spin
+of a register.
 """
 
 import itertools
@@ -54,8 +56,10 @@ from qdrepeater.qstate import (
     superposition,
     tensor,
 )
-from qdrepeater.scatter import scatter, scatter_map
+from qdrepeater.scatter import scatter_map
 from qdrepeater.timebin import (
+    DIRECTION,
+    POL_CIRCULAR,
     NoiseChannel,
     apply_noise,
     decode,
@@ -124,6 +128,24 @@ def measure(state, targets) -> list[MeasurementBranch]:
         post = StateVector(remaining, _unit(block[k], p)) if p > 0.0 else None
         branches.append(MeasurementBranch(outcome=outcome, probability=p, post=post))
     return branches
+
+
+def scatter(state, photon, spin, coeffs) -> StateVector:
+    """Scatter one photon off one spin; output norm may shrink (leak/noise loss)."""
+    pol = pol_label(photon)
+    direction = dir_label(photon)
+    reg = state.register
+    if not reg.has(direction):
+        raise RegisterError(f"photon {photon!r} has no direction subsystem")
+    if not reg.has(pol):
+        raise RegisterError(f"photon {photon!r} has no polarization subsystem")
+    if reg.subsystem(pol).levels != POL_CIRCULAR:
+        raise RegisterError(
+            f"photon {photon!r} must be in the circular basis (R, L); apply the quarter-wave relabel first"
+        )
+    if reg.subsystem(direction).levels != DIRECTION:
+        raise RegisterError(f"photon {photon!r} direction levels must be {DIRECTION}")
+    return apply_map(state, scatter_map(coeffs), [pol, direction, spin])
 
 
 def run_distribution(photon_names, noises, coeffs_list, phase_photon, spin_labels):

@@ -1,4 +1,5 @@
 import configparser
+import pathlib
 
 import pytest
 
@@ -228,6 +229,27 @@ def test_scenario_key_the_reader_does_not_use_is_usage_error(tmp_path, capsys, o
     assert err == f"usage error: [{section}]: unknown key {key!r}\n"
 
 
+#: one practical and one ideal node, with [defaults] that change the result
+DEFAULTS_SCENARIO = IDEAL_SCENARIO.replace("[node A]\nideal = true", "[node A]\ng = 1.2").replace(
+    "gamma = 0.1", "gamma = 0.5\neta_in = 0.5")
+
+
+@pytest.mark.parametrize("old,new,section", [
+    ("[defaults]", "[default]", "default"),
+    ("[chain]", "[segmnet AB]\nleft = A\nright = B\n\n[chain]", "segmnet AB"),
+    ("[chain]", "[nodes C]\nideal = true\n\n[chain]", "nodes C"),
+    ("[defaults]", "[DEFAULT]\ngamma = 0.5\n\n[defaults]", "DEFAULT"),
+])
+def test_scenario_section_the_reader_does_not_use_is_usage_error(tmp_path, capsys, old, new, section):
+    path = tmp_path / "typo.ini"
+    path.write_text(DEFAULTS_SCENARIO.replace(old, new))
+    code, out, err = run(capsys, "chain", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"usage error: unknown section [{section}]; a scenario file holds "
+                   "[defaults], [chain], [node NAME] and [segment NAME]\n")
+
+
 @pytest.mark.parametrize("keys", ["noise_delta_l = 0.6\nnoise_eta_l = 0.8",
                                   "right_noise_delta_l = 0.6\nright_noise_eta_l = 0.8"])
 def test_scenario_late_bin_noise_without_the_early_bin_is_usage_error(tmp_path, capsys, keys):
@@ -375,6 +397,25 @@ def test_golden_files(name, args, tmp_path, capsys):
     assert produced.read_bytes() == golden.read_bytes(), f"{name} drifted from the golden file"
 
 
+#: stdout pinned in full; of crosscheck, the quantity, simulated and analytic columns
+STDOUT_GOLDEN = {
+    "distribute_simulate.txt": ["distribute", "--simulate", "--g", "1.2", "--kappa-s", "0.2",
+                                "--eta-in", "0.9"],
+    "pcd_simulate.txt": ["pcd", "--simulate", "--g", "1.7", "--kappa-s", "0.15", "--eta-in", "0.8"],
+    "crosscheck_rows.csv": ["crosscheck", "--g", "1.2", "--kappa-s", "0.2"],
+}
+
+
+@pytest.mark.parametrize("name,args", sorted(STDOUT_GOLDEN.items()))
+def test_stdout_matches_golden(name, args, capsys):
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    if name == "crosscheck_rows.csv":
+        # quantity, simulated, analytic: the deviation column holds rounding noise
+        out = "".join(",".join(line.split(",")[:3]) + "\n" for line in out.splitlines())
+    assert out == (pathlib.Path(__file__).parent / "golden" / name).read_text(encoding="utf-8")
+
+
 # --- photon element scripts ------------------------------------------------------------
 
 def test_photon_script_runs_the_decoder_chain(tmp_path, capsys):
@@ -411,6 +452,30 @@ steps =
     code, out, _ = run(capsys, "photon", "--script", str(path))
     assert code == 0
     assert "|V,up,sl>,1,0" in out
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("v = 0.8", "vv = 0.8", "[photon]: unknown key 'vv'"),
+    ("[photon]", "[photons]",
+     "unknown section [photons]; a script file holds [photon], [script] and [defaults]"),
+    ("steps = hwp", "steps = hwp\nstep = qwp", "[script]: unknown key 'step'"),
+])
+def test_photon_script_section_or_key_the_reader_does_not_use_is_usage_error(tmp_path, capsys,
+                                                                              old, new, message):
+    path = tmp_path / "script.ini"
+    path.write_text("[photon]\nh = 0.6\nv = 0.8\n\n[script]\nsteps = hwp\n".replace(old, new))
+    code, out, err = run(capsys, "photon", "--script", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_photon_script_keeps_unchecked_config_defaults_and_reads_its_amplitudes(tmp_path, capsys):
+    path = tmp_path / "script.ini"
+    path.write_text("[defaults]\ngamma = 0.5\n\n[photon]\nh = 0.6\nv = 0.8\n\n[script]\nsteps = hwp\n")
+    code, out, _ = run(capsys, "photon", "--script", str(path))
+    assert code == 0
+    assert "|H,up,s>,0.989949493661,0\n|V,up,s>,-0.141421356237,0\n" in out
 
 
 def test_photon_script_rejects_unknown_step(tmp_path, capsys):
@@ -776,3 +841,53 @@ def test_chain_sweep_reads_the_scenario_once(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 1 + 3
     assert reads == [str(scenario)]
+
+
+def _segment(extra):
+    return IDEAL_SCENARIO.replace("right = B\n", f"right = B\n{extra}\n")
+
+
+SCENARIO = ["chain", "--scenario", "FILE"]
+SCRIPT = ["photon", "--script", "FILE"]
+
+#: (argv, contents of FILE or None when it is not written, message fragment)
+USAGE_ERRORS = {
+    "scenario-complex": (SCENARIO, _segment("noise_delta = 1\nnoise_eta = abc"),
+                         "cannot parse complex value 'abc'"),
+    "scenario-late-bin": (SCENARIO, _segment("noise_delta = 0.6\nnoise_eta = 0.8\nnoise_delta_l = 0.6"),
+                          "asymmetric noise needs both noise_delta_l and noise_eta_l"),
+    "scenario-no-right": (SCENARIO, IDEAL_SCENARIO.replace("right = B\n", ""), "No option 'right'"),
+    "scenario-no-chain": (SCENARIO, IDEAL_SCENARIO.split("[chain]")[0],
+                          "scenario file needs a [chain] section"),
+    "scenario-empty-chain": (SCENARIO, IDEAL_SCENARIO.replace("segments = AB", "segments = ,"),
+                             "[chain]: empty segment list"),
+    "scenario-negative-rounds": (SCENARIO, IDEAL_SCENARIO.replace("[chain]", "[chain]\npurify_rounds = -1"),
+                                 "purify_rounds must be nonnegative"),
+    "scenario-one-node": (SCENARIO, IDEAL_SCENARIO.replace("right = B", "right = A"), "ends at a single node"),
+    "chain-no-file": (["chain"], None, "chain needs --scenario FILE"),
+    "chain-sweep-no-file": (["sweep", "--quantity", "chain"], None, "chain sweep needs --scenario FILE"),
+    "photon-no-file": (["photon"], None, "photon needs --script FILE"),
+    "photon-malformed": (SCRIPT, "[script]\nsteps = encode(\n", "malformed script step"),
+    "photon-encode-circular": (SCRIPT, "[script]\nsteps = qwp, encode\n",
+                               "must be in the linear basis to encode"),
+    "photon-noise-decoded": (SCRIPT, "[script]\nsteps = encode, decode, noise(0.6, 0.8)\n",
+                             "raw (s, l) time-bin form"),
+    "photon-decode-circular": (SCRIPT, "[script]\nsteps = qwp, decode\n", "linear basis to decode"),
+    "photon-decode-routed": (SCRIPT, "[photon]\nh = 0\nv = 1\n\n[script]\nsteps = pbs, decode\n",
+                             "direction tag must be clear"),
+    "photon-pc-window": (SCRIPT, "[script]\nsteps = pc(xx)\n", "PC window refers to unknown time bins"),
+    "photon-delay-level": (SCRIPT, "[script]\nsteps = delay(Q)\n", "no level named 'Q'"),
+    "photon-zero": (SCRIPT, "[photon]\nh = 0\nv = 0\n\n[script]\nsteps = qwp\n", "zero input amplitudes"),
+    "config-missing": (["coeffs", "--config", "FILE"], None, "cannot read config"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_input_errors_are_usage_errors(tmp_path, capsys, case):
+    argv, text, message = USAGE_ERRORS[case]
+    path = tmp_path / "input.ini"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 1
+    assert err.startswith("usage error: ") and message in err

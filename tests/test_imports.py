@@ -76,7 +76,7 @@ PUBLIC_NAMES = [
     "distribute_bell", "distribute_ghz", "distribution_metrics", "encode", "extend_chain",
     "fidelity", "full_coeffs", "ghz_state", "heralded_ensemble", "pcd", "pcd_metrics", "phi_minus",
     "phi_plus", "photon_register", "probability_sum", "purify_analytic", "purify_round",
-    "resonant_coeffs", "run_chain", "scatter", "scatter_map", "spin_register", "superposition",
+    "resonant_coeffs", "run_chain", "scatter_map", "spin_register", "superposition",
     "tensor",
 ]
 

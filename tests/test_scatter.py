@@ -12,9 +12,10 @@ from qdrepeater.qstate import (
     basis_state,
     superposition,
 )
-from qdrepeater.scatter import scatter, scatter_map
+from qdrepeater.scatter import scatter_map
 
 from conftest import random_coeffs
+from dense_oracle import scatter
 
 RT2 = 1.0 / math.sqrt(2.0)
 
