@@ -206,11 +206,14 @@ def _check_keys(cp, section, known) -> None:
             raise UsageError(f"[{section}]: unknown key {k!r}")
 
 
-def _check_sections(cp, known, layout) -> None:
-    """Reject each section ``known`` refuses, [DEFAULT] (whose entries reach every section) included."""
+def _check_sections(cp, kind, known) -> None:
+    """Reject each section, [DEFAULT] with entries included, whose "[name]" starts with no entry
+    of ``known``: "[chain]" admits one section, "[node " every [node NAME]."""
+    names = [k if k.endswith("]") else k + "NAME]" for k in known]
     for section in [cp.default_section] * bool(cp.defaults()) + cp.sections():
-        if not known(section):
-            raise UsageError(f"unknown section [{section}]; {layout}")
+        if not f"[{section}]".startswith(known):
+            raise UsageError(f"unknown section [{section}]; a {kind} file holds "
+                             f"{', '.join(names[:-1])} and {names[-1]}")
 
 
 def _segment_noise(cp, section, side):
@@ -245,8 +248,7 @@ def scenario_from_config(cp: configparser.ConfigParser,
     keys of a node, segment or chain section, are usage errors.
     ``g_override`` replaces the coupling of every non-ideal node (chain sweep).
     """
-    _check_sections(cp, lambda s: s in ("defaults", "chain") or s.startswith(("node ", "segment ")),
-                    "a scenario file holds [defaults], [chain], [node NAME] and [segment NAME]")
+    _check_sections(cp, "scenario", ("[defaults]", "[chain]", "[node ", "[segment "))
     # read eagerly, so a malformed entry is rejected even when every node is ideal
     cavity_defaults = _given(cp, "defaults", ("gamma", "kappa_s", "delta"), cp.getfloat)
 
@@ -367,8 +369,7 @@ def load_photon_script(path):
     cp = _read_config(path)
     if not cp.has_option("script", "steps"):
         raise UsageError("script file needs a [script] section with steps")
-    _check_sections(cp, lambda s: s in ("photon", "script", "defaults"),
-                    "a script file holds [photon], [script] and [defaults]")
+    _check_sections(cp, "script", ("[photon]", "[script]", "[defaults]"))
     for section, keys in (("photon", ("name", "h", "v")), ("script", ("steps",))):
         _check_keys(cp, section, keys)
     name = cp.get("photon", "name", fallback="a")
@@ -618,6 +619,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
         cp = _read_config(args.config)
+        # the file may also be the run's scenario or script file; purify_rounds is a scenario default
+        _check_sections(cp, "config", ("[defaults]", "[chain]", "[node ", "[segment ", "[photon]", "[script]"))
+        _check_keys(cp, "defaults", {"purify_rounds"}.union(*map(value_flags, parser.commands.values())))
         command = parser.commands[args.command]
         command.set_defaults(**{dest: cp.get("defaults", dest) for dest in value_flags(command)
                                 if cp.has_option("defaults", dest)})

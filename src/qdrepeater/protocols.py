@@ -352,20 +352,21 @@ def channel_mixing_weight(channels) -> float:
 def _normalized_ensemble(reg: Register, pairs) -> Ensemble:
     """Ensemble over ``reg`` from (weight, unit amplitude row) pairs.
 
-    Rows equal up to a global phase are the same pure state, so their
-    weights are pooled.  If the distinct rows still outnumber the register
-    dimension d, the mixture is rebuilt from the eigenbasis of its density
-    matrix, which represents any d-dimensional mixture exactly with at most
-    d pure components.  Exact summation keeps the weight total at 1.
+    A row equal up to a global phase to an earlier distinct row is the same
+    pure state, and its weight joins the first such row.  If more distinct
+    rows than the register dimension d remain, the mixture is rebuilt from
+    the eigenbasis of its density matrix, which holds any d-dimensional
+    mixture exactly in d pure components.  Exact sums keep the total at 1.
     """
-    distinct: list[tuple[float, np.ndarray]] = []
+    rows = np.empty((len(pairs), reg.dim), dtype=complex)     # the distinct rows so far, stacked
+    distinct: list[list] = []                                   # [pooled weight, row]
     for w, amps in pairs:
-        for i, (wd, ad) in enumerate(distinct):
-            if _equal_upto_phase(ad, amps, _MERGE_TOL):
-                distinct[i] = (wd + w, ad)
-                break
+        match = np.flatnonzero(_equal_upto_phase(rows[:len(distinct)], amps, _MERGE_TOL))
+        if match.size:
+            distinct[match[0]][0] += w
         else:
-            distinct.append((w, amps))
+            rows[len(distinct)] = amps
+            distinct.append([w, amps])
     total = math.fsum(w for w, _ in distinct)
 
     if len(distinct) > reg.dim:

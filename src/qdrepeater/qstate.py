@@ -292,12 +292,12 @@ def fidelity(state: StateVector | Ensemble, target: StateVector) -> float:
     return float(abs(ov) ** 2 / n2)
 
 
-def _equal_upto_phase(va: np.ndarray, vb: np.ndarray, atol: float) -> bool:
-    """Unit amplitude vectors equal up to a single global phase."""
+def _equal_upto_phase(va: np.ndarray, vb: np.ndarray, atol: float) -> np.ndarray:
+    """Which rows of ``va`` equal unit row ``vb`` up to a global phase (`np.allclose` per row, rtol 1e-5)."""
     k = int(np.argmax(np.abs(vb)))
-    if abs(va[k]) < atol:
-        return False
-    phase = va[k] / vb[k]
-    phase = phase / abs(phase)
-    return bool(np.allclose(va, phase * vb, atol=atol))
+    with np.errstate(all="ignore"):     # a row below atol at k may get a nan or inf phase
+        phase = va[..., k:k + 1] / vb[k]
+        b = phase / np.abs(phase) * vb
+        close = (np.abs(va - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b) | (va == b)
+        return (np.abs(va[..., k]) >= atol) & close.all(axis=-1)
 

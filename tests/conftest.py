@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdrepeater import CavityParams, NoiseChannel, resonant_coeffs
+from qdrepeater import CavityParams, NoiseChannel, channel_mixing_weight, resonant_coeffs
 
 
 @pytest.fixture
@@ -59,3 +59,28 @@ def allclose_upto_phase(a, b, atol: float = 1e-10) -> bool:
         return False
     phase = va[k] / vb[k]
     return bool(np.allclose(va, phase / abs(phase) * vb, atol=atol))
+
+
+def ideal_chain_closed_form(scenario) -> list[tuple[float, float]]:
+    """(probability, fidelity) of every stage of a chain of ideal nodes, in
+    `run_chain`'s order.
+
+    Each segment starts at mu = `channel_mixing_weight` of its two fibers
+    with probability eta_in^2.  Each purification round maps mu -> mu^2/s,
+    s = mu^2 + (1 - mu)^2, with probability eta_in^2 s.  Each extension has
+    probability eta_in, and the fidelity of the chain so far is
+    (1 + prod(2 mu_i - 1))/2 over its segments.
+    """
+    eta_in = scenario.eta_in
+    stages, mus = [], []
+    for seg in scenario.segments:
+        mu = channel_mixing_weight([seg.noise_left, seg.noise_right])
+        stages.append((eta_in ** 2, mu))
+        for _ in range(scenario.purify_rounds):
+            s = mu ** 2 + (1.0 - mu) ** 2
+            mu = mu ** 2 / s
+            stages.append((eta_in ** 2 * s, mu))
+        mus.append(mu)
+    for k in range(2, len(mus) + 1):
+        stages.append((eta_in, (1.0 + math.prod(2.0 * mu - 1.0 for mu in mus[:k])) / 2.0))
+    return stages

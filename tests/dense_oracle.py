@@ -20,6 +20,9 @@ the two.
 `measure` is the projective measurement these references detect with, and
 `scatter` applies the library's `scatter_map` to one photon and one spin
 of a register.
+
+`pool_scalar` pools a mixture's members one `np.allclose` at a time; the
+library compares each new member with all distinct ones in one expression.
 """
 
 import itertools
@@ -43,6 +46,7 @@ from qdrepeater.protocols import (
     uniform_spins,
 )
 from qdrepeater.qstate import (
+    Ensemble,
     LinearMap,
     Register,
     RegisterError,
@@ -80,6 +84,10 @@ PORTS = (("R", "up"), ("L", "dn"))
 
 #: branch weights below this are numerically dead, as in the library
 ZERO = 1e-24
+
+#: members equal up to a phase within this (and numpy's default rtol, 1e-5)
+#: are pooled, as in the library
+MERGE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -363,6 +371,48 @@ def extend_chain_gates(ghz, bell, joint_node, coeffs, eta_in=1.0):
 def merge(weighted):
     """The library's ensemble merge of (weight, state) pairs, through `heralded_ensemble`."""
     return heralded_ensemble([HeraldedOutcome("", w, (), st, None) for w, st in weighted])
+
+
+def equal_upto_phase_scalar(va, vb, atol) -> bool:
+    """One unit row against another up to a global phase, read off the largest
+    entry of ``vb``; a ``va`` below ``atol`` there is unequal."""
+    k = int(np.argmax(np.abs(vb)))
+    if abs(va[k]) < atol:
+        return False
+    phase = va[k] / vb[k]
+    phase = phase / abs(phase)
+    return bool(np.allclose(va, phase * vb, atol=atol))
+
+
+def pool_scalar(pairs) -> Ensemble:
+    """The mixture of (weight, normalized state) pairs, pooled one pair at a time.
+
+    Each state's weight joins the first distinct state so far that equals it
+    up to a phase, compared one by one with `equal_upto_phase_scalar`, or the
+    state becomes a distinct state itself.  More distinct states than the
+    register dimension are rebuilt from the eigenbasis of the density matrix.
+    """
+    reg = pairs[0][1].register
+    distinct = []
+    for w, state in pairs:
+        for i, (wd, ad) in enumerate(distinct):
+            if equal_upto_phase_scalar(ad, state.amplitudes, MERGE_TOL):
+                distinct[i] = (wd + w, ad)
+                break
+        else:
+            distinct.append((w, state.amplitudes))
+    total = math.fsum(w for w, _ in distinct)
+    if len(distinct) > reg.dim:
+        rho = np.zeros((reg.dim, reg.dim), dtype=complex)
+        for w, amps in distinct:
+            rho += (w / total) * np.outer(amps, amps.conj())
+        eigvals, eigvecs = np.linalg.eigh(rho)
+        distinct = [(float(lam), eigvecs[:, i]) for i, lam in enumerate(eigvals) if lam > ZERO]
+        distinct.reverse()
+        total = math.fsum(w for w, _ in distinct)
+    scaled = [(w / total, amps) for w, amps in distinct]
+    residual = math.fsum(w for w, _ in scaled)
+    return Ensemble(tuple((w / residual, StateVector(reg, amps)) for w, amps in scaled))
 
 
 def relabel(state, labels):

@@ -416,6 +416,21 @@ def test_stdout_matches_golden(name, args, capsys):
     assert out == (pathlib.Path(__file__).parent / "golden" / name).read_text(encoding="utf-8")
 
 
+#: four segments over nodes I/P/Q/I/P, two rounds, eta_in 0.9, an asymmetric
+#: rotation on every fiber end; the golden file holds the two stdouts in turn
+CHAIN_4X2 = pathlib.Path(__file__).parent / "chain_4x2.ini"
+
+
+def test_chain_and_chain_sweep_match_golden(capsys):
+    outs = []
+    for argv in (["chain"], ["sweep", "--quantity", "chain", "--g-grid", "1.2,2.4"]):
+        code, out, _ = run(capsys, *argv, "--scenario", str(CHAIN_4X2))
+        assert code == 0
+        outs.append(out)
+    assert "".join(outs) == (pathlib.Path(__file__).parent / "golden" / "chain_4x2.txt").read_text(
+        encoding="utf-8")
+
+
 # --- photon element scripts ------------------------------------------------------------
 
 def test_photon_script_runs_the_decoder_chain(tmp_path, capsys):
@@ -661,6 +676,46 @@ def test_sweep_takes_mu_default_as_one_point_grid(tmp_path, capsys):
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 3
     assert all(row.startswith("0.8,") for row in rows)
+
+
+#: every section a config file may hold: it may also be the run's scenario or script file
+CONFIG_LAYOUT = ("a config file holds [defaults], [chain], [node NAME], [segment NAME], "
+                 "[photon] and [script]")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[default]\ng = 2.4\n", f"unknown section [default]; {CONFIG_LAYOUT}"),
+    ("[DEFAULT]\ng = 2.4\n", f"unknown section [DEFAULT]; {CONFIG_LAYOUT}"),
+    ("[defaults]\ng = 2.4\n\n[nodes A]\nideal = true\n", f"unknown section [nodes A]; {CONFIG_LAYOUT}"),
+    ("[defaults]\ngg = 2.4\n", "[defaults]: unknown key 'gg'"),
+    ("[defaults]\npurify_round = 1\n", "[defaults]: unknown key 'purify_round'"),
+], ids=["default", "DEFAULT", "nodes", "gg", "purify_round"])
+def test_config_section_or_defaults_key_nothing_reads_is_usage_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "coeffs", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_config_may_be_the_scenario_file(tmp_path, capsys):
+    # scenario sections and the scenario-only purify_rounds default are allowed;
+    # eta_in and gamma are value flags of other subcommands
+    path = tmp_path / "chain.ini"
+    path.write_text(DEFAULTS_SCENARIO.replace("eta_in = 0.5", "eta_in = 0.5\npurify_rounds = 1"))
+    code, out, _ = run(capsys, "chain", "--scenario", str(path), "--config", str(path))
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:-1]] == [
+        "distribute", "purify", "total"]
+
+
+def test_config_may_be_the_script_file(tmp_path, capsys):
+    path = tmp_path / "script.ini"
+    path.write_text("[defaults]\ngamma = 0.5\n\n[photon]\nh = 0.6\nv = 0.8\n\n[script]\nsteps = hwp\n")
+    code, out, _ = run(capsys, "photon", "--script", str(path), "--config", str(path))
+    assert code == 0
+    assert "|H,up,s>,0.989949493661,0\n" in out
 
 
 def test_sweep_eta_in_equal_to_its_default_is_still_rejected(capsys):

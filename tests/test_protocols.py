@@ -11,6 +11,7 @@ from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
 from qdrepeater.metrics import distribution_metrics, pcd_metrics
 from qdrepeater.protocols import (
     ChainScenario,
+    HeraldedOutcome,
     SegmentSpec,
     channel_mixing_weight,
     distribute_bell,
@@ -40,12 +41,13 @@ from qdrepeater.qstate import (
 )
 from qdrepeater.timebin import TB_DECODED, NoiseChannel
 
-from conftest import (allclose_upto_phase, random_asymmetric, random_coeffs, random_symmetric,
-                      symmetric_from_angles)
+from conftest import (allclose_upto_phase, ideal_chain_closed_form, random_asymmetric, random_coeffs,
+                      random_symmetric, symmetric_from_angles)
 from dense_oracle import (
     PORTS,
     extend_chain_gates,
     ghz_correction_search,
+    pool_scalar,
     purify_gates,
     run_chain_gates,
     run_distribution,
@@ -641,6 +643,100 @@ def test_purify_analytic_sequence():
     assert purify_analytic(0.5, 4)[-1].mu == pytest.approx(0.5, abs=1e-12)
 
 
+# --- mixture pooling ---------------------------------------------------------------
+
+POOL_REG = spin_register(("e_a", "e_b"))
+
+#: how a member is made from its base row, and whether it pools with the base
+POOL_KINDS = {
+    "copy": True,       # the base row
+    "atol": True,       # every entry 1e-11 off
+    "rtol": True,       # the largest entry 5e-7 off relative, within rtol 1e-5 only
+    "near": True,       # the smallest entry 0.8e-5 off relative, so it also pools with "far"
+    "far": False,       # the smallest entry 1.6e-5 off relative
+    "apart": False,     # every entry 1e-4 off
+    "tiny": False,      # the largest entry at 1e-11, below atol
+    "zero": False,      # the largest entry at 0
+    "subnormal": False,  # the largest entry at 1e-310, whose phase overflows
+}
+
+
+def _unit_row(rng):
+    row = rng.normal(size=POOL_REG.dim) + 1j * rng.normal(size=POOL_REG.dim)
+    return row / np.linalg.norm(row)
+
+
+def _pool_member(row, kind, phase, rng):
+    """A unit row made from ``row`` as ``kind`` says, times a global phase."""
+    out = row.copy()
+    k = int(np.argmax(np.abs(row)))
+    if kind in ("atol", "apart"):
+        out += (1e-11 if kind == "atol" else 1e-4) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, row.size))
+    elif kind == "rtol":
+        out[k] *= 1.0 + 5e-7
+    elif kind in ("near", "far"):
+        out[np.argmin(np.abs(row))] *= 1.0 + (0.8e-5 if kind == "near" else 1.6e-5)
+    elif kind in ("tiny", "zero", "subnormal"):
+        out[k] = {"tiny": 1e-11, "zero": 0.0, "subnormal": 1e-310}[kind]
+    return np.exp(1j * phase) * out / np.linalg.norm(out)
+
+
+def _pool_outcomes(seed, n_bases, picks):
+    """One heralded outcome per (base index, kind) pick, of random weight."""
+    rng = np.random.default_rng(seed)
+    bases = [_unit_row(rng) for _ in range(n_bases)]
+    rows = [_pool_member(bases[b], kind, rng.uniform(0.0, 2.0 * math.pi), rng) for b, kind in picks]
+    return [HeraldedOutcome(f"m{i}", float(rng.uniform(1e-3, 1.0)), (), StateVector(POOL_REG, row), None)
+            for i, row in enumerate(rows)]
+
+
+_pool_inputs = st.integers(1, 6).flatmap(lambda n: st.builds(
+    _pool_outcomes, st.integers(0, 2 ** 32 - 1), st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(POOL_KINDS))), min_size=1, max_size=16)))
+
+#: every kind against its base, a representative below atol at the new row's
+#: largest entry, a row that matches two representatives, and more distinct
+#: rows than the register dimension, which takes the eigenbasis rebuild
+_EVERY_POOLING_BRANCH = _pool_outcomes(3, 5, [
+    (0, "tiny"), (0, "copy"), (0, "atol"), (0, "rtol"), (0, "apart"), (1, "zero"), (1, "copy"),
+    (1, "far"), (1, "near"), (2, "subnormal"), (2, "copy"), (3, "atol"), (3, "copy"), (4, "copy"),
+    (4, "rtol")])
+
+
+@pytest.mark.parametrize("kind", sorted(POOL_KINDS))
+def test_pooling_rule_against_the_base_row(kind):
+    # the made row comes first, so it is the representative the base row meets
+    rng = np.random.default_rng(11)
+    row = _unit_row(rng)
+    made = _pool_member(row, kind, 0.0, rng)
+    ens, _ = heralded_ensemble([HeraldedOutcome(name, 0.5, (), StateVector(POOL_REG, amps), None)
+                                for name, amps in (("made", made), ("base", row))])
+    assert len(ens.members) == (1 if POOL_KINDS[kind] else 2)
+    if kind == "rtol":
+        # beyond atol alone: the pooling rests on numpy's default rtol
+        assert not np.allclose(made, row, rtol=0.0, atol=1e-10)
+
+
+def test_a_row_that_matches_two_representatives_joins_the_first():
+    rng = np.random.default_rng(5)
+    row = _unit_row(rng)
+    rows = [row, _pool_member(row, "far", 0.0, rng), _pool_member(row, "near", 0.0, rng)]
+    ens, _ = heralded_ensemble([HeraldedOutcome(f"m{i}", w, (), StateVector(POOL_REG, amps), None)
+                                for i, (w, amps) in enumerate(zip((0.5, 0.25, 0.25), rows))])
+    assert [w for w, _ in ens.members] == [0.75, 0.25]
+
+
+@given(_pool_inputs)
+@example(_EVERY_POOLING_BRANCH)
+@settings(max_examples=60, deadline=None)
+def test_pooling_matches_scalar_oracle_bit_for_bit(outcomes):
+    ens, total = heralded_ensemble(outcomes)
+    oracle = pool_scalar([(o.probability, o.post_state) for o in outcomes])
+    assert [w for w, _ in ens.members] == [w for w, _ in oracle.members]
+    assert [s.amplitudes.tobytes() for _, s in ens.members] == [s.amplitudes.tobytes() for _, s in oracle.members]
+    assert total == math.fsum(o.probability for o in outcomes)
+
+
 # --- chains -----------------------------------------------------------------------
 
 def test_single_ideal_segment():
@@ -761,6 +857,31 @@ def test_ideal_chain_probability_counts_every_photon_pass(segments, rounds, log_
     expected = (3 * segments + 2 * segments * rounds - 1) * math.log10(eta_in)
     # the absolute floor covers eta_in near 1, where the logarithm is ~0
     assert report.log10_total_probability == pytest.approx(expected, rel=1e-12, abs=1e-13)
+
+
+#: one fiber rotated by a subnormal angle late: a member keeps a subnormal
+#: entry where the next one is largest, so their phase ratio overflows
+_SUBNORMAL_ROTATION = [(((0.0,) * 3, (0.0,) * 3), ((1.0, 0.0, 0.0), (2.225073858507203e-309, 0.0, 0.0)))]
+_QUIET_ROTATIONS = [(((0.0,) * 3, (0.0,) * 3), ((0.0,) * 3, (0.0,) * 3))] * 3
+
+
+@given(st.integers(1, 4), st.integers(0, 2), st.floats(0.7, 1.0),
+       st.lists(st.tuples(st.tuples(_rotations, _rotations), st.tuples(_rotations, _rotations)),
+                min_size=4, max_size=4))
+@example(1, 0, 1.0, _SUBNORMAL_ROTATION + _QUIET_ROTATIONS)
+@settings(max_examples=30, deadline=None)
+def test_ideal_chain_matches_closed_form(segments, rounds, eta_in, rotations):
+    scenario = _ideal_chain(segments, eta_in, rounds)
+    for seg, (left, right) in zip(scenario.segments, rotations):
+        seg.noise_left, seg.noise_right = _asymmetric_fiber(*left), _asymmetric_fiber(*right)
+    report = run_chain(scenario)
+    expected = ideal_chain_closed_form(scenario)
+    assert len(report.stages) == len(expected)
+    for stage, (p, f) in zip(report.stages, expected):
+        assert stage.probability == pytest.approx(p, rel=0, abs=1e-10)
+        assert stage.fidelity == pytest.approx(f, rel=0, abs=1e-10)
+    assert report.total_probability == pytest.approx(math.prod(p for p, _ in expected), rel=0, abs=1e-10)
+    assert report.final_fidelity == pytest.approx(expected[-1][1], rel=0, abs=1e-10)
 
 
 def test_chain_with_rounding_level_parity_ports():
