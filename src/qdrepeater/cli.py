@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import itertools
 import math
 import sys
@@ -244,11 +245,12 @@ def scenario_from_config(cp: configparser.ConfigParser,
     Sections: [defaults] (gamma, kappa_s, delta, eta_in, purify_rounds),
     one [node X] per node (ideal = true, or g / kappa_s / gamma / delta),
     one [segment NAME] per fiber segment (left, right, optional noise_*),
-    and [chain] with the ordered segment list.  Other sections, and other
-    keys of a node, segment or chain section, are usage errors.
+    and [chain] with the ordered segment list.  Any other section or key is
+    a usage error, save a value flag in [defaults] (as in a --config file).
     ``g_override`` replaces the coupling of every non-ideal node (chain sweep).
     """
     _check_sections(cp, "scenario", ("[defaults]", "[chain]", "[node ", "[segment "))
+    _check_keys(cp, "defaults", _defaults_keys())
     # read eagerly, so a malformed entry is rejected even when every node is ideal
     cavity_defaults = _given(cp, "defaults", ("gamma", "kappa_s", "delta"), cp.getfloat)
 
@@ -370,7 +372,8 @@ def load_photon_script(path):
     if not cp.has_option("script", "steps"):
         raise UsageError("script file needs a [script] section with steps")
     _check_sections(cp, "script", ("[photon]", "[script]", "[defaults]"))
-    for section, keys in (("photon", ("name", "h", "v")), ("script", ("steps",))):
+    for section, keys in (("photon", ("name", "h", "v")), ("script", ("steps",)),
+                          ("defaults", _defaults_keys())):
         _check_keys(cp, section, keys)
     name = cp.get("photon", "name", fallback="a")
     h = _parse_complex(cp.get("photon", "h", fallback="1"), "[photon]")
@@ -610,6 +613,12 @@ def value_flags(command: argparse.ArgumentParser) -> dict[str, argparse.Action]:
             if a.option_strings and a.nargs != 0 and not a.required and a.dest != "config"}
 
 
+@functools.cache
+def _defaults_keys() -> frozenset[str]:
+    """The keys [defaults] may hold in any INI file: every value flag, and purify_rounds."""
+    return frozenset({"purify_rounds"}.union(*map(value_flags, build_parser().commands.values())))
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line.  With --config, the file's [defaults] entries
     become the chosen subcommand's defaults for its value flags and the
@@ -621,7 +630,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         cp = _read_config(args.config)
         # the file may also be the run's scenario or script file; purify_rounds is a scenario default
         _check_sections(cp, "config", ("[defaults]", "[chain]", "[node ", "[segment ", "[photon]", "[script]"))
-        _check_keys(cp, "defaults", {"purify_rounds"}.union(*map(value_flags, parser.commands.values())))
+        _check_keys(cp, "defaults", _defaults_keys())
         command = parser.commands[args.command]
         command.set_defaults(**{dest: cp.get("defaults", dest) for dest in value_flags(command)
                                 if cp.has_option("defaults", dest)})

@@ -49,7 +49,6 @@ from .qstate import (
     Subsystem,
     _equal_upto_phase,
     apply_map,
-    basis_state,
     fidelity,
     hadamard,
     sigma_x,
@@ -61,17 +60,12 @@ from .scatter import scatter_map
 from .timebin import (
     DIRECTION,
     POL_CIRCULAR,
-    POL_LINEAR,
     TB_DECODED,
-    TB_RAW,
     NoiseChannel,
-    decode,
+    decode_map,
     encode_map,
     fiber_map,
     phase_shift_map,
-    photon_register,
-    pol_label,
-    tb_label,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -151,25 +145,6 @@ _PORT_ROWS = [4 * POL_CIRCULAR.index(pol) + 2 * DIRECTION.index(d) + k
               for pol, d in _PORTS for k in range(len(TB_DECODED))]
 
 
-@functools.cache
-def _decoder_matrix() -> np.ndarray:
-    """`decode` as an 8x4 matrix from (polarization, raw time bin) to
-    (polarization, direction, decoded time bin).
-
-    Read off the dense pipeline once per process by decoding the four basis
-    inputs.  The decoder only routes amplitude, so the columns must be
-    orthonormal.
-    """
-    reg = photon_register("x")
-    d = np.stack([
-        decode(basis_state(reg, {pol_label("x"): pol, tb_label("x"): tb}), "x").amplitudes
-        for pol in POL_LINEAR for tb in TB_RAW], axis=1)
-    dev = float(np.max(np.abs(d.conj().T @ d - np.eye(4))))
-    if dev > 1e-12:
-        raise RuntimeError(f"decoder matrix deviates from an isometry by {dev}")
-    return d
-
-
 def _photon_transfer(noise: NoiseChannel, coeffs: ScatterCoeffs, phased: bool) -> np.ndarray:
     """Amplitudes v[s, o, spin] left by one photon's path.
 
@@ -178,8 +153,9 @@ def _photon_transfer(noise: NoiseChannel, coeffs: ScatterCoeffs, phased: bool) -
     relabel -> scatter off its spin, which starts in |+>.  o indexes the
     photon's (circular polarization, direction, decoded time bin) outcome.
     """
-    # source columns Hs and Vs of the (polarization, raw time bin) basis
-    path = _decoder_matrix() @ fiber_map(noise).matrix @ encode_map().matrix[:, [0, 2]]
+    # source columns Hs and Vs of the (polarization, raw time bin) basis; the
+    # decoder's columns Hs, Hl, Vs, Vl with the direction tag up are 0, 1, 4, 5
+    path = decode_map().matrix[:, [0, 1, 4, 5]] @ fiber_map(noise).matrix @ encode_map().matrix[:, [0, 2]]
     if phased:
         path = np.kron(phase_shift_map(math.pi).matrix, np.eye(4)) @ path
     # the scattering map acts on (polarization, direction, spin); the time bin is a spectator
@@ -241,7 +217,6 @@ def _collect_outcomes(amps, spin_labels, correction_for, target, eta_in):
     pattern whose time-bin outcomes herald different states."""
     n = len(spin_labels)
     reg = spin_register(spin_labels)
-    scale = eta_in ** n
     tbs = list(itertools.product(TB_DECODED, repeat=n))
     probs = np.sum(np.abs(amps) ** 2, axis=2)
     outcomes = []
@@ -266,7 +241,8 @@ def _collect_outcomes(amps, spin_labels, correction_for, target, eta_in):
         posts = posts @ _correction_matrix(gates_idx, n).T
         fids = np.abs(posts @ target.amplitudes.conj()) ** 2 / np.sum(np.abs(posts) ** 2, axis=1)
         for (name, p), post, fid in zip(reported, posts, fids):
-            outcomes.append(HeraldedOutcome(name, p * scale, gates, StateVector(reg, post), float(fid)))
+            outcomes.append(HeraldedOutcome(name, _coupled(p, eta_in, n), gates,
+                                            StateVector(reg, post), float(fid)))
     return outcomes
 
 
@@ -286,6 +262,13 @@ def check_eta_in(eta_in: float) -> None:
     """Reject an input-coupling efficiency outside (0, 1]."""
     if not (0.0 < eta_in <= 1.0):
         raise ValueError(f"eta_in = {eta_in} outside (0, 1]")
+
+
+def _coupled(p: float, eta_in: float, passes: int) -> float:
+    """p eta_in^passes, a probability after ``passes`` photon passes through an
+    input coupler, reported as 0.0 below the smallest normal float."""
+    scaled = p * eta_in ** passes
+    return scaled if scaled >= sys.float_info.min else 0.0
 
 
 def distribute_bell(
@@ -458,7 +441,7 @@ def pcd(
         for label, sign in _PCD_PORTS[parity]:
             post = StateVector(heralded.register, sign * (heralded.amplitudes / math.sqrt(p)))
             fid = fidelity(post, target) if target is not None else None
-            outcomes.append(HeraldedOutcome(label, p * eta_in / 2.0, (), post, fid))
+            outcomes.append(HeraldedOutcome(label, _coupled(p / 2.0, eta_in, 1), (), post, fid))
     return outcomes
 
 
@@ -574,7 +557,7 @@ def extend_chain(
             outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
             continue
         final = StateVector(reg, out / math.sqrt(p))
-        outcomes.append(HeraldedOutcome(label, eta_in * p, gates, final, fidelity(final, target)))
+        outcomes.append(HeraldedOutcome(label, _coupled(p, eta_in, 1), gates, final, fidelity(final, target)))
     return outcomes
 
 
@@ -717,8 +700,7 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     logs: list[float] = []
 
     def record(stage, label, p, passes, ens, labels):
-        scaled = p * eta_in ** passes
-        stages.append(StageResult(stage, label, scaled if scaled >= sys.float_info.min else 0.0,
+        stages.append(StageResult(stage, label, _coupled(p, eta_in, passes),
                                   fidelity(ens, phi_minus(labels))))
         logs.append(math.log10(p) + passes * math.log10(eta_in))
 

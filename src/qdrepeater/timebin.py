@@ -9,13 +9,10 @@ H-polarized; the fiber then rotates polarization identically on both bins
 interferometer chain converts arrival time back into polarization so that
 the noise rotation factors out into a spectator time-bin product.
 
-Time bins are discrete delay counters, not continuous arrival times.  Inside
-the decoder the bin register temporarily expands to 4 and then 8 labeled
-windows; components that end with the same total delay are physically
-indistinguishable and are collapsed back to a two-level register.  The two
-output classes are labeled sp and lp, with sp the class that carries the
-unrotated (channel-diagonal) amplitude; in raw delay counts sp is the
-two-delay window and lp the one-delay window.
+Time bins are discrete delay counters.  The decoder only routes amplitude,
+so `decode` applies one 0/1 map, `decode_map()`, as `encode` applies
+`encode_map()`, and relabels the bins as arrival classes sp and lp.  The
+tests run the decoder's elements step by step as that map's reference.
 
 Each optical element is a plain function of one photon or a matrix:
 `qwp`, `delay` and `pockels` act on the photon named; a half-wave plate or a
@@ -26,6 +23,8 @@ with `apply_map` to the subsystems it acts on.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,34 +178,6 @@ def delay(state: StateVector, photon: str, pol: str) -> StateVector:
     return StateVector(new_reg, out.reshape(-1))
 
 
-def _collapse_timebin(state: StateVector, photon: str, mapping: dict[str, str],
-                      new_levels: tuple[str, ...]) -> StateVector:
-    """Merge indistinguishable arrival windows into coarse classes.
-
-    Amplitudes of windows mapped to the same class add coherently; windows
-    absent from ``mapping`` must carry no amplitude.
-    """
-    reg = state.register
-    tb = reg.subsystem(tb_label(photon))
-    t_ax = reg.position(tb.label)
-    psi = np.moveaxis(state.tensor_axes(), t_ax, 0)
-    out = np.zeros((len(new_levels),) + psi.shape[1:], dtype=complex)
-    for k, lev in enumerate(tb.levels):
-        dest = mapping.get(lev)
-        if dest is None:
-            weight = float(np.sum(np.abs(psi[k]) ** 2))
-            if weight > 1e-20:
-                raise RegisterError(f"unexpected amplitude {weight} in arrival window {lev!r}")
-            continue
-        out[new_levels.index(dest)] += psi[k]
-    new_reg = reg.replace(tb.label, Subsystem(tb.label, new_levels))
-    out = np.moveaxis(out, 0, new_reg.position(tb.label))
-    result = StateVector(new_reg, out.reshape(-1))
-    if abs(result.norm2 - state.norm2) > 1e-10:
-        raise RegisterError("arrival-window collapse changed the norm; windows were not disjoint")
-    return result
-
-
 def encode_map() -> LinearMap:
     """Encoder on (polarization, raw time bin), basis order Hs, Hl, Vs, Vl.
 
@@ -231,6 +202,32 @@ def fiber_map(ch: NoiseChannel) -> LinearMap:
         for p_in in (0, 1):
             m[p_out * 2 + 0, p_in * 2 + 0] = u_s[p_out, p_in]
             m[p_out * 2 + 1, p_in * 2 + 1] = u_l[p_out, p_in]
+    return LinearMap(m, unitary=True)
+
+
+@functools.cache
+def decode_map() -> LinearMap:
+    """Decoder on (polarization, direction, time bin), basis order as in
+    `photon_register`: raw bins s, l in, arrival classes sp, lp out.
+
+    The interferometer delays H, flips the polarization of the one-delay
+    windows (Pockels cell), writes the direction tag (polarizing splitter,
+    V -> dn) and delays V.  Windows of equal total delay arrive together:
+    the two-delay ones form class sp, which carries the unrotated
+    (channel-diagonal) amplitude, the one-delay ones class lp.  The arrival
+    bin thus picks the output polarization and port, the source
+    polarization picks the class, and under collective noise the fiber's
+    rotation factors out into a spectator time-bin product.
+
+    Physical columns (tag up): Hs -> V,dn,sp, Hl -> H,up,sp, Vs -> V,dn,lp,
+    Vl -> H,up,lp.  The tag-dn columns follow the same rule, a formal
+    unitary completion that `decode` keeps unreachable.  The map is
+    read-only, so it is built once per process.
+    """
+    m = np.zeros((8, 8), dtype=complex)
+    for p, d, b in itertools.product((0, 1), repeat=3):
+        flip = 1 - b    # the early bin leaves V-polarized on the flipped port
+        m[4 * flip + 2 * (d ^ flip) + p, 4 * p + 2 * d + b] = 1.0
     return LinearMap(m, unitary=True)
 
 
@@ -263,23 +260,9 @@ def apply_noise(state: StateVector, photon: str, ch: NoiseChannel) -> StateVecto
     return apply_map(state, fiber_map(ch), [pol_label(photon), tb])
 
 
-#: Collapse table for the decoder output: total delay count decides the class.
-#: sp collects the two-delay windows (they carry the channel-diagonal
-#: amplitude), lp the one-delay windows.
-_DECODE_CLASSES = {"sll": "sp", "lls": "sp", "ssl": "lp", "lss": "lp"}
-
-
 def decode(state: StateVector, photon: str) -> StateVector:
-    """Interferometer chain converting arrival time back into polarization.
-
-    Stages: delay on the H component (bin register 2 -> 4), window-gated
-    polarization flip on the mixed windows (sl, ls), polarizing split that
-    writes the direction tag (H -> up, V -> dn), delay on the V component
-    (4 -> 8), and collapse of same-delay windows (8 -> 2, levels sp/lp).
-
-    Under collective noise the output factorizes into a maximally entangled
-    polarization-direction part times a spectator time-bin product.
-    """
+    """Apply `decode_map()` to a photon in linear polarization, raw (s, l) bins
+    and a clear direction tag; its bins come out as arrival classes sp, lp."""
     reg = state.register
     pol = pol_label(photon)
     direc = dir_label(photon)
@@ -291,9 +274,5 @@ def decode(state: StateVector, photon: str) -> StateVector:
     psi = np.moveaxis(state.tensor_axes(), reg.position(direc), 0)
     if float(np.sum(np.abs(psi[1]) ** 2)) > 1e-20:
         raise RegisterError(f"photon {photon!r} direction tag must be clear before decoding")
-
-    state = delay(state, photon, "H")
-    state = pockels(state, photon, ("sl", "ls"))
-    state = apply_map(state, routing_map(), [pol, direc])
-    state = delay(state, photon, "V")
-    return _collapse_timebin(state, photon, _DECODE_CLASSES, TB_DECODED)
+    state = apply_map(state, decode_map(), [pol, direc, tb])
+    return StateVector(reg.replace(tb, Subsystem(tb, TB_DECODED)), state.amplitudes)

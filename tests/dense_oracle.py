@@ -2,8 +2,11 @@
 
 `run_distribution` evolves all photons and spins as one state vector
 through the time-bin pipeline (encode, fiber, decode, phase, quarter-wave
-relabel, scatter) and measures every photon.  The library builds the same
-branches from per-photon transfer amplitudes; the tests compare the two.
+relabel, scatter) and measures every photon.  It decodes with
+`decode_elements`, the decoder's optical elements one step at a time,
+where the library applies one routing map, `decode_map`.  The library
+builds the same branches from per-photon transfer amplitudes; the tests
+compare the two.
 `ghz_correction_search` finds each GHZ pattern's correction by trying
 candidates at ideal nodes; the library applies a fixed rule.
 
@@ -64,13 +67,15 @@ from qdrepeater.scatter import scatter_map
 from qdrepeater.timebin import (
     DIRECTION,
     POL_CIRCULAR,
+    TB_DECODED,
     NoiseChannel,
     apply_noise,
-    decode,
+    delay,
     dir_label,
     encode,
     phase_shift_map,
     photon_register,
+    pockels,
     pol_label,
     qwp,
     routing_map,
@@ -156,6 +161,54 @@ def scatter(state, photon, spin, coeffs) -> StateVector:
     return apply_map(state, scatter_map(coeffs), [pol, direction, spin])
 
 
+#: total delay count decides the arrival class: sp collects the two-delay
+#: windows, lp the one-delay windows
+DECODE_CLASSES = {"sll": "sp", "lls": "sp", "ssl": "lp", "lss": "lp"}
+
+
+def collapse_timebin(state, photon) -> StateVector:
+    """Merge indistinguishable arrival windows into the classes `TB_DECODED`.
+
+    Amplitudes of windows of the same class add coherently; windows absent
+    from `DECODE_CLASSES` must carry no amplitude.
+    """
+    reg = state.register
+    tb = reg.subsystem(tb_label(photon))
+    t_ax = reg.position(tb.label)
+    psi = np.moveaxis(state.tensor_axes(), t_ax, 0)
+    out = np.zeros((len(TB_DECODED),) + psi.shape[1:], dtype=complex)
+    for k, lev in enumerate(tb.levels):
+        dest = DECODE_CLASSES.get(lev)
+        if dest is None:
+            weight = float(np.sum(np.abs(psi[k]) ** 2))
+            if weight > 1e-20:
+                raise RegisterError(f"unexpected amplitude {weight} in arrival window {lev!r}")
+            continue
+        out[TB_DECODED.index(dest)] += psi[k]
+    new_reg = reg.replace(tb.label, Subsystem(tb.label, TB_DECODED))
+    out = np.moveaxis(out, 0, new_reg.position(tb.label))
+    result = StateVector(new_reg, out.reshape(-1))
+    if abs(result.norm2 - state.norm2) > 1e-10:
+        raise RegisterError("arrival-window collapse changed the norm; windows were not disjoint")
+    return result
+
+
+def decode_elements(state, photon) -> StateVector:
+    """`decode` as its interferometer chain, element by element.
+
+    Delay on the H component (bin register 2 -> 4), window-gated
+    polarization flip on the mixed windows (sl, ls), polarizing split that
+    writes the direction tag (H -> up, V -> dn), delay on the V component
+    (4 -> 8), and collapse of same-delay windows (8 -> 2, levels sp/lp).
+    `decode`'s input checks are left to `decode`.
+    """
+    state = delay(state, photon, "H")
+    state = pockels(state, photon, ("sl", "ls"))
+    state = apply_map(state, routing_map(), [pol_label(photon), dir_label(photon)])
+    state = delay(state, photon, "V")
+    return collapse_timebin(state, photon)
+
+
 def run_distribution(photon_names, noises, coeffs_list, phase_photon, spin_labels):
     """Evolve source -> encoders -> fibers -> decoders -> cavities, then detect.
 
@@ -178,7 +231,7 @@ def run_distribution(photon_names, noises, coeffs_list, phase_photon, spin_label
     for nm, ch in zip(photon_names, noises):
         state = encode(state, nm)
         state = apply_noise(state, nm, ch)
-        state = decode(state, nm)
+        state = decode_elements(state, nm)
     state = apply_map(state, phase_shift_map(math.pi), [pol_label(phase_photon)])
     for nm in photon_names:
         state = qwp(state, nm)

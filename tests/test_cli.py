@@ -219,6 +219,7 @@ def test_scenario_at_tiny_eta_in_reports_zero_stages_and_the_log(tmp_path, capsy
     ("right = B\n", "right = B\nnoise_delta = 1\nnoise_eta = 0\nnoise_etta = 0\n", "segment AB", "noise_etta"),
     ("right = B\n", "right = B\nmiddle_noise_delta = 1\n", "segment AB", "middle_noise_delta"),
     ("segments = AB", "segments = AB\npurify_round = 3", "chain", "purify_round"),
+    ("gamma = 0.1", "gama = 0.5", "defaults", "gama"),
 ])
 def test_scenario_key_the_reader_does_not_use_is_usage_error(tmp_path, capsys, old, new, section, key):
     path = tmp_path / "typo.ini"
@@ -279,6 +280,12 @@ def test_scenario_sided_and_late_bin_noise_keys_build_the_same_chain():
     report, want = run_chain(scenario), run_chain(expected)
     assert report.stages == want.stages
     assert report.final_fidelity < 1.0 - 1e-3
+
+
+def test_simulated_total_below_the_normal_range_prints_zero(capsys):
+    code, out, _ = run(capsys, "distribute", "--simulate", "--eta-in", "1e-160")
+    assert code == 0
+    assert out.endswith("\nheralded total  0   discarded 1\n")
 
 
 @pytest.mark.parametrize("eta_in", [1.0, 0.9])
@@ -474,6 +481,7 @@ steps =
     ("[photon]", "[photons]",
      "unknown section [photons]; a script file holds [photon], [script] and [defaults]"),
     ("steps = hwp", "steps = hwp\nstep = qwp", "[script]: unknown key 'step'"),
+    ("[photon]", "[defaults]\noutptu = x.csv\n\n[photon]", "[defaults]: unknown key 'outptu'"),
 ])
 def test_photon_script_section_or_key_the_reader_does_not_use_is_usage_error(tmp_path, capsys,
                                                                               old, new, message):
@@ -757,6 +765,8 @@ def test_help_shows_the_defaults(capsys):
     (("distribute", "--g", "1e200"), "cavity response of CavityParams("),
     (("pcd", "--g", "1e200", "--simulate"), "cavity response of CavityParams("),
     (("sweep", "--quantity", "coeffs", "--g-grid", "1.2,1e160"), "cavity response of CavityParams("),
+    # a grid of zero points
+    (("sweep", "--quantity", "coeffs", "--g-grid", "0:1:0"), "argument --g-grid: cannot parse grid '0:1:0'"),
 ])
 def test_rejected_values_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

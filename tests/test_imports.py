@@ -1,5 +1,5 @@
 """The tests, the CLI, the metrics and the scripts reach the library only
-through its public names."""
+through its public names, and no module imports a name it does not use."""
 
 import ast
 import pathlib
@@ -64,6 +64,36 @@ def test_cli_metrics_and_scripts_import_no_private_names():
     assert scripts
     package = ROOT / "src" / "qdrepeater"
     assert _scan([package / "cli.py", package / "metrics.py", *scripts]) == {}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Every name an import binds that the module never reads.
+
+    ``import a.b`` binds ``a``; ``__future__`` imports bind nothing.
+    """
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_scan_flags_unused_imports():
+    assert unused_imports("import os\nimport numpy as np\nnp.zeros(1)\n") == ["os"]
+    assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []
+    assert unused_imports("from x import y, z as w\ndef f(q: w): return q\n") == ["y"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package's __init__ imports only to re-export
+    files = [f for d in ("src", "tests", "scripts") for f in sorted((ROOT / d).rglob("*.py"))
+             if f.name != "__init__.py"]
+    assert len(files) > 20
+    found = {f.name: unused_imports(f.read_text(encoding="utf-8")) for f in files}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 #: every name ``qdrepeater/__init__.py`` imports; a change to the public

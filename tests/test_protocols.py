@@ -1,6 +1,7 @@
 import itertools
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qdrepeater.metrics import distribution_metrics, pcd_metrics
 from qdrepeater.protocols import (
     ChainScenario,
     HeraldedOutcome,
+    PurificationState,
     SegmentSpec,
     channel_mixing_weight,
     distribute_bell,
@@ -245,6 +247,16 @@ def test_transfer_branches_match_dense_oracle_near_identity_fibers():
               for theta in (0.0, 0.0, 1.401298464324817e-45, 1.7235558102405707e-112)]
     node = resonant_coeffs(CavityParams(g=1.0, kappa_s=0.0, gamma=0.5))
     _assert_matches_dense_oracle(fibers, [node] * 4, 0)
+
+
+def test_dense_oracle_decodes_without_the_routing_map(monkeypatch):
+    # the oracle runs the decoder's elements, so it stays independent of the map the library applies
+    def routing_map_called():
+        raise AssertionError("the dense oracle called decode_map")
+    monkeypatch.setattr("qdrepeater.timebin.decode_map", routing_map_called)
+    grouped, survival = run_distribution(["a", "b"], [QUIET, QUIET], [REF, IDEAL], "b", ["e_a", "e_b"])
+    assert list(grouped) == list(itertools.product(PORTS, repeat=2))
+    assert 0.0 < survival <= 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -510,6 +522,23 @@ def test_extension_at_small_eta_in_keeps_every_branch():
     outs = extend_chain(ghz, bell, ("z", "zp"), IDEAL, eta_in=1e-30)
     assert math.fsum(o.probability for o in outs) == pytest.approx(1e-30, rel=1e-12)
     assert all(o.fidelity == pytest.approx(1.0, abs=1e-12) for o in outs)
+
+
+def _zero_or_normal(outcomes):
+    return all(o.probability == 0.0 or o.probability >= sys.float_info.min for o in outcomes)
+
+
+@pytest.mark.parametrize("protocol,eta_in", [
+    (lambda eta_in: distribute_bell(QUIET, QUIET, REF, IDEAL, eta_in=eta_in), 1e-160),
+    (lambda eta_in: distribute_ghz(3, [QUIET] * 3, [REF, IDEAL, REF], eta_in=eta_in), 1e-107),
+    (lambda eta_in: distribute_ghz(3, [QUIET] * 3, [REF, IDEAL, REF], eta_in=eta_in), 1e-110),
+    (lambda eta_in: pcd(uniform_spins(("e1", "e2")), "e1", "e2", REF, eta_in=eta_in), 1e-310),
+])
+def test_probability_below_the_normal_range_is_reported_as_zero(protocol, eta_in):
+    # the heralded weights are normal numbers; eta_in once per photon pass takes them below
+    outcomes = protocol(eta_in)
+    assert _zero_or_normal(outcomes)
+    assert any(o.post_state is not None and o.probability == 0.0 for o in outcomes)
 
 
 def test_extension_normalizes_a_branch_of_small_weight():
@@ -1039,3 +1068,21 @@ def test_wiring_validation():
         scenario.validate()
     with pytest.raises(ValueError):
         ChainScenario(nodes={"A": IDEAL}, segments=[SegmentSpec("AX", "A", "X")]).validate()
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: PurificationState(mu=1.5, round=1, success_probability=1.0), ValueError,
+     "mu = 1.5 outside [0, 1]"),
+    (lambda: heralded_ensemble([HeraldedOutcome("x", 0.0, (), None, None)]), ValueError,
+     "no surviving branches"),
+    (lambda: pcd(StateVector(spin_register(("a", "b")), [0.5, 0, 0, 0]), "a", "b", IDEAL), ValueError,
+     "PCD input state must be normalized"),
+    (lambda: extend_chain(phi_minus(("a", "z")), ghz_state(("zp", "d", "e")), ("z", "zp"), IDEAL),
+     ValueError, "the fresh pair must hold exactly two spins"),
+    (lambda: run_chain(ChainScenario(nodes={"A": IDEAL}, segments=[])), ValueError,
+     "scenario needs at least one segment"),
+])
+def test_boundary_checks_raise(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

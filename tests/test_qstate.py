@@ -319,3 +319,31 @@ def test_schmidt_rank_detects_products_and_entanglement():
     assert schmidt_rank(bell_minus(reg), ["s1"]) == 2
     product = tensor(basis_state(spin("a")), basis_state(spin("b")))
     assert schmidt_rank(product, ["a"]) == 1
+
+
+_QUBIT = Register((Subsystem("a", ("0", "1")),))
+_PAIR = Register((Subsystem("a", ("0", "1")), Subsystem("b", ("0", "1"))))
+_PLUS = superposition(_QUBIT, [(1 / math.sqrt(2), {"a": "0"}), (1 / math.sqrt(2), {"a": "1"})])
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: Subsystem("x", ("a",)), RegisterError, "x: a subsystem needs at least two levels"),
+    (lambda: Subsystem("x", ("a", "a")), RegisterError, "x: duplicate level names"),
+    (lambda: _QUBIT.basis_index({"q": "0"}), RegisterError, "no subsystem labeled 'q'"),
+    (lambda: StateVector(_QUBIT, np.ones(3)), RegisterError,
+     "amplitude length 3 does not match register dimension 2"),
+    (lambda: StateVector(_QUBIT, np.zeros(2)).normalized(), ValueError, "cannot normalize a zero-norm state"),
+    (lambda: Ensemble(()), ValueError, "ensemble needs at least one member"),
+    (lambda: Ensemble(((1.5, _PLUS), (-0.5, _PLUS))), ValueError, "ensemble weight 1.5 outside [0, 1]"),
+    (lambda: Ensemble(((1.0, StateVector(_QUBIT, [0.5, 0.5])),)), ValueError,
+     "ensemble members must be normalized"),
+    (lambda: LinearMap(np.zeros((2, 3))), ValueError, "linear map must be square, got shape (2, 3)"),
+    (lambda: apply_map(basis_state(_PAIR), LinearMap(np.eye(4)), ["a", "a"]), RegisterError,
+     "duplicate targets ['a', 'a']"),
+    (lambda: fidelity(_PLUS, StateVector(_QUBIT, [0.5, 0.5])), ValueError, "fidelity target must be normalized"),
+    (lambda: fidelity(basis_state(_PAIR), _PLUS), RegisterError, "fidelity requires matching registers"),
+])
+def test_boundary_checks_raise(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

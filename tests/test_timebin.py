@@ -7,6 +7,7 @@ from qdrepeater.qstate import (
     RegisterError,
     Register,
     StateVector,
+    Subsystem,
     apply_map,
     basis_state,
     hadamard,
@@ -16,6 +17,7 @@ from qdrepeater.timebin import (
     NoiseChannel,
     apply_noise,
     decode,
+    decode_map,
     delay,
     encode,
     pc_map,
@@ -29,6 +31,7 @@ from qdrepeater.timebin import (
 )
 
 from conftest import allclose_upto_phase, random_asymmetric, random_symmetric, schmidt_rank
+from dense_oracle import decode_elements
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -207,10 +210,73 @@ def test_decode_rejects_expanded_register():
         decode(state, "a")
 
 
+_DECODED = decode(encode(one_photon("V"), "a"), "a")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: encode(_DECODED, "a"), "photon 'a' time-bin register is not in the raw (s, l) form"),
+    (lambda: decode(qwp(one_photon("H"), "a"), "a"), "photon 'a' must be in the linear basis to decode"),
+    (lambda: decode(_DECODED, "a"), "photon 'a' time register is already expanded or decoded"),
+    (lambda: decode(apply_map(one_photon("V"), routing_map(), ["a_pol", "a_dir"]), "a"),
+     "photon 'a' direction tag must be clear before decoding"),
+])
+def test_boundary_checks_raise(build, message):
+    with pytest.raises(RegisterError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_decode_unitary_under_asymmetric_noise(rng):
     out = _encode_noise_decode(random_asymmetric(rng),
                                random_asymmetric(rng))
     assert out.norm2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_decode_map_columns_match_the_element_chain():
+    m = decode_map().matrix
+    reg = photon_register("x")
+    for col, (pol, tb) in zip((0, 1, 4, 5), [("H", "s"), ("H", "l"), ("V", "s"), ("V", "l")]):
+        out = decode_elements(basis_state(reg, {"x_pol": pol, "x_tb": tb}), "x")
+        np.testing.assert_array_equal(out.amplitudes, m[:, col])
+    assert decode_map().unitary
+
+
+def _random_decoder_input(rng):
+    """1-3 photons and 0-2 spins in a shuffled register order, each photon
+    either given random (polarization, bin) amplitudes on a clear direction
+    tag or encoded and sent through a collective or asymmetric fiber."""
+    photons = ["a", "b", "c"][:rng.integers(1, 4)]
+    spins = [Subsystem(f"e{i}", ("up", "dn")) for i in range(rng.integers(0, 3))]
+    subsystems = [sub for nm in photons for sub in photon_register(nm).subsystems] + spins
+    reg = Register(tuple(subsystems[i] for i in rng.permutation(len(subsystems))))
+    through_fiber = rng.random(len(photons)) < 0.5
+    v = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
+    psi = v.reshape(reg.dims)
+    for nm, fiber in zip(photons, through_fiber):
+        index = [slice(None)] * len(reg.dims)
+        index[reg.position(f"{nm}_dir")] = 1
+        psi[tuple(index)] = 0.0
+        if fiber:
+            index[reg.position(f"{nm}_dir")] = slice(None)
+            index[reg.position(f"{nm}_tb")] = 1
+            psi[tuple(index)] = 0.0
+    state = StateVector(reg, psi.reshape(-1) / np.linalg.norm(psi))
+    for nm, fiber in zip(photons, through_fiber):
+        if fiber:
+            ch = random_asymmetric(rng) if rng.random() < 0.5 else random_symmetric(rng)
+            state = apply_noise(encode(state, nm), nm, ch)
+    return state, photons
+
+
+def test_decode_equals_the_element_chain(rng):
+    for _ in range(240):
+        state, photons = _random_decoder_input(rng)
+        by_map = by_elements = state
+        for nm in rng.permutation(photons):
+            by_map = decode(by_map, nm)
+            by_elements = decode_elements(by_elements, nm)
+            assert by_map.register == by_elements.register
+            assert np.array_equal(by_map.amplitudes, by_elements.amplitudes)
 
 
 # --- optical elements ----------------------------------------------------------
