@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cavity import ScatterCoeffs
-from .protocols import check_eta_in, distribute_bell, pcd, uniform_spins
+from .protocols import check_eta_in, coupled_probability, distribute_bell, pcd, uniform_spins
 from .timebin import NoiseChannel
 
 
@@ -48,7 +48,7 @@ def _metrics(coeffs: ScatterCoeffs, eta_in: float | None, passes: int) -> Distri
     f_even = abs(coeffs.t0 - coeffs.t) ** 2 / (2.0 * eta_even) if eta_even > 0.0 else 0.0
     return DistributionMetrics(
         eta_d_even=eta_even, eta_d_odd=eta_odd, eta_d=eta, f_even=f_even, f_odd=1.0,
-        eta_in_adjusted=eta * eta_in ** passes if eta_in is not None else None)
+        eta_in_adjusted=coupled_probability(eta, eta_in, passes) if eta_in is not None else None)
 
 
 def distribution_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> DistributionMetrics:

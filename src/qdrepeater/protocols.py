@@ -193,10 +193,6 @@ def distribution_branches(noises, coeffs_list, phase_photon: int):
     return amps, survival
 
 
-def _structural_patterns(n):
-    return list(itertools.product(_PORTS, repeat=n))
-
-
 @functools.cache
 def _correction_matrix(gates_idx, n: int) -> np.ndarray:
     """The single-spin corrections of one pattern as one 2^n x 2^n matrix.
@@ -212,15 +208,23 @@ def _correction_matrix(gates_idx, n: int) -> np.ndarray:
     return m
 
 
-def _collect_outcomes(amps, spin_labels, correction_for, target, eta_in):
-    """One outcome per port pattern, or one per live time-bin outcome of a
-    pattern whose time-bin outcomes herald different states."""
+def _collect_outcomes(amps, noises, spin_labels, correction_for, target, eta_in):
+    """One outcome per port pattern, or one per live time-bin outcome when
+    some fiber's late bin rotates differently from its early one.
+
+    Collective noise factors out, so every live time-bin outcome of a
+    pattern heralds the first one's state up to a phase and the pattern is
+    reported once.  A late rotation equal to the early one times e^{i phi}
+    still splits, into outcomes of one state (fidelity (1 + cos phi)/2 at
+    ideal nodes, `channel_mixing_weight`), which the chain's pooling merges.
+    """
     n = len(spin_labels)
     reg = spin_register(spin_labels)
+    split = any(ch.delta_l != ch.delta or ch.eta_l != ch.eta for ch in noises)
     tbs = list(itertools.product(TB_DECODED, repeat=n))
     probs = np.sum(np.abs(amps) ** 2, axis=2)
     outcomes = []
-    for pattern, pat_amps, pat_probs in zip(_structural_patterns(n), amps, probs):
+    for pattern, pat_amps, pat_probs in zip(itertools.product(_PORTS, repeat=n), amps, probs):
         gates_idx = correction_for(pattern)
         gates = tuple((g, spin_labels[i]) for g, i in gates_idx)
         label = _detection_label(pattern)
@@ -228,20 +232,15 @@ def _collect_outcomes(amps, spin_labels, correction_for, target, eta_in):
         if not live.size:
             outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
             continue
-        posts = np.array([pat_amps[j] / math.sqrt(pat_probs[j]) for j in live])
-        # the correction is exact, so comparing the raw states decides as
-        # comparing corrected ones
-        if all(_equal_upto_phase(posts[0], post, _MERGE_TOL) for post in posts[1:]):
-            reported = [(label, sum(pat_probs[live].tolist()))]
-            posts = posts[:1]
-        else:
-            # asymmetric fibers: arrival class carries which rotation acted,
-            # so branches with different time stamps herald different states
+        if split:
             reported = [(f"{label}:{','.join(tbs[j])}", float(pat_probs[j])) for j in live]
-        posts = posts @ _correction_matrix(gates_idx, n).T
+        else:
+            reported = [(label, sum(pat_probs[live].tolist()))]
+            live = live[:1]
+        posts = (pat_amps[live] / np.sqrt(pat_probs[live])[:, None]) @ _correction_matrix(gates_idx, n).T
         fids = np.abs(posts @ target.amplitudes.conj()) ** 2 / np.sum(np.abs(posts) ** 2, axis=1)
         for (name, p), post, fid in zip(reported, posts, fids):
-            outcomes.append(HeraldedOutcome(name, _coupled(p, eta_in, n), gates,
+            outcomes.append(HeraldedOutcome(name, coupled_probability(p, eta_in, n), gates,
                                             StateVector(reg, post), float(fid)))
     return outcomes
 
@@ -264,7 +263,7 @@ def check_eta_in(eta_in: float) -> None:
         raise ValueError(f"eta_in = {eta_in} outside (0, 1]")
 
 
-def _coupled(p: float, eta_in: float, passes: int) -> float:
+def coupled_probability(p: float, eta_in: float, passes: int) -> float:
     """p eta_in^passes, a probability after ``passes`` photon passes through an
     input coupler, reported as 0.0 below the smallest normal float."""
     scaled = p * eta_in ** passes
@@ -287,7 +286,8 @@ def distribute_bell(
     """
     check_eta_in(eta_in)
     amps, _ = distribution_branches((noise_a, noise_b), (coeffs_a, coeffs_b), phase_photon=1)
-    return _collect_outcomes(amps, spin_labels, _bell_correction, phi_minus(spin_labels), eta_in)
+    return _collect_outcomes(amps, (noise_a, noise_b), spin_labels, _bell_correction,
+                             phi_minus(spin_labels), eta_in)
 
 
 def _ghz_labels(n: int) -> list[str]:
@@ -316,7 +316,7 @@ def distribute_ghz(
         raise ValueError("need one noise channel and one coefficient set per photon")
     labels = _ghz_labels(n)
     amps, _ = distribution_branches(noise, coeffs, phase_photon=0)
-    return _collect_outcomes(amps, labels, _ghz_correction, phi_plus(labels), eta_in)
+    return _collect_outcomes(amps, noise, labels, _ghz_correction, phi_plus(labels), eta_in)
 
 
 def channel_mixing_weight(channels) -> float:
@@ -441,7 +441,7 @@ def pcd(
         for label, sign in _PCD_PORTS[parity]:
             post = StateVector(heralded.register, sign * (heralded.amplitudes / math.sqrt(p)))
             fid = fidelity(post, target) if target is not None else None
-            outcomes.append(HeraldedOutcome(label, _coupled(p / 2.0, eta_in, 1), (), post, fid))
+            outcomes.append(HeraldedOutcome(label, coupled_probability(p / 2.0, eta_in, 1), (), post, fid))
     return outcomes
 
 
@@ -557,7 +557,8 @@ def extend_chain(
             outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
             continue
         final = StateVector(reg, out / math.sqrt(p))
-        outcomes.append(HeraldedOutcome(label, _coupled(p, eta_in, 1), gates, final, fidelity(final, target)))
+        outcomes.append(HeraldedOutcome(label, coupled_probability(p, eta_in, 1), gates,
+                                        final, fidelity(final, target)))
     return outcomes
 
 
@@ -700,7 +701,7 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     logs: list[float] = []
 
     def record(stage, label, p, passes, ens, labels):
-        stages.append(StageResult(stage, label, _coupled(p, eta_in, passes),
+        stages.append(StageResult(stage, label, coupled_probability(p, eta_in, passes),
                                   fidelity(ens, phi_minus(labels))))
         logs.append(math.log10(p) + passes * math.log10(eta_in))
 

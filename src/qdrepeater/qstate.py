@@ -70,7 +70,7 @@ class Register:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims)) if self.subsystems else 1
+        return math.prod(self.dims)
 
     @property
     def labels(self) -> tuple[str, ...]:

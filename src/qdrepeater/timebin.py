@@ -195,13 +195,9 @@ def encode_map() -> LinearMap:
 
 def fiber_map(ch: NoiseChannel) -> LinearMap:
     """Fiber rotation on (polarization, raw time bin): one polarization block per bin."""
-    u_s = ch.early_unitary()
-    u_l = ch.late_unitary()
     m = np.zeros((4, 4), dtype=complex)
-    for p_out in (0, 1):
-        for p_in in (0, 1):
-            m[p_out * 2 + 0, p_in * 2 + 0] = u_s[p_out, p_in]
-            m[p_out * 2 + 1, p_in * 2 + 1] = u_l[p_out, p_in]
+    m[0::2, 0::2] = ch.early_unitary()
+    m[1::2, 1::2] = ch.late_unitary()
     return LinearMap(m, unitary=True)
 
 

@@ -405,7 +405,8 @@ def extend_chain_gates(ghz, bell, joint_node, coeffs, eta_in=1.0):
     survivors = [lab for lab in state.register.labels if lab not in (label_z, label_zp)]
     target = ghz_state(survivors, -1)
     outcomes = []
-    for parity, (p_par, post) in parity_branches(state, label_z, label_zp, coeffs, eta_in).items():
+    # dead branches are decided at unit input coupling, as in the library
+    for parity, (p_par, post) in parity_branches(state, label_z, label_zp, coeffs, 1.0).items():
         branches = (measure(apply_gates(post, (("h", label_z), ("h", label_zp))), [label_z, label_zp])
                     if post is not None else [])
         for m1, m2 in itertools.product(("up", "dn"), repeat=2):
@@ -417,7 +418,7 @@ def extend_chain_gates(ghz, bell, joint_node, coeffs, eta_in=1.0):
                 outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
                 continue
             final = apply_gates(br.post, gates)
-            outcomes.append(HeraldedOutcome(label, p, gates, final, fidelity(final, target)))
+            outcomes.append(HeraldedOutcome(label, p * eta_in, gates, final, fidelity(final, target)))
     return outcomes
 
 

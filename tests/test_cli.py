@@ -286,6 +286,9 @@ def test_simulated_total_below_the_normal_range_prints_zero(capsys):
     code, out, _ = run(capsys, "distribute", "--simulate", "--eta-in", "1e-160")
     assert code == 0
     assert out.endswith("\nheralded total  0   discarded 1\n")
+    # the closed-form row follows the same rule as the simulated total
+    header, row = (line.split(",") for line in out.splitlines()[:2])
+    assert row[header.index("eta_in_adjusted")] == "0"
 
 
 @pytest.mark.parametrize("eta_in", [1.0, 0.9])

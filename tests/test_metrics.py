@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,12 @@ from qdrepeater.metrics import (
     distribution_metrics,
     pcd_metrics,
 )
+from qdrepeater.protocols import distribute_bell, pcd, uniform_spins
+from qdrepeater.timebin import NoiseChannel
 
 from conftest import random_coeffs
+
+QUIET = NoiseChannel.identity()
 
 
 def at(g, ks, gamma=0.1, delta=0.0):
@@ -86,6 +92,19 @@ def test_input_coupling_adjustments():
     assert d.eta_in_adjusted == pytest.approx(0.81)   # two photon passes
     assert p.eta_in_adjusted == pytest.approx(0.9)    # one photon pass
     assert distribution_metrics(IDEAL).eta_in_adjusted is None
+
+
+@pytest.mark.parametrize("metrics,passes,eta_in", [(distribution_metrics, 2, 1e-160), (pcd_metrics, 1, 1e-310)])
+def test_input_coupling_below_the_normal_range_reads_zero(metrics, passes, eta_in):
+    # eta * eta_in ** passes is subnormal; it reads 0, as every simulated
+    # probability at that eta_in does
+    coeffs = at(1.2, 0.2)
+    assert 0.0 < metrics(coeffs).eta_d * eta_in ** passes < sys.float_info.min
+    if passes == 2:
+        outcomes = distribute_bell(QUIET, QUIET, coeffs, coeffs, eta_in=eta_in)
+    else:
+        outcomes = pcd(uniform_spins(("e1", "e2")), "e1", "e2", coeffs, eta_in=eta_in)
+    assert metrics(coeffs, eta_in=eta_in).eta_in_adjusted == 0.0 == sum(o.probability for o in outcomes)
 
 
 def test_performance_improves_with_coupling_without_leakage():

@@ -47,6 +47,7 @@ from conftest import (allclose_upto_phase, ideal_chain_closed_form, random_asymm
                       random_symmetric, symmetric_from_angles)
 from dense_oracle import (
     PORTS,
+    apply_gates,
     extend_chain_gates,
     ghz_correction_search,
     pool_scalar,
@@ -271,6 +272,107 @@ def test_transfer_branches_keep_the_oracle_zero_branches(n):
     assert len(zeros) > 4 ** n // 2
     assert zeros == [(k, j) for k, entries in enumerate(dense.values())
                      for j, (_, p, post) in enumerate(entries) if p == 0.0 and post is None]
+
+
+# --- the time-bin split ------------------------------------------------------------
+
+def _distribute(noises, coeffs, bell):
+    """Outcomes and `distribution_branches` amplitudes of one Bell or GHZ distribution."""
+    if bell:
+        return distribute_bell(*noises, *coeffs), distribution_branches(noises, coeffs, 1)[0]
+    return distribute_ghz(len(noises), noises, coeffs), distribution_branches(noises, coeffs, 0)[0]
+
+
+def _by_pattern(outcomes, n):
+    """The listed outcomes of each port pattern, in `distribution_branches` order."""
+    labels = ["".join(pol + ("↑" if d == "up" else "↓") for pol, d in pattern)
+              for pattern in itertools.product(PORTS, repeat=n)]
+    return [[o for o in outcomes if o.detection.split(":")[0] == label] for label in labels]
+
+
+def _corrected(amps, outcome):
+    """Raw spin amplitudes of one time-bin outcome after the outcome's correction."""
+    return apply_gates(StateVector(outcome.post_state.register, amps), outcome.correction).amplitudes
+
+
+def _assert_equal_upto_phase(a, b, atol=1e-12):
+    # the phase is read off the largest entry of b; no relative tolerance
+    k = int(np.argmax(np.abs(b)))
+    phase = a[k] / b[k]
+    assert np.max(np.abs(a - phase / abs(phase) * b)) <= atol
+
+
+_collective_fibers = st.tuples(st.one_of(_angles, st.floats(-11.0, -6.0).map(lambda e: 10.0 ** e)),
+                               _angles, _angles).map(lambda a: symmetric_from_angles(*a))
+
+
+@st.composite
+def _collective_inputs(draw):
+    n = draw(st.integers(2, 4))
+    noises = draw(st.lists(_collective_fibers, min_size=n, max_size=n))
+    coeffs = draw(st.lists(st.one_of(st.just(IDEAL), _nodes), min_size=n, max_size=n))
+    return noises, coeffs, n == 2 and draw(st.booleans())
+
+
+@given(_collective_inputs())
+@settings(max_examples=40, deadline=None)
+def test_collective_fibers_report_each_pattern_once(inputs):
+    outcomes, amps = _distribute(*inputs)
+    for listed, pat_amps in zip(_by_pattern(outcomes, len(inputs[0])), amps):
+        assert len(listed) == 1 and ":" not in listed[0].detection
+        out = listed[0]
+        probs = np.sum(np.abs(pat_amps) ** 2, axis=1)
+        live = probs > 1e-24
+        if not live.any():
+            assert (out.probability, out.post_state) == (0.0, None)
+            continue
+        assert out.probability == pytest.approx(float(np.sum(probs[live])), rel=1e-13, abs=0.0)
+        # every live time bin heralds the reported state, the smallest ones too
+        for a, p in zip(pat_amps[live], probs[live]):
+            _assert_equal_upto_phase(out.post_state.amplitudes, _corrected(a / math.sqrt(p), out))
+
+
+def _late_rotated(ch, eps):
+    """``ch`` with its late bin rotated by a further ``eps`` rad."""
+    c, s = math.cos(eps), math.sin(eps)
+    return NoiseChannel(ch.delta, ch.eta, c * ch.delta - s * np.conj(ch.eta), c * ch.eta + s * np.conj(ch.delta))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-6])
+def test_a_small_late_bin_rotation_lists_exact_time_bin_outcomes(rng, eps):
+    # p F summed over a pattern's outcomes is the target weight of its time
+    # bins only if each outcome carries its own time bin's state
+    target = phi_minus(("e_a", "e_b")).amplitudes
+    for _ in range(10):
+        noises = [_late_rotated(random_symmetric(rng), eps), random_symmetric(rng)]
+        outcomes, amps = _distribute(noises, [REF, REF], True)
+        for listed, pat_amps in zip(_by_pattern(outcomes, 2), amps):
+            assert listed and all(":" in o.detection for o in listed)
+            exact = sum(abs(np.vdot(target, _corrected(a, listed[0]))) ** 2 for a in pat_amps)
+            assert sum(o.probability * o.fidelity for o in listed) == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi", [1e-8, 0.3, math.pi / 2, 2.5])
+def test_a_late_bin_phase_splits_into_outcomes_of_one_state(rng, phi):
+    early = random_symmetric(rng)
+    shifted = NoiseChannel(early.delta, early.eta, np.exp(1j * phi) * early.delta, np.exp(1j * phi) * early.eta)
+    noises = [shifted, random_symmetric(rng)]
+    outcomes, _ = _distribute(noises, [IDEAL, IDEAL], True)
+    for listed in _by_pattern(outcomes, 2):
+        assert len(listed) > 1 and all(":" in o.detection for o in listed)
+        for o in listed[1:]:
+            _assert_equal_upto_phase(o.post_state.amplitudes, listed[0].post_state.amplitudes)
+    ens, _ = heralded_ensemble(outcomes)
+    assert fidelity(ens, phi_minus(("e_a", "e_b"))) == pytest.approx(channel_mixing_weight(noises), abs=1e-10)
+
+
+def test_distribution_splits_without_comparing_states(monkeypatch, rng):
+    def compared(*args):
+        raise AssertionError("distribution compared heralded states")
+    monkeypatch.setattr("qdrepeater.protocols._equal_upto_phase", compared)
+    for fiber in (random_symmetric, random_asymmetric):
+        assert any(o.post_state for o in distribute_bell(fiber(rng), fiber(rng), REF, IDEAL))
+        assert any(o.post_state for o in distribute_ghz(3, [fiber(rng) for _ in range(3)], [REF, IDEAL, REF]))
 
 
 # --- GHZ distribution ------------------------------------------------------------
@@ -590,7 +692,17 @@ def _extension_inputs(draw):
             (label_z, "zp"), coeffs, eta_in)
 
 
+#: the even branches weigh 1.28e-24 at unit input coupling, above the
+#: dead-branch threshold, and 9.6e-25 after eta_in = 0.75, below it
+_LIVE_BELOW_THE_THRESHOLD_AFTER_COUPLING = (
+    StateVector(spin_register(("e0", "e1")), np.array([0.0, 1j, 0.0, 0.0])),
+    StateVector(spin_register(("d", "zp")), np.array([0.0, 1j, 1.6e-12 + 1.6e-12j, 0.0])
+                / math.sqrt(1.0 + 2 * 1.6e-12 ** 2)),
+    ("e0", "zp"), IDEAL, 0.75)
+
+
 @given(_extension_inputs())
+@example(_LIVE_BELOW_THE_THRESHOLD_AFTER_COUPLING)
 @settings(max_examples=60, deadline=None)
 def test_extend_chain_matches_gate_oracle(inputs):
     outs = extend_chain(*inputs)
