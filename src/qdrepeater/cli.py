@@ -104,7 +104,7 @@ def _write_table(header, rows, output):
 def _read_config(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cp.read_file(fh, source=str(path))
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e}")
@@ -486,11 +486,25 @@ def cmd_crosscheck(args):
     return 0 if report.ok else 2
 
 
+#: sweep quantity -> the flags it reads; typing any other sweep flag is a usage error
+_CAVITY_GRIDS = ("--g-grid", "--kappa-s-grid", "--delta-grid", "--gamma")
+_SWEEP_READS = {
+    "coeffs": _CAVITY_GRIDS,
+    "distribution": _CAVITY_GRIDS + ("--eta-in",),
+    "pcd": _CAVITY_GRIDS + ("--eta-in",),
+    "purify": ("--mu-grid", "--rounds"),
+    "chain": ("--g-grid", "--scenario"),
+}
+
+
 def cmd_sweep(args):
-    # only a command-line --eta-in is checked: [defaults] is shared by every subcommand
-    if args.eta_in_given and args.quantity not in _METRICS:
-        raise UsageError(f"--eta-in applies only to --quantity {' or '.join(_METRICS)}")
+    # only typed flags are checked: [defaults] is shared by every subcommand
     quantity = args.quantity
+    unread = [flag for flag in dict.fromkeys(args.typed) if flag not in _SWEEP_READS[quantity]]
+    if unread:
+        raise UsageError("; ".join(f"{flag} applies only to --quantity "
+                                   + " or ".join(q for q, read in _SWEEP_READS.items() if flag in read)
+                                   for flag in unread))
     points = list(itertools.product(args.g, args.kappa_s, args.delta))
     if quantity == "coeffs":
         rows = [_coeffs_row(g, ks, args.gamma, d) for g, ks, d in points]
@@ -518,16 +532,17 @@ def cmd_sweep(args):
 # parser
 # ---------------------------------------------------------------------------
 
-class _Given(argparse.Action):
-    """Store the flag's value and mark it given; a [defaults] value is not marked."""
+class _Typed(argparse.Action):
+    """Store the value and record the flag in ``typed``; a [defaults] value is not recorded."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_given", True)
+        namespace.typed += (option_string,)
 
 
-def _add_gamma(p):
-    p.add_argument("--gamma", type=float, default=0.1, help="dipole decay rate in units of kappa")
+def _add_gamma(p, action="store"):
+    p.add_argument("--gamma", type=float, default=0.1, action=action,
+                   help="dipole decay rate in units of kappa")
 
 
 def _add_eta_in(p, action="store"):
@@ -585,20 +600,19 @@ def build_parser() -> _Parser:
     # the grids carry g, kappa_s and delta; no abbreviations, so that --g,
     # --kappa-s or --delta is rejected, not read as the grid flag it prefixes
     p = command("sweep", cmd_sweep, "parameter sweeps with CSV output", allow_abbrev=False)
-    p.add_argument("--quantity", required=True,
-                   choices=("coeffs", "distribution", "pcd", "purify", "chain"))
-    _add_gamma(p)
+    p.add_argument("--quantity", required=True, choices=tuple(_SWEEP_READS))
+    _add_gamma(p, action=_Typed)
     grids = (("--g-grid", "g", "1.2", "coupling strengths"),
              ("--kappa-s-grid", "kappa_s", "0", "side-leakage rates"),
              ("--delta-grid", "delta", "0", "probe detunings"),
              ("--mu-grid", "mu", "0.6,0.7,0.8,0.9", "starting weights (purify)"))
     for flag, dest, default, what in grids:
-        p.add_argument(flag, dest=dest, type=parse_grid, default=default, metavar="GRID",
-                       help=f"{what}: start:stop:count or a comma list")
-    p.add_argument("--rounds", type=int, default=3, help="purification rounds (purify)")
-    _add_eta_in(p, action=_Given)
-    p.add_argument("--scenario", default=None, help="INI scenario file (chain)")
-    p.set_defaults(eta_in_given=False)
+        p.add_argument(flag, dest=dest, type=parse_grid, default=default, action=_Typed,
+                       metavar="GRID", help=f"{what}: start:stop:count or a comma list")
+    p.add_argument("--rounds", type=int, default=3, action=_Typed, help="purification rounds (purify)")
+    _add_eta_in(p, action=_Typed)
+    p.add_argument("--scenario", default=None, action=_Typed, help="INI scenario file (chain)")
+    p.set_defaults(typed=())
 
     for p in parser.commands.values():
         p.add_argument("--config", default=None,

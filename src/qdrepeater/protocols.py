@@ -200,10 +200,7 @@ def _correction_matrix(gates_idx, n: int) -> np.ndarray:
     The corrections are Pauli gates, so the entries are 0 and +-1, and the
     matrix moves and negates amplitudes exactly as the gates one by one do.
     """
-    ops = [np.eye(2, dtype=complex) for _ in range(n)]
-    for g, i in gates_idx:
-        ops[i] = _GATES[g].matrix @ ops[i]
-    m = functools.reduce(np.kron, ops)
+    m = functools.reduce(np.kron, [_gate_product(g for g, j in gates_idx if j == i) for i in range(n)])
     m.setflags(write=False)
     return m
 

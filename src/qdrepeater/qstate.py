@@ -246,19 +246,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(reg, np.kron(a.amplitudes, b.amplitudes))
 
 
-def _front_axes(state: StateVector, targets: list[str]):
-    if len(set(targets)) != len(targets):
-        raise RegisterError(f"duplicate targets {targets}")
-    reg = state.register
-    pos = [reg.position(t) for t in targets]
-    psi = state.tensor_axes()
-    psi = np.moveaxis(psi, pos, range(len(pos)))
-    tdims = [reg.subsystems[p].dim for p in pos]
-    dt = int(np.prod(tdims))
-    rest_shape = psi.shape[len(pos):]
-    return psi.reshape(dt, -1), tdims, rest_shape, pos
-
-
 def apply_map(state: StateVector, m: LinearMap, targets) -> StateVector:
     """Apply `m` to the listed target subsystems, identity elsewhere.
 
@@ -266,15 +253,15 @@ def apply_map(state: StateVector, m: LinearMap, targets) -> StateVector:
     probability.
     """
     targets = list(targets)
-    block, tdims, rest_shape, pos = _front_axes(state, targets)
-    if m.dim != block.shape[0]:
-        raise RegisterError(
-            f"map dimension {m.dim} does not match target dimension {block.shape[0]}"
-        )
-    block = m.matrix @ block
-    psi = block.reshape(tuple(tdims) + rest_shape)
-    psi = np.moveaxis(psi, range(len(targets)), pos)
-    return StateVector(state.register, psi.reshape(-1))
+    if len(set(targets)) != len(targets):
+        raise RegisterError(f"duplicate targets {targets}")
+    pos = [state.register.position(t) for t in targets]
+    psi = np.moveaxis(state.tensor_axes(), pos, range(len(pos)))
+    dt = math.prod(psi.shape[:len(pos)])
+    if m.dim != dt:
+        raise RegisterError(f"map dimension {m.dim} does not match target dimension {dt}")
+    psi = (m.matrix @ psi.reshape(dt, -1)).reshape(psi.shape)
+    return StateVector(state.register, np.moveaxis(psi, range(len(pos)), pos).reshape(-1))
 
 
 def fidelity(state: StateVector | Ensemble, target: StateVector) -> float:

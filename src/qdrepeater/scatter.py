@@ -6,7 +6,9 @@ together with the spin this spans an 8-dimensional space.  A photon whose
 spin angular momentum matches the electron spin sees the coupled cavity and
 is (ideally) reflected, flipping both its polarization and its direction.
 The mismatched photon sees the uncoupled cavity and is (ideally) transmitted
-with a pi phase, leaving polarization and direction alone.
+with a pi phase, leaving polarization and direction alone.  With the levels
+indexed R, L / up, dn / up, dn, the photon couples if and only if
+``p ^ d == s``.
 
 With finite coupling and side leakage the same map applies the amplitudes
 (r, t) on the coupled pair and (t0, r0) on the uncoupled pair of basis
@@ -23,31 +25,15 @@ import numpy as np
 
 from .cavity import ScatterCoeffs
 from .qstate import LinearMap
-from .timebin import DIRECTION, POL_CIRCULAR
-
-#: (polarization, direction, spin) triples that couple to the dipole.
-_COUPLED = {
-    ("R", "up", "up"),
-    ("L", "dn", "up"),
-    ("R", "dn", "dn"),
-    ("L", "up", "dn"),
-}
-
-_SPIN = ("up", "dn")
 
 
 def scatter_map(coeffs: ScatterCoeffs) -> LinearMap:
     """8x8 map on (polarization, direction, spin), in that Kronecker order."""
     m = np.zeros((8, 8), dtype=complex)
-    for (p, pol), (d, dr), (s, sp) in itertools.product(
-            enumerate(POL_CIRCULAR), enumerate(DIRECTION), enumerate(_SPIN)):
-        # reflection flips both polarization and direction
-        col, flipped = (2 * p + d) * 2 + s, (2 * (1 - p) + 1 - d) * 2 + s
-        if (pol, dr, sp) in _COUPLED:
-            m[flipped, col] += coeffs.r
-            m[col, col] += coeffs.t
-        else:
-            m[col, col] += coeffs.t0
-            m[flipped, col] += coeffs.r0
+    for p, d, s in itertools.product((0, 1), repeat=3):
+        col = 4 * p + 2 * d + s
+        coupled = p ^ d == s
+        m[col, col] = coeffs.t if coupled else coeffs.t0
+        # reflection flips both the polarization and the direction bit
+        m[col ^ 0b110, col] = coeffs.r if coupled else coeffs.r0
     return LinearMap(m)
-

@@ -172,9 +172,7 @@ def delay(state: StateVector, photon: str, pol: str) -> StateVector:
     for p in (0, 1):
         out[p, int(p == d_idx)::2] = psi[p]
     # the new register orders subsystems identically, only the tb axis grew
-    new_p_ax = new_reg.position(pol_sub.label)
-    new_t_ax = new_reg.position(tb.label)
-    out = np.moveaxis(out, (0, 1), (new_p_ax, new_t_ax))
+    out = np.moveaxis(out, (0, 1), (p_ax, t_ax))
     return StateVector(new_reg, out.reshape(-1))
 
 

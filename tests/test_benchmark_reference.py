@@ -1,5 +1,6 @@
 """Every `chain` and `ghz` variant the benchmark can draw matches
-`perfbench/reference.json` under the benchmark's own check.
+`perfbench/reference.json` under the benchmark's own check, and the
+`cli-sweep` calls of seed 1 pass that workload's check.
 
 `perfbench/workloads.py` is read and executed in a fresh module, so nothing
 is written under `perfbench/` (no bytecode cache either).  A change that moves
@@ -38,3 +39,12 @@ def test_every_reference_entry_is_a_variant():
 def test_variant_matches_the_benchmark_reference(workload, task):
     output = WORKLOADS.RUNNERS[workload](task)
     assert WORKLOADS.check(workload, task, output, REFERENCE) is None
+
+
+CLI_CALLS = WORKLOADS.cli_calls(1)     # the held-out seed 7919 stays out of the tests
+
+
+@pytest.mark.parametrize("task", CLI_CALLS, ids=[task["id"] for task in CLI_CALLS])
+def test_cli_call_passes_the_benchmark_check(task):
+    output = WORKLOADS.RUNNERS["cli-sweep"](task)
+    assert WORKLOADS.check("cli-sweep", task, output, REFERENCE) is None

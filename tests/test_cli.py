@@ -123,6 +123,50 @@ def test_sweep_eta_in_from_config_defaults_is_allowed(tmp_path, capsys):
     assert out.splitlines()[0] == ",".join(PURIFY_HEADER)
 
 
+#: a value for every sweep flag but --quantity, --config and --output
+SWEEP_VALUES = {"--gamma": "0.5", "--g-grid": "1.2,2.4", "--kappa-s-grid": "0.1", "--delta-grid": "0.2",
+                "--mu-grid": "0.8", "--rounds": "1", "--eta-in": "0.5", "--scenario": "chain.ini"}
+#: sweep --quantity -> the flags it reads
+SWEEP_READS = {
+    "coeffs": ("--gamma", "--g-grid", "--kappa-s-grid", "--delta-grid"),
+    "distribution": ("--gamma", "--g-grid", "--kappa-s-grid", "--delta-grid", "--eta-in"),
+    "pcd": ("--gamma", "--g-grid", "--kappa-s-grid", "--delta-grid", "--eta-in"),
+    "purify": ("--mu-grid", "--rounds"),
+    "chain": ("--g-grid", "--scenario"),
+}
+
+
+@pytest.mark.parametrize("quantity,flag", [(q, flag) for q, read in SWEEP_READS.items()
+                                           for flag in SWEEP_VALUES if flag not in read])
+def test_sweep_flag_the_quantity_does_not_read_is_usage_error(tmp_path, monkeypatch, capsys, quantity, flag):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("chain.ini").write_text(IDEAL_SCENARIO)
+    argv = ["sweep", "--quantity", quantity]
+    for read in SWEEP_READS[quantity]:
+        argv += [read, SWEEP_VALUES[read]]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, flag, SWEEP_VALUES[flag])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: {flag} applies only to --quantity ")
+    assert err.count(flag) == 1
+
+
+@pytest.mark.parametrize("quantity", ["purify", "chain"])    # between them they leave every flag unread
+def test_sweep_config_defaults_for_flags_the_quantity_does_not_read_are_allowed(tmp_path, monkeypatch,
+                                                                                 capsys, quantity):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("chain.ini").write_text(IDEAL_SCENARIO)
+    unread = [f"{dest} = {SWEEP_VALUES[a.option_strings[0]]}\n"
+              for dest, a in value_flags(build_parser().commands["sweep"]).items()
+              if a.option_strings[0] in SWEEP_VALUES and a.option_strings[0] not in SWEEP_READS[quantity]]
+    pathlib.Path("defaults.ini").write_text("[defaults]\n" + "".join(unread))
+    argv = ["sweep", "--quantity", quantity] + (["--scenario", "chain.ini"] if quantity == "chain" else [])
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--config", "defaults.ini") == (0, plain, "")
+
+
 @pytest.mark.parametrize("flag,value", [("--g", "2.4"), ("--kappa-s", "0.3"), ("--delta", "1.0")])
 def test_sweep_rejects_single_point_cavity_flags(capsys, flag, value):
     # the grids carry g, kappa_s and delta; a single-point flag would be ignored
@@ -189,6 +233,9 @@ def test_ideal_scenario_report(tmp_path, capsys):
     code, out, _ = run(capsys, "chain", "--scenario", str(path))
     assert code == 0
     assert "fidelity 1.000000, probability 1.000000" in out
+    # a byte-order mark, as Windows Notepad writes it, reads the same
+    path.write_text(IDEAL_SCENARIO, encoding="utf-8-sig")
+    assert run(capsys, "chain", "--scenario", str(path)) == (0, out, "")
 
 
 def test_scenario_at_small_eta_in_keeps_every_branch(tmp_path, capsys):
@@ -459,6 +506,9 @@ steps = encode, noise(0.6, 0.8), decode, phase(3.141592653589793), qwp
     assert "|R,up,sp>,0.48," in out
     assert "|L,dn,sp>,-0.36," in out
     assert out.strip().splitlines()[-1].startswith("norm2,1")
+    # a byte-order mark, as Windows Notepad writes it, reads the same
+    path.write_text(path.read_text(), encoding="utf-8-sig")
+    assert run(capsys, "photon", "--script", str(path)) == (0, out, "")
 
 
 def test_photon_script_multiline_and_window_steps(tmp_path, capsys):

@@ -340,6 +340,8 @@ _PLUS = superposition(_QUBIT, [(1 / math.sqrt(2), {"a": "0"}), (1 / math.sqrt(2)
     (lambda: LinearMap(np.zeros((2, 3))), ValueError, "linear map must be square, got shape (2, 3)"),
     (lambda: apply_map(basis_state(_PAIR), LinearMap(np.eye(4)), ["a", "a"]), RegisterError,
      "duplicate targets ['a', 'a']"),
+    (lambda: apply_map(basis_state(_PAIR), LinearMap(np.eye(2)), ["a", "b"]), RegisterError,
+     "map dimension 2 does not match target dimension 4"),
     (lambda: fidelity(_PLUS, StateVector(_QUBIT, [0.5, 0.5])), ValueError, "fidelity target must be normalized"),
     (lambda: fidelity(basis_state(_PAIR), _PLUS), RegisterError, "fidelity requires matching registers"),
 ])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from qdrepeater.qstate import (
     superposition,
 )
 from qdrepeater.scatter import scatter_map
+from qdrepeater.timebin import DIRECTION, POL_CIRCULAR
 
 from conftest import random_coeffs
 from dense_oracle import scatter
@@ -51,6 +53,28 @@ IDEAL_RULES = [
     (("L", "dn", "dn"), ("L", "dn", "dn"), -1.0),
     (("L", "up", "dn"), ("R", "dn", "dn"), 1.0),
 ]
+
+
+#: (polarization, direction, spin) triples that couple to the dipole
+COUPLED = {("R", "up", "up"), ("L", "dn", "up"), ("R", "dn", "dn"), ("L", "up", "dn")}
+
+
+def map_from_table(coeffs):
+    """The scattering map written out level by level from `COUPLED`."""
+    m = np.zeros((8, 8), dtype=complex)
+    for (p, pol), (d, dr), (s, sp) in itertools.product(
+            enumerate(POL_CIRCULAR), enumerate(DIRECTION), enumerate(("up", "dn"))):
+        # reflection flips both polarization and direction
+        col, flipped = (2 * p + d) * 2 + s, (2 * (1 - p) + 1 - d) * 2 + s
+        coupled = (pol, dr, sp) in COUPLED
+        m[col, col] = coeffs.t if coupled else coeffs.t0
+        m[flipped, col] = coeffs.r if coupled else coeffs.r0
+    return m
+
+
+def test_map_follows_the_coupling_table(rng):
+    for coeffs in [IDEAL] + [random_coeffs(rng) for _ in range(50)]:
+        assert np.array_equal(scatter_map(coeffs).matrix, map_from_table(coeffs))
 
 
 @pytest.mark.parametrize("state_in,state_out,phase", IDEAL_RULES)
