@@ -559,7 +559,7 @@ def _add_cavity_flags(p):
 
 
 def build_parser() -> _Parser:
-    """The qdrepeater parser; ``parser.commands`` maps each subcommand to its parser."""
+    """A new qdrepeater parser; ``parser.commands`` maps each subcommand to its parser."""
     parser = _Parser(prog="qdrepeater",
                      description="Heralded quantum-repeater simulator for spin-cavity nodes")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -628,23 +628,30 @@ def value_flags(command: argparse.ArgumentParser) -> dict[str, argparse.Action]:
 
 
 @functools.cache
+def _parser() -> _Parser:
+    """The parser every plain parse shares, built on first use; nothing may change it."""
+    return build_parser()
+
+
+@functools.cache
 def _defaults_keys() -> frozenset[str]:
     """The keys [defaults] may hold in any INI file: every value flag, and purify_rounds."""
-    return frozenset({"purify_rounds"}.union(*map(value_flags, build_parser().commands.values())))
+    return frozenset({"purify_rounds"}.union(*map(value_flags, _parser().commands.values())))
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line.  With --config, the file's [defaults] entries
     become the chosen subcommand's defaults for its value flags and the
     command line is parsed again, so argparse converts and rejects them as
-    it does flags, and flags on the command line still win."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    it does flags, and flags on the command line still win.  That second
+    parse uses a parser of its own, so the shared one keeps its defaults."""
+    args = _parser().parse_args(argv)
     if args.config:
         cp = _read_config(args.config)
         # the file may also be the run's scenario or script file; purify_rounds is a scenario default
         _check_sections(cp, "config", ("[defaults]", "[chain]", "[node ", "[segment ", "[photon]", "[script]"))
         _check_keys(cp, "defaults", _defaults_keys())
+        parser = build_parser()
         command = parser.commands[args.command]
         command.set_defaults(**{dest: cp.get("defaults", dest) for dest in value_flags(command)
                                 if cp.has_option("defaults", dest)})

@@ -1,6 +1,7 @@
 """Every `chain` and `ghz` variant the benchmark can draw matches
 `perfbench/reference.json` under the benchmark's own check, and the
-`cli-sweep` calls of seed 1 pass that workload's check.
+`cli-sweep` calls of seed 1 pass that workload's check, in any order and
+mixed with other calls in one process.
 
 `perfbench/workloads.py` is read and executed in a fresh module, so nothing
 is written under `perfbench/` (no bytecode cache either).  A change that moves
@@ -9,6 +10,7 @@ a reference output past the benchmark's tolerance fails here first.
 
 import json
 import pathlib
+import random
 import types
 
 import pytest
@@ -48,3 +50,42 @@ CLI_CALLS = WORKLOADS.cli_calls(1)     # the held-out seed 7919 stays out of the
 def test_cli_call_passes_the_benchmark_check(task):
     output = WORKLOADS.RUNNERS["cli-sweep"](task)
     assert WORKLOADS.check("cli-sweep", task, output, REFERENCE) is None
+
+
+#: --config files whose defaults would change a seed-1 call's output if they reached it
+SHARED_PARSER_CONFIGS = {
+    "cavity.ini": "[defaults]\ng = 2.0\nkappa_s = 0.25\ngamma = 0.3\ndelta = 0.1\neta_in = 0.8\n",
+    "purify.ini": "[defaults]\nmu = 0.6\nrounds = 1\n",
+}
+#: calls mixed in among the seed-1 calls, with their exit codes: --config runs,
+#: usage errors and sweeps with typed flags
+SHARED_PARSER_EXTRAS = (
+    (["crosscheck", "--config", "cavity.ini"], 0),
+    (["distribute", "--simulate", "--config", "cavity.ini"], 0),
+    (["pcd", "--simulate", "--g", "1.5", "--config", "cavity.ini"], 0),
+    (["purify", "--simulate", "--config", "purify.ini"], 0),
+    (["coeffs", "--config", "cavity.ini", "--kappa-s", "0.05"], 0),
+    (["crosscheck", "--g", "abc"], 1),
+    (["distribute", "--simulate", "--eta-in", "1.5"], 1),
+    (["purify", "--rounds", "x"], 1),
+    (["coeffs", "--bogus"], 1),
+    (["sweep", "--quantity", "coeffs", "--gamma", "0.2", "--g-grid", "1,2"], 0),
+    (["sweep", "--quantity", "purify", "--gamma", "0.2"], 1),
+    (["sweep", "--quantity", "purify", "--mu-grid", "0.7"], 0),
+)
+
+
+def test_cli_calls_do_not_depend_on_the_calls_before_them(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in SHARED_PARSER_CONFIGS.items():
+        pathlib.Path(name).write_text(text)
+    run = WORKLOADS.RUNNERS["cli-sweep"]
+    in_order = {task["id"]: run(task) for task in CLI_CALLS}
+    mixed = CLI_CALLS + [{"id": None, "argv": argv, "code": code} for argv, code in SHARED_PARSER_EXTRAS] * 3
+    random.Random(1).shuffle(mixed)
+    for task in mixed:
+        output = run(task)
+        if task["id"] is None:
+            assert output["code"] == task["code"], task["argv"]
+        else:
+            assert output == in_order[task["id"]], task["id"]

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import pathlib
 
@@ -792,6 +793,71 @@ def test_help_shows_the_defaults(capsys):
     assert exit_info.value.code == 0
     help_text = capsys.readouterr().out
     assert "(default: 1.2)" in help_text
+
+
+# --- one parser per process: no call reaches the next -------------------------------------
+
+def test_config_defaults_do_not_reach_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text("[defaults]\ng = 2.0\n")
+    code, out, _ = run(capsys, "coeffs", "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[1].split(",")[0] == "2"
+    code, out, _ = run(capsys, "coeffs")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[0] == "1.2"
+
+
+def test_typed_flags_do_not_reach_the_next_call(capsys):
+    assert run(capsys, "sweep", "--quantity", "coeffs", "--gamma", "0.2")[0] == 0
+    code, out, err = run(capsys, "sweep", "--quantity", "purify")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == ",".join(PURIFY_HEADER)
+
+
+@pytest.fixture
+def added_arguments(monkeypatch):
+    """The number of argparse arguments added so far, as a one-element list."""
+    count = [0]
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    return count
+
+
+def test_plain_calls_after_the_first_build_no_parser(capsys, added_arguments):
+    run(capsys, "coeffs")
+    before = added_arguments[0]
+    for argv in (("coeffs", "--g", "2"), ("crosscheck",), ("purify", "--simulate", "--rounds", "1"),
+                 ("crosscheck", "--g", "abc"), ("sweep", "--quantity", "coeffs", "--gamma", "0.2")):
+        run(capsys, *argv)
+    assert added_arguments[0] == before
+
+
+def test_config_call_builds_one_parser(tmp_path, capsys, added_arguments):
+    run(capsys, "coeffs")
+    start = added_arguments[0]
+    build_parser()
+    one_build = added_arguments[0] - start
+    assert one_build > 0
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text("[defaults]\ng = 2.0\n")
+    start = added_arguments[0]
+    assert run(capsys, "coeffs", "--config", str(cfg))[0] == 0
+    assert added_arguments[0] - start == one_build
+
+
+def test_build_parser_returns_a_fresh_parser(capsys):
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    plain = run(capsys, "coeffs")
+    first.commands["coeffs"].set_defaults(g="2.0")
+    assert run(capsys, "coeffs") == plain
+    assert second.parse_args(["coeffs"]).g == 1.2
 
 
 # --- exit codes: 1 for bad input, 2 for internal failures --------------------------------
