@@ -71,6 +71,9 @@ from .timebin import (
 RT2 = 1.0 / math.sqrt(2.0)
 _ZERO = 1e-24          # branch weights below this are numerically dead
 _MERGE_TOL = 1e-10
+#: complex entries per temporary of the pooling: 64 KiB, half of glibc's
+#: 128 KiB mmap threshold, so a temporary never takes fresh pages from the OS
+_POOL_BLOCK = 4096
 
 #: structurally possible single-photon detections after the decoder routing
 _PORTS = (("R", "up"), ("L", "dn"))
@@ -333,19 +336,36 @@ def _normalized_ensemble(reg: Register, pairs) -> Ensemble:
     """Ensemble over ``reg`` from (weight, unit amplitude row) pairs.
 
     A row equal up to a global phase to an earlier distinct row is the same
-    pure state, and its weight joins the first such row.  If more distinct
+    pure state, and its weight joins the first such row.  Every row is
+    compared with every earlier one in one match matrix, built in blocks of
+    `_POOL_BLOCK` entries; the rows then go to their distinct rows in
+    arrival order, so the weights add up in that order.  If more distinct
     rows than the register dimension d remain, the mixture is rebuilt from
     the eigenbasis of its density matrix, which holds any d-dimensional
     mixture exactly in d pure components.  Exact sums keep the total at 1.
     """
-    rows = np.empty((len(pairs), reg.dim), dtype=complex)     # the distinct rows so far, stacked
-    distinct: list[list] = []                                   # [pooled weight, row]
-    for w, amps in pairs:
-        match = np.flatnonzero(_equal_upto_phase(rows[:len(distinct)], amps, _MERGE_TOL))
-        if match.size:
-            distinct[match[0]][0] += w
+    rows = np.array([amps for _, amps in pairs])
+    n, dim = rows.shape
+    # a block of new rows against a block of earlier ones, at most _POOL_BLOCK
+    # entries in all, sweeping only the earlier rows of its last new row
+    width = min(n, max(1, _POOL_BLOCK // dim))
+    height = max(1, _POOL_BLOCK // (width * dim))
+    match = np.zeros((n, n), dtype=bool)
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
+        for left in range(0, hi - 1, width):
+            right = min(left + width, hi - 1)
+            match[lo:hi, left:right] = _equal_upto_phase(rows[left:right], rows[lo:hi], _MERGE_TOL)
+
+    distinct: list[list] = []       # [pooled weight, row]
+    first: list[int] = []           # the index of each distinct row in ``pairs``
+    for i, ((w, amps), matches) in enumerate(zip(pairs, match.tolist())):
+        for d, j in enumerate(first):
+            if matches[j]:
+                distinct[d][0] += w
+                break
         else:
-            rows[len(distinct)] = amps
+            first.append(i)
             distinct.append([w, amps])
     total = math.fsum(w for w, _ in distinct)
 
@@ -565,23 +585,26 @@ def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels, stage: str) -> t
     Each map takes the Kronecker product of one member of each mixture to
     the two spins ``labels``; a map narrower than that product acts on its
     trailing spins, the leading ones being spectators.  Returns the heralded
-    mixture and its success probability at unit input coupling.  Accepted
-    rows are listed pair by pair, branch by branch, which fixes the order in
-    which `_normalized_ensemble` pools them.
+    mixture and its success probability at unit input coupling.  All pairs
+    go through all maps as array products; accepted rows are listed pair by
+    pair, branch by branch, which fixes the order in which
+    `_normalized_ensemble` pools them.
     """
-    accepted = []
-    for w1, s1 in ens_a.members:
-        for w2, s2 in ens_b.members:
-            psi = np.kron(s1.amplitudes, s2.amplitudes)
-            for m in maps:
-                out = (psi.reshape(-1, m.shape[1]) @ m.T).reshape(-1)
-                p = float(np.vdot(out, out).real)
-                w = w1 * w2 * p
-                if w > _ZERO:
-                    accepted.append((w, out / math.sqrt(p)))
-    if not accepted:
+    w_a, a = np.array([w for w, _ in ens_a.members]), np.array([s.amplitudes for _, s in ens_a.members])
+    w_b, b = np.array([w for w, _ in ens_b.members]), np.array([s.amplitudes for _, s in ens_b.members])
+    # the np.kron of each pair, its products unchanged, as row i * len(b) + j
+    psi = (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), 1, -1, maps[0].shape[1])
+    # each (pair, map) slice is the same matrix product as one pair's own
+    out = (psi @ np.stack(maps).transpose(0, 2, 1)).reshape(len(a) * len(b) * len(maps), -1)
+    # np.vdot per row: a vectorised norm sums in another order
+    p = np.array([np.vdot(row, row).real for row in out])
+    w = np.repeat((w_a[:, None] * w_b[None, :]).reshape(-1), len(maps)) * p
+    live = np.flatnonzero(w > _ZERO)
+    if not live.size:
         raise RuntimeError(f"{stage} heralded no surviving branches")
-    return _normalized_ensemble(spin_register(labels), accepted), math.fsum(w for w, _ in accepted)
+    weights = w[live].tolist()
+    accepted = list(zip(weights, out[live] / np.sqrt(p[live])[:, None]))
+    return _normalized_ensemble(spin_register(labels), accepted), math.fsum(weights)
 
 
 def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[PurificationState, float]:

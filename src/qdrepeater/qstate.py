@@ -198,7 +198,12 @@ class LinearMap:
             if not dev <= ATOL:
                 raise ValueError(f"matrix flagged unitary deviates from unitarity by {dev}")
         else:
-            smax = float(np.linalg.svd(m, compute_uv=False)[0])
+            diag = np.diagonal(m)
+            if np.count_nonzero(m) == np.count_nonzero(diag):
+                # a diagonal matrix's largest singular value is its largest |entry|
+                smax = float(np.max(np.abs(diag)))
+            else:
+                smax = float(np.linalg.svd(m, compute_uv=False)[0])
             if not smax <= 1.0 + ATOL:
                 raise ValueError(f"largest singular value {smax} exceeds 1; map would grow norm")
         m.setflags(write=False)
@@ -280,11 +285,16 @@ def fidelity(state: StateVector | Ensemble, target: StateVector) -> float:
 
 
 def _equal_upto_phase(va: np.ndarray, vb: np.ndarray, atol: float) -> np.ndarray:
-    """Which rows of ``va`` equal unit row ``vb`` up to a global phase (`np.allclose` per row, rtol 1e-5)."""
-    k = int(np.argmax(np.abs(vb)))
-    with np.errstate(all="ignore"):     # a row below atol at k may get a nan or inf phase
-        phase = va[..., k:k + 1] / vb[k]
-        b = phase / np.abs(phase) * vb
-        close = (np.abs(va - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b) | (va == b)
-        return (np.abs(va[..., k]) >= atol) & close.all(axis=-1)
+    """Entry [i, j] says whether row j of ``va`` equals unit row i of ``vb`` up to a global phase.
 
+    The phase is read off the largest entry k of ``vb[i]``; ``va[j]`` below
+    ``atol`` there is unequal, and otherwise the rows are compared entry by
+    entry as `np.allclose` compares them (rtol 1e-5).
+    """
+    k = np.argmax(np.abs(vb), axis=1)
+    at_k = va[:, k].T                   # [i, j] = va[j, k_i]
+    with np.errstate(all="ignore"):     # a row below atol at k may get a nan or inf phase
+        phase = at_k / vb[np.arange(len(vb)), k][:, None]
+        b = (phase / np.abs(phase))[:, :, None] * vb[:, None, :]
+        close = (np.abs(va - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b) | (va == b)
+        return (np.abs(at_k) >= atol) & close.all(axis=-1)

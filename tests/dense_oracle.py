@@ -25,7 +25,10 @@ the two.
 of a register.
 
 `pool_scalar` pools a mixture's members one `np.allclose` at a time; the
-library compares each new member with all distinct ones in one expression.
+library compares all members with each other in one block-wise match matrix.
+`pair_stage_scalar` runs a pair stage one member pair and one branch map at
+a time and pools with `pool_scalar`; the library forms all pairs and applies
+each map to all of them as array products.
 """
 
 import itertools
@@ -467,6 +470,28 @@ def pool_scalar(pairs) -> Ensemble:
     scaled = [(w / total, amps) for w, amps in distinct]
     residual = math.fsum(w for w, _ in scaled)
     return Ensemble(tuple((w / residual, StateVector(reg, amps)) for w, amps in scaled))
+
+
+def pair_stage_scalar(ens_a, ens_b, maps, labels):
+    """The library's pair stage one member pair and one branch map at a time.
+
+    Each pair's Kronecker product goes through each map as its own matrix
+    product; a branch of weight at most ZERO is dead.  The heralded rows,
+    listed pair by pair and branch by branch, are pooled with `pool_scalar`.
+    Returns (ensemble, success probability at unit input coupling).
+    """
+    reg = spin_register(labels)
+    accepted = []
+    for w1, s1 in ens_a.members:
+        for w2, s2 in ens_b.members:
+            psi = np.kron(s1.amplitudes, s2.amplitudes)
+            for m in maps:
+                out = (psi.reshape(-1, m.shape[1]) @ m.T).reshape(-1)
+                p = float(np.vdot(out, out).real)
+                w = w1 * w2 * p
+                if w > ZERO:
+                    accepted.append((w, StateVector(reg, out / math.sqrt(p))))
+    return pool_scalar(accepted), math.fsum(w for w, _ in accepted)
 
 
 def relabel(state, labels):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qdrepeater import protocols
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
 from qdrepeater.metrics import distribution_metrics, pcd_metrics
 from qdrepeater.protocols import (
@@ -50,6 +51,7 @@ from dense_oracle import (
     apply_gates,
     extend_chain_gates,
     ghz_correction_search,
+    pair_stage_scalar,
     pool_scalar,
     purify_gates,
     run_chain_gates,
@@ -867,15 +869,59 @@ def test_a_row_that_matches_two_representatives_joins_the_first():
     assert [w for w, _ in ens.members] == [0.75, 0.25]
 
 
+#: 131 rows of dimension 4, which the pooling's match matrix takes in many
+#: blocks: the last rows match representatives in the first blocks, and the
+#: last one, "near" its base, matches both its "copy" and its "far" row
+_ACROSS_POOLING_BLOCKS = _pool_outcomes(7, 3, [(0, "copy"), (0, "far")] + [
+    (i % 3, sorted(POOL_KINDS)[i % len(POOL_KINDS)]) for i in range(128)] + [(0, "near")])
+
+
+def _assert_same_ensemble(ens, oracle):
+    assert [w for w, _ in ens.members] == [w for w, _ in oracle.members]
+    assert [s.amplitudes.tobytes() for _, s in ens.members] == [s.amplitudes.tobytes() for _, s in oracle.members]
+
+
 @given(_pool_inputs)
 @example(_EVERY_POOLING_BRANCH)
+@example(_ACROSS_POOLING_BLOCKS)
 @settings(max_examples=60, deadline=None)
 def test_pooling_matches_scalar_oracle_bit_for_bit(outcomes):
     ens, total = heralded_ensemble(outcomes)
-    oracle = pool_scalar([(o.probability, o.post_state) for o in outcomes])
-    assert [w for w, _ in ens.members] == [w for w, _ in oracle.members]
-    assert [s.amplitudes.tobytes() for _, s in ens.members] == [s.amplitudes.tobytes() for _, s in oracle.members]
+    _assert_same_ensemble(ens, pool_scalar([(o.probability, o.post_state) for o in outcomes]))
     assert total == math.fsum(o.probability for o in outcomes)
+
+
+#: the Bell states over (e_a, e_b), which pair stages map onto each other
+_BELL_ROWS = [np.array(row) * RT2 for row in ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])]
+
+
+def _two_spin_mixture(seed, kinds):
+    """A mixture of random weights whose members are Bell states (kinds 0-3)
+    or random rows (kind 4), each at a random global phase."""
+    rng = np.random.default_rng(seed)
+    rows = [_unit_row(rng) if k == 4 else _BELL_ROWS[k] for k in kinds]
+    weights = rng.uniform(1e-3, 1.0, len(kinds))
+    return Ensemble(tuple((w, StateVector(POOL_REG, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * row))
+                          for w, row in zip(weights / weights.sum(), rows)))
+
+
+_mixtures = st.builds(_two_spin_mixture, st.integers(0, 2 ** 32 - 1),
+                      st.lists(st.integers(0, 4), min_size=1, max_size=4))
+
+
+@pytest.mark.parametrize("stage", ["purification", "extension"])
+@given(seed=st.integers(0, 2 ** 32 - 1), ens_a=_mixtures, ens_b=_mixtures)
+@settings(max_examples=40, deadline=None)
+def test_pair_stage_matches_scalar_oracle_bit_for_bit(stage, seed, ens_a, ens_b):
+    # the extension maps act on (z, z', d), the first spin of ens_a being a spectator
+    rng = np.random.default_rng(seed)
+    coeffs_a, coeffs_b = random_coeffs(rng), random_coeffs(rng)
+    maps = (protocols._purification_maps(coeffs_a, coeffs_b) if stage == "purification"
+            else protocols._extension_maps(coeffs_a))
+    ens, success = protocols._pair_stage(ens_a, ens_b, maps, ("e_a", "e_b"), stage)
+    oracle, oracle_success = pair_stage_scalar(ens_a, ens_b, maps, ("e_a", "e_b"))
+    _assert_same_ensemble(ens, oracle)
+    assert success == oracle_success
 
 
 # --- chains -----------------------------------------------------------------------

@@ -166,6 +166,8 @@ def test_linear_map_validation():
         LinearMap(np.array([[1.0, 0.0], [0.0, 2.0]]), unitary=True)
     with pytest.raises(ValueError):
         LinearMap(np.array([[1.0, 0.0], [0.0, 1.5]]), unitary=False)
+    # a diagonal map may carry an entry of magnitude exactly 1
+    assert LinearMap(np.diag([1j, -1.0, 0.5])).dim == 3
 
 
 def test_unitarity_check_rejects_nan():
@@ -338,6 +340,9 @@ _PLUS = superposition(_QUBIT, [(1 / math.sqrt(2), {"a": "0"}), (1 / math.sqrt(2)
     (lambda: Ensemble(((1.0, StateVector(_QUBIT, [0.5, 0.5])),)), ValueError,
      "ensemble members must be normalized"),
     (lambda: LinearMap(np.zeros((2, 3))), ValueError, "linear map must be square, got shape (2, 3)"),
+    (lambda: LinearMap(np.diag([0.5, (1 + 1e-9) * 1j])), ValueError,
+     "largest singular value 1.000000001 exceeds 1; map would grow norm"),
+    (lambda: LinearMap(np.diag([0.5, np.nan])), ValueError, "largest singular value nan exceeds 1; map would grow norm"),
     (lambda: apply_map(basis_state(_PAIR), LinearMap(np.eye(4)), ["a", "a"]), RegisterError,
      "duplicate targets ['a', 'a']"),
     (lambda: apply_map(basis_state(_PAIR), LinearMap(np.eye(2)), ["a", "b"]), RegisterError,
