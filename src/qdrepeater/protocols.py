@@ -71,9 +71,6 @@ from .timebin import (
 RT2 = 1.0 / math.sqrt(2.0)
 _ZERO = 1e-24          # branch weights below this are numerically dead
 _MERGE_TOL = 1e-10
-#: complex entries per temporary of the pooling: 64 KiB, half of glibc's
-#: 128 KiB mmap threshold, so a temporary never takes fresh pages from the OS
-_POOL_BLOCK = 4096
 
 #: structurally possible single-photon detections after the decoder routing
 _PORTS = (("R", "up"), ("L", "dn"))
@@ -290,10 +287,6 @@ def distribute_bell(
                              phi_minus(spin_labels), eta_in)
 
 
-def _ghz_labels(n: int) -> list[str]:
-    return [f"e_{chr(ord('a') + i)}" for i in range(n)]
-
-
 def distribute_ghz(
     n: int,
     noise,
@@ -314,7 +307,7 @@ def distribute_ghz(
     coeffs = list(coeffs)
     if len(noise) != n or len(coeffs) != n:
         raise ValueError("need one noise channel and one coefficient set per photon")
-    labels = _ghz_labels(n)
+    labels = [f"e_{chr(ord('a') + i)}" for i in range(n)]
     amps, _ = distribution_branches(noise, coeffs, phase_photon=0)
     return _collect_outcomes(amps, noise, labels, _ghz_correction, phi_plus(labels), eta_in)
 
@@ -336,43 +329,44 @@ def _normalized_ensemble(reg: Register, pairs) -> Ensemble:
     """Ensemble over ``reg`` from (weight, unit amplitude row) pairs.
 
     A row equal up to a global phase to an earlier distinct row is the same
-    pure state, and its weight joins the first such row.  Every row is
-    compared with every earlier one in one match matrix, built in blocks of
-    `_POOL_BLOCK` entries; the rows then go to their distinct rows in
-    arrival order, so the weights add up in that order.  If more distinct
-    rows than the register dimension d remain, the mixture is rebuilt from
-    the eigenbasis of its density matrix, which holds any d-dimensional
-    mixture exactly in d pure components.  Exact sums keep the total at 1.
+    pure state, and its weight joins the first such row.  Only rows whose
+    keys, their sums of entry magnitudes, lie close together are compared:
+    a match moves no entry's magnitude by more than atol + 1e-5 |entry|, so
+    matching keys differ by at most dim * atol + 1e-5 * key, and the window
+    is twice that.  The rows then join their distinct rows in arrival order,
+    so the weights add up in that order.  If more distinct rows than the
+    register dimension d remain, the mixture is rebuilt from the eigenbasis
+    of its density matrix, which holds any d-dimensional mixture exactly in
+    d pure components.  Exact sums keep the total at 1.
     """
     rows = np.array([amps for _, amps in pairs])
     n, dim = rows.shape
-    # a block of new rows against a block of earlier ones, at most _POOL_BLOCK
-    # entries in all, sweeping only the earlier rows of its last new row
-    width = min(n, max(1, _POOL_BLOCK // dim))
-    height = max(1, _POOL_BLOCK // (width * dim))
-    match = np.zeros((n, n), dtype=bool)
-    for lo in range(0, n, height):
-        hi = min(lo + height, n)
-        for left in range(0, hi - 1, width):
-            right = min(left + width, hi - 1)
-            match[lo:hi, left:right] = _equal_upto_phase(rows[left:right], rows[lo:hi], _MERGE_TOL)
-
-    distinct: list[list] = []       # [pooled weight, row]
-    first: list[int] = []           # the index of each distinct row in ``pairs``
-    for i, ((w, amps), matches) in enumerate(zip(pairs, match.tolist())):
-        for d, j in enumerate(first):
-            if matches[j]:
-                distinct[d][0] += w
-                break
-        else:
-            first.append(i)
-            distinct.append([w, amps])
+    key = np.abs(rows).sum(axis=1)
+    order = key.argsort(kind="stable")     # np.lexsort's code; the default sort adds 0.25 MB of RSS
+    key = key.take(order)
+    # sorted position s meets each t in (s, end[s]): within the larger key's window
+    end = key.searchsorted((key + 2 * dim * _MERGE_TOL) / (1.0 - 2e-5), "right")
+    width = end - np.arange(1, n + 1)
+    s = order.repeat(width)
+    t = order.take(np.arange(len(s)) + (end - width.cumsum()).repeat(width))
+    later, earlier = np.maximum(s, t), np.minimum(s, t)
+    by_row = np.lexsort((earlier, later))    # by later row, then by earlier row
+    later, earlier = later.take(by_row), earlier.take(by_row)
+    hit = _equal_upto_phase(rows.take(earlier, axis=0), rows.take(later, axis=0), _MERGE_TOL)
+    weights = [w for w, _ in pairs]
+    free = [True] * n               # whether a row is still a distinct row
+    for i, j in zip(later[hit].tolist(), earlier[hit].tolist()):
+        if free[i] and free[j]:
+            free[i] = False
+            weights[j] += weights[i]
+    distinct = [(w, amps) for w, (_, amps), f in zip(weights, pairs, free) if f]
     total = math.fsum(w for w, _ in distinct)
 
     if len(distinct) > reg.dim:
-        rho = np.zeros((reg.dim, reg.dim), dtype=complex)
-        for w, amps in distinct:
-            rho += (w / total) * np.outer(amps, amps.conj())
+        vecs = np.array([amps for _, amps in distinct])
+        scale = np.array([w / total for w, _ in distinct])[:, None, None]
+        # (w / total) * outer, added one at a time from zero as a running sum adds them
+        rho = np.add.reduce(scale * (vecs[:, :, None] * vecs.conj()[:, None, :]), axis=0, initial=0.0)
         eigvals, eigvecs = np.linalg.eigh(rho)
         distinct = [(float(lam), eigvecs[:, i]) for i, lam in enumerate(eigvals) if lam > _ZERO]
         distinct.reverse()      # dominant component first
@@ -389,11 +383,17 @@ def heralded_ensemble(outcomes) -> tuple[Ensemble, float]:
     The protocol has already decided which branches are dead: those are the
     outcomes without a post state.
     """
-    live = [(o.probability, o.post_state) for o in outcomes if o.post_state is not None]
-    total = math.fsum(w for w, _ in live)
+    live = [o for o in outcomes if o.post_state is not None]
+    for o in live:
+        if not 0.0 <= o.probability < math.inf:
+            raise ValueError(f"outcome {o.detection!r}: probability {o.probability} is negative or not finite")
+        if o.post_state.register != live[0].post_state.register:
+            raise RegisterError(f"outcome {o.detection!r}: post state is over another register than the first")
+    total = math.fsum(o.probability for o in live)
     if total <= 0.0:
         raise ValueError("no surviving branches")
-    return _normalized_ensemble(live[0][1].register, [(w, st.amplitudes) for w, st in live]), total
+    pairs = [(o.probability, o.post_state.amplitudes) for o in live]
+    return _normalized_ensemble(live[0].post_state.register, pairs), total
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +587,8 @@ def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels, stage: str) -> t
     trailing spins, the leading ones being spectators.  Returns the heralded
     mixture and its success probability at unit input coupling.  All pairs
     go through all maps as array products; accepted rows are listed pair by
-    pair, branch by branch, which fixes the order in which
-    `_normalized_ensemble` pools them.
+    pair, branch by branch, the arrival order in which `_normalized_ensemble`
+    gives each row to the first earlier distinct row it matches.
     """
     w_a, a = np.array([w for w, _ in ens_a.members]), np.array([s.amplitudes for _, s in ens_a.members])
     w_b, b = np.array([w for w, _ in ens_b.members]), np.array([s.amplitudes for _, s in ens_b.members])

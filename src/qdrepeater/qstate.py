@@ -169,10 +169,10 @@ class Ensemble:
         if not members:
             raise ValueError("ensemble needs at least one member")
         total = sum(w for w, _ in members)
-        if abs(total - 1.0) > ATOL:
+        if not abs(total - 1.0) <= ATOL:
             raise ValueError(f"ensemble weights sum to {total}, expected 1")
         for w, s in members:
-            if w < -ATOL or w > 1.0 + ATOL:
+            if not -ATOL <= w <= 1.0 + ATOL:
                 raise ValueError(f"ensemble weight {w} outside [0, 1]")
             if not s.is_normalized:
                 raise ValueError("ensemble members must be normalized")
@@ -285,16 +285,16 @@ def fidelity(state: StateVector | Ensemble, target: StateVector) -> float:
 
 
 def _equal_upto_phase(va: np.ndarray, vb: np.ndarray, atol: float) -> np.ndarray:
-    """Entry [i, j] says whether row j of ``va`` equals unit row i of ``vb`` up to a global phase.
+    """Entry p says whether row ``va[p]`` equals unit row ``vb[p]`` up to a global phase.
 
-    The phase is read off the largest entry k of ``vb[i]``; ``va[j]`` below
+    The phase is read off the largest entry k of ``vb[p]``; ``va[p]`` below
     ``atol`` there is unequal, and otherwise the rows are compared entry by
     entry as `np.allclose` compares them (rtol 1e-5).
     """
-    k = np.argmax(np.abs(vb), axis=1)
-    at_k = va[:, k].T                   # [i, j] = va[j, k_i]
+    k = np.arange(0, vb.size, vb.shape[1]) + np.abs(vb).argmax(axis=1)   # flat, in va as in vb
+    at_k = va.take(k)
     with np.errstate(all="ignore"):     # a row below atol at k may get a nan or inf phase
-        phase = at_k / vb[np.arange(len(vb)), k][:, None]
-        b = (phase / np.abs(phase))[:, :, None] * vb[:, None, :]
+        phase = at_k / vb.take(k)
+        b = (phase / np.abs(phase))[:, None] * vb
         close = (np.abs(va - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b) | (va == b)
         return (np.abs(at_k) >= atol) & close.all(axis=-1)

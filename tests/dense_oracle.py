@@ -25,7 +25,8 @@ the two.
 of a register.
 
 `pool_scalar` pools a mixture's members one `np.allclose` at a time; the
-library compares all members with each other in one block-wise match matrix.
+library compares, all at once, only the pairs of members whose sums of
+entry magnitudes lie within one window.
 `pair_stage_scalar` runs a pair stage one member pair and one branch map at
 a time and pools with `pool_scalar`; the library forms all pairs and applies
 each map to all of them as array products.

@@ -35,6 +35,7 @@ from qdrepeater.protocols import (
 from qdrepeater.qstate import (
     Ensemble,
     LinearMap,
+    RegisterError,
     StateVector,
     apply_map,
     basis_state,
@@ -797,6 +798,7 @@ POOL_KINDS = {
     "rtol": True,       # the largest entry 5e-7 off relative, within rtol 1e-5 only
     "near": True,       # the smallest entry 0.8e-5 off relative, so it also pools with "far"
     "far": False,       # the smallest entry 1.6e-5 off relative
+    "edge": True,       # the smaller entries 0.999 of the bound up, the larger down as the norm needs
     "apart": False,     # every entry 1e-4 off
     "tiny": False,      # the largest entry at 1e-11, below atol
     "zero": False,      # the largest entry at 0
@@ -821,6 +823,14 @@ def _pool_member(row, kind, phase, rng):
         out[np.argmin(np.abs(row))] *= 1.0 + (0.8e-5 if kind == "near" else 1.6e-5)
     elif kind in ("tiny", "zero", "subnormal"):
         out[k] = {"tiny": 1e-11, "zero": 0.0, "subnormal": 1e-310}[kind]
+    elif kind == "edge":
+        # the smaller half of the entries grows by 0.999 of its bound, 1e-10 + 1e-5 |entry|,
+        # and the larger half shrinks by as much of the norm, so normalizing moves no entry
+        mag = np.abs(row)
+        up = mag < np.median(mag)
+        bound = 0.999 * (1e-10 + 1e-5 * mag)
+        norm_up, norm_dn = (np.sum(mag[side] * bound[side]) for side in (up, ~up))
+        out *= 1.0 + np.where(up, bound, -bound * norm_up / norm_dn) / mag
     return np.exp(1j * phase) * out / np.linalg.norm(out)
 
 
@@ -869,11 +879,31 @@ def test_a_row_that_matches_two_representatives_joins_the_first():
     assert [w for w, _ in ens.members] == [0.75, 0.25]
 
 
-#: 131 rows of dimension 4, which the pooling's match matrix takes in many
-#: blocks: the last rows match representatives in the first blocks, and the
-#: last one, "near" its base, matches both its "copy" and its "far" row
-_ACROSS_POOLING_BLOCKS = _pool_outcomes(7, 3, [(0, "copy"), (0, "far")] + [
+#: the Bell states over (e_a, e_b), which pair stages map onto each other
+_BELL_ROWS = [np.array(row) * RT2 for row in ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])]
+
+
+#: 131 rows of dimension 4: the last rows match representatives among the
+#: first ones, and the last one, "near" its base, matches both its "copy"
+#: and its "far" row
+_MATCHES_FAR_BACK = _pool_outcomes(7, 3, [(0, "copy"), (0, "far")] + [
     (i % 3, sorted(POOL_KINDS)[i % len(POOL_KINDS)]) for i in range(128)] + [(0, "near")])
+
+
+def _bell_outcomes(seed, kinds):
+    """One outcome of random weight per index into `_BELL_ROWS`, each row at a random global phase."""
+    rng = np.random.default_rng(seed)
+    rows = [np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * _BELL_ROWS[k] for k in kinds]
+    return [HeraldedOutcome(f"m{i}", float(rng.uniform(1e-3, 1.0)), (), StateVector(POOL_REG, row), None)
+            for i, row in enumerate(rows)]
+
+
+#: the purify shape, 128 rows of two Bell states: every key is sqrt(2), so
+#: every pair is in the window, and the pairs of one state, about half, match
+_TWO_BELL_STATES = _bell_outcomes(17, np.random.default_rng(19).integers(0, 2, 128).tolist())
+#: the four Bell rows: every key is sqrt(2), so every pair is in the window,
+#: and none matches, not even Phi+ and Phi-, whose entry magnitudes are equal
+_FOUR_BELL_STATES = _bell_outcomes(23, [0, 1, 2, 3])
 
 
 def _assert_same_ensemble(ens, oracle):
@@ -883,7 +913,9 @@ def _assert_same_ensemble(ens, oracle):
 
 @given(_pool_inputs)
 @example(_EVERY_POOLING_BRANCH)
-@example(_ACROSS_POOLING_BLOCKS)
+@example(_MATCHES_FAR_BACK)
+@example(_TWO_BELL_STATES)
+@example(_FOUR_BELL_STATES)
 @settings(max_examples=60, deadline=None)
 def test_pooling_matches_scalar_oracle_bit_for_bit(outcomes):
     ens, total = heralded_ensemble(outcomes)
@@ -891,8 +923,21 @@ def test_pooling_matches_scalar_oracle_bit_for_bit(outcomes):
     assert total == math.fsum(o.probability for o in outcomes)
 
 
-#: the Bell states over (e_a, e_b), which pair stages map onto each other
-_BELL_ROWS = [np.array(row) * RT2 for row in ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])]
+def test_pooling_compares_only_rows_within_the_key_window(monkeypatch):
+    # 128 distinct random rows: comparing every later row with every earlier
+    # one would take 8,128 pairs
+    pairs = []
+    equal_upto_phase = protocols._equal_upto_phase
+
+    def counting(va, vb, atol):
+        pairs.append(len(va))
+        return equal_upto_phase(va, vb, atol)
+
+    monkeypatch.setattr(protocols, "_equal_upto_phase", counting)
+    rng = np.random.default_rng(13)
+    heralded_ensemble([HeraldedOutcome(f"m{i}", 1.0, (), StateVector(POOL_REG, _unit_row(rng)), None)
+                       for i in range(128)])
+    assert pairs and sum(pairs) < 0.05 * 128 * 127 / 2
 
 
 def _two_spin_mixture(seed, kinds):
@@ -1233,6 +1278,19 @@ def test_wiring_validation():
      "mu = 1.5 outside [0, 1]"),
     (lambda: heralded_ensemble([HeraldedOutcome("x", 0.0, (), None, None)]), ValueError,
      "no surviving branches"),
+    (lambda: heralded_ensemble([HeraldedOutcome("x", float("nan"), (), phi_minus(("x", "y")), None)]),
+     ValueError, "outcome 'x': probability nan is negative or not finite"),
+    (lambda: heralded_ensemble([HeraldedOutcome("x", 0.5, (), phi_minus(("x", "y")), None),
+                                HeraldedOutcome("y", -0.5, (), phi_plus(("x", "y")), None)]), ValueError,
+     "outcome 'y': probability -0.5 is negative or not finite"),
+    (lambda: heralded_ensemble([HeraldedOutcome("x", math.inf, (), phi_minus(("x", "y")), None)]),
+     ValueError, "outcome 'x': probability inf is negative or not finite"),
+    (lambda: heralded_ensemble([HeraldedOutcome("x", 0.5, (), phi_minus(("x", "y")), None),
+                                HeraldedOutcome("y", 0.5, (), phi_minus(("p", "q")), None)]), RegisterError,
+     "outcome 'y': post state is over another register than the first"),
+    (lambda: heralded_ensemble([HeraldedOutcome("x", 0.5, (), phi_minus(("x", "y")), None),
+                                HeraldedOutcome("y", 0.5, (), ghz_state(("x", "y", "z")), None)]), RegisterError,
+     "outcome 'y': post state is over another register than the first"),
     (lambda: pcd(StateVector(spin_register(("a", "b")), [0.5, 0, 0, 0]), "a", "b", IDEAL), ValueError,
      "PCD input state must be normalized"),
     (lambda: extend_chain(phi_minus(("a", "z")), ghz_state(("zp", "d", "e")), ("z", "zp"), IDEAL),

@@ -337,6 +337,9 @@ _PLUS = superposition(_QUBIT, [(1 / math.sqrt(2), {"a": "0"}), (1 / math.sqrt(2)
     (lambda: StateVector(_QUBIT, np.zeros(2)).normalized(), ValueError, "cannot normalize a zero-norm state"),
     (lambda: Ensemble(()), ValueError, "ensemble needs at least one member"),
     (lambda: Ensemble(((1.5, _PLUS), (-0.5, _PLUS))), ValueError, "ensemble weight 1.5 outside [0, 1]"),
+    (lambda: Ensemble(((float("nan"), _PLUS),)), ValueError, "ensemble weights sum to nan, expected 1"),
+    (lambda: Ensemble(((math.inf, _PLUS), (-math.inf, _PLUS))), ValueError,
+     "ensemble weights sum to nan, expected 1"),
     (lambda: Ensemble(((1.0, StateVector(_QUBIT, [0.5, 0.5])),)), ValueError,
      "ensemble members must be normalized"),
     (lambda: LinearMap(np.zeros((2, 3))), ValueError, "linear map must be square, got shape (2, 3)"),
