@@ -24,6 +24,13 @@ Extension and purification are applied as one fixed map per heralded branch
 (parity and two measured spins), cached per coefficient set; the chain runs
 every pair of mixture members through those maps.
 
+What is built from checked inputs is built once and shared read-only: the
+pi phase plate once per process (as `timebin`'s encoder and decoder maps),
+`scatter_map` and the parity, extension and purification maps per
+coefficient set (the last 16 sets each), and the targets `ghz_state`,
+`phi_minus` and `phi_plus` per label tuple (the last 64).  A distribution
+that repeats its coefficients builds no map and makes no SVD.
+
 Branch probabilities are exact: imperfect cavity coefficients shrink the
 pre-detection norm, and one minus the sum of all heralded probabilities is
 the leak/noise (plus input-coupling) loss.
@@ -64,7 +71,6 @@ from .timebin import (
     NoiseChannel,
     decode_map,
     encode_map,
-    fiber_map,
     phase_shift_map,
 )
 
@@ -107,7 +113,16 @@ def spin_register(labels) -> Register:
 
 
 def ghz_state(labels, sign: int = 1) -> StateVector:
-    """(|up...up> + sign |dn...dn>)/sqrt(2) over fresh spin subsystems."""
+    """(|up...up> + sign |dn...dn>)/sqrt(2) over fresh spin subsystems.
+
+    The state is read-only, so it is built once per label tuple and sign;
+    the last 64 are kept, as a chain's labels grow with its segments.
+    """
+    return _ghz_state(tuple(labels), sign)
+
+
+@functools.lru_cache(maxsize=64)
+def _ghz_state(labels: tuple[str, ...], sign: int) -> StateVector:
     reg = spin_register(labels)
     return superposition(reg, [
         (RT2, {lab: "up" for lab in reg.labels}),
@@ -145,6 +160,15 @@ _PORT_ROWS = [4 * POL_CIRCULAR.index(pol) + 2 * DIRECTION.index(d) + k
               for pol, d in _PORTS for k in range(len(TB_DECODED))]
 
 
+@functools.cache
+def _pi_plate() -> np.ndarray:
+    """The pi phase plate on the polarization of one photon's decoded
+    (polarization, direction, time bin) output, built once per process."""
+    m = np.kron(phase_shift_map(math.pi).matrix, np.eye(4))
+    m.setflags(write=False)
+    return m
+
+
 def _photon_transfer(noise: NoiseChannel, coeffs: ScatterCoeffs, phased: bool) -> np.ndarray:
     """Amplitudes v[s, o, spin] left by one photon's path.
 
@@ -152,12 +176,15 @@ def _photon_transfer(noise: NoiseChannel, coeffs: ScatterCoeffs, phased: bool) -
     bin and runs encode -> fiber -> decode -> (pi phase) -> quarter-wave
     relabel -> scatter off its spin, which starts in |+>.  o indexes the
     photon's (circular polarization, direction, decoded time bin) outcome.
+    The channel and the coefficients were checked when they were built, so
+    the fiber rotation enters as its plain matrix and the scattering map
+    comes from the per-coefficient cache of `scatter_map`.
     """
     # source columns Hs and Vs of the (polarization, raw time bin) basis; the
     # decoder's columns Hs, Hl, Vs, Vl with the direction tag up are 0, 1, 4, 5
-    path = decode_map().matrix[:, [0, 1, 4, 5]] @ fiber_map(noise).matrix @ encode_map().matrix[:, [0, 2]]
+    path = decode_map().matrix[:, [0, 1, 4, 5]] @ noise.matrix() @ encode_map().matrix[:, [0, 2]]
     if phased:
-        path = np.kron(phase_shift_map(math.pi).matrix, np.eye(4)) @ path
+        path = _pi_plate() @ path
     # the scattering map acts on (polarization, direction, spin); the time bin is a spectator
     s_plus = scatter_map(coeffs).matrix.reshape(8, 4, 2) @ np.array([RT2, RT2])
     v = np.einsum("pdxq,qts->spdtx", s_plus.reshape(2, 2, 2, 4), path.reshape(4, 2, 2))
@@ -218,7 +245,7 @@ def _collect_outcomes(amps, noises, spin_labels, correction_for, target, eta_in)
     n = len(spin_labels)
     reg = spin_register(spin_labels)
     split = any(ch.delta_l != ch.delta or ch.eta_l != ch.eta for ch in noises)
-    tbs = list(itertools.product(TB_DECODED, repeat=n))
+    tb_names = [",".join(bins) for bins in itertools.product(TB_DECODED, repeat=n)]
     probs = np.sum(np.abs(amps) ** 2, axis=2)
     outcomes = []
     for pattern, pat_amps, pat_probs in zip(itertools.product(_PORTS, repeat=n), amps, probs):
@@ -230,15 +257,15 @@ def _collect_outcomes(amps, noises, spin_labels, correction_for, target, eta_in)
             outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
             continue
         if split:
-            reported = [(f"{label}:{','.join(tbs[j])}", float(pat_probs[j])) for j in live]
+            reported = [(f"{label}:{tb_names[j]}", p) for j, p in zip(live.tolist(), pat_probs[live].tolist())]
         else:
             reported = [(label, sum(pat_probs[live].tolist()))]
             live = live[:1]
         posts = (pat_amps[live] / np.sqrt(pat_probs[live])[:, None]) @ _correction_matrix(gates_idx, n).T
         fids = np.abs(posts @ target.amplitudes.conj()) ** 2 / np.sum(np.abs(posts) ** 2, axis=1)
-        for (name, p), post, fid in zip(reported, posts, fids):
+        for (name, p), post, fid in zip(reported, posts, fids.tolist()):
             outcomes.append(HeraldedOutcome(name, coupled_probability(p, eta_in, n), gates,
-                                            StateVector(reg, post), float(fid)))
+                                            StateVector(reg, post), fid))
     return outcomes
 
 

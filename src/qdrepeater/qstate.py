@@ -5,6 +5,13 @@ States are dense amplitude vectors over a register of named subsystems
 implicitly: a heralded (non-unitary) map shrinks the squared norm, and that
 deficit is exactly the probability lost to undetected channels.
 
+Objects are checked when they are built: a `StateVector` checks its length
+and norm and keeps read-only amplitudes, and a `LinearMap` checks its shape
+and that it cannot grow the norm, however a caller builds it.  A `Register`
+computes its sizes once.  The library builds the maps and targets that
+depend only on constants or on already-checked inputs once and shares them
+read-only (see `timebin`, `scatter` and `protocols`).
+
 Mixed states are weighted lists of pure states (`Ensemble`), never dense
 density matrices.  Every chain mixture is over two spins, so a 4x4 density
 matrix would do; the mixtures stay ensembles until the benchmark's reference
@@ -14,6 +21,7 @@ two-round chains by up to 6e-8.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,11 +72,13 @@ class Register:
         if len(set(labels)) != len(labels):
             raise RegisterError(f"duplicate subsystem labels in register: {labels}")
 
-    @property
+    # a register never changes after it is built, so its sizes are computed
+    # once; the cached values sit outside the fields, so == and hash ignore them
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.subsystems)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return math.prod(self.dims)
 

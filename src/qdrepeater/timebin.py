@@ -13,6 +13,9 @@ Time bins are discrete delay counters.  The decoder only routes amplitude,
 so `decode` applies one 0/1 map, `decode_map()`, as `encode` applies
 `encode_map()`, and relabels the bins as arrival classes sp and lp.  The
 tests run the decoder's elements step by step as that map's reference.
+Both maps are read-only constants, built and checked once per process.  A
+fiber's 4x4 rotation is `NoiseChannel.matrix()`, whose blocks the channel
+checked when it was built; `fiber_map` checks it again as a unitary map.
 
 Each optical element is a plain function of one photon or a matrix:
 `qwp`, `delay` and `pockels` act on the photon named; a half-wave plate or a
@@ -101,6 +104,15 @@ class NoiseChannel:
         d, e = self.delta_l, self.eta_l
         return np.array([[d, -np.conj(e)], [e, np.conj(d)]])
 
+    def matrix(self) -> np.ndarray:
+        """The rotation on (polarization, raw time bin): one polarization block
+        per bin.  Both blocks were checked at construction, so this matrix is
+        not checked again; `fiber_map` wraps it as a checked `LinearMap`."""
+        m = np.zeros((4, 4), dtype=complex)
+        m[0::2, 0::2] = self.early_unitary()
+        m[1::2, 1::2] = self.late_unitary()
+        return m
+
     @classmethod
     def identity(cls) -> "NoiseChannel":
         return cls(1.0, 0.0)
@@ -176,12 +188,14 @@ def delay(state: StateVector, photon: str, pol: str) -> StateVector:
     return StateVector(new_reg, out.reshape(-1))
 
 
+@functools.cache
 def encode_map() -> LinearMap:
     """Encoder on (polarization, raw time bin), basis order Hs, Hl, Vs, Vl.
 
     Physical columns: Hs -> Hs, Vs -> Hl (long path plus window flip).  The
     late-bin columns are a formal unitary completion; `encode` keeps them
-    unreachable by requiring the bin register in |s>.
+    unreachable by requiring the bin register in |s>.  The map is read-only,
+    so it is built once per process.
     """
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = 1.0   # Hs -> Hs
@@ -192,11 +206,8 @@ def encode_map() -> LinearMap:
 
 
 def fiber_map(ch: NoiseChannel) -> LinearMap:
-    """Fiber rotation on (polarization, raw time bin): one polarization block per bin."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0::2, 0::2] = ch.early_unitary()
-    m[1::2, 1::2] = ch.late_unitary()
-    return LinearMap(m, unitary=True)
+    """Fiber rotation on (polarization, raw time bin), checked as a unitary map."""
+    return LinearMap(ch.matrix(), unitary=True)
 
 
 @functools.cache

@@ -30,6 +30,10 @@ entry magnitudes lie within one window.
 `pair_stage_scalar` runs a pair stage one member pair and one branch map at
 a time and pools with `pool_scalar`; the library forms all pairs and applies
 each map to all of them as array products.
+
+`run_chain_rho` runs a chain on 4x4 density matrices: every stage is
+rho' = sum_A A (rho_a x rho_b) A^dagger over the library's cached branch
+maps, so nothing is pooled under a tolerance (ROADMAP item 2's step).
 """
 
 import itertools
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qdrepeater import protocols
 from qdrepeater.cavity import IDEAL
 from qdrepeater.protocols import (
     ChainReport,
@@ -570,3 +575,57 @@ def run_chain_gates(scenario):
                        total_probability=math.prod(st.probability for st in stages),
                        log10_total_probability=math.fsum(math.log10(st.probability) for st in stages),
                        final_state=ens)
+
+
+def _rho_stage(rho_a, rho_b, maps):
+    """rho' = sum_A A (rho_a x rho_b) A^dagger, normalized, and its trace.
+
+    A map narrower than the product acts on its trailing spins; the leading
+    ones are spectators, so A is widened by an identity on them.
+    """
+    joint = np.kron(rho_a, rho_b)
+    widened = [np.kron(np.eye(joint.shape[0] // m.shape[1]), m) for m in maps]
+    out = sum(a @ joint @ a.conj().T for a in widened)
+    p = float(np.trace(out).real)
+    return out / p, p
+
+
+def run_chain_rho(scenario) -> list[StageResult]:
+    """`run_chain`'s stages with every two-spin mixture held as its 4x4 density matrix.
+
+    A segment starts at rho = sum_i p_i |psi_i><psi_i| / sum_i p_i over the
+    live outcomes of `distribute_bell`.  Each purification round and each
+    extension is one `_rho_stage` over the cached branch maps of
+    `run_chain`.  Stage probabilities gain eta_in per photon pass, as in
+    `run_chain`.
+    """
+    scenario.validate()
+    eta_in = scenario.eta_in
+    stages = []
+
+    def record(stage, label, p, passes, rho, labels):
+        target = phi_minus(labels).amplitudes
+        stages.append(StageResult(stage, label, p * eta_in ** passes,
+                                  float(np.vdot(target, rho @ target).real)))
+
+    segments = []
+    for i, seg in enumerate(scenario.segments):
+        labels = (f"e{i}_{seg.left}", f"e{i}_{seg.right}")
+        live = [o for o in distribute_bell(seg.noise_left, seg.noise_right, scenario.nodes[seg.left],
+                                           scenario.nodes[seg.right], spin_labels=labels)
+                if o.post_state is not None]
+        p = math.fsum(o.probability for o in live)
+        rho = sum(o.probability * np.outer(o.post_state.amplitudes, o.post_state.amplitudes.conj())
+                  for o in live) / p
+        record("distribute", seg.name, p, 2, rho, labels)
+        for r in range(scenario.purify_rounds):
+            maps = protocols._purification_maps(scenario.nodes[seg.left], scenario.nodes[seg.right])
+            rho, p = _rho_stage(rho, rho, maps)
+            record("purify", f"{seg.name} round {r + 1}", p, 2, rho, labels)
+        segments.append((rho, labels))
+
+    rho, (left_end, right_end) = segments[0]
+    for seg, (rho_b, (_, right_end)) in zip(scenario.segments[1:], segments[1:]):
+        rho, p = _rho_stage(rho, rho_b, protocols._extension_maps(scenario.nodes[seg.left]))
+        record("extend", f"at {seg.left}", p, 1, rho, (left_end, right_end))
+    return stages

@@ -2,15 +2,27 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
 from qdrepeater.metrics import (
     CrosscheckReport,
     crosscheck,
     distribution_metrics,
+    extension_metrics,
     pcd_metrics,
+    purification_metrics,
 )
-from qdrepeater.protocols import distribute_bell, pcd, uniform_spins
+from qdrepeater.protocols import (
+    distribute_bell,
+    extend_chain,
+    pcd,
+    phi_minus,
+    purify_analytic,
+    purify_round,
+    uniform_spins,
+)
 from qdrepeater.timebin import NoiseChannel
 
 from conftest import random_coeffs
@@ -150,3 +162,52 @@ def test_crosscheck_random_points(rng):
 
 def test_crosscheck_threshold_is_strict():
     assert CrosscheckReport.THRESHOLD == 1e-10
+
+
+# --- extension and purification at any node ------------------------------------
+
+@st.composite
+def _node(draw):
+    """Coefficients of a random, possibly detuned node; g = 0 is the uncoupled cavity."""
+    return resonant_coeffs(CavityParams(g=draw(st.floats(0.0, 3.0)), kappa_s=draw(st.floats(0.0, 0.3)),
+                                        gamma=draw(st.floats(0.02, 0.5)), delta=draw(st.floats(-1.0, 1.0))))
+
+
+@given(_node(), st.floats(0.5, 1.0, exclude_min=True))
+@example(IDEAL, 1.0)
+@settings(max_examples=60, deadline=None)
+def test_extension_of_two_perfect_pairs_matches_its_closed_form(coeffs, eta_in):
+    forms = extension_metrics(coeffs, eta_in)
+    outcomes = extend_chain(phi_minus(("x", "z")), phi_minus(("zp", "d")), ("z", "zp"), coeffs, eta_in)
+    assert [o.detection for o in outcomes] == list(forms)
+    for o in outcomes:
+        p, f = forms[o.detection]
+        assert o.probability == pytest.approx(p, abs=1e-10)
+        if o.post_state is not None:
+            assert o.fidelity == pytest.approx(f, abs=1e-10)
+
+
+@given(st.floats(0.0, 1.0), _node())
+@example(0.0, IDEAL)
+@example(1.0, IDEAL)
+@example(0.7, resonant_coeffs(CavityParams(g=0.0, kappa_s=0.1)))
+@settings(max_examples=60, deadline=None)
+def test_one_purification_round_matches_its_closed_form(mu, coeffs):
+    state, _ = purify_round(mu, coeffs)
+    form = purification_metrics(mu, coeffs)
+    assert form.round == state.round == 1
+    assert form.success_probability == pytest.approx(state.success_probability, abs=1e-10)
+    assert form.mu == pytest.approx(state.mu, abs=1e-10)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 1.0])
+def test_purification_closed_form_reduces_to_the_ideal_recursion(mu):
+    (ideal,) = purify_analytic(mu, 1)
+    form = purification_metrics(mu, IDEAL)
+    assert form.success_probability == pytest.approx(ideal.success_probability, abs=1e-15)
+    assert form.mu == pytest.approx(ideal.mu, abs=1e-15)
+
+
+def test_purification_closed_form_rejects_mu_outside_the_unit_interval():
+    with pytest.raises(ValueError, match="outside"):
+        purification_metrics(1.5, IDEAL)
