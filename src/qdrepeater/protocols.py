@@ -8,8 +8,10 @@ Four protocols are implemented by exact state-vector evolution:
   heralds a spin state; a fixed single-spin correction, given by a rule per
   pattern, turns each pattern into the same target state.  Each photon's
   path is compiled into a small transfer array from the matrices of the
-  dense time-bin pipeline.  Their tensor products form one (pattern, time
-  bin, spin) amplitude array, from which the outcomes are read directly.
+  dense time-bin pipeline; one broadcast product per photon forms their
+  (pattern, time bin, spin) amplitude array.  Probabilities, corrected
+  states and fidelities are read off it in whole-array steps, and each
+  listed outcome then gets one checked `StateVector`.
 * Parity-check detection (PCD): a single probe photon is split over two
   local cavities, recombined and detected; the detected polarization heralds
   the even or odd parity subspace of the two spins without measuring them.
@@ -27,9 +29,9 @@ every pair of mixture members through those maps.
 What is built from checked inputs is built once and shared read-only: the
 pi phase plate once per process (as `timebin`'s encoder and decoder maps),
 `scatter_map` and the parity, extension and purification maps per
-coefficient set (the last 16 sets each), and the targets `ghz_state`,
-`phi_minus` and `phi_plus` per label tuple (the last 64).  A distribution
-that repeats its coefficients builds no map and makes no SVD.
+coefficient set (the last 16 sets each), the targets `ghz_state`,
+`phi_minus` and `phi_plus` per label tuple (the last 64), and the pattern
+corrections per rule and n.  A repeated distribution builds no map.
 
 Branch probabilities are exact: imperfect cavity coefficients shrink the
 pre-detection norm, and one minus the sum of all heralded probabilities is
@@ -145,10 +147,6 @@ def uniform_spins(labels) -> StateVector:
     return StateVector(reg, np.full(2 ** n, 2.0 ** (-n / 2.0), dtype=complex))
 
 
-def _detection_label(pattern) -> str:
-    return "".join(pol + ("↑" if d == "up" else "↓") for pol, d in pattern)
-
-
 # ---------------------------------------------------------------------------
 # entanglement distribution
 # ---------------------------------------------------------------------------
@@ -206,11 +204,10 @@ def distribution_branches(noises, coeffs_list, phase_photon: int):
     n = len(noises)
     v = [_photon_transfer(ch, cf, i == phase_photon)
          for i, (ch, cf) in enumerate(zip(noises, coeffs_list))]
-    from_h, from_v = (functools.reduce(np.kron, [vi[s, _PORT_ROWS] for vi in v]) for s in (0, 1))
-    # rows run over (port_1, tb_1, ..., port_n, tb_n); regroup by port pattern
-    amps = (RT2 * (from_h + from_v)).reshape((2,) * (2 * n) + (-1,))
-    amps = amps.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n])
-    amps = amps.reshape(2 ** n, 2 ** n, 2 ** n)
+    # photon i's (port, time bin, spin) on axes 1 + (i, n + i, 2n + i); products in np.kron's order
+    both = functools.reduce(np.multiply, [vi[:, _PORT_ROWS].reshape(
+        (2,) + tuple(2 if a % n == i else 1 for a in range(3 * n))) for i, vi in enumerate(v)])
+    amps = RT2 * both.sum(axis=0).reshape(2 ** n, 2 ** n, 2 ** n)
 
     # <x_i a_i, x_i b_i> = prod_i <a_i, b_i> gives the full norm, stray ports included
     overlap = [[math.prod(np.vdot(vi[a], vi[b]) for vi in v) for b in (0, 1)] for a in (0, 1)]
@@ -221,15 +218,25 @@ def distribution_branches(noises, coeffs_list, phase_photon: int):
 
 
 @functools.cache
-def _correction_matrix(gates_idx, n: int) -> np.ndarray:
-    """The single-spin corrections of one pattern as one 2^n x 2^n matrix.
-
-    The corrections are Pauli gates, so the entries are 0 and +-1, and the
-    matrix moves and negates amplitudes exactly as the gates one by one do.
-    """
-    m = functools.reduce(np.kron, [_gate_product(g for g, j in gates_idx if j == i) for i in range(n)])
-    m.setflags(write=False)
-    return m
+def _pattern_corrections(correction_for, n: int):
+    """Each port pattern's label and correction, in product order, once per
+    rule and n; each correction, x and z gates, also as a signed permutation
+    that takes amplitudes a to sign[k] * a[index[k]] as the gates one by one do."""
+    patterns = list(itertools.product(_PORTS, repeat=n))
+    corrections = [correction_for(pattern) for pattern in patterns]
+    r = np.arange(2 ** n)
+    index, sign = np.tile(r, (2 ** n, 1)), np.ones((2 ** n, 2 ** n))
+    for k, gates in enumerate(corrections):
+        for g, i in gates:      # on spin i, x swaps basis states r and r ^ m, z negates those with r & m
+            m = 1 << (n - 1 - i)
+            if g == "x":
+                index[k], sign[k] = index[k, r ^ m], sign[k, r ^ m]
+            else:
+                sign[k, r & m > 0] *= -1.0
+    for table in (index, sign):
+        table.setflags(write=False)
+    labels = ["".join(pol + ("↑" if d == "up" else "↓") for pol, d in pattern) for pattern in patterns]
+    return labels, corrections, index, sign
 
 
 def _collect_outcomes(amps, noises, spin_labels, correction_for, target, eta_in):
@@ -241,32 +248,36 @@ def _collect_outcomes(amps, noises, spin_labels, correction_for, target, eta_in)
     reported once.  A late rotation equal to the early one times e^{i phi}
     still splits, into outcomes of one state (fidelity (1 + cos phi)/2 at
     ideal nodes, `channel_mixing_weight`), which the chain's pooling merges.
+    Outcomes are read off ``amps`` in whole-array steps, each listed one
+    with its checked `StateVector`; a dead pattern keeps its place.
     """
     n = len(spin_labels)
-    reg = spin_register(spin_labels)
+    labels, corrections, index, sign = _pattern_corrections(correction_for, n)
     split = any(ch.delta_l != ch.delta or ch.eta_l != ch.eta for ch in noises)
-    tb_names = [",".join(bins) for bins in itertools.product(TB_DECODED, repeat=n)]
     probs = np.sum(np.abs(amps) ** 2, axis=2)
-    outcomes = []
-    for pattern, pat_amps, pat_probs in zip(itertools.product(_PORTS, repeat=n), amps, probs):
-        gates_idx = correction_for(pattern)
-        gates = tuple((g, spin_labels[i]) for g, i in gates_idx)
-        label = _detection_label(pattern)
-        live = np.flatnonzero(pat_probs > _ZERO)
-        if not live.size:
-            outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
-            continue
-        if split:
-            reported = [(f"{label}:{tb_names[j]}", p) for j, p in zip(live.tolist(), pat_probs[live].tolist())]
-        else:
-            reported = [(label, sum(pat_probs[live].tolist()))]
-            live = live[:1]
-        posts = (pat_amps[live] / np.sqrt(pat_probs[live])[:, None]) @ _correction_matrix(gates_idx, n).T
-        fids = np.abs(posts @ target.amplitudes.conj()) ** 2 / np.sum(np.abs(posts) ** 2, axis=1)
-        for (name, p), post, fid in zip(reported, posts, fids.tolist()):
-            outcomes.append(HeraldedOutcome(name, coupled_probability(p, eta_in, n), gates,
-                                            StateVector(reg, post), fid))
-    return outcomes
+    live = probs > _ZERO
+    # unsplit, a pattern lists its first live time-bin outcome with a running
+    # sum of the live probabilities, which adds them one by one in their order
+    pats = np.flatnonzero(live.any(axis=1))
+    pats, tbs = np.nonzero(live) if split else (pats, live.argmax(axis=1)[pats])
+    heralded = probs[pats, tbs] if split else np.where(live, probs, 0.0).cumsum(axis=1)[pats, -1]
+    posts = amps[pats[:, None], tbs[:, None], index[pats]] * sign[pats] / np.sqrt(probs[pats, tbs])[:, None]
+    # elementwise, as a stacked product starts BLAS threads; the target's zeros add exact zeros
+    nz = np.flatnonzero(target.amplitudes)
+    overlaps = np.sum(posts[:, nz] * target.amplitudes[nz].conj(), axis=1)
+    fids = np.abs(overlaps) ** 2 / np.sum(np.abs(posts) ** 2, axis=1)
+    scaled = heralded * eta_in ** n      # `coupled_probability`, on every outcome at once
+    heralded = np.where(scaled >= sys.float_info.min, scaled, 0.0)
+
+    reg = spin_register(spin_labels)
+    tb_names = [",".join(bins) for bins in itertools.product(TB_DECODED, repeat=n)]
+    gates = [tuple((g, spin_labels[i]) for g, i in gates_idx) for gates_idx in corrections]
+    listed = [[] for _ in labels]
+    for k, j, p, post, fid in zip(pats.tolist(), tbs.tolist(), heralded.tolist(), posts, fids.tolist()):
+        name = f"{labels[k]}:{tb_names[j]}" if split else labels[k]
+        listed[k].append(HeraldedOutcome(name, p, gates[k], StateVector(reg, post), fid))
+    return [o for label, gate, outs in zip(labels, gates, listed)
+            for o in outs or [HeraldedOutcome(label, 0.0, gate, None, None)]]
 
 
 def _bell_correction(pattern):
@@ -469,6 +480,7 @@ def pcd(
             raise RegisterError(f"no spin labeled {lab!r} in the input state")
     if abs(state.norm2 - 1.0) > 1e-9:
         raise ValueError("PCD input state must be normalized")
+    pos = [state.register.position(lab) for lab in (spin1, spin2)]
 
     # both ports of a parity carry K/sqrt(2), so each heralds half of the
     # probability and the same state; a parity whose ports carry no more
@@ -480,7 +492,10 @@ def pcd(
         if p / 2.0 <= _ZERO:
             outcomes += [HeraldedOutcome(label, 0.0, (), None, None) for label, _ in _PCD_PORTS[parity]]
             continue
-        target = apply_map(state, ideal, [spin1, spin2])
+        # the ideal diagonal holds 0 and +-1, so its product moves amplitudes as apply_map would
+        psi = np.moveaxis(state.tensor_axes(), pos, (0, 1))
+        psi = np.diag(ideal.matrix).reshape((2, 2) + (1,) * (psi.ndim - 2)) * psi
+        target = StateVector(state.register, np.moveaxis(psi, (0, 1), pos))
         target = target.normalized() if target.norm2 > _ZERO else None
         for label, sign in _PCD_PORTS[parity]:
             post = StateVector(heralded.register, sign * (heralded.amplitudes / math.sqrt(p)))

@@ -9,6 +9,10 @@ builds the same branches from per-photon transfer amplitudes; the tests
 compare the two.
 `ghz_correction_search` finds each GHZ pattern's correction by trying
 candidates at ideal nodes; the library applies a fixed rule.
+`collect_outcomes_scalar` reads the outcomes off the amplitude array one
+port pattern at a time, correcting each state with one dense matrix; the
+library reads them all in whole-array steps, each correction a signed
+permutation.
 
 `run_pcd` evolves the probe photon of a parity check together with the
 spins through the detector optics and measures it.  The library applies
@@ -36,6 +40,7 @@ rho' = sum_A A (rho_a x rho_b) A^dagger over the library's cached branch
 maps, so nothing is pooled under a tolerance (ROADMAP item 2's step).
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,6 +53,7 @@ from qdrepeater.protocols import (
     ChainReport,
     HeraldedOutcome,
     StageResult,
+    coupled_probability,
     distribute_bell,
     distribution_branches,
     ghz_state,
@@ -297,6 +303,49 @@ def ghz_correction_search(n):
         table[pattern] = next(cand for cand in candidates
                               if abs(fidelity(apply_gates(post, cand), target) - 1.0) < 1e-10)
     return table
+
+
+def collect_outcomes_scalar(amps, noises, spin_labels, corrections, target, eta_in):
+    """Distribution outcomes read off `distribution_branches`' ``amps`` one
+    port pattern at a time, each state corrected by one dense matrix.
+
+    ``corrections`` maps each port pattern to its ((gate, spin label), ...)
+    correction.  A pattern lists each live time-bin outcome when some fiber's
+    late bin rotates differently from its early one, else its first live
+    one, with the live probabilities added one by one; a pattern with none
+    is listed with probability 0.0 and no post state.  The correction is the
+    Kronecker product of each spin's gates, applied as one matrix product.
+    """
+    n = len(spin_labels)
+    reg = spin_register(spin_labels)
+    split = any(ch.delta_l != ch.delta or ch.eta_l != ch.eta for ch in noises)
+    tb_names = [",".join(bins) for bins in itertools.product(TB_DECODED, repeat=n)]
+    probs = np.sum(np.abs(amps) ** 2, axis=2)
+    outcomes = []
+    for pattern, pat_amps, pat_probs in zip(itertools.product(PORTS, repeat=n), amps, probs):
+        gates = corrections[pattern]
+        label = "".join(pol + ("↑" if d == "up" else "↓") for pol, d in pattern)
+        live = np.flatnonzero(pat_probs > ZERO)
+        if not live.size:
+            outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
+            continue
+        if split:
+            reported = [(f"{label}:{tb_names[j]}", p) for j, p in zip(live.tolist(), pat_probs[live].tolist())]
+        else:
+            total = 0.0
+            for p in pat_probs[live].tolist():
+                total += p
+            reported = [(label, total)]
+            live = live[:1]
+        per_spin = [functools.reduce(lambda m, g: GATES[g].matrix @ m, [g for g, lab in gates if lab == spin],
+                                     np.eye(2)) for spin in spin_labels]
+        matrix = functools.reduce(np.kron, per_spin)
+        posts = (pat_amps[live] / np.sqrt(pat_probs[live])[:, None]) @ matrix.T
+        fids = np.abs(posts @ target.amplitudes.conj()) ** 2 / np.sum(np.abs(posts) ** 2, axis=1)
+        for (name, p), post, fid in zip(reported, posts, fids.tolist()):
+            outcomes.append(HeraldedOutcome(name, coupled_probability(p, eta_in, n), gates,
+                                            StateVector(reg, post), fid))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

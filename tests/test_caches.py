@@ -3,8 +3,10 @@
 Registers keep their sizes, the constant optical maps are built once per
 process, `scatter_map` once per coefficient set and the spin targets once
 per label tuple.  These tests hold the saving (a repeated distribution
-makes no singular value decomposition), show that nothing cached can be
-written to, and show that user-built maps keep every check.
+makes no singular value decomposition and no Kronecker product, and builds
+one state per listed live outcome; a parity check applies two maps), show
+that nothing cached can be written to, and show that user-built maps keep
+every check.
 """
 
 import math
@@ -13,9 +15,10 @@ import numpy as np
 import pytest
 
 from qdrepeater import protocols
-from qdrepeater.cavity import CavityParams, resonant_coeffs
-from qdrepeater.protocols import distribute_bell, distribute_ghz, ghz_state, phi_minus, phi_plus, spin_register
-from qdrepeater.qstate import LinearMap, Register, Subsystem, basis_state, superposition
+from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
+from qdrepeater.protocols import distribute_bell, distribute_ghz, ghz_state, pcd, phi_minus, phi_plus, spin_register
+from qdrepeater.qstate import (LinearMap, Register, StateVector, Subsystem, apply_map, basis_state, fidelity,
+                               superposition)
 from qdrepeater.scatter import scatter_map
 from qdrepeater.timebin import (
     NoiseChannel,
@@ -29,7 +32,8 @@ from qdrepeater.timebin import (
     tb_label,
 )
 
-from conftest import random_asymmetric
+from conftest import random_asymmetric, random_symmetric
+from dense_oracle import K_EVEN_IDEAL, K_ODD_IDEAL
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -63,6 +67,53 @@ def test_a_repeated_distribution_makes_no_svd(svd_calls, rng):
     for old, new in zip(first, again):
         assert [(o.detection, o.probability, o.fidelity) for o in old] == \
                [(o.detection, o.probability, o.fidelity) for o in new]
+
+
+def test_a_repeated_ghz_distribution_makes_no_kron_and_one_state_per_live_outcome(monkeypatch, rng):
+    noises = [random_asymmetric(rng)] + [random_symmetric(rng) for _ in range(3)]
+    # two empty cavities (g = 0) leave half of the port patterns dead
+    empty = resonant_coeffs(CavityParams(g=0.0))
+    coeffs = [empty, empty, IDEAL, _practical()]
+    distribute_ghz(4, noises, coeffs)
+    krons, states = [], []
+    kron, post_init = np.kron, StateVector.__post_init__
+
+    def counted_kron(*args, **kwargs):
+        krons.append(args)
+        return kron(*args, **kwargs)
+
+    def counted_post_init(self):
+        states.append(self.register)
+        post_init(self)
+
+    monkeypatch.setattr(np, "kron", counted_kron)
+    monkeypatch.setattr(StateVector, "__post_init__", counted_post_init)
+    outcomes = distribute_ghz(4, noises, coeffs)
+    assert krons == []
+    live = [o for o in outcomes if o.post_state is not None]
+    assert 0 < len(live) < len(outcomes)
+    assert states == [o.post_state.register for o in live]
+
+
+@pytest.mark.parametrize("spins", [("a", "b"), ("c", "a")])
+def test_pcd_applies_two_maps_and_keeps_the_ideal_targets(monkeypatch, rng, spins):
+    reg = Register((Subsystem("a", ("up", "dn")), Subsystem("x", ("0", "1", "2")),
+                    Subsystem("b", ("up", "dn")), Subsystem("c", ("up", "dn"))))
+    amps = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
+    state = StateVector(reg, amps / np.linalg.norm(amps))
+    maps = []
+
+    def counted(state, m, targets):
+        maps.append(m)
+        return apply_map(state, m, targets)
+
+    monkeypatch.setattr(protocols, "apply_map", counted)
+    outcomes = pcd(state, *spins, _practical())
+    assert len(maps) == 2
+    # the ideal-interface target as a second apply_map built it, compared bit for bit
+    for o, ideal in zip(outcomes, [K_EVEN_IDEAL] * 2 + [K_ODD_IDEAL] * 2):
+        target = apply_map(state, ideal, spins).normalized()
+        assert o.fidelity == fidelity(o.post_state, target)
 
 
 def test_a_user_built_map_keeps_its_svd_check(svd_calls):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import pathlib
@@ -50,6 +51,7 @@ from conftest import (allclose_upto_phase, ideal_chain_closed_form, random_asymm
 from dense_oracle import (
     PORTS,
     apply_gates,
+    collect_outcomes_scalar,
     extend_chain_gates,
     ghz_correction_search,
     pair_stage_scalar,
@@ -376,6 +378,61 @@ def test_distribution_splits_without_comparing_states(monkeypatch, rng):
     for fiber in (random_symmetric, random_asymmetric):
         assert any(o.post_state for o in distribute_bell(fiber(rng), fiber(rng), REF, IDEAL))
         assert any(o.post_state for o in distribute_ghz(3, [fiber(rng) for _ in range(3)], [REF, IDEAL, REF]))
+
+
+# --- outcomes against the per-pattern oracle ----------------------------------------
+
+#: an empty cavity (g = 0) transmits both spin states alike, so whole patterns are dead
+EMPTY = resonant_coeffs(CavityParams(g=0.0))
+
+
+@functools.cache
+def _searched_corrections(n):
+    return ghz_correction_search(n)
+
+
+@st.composite
+def _outcome_inputs(draw):
+    n = draw(st.integers(2, 5))
+    fibers = draw(st.sampled_from((_collective_fibers, _fibers)))
+    noises = draw(st.lists(fibers, min_size=n, max_size=n))
+    coeffs = draw(st.lists(st.sampled_from((IDEAL, EMPTY)) | _nodes, min_size=n, max_size=n))
+    # probabilities times eta_in**n fall below the smallest normal float
+    eta_in = draw(st.just(1.0) | st.sampled_from((1e-160, 1e-100, 1e-40)) | st.floats(1e-160, 1.0))
+    return noises, coeffs, eta_in, n == 2 and draw(st.booleans())
+
+
+@given(_outcome_inputs())
+@settings(max_examples=60, deadline=None)
+@example(([QUIET] * 3, [EMPTY] * 3, 1e-160, False))
+@example(([_asymmetric_fiber((0.3, 0.1, 0.2), (0.5, 0.4, 0.1)), QUIET], [EMPTY, REF], 1e-160, True))
+@example(([_asymmetric_fiber((0.3, 0.1, 0.2), (0.5, 0.4, 0.1))] + [QUIET] * 4, [IDEAL, EMPTY, REF, IDEAL, REF],
+          0.9, False))
+def test_outcomes_match_the_per_pattern_oracle(inputs):
+    noises, coeffs, eta_in, bell = inputs
+    n = len(noises)
+    if bell:
+        labels = ("e_a", "e_b")
+        got = distribute_bell(*noises, *coeffs, eta_in=eta_in)
+        amps, _ = distribution_branches(noises, coeffs, 1)
+        corrections = {p: () if p[0] == p[1] else (("x", "e_b"),) for p in itertools.product(PORTS, repeat=2)}
+        target = phi_minus(labels)
+    else:
+        labels = [f"e_{chr(ord('a') + i)}" for i in range(n)]
+        got = distribute_ghz(n, noises, coeffs, eta_in=eta_in)
+        amps, _ = distribution_branches(noises, coeffs, 0)
+        corrections = _searched_corrections(n)
+        target = ghz_state(labels)
+    want = collect_outcomes_scalar(amps, noises, labels, corrections, target, eta_in)
+    assert [(o.detection, o.correction, o.probability) for o in got] == \
+           [(o.detection, o.correction, o.probability) for o in want]
+    for o, w in zip(got, want):
+        if w.post_state is None:
+            assert (o.post_state, o.fidelity) == (None, None)
+        else:
+            assert o.post_state.register == w.post_state.register
+            assert np.array_equal(o.post_state.amplitudes, w.post_state.amplitudes)
+            assert abs(o.fidelity - w.fidelity) <= 1e-15
 
 
 # --- GHZ distribution ------------------------------------------------------------
