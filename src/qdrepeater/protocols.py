@@ -10,8 +10,8 @@ Four protocols are implemented by exact state-vector evolution:
   path is compiled into a small transfer array from the matrices of the
   dense time-bin pipeline; one broadcast product per photon forms their
   (pattern, time bin, spin) amplitude array.  Probabilities, corrected
-  states and fidelities are read off it in whole-array steps, and each
-  listed outcome then gets one checked `StateVector`.
+  states and fidelities are read off it in whole-array steps, and the
+  listed outcomes' states are checked as one stack (`StateVector.rows`).
 * Parity-check detection (PCD): a single probe photon is split over two
   local cavities, recombined and detected; the detected polarization heralds
   the even or odd parity subspace of the two spins without measuring them.
@@ -248,8 +248,9 @@ def _collect_outcomes(amps, noises, spin_labels, correction_for, target, eta_in)
     reported once.  A late rotation equal to the early one times e^{i phi}
     still splits, into outcomes of one state (fidelity (1 + cos phi)/2 at
     ideal nodes, `channel_mixing_weight`), which the chain's pooling merges.
-    Outcomes are read off ``amps`` in whole-array steps, each listed one
-    with its checked `StateVector`; a dead pattern keeps its place.
+    Outcomes are read off ``amps`` in whole-array steps; the listed ones'
+    states are checked as one stack, each a view of its row of the
+    corrected posts, and a dead pattern keeps its place.
     """
     n = len(spin_labels)
     labels, corrections, index, sign = _pattern_corrections(correction_for, n)
@@ -273,9 +274,10 @@ def _collect_outcomes(amps, noises, spin_labels, correction_for, target, eta_in)
     tb_names = [",".join(bins) for bins in itertools.product(TB_DECODED, repeat=n)]
     gates = [tuple((g, spin_labels[i]) for g, i in gates_idx) for gates_idx in corrections]
     listed = [[] for _ in labels]
-    for k, j, p, post, fid in zip(pats.tolist(), tbs.tolist(), heralded.tolist(), posts, fids.tolist()):
+    states = StateVector.rows(reg, posts)
+    for k, j, p, state, fid in zip(pats.tolist(), tbs.tolist(), heralded.tolist(), states, fids.tolist()):
         name = f"{labels[k]}:{tb_names[j]}" if split else labels[k]
-        listed[k].append(HeraldedOutcome(name, p, gates[k], StateVector(reg, post), fid))
+        listed[k].append(HeraldedOutcome(name, p, gates[k], state, fid))
     return [o for label, gate, outs in zip(labels, gates, listed)
             for o in outs or [HeraldedOutcome(label, 0.0, gate, None, None)]]
 

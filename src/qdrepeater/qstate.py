@@ -7,8 +7,12 @@ deficit is exactly the probability lost to undetected channels.
 
 Objects are checked when they are built: a `StateVector` checks its length
 and norm and keeps read-only amplitudes, and a `LinearMap` checks its shape
-and that it cannot grow the norm, however a caller builds it.  A `Register`
-computes its sizes once.  The library builds the maps and targets that
+and that it cannot grow the norm, however a caller builds it.
+`StateVector.rows` checks a 2-D stack of amplitude rows once, with the same
+rules and errors, and returns one state per row, each a read-only view of
+the one copied stack; a kept state therefore holds its whole stack alive
+(512 KiB for the 1,024 outcomes of a five-party GHZ distribution).  A
+`Register` computes its sizes once.  The library builds the maps and targets that
 depend only on constants or on already-checked inputs once and shares them
 read-only (see `timebin`, `scatter` and `protocols`).
 
@@ -145,6 +149,35 @@ class StateVector:
             raise ValueError(f"norm**2 = {n2} exceeds 1; amplitudes cannot grow")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def rows(cls, register: Register, amplitudes) -> list["StateVector"]:
+        """One state per row of a 2-D stack, checked once as a whole.
+
+        The stack is copied once and made read-only; each state's amplitudes
+        are a view of its row.  A malformed stack or a row that would fail
+        the single constructor raises that constructor's error.
+        """
+        stack = np.array(amplitudes, dtype=np.complex128)
+        if stack.ndim != 2:
+            raise RegisterError(f"amplitude stack of shape {stack.shape} is not 2-D")
+        if stack.shape[1] != register.dim:
+            raise RegisterError(
+                f"amplitude length {stack.shape[1]} does not match register dimension {register.dim}"
+            )
+        parts = stack.view(np.float64)
+        bad = ~(np.einsum("ij,ij->i", parts, parts) <= 1.0 + _NORM_SLACK)     # a NaN row too
+        if bad.any():
+            row = stack[bad.argmax()]
+            raise ValueError(f"norm**2 = {float(np.vdot(row, row).real)} exceeds 1; amplitudes cannot grow")
+        stack.setflags(write=False)
+        states = []
+        for row in stack:       # each field set as the frozen __init__ makes it, without a second check
+            state = object.__new__(cls)
+            object.__setattr__(state, "register", register)
+            object.__setattr__(state, "amplitudes", row)
+            states.append(state)
+        return states
 
     @property
     def norm2(self) -> float:

@@ -3,8 +3,8 @@
 Registers keep their sizes, the constant optical maps are built once per
 process, `scatter_map` once per coefficient set and the spin targets once
 per label tuple.  These tests hold the saving (a repeated distribution
-makes no singular value decomposition and no Kronecker product, and builds
-one state per listed live outcome; a parity check applies two maps), show
+makes no singular value decomposition and no Kronecker product, and checks
+its listed live states as one stack; a parity check applies two maps), show
 that nothing cached can be written to, and show that user-built maps keep
 every check.
 """
@@ -69,30 +69,39 @@ def test_a_repeated_distribution_makes_no_svd(svd_calls, rng):
                [(o.detection, o.probability, o.fidelity) for o in new]
 
 
-def test_a_repeated_ghz_distribution_makes_no_kron_and_one_state_per_live_outcome(monkeypatch, rng):
+def test_a_repeated_ghz_distribution_makes_no_kron_and_checks_its_live_states_as_one_stack(monkeypatch, rng):
     noises = [random_asymmetric(rng)] + [random_symmetric(rng) for _ in range(3)]
     # two empty cavities (g = 0) leave half of the port patterns dead
     empty = resonant_coeffs(CavityParams(g=0.0))
     coeffs = [empty, empty, IDEAL, _practical()]
     distribute_ghz(4, noises, coeffs)
-    krons, states = [], []
-    kron, post_init = np.kron, StateVector.__post_init__
+    krons, stacks, singles = [], [], []
+    kron, rows, post_init = np.kron, StateVector.rows, StateVector.__post_init__
 
     def counted_kron(*args, **kwargs):
         krons.append(args)
         return kron(*args, **kwargs)
 
+    def counted_rows(cls, register, amplitudes):
+        states = rows(register, amplitudes)
+        stacks.append((register, np.shape(amplitudes), states))
+        return states
+
     def counted_post_init(self):
-        states.append(self.register)
+        singles.append(self.register)
         post_init(self)
 
     monkeypatch.setattr(np, "kron", counted_kron)
+    monkeypatch.setattr(StateVector, "rows", classmethod(counted_rows))
     monkeypatch.setattr(StateVector, "__post_init__", counted_post_init)
     outcomes = distribute_ghz(4, noises, coeffs)
     assert krons == []
+    assert singles == []
     live = [o for o in outcomes if o.post_state is not None]
     assert 0 < len(live) < len(outcomes)
-    assert states == [o.post_state.register for o in live]
+    [(register, shape, states)] = stacks
+    assert shape == (len(live), 2 ** 4)
+    assert all(o.post_state is state and o.post_state.register is register for o, state in zip(live, states))
 
 
 @pytest.mark.parametrize("spins", [("a", "b"), ("c", "a")])

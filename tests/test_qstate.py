@@ -357,3 +357,59 @@ def test_boundary_checks_raise(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+# --- StateVector.rows --------------------------------------------------------
+
+def _single_error(amps):
+    with pytest.raises(ValueError) as info:
+        StateVector(_PAIR, amps)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("stack,single", [
+    (np.full(4, 0.5), np.full(3, 0.5)),
+    (np.full((2, 2, 2), 0.5), np.full(3, 0.5)),
+    (np.full((2, 3), 0.5), np.full(3, 0.5)),
+    (np.array([[1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5 + 3e-9]]), [0.5, 0.5, 0.5, 0.5 + 3e-9]),
+    (np.array([[1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [0, np.nan, 0, 0]]), [0, np.nan, 0, 0]),
+])
+def test_rows_rejects_what_the_single_constructor_rejects(stack, single):
+    error, message = _single_error(single)
+    with pytest.raises(error) as info:
+        StateVector.rows(_PAIR, stack)
+    assert info.type is error
+    if stack.ndim == 2:
+        assert str(info.value) == message
+    else:
+        assert str(info.value) == f"amplitude stack of shape {stack.shape} is not 2-D"
+
+
+def test_rows_copies_the_stack_into_read_only_views():
+    stack = np.array([[1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5j]])
+    states = StateVector.rows(_PAIR, stack)
+    stack[:] = 0.0
+    assert np.array_equal(states[0].amplitudes, [1, 0, 0, 0])
+    assert np.array_equal(states[1].amplitudes, [0.5, 0.5, 0.5, 0.5j])
+    for state in states:
+        assert state.register is _PAIR and state.amplitudes.dtype == np.complex128
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1.0
+
+
+def test_rows_of_an_empty_stack_is_empty():
+    assert StateVector.rows(_PAIR, np.zeros((0, 4))) == []
+
+
+@given(st.integers(1, 3), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_rows_equal_single_constructions(n, k, seed):
+    reg = Register(tuple(Subsystem(f"s{i}", ("up", "dn")) for i in range(n)))
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(k, 2 ** n)) + 1j * rng.normal(size=(k, 2 ** n))
+    stack /= np.linalg.norm(stack, axis=1, keepdims=True) * rng.uniform(1.0, 4.0, size=(k, 1))
+    states = StateVector.rows(reg, stack)
+    assert len(states) == k
+    for state, row in zip(states, stack):
+        assert np.array_equal(state.amplitudes, StateVector(reg, row).amplitudes)
