@@ -15,17 +15,21 @@ its input-coupling adjustment differs (one photon pass instead of two).
 the worst disagreement with the formulas.  Chain extension splits the same
 formulas over four measurement outcomes per parity (`extension_metrics`),
 and one purification round has its own closed form at any node
-(`purification_metrics`); both derivations are in their docstrings.
+(`purification_metrics`); both derivations are in their docstrings.  A
+whole chain of ideal nodes has a closed form too (`chain_analytic`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .cavity import ScatterCoeffs
+from .cavity import IDEAL, ScatterCoeffs
 from .protocols import (
+    ChainScenario,
     PurificationState,
+    channel_mixing_weight,
     check_eta_in,
     coupled_probability,
     distribute_bell,
@@ -143,6 +147,39 @@ def purification_metrics(mu: float, coeffs: ScatterCoeffs) -> PurificationState:
     if not s16 > 0.0:
         raise ValueError("no purification branch survives at these coefficients")
     return PurificationState(mu=sf16 / s16, round=1, success_probability=s16 / 16.0)
+
+
+def chain_analytic(scenario: ChainScenario) -> list[tuple[float, float]]:
+    """(probability, fidelity) of every stage of a chain of ideal nodes, in
+    `run_chain`'s order, each probability reported as `run_chain` reports it.
+
+    Each segment starts at mu = `channel_mixing_weight` of its two fibers
+    with probability eta_in^2.  Each purification round maps mu -> mu^2/s,
+    s = mu^2 + (1 - mu)^2, with probability eta_in^2 s.  Each extension has
+    probability eta_in, and the fidelity of the chain so far is
+    (1 + prod(2 mu_i - 1))/2 over its segments.  A segment ending at a node
+    other than `IDEAL` is rejected: practical nodes leave states that are
+    not Bell-diagonal, which this recursion does not describe.
+    """
+    scenario.validate()
+    eta_in = scenario.eta_in
+    stages, mus = [], []
+    for seg in scenario.segments:
+        for node in (seg.left, seg.right):
+            if scenario.nodes[node] != IDEAL:
+                raise ValueError(f"segment {seg.name}: node {node!r} is not ideal; "
+                                 "the chain closed form holds for ideal nodes only")
+        mu = channel_mixing_weight([seg.noise_left, seg.noise_right])
+        stages.append((coupled_probability(1.0, eta_in, 2), mu))
+        for _ in range(scenario.purify_rounds):
+            s = mu ** 2 + (1.0 - mu) ** 2
+            mu = mu ** 2 / s
+            stages.append((coupled_probability(s, eta_in, 2), mu))
+        mus.append(mu)
+    for k in range(2, len(mus) + 1):
+        fid = (1.0 + math.prod(2.0 * mu - 1.0 for mu in mus[:k])) / 2.0
+        stages.append((coupled_probability(1.0, eta_in, 1), fid))
+    return stages
 
 
 @dataclass(frozen=True)

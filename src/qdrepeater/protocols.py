@@ -16,7 +16,10 @@ Four protocols are implemented by exact state-vector evolution:
   local cavities, recombined and detected; the detected polarization heralds
   the even or odd parity subspace of the two spins without measuring them.
   The probe never flips a spin, so its optics act on the two spins as one
-  diagonal operator per parity.
+  diagonal operator per parity.  One broadcast product of both diagonals
+  and the ideal interface's two with the state's amplitude array gives
+  both heralded branches and their fidelity targets; the live ports'
+  states are checked as one stack.
 * Chain extension: a PCD plus two single-spin measurements splices a fresh
   Bell pair onto an existing entangled chain.
 * Purification: two noisy copies are distilled into one of higher quality
@@ -28,8 +31,8 @@ every pair of mixture members through those maps.
 
 What is built from checked inputs is built once and shared read-only: the
 pi phase plate once per process (as `timebin`'s encoder and decoder maps),
-`scatter_map` and the parity, extension and purification maps per
-coefficient set (the last 16 sets each), the targets `ghz_state`,
+`scatter_map`, the parity operators and the extension and purification
+maps per coefficient set (the last 16 sets each), the targets `ghz_state`,
 `phi_minus` and `phi_plus` per label tuple (the last 64), and the pattern
 corrections per rule and n.  A repeated distribution builds no map.
 
@@ -51,13 +54,11 @@ import numpy as np
 from .cavity import IDEAL, ScatterCoeffs
 from .qstate import (
     Ensemble,
-    LinearMap,
     Register,
     RegisterError,
     StateVector,
     Subsystem,
     _equal_upto_phase,
-    apply_map,
     fidelity,
     hadamard,
     sigma_x,
@@ -441,23 +442,37 @@ def heralded_ensemble(outcomes) -> tuple[Ensemble, float]:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def _parity_operators(coeffs: ScatterCoeffs) -> tuple[tuple[str, LinearMap], ...]:
+def _parity_operators(coeffs: ScatterCoeffs) -> np.ndarray:
     """The probe optics of a PCD as one diagonal operator per parity.
 
     The probe never flips a spin: an arm whose spin is up (dn) multiplies
     the probe by u = r + t (v = r0 + t0), and the output combiner turns the
     two arms into their half sum (even) or half difference (odd).  On
     (spin1, spin2) that gives diag(u, (u+v)/2, (u+v)/2, v) for even and
-    diag(0, (u-v)/2, (v-u)/2, 0) for odd.
+    diag(0, (u-v)/2, (v-u)/2, 0) for odd, the two rows of the returned
+    read-only (2, 4) array.
+
+    The operators cannot grow a norm.  `ScatterCoeffs` keeps
+    |1 + t|^2 + |t|^2 <= 1, and as (1 + t) - t = 1 the parallelogram law
+    gives |u|^2 = |1 + 2t|^2 = 2(|1 + t|^2 + |t|^2) - 1 <= 1; so too
+    |v| <= 1.  Every entry then has modulus at most 1, and each
+    |even_k|^2 + |odd_k|^2 is |u|^2, |v|^2 or (|u|^2 + |v|^2)/2, at most 1
+    (each within twice the constructor's slack of 1e-12).
     """
     u = coeffs.r + coeffs.t
     v = coeffs.r0 + coeffs.t0
-    return (("even", LinearMap(np.diag([u, (u + v) / 2.0, (u + v) / 2.0, v]))),
-            ("odd", LinearMap(np.diag([0.0, (u - v) / 2.0, (v - u) / 2.0, 0.0]))))
+    ops = np.array([[u, (u + v) / 2.0, (u + v) / 2.0, v],
+                    [0.0, (u - v) / 2.0, (v - u) / 2.0, 0.0]], dtype=complex)
+    ops.setflags(write=False)
+    return ops
 
 
-#: the two detector ports of each parity: (label, sign of the amplitude)
-_PCD_PORTS = {"even": (("R_a1", 1.0), ("R_a2", 1.0)), "odd": (("L_a1", 1.0), ("L_a2", -1.0))}
+#: the detector ports in output order; an R click heralds the even parity
+#: (row 0 of `_parity_operators`), an L click the odd one (row 1)
+_PCD_PORTS = ("R_a1", "R_a2", "L_a1", "L_a2")
+_PCD_PARITY = np.array([0, 0, 1, 1])
+#: the sign each port gives the heralded amplitudes
+_PCD_SIGN = np.array([1.0, 1.0, 1.0, -1.0])
 
 
 def pcd(
@@ -474,35 +489,50 @@ def pcd(
     parity subspace, an L click (L_a1, L_a2) the odd one.  The probe optics
     act on the spins as the two diagonal operators of `_parity_operators`.
     The reported fidelity compares each branch with the ideal-interface
-    branch for the same input spins.
+    branch for the same input spins, or is None where that branch is dead.
+
+    Both parities and both ideal-interface branches come from one broadcast
+    product of the four diagonals with the state's amplitude array; the
+    live ports' states are checked as one stack (`StateVector.rows`).
     """
     check_eta_in(eta_in)
+    reg = state.register
     for lab in (spin1, spin2):
-        if not state.register.has(lab):
+        if not reg.has(lab):
             raise RegisterError(f"no spin labeled {lab!r} in the input state")
     if abs(state.norm2 - 1.0) > 1e-9:
         raise ValueError("PCD input state must be normalized")
-    pos = [state.register.position(lab) for lab in (spin1, spin2)]
+    if spin1 == spin2:
+        raise RegisterError(f"duplicate targets {[spin1, spin2]}")
+    pos = [reg.position(lab) for lab in (spin1, spin2)]
+    dt = reg.dims[pos[0]] * reg.dims[pos[1]]
+    if dt != 4:
+        raise RegisterError(f"map dimension 4 does not match target dimension {dt}")
+
+    # rows: the node's even and odd branches, then the ideal interface's, each
+    # diagonal laid on the two spins' axes (in register order) of the state
+    diags = np.concatenate((_parity_operators(coeffs), _parity_operators(IDEAL))).reshape(4, 2, 2)
+    if pos[0] > pos[1]:
+        diags = diags.transpose(0, 2, 1)
+    shape = (4,) + tuple(2 if a in pos else 1 for a in range(len(reg.dims)))
+    rows = (diags.reshape(shape) * state.tensor_axes()).reshape(4, -1)
+    parts = rows.view(np.float64)
+    norm2 = np.einsum("ij,ij->i", parts, parts)
+    # |<ideal branch, branch>|^2 per parity, the fidelity's numerator
+    overlaps = np.abs(np.einsum("ij,ij->i", rows[2:].conj(), rows[:2])) ** 2
 
     # both ports of a parity carry K/sqrt(2), so each heralds half of the
     # probability and the same state; a parity whose ports carry no more
     # than the dead-branch weight has probability 0 and post state None
-    outcomes = []
-    for (parity, kraus), (_, ideal) in zip(_parity_operators(coeffs), _parity_operators(IDEAL)):
-        heralded = apply_map(state, kraus, [spin1, spin2])
-        p = heralded.norm2
-        if p / 2.0 <= _ZERO:
-            outcomes += [HeraldedOutcome(label, 0.0, (), None, None) for label, _ in _PCD_PORTS[parity]]
-            continue
-        # the ideal diagonal holds 0 and +-1, so its product moves amplitudes as apply_map would
-        psi = np.moveaxis(state.tensor_axes(), pos, (0, 1))
-        psi = np.diag(ideal.matrix).reshape((2, 2) + (1,) * (psi.ndim - 2)) * psi
-        target = StateVector(state.register, np.moveaxis(psi, (0, 1), pos))
-        target = target.normalized() if target.norm2 > _ZERO else None
-        for label, sign in _PCD_PORTS[parity]:
-            post = StateVector(heralded.register, sign * (heralded.amplitudes / math.sqrt(p)))
-            fid = fidelity(post, target) if target is not None else None
-            outcomes.append(HeraldedOutcome(label, coupled_probability(p / 2.0, eta_in, 1), (), post, fid))
+    live = [i for i, k in enumerate(_PCD_PARITY) if norm2[k] / 2.0 > _ZERO]
+    parity = _PCD_PARITY[live]
+    posts = _PCD_SIGN[live, None] * (rows[parity] / np.sqrt(norm2[parity])[:, None])
+    norm2, overlaps = norm2.tolist(), overlaps.tolist()
+    outcomes = [HeraldedOutcome(label, 0.0, (), None, None) for label in _PCD_PORTS]
+    for i, k, post in zip(live, parity.tolist(), StateVector.rows(reg, posts)):
+        p, ideal = norm2[k], norm2[2 + k]
+        fid = overlaps[k] / (ideal * p) if ideal > _ZERO else None
+        outcomes[i] = HeraldedOutcome(_PCD_PORTS[i], coupled_probability(p / 2.0, eta_in, 1), (), post, fid)
     return outcomes
 
 
@@ -510,9 +540,11 @@ def pcd(
 # chain extension and purification as branch maps
 # ---------------------------------------------------------------------------
 
+#: the parities in the row order of `_parity_operators`
+_PARITIES = ("even", "odd")
 #: the heralded branches of one parity check followed by the measurement of
 #: two spins, as (parity, m1, m2): even before odd, outcomes in product order
-_BRANCHES = tuple((parity, m1, m2) for parity in ("even", "odd")
+_BRANCHES = tuple((parity, m1, m2) for parity in _PARITIES
                   for m1, m2 in itertools.product(("up", "dn"), repeat=2))
 
 
@@ -540,10 +572,10 @@ def _extension_maps(coeffs: ScatterCoeffs) -> tuple[np.ndarray, ...]:
     fresh end spin d.  The input coupling is left to the caller.
     """
     h = _GATES["h"].matrix
-    kraus = dict(_parity_operators(coeffs))
+    kraus = _parity_operators(coeffs)
     maps = []
     for parity, m1, m2 in _BRANCHES:
-        row = _outcome_row(np.kron(h, h) @ kraus[parity].matrix, m1, m2)
+        row = _outcome_row(np.kron(h, h) @ np.diag(kraus[_PARITIES.index(parity)]), m1, m2)
         gate = _gate_product(g for g, _ in _extension_gates(parity, m1, m2, None))
         maps.append(np.kron(row, gate))
         maps[-1].setflags(write=False)
@@ -563,12 +595,12 @@ def _purification_maps(coeffs_a: ScatterCoeffs, coeffs_b: ScatterCoeffs) -> tupl
     """
     h = _GATES["h"].matrix
     rotate = functools.reduce(np.kron, [h] * 4)
-    kraus_a, kraus_b = dict(_parity_operators(coeffs_a)), dict(_parity_operators(coeffs_b))
+    kraus_a, kraus_b = _parity_operators(coeffs_a), _parity_operators(coeffs_b)
     maps = []
     for parity, m1, m2 in _BRANCHES:
         # both checks are diagonal: entry (a, b, a', b') is K_a[a, a'] K_b[b, b']
-        check = np.einsum("ac,bd->abcd", np.diag(kraus_a[parity].matrix).reshape(2, 2),
-                          np.diag(kraus_b[parity].matrix).reshape(2, 2)).reshape(16)
+        k = _PARITIES.index(parity)
+        check = np.einsum("ac,bd->abcd", kraus_a[k].reshape(2, 2), kraus_b[k].reshape(2, 2)).reshape(16)
         pre = _gate_product(("x", "h") if parity == "odd" else ("h",))
         row = _outcome_row(np.kron(pre, pre), m1, m2)
         post = np.kron(_gate_product(("z", "h") if m1 != m2 else ("h",)), h)

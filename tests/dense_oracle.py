@@ -17,6 +17,9 @@ permutation.
 `run_pcd` evolves the probe photon of a parity check together with the
 spins through the detector optics and measures it.  The library applies
 the same optics as two diagonal spin operators; the tests compare the two.
+`pcd_per_parity` applies those operators one parity at a time with
+`apply_map` and builds every port's state on its own; the library forms
+both parities and their ideal targets in one broadcast product.
 
 `extend_chain_gates`, `purify_gates` and `run_chain_gates` run chain
 extension and purification gate by gate: a parity check from the `pcd`
@@ -53,6 +56,7 @@ from qdrepeater.protocols import (
     ChainReport,
     HeraldedOutcome,
     StageResult,
+    check_eta_in,
     coupled_probability,
     distribute_bell,
     distribution_branches,
@@ -423,6 +427,49 @@ def run_pcd(state, spin1, spin2, coeffs, eta_in=1.0):
         tgt = ideal_targets[parity]
         fid = fidelity(br.post, tgt) if tgt is not None else None
         outcomes.append(HeraldedOutcome(label, br.probability * eta_in, (), br.post, fid))
+    return outcomes
+
+
+def parity_maps(coeffs):
+    """(parity, diagonal spin operator) of a parity check on (spin1, spin2),
+    from u = r + t and v = r0 + t0 as `_parity_operators` documents them."""
+    u = coeffs.r + coeffs.t
+    v = coeffs.r0 + coeffs.t0
+    return (("even", LinearMap(np.diag([u, (u + v) / 2.0, (u + v) / 2.0, v]))),
+            ("odd", LinearMap(np.diag([0.0, (u - v) / 2.0, (v - u) / 2.0, 0.0]))))
+
+
+#: the two detector ports of each parity: (label, sign of the amplitude)
+PCD_PORTS = {"even": (("R_a1", 1.0), ("R_a2", 1.0)), "odd": (("L_a1", 1.0), ("L_a2", -1.0))}
+
+
+def pcd_per_parity(state, spin1, spin2, coeffs, eta_in=1.0):
+    """`pcd` one parity at a time: each parity's operator and its
+    ideal-interface operator applied with `apply_map`, and each port's post
+    state and fidelity built as a single `StateVector`.
+
+    A parity whose ports carry no more than the dead-branch weight has
+    probability 0 and post state None; a dead ideal target gives fidelity None.
+    """
+    check_eta_in(eta_in)
+    for lab in (spin1, spin2):
+        if not state.register.has(lab):
+            raise RegisterError(f"no spin labeled {lab!r} in the input state")
+    if abs(state.norm2 - 1.0) > 1e-9:
+        raise ValueError("PCD input state must be normalized")
+    outcomes = []
+    for (parity, kraus), (_, ideal) in zip(parity_maps(coeffs), parity_maps(IDEAL)):
+        heralded = apply_map(state, kraus, [spin1, spin2])
+        p = heralded.norm2
+        if p / 2.0 <= ZERO:
+            outcomes += [HeraldedOutcome(label, 0.0, (), None, None) for label, _ in PCD_PORTS[parity]]
+            continue
+        target = apply_map(state, ideal, [spin1, spin2])
+        target = target.normalized() if target.norm2 > ZERO else None
+        for label, sign in PCD_PORTS[parity]:
+            post = StateVector(heralded.register, sign * (heralded.amplitudes / math.sqrt(p)))
+            fid = fidelity(post, target) if target is not None else None
+            outcomes.append(HeraldedOutcome(label, coupled_probability(p / 2.0, eta_in, 1), (), post, fid))
     return outcomes
 
 

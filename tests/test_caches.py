@@ -1,12 +1,13 @@
 """Objects built from already-checked inputs are built and checked once.
 
 Registers keep their sizes, the constant optical maps are built once per
-process, `scatter_map` once per coefficient set and the spin targets once
-per label tuple.  These tests hold the saving (a repeated distribution
-makes no singular value decomposition and no Kronecker product, and checks
-its listed live states as one stack; a parity check applies two maps), show
-that nothing cached can be written to, and show that user-built maps keep
-every check.
+process, `scatter_map` and the parity operators once per coefficient set
+and the spin targets once per label tuple.  These tests hold the saving (a
+repeated distribution makes no singular value decomposition and no
+Kronecker product, and checks its listed live states as one stack; a
+parity check builds and applies no map and checks its states as one
+stack), show that nothing cached can be written to, and show that
+user-built maps keep every check.
 """
 
 import math
@@ -14,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from qdrepeater import protocols
+from qdrepeater import protocols, qstate
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
 from qdrepeater.protocols import distribute_bell, distribute_ghz, ghz_state, pcd, phi_minus, phi_plus, spin_register
 from qdrepeater.qstate import (LinearMap, Register, StateVector, Subsystem, apply_map, basis_state, fidelity,
@@ -32,7 +33,7 @@ from qdrepeater.timebin import (
     tb_label,
 )
 
-from conftest import random_asymmetric, random_symmetric
+from conftest import random_asymmetric, random_coeffs, random_symmetric
 from dense_oracle import K_EVEN_IDEAL, K_ODD_IDEAL
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -104,25 +105,46 @@ def test_a_repeated_ghz_distribution_makes_no_kron_and_checks_its_live_states_as
     assert all(o.post_state is state and o.post_state.register is register for o, state in zip(live, states))
 
 
-@pytest.mark.parametrize("spins", [("a", "b"), ("c", "a")])
-def test_pcd_applies_two_maps_and_keeps_the_ideal_targets(monkeypatch, rng, spins):
-    reg = Register((Subsystem("a", ("up", "dn")), Subsystem("x", ("0", "1", "2")),
-                    Subsystem("b", ("up", "dn")), Subsystem("c", ("up", "dn"))))
+PAIR = spin_register(("a", "b"))
+MIXED = Register((Subsystem("a", ("up", "dn")), Subsystem("x", ("0", "1", "2")),
+                  Subsystem("b", ("up", "dn")), Subsystem("c", ("up", "dn"))))
+
+
+@pytest.mark.parametrize("reg,spins", [(MIXED, ("a", "b")), (MIXED, ("c", "a")), (PAIR, ("a", "b")),
+                                       (PAIR, ("b", "a"))], ids=["mixed-ab", "mixed-ca", "pair-ab", "pair-ba"])
+def test_pcd_builds_no_map_and_checks_its_states_as_one_stack(monkeypatch, rng, reg, spins):
     amps = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
     state = StateVector(reg, amps / np.linalg.norm(amps))
-    maps = []
+    coeffs = random_coeffs(rng)     # a coefficient set no earlier call has seen
+    protocols._parity_operators.cache_clear()
+    applied, built, stacks = [], [], []
+    post_init, rows = LinearMap.__post_init__, StateVector.rows
 
-    def counted(state, m, targets):
-        maps.append(m)
-        return apply_map(state, m, targets)
+    def counted_apply(*args):
+        applied.append(args)
+        return apply_map(*args)
 
-    monkeypatch.setattr(protocols, "apply_map", counted)
-    outcomes = pcd(state, *spins, _practical())
-    assert len(maps) == 2
-    # the ideal-interface target as a second apply_map built it, compared bit for bit
+    def counted_post_init(self):
+        built.append(self.matrix.shape)
+        post_init(self)
+
+    def counted_rows(cls, register, amplitudes):
+        stacks.append((register, np.shape(amplitudes)))
+        return rows(register, amplitudes)
+
+    monkeypatch.setattr(qstate, "apply_map", counted_apply)
+    monkeypatch.setattr(protocols, "apply_map", counted_apply, raising=False)
+    monkeypatch.setattr(LinearMap, "__post_init__", counted_post_init)
+    monkeypatch.setattr(StateVector, "rows", classmethod(counted_rows))
+    outcomes = pcd(state, *spins, coeffs)
+    monkeypatch.undo()
+    assert applied == []
+    assert built == []
+    assert stacks == [(reg, (4, reg.dim))]
+    # the ideal-interface target as apply_map builds it
     for o, ideal in zip(outcomes, [K_EVEN_IDEAL] * 2 + [K_ODD_IDEAL] * 2):
         target = apply_map(state, ideal, spins).normalized()
-        assert o.fidelity == fidelity(o.post_state, target)
+        assert abs(o.fidelity - fidelity(o.post_state, target)) <= 1e-15
 
 
 def test_a_user_built_map_keeps_its_svd_check(svd_calls):
@@ -140,6 +162,7 @@ CACHED_ARRAYS = {
     "decode_map": lambda: decode_map().matrix,
     "pi plate": lambda: protocols._pi_plate(),
     "scatter_map": lambda: scatter_map(_practical()).matrix,
+    "parity operators": lambda: protocols._parity_operators(_practical()),
     "ghz_state": lambda: ghz_state(("a", "b", "c")).amplitudes,
     "phi_minus": lambda: phi_minus(("a", "b")).amplitudes,
     "phi_plus": lambda: phi_plus(("a", "b")).amplitudes,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
 from qdrepeater.metrics import (
     CrosscheckReport,
+    chain_analytic,
     crosscheck,
     distribution_metrics,
     extension_metrics,
@@ -15,6 +16,8 @@ from qdrepeater.metrics import (
     purification_metrics,
 )
 from qdrepeater.protocols import (
+    ChainScenario,
+    SegmentSpec,
     distribute_bell,
     extend_chain,
     pcd,
@@ -211,3 +214,13 @@ def test_purification_closed_form_reduces_to_the_ideal_recursion(mu):
 def test_purification_closed_form_rejects_mu_outside_the_unit_interval():
     with pytest.raises(ValueError, match="outside"):
         purification_metrics(1.5, IDEAL)
+
+
+def test_chain_analytic_rejects_a_segment_at_a_practical_node():
+    nodes = {"A": IDEAL, "B": IDEAL, "C": at(1.2, 0.2), "D": at(2.4, 0.1)}
+    # an unused practical node leaves the chain ideal
+    assert chain_analytic(ChainScenario(nodes, [SegmentSpec("AB", "A", "B")])) == [(1.0, 1.0)]
+    scenario = ChainScenario(nodes, [SegmentSpec("AB", "A", "B"), SegmentSpec("BC", "B", "C")])
+    with pytest.raises(ValueError) as info:
+        chain_analytic(scenario)
+    assert str(info.value) == "segment BC: node 'C' is not ideal; the chain closed form holds for ideal nodes only"
