@@ -25,9 +25,10 @@ Four protocols are implemented by exact state-vector evolution:
 * Purification: two noisy copies are distilled into one of higher quality
   using one PCD per party.
 
-Extension and purification are applied as one fixed map per heralded branch
-(parity and two measured spins), cached per coefficient set; the chain runs
-every pair of mixture members through those maps.
+Extension and purification are instruments: one fixed map per heralded
+branch (parity and two measured spins), stacked and cached per coefficient
+set.  One routine applies both, to a chain and a fresh pair in `extend_chain`
+and to every pair of mixture members in the chain's pair stage.
 
 What is built from checked inputs is built once and shared read-only: the
 pi phase plate once per process (as `timebin`'s encoder and decoder maps),
@@ -47,7 +48,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,7 +65,6 @@ from .qstate import (
     sigma_x,
     sigma_z,
     superposition,
-    tensor,
 )
 from .scatter import scatter_map
 from .timebin import (
@@ -537,14 +537,13 @@ def pcd(
 
 
 # ---------------------------------------------------------------------------
-# chain extension and purification as branch maps
+# chain extension and purification as instruments
 # ---------------------------------------------------------------------------
 
-#: the parities in the row order of `_parity_operators`
-_PARITIES = ("even", "odd")
 #: the heralded branches of one parity check followed by the measurement of
-#: two spins, as (parity, m1, m2): even before odd, outcomes in product order
-_BRANCHES = tuple((parity, m1, m2) for parity in _PARITIES
+#: two spins, as (parity, m1, m2): even before odd, outcomes in product order,
+#: so branch i takes row i // 4 of `_parity_operators` and ends in <m1 m2| = row i % 4
+_BRANCHES = tuple((parity, m1, m2) for parity in ("even", "odd")
                   for m1, m2 in itertools.product(("up", "dn"), repeat=2))
 
 
@@ -553,19 +552,15 @@ def _gate_product(names) -> np.ndarray:
     return functools.reduce(lambda m, g: _GATES[g].matrix @ m, names, np.eye(2))
 
 
-def _outcome_row(ops: np.ndarray, m1: str, m2: str) -> np.ndarray:
-    """Row <m1 m2| of a two-spin operator."""
-    return ops[2 * ("up", "dn").index(m1) + ("up", "dn").index(m2)]
-
-
 def _extension_gates(parity, m1, m2, label_d):
     """Recorded correction on d: a flip after odd parity, a phase flip after unequal outcomes."""
     return ((("x", label_d),) if parity == "odd" else ()) + ((("z", label_d),) if m1 != m2 else ())
 
 
 @functools.lru_cache(maxsize=16)
-def _extension_maps(coeffs: ScatterCoeffs) -> tuple[np.ndarray, ...]:
-    """One 2x8 map from (z, z', d) to d per branch of `_BRANCHES`.
+def _extension_maps(coeffs: ScatterCoeffs) -> np.ndarray:
+    """The extension instrument: one 2x8 map from (z, z', d) to d per branch
+    of `_BRANCHES`, as a read-only (8, 2, 8) stack.
 
     Each is G_d <m1 m2|(H x H) K_parity: the parity check of z and z', their
     Hadamard rotation and measurement, and the recorded correction on the
@@ -573,18 +568,19 @@ def _extension_maps(coeffs: ScatterCoeffs) -> tuple[np.ndarray, ...]:
     """
     h = _GATES["h"].matrix
     kraus = _parity_operators(coeffs)
-    maps = []
-    for parity, m1, m2 in _BRANCHES:
-        row = _outcome_row(np.kron(h, h) @ np.diag(kraus[_PARITIES.index(parity)]), m1, m2)
+    maps = np.empty((len(_BRANCHES), 2, 8), dtype=complex)
+    for i, (parity, m1, m2) in enumerate(_BRANCHES):
+        row = (np.kron(h, h) @ np.diag(kraus[i // 4]))[i % 4]
         gate = _gate_product(g for g, _ in _extension_gates(parity, m1, m2, None))
-        maps.append(np.kron(row, gate))
-        maps[-1].setflags(write=False)
-    return tuple(maps)
+        maps[i] = np.kron(row, gate)
+    maps.setflags(write=False)
+    return maps
 
 
 @functools.lru_cache(maxsize=16)
-def _purification_maps(coeffs_a: ScatterCoeffs, coeffs_b: ScatterCoeffs) -> tuple[np.ndarray, ...]:
-    """One 4x16 map from two copies (a, b, a', b') to (a', b') per branch of `_BRANCHES`.
+def _purification_maps(coeffs_a: ScatterCoeffs, coeffs_b: ScatterCoeffs) -> np.ndarray:
+    """The purification instrument: one 4x16 map from two copies (a, b, a', b')
+    to (a', b') per branch of `_BRANCHES`, as a read-only (8, 4, 16) stack.
 
     All four spins are Hadamard-rotated so the phase error becomes a bit
     error, checked by one PCD per party, (a, a') with ``coeffs_a`` and
@@ -596,17 +592,35 @@ def _purification_maps(coeffs_a: ScatterCoeffs, coeffs_b: ScatterCoeffs) -> tupl
     h = _GATES["h"].matrix
     rotate = functools.reduce(np.kron, [h] * 4)
     kraus_a, kraus_b = _parity_operators(coeffs_a), _parity_operators(coeffs_b)
-    maps = []
-    for parity, m1, m2 in _BRANCHES:
+    maps = np.empty((len(_BRANCHES), 4, 16), dtype=complex)
+    for i, (parity, m1, m2) in enumerate(_BRANCHES):
         # both checks are diagonal: entry (a, b, a', b') is K_a[a, a'] K_b[b, b']
-        k = _PARITIES.index(parity)
+        k = i // 4
         check = np.einsum("ac,bd->abcd", kraus_a[k].reshape(2, 2), kraus_b[k].reshape(2, 2)).reshape(16)
         pre = _gate_product(("x", "h") if parity == "odd" else ("h",))
-        row = _outcome_row(np.kron(pre, pre), m1, m2)
+        row = np.kron(pre, pre)[i % 4]
         post = np.kron(_gate_product(("z", "h") if m1 != m2 else ("h",)), h)
-        maps.append(np.kron(row, post) @ (check[:, None] * rotate))
-        maps[-1].setflags(write=False)
-    return tuple(maps)
+        maps[i] = np.kron(row, post) @ (check[:, None] * rotate)
+    maps.setflags(write=False)
+    return maps
+
+
+def _apply_instrument(w_a, a, w_b, b, maps):
+    """Each pair of weighted rows of ``a`` and ``b`` through each map of the
+    (branch, out, in) stack ``maps``, which meets the pair's np.kron on its
+    trailing amplitudes; the leading ones are spectators.  Returns the
+    weights w_a w_b p pair by pair, branch by branch, whether each is above
+    the dead-branch weight, and the live rows normalized.
+    """
+    # the np.kron of each pair, its products unchanged, as row i * len(b) + j
+    psi = (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), 1, -1, maps.shape[2])
+    # each (pair, map) slice is the same matrix product as one pair's own
+    out = (psi @ maps.transpose(0, 2, 1)).reshape(len(a) * len(b) * len(maps), -1)
+    # np.vdot per row: a vectorised norm sums in another order
+    p = np.array([np.vdot(row, row).real for row in out])
+    w = np.repeat((w_a[:, None] * w_b[None, :]).reshape(-1), len(maps)) * p
+    live = w > _ZERO
+    return w, live, out[live] / np.sqrt(p[live])[:, None]
 
 
 def extend_chain(
@@ -621,7 +635,9 @@ def extend_chain(
     The PCD heralds the parity of the two co-located spins; both are then
     Hadamard-rotated and measured, leaving the remaining spins in the
     extended GHZ state (|up...up> - |dn...dn>)/sqrt(2) after the recorded
-    correction on the fresh end spin.
+    correction on the fresh end spin.  Each post state is over the rest of
+    the chain in its order, then d.  `_apply_instrument` runs the branches
+    of `_extension_maps`, and the live states are checked as one stack.
     """
     check_eta_in(eta_in)
     label_z, label_zp = joint_node
@@ -633,54 +649,41 @@ def extend_chain(
     if len(others) != 1:
         raise ValueError("the fresh pair must hold exactly two spins")
     label_d = others[0]
+    joint = ghz.register.join(bell.register)
+    for s in joint.subsystems:
+        if s.dim != 2:
+            raise RegisterError(f"extension needs two-level spins; {s.label!r} has {s.dim} levels")
 
-    state = tensor(ghz, bell)
-    reg = state.register.without((label_z, label_zp))
+    reg = joint.without((label_z, label_zp))
     target = phi_minus(reg.labels)
-    # the rest of the chain keeps its order and d, from the fresh pair, comes last
-    pos = [state.register.position(lab) for lab in (label_z, label_zp, label_d)]
-    psi = np.moveaxis(state.tensor_axes(), pos, (0, 1, 2)).reshape(8, -1)
-    outcomes = []
-    for (parity, m1, m2), m in zip(_BRANCHES, _extension_maps(coeffs)):
-        label = f"{parity}:{m1},{m2}"
-        gates = _extension_gates(parity, m1, m2, label_d)
-        out = (m @ psi).T.reshape(-1)
-        p = float(np.vdot(out, out).real)
-        if p <= _ZERO:
-            outcomes.append(HeraldedOutcome(label, 0.0, gates, None, None))
-            continue
-        final = StateVector(reg, out / math.sqrt(p))
-        outcomes.append(HeraldedOutcome(label, coupled_probability(p, eta_in, 1), gates,
-                                        final, fidelity(final, target)))
+    # (rest of the chain, z) times (z', d): the maps meet (z, z', d) and leave d last
+    chain = np.moveaxis(ghz.tensor_axes(), ghz.register.position(label_z), -1).reshape(1, -1)
+    pair = np.moveaxis(bell.tensor_axes(), bell.register.position(label_zp), 0).reshape(1, -1)
+    w, live, rows = _apply_instrument(np.ones(1), chain, np.ones(1), pair, _extension_maps(coeffs))
+    outcomes = [HeraldedOutcome(f"{parity}:{m1},{m2}", 0.0, _extension_gates(parity, m1, m2, label_d),
+                                None, None) for parity, m1, m2 in _BRANCHES]
+    for k, final in zip(np.flatnonzero(live).tolist(), StateVector.rows(reg, rows)):
+        outcomes[k] = replace(outcomes[k], probability=coupled_probability(float(w[k]), eta_in, 1),
+                              post_state=final, fidelity=fidelity(final, target))
     return outcomes
 
 
 def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels, stage: str) -> tuple[Ensemble, float]:
-    """Every member pair of two two-spin mixtures through every branch map.
+    """Every member pair of two two-spin mixtures through the instrument ``maps``.
 
-    Each map takes the Kronecker product of one member of each mixture to
-    the two spins ``labels``; a map narrower than that product acts on its
-    trailing spins, the leading ones being spectators.  Returns the heralded
-    mixture and its success probability at unit input coupling.  All pairs
-    go through all maps as array products; accepted rows are listed pair by
-    pair, branch by branch, the arrival order in which `_normalized_ensemble`
-    gives each row to the first earlier distinct row it matches.
+    `_apply_instrument` takes each pair to the two spins ``labels``.  Returns
+    the heralded mixture and its success probability at unit input coupling.
+    Accepted rows are listed pair by pair, branch by branch, the arrival
+    order in which `_normalized_ensemble` gives each row to the first
+    earlier distinct row it matches.
     """
     w_a, a = np.array([w for w, _ in ens_a.members]), np.array([s.amplitudes for _, s in ens_a.members])
     w_b, b = np.array([w for w, _ in ens_b.members]), np.array([s.amplitudes for _, s in ens_b.members])
-    # the np.kron of each pair, its products unchanged, as row i * len(b) + j
-    psi = (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), 1, -1, maps[0].shape[1])
-    # each (pair, map) slice is the same matrix product as one pair's own
-    out = (psi @ np.stack(maps).transpose(0, 2, 1)).reshape(len(a) * len(b) * len(maps), -1)
-    # np.vdot per row: a vectorised norm sums in another order
-    p = np.array([np.vdot(row, row).real for row in out])
-    w = np.repeat((w_a[:, None] * w_b[None, :]).reshape(-1), len(maps)) * p
-    live = np.flatnonzero(w > _ZERO)
-    if not live.size:
+    w, live, rows = _apply_instrument(w_a, a, w_b, b, maps)
+    if not live.any():
         raise RuntimeError(f"{stage} heralded no surviving branches")
     weights = w[live].tolist()
-    accepted = list(zip(weights, out[live] / np.sqrt(p[live])[:, None]))
-    return _normalized_ensemble(spin_register(labels), accepted), math.fsum(weights)
+    return _normalized_ensemble(spin_register(labels), list(zip(weights, rows))), math.fsum(weights)
 
 
 def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[PurificationState, float]:

@@ -106,6 +106,13 @@ class Register:
         drop = set(labels)
         return Register(tuple(s for s in self.subsystems if s.label not in drop))
 
+    def join(self, other: "Register") -> "Register":
+        """The register of a Kronecker product: these subsystems, then ``other``'s."""
+        overlap = set(self.labels) & set(other.labels)
+        if overlap:
+            raise RegisterError(f"cannot tensor states sharing labels {sorted(overlap)}")
+        return Register(self.subsystems + other.subsystems)
+
     def replace(self, label: str, new: Subsystem) -> "Register":
         pos = self.position(label)
         subs = list(self.subsystems)
@@ -287,11 +294,7 @@ def superposition(register: Register, terms) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; registers are concatenated and must not share labels."""
-    overlap = set(a.register.labels) & set(b.register.labels)
-    if overlap:
-        raise RegisterError(f"cannot tensor states sharing labels {sorted(overlap)}")
-    reg = Register(a.register.subsystems + b.register.subsystems)
-    return StateVector(reg, np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(a.register.join(b.register), np.kron(a.amplitudes, b.amplitudes))
 
 
 def apply_map(state: StateVector, m: LinearMap, targets) -> StateVector:

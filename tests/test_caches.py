@@ -1,13 +1,14 @@
 """Objects built from already-checked inputs are built and checked once.
 
 Registers keep their sizes, the constant optical maps are built once per
-process, `scatter_map` and the parity operators once per coefficient set
-and the spin targets once per label tuple.  These tests hold the saving (a
-repeated distribution makes no singular value decomposition and no
-Kronecker product, and checks its listed live states as one stack; a
-parity check builds and applies no map and checks its states as one
-stack), show that nothing cached can be written to, and show that
-user-built maps keep every check.
+process, `scatter_map`, the parity operators and the extension and
+purification instruments once per coefficient set and the spin targets
+once per label tuple.  These tests hold the saving (a repeated
+distribution makes no singular value decomposition and no Kronecker
+product, and checks its listed live states as one stack; a parity check
+builds and applies no map and checks its states as one stack), show that
+nothing cached can be written to, and show that user-built maps keep
+every check.
 """
 
 import math
@@ -163,6 +164,8 @@ CACHED_ARRAYS = {
     "pi plate": lambda: protocols._pi_plate(),
     "scatter_map": lambda: scatter_map(_practical()).matrix,
     "parity operators": lambda: protocols._parity_operators(_practical()),
+    "extension maps": lambda: protocols._extension_maps(_practical()),
+    "purification maps": lambda: protocols._purification_maps(_practical(), IDEAL),
     "ghz_state": lambda: ghz_state(("a", "b", "c")).amplitudes,
     "phi_minus": lambda: phi_minus(("a", "b")).amplitudes,
     "phi_plus": lambda: phi_plus(("a", "b")).amplitudes,
@@ -182,6 +185,8 @@ def test_cached_maps_are_shared_per_input():
     assert encode_map() is encode_map()
     assert scatter_map(_practical()) is scatter_map(_practical())
     assert isinstance(scatter_map(_practical()), LinearMap)
+    assert protocols._extension_maps(_practical()) is protocols._extension_maps(_practical())
+    assert protocols._purification_maps(_practical(), IDEAL) is protocols._purification_maps(_practical(), IDEAL)
     assert phi_minus(("a", "b")) is phi_minus(["a", "b"])
 
 

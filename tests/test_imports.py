@@ -1,5 +1,6 @@
 """The tests, the CLI, the metrics and the scripts reach the library only
-through its public names, and no module imports a name it does not use."""
+through its public names, no module imports a name it does not use, and
+every private top-level name of the library is read somewhere in it."""
 
 import ast
 import pathlib
@@ -94,6 +95,55 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert len(files) > 20
     found = {f.name: unused_imports(f.read_text(encoding="utf-8")) for f in files}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _defined_names(node) -> list[str]:
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _reads(tree, name: str, skip) -> bool:
+    """Whether ``tree`` names ``name`` (as a name, an attribute or an import) outside the node ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if name in (getattr(node, "id", None), getattr(node, "attr", None)) or \
+                (isinstance(node, ast.alias) and node.name == name):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Every private top-level name of a module that no module reads
+    outside the statement defining it, as ``module.name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    return sorted(f"{module}.{name}" for module, tree in trees.items() for node in tree.body
+                  for name in _defined_names(node)
+                  if _is_private(name) and not any(_reads(t, name, node) for t in trees.values()))
+
+
+def test_scan_flags_unreferenced_private_names():
+    sources = {
+        "a": "_read = 1\n_orphan = 2\n_x, _y = 3, 4\nclass _Attr: pass\n"
+             "def _recursive(n):\n    return _recursive(n)\n"
+             "def _imported(): pass\ndef public():\n    return _read + _x\n",
+        "b": "import a\nfrom a import _imported\na._Attr()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._orphan", "a._recursive", "a._y"]
+
+
+def test_library_reads_every_private_name_it_defines():
+    files = sorted((ROOT / "src" / "qdrepeater").glob("*.py"))
+    assert len(files) > 5
+    assert unreferenced_private_names({f.stem: f.read_text(encoding="utf-8") for f in files}) == []
 
 
 #: every name ``qdrepeater/__init__.py`` imports; a change to the public

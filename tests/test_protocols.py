@@ -874,6 +874,35 @@ def test_extend_chain_matches_gate_oracle(inputs):
             assert np.max(np.abs(o.post_state.amplitudes - g.post_state.amplitudes)) < 1e-12
 
 
+def _deficit(maps):
+    """I - sum_k A_k^dagger A_k of the instrument stack ``maps``."""
+    return np.eye(maps.shape[2]) - np.einsum("kji,kjl->il", maps.conj(), maps)
+
+
+@given(st.sampled_from(_NODE_KINDS), st.sampled_from(_NODE_KINDS), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_cached_instruments_lose_weight(kind_a, kind_b, seed):
+    # sum_k A_k^dagger A_k <= I over every extension branch and every kept purification branch
+    rng = np.random.default_rng(seed)
+    coeffs_a, coeffs_b = _node(kind_a, rng), _node(kind_b, rng)
+    for maps in (protocols._extension_maps(coeffs_a), protocols._purification_maps(coeffs_a, coeffs_b)):
+        assert np.linalg.eigvalsh(_deficit(maps)).min() >= -1e-12
+
+
+@given(_extension_inputs())
+@example(_LIVE_BELOW_THE_THRESHOLD_AFTER_COUPLING)
+@settings(max_examples=60, deadline=None)
+def test_extension_deficit_is_the_lost_probability(inputs):
+    # the extension lists every branch, so its deficit's expectation is all the probability it loses
+    chain, fresh, (label_z, label_zp), coeffs, _ = inputs
+    joint = tensor(chain, fresh)
+    pos = [joint.register.position(lab) for lab in (label_z, label_zp, "d")]
+    psi = np.moveaxis(joint.tensor_axes(), pos, (-3, -2, -1)).reshape(-1, 8)
+    lost = np.einsum("ri,ij,rj->", psi.conj(), _deficit(protocols._extension_maps(coeffs)), psi).real
+    outcomes = extend_chain(chain, fresh, (label_z, label_zp), coeffs)
+    assert abs(lost - (1.0 - math.fsum(o.probability for o in outcomes))) <= 1e-12
+
+
 # --- purification ------------------------------------------------------------------
 
 def test_purify_fixed_points():
@@ -1119,6 +1148,27 @@ def test_pair_stage_matches_scalar_oracle_bit_for_bit(stage, seed, ens_a, ens_b)
     oracle, oracle_success = pair_stage_scalar(ens_a, ens_b, maps, ("e_a", "e_b"))
     _assert_same_ensemble(ens, oracle)
     assert success == oracle_success
+
+
+@st.composite
+def _one_path_inputs(draw):
+    # a chain (a, z) and a fresh pair (zp, d) of random unit states, and a node
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = _node(draw(st.sampled_from(("ideal", "resonant", "detuned", "empty"))), rng)
+    chain, pair = (StateVector(spin_register(labels), _unit_row(rng)) for labels in (("a", "z"), ("zp", "d")))
+    return chain, pair, coeffs
+
+
+@given(_one_path_inputs())
+@settings(max_examples=60, deadline=None)
+def test_extension_takes_the_chain_pair_stage_path_bit_for_bit(inputs):
+    chain, pair, coeffs = inputs
+    ens, success = heralded_ensemble(extend_chain(chain, pair, ("z", "zp"), coeffs))
+    stage, stage_success = protocols._pair_stage(Ensemble(((1.0, chain),)), Ensemble(((1.0, pair),)),
+                                                 protocols._extension_maps(coeffs), ("a", "d"), "extension")
+    assert [s.register for _, s in ens.members] == [s.register for _, s in stage.members]
+    _assert_same_ensemble(ens, stage)
+    assert success == stage_success
 
 
 # --- chains -----------------------------------------------------------------------
@@ -1425,6 +1475,12 @@ def test_wiring_validation():
         ChainScenario(nodes={"A": IDEAL}, segments=[SegmentSpec("AX", "A", "X")]).validate()
 
 
+def _spins_and_qutrit(labels, qutrit):
+    """|0...0> over two-level spins ``labels``, of which ``qutrit`` has three levels."""
+    return basis_state(Register(tuple(Subsystem(lab, ("0", "1", "2") if lab == qutrit else ("up", "dn"))
+                                      for lab in labels)))
+
+
 @pytest.mark.parametrize("build,error,message", [
     (lambda: PurificationState(mu=1.5, round=1, success_probability=1.0), ValueError,
      "mu = 1.5 outside [0, 1]"),
@@ -1450,6 +1506,14 @@ def test_wiring_validation():
                  "a", "q", IDEAL), RegisterError, "map dimension 4 does not match target dimension 6"),
     (lambda: extend_chain(phi_minus(("a", "z")), ghz_state(("zp", "d", "e")), ("z", "zp"), IDEAL),
      ValueError, "the fresh pair must hold exactly two spins"),
+    (lambda: extend_chain(phi_minus(("a", "z")), phi_minus(("zp", "z")), ("z", "zp"), IDEAL), RegisterError,
+     "cannot tensor states sharing labels ['z']"),
+    (lambda: extend_chain(_spins_and_qutrit(("a", "z"), "z"), phi_minus(("zp", "d")), ("z", "zp"), IDEAL),
+     RegisterError, "extension needs two-level spins; 'z' has 3 levels"),
+    (lambda: extend_chain(_spins_and_qutrit(("x", "a", "z"), "x"), phi_minus(("zp", "d")), ("z", "zp"), IDEAL),
+     RegisterError, "extension needs two-level spins; 'x' has 3 levels"),
+    (lambda: extend_chain(phi_minus(("a", "z")), _spins_and_qutrit(("zp", "d"), "d"), ("z", "zp"), IDEAL),
+     RegisterError, "extension needs two-level spins; 'd' has 3 levels"),
     (lambda: run_chain(ChainScenario(nodes={"A": IDEAL}, segments=[])), ValueError,
      "scenario needs at least one segment"),
 ])
