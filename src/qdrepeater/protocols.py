@@ -7,11 +7,14 @@ Four protocols are implemented by exact state-vector evolution:
   spin per node and detected.  Every two-photon (n-photon) detection pattern
   heralds a spin state; a fixed single-spin correction, given by a rule per
   pattern, turns each pattern into the same target state.  Each photon's
-  path is compiled into a small transfer array from the matrices of the
-  dense time-bin pipeline; one broadcast product per photon forms their
-  (pattern, time bin, spin) amplitude array.  Probabilities, corrected
-  states and fidelities are read off it in whole-array steps, and the
-  listed outcomes' states are checked as one stack (`StateVector.rows`).
+  path is compiled into a small transfer array from cached pieces of the
+  dense time-bin pipeline's matrices.  Corrections act photon by photon,
+  so the products of the corrected factors form the (pattern, time bin,
+  spin) amplitude array already corrected.  Probabilities (the rows'
+  squared norms), states and fidelities are read off it in whole-array
+  steps, the listed states are checked as one stack (`StateVector.rows`)
+  and the outcomes built in one pass.  The tests' oracle,
+  `distribution_branches`, builds the array uncorrected.
 * Parity-check detection (PCD): a single probe photon is split over two
   local cavities, recombined and detected; the detected polarization heralds
   the even or odd parity subspace of the two spins without measuring them.
@@ -30,12 +33,13 @@ branch (parity and two measured spins), stacked and cached per coefficient
 set.  One routine applies both, to a chain and a fresh pair in `extend_chain`
 and to every pair of mixture members in the chain's pair stage.
 
-What is built from checked inputs is built once and shared read-only: the
-pi phase plate once per process (as `timebin`'s encoder and decoder maps),
-`scatter_map`, the parity operators and the extension and purification
-maps per coefficient set (the last 16 sets each), the targets `ghz_state`,
-`phi_minus` and `phi_plus` per label tuple (the last 64), and the pattern
-corrections per rule and n.  A repeated distribution builds no map.
+What is built from checked inputs is built once and shared read-only: a
+photon's path ends once per process (as `timebin`'s encoder and decoder
+maps), `scatter_map`, its scattering of a spin in |+>, the parity
+operators and the extension and purification maps per coefficient set
+(the last 16 sets each), the targets `ghz_state`, `phi_minus` and
+`phi_plus` per label tuple (the last 64), and the pattern corrections per
+rule and n.  A repeated distribution builds no map.
 
 Branch probabilities are exact: imperfect cavity coefficients shrink the
 pre-detection norm, and one minus the sum of all heralded probabilities is
@@ -47,6 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -152,135 +157,153 @@ def uniform_spins(labels) -> StateVector:
 # entanglement distribution
 # ---------------------------------------------------------------------------
 
-#: per-photon detection outcomes a branch lists, port by port, each with its
-#: sp and lp arrival class; rows of the 8-dimensional (circular polarization,
-#: direction, decoded time bin) output of one photon's path
-_PORT_ROWS = [4 * POL_CIRCULAR.index(pol) + 2 * DIRECTION.index(d) + k
-              for pol, d in _PORTS for k in range(len(TB_DECODED))]
+#: (circular polarization, direction) of each port in `_PORTS`, the axes a
+#: photon's transfer lists its outcomes on
+_PORT_AXES = ([POL_CIRCULAR.index(pol) for pol, _ in _PORTS], [DIRECTION.index(d) for _, d in _PORTS])
 
 
 @functools.cache
-def _pi_plate() -> np.ndarray:
-    """The pi phase plate on the polarization of one photon's decoded
-    (polarization, direction, time bin) output, built once per process."""
-    m = np.kron(phase_shift_map(math.pi).matrix, np.eye(4))
+def _path_ends() -> tuple[np.ndarray, np.ndarray]:
+    """The source columns of the decoder and the encoder around a fiber,
+    read-only: decoders (2, 8, 4) from the fiber's Hs, Hl, Vs, Vl to the
+    (polarization, direction, decoded time bin) output, tag up, the second
+    with the pi phase plate; the encoder (4, 2) from the source's H and V."""
+    dec = decode_map().matrix[:, [0, 1, 4, 5]]
+    decs = np.stack((dec, np.kron(phase_shift_map(math.pi).matrix, np.eye(4)) @ dec))
+    enc = encode_map().matrix[:, [0, 2]]
+    for end in (decs, enc):
+        end.setflags(write=False)
+    return decs, enc
+
+
+@functools.lru_cache(maxsize=16)
+def _plus_scatter(coeffs: ScatterCoeffs) -> np.ndarray:
+    """`scatter_map` on a spin in |+>: a read-only (8, 4) array from the
+    photon's (polarization, direction) to (polarization, direction, spin),
+    cached per coefficient set."""
+    m = scatter_map(coeffs).matrix.reshape(8, 4, 2) @ np.array([RT2, RT2])
     m.setflags(write=False)
     return m
 
 
-def _photon_transfer(noise: NoiseChannel, coeffs: ScatterCoeffs, phased: bool) -> np.ndarray:
-    """Amplitudes v[s, o, spin] left by one photon's path.
+def _photon_transfers(noises, coeffs_list, phase_photon: int) -> np.ndarray:
+    """Amplitudes v[i, p, d, spin, t, s] left by each photon i's path.
 
     The photon leaves the source with polarization s (H, V) in the early
-    bin and runs encode -> fiber -> decode -> (pi phase) -> quarter-wave
-    relabel -> scatter off its spin, which starts in |+>.  o indexes the
-    photon's (circular polarization, direction, decoded time bin) outcome.
-    The channel and the coefficients were checked when they were built, so
-    the fiber rotation enters as its plain matrix and the scattering map
-    comes from the per-coefficient cache of `scatter_map`.
+    bin and runs encode -> fiber -> decode -> (pi phase, photon
+    ``phase_photon`` only) -> quarter-wave relabel -> scatter off its spin
+    in |+>, to circular polarization p, direction d and decoded time bin t.
+    The channels were checked when built, so each enters as its matrix.
     """
-    # source columns Hs and Vs of the (polarization, raw time bin) basis; the
-    # decoder's columns Hs, Hl, Vs, Vl with the direction tag up are 0, 1, 4, 5
-    path = decode_map().matrix[:, [0, 1, 4, 5]] @ noise.matrix() @ encode_map().matrix[:, [0, 2]]
-    if phased:
-        path = _pi_plate() @ path
-    # the scattering map acts on (polarization, direction, spin); the time bin is a spectator
-    s_plus = scatter_map(coeffs).matrix.reshape(8, 4, 2) @ np.array([RT2, RT2])
-    v = np.einsum("pdxq,qts->spdtx", s_plus.reshape(2, 2, 2, 4), path.reshape(4, 2, 2))
-    return v.reshape(2, 8, 2)
-
-
-def distribution_branches(noises, coeffs_list, phase_photon: int):
-    """Heralded spin amplitudes of n-photon distribution from per-photon transfers.
-
-    The source emits (|H...H> + |V...V>)/sqrt(2), and every photon runs its
-    own path to its own spin, so the state before detection is
-    (x_i v_i[H] + x_i v_i[V])/sqrt(2) with x the tensor product; photon
-    ``phase_photon`` gets the pi phase.  Returns (amps, survival): amps[k, j]
-    holds the unnormalized 2^n spin amplitudes of port pattern k and
-    time-bin outcome j, both listed photon by photon in ``itertools.product``
-    order (ports ("R", "up"), ("L", "dn"); time bins `TB_DECODED`); survival
-    is the squared norm after scattering, i.e. one minus the leak/noise loss.
-    """
+    decs, enc = _path_ends()
     n = len(noises)
-    v = [_photon_transfer(ch, cf, i == phase_photon)
-         for i, (ch, cf) in enumerate(zip(noises, coeffs_list))]
-    # photon i's (port, time bin, spin) on axes 1 + (i, n + i, 2n + i); products in np.kron's order
-    both = functools.reduce(np.multiply, [vi[:, _PORT_ROWS].reshape(
-        (2,) + tuple(2 if a % n == i else 1 for a in range(3 * n))) for i, vi in enumerate(v)])
-    amps = RT2 * both.sum(axis=0).reshape(2 ** n, 2 ** n, 2 ** n)
-
-    # <x_i a_i, x_i b_i> = prod_i <a_i, b_i> gives the full norm, stray ports included
-    overlap = [[math.prod(np.vdot(vi[a], vi[b]) for vi in v) for b in (0, 1)] for a in (0, 1)]
-    survival = 0.5 * float((overlap[0][0] + overlap[1][1] + 2.0 * overlap[0][1]).real)
-    if abs(float(np.sum(np.abs(amps) ** 2)) - survival) > 1e-10:
-        raise RuntimeError("port detections do not add up to the surviving norm")
-    return amps, survival
+    phased = (np.arange(n) == phase_photon).astype(np.intp)
+    paths = decs[phased] @ np.stack([ch.matrix() for ch in noises]) @ enc
+    plus = np.stack([_plus_scatter(cf) for cf in coeffs_list])
+    return (plus @ paths.reshape(n, 4, 4)).reshape(n, 2, 2, 2, 2, 2)     # paths as (p, d) x (t, s)
 
 
 @functools.cache
 def _pattern_corrections(correction_for, n: int):
-    """Each port pattern's label and correction, in product order, once per
-    rule and n; each correction, x and z gates, also as a signed permutation
-    that takes amplitudes a to sign[k] * a[index[k]] as the gates one by one do."""
+    """Pattern labels, time-bin names and pattern corrections in product
+    order, once per rule and n, with each correction photon by photon:
+    photon i's factor of pattern k, rows (port, spin), is corrected to
+    sign[i, k, b] * factor[index[i, k, b]] for spin b, as the x and z gates
+    one by one do.  Both tables are read-only."""
     patterns = list(itertools.product(_PORTS, repeat=n))
     corrections = [correction_for(pattern) for pattern in patterns]
-    r = np.arange(2 ** n)
-    index, sign = np.tile(r, (2 ** n, 1)), np.ones((2 ** n, 2 ** n))
-    for k, gates in enumerate(corrections):
-        for g, i in gates:      # on spin i, x swaps basis states r and r ^ m, z negates those with r & m
-            m = 1 << (n - 1 - i)
+    index = np.empty((n, 2 ** n, 2), dtype=np.intp)
+    sign = np.ones((n, 2 ** n, 2))
+    for k, (pattern, gates) in enumerate(zip(patterns, corrections)):
+        for i, port in enumerate(pattern):
+            index[i, k] = 2 * _PORTS.index(port) + np.arange(2)
+        for g, i in gates:      # x swaps spin i's up and dn, z negates its dn
             if g == "x":
-                index[k], sign[k] = index[k, r ^ m], sign[k, r ^ m]
+                index[i, k], sign[i, k] = index[i, k, ::-1], sign[i, k, ::-1]
             else:
-                sign[k, r & m > 0] *= -1.0
+                sign[i, k, 1] *= -1.0
     for table in (index, sign):
         table.setflags(write=False)
     labels = ["".join(pol + ("↑" if d == "up" else "↓") for pol, d in pattern) for pattern in patterns]
-    return labels, corrections, index, sign
+    tb_names = [",".join(bins) for bins in itertools.product(TB_DECODED, repeat=n)]
+    return labels, tb_names, corrections, index, sign
 
 
-def _collect_outcomes(amps, noises, spin_labels, correction_for, target, eta_in):
-    """One outcome per port pattern, or one per live time-bin outcome when
-    some fiber's late bin rotates differently from its early one.
+def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, correction_for, target, eta_in):
+    """Heralded outcomes of n-photon distribution, built photon by photon.
 
-    Collective noise factors out, so every live time-bin outcome of a
-    pattern heralds the first one's state up to a phase and the pattern is
-    reported once.  A late rotation equal to the early one times e^{i phi}
-    still splits, into outcomes of one state (fidelity (1 + cos phi)/2 at
-    ideal nodes, `channel_mixing_weight`), which the chain's pooling merges.
-    Outcomes are read off ``amps`` in whole-array steps; the listed ones'
-    states are checked as one stack, each a view of its row of the
-    corrected posts, and a dead pattern keeps its place.
+    The source emits (|H...H> + |V...V>)/sqrt(2), and every photon runs its
+    own path to its own spin, so the state before detection is
+    (x_i v_i[H] + x_i v_i[V])/sqrt(2) with x the tensor product; photon
+    ``phase_photon`` gets the pi phase.  Each correction is applied to each
+    photon's factor, and the products, from the last photon to the first,
+    form the corrected (port pattern, time bin, spin) amplitude array in
+    ``itertools.product`` order.  A row's probability is its squared norm;
+    they add up to the norm left after scattering, stray ports included.
+
+    A pattern is listed once, or once per live time-bin outcome when some
+    fiber's late bin rotates differently from its early one.  Collective
+    noise factors out, so every live time-bin outcome of a pattern heralds
+    the first one's state up to a phase.  A late rotation equal to the
+    early one times e^{i phi} still splits, into outcomes of one state
+    (fidelity (1 + cos phi)/2 at ideal nodes, `channel_mixing_weight`),
+    which the chain's pooling merges.  The listed states are checked as one
+    stack, each a view of its row, and a dead pattern keeps its place.
     """
     n = len(spin_labels)
-    labels, corrections, index, sign = _pattern_corrections(correction_for, n)
+    labels, tb_names, corrections, index, sign = _pattern_corrections(correction_for, n)
+    v = _photon_transfers(noises, coeffs_list, phase_photon)
+    # <x_i a_i, x_i b_i> = prod_i <a_i, b_i> gives the full norm, stray ports included
+    flat = v.reshape(n, 16, 2)
+    overlap = (flat.conj().transpose(0, 2, 1) @ flat).prod(axis=0)
+    survival = 0.5 * float((overlap[0, 0] + overlap[1, 1] + 2.0 * overlap[0, 1]).real)
+
+    # photon i's corrected factor of pattern k, f[i, s, k, t, spin], contiguous
+    # so that each product below runs along whole rows
+    ports = v[:, _PORT_AXES[0], _PORT_AXES[1]].transpose(0, 1, 2, 4, 3).reshape(n, 4, 2, 2)
+    f = np.ascontiguousarray((ports[np.arange(n)[:, None, None], index] * sign[..., None, None])
+                             .transpose(0, 3, 1, 4, 2))
+    amps = RT2 * f[-1]
+    for fi in f[-2::-1]:        # axes (s, k, time bins, spins), photon i's bin and spin first
+        span = 2 * amps.shape[2]
+        amps = (fi[:, :, :, None, :, None] * amps[:, :, None, :, None, :]).reshape(2, 2 ** n, span, span)
+    amps[0] += amps[1]          # the source's V term, in place
+    amps = amps[0]
+    parts = amps.view(np.float64)
+    probs = np.einsum("kjs,kjs->kj", parts, parts)
+    if abs(float(np.sum(probs)) - survival) > 1e-10:
+        raise RuntimeError("port detections do not add up to the surviving norm")
+
     split = any(ch.delta_l != ch.delta or ch.eta_l != ch.eta for ch in noises)
-    probs = np.sum(np.abs(amps) ** 2, axis=2)
     live = probs > _ZERO
     # unsplit, a pattern lists its first live time-bin outcome with a running
     # sum of the live probabilities, which adds them one by one in their order
-    pats = np.flatnonzero(live.any(axis=1))
-    pats, tbs = np.nonzero(live) if split else (pats, live.argmax(axis=1)[pats])
+    heralds = live.any(axis=1)
+    pats, tbs = np.nonzero(live) if split else (np.flatnonzero(heralds), live.argmax(axis=1)[heralds])
     heralded = probs[pats, tbs] if split else np.where(live, probs, 0.0).cumsum(axis=1)[pats, -1]
-    posts = amps[pats[:, None], tbs[:, None], index[pats]] * sign[pats] / np.sqrt(probs[pats, tbs])[:, None]
-    # elementwise, as a stacked product starts BLAS threads; the target's zeros add exact zeros
-    nz = np.flatnonzero(target.amplitudes)
-    overlaps = np.sum(posts[:, nz] * target.amplitudes[nz].conj(), axis=1)
-    fids = np.abs(overlaps) ** 2 / np.sum(np.abs(posts) ** 2, axis=1)
+    posts = amps[pats, tbs]
+    posts /= np.sqrt(probs[pats, tbs])[:, None]
+    # a GHZ target's two nonzero entries, elementwise as a stacked product starts BLAS threads
+    t = target.amplitudes
+    overlaps = posts[:, 0] * t[0].conj() + posts[:, -1] * t[-1].conj()
+    parts = posts.view(np.float64)
+    fids = np.abs(overlaps) ** 2 / np.einsum("ij,ij->i", parts, parts)
     scaled = heralded * eta_in ** n      # `coupled_probability`, on every outcome at once
     heralded = np.where(scaled >= sys.float_info.min, scaled, 0.0)
 
-    reg = spin_register(spin_labels)
-    tb_names = [",".join(bins) for bins in itertools.product(TB_DECODED, repeat=n)]
     gates = [tuple((g, spin_labels[i]) for g, i in gates_idx) for gates_idx in corrections]
-    listed = [[] for _ in labels]
-    states = StateVector.rows(reg, posts)
+    states = StateVector.rows(spin_register(spin_labels), posts)
+    new = object.__new__
+    outcomes = []
     for k, j, p, state, fid in zip(pats.tolist(), tbs.tolist(), heralded.tolist(), states, fids.tolist()):
-        name = f"{labels[k]}:{tb_names[j]}" if split else labels[k]
-        listed[k].append(HeraldedOutcome(name, p, gates[k], state, fid))
-    return [o for label, gate, outs in zip(labels, gates, listed)
-            for o in outs or [HeraldedOutcome(label, 0.0, gate, None, None)]]
+        o = new(HeraldedOutcome)        # fields set as the frozen __init__ sets them; it checks nothing
+        o.__dict__.update(detection=f"{labels[k]}:{tb_names[j]}" if split else labels[k], probability=p,
+                          correction=gates[k], post_state=state, fidelity=fid)
+        outcomes.append(o)
+    dead = np.flatnonzero(~heralds)    # each after the live outcomes of the patterns before it
+    for at, k in zip((np.searchsorted(pats, dead) + np.arange(len(dead))).tolist(), dead.tolist()):
+        outcomes.insert(at, HeraldedOutcome(labels[k], 0.0, gates[k], None, None))
+    return outcomes
 
 
 def _bell_correction(pattern):
@@ -323,9 +346,11 @@ def distribute_bell(
     (|up,up> - |dn,dn>)/sqrt(2).
     """
     check_eta_in(eta_in)
-    amps, _ = distribution_branches((noise_a, noise_b), (coeffs_a, coeffs_b), phase_photon=1)
-    return _collect_outcomes(amps, (noise_a, noise_b), spin_labels, _bell_correction,
-                             phi_minus(spin_labels), eta_in)
+    spin_labels = tuple(spin_labels)
+    if len(spin_labels) != 2:
+        raise ValueError(f"Bell distribution needs exactly two spin labels, not {list(spin_labels)}")
+    return _distribution_outcomes((noise_a, noise_b), (coeffs_a, coeffs_b), 1, spin_labels, _bell_correction,
+                                  phi_minus(spin_labels), eta_in)
 
 
 def distribute_ghz(
@@ -341,6 +366,8 @@ def distribute_ghz(
     R class on a tie), then a phase flip on the first spin when n is even;
     these map every pattern onto the target.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"GHZ distribution needs a whole number of parties, not {n!r}")
     if n < 2:
         raise ValueError("GHZ distribution needs at least two parties")
     check_eta_in(eta_in)
@@ -349,8 +376,7 @@ def distribute_ghz(
     if len(noise) != n or len(coeffs) != n:
         raise ValueError("need one noise channel and one coefficient set per photon")
     labels = [f"e_{chr(ord('a') + i)}" for i in range(n)]
-    amps, _ = distribution_branches(noise, coeffs, phase_photon=0)
-    return _collect_outcomes(amps, noise, labels, _ghz_correction, phi_plus(labels), eta_in)
+    return _distribution_outcomes(noise, coeffs, 0, labels, _ghz_correction, phi_plus(labels), eta_in)
 
 
 def channel_mixing_weight(channels) -> float:

@@ -97,21 +97,21 @@ class NoiseChannel:
                 raise ValueError(f"{which}-bin rotation is not normalized: |delta|^2+|eta|^2 != 1")
 
     def early_unitary(self) -> np.ndarray:
-        d, e = self.delta, self.eta
-        return np.array([[d, -np.conj(e)], [e, np.conj(d)]])
+        return self.matrix()[0::2, 0::2]
 
     def late_unitary(self) -> np.ndarray:
-        d, e = self.delta_l, self.eta_l
-        return np.array([[d, -np.conj(e)], [e, np.conj(d)]])
+        return self.matrix()[1::2, 1::2]
 
     def matrix(self) -> np.ndarray:
         """The rotation on (polarization, raw time bin): one polarization block
-        per bin.  Both blocks were checked at construction, so this matrix is
+        [[delta, -conj(eta)], [eta, conj(delta)]] per bin, written out in one
+        array.  Both blocks were checked at construction, so this matrix is
         not checked again; `fiber_map` wraps it as a checked `LinearMap`."""
-        m = np.zeros((4, 4), dtype=complex)
-        m[0::2, 0::2] = self.early_unitary()
-        m[1::2, 1::2] = self.late_unitary()
-        return m
+        d, e, dl, el, z = self.delta, self.eta, self.delta_l, self.eta_l, 0j
+        return np.array([d, z, -e.conjugate(), z,
+                         z, dl, z, -el.conjugate(),
+                         e, z, d.conjugate(), z,
+                         z, el, z, dl.conjugate()], dtype=complex).reshape(4, 4)
 
     @classmethod
     def identity(cls) -> "NoiseChannel":

@@ -4,15 +4,18 @@
 through the time-bin pipeline (encode, fiber, decode, phase, quarter-wave
 relabel, scatter) and measures every photon.  It decodes with
 `decode_elements`, the decoder's optical elements one step at a time,
-where the library applies one routing map, `decode_map`.  The library
-builds the same branches from per-photon transfer amplitudes; the tests
-compare the two.
+where the library applies one routing map, `decode_map`.
+`distribution_branches` builds the uncorrected (port pattern, time bin,
+spin) amplitude array from per-photon transfer amplitudes with one
+broadcast product per photon over 3n axes of size 2; the tests hold it to
+`run_distribution`.
 `ghz_correction_search` finds each GHZ pattern's correction by trying
 candidates at ideal nodes; the library applies a fixed rule.
-`collect_outcomes_scalar` reads the outcomes off the amplitude array one
-port pattern at a time, correcting each state with one dense matrix; the
-library reads them all in whole-array steps, each correction a signed
-permutation.
+`collect_outcomes_scalar` reads the outcomes off that array one port
+pattern at a time, correcting each state with one dense matrix.  The
+library forms the array already corrected, each correction applied to
+each photon's factor, and lists the outcomes in whole-array steps; the
+tests compare the two.
 
 `run_pcd` evolves the probe photon of a parity check together with the
 spins through the detector optics and measures it.  The library applies
@@ -59,7 +62,6 @@ from qdrepeater.protocols import (
     check_eta_in,
     coupled_probability,
     distribute_bell,
-    distribution_branches,
     ghz_state,
     heralded_ensemble,
     pcd,
@@ -89,9 +91,11 @@ from qdrepeater.timebin import (
     TB_DECODED,
     NoiseChannel,
     apply_noise,
+    decode_map,
     delay,
     dir_label,
     encode,
+    encode_map,
     phase_shift_map,
     photon_register,
     pockels,
@@ -279,6 +283,62 @@ def run_distribution(photon_names, noises, coeffs_list, phase_photon, spin_label
     if abs(total - survival) > 1e-10:
         raise RuntimeError("detection probabilities do not add up to the surviving norm")
     return grouped, survival
+
+
+#: per-photon detection outcomes a branch lists, port by port, each with its
+#: sp and lp arrival class; rows of the 8-dimensional (circular polarization,
+#: direction, decoded time bin) output of one photon's path
+PORT_ROWS = [4 * POL_CIRCULAR.index(pol) + 2 * DIRECTION.index(d) + k
+             for pol, d in PORTS for k in range(len(TB_DECODED))]
+
+
+def photon_transfer(noise, coeffs, phased):
+    """Amplitudes v[s, o, spin] left by one photon's path, from the pipeline's matrices.
+
+    The photon leaves the source with polarization s (H, V) in the early
+    bin and runs encode -> fiber -> decode -> (pi phase) -> quarter-wave
+    relabel -> scatter off its spin, which starts in |+>.  o indexes the
+    photon's (circular polarization, direction, decoded time bin) outcome.
+    """
+    # source columns Hs and Vs of the (polarization, raw time bin) basis; the
+    # decoder's columns Hs, Hl, Vs, Vl with the direction tag up are 0, 1, 4, 5
+    path = decode_map().matrix[:, [0, 1, 4, 5]] @ noise.matrix() @ encode_map().matrix[:, [0, 2]]
+    if phased:
+        path = np.kron(phase_shift_map(math.pi).matrix, np.eye(4)) @ path
+    # the scattering map acts on (polarization, direction, spin); the time bin is a spectator
+    s_plus = scatter_map(coeffs).matrix.reshape(8, 4, 2) @ np.array([RT2, RT2])
+    v = np.einsum("pdxq,qts->spdtx", s_plus.reshape(2, 2, 2, 4), path.reshape(4, 2, 2))
+    return v.reshape(2, 8, 2)
+
+
+def distribution_branches(noises, coeffs_list, phase_photon):
+    """Heralded spin amplitudes of n-photon distribution as one dense array.
+
+    The source emits (|H...H> + |V...V>)/sqrt(2), and every photon runs its
+    own path to its own spin, so the state before detection is
+    (x_i v_i[H] + x_i v_i[V])/sqrt(2) with x the tensor product; photon
+    ``phase_photon`` gets the pi phase.  Returns (amps, survival): amps[k, j]
+    holds the unnormalized, uncorrected 2^n spin amplitudes of port pattern
+    k and time-bin outcome j, both listed photon by photon in
+    ``itertools.product`` order (ports `PORTS`, time bins `TB_DECODED`);
+    survival is the squared norm after scattering, i.e. one minus the
+    leak/noise loss.  The library forms the same array already corrected,
+    photon by photon; this one is built with one broadcast product per
+    photon over 3n axes of size 2.
+    """
+    n = len(noises)
+    v = [photon_transfer(ch, cf, i == phase_photon) for i, (ch, cf) in enumerate(zip(noises, coeffs_list))]
+    # photon i's (port, time bin, spin) on axes 1 + (i, n + i, 2n + i); products in np.kron's order
+    both = functools.reduce(np.multiply, [vi[:, PORT_ROWS].reshape(
+        (2,) + tuple(2 if a % n == i else 1 for a in range(3 * n))) for i, vi in enumerate(v)])
+    amps = RT2 * both.sum(axis=0).reshape(2 ** n, 2 ** n, 2 ** n)
+
+    # <x_i a_i, x_i b_i> = prod_i <a_i, b_i> gives the full norm, stray ports included
+    overlap = [[math.prod(np.vdot(vi[a], vi[b]) for vi in v) for b in (0, 1)] for a in (0, 1)]
+    survival = 0.5 * float((overlap[0][0] + overlap[1][1] + 2.0 * overlap[0][1]).real)
+    if abs(float(np.sum(np.abs(amps) ** 2)) - survival) > 1e-10:
+        raise RuntimeError("port detections do not add up to the surviving norm")
+    return amps, survival
 
 
 def ghz_correction_search(n):

@@ -1,16 +1,19 @@
 """Objects built from already-checked inputs are built and checked once.
 
-Registers keep their sizes, the constant optical maps are built once per
-process, `scatter_map`, the parity operators and the extension and
-purification instruments once per coefficient set and the spin targets
-once per label tuple.  These tests hold the saving (a repeated
+Registers keep their sizes, the constant optical maps and a photon's path
+ends are built once per process, `scatter_map`, its |+> scattering, the
+parity operators and the extension and purification instruments once per
+coefficient set, the pattern corrections once per rule and n, and the spin
+targets once per label tuple.  These tests hold the saving (a repeated
 distribution makes no singular value decomposition and no Kronecker
 product, and checks its listed live states as one stack; a parity check
 builds and applies no map and checks its states as one stack), show that
-nothing cached can be written to, and show that user-built maps keep
-every check.
+nothing cached can be written to, that an outcome built without its
+constructor equals one built with it, and that user-built maps keep every
+check.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +21,8 @@ import pytest
 
 from qdrepeater import protocols, qstate
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
-from qdrepeater.protocols import distribute_bell, distribute_ghz, ghz_state, pcd, phi_minus, phi_plus, spin_register
+from qdrepeater.protocols import (HeraldedOutcome, distribute_bell, distribute_ghz, ghz_state, pcd, phi_minus,
+                                  phi_plus, spin_register)
 from qdrepeater.qstate import (LinearMap, Register, StateVector, Subsystem, apply_map, basis_state, fidelity,
                                superposition)
 from qdrepeater.scatter import scatter_map
@@ -106,6 +110,24 @@ def test_a_repeated_ghz_distribution_makes_no_kron_and_checks_its_live_states_as
     assert all(o.post_state is state and o.post_state.register is register for o, state in zip(live, states))
 
 
+def test_an_outcome_built_in_one_pass_equals_one_built_by_its_constructor(rng):
+    noises = [random_asymmetric(rng)] + [random_symmetric(rng) for _ in range(3)]
+    empty = resonant_coeffs(CavityParams(g=0.0))
+    runs = [distribute_ghz(4, noises, [empty, empty, IDEAL, _practical()]),
+            distribute_ghz(3, noises[1:], [empty, IDEAL, _practical()]),
+            distribute_bell(noises[0], noises[1], _practical(), empty)]
+    kinds = {o.post_state is None for outcomes in runs for o in outcomes}
+    assert kinds == {True, False}       # dead outcomes and live ones
+    for outcomes in runs:
+        for o in outcomes:
+            fresh = HeraldedOutcome(o.detection, o.probability, o.correction, o.post_state, o.fidelity)
+            assert type(o) is HeraldedOutcome
+            assert o == fresh and repr(o) == repr(fresh)
+            assert list(vars(o).items()) == list(vars(fresh).items())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                o.probability = 1.0
+
+
 PAIR = spin_register(("a", "b"))
 MIXED = Register((Subsystem("a", ("up", "dn")), Subsystem("x", ("0", "1", "2")),
                   Subsystem("b", ("up", "dn")), Subsystem("c", ("up", "dn"))))
@@ -161,8 +183,12 @@ def test_a_user_built_map_keeps_its_svd_check(svd_calls):
 CACHED_ARRAYS = {
     "encode_map": lambda: encode_map().matrix,
     "decode_map": lambda: decode_map().matrix,
-    "pi plate": lambda: protocols._pi_plate(),
+    "decoder ends": lambda: protocols._path_ends()[0],
+    "encoder end": lambda: protocols._path_ends()[1],
     "scatter_map": lambda: scatter_map(_practical()).matrix,
+    "plus scatter": lambda: protocols._plus_scatter(_practical()),
+    "correction index": lambda: protocols._pattern_corrections(protocols._ghz_correction, 3)[3],
+    "correction sign": lambda: protocols._pattern_corrections(protocols._ghz_correction, 3)[4],
     "parity operators": lambda: protocols._parity_operators(_practical()),
     "extension maps": lambda: protocols._extension_maps(_practical()),
     "purification maps": lambda: protocols._purification_maps(_practical(), IDEAL),
@@ -184,6 +210,7 @@ def test_cached_maps_and_targets_are_read_only(name):
 def test_cached_maps_are_shared_per_input():
     assert encode_map() is encode_map()
     assert scatter_map(_practical()) is scatter_map(_practical())
+    assert protocols._plus_scatter(_practical()) is protocols._plus_scatter(_practical())
     assert isinstance(scatter_map(_practical()), LinearMap)
     assert protocols._extension_maps(_practical()) is protocols._extension_maps(_practical())
     assert protocols._purification_maps(_practical(), IDEAL) is protocols._purification_maps(_practical(), IDEAL)
