@@ -2,12 +2,13 @@
 
 Subcommands: coeffs, distribute, pcd, purify, chain, sweep, plus crosscheck
 (simulation against the closed forms) and photon (single-photon element
-scripts).  The parser holds every flag's default; with --config, the
-[defaults] entries of an INI file replace those defaults, so argparse
-converts and checks them like flags, and flags still win.  CSV output uses
-12 significant digits and a fixed column order, so identical inputs produce
-byte-identical files.  Exit codes: 0 success, 1 bad input (usage or
-configuration error), 2 internal failure.
+scripts).  The parser holds every flag's default; with --config, the [defaults]
+entries of an INI file replace those defaults, so argparse converts and checks
+them like flags, and flags still win.  `_SCENARIO` and `_SCRIPT` list the
+sections and keys of scenario and script files; a --config file may hold
+either's.  CSV output uses 12 significant digits and a fixed column order, so
+identical inputs produce byte-identical files.  Exit codes: 0 success, 1 bad
+input (usage or configuration error), 2 internal failure.
 """
 
 from __future__ import annotations
@@ -113,6 +114,28 @@ def _read_config(path) -> configparser.ConfigParser:
     return cp
 
 
+@functools.cache
+def _defaults_keys() -> frozenset[str]:
+    """The keys [defaults] may hold in any INI file: every value flag, and purify_rounds."""
+    return frozenset({"purify_rounds"}.union(*map(value_flags, _parser().commands.values())))
+
+
+def _check_file(cp, kind, sections) -> None:
+    """Reject each section, [DEFAULT] with entries included, whose "[name]" starts with no head of
+    ``sections`` ("[node " admits every [node NAME]), then each key its head does not list."""
+    found = [cp.default_section] * bool(cp.defaults()) + cp.sections()
+    heads = [next((h for h in sections if f"[{section}]".startswith(h)), None) for section in found]
+    if None in heads:
+        names = [h if h.endswith("]") else h + "NAME]" for h in sections]
+        raise UsageError(f"unknown section [{found[heads.index(None)]}]; a {kind} file holds "
+                         f"{', '.join(names[:-1])} and {names[-1]}")
+    for section, head in zip(found, heads):
+        known = sections[head]() if callable(sections[head]) else sections[head]
+        for k in cp.options(section):
+            if k not in known:
+                raise UsageError(f"[{section}]: unknown key {k!r}")
+
+
 # ---------------------------------------------------------------------------
 # row builders
 # ---------------------------------------------------------------------------
@@ -196,25 +219,11 @@ def _parse_complex(raw, where):
 
 #: the noise entries of a segment, early bin first; each may carry a left_ or right_ prefix
 _NOISE = ("noise_delta", "noise_eta", "noise_delta_l", "noise_eta_l")
-#: the keys a [node] or [segment] section may hold; any other is a usage error
-_NODE_KEYS = ("ideal", "g", "kappa_s", "gamma", "delta")
-_SEGMENT_KEYS = ("left", "right", *(side + k for side in ("", "left_", "right_") for k in _NOISE))
-
-
-def _check_keys(cp, section, known) -> None:
-    for k in cp.options(section) if cp.has_section(section) else ():
-        if k not in known:
-            raise UsageError(f"[{section}]: unknown key {k!r}")
-
-
-def _check_sections(cp, kind, known) -> None:
-    """Reject each section, [DEFAULT] with entries included, whose "[name]" starts with no entry
-    of ``known``: "[chain]" admits one section, "[node " every [node NAME]."""
-    names = [k if k.endswith("]") else k + "NAME]" for k in known]
-    for section in [cp.default_section] * bool(cp.defaults()) + cp.sections():
-        if not f"[{section}]".startswith(known):
-            raise UsageError(f"unknown section [{section}]; a {kind} file holds "
-                             f"{', '.join(names[:-1])} and {names[-1]}")
+#: section head -> the keys its sections may hold (or the function that lists them), per file kind
+_SCENARIO = {"[defaults]": _defaults_keys, "[chain]": ("segments", "purify_rounds", "eta_in"),
+             "[node ": ("ideal", "g", "kappa_s", "gamma", "delta"),
+             "[segment ": ("left", "right", *(side + k for side in ("", "left_", "right_") for k in _NOISE))}
+_SCRIPT = {"[photon]": ("name", "h", "v"), "[script]": ("steps",), "[defaults]": _defaults_keys}
 
 
 def _segment_noise(cp, section, side):
@@ -242,15 +251,14 @@ def scenario_from_config(cp: configparser.ConfigParser,
                          g_override: float | None = None) -> ChainScenario:
     """Build a chain scenario from a parsed INI scenario file.
 
-    Sections: [defaults] (gamma, kappa_s, delta, eta_in, purify_rounds),
-    one [node X] per node (ideal = true, or g / kappa_s / gamma / delta),
-    one [segment NAME] per fiber segment (left, right, optional noise_*),
-    and [chain] with the ordered segment list.  Any other section or key is
-    a usage error, save a value flag in [defaults] (as in a --config file).
+    Sections and keys, as `_SCENARIO` lists them: [defaults] (any value flag,
+    or purify_rounds), one [node X] per node (ideal = true alone, or g /
+    kappa_s / gamma / delta), one [segment NAME] per fiber segment (left,
+    right, optional noise_*), and [chain] (segments, purify_rounds, eta_in).
+    Any other section or key is a usage error, raised before any value is read.
     ``g_override`` replaces the coupling of every non-ideal node (chain sweep).
     """
-    _check_sections(cp, "scenario", ("[defaults]", "[chain]", "[node ", "[segment "))
-    _check_keys(cp, "defaults", _defaults_keys())
+    _check_file(cp, "scenario", _SCENARIO)
     # read eagerly, so a malformed entry is rejected even when every node is ideal
     cavity_defaults = _given(cp, "defaults", ("gamma", "kappa_s", "delta"), cp.getfloat)
 
@@ -259,9 +267,10 @@ def scenario_from_config(cp: configparser.ConfigParser,
     for section in cp.sections():
         if section.startswith("node "):
             name = section.split(" ", 1)[1]
-            ideal = cp.getboolean(section, "ideal", fallback=False)
-            _check_keys(cp, section, ("ideal",) if ideal else _NODE_KEYS)
-            if ideal:
+            if cp.getboolean(section, "ideal", fallback=False):
+                extra = [k for k in cp.options(section) if k != "ideal"]
+                if extra:   # the one rule `_SCENARIO` cannot hold: an ideal node has no other key
+                    raise UsageError(f"[{section}]: unknown key {extra[0]!r}")
                 nodes[name] = IDEAL
                 continue
             try:
@@ -272,7 +281,6 @@ def scenario_from_config(cp: configparser.ConfigParser,
                 raise UsageError(f"[{section}]: {e}")
         elif section.startswith("segment "):
             name = section.split(" ", 1)[1]
-            _check_keys(cp, section, _SEGMENT_KEYS)
             try:
                 left = cp.get(section, "left")
                 right = cp.get(section, "right")
@@ -285,7 +293,6 @@ def scenario_from_config(cp: configparser.ConfigParser,
 
     if not cp.has_section("chain"):
         raise UsageError("scenario file needs a [chain] section")
-    _check_keys(cp, "chain", ("segments", "purify_rounds", "eta_in"))
     order = cp.get("chain", "segments", fallback="").replace(",", " ").split()
     if not order:
         raise UsageError("[chain]: empty segment list")
@@ -366,15 +373,12 @@ def _run_photon_script(state: StateVector, photon: str, steps) -> StateVector:
 
 
 def load_photon_script(path):
-    """Read a single-photon element script: [photon] amplitudes, [script] steps
-    and [defaults] for --config; any other section or key is a usage error."""
+    """Read a single-photon element script: [photon] amplitudes, [script] steps and
+    [defaults] for --config, with the keys `_SCRIPT` lists; any other is a usage error."""
     cp = _read_config(path)
     if not cp.has_option("script", "steps"):
         raise UsageError("script file needs a [script] section with steps")
-    _check_sections(cp, "script", ("[photon]", "[script]", "[defaults]"))
-    for section, keys in (("photon", ("name", "h", "v")), ("script", ("steps",)),
-                          ("defaults", _defaults_keys())):
-        _check_keys(cp, section, keys)
+    _check_file(cp, "script", _SCRIPT)
     name = cp.get("photon", "name", fallback="a")
     h = _parse_complex(cp.get("photon", "h", fallback="1"), "[photon]")
     v = _parse_complex(cp.get("photon", "v", fallback="0"), "[photon]")
@@ -490,21 +494,21 @@ def cmd_crosscheck(args):
 _CAVITY_GRIDS = ("--g-grid", "--kappa-s-grid", "--delta-grid", "--gamma")
 _SWEEP_READS = {
     "coeffs": _CAVITY_GRIDS,
-    "distribution": _CAVITY_GRIDS + ("--eta-in",),
-    "pcd": _CAVITY_GRIDS + ("--eta-in",),
+    **{quantity: _CAVITY_GRIDS + ("--eta-in",) for quantity in _METRICS},
     "purify": ("--mu-grid", "--rounds"),
     "chain": ("--g-grid", "--scenario"),
 }
 
 
 def cmd_sweep(args):
-    # only typed flags are checked: [defaults] is shared by every subcommand
+    # only flags typed on the command line are checked: [defaults] is shared by every subcommand
     quantity = args.quantity
-    unread = [flag for flag in dict.fromkeys(args.typed) if flag not in _SWEEP_READS[quantity]]
+    typed = dict.fromkeys(token.split("=", 1)[0] for token in args.argv if token.startswith("--"))
+    readers = {flag: [q for q, read in _SWEEP_READS.items() if flag in read] for flag in typed}
+    unread = [f"{flag} applies only to --quantity {' or '.join(qs)}"
+              for flag, qs in readers.items() if qs and quantity not in qs]
     if unread:
-        raise UsageError("; ".join(f"{flag} applies only to --quantity "
-                                   + " or ".join(q for q, read in _SWEEP_READS.items() if flag in read)
-                                   for flag in unread))
+        raise UsageError("; ".join(unread))
     points = list(itertools.product(args.g, args.kappa_s, args.delta))
     if quantity == "coeffs":
         rows = [_coeffs_row(g, ks, args.gamma, d) for g, ks, d in points]
@@ -532,21 +536,12 @@ def cmd_sweep(args):
 # parser
 # ---------------------------------------------------------------------------
 
-class _Typed(argparse.Action):
-    """Store the value and record the flag in ``typed``; a [defaults] value is not recorded."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.typed += (option_string,)
+def _add_gamma(p):
+    p.add_argument("--gamma", type=float, default=0.1, help="dipole decay rate in units of kappa")
 
 
-def _add_gamma(p, action="store"):
-    p.add_argument("--gamma", type=float, default=0.1, action=action,
-                   help="dipole decay rate in units of kappa")
-
-
-def _add_eta_in(p, action="store"):
-    p.add_argument("--eta-in", dest="eta_in", type=float, default=1.0, action=action,
+def _add_eta_in(p):
+    p.add_argument("--eta-in", dest="eta_in", type=float, default=1.0,
                    help="input-coupling efficiency per photon pass, in (0, 1]")
 
 
@@ -601,18 +596,17 @@ def build_parser() -> _Parser:
     # --kappa-s or --delta is rejected, not read as the grid flag it prefixes
     p = command("sweep", cmd_sweep, "parameter sweeps with CSV output", allow_abbrev=False)
     p.add_argument("--quantity", required=True, choices=tuple(_SWEEP_READS))
-    _add_gamma(p, action=_Typed)
+    _add_gamma(p)
     grids = (("--g-grid", "g", "1.2", "coupling strengths"),
              ("--kappa-s-grid", "kappa_s", "0", "side-leakage rates"),
              ("--delta-grid", "delta", "0", "probe detunings"),
              ("--mu-grid", "mu", "0.6,0.7,0.8,0.9", "starting weights (purify)"))
     for flag, dest, default, what in grids:
-        p.add_argument(flag, dest=dest, type=parse_grid, default=default, action=_Typed,
+        p.add_argument(flag, dest=dest, type=parse_grid, default=default,
                        metavar="GRID", help=f"{what}: start:stop:count or a comma list")
-    p.add_argument("--rounds", type=int, default=3, action=_Typed, help="purification rounds (purify)")
-    _add_eta_in(p, action=_Typed)
-    p.add_argument("--scenario", default=None, action=_Typed, help="INI scenario file (chain)")
-    p.set_defaults(typed=())
+    p.add_argument("--rounds", type=int, default=3, help="purification rounds (purify)")
+    _add_eta_in(p)
+    p.add_argument("--scenario", default=None, help="INI scenario file (chain)")
 
     for p in parser.commands.values():
         p.add_argument("--config", default=None,
@@ -633,29 +627,24 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-@functools.cache
-def _defaults_keys() -> frozenset[str]:
-    """The keys [defaults] may hold in any INI file: every value flag, and purify_rounds."""
-    return frozenset({"purify_rounds"}.union(*map(value_flags, _parser().commands.values())))
-
-
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line.  With --config, the file's [defaults] entries
     become the chosen subcommand's defaults for its value flags and the
     command line is parsed again, so argparse converts and rejects them as
     it does flags, and flags on the command line still win.  That second
-    parse uses a parser of its own, so the shared one keeps its defaults."""
+    parse uses a parser of its own, so the shared one keeps its defaults.
+    The namespace keeps ``argv``: sweep checks the flags typed in it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
     if args.config:
         cp = _read_config(args.config)
-        # the file may also be the run's scenario or script file; purify_rounds is a scenario default
-        _check_sections(cp, "config", ("[defaults]", "[chain]", "[node ", "[segment ", "[photon]", "[script]"))
-        _check_keys(cp, "defaults", _defaults_keys())
+        _check_file(cp, "config", {**_SCENARIO, **_SCRIPT})
         parser = build_parser()
         command = parser.commands[args.command]
         command.set_defaults(**{dest: cp.get("defaults", dest) for dest in value_flags(command)
                                 if cp.has_option("defaults", dest)})
         args = parser.parse_args(argv)
+    args.argv = argv
     return args
 
 

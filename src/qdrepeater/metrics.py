@@ -31,6 +31,7 @@ from .protocols import (
     PurificationState,
     channel_mixing_weight,
     check_eta_in,
+    check_mu,
     coupled_probability,
     distribute_bell,
     pcd,
@@ -136,8 +137,7 @@ def purification_metrics(mu: float, coeffs: ScatterCoeffs) -> PurificationState:
     (u = 1, v = -1) they reduce to s = mu^2 + (1-mu)^2 and F = mu^2/s, the
     recursion of `purify_analytic`.
     """
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mu = {mu} outside [0, 1]")
+    check_mu(mu)
     u, v = coeffs.r + coeffs.t, coeffs.r0 + coeffs.t0
     a, b, z = abs(u) ** 2, abs(v) ** 2, u * v.conjugate()
     s16 = (2.0 * abs(u - v) ** 4 * mu ** 2

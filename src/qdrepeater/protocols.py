@@ -324,6 +324,17 @@ def check_eta_in(eta_in: float) -> None:
         raise ValueError(f"eta_in = {eta_in} outside (0, 1]")
 
 
+def check_mu(mu: float) -> None:
+    """Reject a Bell-mixture weight outside [0, 1]."""
+    if not (0.0 <= mu <= 1.0):
+        raise ValueError(f"mu = {mu} outside [0, 1]")
+
+
+def _check_normalized(state: StateVector, what: str) -> None:
+    if abs(state.norm2 - 1.0) > 1e-9:
+        raise ValueError(f"{what} must be normalized")
+
+
 def coupled_probability(p: float, eta_in: float, passes: int) -> float:
     """p eta_in^passes, a probability after ``passes`` photon passes through an
     input coupler, reported as 0.0 below the smallest normal float."""
@@ -526,8 +537,7 @@ def pcd(
     for lab in (spin1, spin2):
         if not reg.has(lab):
             raise RegisterError(f"no spin labeled {lab!r} in the input state")
-    if abs(state.norm2 - 1.0) > 1e-9:
-        raise ValueError("PCD input state must be normalized")
+    _check_normalized(state, "PCD input state")
     if spin1 == spin2:
         raise RegisterError(f"duplicate targets {[spin1, spin2]}")
     pos = [reg.position(lab) for lab in (spin1, spin2)]
@@ -666,6 +676,8 @@ def extend_chain(
     of `_extension_maps`, and the live states are checked as one stack.
     """
     check_eta_in(eta_in)
+    _check_normalized(ghz, "the chain state")
+    _check_normalized(bell, "the fresh pair")
     label_z, label_zp = joint_node
     if not ghz.register.has(label_z):
         raise RegisterError(f"label {label_z!r} not in the chain state")
@@ -720,8 +732,7 @@ def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[Purification
     parties.  At ideal coefficients the kept weight follows
     mu -> mu^2/(mu^2 + (1-mu)^2) with success probability mu^2 + (1-mu)^2.
     """
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mu = {mu} outside [0, 1]")
+    check_mu(mu)
     labels = ("e_a", "e_b")
     mixture = ((mu, phi_minus(labels)), (1.0 - mu, phi_plus(labels)))
     ens = Ensemble(tuple((w, st) for w, st in mixture if w > 0.0))
@@ -732,8 +743,9 @@ def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[Purification
 
 def purify_analytic(mu: float, rounds: int) -> list[PurificationState]:
     """Iterate mu -> mu^2/(mu^2 + (1-mu)^2); one entry per round."""
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mu = {mu} outside [0, 1]")
+    check_mu(mu)
+    if not isinstance(rounds, numbers.Integral):
+        raise ValueError(f"rounds must be a whole number, not {rounds!r}")
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     out = []
@@ -782,6 +794,8 @@ class ChainScenario:
                     f"inconsistent node wiring: segment {nxt.name} starts at "
                     f"{nxt.left!r} but the chain so far ends at {prev.right!r}")
         check_eta_in(self.eta_in)
+        if not isinstance(self.purify_rounds, numbers.Integral):
+            raise ValueError(f"purify_rounds must be a whole number, not {self.purify_rounds!r}")
         if self.purify_rounds < 0:
             raise ValueError("purify_rounds must be nonnegative")
 

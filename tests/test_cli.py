@@ -104,12 +104,23 @@ def test_eta_in_outside_unit_interval_is_usage_error(capsys, argv):
     assert "eta_in" in err
 
 
-@pytest.mark.parametrize("quantity", ["coeffs", "purify", "chain"])
-def test_sweep_eta_in_on_a_quantity_without_it_is_usage_error(tmp_path, capsys, quantity):
+def typed(flag, value, joined):
+    """A flag and its value as typed: two tokens, or one token ``flag=value`` when ``joined``."""
+    return [f"{flag}={value}"] if joined else [flag, value]
+
+
+def both_forms(cases):
+    """Each case once per form of a typed flag; the two-token form keeps the case's plain id."""
+    return [pytest.param(*case, joined, id="-".join(case) + "=" * joined)
+            for case in cases for joined in (False, True)]
+
+
+@pytest.mark.parametrize("quantity,joined", both_forms([("coeffs",), ("purify",), ("chain",)]))
+def test_sweep_eta_in_on_a_quantity_without_it_is_usage_error(tmp_path, capsys, quantity, joined):
     scenario = tmp_path / "chain.ini"
     scenario.write_text(IDEAL_SCENARIO)
-    code, out, err = run(capsys, "sweep", "--quantity", quantity, "--scenario", str(scenario),
-                         "--eta-in", "-3" if quantity == "purify" else "0.5")
+    code, out, err = run(capsys, "sweep", "--quantity", quantity, *typed("--scenario", str(scenario), joined),
+                         *typed("--eta-in", "-3" if quantity == "purify" else "0.5", joined))
     assert code == 1
     assert out == ""
     assert "--eta-in" in err and "distribution or pcd" in err
@@ -137,16 +148,17 @@ SWEEP_READS = {
 }
 
 
-@pytest.mark.parametrize("quantity,flag", [(q, flag) for q, read in SWEEP_READS.items()
-                                           for flag in SWEEP_VALUES if flag not in read])
-def test_sweep_flag_the_quantity_does_not_read_is_usage_error(tmp_path, monkeypatch, capsys, quantity, flag):
+@pytest.mark.parametrize("quantity,flag,joined", both_forms([(q, flag) for q, read in SWEEP_READS.items()
+                                                               for flag in SWEEP_VALUES if flag not in read]))
+def test_sweep_flag_the_quantity_does_not_read_is_usage_error(tmp_path, monkeypatch, capsys, quantity, flag,
+                                                              joined):
     monkeypatch.chdir(tmp_path)
     pathlib.Path("chain.ini").write_text(IDEAL_SCENARIO)
     argv = ["sweep", "--quantity", quantity]
     for read in SWEEP_READS[quantity]:
-        argv += [read, SWEEP_VALUES[read]]
+        argv += typed(read, SWEEP_VALUES[read], joined)
     assert run(capsys, *argv)[0] == 0
-    code, out, err = run(capsys, *argv, flag, SWEEP_VALUES[flag])
+    code, out, err = run(capsys, *argv, *typed(flag, SWEEP_VALUES[flag], joined))
     assert code == 1
     assert out == ""
     assert err.startswith(f"usage error: {flag} applies only to --quantity ")
@@ -751,7 +763,9 @@ CONFIG_LAYOUT = ("a config file holds [defaults], [chain], [node NAME], [segment
     ("[defaults]\ng = 2.4\n\n[nodes A]\nideal = true\n", f"unknown section [nodes A]; {CONFIG_LAYOUT}"),
     ("[defaults]\ngg = 2.4\n", "[defaults]: unknown key 'gg'"),
     ("[defaults]\npurify_round = 1\n", "[defaults]: unknown key 'purify_round'"),
-], ids=["default", "DEFAULT", "nodes", "gg", "purify_round"])
+    ("[defaults]\ng = 2.4\n\n[node A]\nkapa_s = 1\n", "[node A]: unknown key 'kapa_s'"),
+    ("[defaults]\ng = 2.4\n\n[script]\nstep = qwp\n", "[script]: unknown key 'step'"),
+], ids=["default", "DEFAULT", "nodes", "gg", "purify_round", "node-key", "script-key"])
 def test_config_section_or_defaults_key_nothing_reads_is_usage_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "defaults.ini"
     cfg.write_text(text)
@@ -781,10 +795,11 @@ def test_config_may_be_the_script_file(tmp_path, capsys):
 
 
 def test_sweep_eta_in_equal_to_its_default_is_still_rejected(capsys):
-    code, out, err = run(capsys, "sweep", "--quantity", "purify", "--eta-in", "1")
-    assert code == 1
-    assert out == ""
-    assert "--eta-in" in err
+    for joined in (False, True):
+        code, out, err = run(capsys, "sweep", "--quantity", "purify", *typed("--eta-in", "1", joined))
+        assert code == 1
+        assert out == ""
+        assert "--eta-in" in err
 
 
 def test_help_shows_the_defaults(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qdrepeater import protocols
 from qdrepeater.cavity import IDEAL, CavityParams, ScatterCoeffs, resonant_coeffs
-from qdrepeater.metrics import chain_analytic, distribution_metrics, pcd_metrics
+from qdrepeater.metrics import chain_analytic, distribution_metrics, pcd_metrics, purification_metrics
 from qdrepeater.protocols import (
     ChainScenario,
     HeraldedOutcome,
@@ -830,12 +830,15 @@ def test_probability_below_the_normal_range_is_reported_as_zero(protocol, eta_in
 
 
 def test_extension_normalizes_a_branch_of_small_weight():
-    # a chain state of squared norm 1e-20 leaves branches of weight 1.25e-21,
-    # far below the amplitudes' own scale; each post state is still a unit vector
-    ghz = StateVector(spin_register(("a", "z")), 1e-10 * phi_minus(("a", "z")).amplitudes)
-    outs = extend_chain(ghz, phi_minus(("zp", "d")), ("z", "zp"), IDEAL)
-    for o in outs:
-        assert o.probability == pytest.approx(1.25e-21, rel=1e-12)
+    # unit inputs whose joint spins are "dn" with amplitude 1e-10 leave odd-parity
+    # branches of weight 5e-21, far below the amplitudes' own scale; each post
+    # state is still a unit vector
+    ghz = StateVector(spin_register(("a", "z")), [1.0, 0.0, 0.0, 1e-10])
+    bell = StateVector(spin_register(("zp", "d")), [1.0, 0.0, 0.0, 1e-10])
+    outs = extend_chain(ghz, bell, ("z", "zp"), IDEAL)
+    assert [o.detection.split(":")[0] for o in outs] == ["even"] * 4 + ["odd"] * 4
+    for o in outs[4:]:
+        assert o.probability == pytest.approx(5e-21, rel=1e-12)
         assert o.post_state.norm2 == pytest.approx(1.0, abs=1e-12)
         assert o.fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -1555,6 +1558,22 @@ def _spins_and_qutrit(labels, qutrit):
      "GHZ distribution needs a whole number of parties, not 2.5"),
     (lambda: distribute_ghz(3.0, [QUIET] * 3, [IDEAL] * 3), ValueError,
      "GHZ distribution needs a whole number of parties, not 3.0"),
+    (lambda: extend_chain(StateVector(spin_register(("a", "z")), [0.5 ** 0.5, 0, 0, 0]), phi_minus(("zp", "d")),
+                          ("z", "zp"), IDEAL), ValueError, "the chain state must be normalized"),
+    (lambda: extend_chain(phi_minus(("a", "z")), StateVector(spin_register(("zp", "d")), [0.5, 0, 0, 0.5]),
+                          ("z", "zp"), IDEAL), ValueError, "the fresh pair must be normalized"),
+    (lambda: ChainScenario(nodes={"A": IDEAL, "B": IDEAL}, segments=[SegmentSpec("AB", "A", "B")],
+                           purify_rounds=1.5).validate(), ValueError,
+     "purify_rounds must be a whole number, not 1.5"),
+    (lambda: run_chain(ChainScenario(nodes={"A": IDEAL, "B": IDEAL}, segments=[SegmentSpec("AB", "A", "B")],
+                                     purify_rounds=2.5)), ValueError, "purify_rounds must be a whole number, not 2.5"),
+    (lambda: chain_analytic(ChainScenario(nodes={"A": IDEAL, "B": IDEAL}, segments=[SegmentSpec("AB", "A", "B")],
+                                          purify_rounds=1.0)), ValueError,
+     "purify_rounds must be a whole number, not 1.0"),
+    (lambda: purify_analytic(0.7, 1.5), ValueError, "rounds must be a whole number, not 1.5"),
+    (lambda: purify_analytic(1.25, 1), ValueError, "mu = 1.25 outside [0, 1]"),
+    (lambda: purify_round(-0.5), ValueError, "mu = -0.5 outside [0, 1]"),
+    (lambda: purification_metrics(float("nan"), IDEAL), ValueError, "mu = nan outside [0, 1]"),
 ])
 def test_boundary_checks_raise(build, error, message):
     with pytest.raises(error) as info:
