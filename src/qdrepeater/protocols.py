@@ -33,13 +33,14 @@ branch (parity and two measured spins), stacked and cached per coefficient
 set.  One routine applies both, to a chain and a fresh pair in `extend_chain`
 and to every pair of mixture members in the chain's pair stage.
 
-What is built from checked inputs is built once and shared read-only: a
-photon's path ends once per process (as `timebin`'s encoder and decoder
-maps), `scatter_map`, its scattering of a spin in |+>, the parity
-operators and the extension and purification maps per coefficient set
-(the last 16 sets each), the targets `ghz_state`, `phi_minus` and
-`phi_plus` per label tuple (the last 64), and the pattern corrections per
-rule and n.  A repeated distribution builds no map.
+What is built from checked inputs is built once and shared read-only: per
+process, a photon's path ends (as `timebin`'s encoder and decoder maps) and
+both instruments' coefficient-free tables; per coefficient set (the last
+16 each), `scatter_map`, its scattering of a spin in |+>, the parity
+operators and each instrument, one array product of its table with them;
+per label tuple (the last 64), the targets `ghz_state`, `phi_minus` and
+`phi_plus`; per rule and n, the pattern corrections.  A repeated
+distribution builds no map.
 
 Branch probabilities are exact: imperfect cavity coefficients shrink the
 pre-detection norm, and one minus the sum of all heralded probabilities is
@@ -209,19 +210,18 @@ def _pattern_corrections(correction_for, n: int):
     order, once per rule and n, with each correction photon by photon:
     photon i's factor of pattern k, rows (port, spin), is corrected to
     sign[i, k, b] * factor[index[i, k, b]] for spin b, as the x and z gates
-    one by one do.  Both tables are read-only."""
+    one by one do.  Both are built as nested lists and kept as read-only arrays."""
     patterns = list(itertools.product(_PORTS, repeat=n))
     corrections = [correction_for(pattern) for pattern in patterns]
-    index = np.empty((n, 2 ** n, 2), dtype=np.intp)
-    sign = np.ones((n, 2 ** n, 2))
-    for k, (pattern, gates) in enumerate(zip(patterns, corrections)):
-        for i, port in enumerate(pattern):
-            index[i, k] = 2 * _PORTS.index(port) + np.arange(2)
+    index = [[[2 * _PORTS.index(p[i]), 2 * _PORTS.index(p[i]) + 1] for p in patterns] for i in range(n)]
+    sign = [[[1.0, 1.0] for _ in patterns] for _ in range(n)]
+    for k, gates in enumerate(corrections):
         for g, i in gates:      # x swaps spin i's up and dn, z negates its dn
             if g == "x":
-                index[i, k], sign[i, k] = index[i, k, ::-1], sign[i, k, ::-1]
+                index[i][k], sign[i][k] = index[i][k][::-1], sign[i][k][::-1]
             else:
-                sign[i, k, 1] *= -1.0
+                sign[i][k][1] *= -1.0
+    index, sign = np.array(index, dtype=np.intp), np.array(sign)
     for table in (index, sign):
         table.setflags(write=False)
     labels = ["".join(pol + ("↑" if d == "up" else "↓") for pol, d in pattern) for pattern in patterns]
@@ -578,9 +578,10 @@ def pcd(
 
 #: the heralded branches of one parity check followed by the measurement of
 #: two spins, as (parity, m1, m2): even before odd, outcomes in product order,
-#: so branch i takes row i // 4 of `_parity_operators` and ends in <m1 m2| = row i % 4
+#: so branch i takes row i // 4 of `_parity_operators` (`_BRANCH_PARITY`) and ends in <m1 m2| = row i % 4
 _BRANCHES = tuple((parity, m1, m2) for parity in ("even", "odd")
                   for m1, m2 in itertools.product(("up", "dn"), repeat=2))
+_BRANCH_PARITY = np.arange(len(_BRANCHES)) // 4
 
 
 def _gate_product(names) -> np.ndarray:
@@ -593,6 +594,26 @@ def _extension_gates(parity, m1, m2, label_d):
     return ((("x", label_d),) if parity == "odd" else ()) + ((("z", label_d),) if m1 != m2 else ())
 
 
+@functools.cache
+def _instrument_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficient-free parts of both instruments, read-only, built once
+    per process: extension's E[i, o, j, d] = (H x H)[i % 4, j] G_i[o, d], with
+    G_i branch i's recorded correction on d; purification's A_i, the gates
+    after its checks, and R = H^{x4}, the rotation before them."""
+    h = _GATES["h"].matrix
+    ext = np.empty((len(_BRANCHES), 2, 4, 2), dtype=complex)
+    pur = np.empty((len(_BRANCHES), 4, 16), dtype=complex)
+    for i, (parity, m1, m2) in enumerate(_BRANCHES):
+        gate = _gate_product(g for g, _ in _extension_gates(parity, m1, m2, None))
+        ext[i] = np.kron(h, h)[i % 4, None, :, None] * gate[:, None, :]
+        pre = _gate_product(("x", "h") if parity == "odd" else ("h",))
+        pur[i] = np.kron(np.kron(pre, pre)[i % 4], np.kron(_gate_product(("z", "h") if m1 != m2 else ("h",)), h))
+    tables = ext, pur, functools.reduce(np.kron, [h] * 4)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 @functools.lru_cache(maxsize=16)
 def _extension_maps(coeffs: ScatterCoeffs) -> np.ndarray:
     """The extension instrument: one 2x8 map from (z, z', d) to d per branch
@@ -601,14 +622,9 @@ def _extension_maps(coeffs: ScatterCoeffs) -> np.ndarray:
     Each is G_d <m1 m2|(H x H) K_parity: the parity check of z and z', their
     Hadamard rotation and measurement, and the recorded correction on the
     fresh end spin d.  The input coupling is left to the caller.
+    The stack is the table E of `_instrument_tables` times K_parity along j.
     """
-    h = _GATES["h"].matrix
-    kraus = _parity_operators(coeffs)
-    maps = np.empty((len(_BRANCHES), 2, 8), dtype=complex)
-    for i, (parity, m1, m2) in enumerate(_BRANCHES):
-        row = (np.kron(h, h) @ np.diag(kraus[i // 4]))[i % 4]
-        gate = _gate_product(g for g, _ in _extension_gates(parity, m1, m2, None))
-        maps[i] = np.kron(row, gate)
+    maps = (_instrument_tables()[0] * _parity_operators(coeffs)[_BRANCH_PARITY][:, None, :, None]).reshape(8, 2, 8)
     maps.setflags(write=False)
     return maps
 
@@ -624,19 +640,13 @@ def _purification_maps(coeffs_a: ScatterCoeffs, coeffs_b: ScatterCoeffs) -> np.n
     recorded flip of a and b), a and b are measured in the Hadamard basis,
     unequal outcomes record a phase flip on a', and a', b' are rotated back.
     One probe photon per party, so the caller scales by eta_in squared.
+    Map i is A_i diag(check_parity) R, with A_i and R from `_instrument_tables`.
     """
-    h = _GATES["h"].matrix
-    rotate = functools.reduce(np.kron, [h] * 4)
+    _, pur, rotate = _instrument_tables()
     kraus_a, kraus_b = _parity_operators(coeffs_a), _parity_operators(coeffs_b)
-    maps = np.empty((len(_BRANCHES), 4, 16), dtype=complex)
-    for i, (parity, m1, m2) in enumerate(_BRANCHES):
-        # both checks are diagonal: entry (a, b, a', b') is K_a[a, a'] K_b[b, b']
-        k = i // 4
-        check = np.einsum("ac,bd->abcd", kraus_a[k].reshape(2, 2), kraus_b[k].reshape(2, 2)).reshape(16)
-        pre = _gate_product(("x", "h") if parity == "odd" else ("h",))
-        row = np.kron(pre, pre)[i % 4]
-        post = np.kron(_gate_product(("z", "h") if m1 != m2 else ("h",)), h)
-        maps[i] = np.kron(row, post) @ (check[:, None] * rotate)
+    # both checks are diagonal: entry (a, b, a', b') is K_a[a, a'] K_b[b, b'], one row per parity
+    check = np.einsum("kac,kbd->kabcd", kraus_a.reshape(2, 2, 2), kraus_b.reshape(2, 2, 2)).reshape(2, 16)
+    maps = pur @ (check[_BRANCH_PARITY][:, :, None] * rotate)
     maps.setflags(write=False)
     return maps
 

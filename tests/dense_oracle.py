@@ -15,7 +15,9 @@ candidates at ideal nodes; the library applies a fixed rule.
 pattern at a time, correcting each state with one dense matrix.  The
 library forms the array already corrected, each correction applied to
 each photon's factor, and lists the outcomes in whole-array steps; the
-tests compare the two.
+tests compare the two.  `pattern_corrections_loop` writes those per-photon
+correction tables one numpy element at a time; the library builds them as
+lists, and the tests hold the two to equal arrays.
 
 `run_pcd` evolves the probe photon of a parity check together with the
 spins through the detector optics and measures it.  The library applies
@@ -28,7 +30,10 @@ both parities and their ideal targets in one broadcast product.
 extension and purification gate by gate: a parity check from the `pcd`
 ports, Hadamard and Pauli gates one spin at a time, and `measure`.  The
 library applies each heralded branch as one cached map; the tests compare
-the two.
+the two.  `extension_maps_loop` and `purification_maps_loop` build those
+map stacks one branch at a time from Kronecker and matrix products; the
+library multiplies coefficient-free tables by the parity operators in one
+array step, and the tests hold the two stacks to be equal entry for entry.
 
 `measure` is the projective measurement these references detect with, and
 `scatter` applies the library's `scatter_map` to one photon and one spin
@@ -341,6 +346,24 @@ def distribution_branches(noises, coeffs_list, phase_photon):
     return amps, survival
 
 
+def pattern_corrections_loop(correction_for, n):
+    """(index, sign) tables of per-photon corrections, as `distribute_ghz`
+    reads them: photon i's factor of pattern k is corrected to
+    sign[i, k, b] * factor[index[i, k, b]] for spin b, written one element
+    at a time, each gate of a pattern's rule in the rule's order."""
+    index = np.empty((n, 2 ** n, 2), dtype=np.intp)
+    sign = np.ones((n, 2 ** n, 2))
+    for k, pattern in enumerate(itertools.product(PORTS, repeat=n)):
+        for i, port in enumerate(pattern):
+            index[i, k] = 2 * PORTS.index(port) + np.arange(2)
+        for g, i in correction_for(pattern):      # x swaps spin i's up and dn, z negates its dn
+            if g == "x":
+                index[i, k], sign[i, k] = index[i, k, ::-1], sign[i, k, ::-1]
+            else:
+                sign[i, k, 1] *= -1.0
+    return index, sign
+
+
 def ghz_correction_search(n):
     """Per-pattern corrections of n-party GHZ distribution, found by search.
 
@@ -560,6 +583,47 @@ def extension_gates(parity, m1, m2, label_d):
     """Recorded correction on the fresh end spin: a flip after an odd parity,
     a phase flip after unequal measurement outcomes."""
     return ((("x", label_d),) if parity == "odd" else ()) + ((("z", label_d),) if m1 != m2 else ())
+
+
+def gate_product(names):
+    """The single-spin gates ``names``, applied in order, as one 2x2 matrix."""
+    return functools.reduce(lambda m, g: GATES[g].matrix @ m, names, np.eye(2))
+
+
+#: (parity, m1, m2) of each instrument branch, in the library's order
+BRANCHES = tuple((parity, m1, m2) for parity in ("even", "odd")
+                 for m1, m2 in itertools.product(("up", "dn"), repeat=2))
+
+
+def extension_maps_loop(coeffs):
+    """The (8, 2, 8) extension stack, branch by branch: G_d <m1 m2|(H x H) K_parity."""
+    h = GATES["h"].matrix
+    kraus = protocols._parity_operators(coeffs)
+    maps = np.empty((len(BRANCHES), 2, 8), dtype=complex)
+    for i, (parity, m1, m2) in enumerate(BRANCHES):
+        row = (np.kron(h, h) @ np.diag(kraus[i // 4]))[i % 4]
+        gate = gate_product(g for g, _ in extension_gates(parity, m1, m2, None))
+        maps[i] = np.kron(row, gate)
+    return maps
+
+
+def purification_maps_loop(coeffs_a, coeffs_b):
+    """The (8, 4, 16) purification stack, branch by branch: the kept copy
+    after Hadamards on all four spins, the two parity checks, the Hadamard
+    measurement of a and b and the recorded corrections."""
+    h = GATES["h"].matrix
+    rotate = functools.reduce(np.kron, [h] * 4)
+    kraus_a, kraus_b = protocols._parity_operators(coeffs_a), protocols._parity_operators(coeffs_b)
+    maps = np.empty((len(BRANCHES), 4, 16), dtype=complex)
+    for i, (parity, m1, m2) in enumerate(BRANCHES):
+        # both checks are diagonal: entry (a, b, a', b') is K_a[a, a'] K_b[b, b']
+        k = i // 4
+        check = np.einsum("ac,bd->abcd", kraus_a[k].reshape(2, 2), kraus_b[k].reshape(2, 2)).reshape(16)
+        pre = gate_product(("x", "h") if parity == "odd" else ("h",))
+        row = np.kron(pre, pre)[i % 4]
+        post = np.kron(gate_product(("z", "h") if m1 != m2 else ("h",)), h)
+        maps[i] = np.kron(row, post) @ (check[:, None] * rotate)
+    return maps
 
 
 def extend_chain_gates(ghz, bell, joint_node, coeffs, eta_in=1.0):

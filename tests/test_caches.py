@@ -3,18 +3,23 @@
 Registers keep their sizes, the constant optical maps and a photon's path
 ends are built once per process, `scatter_map`, its |+> scattering, the
 parity operators and the extension and purification instruments once per
-coefficient set, the pattern corrections once per rule and n, and the spin
+coefficient set, each instrument from a coefficient-free table built once
+per process, the pattern corrections once per rule and n, and the spin
 targets once per label tuple.  These tests hold the saving (a repeated
 distribution makes no singular value decomposition and no Kronecker
 product, and checks its listed live states as one stack; a parity check
-builds and applies no map and checks its states as one stack), show that
-nothing cached can be written to, that an outcome built without its
-constructor equals one built with it, and that user-built maps keep every
-check.
+builds and applies no map and checks its states as one stack; a new
+coefficient set's instruments take no Kronecker product and no gate
+product), show that nothing cached can be written to and that every cached
+function of the library is listed here or exempted with a reason, that an
+outcome built without its constructor equals one built with it, and that
+user-built maps keep every check.
 """
 
+import ast
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -170,6 +175,28 @@ def test_pcd_builds_no_map_and_checks_its_states_as_one_stack(monkeypatch, rng, 
         assert abs(o.fidelity - fidelity(o.post_state, target)) <= 1e-15
 
 
+def test_a_new_coefficient_set_builds_its_instruments_without_kron_or_gate_products(monkeypatch, rng):
+    protocols._instrument_tables()      # the tables are the process's, built by any earlier instrument
+    coeffs_a, coeffs_b = random_coeffs(rng), random_coeffs(rng)     # sets no earlier call has seen
+    krons, gates = [], []
+    kron, gate_product = np.kron, protocols._gate_product
+
+    def counted_kron(*args, **kwargs):
+        krons.append(args)
+        return kron(*args, **kwargs)
+
+    def counted_gate_product(names):
+        gates.append(names)
+        return gate_product(names)
+
+    monkeypatch.setattr(np, "kron", counted_kron)
+    monkeypatch.setattr(protocols, "_gate_product", counted_gate_product)
+    maps = [protocols._extension_maps(coeffs_a), protocols._purification_maps(coeffs_a, coeffs_b)]
+    monkeypatch.undo()
+    assert krons == [] and gates == []
+    assert [m.shape for m in maps] == [(8, 2, 8), (8, 4, 16)]
+
+
 def test_a_user_built_map_keeps_its_svd_check(svd_calls):
     m = LinearMap(np.array([[0.5, 0.5], [0.0, 0.5]]))
     assert len(svd_calls) == 1
@@ -189,6 +216,9 @@ CACHED_ARRAYS = {
     "plus scatter": lambda: protocols._plus_scatter(_practical()),
     "correction index": lambda: protocols._pattern_corrections(protocols._ghz_correction, 3)[3],
     "correction sign": lambda: protocols._pattern_corrections(protocols._ghz_correction, 3)[4],
+    "extension table": lambda: protocols._instrument_tables()[0],
+    "purification table": lambda: protocols._instrument_tables()[1],
+    "purification rotation": lambda: protocols._instrument_tables()[2],
     "parity operators": lambda: protocols._parity_operators(_practical()),
     "extension maps": lambda: protocols._extension_maps(_practical()),
     "purification maps": lambda: protocols._purification_maps(_practical(), IDEAL),
@@ -207,6 +237,43 @@ def test_cached_maps_and_targets_are_read_only(name):
     assert CACHED_ARRAYS[name]()[corner] != 7.0
 
 
+#: cached functions of the library that hold no array, each with the reason
+CACHE_EXEMPT = {
+    "_defaults_keys": "a frozenset of flag names, immutable",
+    "_parser": "the CLI's argument parser, no array",
+}
+
+
+def cached_functions(source: str) -> list[str]:
+    """Every function decorated with ``functools.cache`` or ``lru_cache``."""
+    def is_cache(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) in ("cache", "lru_cache")
+
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and any(map(is_cache, node.decorator_list))]
+
+
+def test_scan_finds_cached_functions():
+    source = ("import functools\nfrom functools import cache, lru_cache\n@functools.cache\ndef a(): pass\n"
+              "@functools.lru_cache(maxsize=4)\ndef b(): pass\n@cache\ndef c(): pass\n@lru_cache\ndef d(): pass\n"
+              "class K:\n    @functools.cached_property\n    def e(self): pass\n@staticmethod\ndef f(): pass\n")
+    assert cached_functions(source) == ["a", "b", "c", "d"]
+
+
+def test_every_cached_function_is_checked_read_only_or_exempt():
+    # an entry of CACHED_ARRAYS checks a function it calls, or the private
+    # function behind the public one it calls (`scatter_map`, `ghz_state`)
+    called = {name for entry in CACHED_ARRAYS.values() for name in entry.__code__.co_names}
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "qdrepeater"
+    cached = [name for f in sorted(src.glob("*.py")) for name in cached_functions(f.read_text(encoding="utf-8"))]
+    assert "_instrument_tables" in cached
+    unchecked = [name for name in cached
+                 if name not in called and name.lstrip("_") not in called and name not in CACHE_EXEMPT]
+    assert unchecked == []
+    assert set(CACHE_EXEMPT) <= set(cached)
+
+
 def test_cached_maps_are_shared_per_input():
     assert encode_map() is encode_map()
     assert scatter_map(_practical()) is scatter_map(_practical())
@@ -214,6 +281,7 @@ def test_cached_maps_are_shared_per_input():
     assert isinstance(scatter_map(_practical()), LinearMap)
     assert protocols._extension_maps(_practical()) is protocols._extension_maps(_practical())
     assert protocols._purification_maps(_practical(), IDEAL) is protocols._purification_maps(_practical(), IDEAL)
+    assert protocols._instrument_tables() is protocols._instrument_tables()
     assert phi_minus(("a", "b")) is phi_minus(["a", "b"])
 
 

@@ -54,10 +54,13 @@ from dense_oracle import (
     collect_outcomes_scalar,
     distribution_branches,
     extend_chain_gates,
+    extension_maps_loop,
     ghz_correction_search,
     pair_stage_scalar,
     pcd_per_parity,
+    pattern_corrections_loop,
     pool_scalar,
+    purification_maps_loop,
     purify_gates,
     run_chain_gates,
     run_distribution,
@@ -539,6 +542,17 @@ def test_ghz_corrections_follow_the_searched_corrections(n):
     assert all(abs(o.fidelity - 1.0) < 1e-10 for o in outs)
 
 
+@pytest.mark.parametrize("rule", ["bell", "ghz"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_correction_tables_equal_their_element_by_element_oracle(rule, n):
+    correction_for = {"bell": protocols._bell_correction, "ghz": protocols._ghz_correction}[rule]
+    tables = protocols._pattern_corrections(correction_for, n)[3:]
+    for got, want in zip(tables, pattern_corrections_loop(correction_for, n)):
+        assert got.dtype == want.dtype and got.shape == want.shape == (n, 2 ** n, 2)
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+
 def test_ghz_noise_immunity(rng):
     for n in (3, 4):
         chans = [random_symmetric(rng) for _ in range(n)]
@@ -921,6 +935,19 @@ def test_cached_instruments_lose_weight(kind_a, kind_b, seed):
     coeffs_a, coeffs_b = _node(kind_a, rng), _node(kind_b, rng)
     for maps in (protocols._extension_maps(coeffs_a), protocols._purification_maps(coeffs_a, coeffs_b)):
         assert np.linalg.eigvalsh(_deficit(maps)).min() >= -1e-12
+
+
+@given(st.sampled_from(_NODE_KINDS), st.sampled_from(_NODE_KINDS), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_instrument_stacks_equal_their_branch_by_branch_oracles(kind_a, kind_b, seed):
+    # the table products give every entry of today's per-branch Kronecker and matrix products exactly
+    rng = np.random.default_rng(seed)
+    coeffs_a, coeffs_b = _node(kind_a, rng), _node(kind_b, rng)
+    ext, pur = protocols._extension_maps(coeffs_a), protocols._purification_maps(coeffs_a, coeffs_b)
+    assert (ext.shape, pur.shape) == ((8, 2, 8), (8, 4, 16))
+    assert ext.dtype == pur.dtype == np.complex128
+    assert np.array_equal(ext, extension_maps_loop(coeffs_a))
+    assert np.array_equal(pur, purification_maps_loop(coeffs_a, coeffs_b))
 
 
 @given(_extension_inputs())
