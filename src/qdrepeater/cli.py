@@ -24,17 +24,8 @@ import sys
 import numpy as np
 
 from .cavity import IDEAL, CavityParams, ScatterCoeffs, full_coeffs, probability_sum, resonant_coeffs
-from .metrics import crosscheck, distribution_metrics, pcd_metrics
-from .protocols import (
-    ChainScenario,
-    SegmentSpec,
-    distribute_bell,
-    pcd,
-    purify_analytic,
-    purify_round,
-    run_chain,
-    uniform_spins,
-)
+from .metrics import REFERENCE_RUNS, crosscheck
+from .protocols import ChainScenario, SegmentSpec, purify_analytic, purify_round, run_chain
 from .qstate import StateVector, apply_map, hadamard, superposition
 from .timebin import (NoiseChannel, apply_noise, decode, delay, dir_label, encode, phase_shift_map,
                       photon_register, pockels, pol_label, qwp, routing_map)
@@ -165,13 +156,9 @@ def _coeffs_row(g, ks, gamma, delta):
     return [_fmt(v) for v in vals]
 
 
-#: sweep quantity -> (column prefix, closed form, the branches --simulate prints, from (coeffs, eta_in))
-_METRICS = {
-    "distribution": ("d", distribution_metrics, lambda c, eta_in: distribute_bell(
-        NoiseChannel.identity(), NoiseChannel.identity(), c, c, eta_in=eta_in)),
-    "pcd": ("p", pcd_metrics, lambda c, eta_in: pcd(
-        uniform_spins(("e1", "e2")), "e1", "e2", c, eta_in=eta_in)),
-}
+#: sweep quantity -> (column prefix, closed form, even detections, the branches --simulate prints,
+#: from (coeffs, eta_in)), the last three its run in `REFERENCE_RUNS`
+_METRICS = {"distribution": ("d", *REFERENCE_RUNS["distribute"]), "pcd": ("p", *REFERENCE_RUNS["pcd"])}
 
 
 def _metrics_header(quantity):
@@ -449,7 +436,7 @@ def cmd_metrics(args):
     _write_table(_metrics_header(args.quantity), [row], args.output)
     if args.simulate:
         coeffs = _node(args.g, args.kappa_s, args.gamma, args.delta)
-        outcomes = _METRICS[args.quantity][2](coeffs, args.eta_in)
+        outcomes = _METRICS[args.quantity][3](coeffs, args.eta_in)
         sys.stdout.write("\n".join(_branch_lines(outcomes)) + "\n")
     return 0
 

@@ -202,17 +202,23 @@ class CrosscheckReport:
     THRESHOLD = 1e-10
 
 
+#: row label -> (closed form, detections of the even parity, heralded
+#: branches from (coeffs, eta_in)): a Bell pair over quiet fibers and a
+#: parity check of two uniform spins, the runs `crosscheck` replays
+REFERENCE_RUNS = {
+    "distribute": (distribution_metrics, ("R↑R↑", "L↓L↓"), lambda coeffs, eta_in: distribute_bell(
+        NoiseChannel.identity(), NoiseChannel.identity(), coeffs, coeffs, eta_in=eta_in)),
+    "pcd": (pcd_metrics, ("R_a1", "R_a2"), lambda coeffs, eta_in: pcd(
+        uniform_spins(("e1", "e2")), "e1", "e2", coeffs, eta_in=eta_in)),
+}
+
+
 def crosscheck(coeffs: ScatterCoeffs) -> CrosscheckReport:
     """Replay distribution and parity check by state evolution; compare formulas."""
-    quiet = NoiseChannel.identity()
-    # (row label, closed forms, detections of the even parity, heralded branches)
-    primitives = (("distribute", distribution_metrics(coeffs), ("R↑R↑", "L↓L↓"),
-                   distribute_bell(quiet, quiet, coeffs, coeffs)),
-                  ("pcd", pcd_metrics(coeffs), ("R_a1", "R_a2"),
-                   pcd(uniform_spins(("e1", "e2")), "e1", "e2", coeffs)))
     rows: list[CrosscheckRow] = []
-    for label, m, even_detections, outcomes in primitives:
-        for out in outcomes:
+    for label, (closed_form, even_detections, simulate) in REFERENCE_RUNS.items():
+        m = closed_form(coeffs)
+        for out in simulate(coeffs, 1.0):
             even = out.detection in even_detections
             p_ref = (m.eta_d_even if even else m.eta_d_odd) / 2.0
             rows.append(CrosscheckRow(f"{label} p({out.detection})", out.probability, p_ref))

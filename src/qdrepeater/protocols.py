@@ -36,7 +36,7 @@ and to every pair of mixture members in the chain's pair stage.
 What is built from checked inputs is built once and shared read-only: per
 process, a photon's path ends (as `timebin`'s encoder and decoder maps) and
 both instruments' coefficient-free tables; per coefficient set (the last
-16 each), `scatter_map`, its scattering of a spin in |+>, the parity
+16 each), `scatter_map`'s scattering of a spin in |+>, the parity
 operators and each instrument, one array product of its table with them;
 per label tuple (the last 64), the targets `ghz_state`, `phi_minus` and
 `phi_plus`; per rule and n, the pattern corrections.  A repeated

@@ -248,12 +248,8 @@ class LinearMap:
             if not dev <= ATOL:
                 raise ValueError(f"matrix flagged unitary deviates from unitarity by {dev}")
         else:
-            diag = np.diagonal(m)
-            if np.count_nonzero(m) == np.count_nonzero(diag):
-                # a diagonal matrix's largest singular value is its largest |entry|
-                smax = float(np.max(np.abs(diag)))
-            else:
-                smax = float(np.linalg.svd(m, compute_uv=False)[0])
+            # a nan or inf entry reads as singular value nan, which the bound rejects
+            smax = float(np.linalg.svd(m, compute_uv=False)[0]) if np.isfinite(m).all() else math.nan
             if not smax <= 1.0 + ATOL:
                 raise ValueError(f"largest singular value {smax} exceeds 1; map would grow norm")
         m.setflags(write=False)

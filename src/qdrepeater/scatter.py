@@ -15,14 +15,10 @@ With finite coupling and side leakage the same map applies the amplitudes
 states.  Amplitude lost to the leak and noise channels simply disappears
 from the state vector; the norm deficit is the undetected probability.  No
 renormalization happens here; branches are normalized only when heralded.
-
-The map depends on the coefficients alone and is read-only, so it is built
-and checked once per coefficient set: the last 16 sets are kept.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -33,11 +29,6 @@ from .qstate import LinearMap
 
 def scatter_map(coeffs: ScatterCoeffs) -> LinearMap:
     """8x8 map on (polarization, direction, spin), in that Kronecker order."""
-    return _scatter_map(coeffs)
-
-
-@functools.lru_cache(maxsize=16)
-def _scatter_map(coeffs: ScatterCoeffs) -> LinearMap:
     m = np.zeros((8, 8), dtype=complex)
     for p, d, s in itertools.product((0, 1), repeat=3):
         col = 4 * p + 2 * d + s

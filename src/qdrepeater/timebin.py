@@ -13,9 +13,10 @@ Time bins are discrete delay counters.  The decoder only routes amplitude,
 so `decode` applies one 0/1 map, `decode_map()`, as `encode` applies
 `encode_map()`, and relabels the bins as arrival classes sp and lp.  The
 tests run the decoder's elements step by step as that map's reference.
-Both maps are read-only constants, built and checked once per process.  A
-fiber's 4x4 rotation is `NoiseChannel.matrix()`, whose blocks the channel
-checked when it was built; `fiber_map` checks it again as a unitary map.
+Both maps are built and checked on each call; the compiled distribution
+in `protocols` reads them once per process.  A fiber's 4x4 rotation is
+`NoiseChannel.matrix()`, whose blocks the channel checked when it was
+built; `apply_noise` checks it again as a unitary map.
 
 Each optical element is a plain function of one photon or a matrix:
 `qwp`, `delay` and `pockels` act on the photon named; a half-wave plate or a
@@ -26,7 +27,6 @@ with `apply_map` to the subsystems it acts on.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -96,17 +96,11 @@ class NoiseChannel:
             if not abs(abs(d) ** 2 + abs(e) ** 2 - 1.0) <= ATOL:
                 raise ValueError(f"{which}-bin rotation is not normalized: |delta|^2+|eta|^2 != 1")
 
-    def early_unitary(self) -> np.ndarray:
-        return self.matrix()[0::2, 0::2]
-
-    def late_unitary(self) -> np.ndarray:
-        return self.matrix()[1::2, 1::2]
-
     def matrix(self) -> np.ndarray:
         """The rotation on (polarization, raw time bin): one polarization block
         [[delta, -conj(eta)], [eta, conj(delta)]] per bin, written out in one
-        array.  Both blocks were checked at construction, so this matrix is
-        not checked again; `fiber_map` wraps it as a checked `LinearMap`."""
+        array.  Both blocks were checked at construction; `apply_noise`
+        checks the matrix again as a unitary `LinearMap`."""
         d, e, dl, el, z = self.delta, self.eta, self.delta_l, self.eta_l, 0j
         return np.array([d, z, -e.conjugate(), z,
                          z, dl, z, -el.conjugate(),
@@ -188,14 +182,12 @@ def delay(state: StateVector, photon: str, pol: str) -> StateVector:
     return StateVector(new_reg, out.reshape(-1))
 
 
-@functools.cache
 def encode_map() -> LinearMap:
     """Encoder on (polarization, raw time bin), basis order Hs, Hl, Vs, Vl.
 
     Physical columns: Hs -> Hs, Vs -> Hl (long path plus window flip).  The
     late-bin columns are a formal unitary completion; `encode` keeps them
-    unreachable by requiring the bin register in |s>.  The map is read-only,
-    so it is built once per process.
+    unreachable by requiring the bin register in |s>.
     """
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = 1.0   # Hs -> Hs
@@ -205,12 +197,6 @@ def encode_map() -> LinearMap:
     return LinearMap(m, unitary=True)
 
 
-def fiber_map(ch: NoiseChannel) -> LinearMap:
-    """Fiber rotation on (polarization, raw time bin), checked as a unitary map."""
-    return LinearMap(ch.matrix(), unitary=True)
-
-
-@functools.cache
 def decode_map() -> LinearMap:
     """Decoder on (polarization, direction, time bin), basis order as in
     `photon_register`: raw bins s, l in, arrival classes sp, lp out.
@@ -226,8 +212,7 @@ def decode_map() -> LinearMap:
 
     Physical columns (tag up): Hs -> V,dn,sp, Hl -> H,up,sp, Vs -> V,dn,lp,
     Vl -> H,up,lp.  The tag-dn columns follow the same rule, a formal
-    unitary completion that `decode` keeps unreachable.  The map is
-    read-only, so it is built once per process.
+    unitary completion that `decode` keeps unreachable.
     """
     m = np.zeros((8, 8), dtype=complex)
     for p, d, b in itertools.product((0, 1), repeat=3):
@@ -262,7 +247,7 @@ def apply_noise(state: StateVector, photon: str, ch: NoiseChannel) -> StateVecto
     tb = tb_label(photon)
     if reg.subsystem(tb).levels != TB_RAW:
         raise RegisterError(f"photon {photon!r} must be in the raw (s, l) time-bin form")
-    return apply_map(state, fiber_map(ch), [pol_label(photon), tb])
+    return apply_map(state, LinearMap(ch.matrix(), unitary=True), [pol_label(photon), tb])
 
 
 def decode(state: StateVector, photon: str) -> StateVector:

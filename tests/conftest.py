@@ -54,7 +54,7 @@ def allclose_upto_phase(a, b, atol: float = 1e-10) -> bool:
     va, vb = a.amplitudes, b.amplitudes
     k = int(np.argmax(np.abs(vb)))
     if abs(vb[k]) < atol:
-        return bool(np.allclose(va, vb, atol=atol))
+        return bool(np.all(np.abs(va) < atol))
     if abs(va[k]) < atol:
         return False
     phase = va[k] / vb[k]

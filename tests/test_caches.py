@@ -1,19 +1,20 @@
 """Objects built from already-checked inputs are built and checked once.
 
-Registers keep their sizes, the constant optical maps and a photon's path
-ends are built once per process, `scatter_map`, its |+> scattering, the
-parity operators and the extension and purification instruments once per
-coefficient set, each instrument from a coefficient-free table built once
-per process, the pattern corrections once per rule and n, and the spin
-targets once per label tuple.  These tests hold the saving (a repeated
-distribution makes no singular value decomposition and no Kronecker
-product, and checks its listed live states as one stack; a parity check
-builds and applies no map and checks its states as one stack; a new
-coefficient set's instruments take no Kronecker product and no gate
-product), show that nothing cached can be written to and that every cached
-function of the library is listed here or exempted with a reason, that an
-outcome built without its constructor equals one built with it, and that
-user-built maps keep every check.
+Registers keep their sizes, a photon's path ends are built once per
+process, the |+> scattering, the parity operators and the extension and
+purification instruments once per coefficient set, each instrument from a
+coefficient-free table built once per process, the pattern corrections
+once per rule and n, and the spin targets once per label tuple.  The maps
+these start from (`encode_map`, `decode_map`, `scatter_map`) are built
+afresh on each call, read-only like every `LinearMap`.  These tests hold
+the saving (a repeated distribution makes no singular value decomposition
+and no Kronecker product, and checks its listed live states as one stack;
+a parity check builds and applies no map and checks its states as one
+stack; a new coefficient set's instruments take no Kronecker product and
+no gate product), show that nothing cached can be written to and that
+every cached function of the library is listed here or exempted with a
+reason, that an outcome built without its constructor equals one built
+with it, and that user-built maps keep every check.
 """
 
 import ast
@@ -31,17 +32,7 @@ from qdrepeater.protocols import (HeraldedOutcome, distribute_bell, distribute_g
 from qdrepeater.qstate import (LinearMap, Register, StateVector, Subsystem, apply_map, basis_state, fidelity,
                                superposition)
 from qdrepeater.scatter import scatter_map
-from qdrepeater.timebin import (
-    NoiseChannel,
-    decode_map,
-    delay,
-    encode_map,
-    fiber_map,
-    photon_register,
-    pol_label,
-    qwp,
-    tb_label,
-)
+from qdrepeater.timebin import NoiseChannel, decode_map, delay, encode_map, photon_register, pol_label, qwp, tb_label
 
 from conftest import random_asymmetric, random_coeffs, random_symmetric
 from dense_oracle import K_EVEN_IDEAL, K_ODD_IDEAL
@@ -206,13 +197,19 @@ def test_a_user_built_map_keeps_its_svd_check(svd_calls):
     assert len(svd_calls) == 2
 
 
+@pytest.mark.parametrize("build", [encode_map, decode_map, lambda: scatter_map(_practical())],
+                         ids=["encode_map", "decode_map", "scatter_map"])
+def test_fresh_maps_are_read_only(build):
+    matrix = build().matrix
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 7.0
+    assert build().matrix[0, 0] != 7.0
+
+
 #: every cached map and target, as the array a caller could try to write to
 CACHED_ARRAYS = {
-    "encode_map": lambda: encode_map().matrix,
-    "decode_map": lambda: decode_map().matrix,
     "decoder ends": lambda: protocols._path_ends()[0],
     "encoder end": lambda: protocols._path_ends()[1],
-    "scatter_map": lambda: scatter_map(_practical()).matrix,
     "plus scatter": lambda: protocols._plus_scatter(_practical()),
     "correction index": lambda: protocols._pattern_corrections(protocols._ghz_correction, 3)[3],
     "correction sign": lambda: protocols._pattern_corrections(protocols._ghz_correction, 3)[4],
@@ -263,7 +260,7 @@ def test_scan_finds_cached_functions():
 
 def test_every_cached_function_is_checked_read_only_or_exempt():
     # an entry of CACHED_ARRAYS checks a function it calls, or the private
-    # function behind the public one it calls (`scatter_map`, `ghz_state`)
+    # function behind the public one it calls (`ghz_state`)
     called = {name for entry in CACHED_ARRAYS.values() for name in entry.__code__.co_names}
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "qdrepeater"
     cached = [name for f in sorted(src.glob("*.py")) for name in cached_functions(f.read_text(encoding="utf-8"))]
@@ -275,8 +272,6 @@ def test_every_cached_function_is_checked_read_only_or_exempt():
 
 
 def test_cached_maps_are_shared_per_input():
-    assert encode_map() is encode_map()
-    assert scatter_map(_practical()) is scatter_map(_practical())
     assert protocols._plus_scatter(_practical()) is protocols._plus_scatter(_practical())
     assert isinstance(scatter_map(_practical()), LinearMap)
     assert protocols._extension_maps(_practical()) is protocols._extension_maps(_practical())
@@ -325,4 +320,4 @@ def test_delay_and_qwp_give_registers_of_the_right_sizes():
 
 def test_the_fiber_matrix_is_the_checked_fiber_map(rng):
     for ch in (NoiseChannel.identity(), random_asymmetric(rng)):
-        assert np.array_equal(ch.matrix(), fiber_map(ch).matrix)
+        assert np.array_equal(ch.matrix(), LinearMap(ch.matrix(), unitary=True).matrix)

@@ -667,6 +667,9 @@ def test_pcd_matches_dense_oracle(inputs):
 
 
 @given(_pcd_inputs())
+# the odd ports herald +-9.37e-13 vectors, below atol and of opposite sign
+@example((StateVector(spin_register(("e0", "e1")), [0, 0, 1.6e-12j, 1j]), "e0", "e1",
+          ScatterCoeffs(t=-0.005014980843849264, t0=-0.9611059573289995), 0.75))
 @settings(max_examples=30, deadline=None)
 def test_dense_pcd_ports_of_a_parity_herald_the_same_state(inputs):
     by = outcome_map(run_pcd(*inputs))

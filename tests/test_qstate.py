@@ -346,6 +346,10 @@ _PLUS = superposition(_QUBIT, [(1 / math.sqrt(2), {"a": "0"}), (1 / math.sqrt(2)
     (lambda: LinearMap(np.diag([0.5, (1 + 1e-9) * 1j])), ValueError,
      "largest singular value 1.000000001 exceeds 1; map would grow norm"),
     (lambda: LinearMap(np.diag([0.5, np.nan])), ValueError, "largest singular value nan exceeds 1; map would grow norm"),
+    pytest.param(lambda: LinearMap(np.array([[0.5, np.nan], [0.1, 0.2]])), ValueError,
+                 "largest singular value nan exceeds 1; map would grow norm", id="non-diagonal nan map"),
+    pytest.param(lambda: LinearMap(np.array([[0.5, np.inf], [0.1, 0.2]])), ValueError,
+                 "largest singular value nan exceeds 1; map would grow norm", id="inf map"),
     (lambda: apply_map(basis_state(_PAIR), LinearMap(np.eye(4)), ["a", "a"]), RegisterError,
      "duplicate targets ['a', 'a']"),
     (lambda: apply_map(basis_state(_PAIR), LinearMap(np.eye(2)), ["a", "b"]), RegisterError,

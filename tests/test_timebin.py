@@ -125,8 +125,8 @@ def test_asymmetric_channel_rotates_bins_differently():
 def test_channel_unitarity(rng):
     for _ in range(20):
         ch = random_asymmetric(rng)
-        for u in (ch.early_unitary(), ch.late_unitary()):
-            assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+        u = ch.matrix()
+        assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
 
 
 # --- decoder -----------------------------------------------------------------
