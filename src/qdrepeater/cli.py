@@ -8,7 +8,7 @@ them like flags, and flags still win.  `_SCENARIO` and `_SCRIPT` list the
 sections and keys of scenario and script files; a --config file may hold
 either's.  CSV output uses 12 significant digits and a fixed column order, so
 identical inputs produce byte-identical files.  Exit codes: 0 success, 1 bad
-input (usage or configuration error), 2 internal failure.
+input (usage or configuration error, or a stage that heralds nothing), 2 internal failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .cavity import IDEAL, CavityParams, ScatterCoeffs, full_coeffs, probability_sum, resonant_coeffs
 from .metrics import REFERENCE_RUNS, crosscheck
-from .protocols import ChainScenario, SegmentSpec, purify_analytic, purify_round, run_chain
+from .protocols import ChainScenario, NoSurvivingBranchError, SegmentSpec, purify_analytic, purify_round, run_chain
 from .qstate import StateVector, apply_map, hadamard, superposition
 from .timebin import (NoiseChannel, apply_noise, decode, delay, dir_label, encode, phase_shift_map,
                       photon_register, pockels, pol_label, qwp, routing_map)
@@ -105,7 +105,6 @@ def _read_config(path) -> configparser.ConfigParser:
     return cp
 
 
-@functools.cache
 def _defaults_keys() -> frozenset[str]:
     """The keys [defaults] may hold in any INI file: every value flag, and purify_rounds."""
     return frozenset({"purify_rounds"}.union(*map(value_flags, _parser().commands.values())))
@@ -610,7 +609,7 @@ def value_flags(command: argparse.ArgumentParser) -> dict[str, argparse.Action]:
 
 @functools.cache
 def _parser() -> _Parser:
-    """The parser every plain parse shares, built on first use; nothing may change it."""
+    """The parser every plain parse shares, as in-process `main` calls parse many; nothing may change it."""
     return build_parser()
 
 
@@ -639,7 +638,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, NoSurvivingBranchError) as e:    # nodes that herald nothing are bad input
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - CLI boundary

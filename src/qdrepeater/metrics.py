@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .cavity import IDEAL, ScatterCoeffs
 from .protocols import (
     ChainScenario,
+    NoSurvivingBranchError,
     PurificationState,
     channel_mixing_weight,
     check_eta_in,
@@ -145,7 +146,7 @@ def purification_metrics(mu: float, coeffs: ScatterCoeffs) -> PurificationState:
            + 5.0 * (a * a + b * b) + 2.0 * (z * z).real + 4.0 * a * b)
     sf16 = mu * (abs(u + v) ** 4 - 2.0 * mu * (2.0 * z.real * (a + b) - 4.0 * a * b))
     if not s16 > 0.0:
-        raise ValueError("no purification branch survives at these coefficients")
+        raise NoSurvivingBranchError("no purification branch survives at these coefficients")
     return PurificationState(mu=sf16 / s16, round=1, success_probability=s16 / 16.0)
 
 

@@ -28,19 +28,19 @@ Four protocols are implemented by exact state-vector evolution:
 * Purification: two noisy copies are distilled into one of higher quality
   using one PCD per party.
 
-Extension and purification are instruments: one fixed map per heralded
-branch (parity and two measured spins), stacked and cached per coefficient
-set.  One routine applies both, to a chain and a fresh pair in `extend_chain`
-and to every pair of mixture members in the chain's pair stage.
+Extension and purification are instruments: one fixed map per heralded branch
+(parity and two measured spins), stacked per coefficient set.  One routine
+applies both, to a chain and a fresh pair in `extend_chain` and to every pair
+of mixture members in the chain's pair stage.
 
-What is built from checked inputs is built once and shared read-only: per
-process, a photon's path ends (as `timebin`'s encoder and decoder maps) and
-both instruments' coefficient-free tables; per coefficient set (the last
-16 each), `scatter_map`'s scattering of a spin in |+>, the parity
-operators and each instrument, one array product of its table with them;
-per label tuple (the last 64), the targets `ghz_state`, `phi_minus` and
-`phi_plus`; per rule and n, the pattern corrections.  A repeated
-distribution builds no map.
+What is built from checked inputs and reused often enough to pay for its cache
+is built once and shared read-only: per process, a photon's path ends (as
+`timebin`'s encoder and decoder maps) and both instruments' coefficient-free
+tables; per coefficient set (the last 16 each), `scatter_map`'s scattering of a
+spin in |+> and the purification instrument; per label tuple (the last 64), the
+targets `ghz_state`, `phi_minus` and `phi_plus`; per rule and n, the pattern
+corrections.  A repeated distribution builds no map; the parity operators and
+the extension instrument, a few microseconds each, are built on each call.
 
 Branch probabilities are exact: imperfect cavity coefficients shrink the
 pre-detection norm, and one minus the sum of all heralded probabilities is
@@ -104,6 +104,10 @@ class HeraldedOutcome:
     fidelity: float | None
 
 
+class NoSurvivingBranchError(ValueError):
+    """No heralded branch survives: the inputs or the nodes herald nothing."""
+
+
 @dataclass(frozen=True)
 class PurificationState:
     """Weight of the phase-correct Bell component after purification rounds."""
@@ -124,8 +128,8 @@ def spin_register(labels) -> Register:
 def ghz_state(labels, sign: int = 1) -> StateVector:
     """(|up...up> + sign |dn...dn>)/sqrt(2) over fresh spin subsystems.
 
-    The state is read-only, so it is built once per label tuple and sign;
-    the last 64 are kept, as a chain's labels grow with its segments.
+    The state is read-only, so it is built once per label tuple and sign for
+    the targets of chain stages; the last 64 are kept, as a chain's labels grow.
     """
     return _ghz_state(tuple(labels), sign)
 
@@ -166,9 +170,9 @@ _PORT_AXES = ([POL_CIRCULAR.index(pol) for pol, _ in _PORTS], [DIRECTION.index(d
 @functools.cache
 def _path_ends() -> tuple[np.ndarray, np.ndarray]:
     """The source columns of the decoder and the encoder around a fiber,
-    read-only: decoders (2, 8, 4) from the fiber's Hs, Hl, Vs, Vl to the
-    (polarization, direction, decoded time bin) output, tag up, the second
-    with the pi phase plate; the encoder (4, 2) from the source's H and V."""
+    read-only, for every photon of every distribution: decoders (2, 8, 4) from the fiber's
+    Hs, Hl, Vs, Vl to the (polarization, direction, decoded time bin) output, tag up, the
+    second with the pi phase plate; the encoder (4, 2) from the source's H and V."""
     dec = decode_map().matrix[:, [0, 1, 4, 5]]
     decs = np.stack((dec, np.kron(phase_shift_map(math.pi).matrix, np.eye(4)) @ dec))
     enc = encode_map().matrix[:, [0, 2]]
@@ -181,7 +185,7 @@ def _path_ends() -> tuple[np.ndarray, np.ndarray]:
 def _plus_scatter(coeffs: ScatterCoeffs) -> np.ndarray:
     """`scatter_map` on a spin in |+>: a read-only (8, 4) array from the
     photon's (polarization, direction) to (polarization, direction, spin),
-    cached per coefficient set."""
+    cached per coefficient set, as every photon of a distribution meets one."""
     m = scatter_map(coeffs).matrix.reshape(8, 4, 2) @ np.array([RT2, RT2])
     m.setflags(write=False)
     return m
@@ -207,7 +211,7 @@ def _photon_transfers(noises, coeffs_list, phase_photon: int) -> np.ndarray:
 @functools.cache
 def _pattern_corrections(correction_for, n: int):
     """Pattern labels, time-bin names and pattern corrections in product
-    order, once per rule and n, with each correction photon by photon:
+    order, once per rule and n for every distribution, with each correction photon by photon:
     photon i's factor of pattern k, rows (port, spin), is corrected to
     sign[i, k, b] * factor[index[i, k, b]] for spin b, as the x and z gates
     one by one do.  Both are built as nested lists and kept as read-only arrays."""
@@ -229,8 +233,9 @@ def _pattern_corrections(correction_for, n: int):
     return labels, tb_names, corrections, index, sign
 
 
-def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, correction_for, target, eta_in):
-    """Heralded outcomes of n-photon distribution, built photon by photon.
+def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, correction_for, target_sign, eta_in):
+    """Heralded outcomes of n-photon distribution, built photon by photon,
+    with fidelities to the target (|up...up> + target_sign |dn...dn>)/sqrt(2).
 
     The source emits (|H...H> + |V...V>)/sqrt(2), and every photon runs its
     own path to its own spin, so the state before detection is
@@ -283,9 +288,8 @@ def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, corre
     heralded = probs[pats, tbs] if split else np.where(live, probs, 0.0).cumsum(axis=1)[pats, -1]
     posts = amps[pats, tbs]
     posts /= np.sqrt(probs[pats, tbs])[:, None]
-    # a GHZ target's two nonzero entries, elementwise as a stacked product starts BLAS threads
-    t = target.amplitudes
-    overlaps = posts[:, 0] * t[0].conj() + posts[:, -1] * t[-1].conj()
+    # the target's two nonzero entries, elementwise as a stacked product starts BLAS threads
+    overlaps = posts[:, 0] * RT2 + posts[:, -1] * (target_sign * RT2)
     parts = posts.view(np.float64)
     fids = np.abs(overlaps) ** 2 / np.einsum("ij,ij->i", parts, parts)
     scaled = heralded * eta_in ** n      # `coupled_probability`, on every outcome at once
@@ -361,7 +365,7 @@ def distribute_bell(
     if len(spin_labels) != 2:
         raise ValueError(f"Bell distribution needs exactly two spin labels, not {list(spin_labels)}")
     return _distribution_outcomes((noise_a, noise_b), (coeffs_a, coeffs_b), 1, spin_labels, _bell_correction,
-                                  phi_minus(spin_labels), eta_in)
+                                  -1, eta_in)
 
 
 def distribute_ghz(
@@ -387,7 +391,7 @@ def distribute_ghz(
     if len(noise) != n or len(coeffs) != n:
         raise ValueError("need one noise channel and one coefficient set per photon")
     labels = [f"e_{chr(ord('a') + i)}" for i in range(n)]
-    return _distribution_outcomes(noise, coeffs, 0, labels, _ghz_correction, phi_plus(labels), eta_in)
+    return _distribution_outcomes(noise, coeffs, 0, labels, _ghz_correction, 1, eta_in)
 
 
 def channel_mixing_weight(channels) -> float:
@@ -469,7 +473,7 @@ def heralded_ensemble(outcomes) -> tuple[Ensemble, float]:
             raise RegisterError(f"outcome {o.detection!r}: post state is over another register than the first")
     total = math.fsum(o.probability for o in live)
     if total <= 0.0:
-        raise ValueError("no surviving branches")
+        raise NoSurvivingBranchError("no surviving branches")
     pairs = [(o.probability, o.post_state.amplitudes) for o in live]
     return _normalized_ensemble(live[0].post_state.register, pairs), total
 
@@ -478,7 +482,6 @@ def heralded_ensemble(outcomes) -> tuple[Ensemble, float]:
 # parity-check detection
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
 def _parity_operators(coeffs: ScatterCoeffs) -> np.ndarray:
     """The probe optics of a PCD as one diagonal operator per parity.
 
@@ -487,7 +490,7 @@ def _parity_operators(coeffs: ScatterCoeffs) -> np.ndarray:
     two arms into their half sum (even) or half difference (odd).  On
     (spin1, spin2) that gives diag(u, (u+v)/2, (u+v)/2, v) for even and
     diag(0, (u-v)/2, (v-u)/2, 0) for odd, the two rows of the returned
-    read-only (2, 4) array.
+    (2, 4) array.
 
     The operators cannot grow a norm.  `ScatterCoeffs` keeps
     |1 + t|^2 + |t|^2 <= 1, and as (1 + t) - t = 1 the parallelogram law
@@ -498,10 +501,8 @@ def _parity_operators(coeffs: ScatterCoeffs) -> np.ndarray:
     """
     u = coeffs.r + coeffs.t
     v = coeffs.r0 + coeffs.t0
-    ops = np.array([[u, (u + v) / 2.0, (u + v) / 2.0, v],
-                    [0.0, (u - v) / 2.0, (v - u) / 2.0, 0.0]], dtype=complex)
-    ops.setflags(write=False)
-    return ops
+    return np.array([[u, (u + v) / 2.0, (u + v) / 2.0, v],
+                     [0.0, (u - v) / 2.0, (v - u) / 2.0, 0.0]], dtype=complex)
 
 
 #: the detector ports in output order; an R click heralds the even parity
@@ -596,10 +597,10 @@ def _extension_gates(parity, m1, m2, label_d):
 
 @functools.cache
 def _instrument_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coefficient-free parts of both instruments, read-only, built once
-    per process: extension's E[i, o, j, d] = (H x H)[i % 4, j] G_i[o, d], with
-    G_i branch i's recorded correction on d; purification's A_i, the gates
-    after its checks, and R = H^{x4}, the rotation before them."""
+    """The coefficient-free parts of both instruments, read-only, built once per
+    process for every extension and new purification instrument: extension's
+    E[i, o, j, d] = (H x H)[i % 4, j] G_i[o, d], with G_i branch i's recorded correction on
+    d; purification's A_i, the gates after its checks, and R = H^{x4}, the rotation before them."""
     h = _GATES["h"].matrix
     ext = np.empty((len(_BRANCHES), 2, 4, 2), dtype=complex)
     pur = np.empty((len(_BRANCHES), 4, 16), dtype=complex)
@@ -614,25 +615,22 @@ def _instrument_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-@functools.lru_cache(maxsize=16)
 def _extension_maps(coeffs: ScatterCoeffs) -> np.ndarray:
     """The extension instrument: one 2x8 map from (z, z', d) to d per branch
-    of `_BRANCHES`, as a read-only (8, 2, 8) stack.
+    of `_BRANCHES`, as an (8, 2, 8) stack.
 
     Each is G_d <m1 m2|(H x H) K_parity: the parity check of z and z', their
     Hadamard rotation and measurement, and the recorded correction on the
     fresh end spin d.  The input coupling is left to the caller.
     The stack is the table E of `_instrument_tables` times K_parity along j.
     """
-    maps = (_instrument_tables()[0] * _parity_operators(coeffs)[_BRANCH_PARITY][:, None, :, None]).reshape(8, 2, 8)
-    maps.setflags(write=False)
-    return maps
+    return (_instrument_tables()[0] * _parity_operators(coeffs)[_BRANCH_PARITY][:, None, :, None]).reshape(8, 2, 8)
 
 
 @functools.lru_cache(maxsize=16)
 def _purification_maps(coeffs_a: ScatterCoeffs, coeffs_b: ScatterCoeffs) -> np.ndarray:
-    """The purification instrument: one 4x16 map from two copies (a, b, a', b')
-    to (a', b') per branch of `_BRANCHES`, as a read-only (8, 4, 16) stack.
+    """The purification instrument: one 4x16 map from two copies (a, b, a', b') to (a', b') per
+    branch of `_BRANCHES`, as a read-only (8, 4, 16) stack cached for every round at the same nodes.
 
     All four spins are Hadamard-rotated so the phase error becomes a bit
     error, checked by one PCD per party, (a, a') with ``coeffs_a`` and
@@ -729,7 +727,7 @@ def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels, stage: str) -> t
     w_b, b = np.array([w for w, _ in ens_b.members]), np.array([s.amplitudes for _, s in ens_b.members])
     w, live, rows = _apply_instrument(w_a, a, w_b, b, maps)
     if not live.any():
-        raise RuntimeError(f"{stage} heralded no surviving branches")
+        raise NoSurvivingBranchError(f"{stage} heralded no surviving branches")
     weights = w[live].tolist()
     return _normalized_ensemble(spin_register(labels), list(zip(weights, rows))), math.fsum(weights)
 
@@ -842,17 +840,24 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     Each stage runs at unit input coupling; its probability, conditional on
     all earlier stages, then gains eta_in per photon pass through an input
     coupler (two per distribution or purification round, one per extension)
-    and is reported as 0.0 below the smallest normal float.
+    and is reported as 0.0 below the smallest normal float.  A stage that
+    heralds nothing raises `NoSurvivingBranchError` naming it and its label.
     """
     scenario.validate()
     eta_in = scenario.eta_in
     stages: list[StageResult] = []
     logs: list[float] = []
 
-    def record(stage, label, p, passes, ens, labels):
-        stages.append(StageResult(stage, label, coupled_probability(p, eta_in, passes),
+    def stage(kind, label, passes, labels, run, *args):
+        """Run one stage, ``run(*args)`` giving (mixture, probability), and record it."""
+        try:
+            ens, p = run(*args)
+        except NoSurvivingBranchError as e:
+            raise NoSurvivingBranchError(f"{kind} {label}: {e}") from None
+        stages.append(StageResult(kind, label, coupled_probability(p, eta_in, passes),
                                   fidelity(ens, phi_minus(labels))))
         logs.append(math.log10(p) + passes * math.log10(eta_in))
+        return ens
 
     segments = []
     for i, seg in enumerate(scenario.segments):
@@ -860,20 +865,19 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
         outcomes = distribute_bell(seg.noise_left, seg.noise_right,
                                    scenario.nodes[seg.left], scenario.nodes[seg.right],
                                    spin_labels=labels)
-        ens, p = heralded_ensemble(outcomes)
-        record("distribute", seg.name, p, 2, ens, labels)
+        ens = stage("distribute", seg.name, 2, labels, heralded_ensemble, outcomes)
         for r in range(scenario.purify_rounds):
             maps = _purification_maps(scenario.nodes[seg.left], scenario.nodes[seg.right])
-            ens, p = _pair_stage(ens, ens, maps, labels, "purification")
-            record("purify", f"{seg.name} round {r + 1}", p, 2, ens, labels)
+            ens = stage("purify", f"{seg.name} round {r + 1}", 2, labels,
+                        _pair_stage, ens, ens, maps, labels, "purification")
         segments.append((ens, labels))
 
     ens, (left_end, right_end) = segments[0]
     for seg, (ens_b, (_, right_end)) in zip(scenario.segments[1:], segments[1:]):
         # the chain's left end is a spectator of the splice at seg.left
-        ens, p = _pair_stage(ens, ens_b, _extension_maps(scenario.nodes[seg.left]),
-                             (left_end, right_end), "extension")
-        record("extend", f"at {seg.left}", p, 1, ens, (left_end, right_end))
+        ends = (left_end, right_end)
+        ens = stage("extend", f"at {seg.left}", 1, ends,
+                    _pair_stage, ens, ens_b, _extension_maps(scenario.nodes[seg.left]), ends, "extension")
 
     total_p = math.prod(st.probability for st in stages)
     return ChainReport(

@@ -1,12 +1,13 @@
 """Objects built from already-checked inputs are built and checked once.
 
 Registers keep their sizes, a photon's path ends are built once per
-process, the |+> scattering, the parity operators and the extension and
-purification instruments once per coefficient set, each instrument from a
-coefficient-free table built once per process, the pattern corrections
-once per rule and n, and the spin targets once per label tuple.  The maps
-these start from (`encode_map`, `decode_map`, `scatter_map`) are built
-afresh on each call, read-only like every `LinearMap`.  These tests hold
+process, the |+> scattering and the purification instrument once per
+coefficient set, both instruments' coefficient-free tables once per
+process, the pattern corrections once per rule and n, and the spin targets
+once per label tuple.  The parity operators and the extension instrument
+(each a few microseconds of array arithmetic) and the maps the cached
+pieces start from (`encode_map`, `decode_map`, `scatter_map`) are built
+afresh on each call, the maps read-only like every `LinearMap`.  These tests hold
 the saving (a repeated distribution makes no singular value decomposition
 and no Kronecker product, and checks its listed live states as one stack;
 a parity check builds and applies no map and checks its states as one
@@ -134,8 +135,7 @@ MIXED = Register((Subsystem("a", ("up", "dn")), Subsystem("x", ("0", "1", "2")),
 def test_pcd_builds_no_map_and_checks_its_states_as_one_stack(monkeypatch, rng, reg, spins):
     amps = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
     state = StateVector(reg, amps / np.linalg.norm(amps))
-    coeffs = random_coeffs(rng)     # a coefficient set no earlier call has seen
-    protocols._parity_operators.cache_clear()
+    coeffs = random_coeffs(rng)
     applied, built, stacks = [], [], []
     post_init, rows = LinearMap.__post_init__, StateVector.rows
 
@@ -216,8 +216,6 @@ CACHED_ARRAYS = {
     "extension table": lambda: protocols._instrument_tables()[0],
     "purification table": lambda: protocols._instrument_tables()[1],
     "purification rotation": lambda: protocols._instrument_tables()[2],
-    "parity operators": lambda: protocols._parity_operators(_practical()),
-    "extension maps": lambda: protocols._extension_maps(_practical()),
     "purification maps": lambda: protocols._purification_maps(_practical(), IDEAL),
     "ghz_state": lambda: ghz_state(("a", "b", "c")).amplitudes,
     "phi_minus": lambda: phi_minus(("a", "b")).amplitudes,
@@ -236,7 +234,6 @@ def test_cached_maps_and_targets_are_read_only(name):
 
 #: cached functions of the library that hold no array, each with the reason
 CACHE_EXEMPT = {
-    "_defaults_keys": "a frozenset of flag names, immutable",
     "_parser": "the CLI's argument parser, no array",
 }
 
@@ -274,7 +271,6 @@ def test_every_cached_function_is_checked_read_only_or_exempt():
 def test_cached_maps_are_shared_per_input():
     assert protocols._plus_scatter(_practical()) is protocols._plus_scatter(_practical())
     assert isinstance(scatter_map(_practical()), LinearMap)
-    assert protocols._extension_maps(_practical()) is protocols._extension_maps(_practical())
     assert protocols._purification_maps(_practical(), IDEAL) is protocols._purification_maps(_practical(), IDEAL)
     assert protocols._instrument_tables() is protocols._instrument_tables()
     assert phi_minus(("a", "b")) is phi_minus(["a", "b"])

@@ -390,8 +390,7 @@ def test_node_delta_detunes_that_node():
     assert nodes["A"] != resonant_coeffs(CavityParams(g=1.2, kappa_s=0.2, gamma=0.1))
 
 
-def test_three_node_scenario(tmp_path, capsys):
-    text = IDEAL_SCENARIO + """
+THREE_NODE_SCENARIO = IDEAL_SCENARIO.replace("segments = AB", "segments = AB BC") + """
 [node C]
 ideal = true
 
@@ -399,13 +398,48 @@ ideal = true
 left = B
 right = C
 """
-    text = text.replace("segments = AB", "segments = AB BC")
+
+
+def test_three_node_scenario(tmp_path, capsys):
     path = tmp_path / "three.ini"
-    path.write_text(text)
+    path.write_text(THREE_NODE_SCENARIO)
     code, out, _ = run(capsys, "chain", "--scenario", str(path))
     assert code == 0
     assert "fidelity 1.000000" in out
     assert "extend" in out
+
+
+#: a node whose parity checks lose every probe (t = t0 = -1/2)
+DEAD_NODE = "g = 0\nkappa_s = 2"
+
+
+@pytest.mark.parametrize("text,message", [
+    (THREE_NODE_SCENARIO.replace("[node B]\nideal = true", "[node B]\n" + DEAD_NODE),
+     "extend at B: extension heralded no surviving branches"),
+    (IDEAL_SCENARIO.replace("[node B]\nideal = true", "[node B]\n" + DEAD_NODE)
+     .replace("segments = AB", "segments = AB\npurify_rounds = 1"),
+     "purify AB round 1: purification heralded no surviving branches"),
+    (IDEAL_SCENARIO.replace("ideal = true", DEAD_NODE), "distribute AB: no surviving branches"),
+], ids=["extension", "purification", "distribution"])
+@pytest.mark.parametrize("command", [["chain"], ["sweep", "--quantity", "chain", "--g-grid", "0"]],
+                         ids=["chain", "sweep"])
+def test_a_chain_stage_that_heralds_nothing_is_usage_error(tmp_path, capsys, text, message, command):
+    path = tmp_path / "dead.ini"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, "--scenario", str(path))
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+def test_value_error_inside_run_chain_is_runtime_failure(tmp_path, monkeypatch, capsys):
+    def broken(scenario):
+        raise ValueError("largest singular value 1.5 exceeds 1; map would grow norm")
+
+    path = tmp_path / "ideal.ini"
+    path.write_text(IDEAL_SCENARIO)
+    monkeypatch.setattr(cli, "run_chain", broken)
+    code, _, err = run(capsys, "chain", "--scenario", str(path))
+    assert code == 2
+    assert err == "runtime failure: largest singular value 1.5 exceeds 1; map would grow norm\n"
 
 
 def test_parse_failure_reports_line(tmp_path, capsys):

@@ -15,6 +15,7 @@ from qdrepeater.metrics import chain_analytic, distribution_metrics, pcd_metrics
 from qdrepeater.protocols import (
     ChainScenario,
     HeraldedOutcome,
+    NoSurvivingBranchError,
     PurificationState,
     SegmentSpec,
     channel_mixing_weight,
@@ -770,13 +771,9 @@ def test_pcd_dead_parities_and_dead_targets_at_a_practical_node(levels, dead_por
 
 @given(st.sampled_from(_NODE_KINDS), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_parity_operators_lose_weight_and_are_read_only(kind, seed):
-    coeffs = _node(kind, np.random.default_rng(seed))
-    ops = protocols._parity_operators(coeffs)
-    assert ops is protocols._parity_operators(coeffs)
+def test_parity_operators_lose_weight(kind, seed):
+    ops = protocols._parity_operators(_node(kind, np.random.default_rng(seed)))
     assert ops.shape == (2, 4)
-    with pytest.raises(ValueError, match="read-only"):
-        ops[0, 0] = 0.0
     # sum_k A_k^dagger A_k <= I for the two diagonal operators, entry by entry
     assert np.all(np.abs(ops[0]) ** 2 + np.abs(ops[1]) ** 2 <= 1.0 + 1e-12)
     assert np.all(np.abs(ops) <= 1.0 + 1e-12)
@@ -1020,6 +1017,32 @@ def test_purify_rejects_bad_mu():
         purify_round(-0.1)
     with pytest.raises(ValueError):
         purify_analytic(2.0, 1)
+
+
+#: a node whose parity checks lose every probe: t = t0 = -1/2, so u = v = 0
+DEAD = resonant_coeffs(CavityParams(g=0.0, kappa_s=2.0))
+
+
+def test_purification_at_a_dead_node_raises_one_error_in_simulation_and_closed_form():
+    assert protocols._parity_operators(DEAD).tolist() == [[0j] * 4] * 2
+    assert issubclass(NoSurvivingBranchError, ValueError)
+    with pytest.raises(NoSurvivingBranchError, match="^purification heralded no surviving branches$"):
+        purify_round(0.7, DEAD)
+    with pytest.raises(NoSurvivingBranchError, match="^no purification branch survives at these coefficients$"):
+        purification_metrics(0.7, DEAD)
+
+
+@pytest.mark.parametrize("nodes,rounds,message", [
+    ({"A": IDEAL, "B": DEAD, "C": IDEAL}, 0, "extend at B: extension heralded no surviving branches"),
+    ({"A": IDEAL, "B": DEAD, "C": IDEAL}, 1, "purify AB round 1: purification heralded no surviving branches"),
+    ({"A": DEAD, "B": DEAD, "C": IDEAL}, 0, "distribute AB: no surviving branches"),
+], ids=["extension", "purification", "distribution"])
+def test_a_chain_stage_that_heralds_nothing_names_itself(nodes, rounds, message):
+    scenario = ChainScenario(nodes=nodes, segments=[SegmentSpec("AB", "A", "B"), SegmentSpec("BC", "B", "C")],
+                             purify_rounds=rounds)
+    with pytest.raises(NoSurvivingBranchError) as info:
+        run_chain(scenario)
+    assert str(info.value) == message
 
 
 def test_purify_analytic_sequence():
@@ -1584,6 +1607,8 @@ def _spins_and_qutrit(labels, qutrit):
      "Bell distribution needs exactly two spin labels, not ['a', 'b', 'c']"),
     (lambda: distribute_bell(QUIET, QUIET, IDEAL, IDEAL, spin_labels=("a",)), ValueError,
      "Bell distribution needs exactly two spin labels, not ['a']"),
+    (lambda: distribute_bell(QUIET, QUIET, IDEAL, IDEAL, spin_labels=("a", "a")), RegisterError,
+     "duplicate subsystem labels in register: ['a', 'a']"),
     (lambda: distribute_ghz(2.5, [QUIET] * 3, [IDEAL] * 3), ValueError,
      "GHZ distribution needs a whole number of parties, not 2.5"),
     (lambda: distribute_ghz(3.0, [QUIET] * 3, [IDEAL] * 3), ValueError,
