@@ -6,9 +6,12 @@ scripts).  The parser holds every flag's default; with --config, the [defaults]
 entries of an INI file replace those defaults, so argparse converts and checks
 them like flags, and flags still win.  `_SCENARIO` and `_SCRIPT` list the
 sections and keys of scenario and script files; a --config file may hold
-either's.  CSV output uses 12 significant digits and a fixed column order, so
-identical inputs produce byte-identical files.  Exit codes: 0 success, 1 bad
-input (usage or configuration error, or a stage that heralds nothing), 2 internal failure.
+either's.  Every CSV table is a list of rows, each a dict from column name to
+raw value, printed by one cell rule (`_fmt`): a number to 12 significant digits,
+text as written, and a missing value, such as the fidelity of a branch that
+heralds nothing, as "-"; so identical inputs produce byte-identical files.
+Exit codes: 0 success, 1 bad input (usage or configuration error, or a stage
+that heralds nothing), 2 internal failure.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ def _user_values():
         raise UsageError(str(e)) from None
 
 
-def _fmt(x: float) -> str:
-    if x == 0:
-        x = 0.0     # normalize the sign of zero
-    return f"{x:.12g}"
+def _fmt(x) -> str:
+    """One table cell: a number to 12 significant digits, text as written, None as "-"."""
+    if x is None:
+        return "-"
+    return x if isinstance(x, str) else f"{x + 0.0:.12g}"     # + 0.0 normalizes the sign of zero
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -75,9 +79,12 @@ def parse_grid(spec: str) -> list[float]:
             f"cannot parse grid {spec!r}; use start:stop:count or a comma list") from None
 
 
-def _write_table(header, rows, output):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _write_table(rows, output):
+    """Write ``rows``, each a dict from column name to raw value, as CSV headed by the first
+    row's names.  A table with no rows is one row of missing values, which names the columns."""
+    lines = [",".join(rows[0])]
+    if set(rows[0].values()) != {None}:
+        lines.extend(",".join(map(_fmt, row.values())) for row in rows)
     text = "\n".join(lines) + "\n"
     if output:
         try:
@@ -135,24 +142,21 @@ def _node(g, ks, gamma, delta) -> ScatterCoeffs:
         return resonant_coeffs(CavityParams(g=g, kappa_s=ks, gamma=gamma, delta=delta))
 
 
-COEFFS_HEADER = [
-    "g", "kappa_s", "gamma", "delta",
-    "R_re", "R_im", "T_re", "T_im", "S_re", "S_im", "N_re", "N_im", "prob_sum",
-    "r_re", "r_im", "t_re", "t_im", "r0_re", "r0_im", "t0_re", "t0_im",
-]
+def _point(g, ks, gamma, delta) -> dict:
+    return {"g": g, "kappa_s": ks, "gamma": gamma, "delta": delta}
+
+
+def _parts(names, values) -> dict:
+    """The real and imaginary part of each complex value, as ``name_re`` and ``name_im``."""
+    return {f"{name}_{part}": x for name, z in zip(names, values) for part, x in (("re", z.real), ("im", z.imag))}
 
 
 def _coeffs_row(g, ks, gamma, delta):
     with _user_values():
         p = CavityParams(g=g, kappa_s=ks, gamma=gamma, delta=delta)
-        R, T, S, N = full_coeffs(p)
         sc = resonant_coeffs(p)
-        prob_sum = probability_sum(p)
-    vals = [g, ks, gamma, delta,
-            R.real, R.imag, T.real, T.imag, S.real, S.imag, N.real, N.imag, prob_sum,
-            sc.r.real, sc.r.imag, sc.t.real, sc.t.imag,
-            sc.r0.real, sc.r0.imag, sc.t0.real, sc.t0.imag]
-    return [_fmt(v) for v in vals]
+        return {**_point(g, ks, gamma, delta), **_parts("RTSN", full_coeffs(p)), "prob_sum": probability_sum(p),
+                **_parts(("r", "t", "r0", "t0"), (sc.r, sc.t, sc.r0, sc.t0))}
 
 
 #: sweep quantity -> (column prefix, closed form, even detections, the branches --simulate prints,
@@ -160,36 +164,33 @@ def _coeffs_row(g, ks, gamma, delta):
 _METRICS = {"distribution": ("d", *REFERENCE_RUNS["distribute"]), "pcd": ("p", *REFERENCE_RUNS["pcd"])}
 
 
-def _metrics_header(quantity):
-    prefix = _METRICS[quantity][0]
-    return ["g", "kappa_s", "gamma", "delta", "eta_in",
-            f"eta_{prefix}_even", f"eta_{prefix}_odd", f"eta_{prefix}",
-            f"f_{prefix}_even", f"f_{prefix}_odd", "eta_in_adjusted"]
-
-
 def _metrics_row(quantity, g, ks, gamma, delta, eta_in):
+    prefix, closed_form = _METRICS[quantity][:2]
     coeffs = _node(g, ks, gamma, delta)
     with _user_values():
-        m = _METRICS[quantity][1](coeffs, eta_in=eta_in)
-    vals = [g, ks, gamma, delta, eta_in,
-            m.eta_d_even, m.eta_d_odd, m.eta_d, m.f_even, m.f_odd, m.eta_in_adjusted]
-    return [_fmt(v) for v in vals]
+        m = closed_form(coeffs, eta_in=eta_in)
+    return {**_point(g, ks, gamma, delta), "eta_in": eta_in, f"eta_{prefix}_even": m.eta_d_even,
+            f"eta_{prefix}_odd": m.eta_d_odd, f"eta_{prefix}": m.eta_d, f"f_{prefix}_even": m.f_even,
+            f"f_{prefix}_odd": m.f_odd, "eta_in_adjusted": m.eta_in_adjusted}
 
 
-PURIFY_HEADER = ["mu0", "round", "mu", "success_probability", "cumulative_success"]
-
-
-def _purify_rows(mu_values, rounds):
+def _purify_rows(mu_values, rounds, simulate=False):
+    """One row per starting weight and round, with the simulated weight when ``simulate``;
+    with no rounds, one row of missing values that names the columns."""
+    names = ("mu0", "round", "mu", "success_probability", "cumulative_success") + ("mu_simulated",) * simulate
     rows = []
     for mu0 in mu_values:
-        cumulative = 1.0
+        cumulative, current = 1.0, mu0
         with _user_values():
             states = purify_analytic(mu0, rounds)
         for st in states:
             cumulative *= st.success_probability
-            rows.append([_fmt(mu0), str(st.round), _fmt(st.mu),
-                         _fmt(st.success_probability), _fmt(cumulative)])
-    return rows
+            values = [mu0, st.round, st.mu, st.success_probability, cumulative]
+            if simulate:
+                current = purify_round(current)[0].mu
+                values.append(current)
+            rows.append(dict(zip(names, values)))
+    return rows or [dict.fromkeys(names)]
 
 
 # ---------------------------------------------------------------------------
@@ -384,27 +385,17 @@ def cmd_photon(args):
         raise UsageError("photon needs --script FILE")
     state, name, steps = load_photon_script(args.script)
     state = _run_photon_script(state, name, steps)
-    header = ["basis", "re", "im"]
-    rows = []
-    for idx, amp in enumerate(state.amplitudes):
-        if abs(amp) < 1e-14:
-            continue
-        labels = state.register.basis_levels(idx)
-        basis = "|" + ",".join(labels) + ">"
-        rows.append([basis, _fmt(amp.real), _fmt(amp.imag)])
-    rows.append(["norm2", _fmt(state.norm2), ""])
-    _write_table(header, rows, args.output)
+    rows = [{"basis": "|" + ",".join(state.register.basis_levels(idx)) + ">", "re": amp.real, "im": amp.imag}
+            for idx, amp in enumerate(state.amplitudes) if abs(amp) >= 1e-14]
+    rows.append({"basis": "norm2", "re": state.norm2, "im": ""})
+    _write_table(rows, args.output)
     return 0
 
 
-CHAIN_HEADER = ["stage", "label", "probability", "fidelity"]
-
-
 def _chain_rows(report):
-    rows = [[st.stage, st.label, _fmt(st.probability), _fmt(st.fidelity)]
-            for st in report.stages]
-    rows.append(["total", "-".join(report.end_labels),
-                 _fmt(report.total_probability), _fmt(report.final_fidelity)])
+    rows = [vars(st) for st in report.stages]
+    rows.append({"stage": "total", "label": "-".join(report.end_labels),
+                 "probability": report.total_probability, "fidelity": report.final_fidelity})
     return rows
 
 
@@ -413,17 +404,15 @@ def _chain_rows(report):
 # ---------------------------------------------------------------------------
 
 def cmd_coeffs(args):
-    row = _coeffs_row(args.g, args.kappa_s, args.gamma, args.delta)
-    _write_table(COEFFS_HEADER, [row], args.output)
+    _write_table([_coeffs_row(args.g, args.kappa_s, args.gamma, args.delta)], args.output)
     return 0
 
 
 def _branch_lines(outcomes):
     lines = ["detection        probability     fidelity       correction"]
     for o in outcomes:
-        fid = "-" if o.fidelity is None else _fmt(o.fidelity)
         corr = " ".join(f"{g}({lab})" for g, lab in o.correction) or "-"
-        lines.append(f"{o.detection:<16} {_fmt(o.probability):<15} {fid:<14} {corr}")
+        lines.append(f"{o.detection:<16} {_fmt(o.probability):<15} {_fmt(o.fidelity):<14} {corr}")
     total = sum(o.probability for o in outcomes)
     lines.append(f"heralded total  {_fmt(total)}   discarded {_fmt(1.0 - total)}")
     return lines
@@ -431,8 +420,8 @@ def _branch_lines(outcomes):
 
 def cmd_metrics(args):
     """distribute and pcd: the closed-form row, and with --simulate the heralded branches."""
-    row = _metrics_row(args.quantity, args.g, args.kappa_s, args.gamma, args.delta, args.eta_in)
-    _write_table(_metrics_header(args.quantity), [row], args.output)
+    _write_table([_metrics_row(args.quantity, args.g, args.kappa_s, args.gamma, args.delta, args.eta_in)],
+                 args.output)
     if args.simulate:
         coeffs = _node(args.g, args.kappa_s, args.gamma, args.delta)
         outcomes = _METRICS[args.quantity][3](coeffs, args.eta_in)
@@ -441,16 +430,7 @@ def cmd_metrics(args):
 
 
 def cmd_purify(args):
-    rows = _purify_rows([args.mu], args.rounds)
-    if args.simulate:
-        current = args.mu
-        for row in rows:
-            state, _ = purify_round(current)
-            row.append(_fmt(state.mu))
-            current = state.mu
-        _write_table(PURIFY_HEADER + ["mu_simulated"], rows, args.output)
-    else:
-        _write_table(PURIFY_HEADER, rows, args.output)
+    _write_table(_purify_rows([args.mu], args.rounds, args.simulate), args.output)
     return 0
 
 
@@ -458,7 +438,7 @@ def cmd_chain(args):
     if not args.scenario:
         raise UsageError("chain needs --scenario FILE")
     report = run_chain(scenario_from_config(_read_config(args.scenario)))
-    _write_table(CHAIN_HEADER, _chain_rows(report), args.output)
+    _write_table(_chain_rows(report), args.output)
     summary = (f"fidelity {report.final_fidelity:.6f}, "
                f"probability {report.total_probability:.6f}, "
                f"log10 probability {report.log10_total_probability:.6g}\n")
@@ -468,11 +448,10 @@ def cmd_chain(args):
 
 def cmd_crosscheck(args):
     report = crosscheck(_node(args.g, args.kappa_s, args.gamma, args.delta))
-    header = ["quantity", "simulated", "analytic", "deviation"]
-    rows = [[r.quantity, _fmt(r.simulated), _fmt(r.analytic), _fmt(r.deviation)]
+    rows = [{"quantity": r.quantity, "simulated": r.simulated, "analytic": r.analytic, "deviation": r.deviation}
             for r in report.rows]
-    rows.append(["max_deviation", "", "", _fmt(report.max_deviation)])
-    _write_table(header, rows, args.output)
+    rows.append({"quantity": "max_deviation", "simulated": "", "analytic": "", "deviation": report.max_deviation})
+    _write_table(rows, args.output)
     return 0 if report.ok else 2
 
 
@@ -498,23 +477,21 @@ def cmd_sweep(args):
     points = list(itertools.product(args.g, args.kappa_s, args.delta))
     if quantity == "coeffs":
         rows = [_coeffs_row(g, ks, args.gamma, d) for g, ks, d in points]
-        _write_table(COEFFS_HEADER, rows, args.output)
     elif quantity in _METRICS:
         rows = [_metrics_row(quantity, g, ks, args.gamma, d, args.eta_in) for g, ks, d in points]
-        _write_table(_metrics_header(quantity), rows, args.output)
     elif quantity == "purify":
-        _write_table(PURIFY_HEADER, _purify_rows(args.mu, args.rounds), args.output)
+        rows = _purify_rows(args.mu, args.rounds)
     else:  # chain, the last of the --quantity choices
         if not args.scenario:
             raise UsageError("chain sweep needs --scenario FILE")
         cp = _read_config(args.scenario)
-        header = ["g", "total_probability", "final_fidelity", "log10_total_probability"]
         rows = []
         for g in args.g:
             report = run_chain(scenario_from_config(cp, g_override=g))
-            rows.append([_fmt(g), _fmt(report.total_probability), _fmt(report.final_fidelity),
-                         _fmt(report.log10_total_probability)])
-        _write_table(header, rows, args.output)
+            rows.append({"g": g, "total_probability": report.total_probability,
+                         "final_fidelity": report.final_fidelity,
+                         "log10_total_probability": report.log10_total_probability})
+    _write_table(rows, args.output)
     return 0
 
 

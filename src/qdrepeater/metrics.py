@@ -7,7 +7,11 @@ distribution run is
     eta_odd  = |t0 - t|^2 / 2
     eta      = (|u|^2 + |v|^2) / 2 = eta_even + eta_odd
     f_even   = |t0 - t|^2 / (2 eta_even)
-    f_odd    = 1
+    f_odd    = 1          where eta_odd > 0
+
+A branch that heralds nothing (its eta is 0) has no fidelity: its f is
+None, as in the simulation, and the CLI prints "-" for it.  At g = 0,
+t = t0, so the odd branch is dead.
 
 The parity-check detector obeys the same formulas branch for branch; only
 its input-coupling adjustment differs (one photon pass instead of two).
@@ -46,8 +50,8 @@ class DistributionMetrics:
     eta_d_even: float
     eta_d_odd: float
     eta_d: float
-    f_even: float
-    f_odd: float
+    f_even: float | None
+    f_odd: float | None
     eta_in_adjusted: float | None = None
 
 
@@ -62,9 +66,9 @@ def _metrics(coeffs: ScatterCoeffs, eta_in: float | None, passes: int) -> Distri
     eta = (abs(u) ** 2 + abs(v) ** 2) / 2.0
     if abs(eta - (eta_even + eta_odd)) > 1e-12:
         raise AssertionError("parallelogram identity eta = eta_even + eta_odd failed")
-    f_even = abs(coeffs.t0 - coeffs.t) ** 2 / (2.0 * eta_even) if eta_even > 0.0 else 0.0
+    f_even = abs(coeffs.t0 - coeffs.t) ** 2 / (2.0 * eta_even) if eta_even > 0.0 else None
     return DistributionMetrics(
-        eta_d_even=eta_even, eta_d_odd=eta_odd, eta_d=eta, f_even=f_even, f_odd=1.0,
+        eta_d_even=eta_even, eta_d_odd=eta_odd, eta_d=eta, f_even=f_even, f_odd=1.0 if eta_odd > 0.0 else None,
         eta_in_adjusted=coupled_probability(eta, eta_in, passes) if eta_in is not None else None)
 
 
@@ -82,12 +86,13 @@ def pcd_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> Distribut
     return _metrics(coeffs, eta_in, passes=1)
 
 
-def extension_metrics(coeffs: ScatterCoeffs, eta_in: float = 1.0) -> dict[str, tuple[float, float]]:
+def extension_metrics(coeffs: ScatterCoeffs, eta_in: float = 1.0) -> dict[str, tuple[float, float | None]]:
     """(probability, fidelity) of every branch of `extend_chain` splicing two
     perfect Phi- pairs at a node with ``coeffs``, keyed by its branch label.
 
     Each of the four even branches has probability eta_even/4 and fidelity
     f_even, each odd branch eta_odd/4 and fidelity 1; ``eta_in`` enters once.
+    A parity that heralds nothing has fidelity None on all four branches.
 
     Derivation.  With s_up = 1 and s_dn = -1, Phi-(x, z) Phi-(z', d) is
     (1/2) sum_{k, k'} s_k s_k' |k k k' k'>.  The parity check multiplies the

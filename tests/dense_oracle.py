@@ -810,11 +810,21 @@ def _rho_stage(rho_a, rho_b, maps):
     return out / p, p
 
 
+def segment_rho(seg, nodes, labels):
+    """The 4x4 state of segment ``seg`` between ``nodes``, rho = sum_i p_i |psi_i><psi_i| / sum_i p_i
+    over the live outcomes of `distribute_bell` at unit input coupling, and sum_i p_i."""
+    live = [o for o in distribute_bell(seg.noise_left, seg.noise_right, nodes[seg.left], nodes[seg.right],
+                                       spin_labels=labels)
+            if o.post_state is not None]
+    p = math.fsum(o.probability for o in live)
+    rho = sum(o.probability * np.outer(o.post_state.amplitudes, o.post_state.amplitudes.conj()) for o in live)
+    return rho / p, p
+
+
 def run_chain_rho(scenario) -> list[StageResult]:
     """`run_chain`'s stages with every two-spin mixture held as its 4x4 density matrix.
 
-    A segment starts at rho = sum_i p_i |psi_i><psi_i| / sum_i p_i over the
-    live outcomes of `distribute_bell`.  Each purification round and each
+    A segment starts at its `segment_rho`.  Each purification round and each
     extension is one `_rho_stage` over the cached branch maps of
     `run_chain`.  Stage probabilities gain eta_in per photon pass, as in
     `run_chain`.
@@ -831,12 +841,7 @@ def run_chain_rho(scenario) -> list[StageResult]:
     segments = []
     for i, seg in enumerate(scenario.segments):
         labels = (f"e{i}_{seg.left}", f"e{i}_{seg.right}")
-        live = [o for o in distribute_bell(seg.noise_left, seg.noise_right, scenario.nodes[seg.left],
-                                           scenario.nodes[seg.right], spin_labels=labels)
-                if o.post_state is not None]
-        p = math.fsum(o.probability for o in live)
-        rho = sum(o.probability * np.outer(o.post_state.amplitudes, o.post_state.amplitudes.conj())
-                  for o in live) / p
+        rho, p = segment_rho(seg, scenario.nodes, labels)
         record("distribute", seg.name, p, 2, rho, labels)
         for r in range(scenario.purify_rounds):
             maps = protocols._purification_maps(scenario.nodes[seg.left], scenario.nodes[seg.right])

@@ -6,8 +6,7 @@ import pytest
 
 from qdrepeater import cli
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
-from qdrepeater.cli import (COEFFS_HEADER, PURIFY_HEADER, build_parser, main, parse_args, parse_grid,
-                            scenario_from_config, value_flags)
+from qdrepeater.cli import build_parser, main, parse_args, parse_grid, scenario_from_config, value_flags
 from qdrepeater.protocols import ChainScenario, SegmentSpec, run_chain
 from qdrepeater.timebin import NoiseChannel
 
@@ -28,6 +27,12 @@ right = B
 [chain]
 segments = AB
 """
+
+#: the CSV headers of coeffs and purify, as they are documented
+COEFFS_HEADER = ["g", "kappa_s", "gamma", "delta",
+                 "R_re", "R_im", "T_re", "T_im", "S_re", "S_im", "N_re", "N_im", "prob_sum",
+                 "r_re", "r_im", "t_re", "t_im", "r0_re", "r0_im", "t0_re", "t0_im"]
+PURIFY_HEADER = ["mu0", "round", "mu", "success_probability", "cumulative_success"]
 
 
 def run(capsys, *argv):
@@ -351,6 +356,21 @@ def test_simulated_total_below_the_normal_range_prints_zero(capsys):
     assert row[header.index("eta_in_adjusted")] == "0"
 
 
+@pytest.mark.parametrize("command,prefix", [("distribute", "d"), ("pcd", "p")])
+@pytest.mark.parametrize("ks,f_even", [pytest.param("0.1", "0", id="odd-dead"), pytest.param("2", "-", id="both-dead")])
+def test_a_branch_that_heralds_nothing_prints_no_fidelity_in_either_table(capsys, command, prefix, ks, f_even):
+    # at g = 0 the odd branch heralds nothing, and at kappa_s = 2 the even one neither
+    code, out, _ = run(capsys, command, "--simulate", "--g", "0", "--kappa-s", ks)
+    assert code == 0
+    lines = out.splitlines()
+    header, row = (line.split(",") for line in lines[:2])
+    assert [row[header.index(f"f_{prefix}_{parity}")] for parity in ("even", "odd")] == [f_even, "-"]
+    assert {line.split()[2] for line in lines[3:-1]} == {f_even, "-"}    # the simulated branches
+    quantity = "pcd" if prefix == "p" else "distribution"
+    code, out, _ = run(capsys, "sweep", "--quantity", quantity, "--g-grid", "0", "--kappa-s-grid", ks)
+    assert (code, out.splitlines()[1]) == (0, lines[1])
+
+
 @pytest.mark.parametrize("eta_in", [1.0, 0.9])
 def test_pcd_simulation_total_is_the_closed_form_efficiency(capsys, eta_in):
     code, out, _ = run(capsys, "pcd", "--simulate", "--g", "1.7", "--kappa-s", "0.15", "--eta-in", str(eta_in))
@@ -361,6 +381,15 @@ def test_pcd_simulation_total_is_the_closed_form_efficiency(capsys, eta_in):
     eta_p = float(row[header.index("eta_p")])
     assert float(heralded[0].split()[2]) == pytest.approx(eta_in * eta_p, abs=1e-10)
     assert float(row[header.index("eta_in_adjusted")]) == pytest.approx(eta_in * eta_p, abs=1e-10)
+
+
+@pytest.mark.parametrize("argv,header", [
+    (["purify", "--rounds", "0"], PURIFY_HEADER),
+    (["purify", "--rounds", "0", "--simulate"], PURIFY_HEADER + ["mu_simulated"]),
+    (["sweep", "--quantity", "purify", "--rounds", "0"], PURIFY_HEADER),
+])
+def test_purify_with_no_rounds_prints_its_header_alone(capsys, argv, header):
+    assert run(capsys, *argv) == (0, ",".join(header) + "\n", "")
 
 
 def test_purify_simulation_follows_the_recursion_on_every_round(capsys):

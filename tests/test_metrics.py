@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
 from qdrepeater.metrics import (
+    REFERENCE_RUNS,
     CrosscheckReport,
     chain_analytic,
     crosscheck,
@@ -77,6 +78,23 @@ def test_uncoupled_point():
     p = pcd_metrics(at(0.0, 0.1))
     assert p.eta_d_odd == 0.0
     assert p.f_even == 0.0
+
+
+#: g = 0 gives t = t0, so the odd branch heralds nothing; kappa_s = 2 then
+#: gives t = t0 = -1/2, so the even branch heralds nothing either
+@pytest.mark.parametrize("ks,f_even", [pytest.param(0.1, 0.0, id="odd-dead"), pytest.param(2.0, None, id="both-dead")])
+def test_a_branch_that_heralds_nothing_has_no_fidelity_in_closed_form_or_simulation(ks, f_even):
+    coeffs = at(0.0, ks)
+    for closed_form, even_detections, simulate in REFERENCE_RUNS.values():
+        m = closed_form(coeffs)
+        assert (m.f_even, m.f_odd) == (f_even, None)
+        for out in simulate(coeffs, 1.0):
+            f = m.f_even if out.detection in even_detections else m.f_odd
+            assert out.fidelity == f
+    forms = extension_metrics(coeffs)
+    outcomes = extend_chain(phi_minus(("x", "z")), phi_minus(("zp", "d")), ("z", "zp"), coeffs, 1.0)
+    for out in outcomes:
+        assert forms[out.detection][1] == out.fidelity == (f_even if out.detection.startswith("even") else None)
 
 
 # --- structure ------------------------------------------------------------------

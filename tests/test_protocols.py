@@ -51,6 +51,7 @@ from qdrepeater.timebin import TB_DECODED, NoiseChannel
 from conftest import allclose_upto_phase, random_asymmetric, random_coeffs, random_symmetric, symmetric_from_angles
 from dense_oracle import (
     PORTS,
+    _rho_stage,
     apply_gates,
     collect_outcomes_scalar,
     distribution_branches,
@@ -66,6 +67,7 @@ from dense_oracle import (
     run_chain_gates,
     run_distribution,
     run_pcd,
+    segment_rho,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -222,12 +224,23 @@ def _asymmetric_fiber(early, late):
     return NoiseChannel(a.delta, a.eta, b.delta, b.eta)
 
 
+def _late_rotated(ch, eps):
+    """``ch`` with its late bin rotated by a further ``eps`` rad."""
+    c, s = math.cos(eps), math.sin(eps)
+    return NoiseChannel(ch.delta, ch.eta, c * ch.delta - s * np.conj(ch.eta), c * ch.eta + s * np.conj(ch.delta))
+
+
 _angles = st.floats(0.0, 2.0 * math.pi)
 _rotations = st.tuples(_angles, _angles, _angles)
-_fibers = st.one_of(
+#: collective fibers, and fibers whose two bins rotate independently (the chain tests draw these)
+_far_fibers = st.one_of(
     _rotations.map(lambda a: symmetric_from_angles(*a)),
     st.tuples(_rotations, _rotations).map(lambda ab: _asymmetric_fiber(*ab)),
 )
+#: near-collective fibers: the late bin is the early rotation turned by eps, log-uniform in [1e-12, 1e-1]
+_near_collective_fibers = st.tuples(_rotations, st.floats(-12.0, -1.0)).map(
+    lambda a: _late_rotated(symmetric_from_angles(*a[0]), 10.0 ** a[1]))
+_fibers = _far_fibers | _near_collective_fibers
 _nodes = st.builds(lambda g, ks, gamma: resonant_coeffs(CavityParams(g=g, kappa_s=ks, gamma=gamma)),
                    st.floats(0.2, 3.0), st.floats(0.0, 0.3), st.floats(0.02, 0.5))
 
@@ -369,12 +382,6 @@ def test_collective_fibers_report_each_pattern_once(inputs):
         # every live time bin heralds the reported state, the smallest ones too
         for a, p in zip(pat_amps[live], probs[live]):
             _assert_equal_upto_phase(out.post_state.amplitudes, _corrected(a / math.sqrt(p), out))
-
-
-def _late_rotated(ch, eps):
-    """``ch`` with its late bin rotated by a further ``eps`` rad."""
-    c, s = math.cos(eps), math.sin(eps)
-    return NoiseChannel(ch.delta, ch.eta, c * ch.delta - s * np.conj(ch.eta), c * ch.eta + s * np.conj(ch.delta))
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-6])
@@ -1501,7 +1508,7 @@ def _mixed_end_chains(draw):
     nodes = {f"n{i}": random_coeffs(np.random.default_rng(seed)) for i, seed in enumerate(seeds)}
     if draw(st.booleans()):
         nodes[f"n{draw(st.integers(0, segments))}"] = IDEAL
-    fibers = [(_asymmetric_fiber(*draw(st.tuples(_rotations, _rotations))), draw(_fibers))
+    fibers = [(_asymmetric_fiber(*draw(st.tuples(_rotations, _rotations))), draw(_far_fibers))
               for _ in range(segments)]
     return _chain_scenario(nodes, fibers, rounds, draw(st.floats(0.5, 1.0, exclude_min=True)))
 
@@ -1531,6 +1538,34 @@ def test_run_chain_matches_gate_oracle(scenario):
     rho, rho_oracle = ([sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in r.final_state.members)
                         for r in (report, oracle)])
     assert np.max(np.abs(rho - rho_oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("segments", [3, 4])
+def test_splices_at_ideal_nodes_commute(rng, segments):
+    # `run_chain` splices left to right; at ideal nodes every order of the
+    # splices leaves the same 4x4 state, as each recorded correction is a
+    # Pauli gate that passes through the later parity checks
+    nodes = {f"n{i}": IDEAL for i in range(segments + 1)}
+    maps = protocols._extension_maps(IDEAL)
+    for _ in range(5):
+        pieces = [segment_rho(SegmentSpec(f"s{i}", f"n{i}", f"n{i + 1}", random_asymmetric(rng),
+                                          random_asymmetric(rng)), nodes, ("a", "b"))[0]
+                  for i in range(segments)]
+        results = []
+        for order in itertools.permutations(range(1, segments)):
+            spans = {i: (i + 1, rho) for i, rho in enumerate(pieces)}     # left node -> (right node, state)
+            total = 1.0
+            for node in order:
+                left = next(k for k, (right, _) in spans.items() if right == node)
+                right, rho_b = spans.pop(node)
+                rho, p = _rho_stage(spans[left][1], rho_b, maps)
+                spans[left] = (right, rho)
+                total *= p
+            ((_, rho),) = spans.values()
+            results.append((rho, total))
+        for rho, total in results[1:]:
+            assert np.max(np.abs(rho - results[0][0])) < 1e-12
+            assert total == pytest.approx(results[0][1], abs=1e-12)
 
 
 @pytest.mark.parametrize("eta_in", [0.0, -1.0, 1.5, float("nan")])

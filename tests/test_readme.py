@@ -35,6 +35,14 @@ def test_ini_block_runs(command, flag, section, tmp_path, capsys):
     assert main([command, flag, str(path)]) == 0
 
 
+def test_chain_sweep_columns_match_the_cli(tmp_path, capsys):
+    (documented,) = re.findall(r"writes one row per `--g-grid`\s+value with the columns `([^`]+)`", README)
+    path = tmp_path / "chain.ini"
+    path.write_text(_ini_block("chain"), encoding="utf-8")
+    assert main(["sweep", "--quantity", "chain", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == documented
+
+
 def test_supported_steps_match_the_cli(tmp_path, capsys):
     (listed,) = re.findall(r"^Supported steps: (.*?)\n\n", README, flags=re.MULTILINE | re.DOTALL)
     documented = {item.split("(")[0] for item in re.findall(r"`([^`]+)`", listed)}
