@@ -1,37 +1,38 @@
 #!/usr/bin/env python3
 """Purification weight per round, analytic recursion next to full simulation.
 
-Prints a table for several starting weights and writes
-results/purification_rounds.csv.  The simulated column replays every round
-through the two parity checks on the four-spin ensemble and must agree with
-the recursion to full precision.
+Runs `qdrepeater purify --simulate` for several starting weights, prints
+their rows as one table and writes it to results/purification_rounds.csv,
+with the CLI's columns and cells: `mu` is the recursion, and `mu_simulated`
+replays every round through the two parity checks on the four-spin ensemble
+and must agree with it to full precision.
 """
 
+import contextlib
+import io
 import pathlib
 import sys
 
-from qdrepeater.protocols import purify_analytic, purify_round
+from qdrepeater.cli import main
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def run():
     OUT.mkdir(exist_ok=True)
-    rows = ["mu0,round,mu_analytic,mu_simulated,success_probability,cumulative_success"]
-    print(f"{'mu0':>5} {'round':>5} {'analytic':>12} {'simulated':>12} {'success':>10}")
-    for mu0 in (0.6, 0.7, 0.8, 0.9):
-        mu_sim = mu0
-        cumulative = 1.0
-        for st in purify_analytic(mu0, 3):
-            sim, _ = purify_round(mu_sim)
-            mu_sim = sim.mu
-            cumulative *= st.success_probability
-            print(f"{mu0:>5} {st.round:>5} {st.mu:>12.9f} {mu_sim:>12.9f} "
-                  f"{st.success_probability:>10.6f}")
-            rows.append(f"{mu0},{st.round},{st.mu:.12g},{mu_sim:.12g},"
-                        f"{st.success_probability:.12g},{cumulative:.12g}")
+    lines = []
+    for mu0 in ("0.6", "0.7", "0.8", "0.9"):
+        table = io.StringIO()
+        with contextlib.redirect_stdout(table):
+            code = main(["purify", "--simulate", "--mu", mu0, "--rounds", "3"])
+        if code != 0:
+            return code
+        header, *rows = table.getvalue().splitlines()
+        lines = (lines or [header]) + rows
+    text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
     target = OUT / "purification_rounds.csv"
-    target.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    target.write_text(text, encoding="utf-8")
     print(f"wrote {target}")
     return 0
 

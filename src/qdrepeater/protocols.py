@@ -30,8 +30,12 @@ Four protocols are implemented by exact state-vector evolution:
 
 Extension and purification are instruments: one fixed map per heralded branch
 (parity and two measured spins), stacked per coefficient set.  One routine
-applies both, to a chain and a fresh pair in `extend_chain` and to every pair
-of mixture members in the chain's pair stage.
+applies either to pure states: the extension to a chain and a fresh pair in
+`extend_chain`, purification to every pair of mixture members in the chain's
+pair stage, whose heralded rows are pooled into one mixture.  A chain splice
+holds both two-spin mixtures as 4x4 density matrices and applies the
+extension instrument as one superoperator, T = sum_k A_k x conj(A_k), so
+nothing is pooled there; distribution and purification still pool.
 
 What is built from checked inputs and reused often enough to pay for its cache
 is built once and shared read-only: per process, a photon's path ends (as
@@ -448,13 +452,22 @@ def _normalized_ensemble(reg: Register, pairs) -> Ensemble:
         vecs = np.array([amps for _, amps in distinct])
         scale = np.array([w / total for w, _ in distinct])[:, None, None]
         # (w / total) * outer, added one at a time from zero as a running sum adds them
-        rho = np.add.reduce(scale * (vecs[:, :, None] * vecs.conj()[:, None, :]), axis=0, initial=0.0)
-        eigvals, eigvecs = np.linalg.eigh(rho)
-        distinct = [(float(lam), eigvecs[:, i]) for i, lam in enumerate(eigvals) if lam > _ZERO]
-        distinct.reverse()      # dominant component first
-        total = math.fsum(w for w, _ in distinct)
+        return _eigen_ensemble(reg, np.add.reduce(scale * (vecs[:, :, None] * vecs.conj()[:, None, :]),
+                                                  axis=0, initial=0.0))
+    return _scaled_ensemble(reg, distinct, total)
 
-    scaled = [(w / total, amps) for w, amps in distinct]
+
+def _eigen_ensemble(reg: Register, rho: np.ndarray) -> Ensemble:
+    """The mixture over ``reg`` held by the density matrix ``rho``: its eigenvectors
+    of eigenvalue above the dead-branch weight, dominant first."""
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    members = [(float(lam), eigvecs[:, i]) for i, lam in enumerate(eigvals) if lam > _ZERO][::-1]
+    return _scaled_ensemble(reg, members, math.fsum(w for w, _ in members))
+
+
+def _scaled_ensemble(reg: Register, members, total: float) -> Ensemble:
+    """(weight, unit amplitude row) members scaled to weights that sum to 1."""
+    scaled = [(w / total, amps) for w, amps in members]
     residual = math.fsum(w for w, _ in scaled)
     return Ensemble(tuple((w / residual, StateVector(reg, amps)) for w, amps in scaled))
 
@@ -714,8 +727,8 @@ def extend_chain(
     return outcomes
 
 
-def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels, stage: str) -> tuple[Ensemble, float]:
-    """Every member pair of two two-spin mixtures through the instrument ``maps``.
+def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels) -> tuple[Ensemble, float]:
+    """Every member pair of two two-spin mixtures through the purification instrument ``maps``.
 
     `_apply_instrument` takes each pair to the two spins ``labels``.  Returns
     the heralded mixture and its success probability at unit input coupling.
@@ -727,9 +740,35 @@ def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels, stage: str) -> t
     w_b, b = np.array([w for w, _ in ens_b.members]), np.array([s.amplitudes for _, s in ens_b.members])
     w, live, rows = _apply_instrument(w_a, a, w_b, b, maps)
     if not live.any():
-        raise NoSurvivingBranchError(f"{stage} heralded no surviving branches")
+        raise NoSurvivingBranchError("purification heralded no surviving branches")
     weights = w[live].tolist()
     return _normalized_ensemble(spin_register(labels), list(zip(weights, rows))), math.fsum(weights)
+
+
+def _density(ens: Ensemble) -> np.ndarray:
+    """The density matrix sum_k w_k |psi_k><psi_k| of a mixture."""
+    w = np.array([w for w, _ in ens.members])
+    rows = np.array([s.amplitudes for _, s in ens.members])
+    return (w[:, None] * rows).T @ rows.conj()
+
+
+def _splice(rho_chain: np.ndarray, rho_seg: np.ndarray, maps) -> tuple[np.ndarray, float]:
+    """A chain's 4x4 state over (left end, z) spliced to a segment's over (z', d)
+    through the extension instrument ``maps``, as one superoperator step.
+
+    T[o, p, i, j] = sum_k A_k[o, i] conj(A_k[p, j]) folds the eight branch
+    maps on (z, z', d) into one; the chain's left end (s, t) is a spectator.
+    Returns the normalized state over (left end, d) and its probability,
+    the trace, at unit input coupling.
+    """
+    t = np.einsum("koi,kpj->opij", maps, maps.conj())
+    # np.kron(rho_chain, rho_seg), its products unchanged, as (s, i, t, j)
+    x = (rho_chain[:, None, :, None] * rho_seg[None, :, None, :]).reshape(2, 8, 2, 8)
+    out = np.einsum("opij,sitj->sotp", t, x).reshape(4, 4)
+    p = float(out.trace().real)
+    if not p > _ZERO:
+        raise NoSurvivingBranchError("extension heralded no surviving branches")
+    return out / p, p
 
 
 def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[PurificationState, float]:
@@ -744,7 +783,7 @@ def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[Purification
     labels = ("e_a", "e_b")
     mixture = ((mu, phi_minus(labels)), (1.0 - mu, phi_plus(labels)))
     ens = Ensemble(tuple((w, st) for w, st in mixture if w > 0.0))
-    ens, success = _pair_stage(ens, ens, _purification_maps(coeffs, coeffs), labels, "purification")
+    ens, success = _pair_stage(ens, ens, _purification_maps(coeffs, coeffs), labels)
     return PurificationState(mu=fidelity(ens, phi_minus(labels)), round=1,
                              success_probability=success), 1.0 - success
 
@@ -837,6 +876,12 @@ class ChainReport:
 def run_chain(scenario: ChainScenario) -> ChainReport:
     """Distribute every segment, purify, then extend left to right.
 
+    Distribution and purification pool each segment's heralded mixture
+    (`heralded_ensemble`, `_pair_stage`).  From the first splice on, the
+    chain is its 4x4 density matrix, and each splice is one superoperator
+    step (`_splice`); the final state of a chain of more than one segment is
+    read off that matrix's eigenbasis.
+
     Each splice's recorded correction acts on the fresh end spin before the
     next splice's parity check.  At ideal nodes every splice order gives the
     same state; at practical nodes it does not, by up to about 1e-2 in the
@@ -854,15 +899,18 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     logs: list[float] = []
 
     def stage(kind, label, passes, labels, run, *args):
-        """Run one stage, ``run(*args)`` giving (mixture, probability), and record it."""
+        """Run one stage, ``run(*args)`` giving (state, probability), and record it;
+        the state is a pooled mixture or a normalized 4x4 density matrix."""
         try:
-            ens, p = run(*args)
+            state, p = run(*args)
         except NoSurvivingBranchError as e:
             raise NoSurvivingBranchError(f"{kind} {label}: {e}") from None
-        stages.append(StageResult(kind, label, coupled_probability(p, eta_in, passes),
-                                  fidelity(ens, phi_minus(labels))))
+        target = phi_minus(labels)
+        f = (fidelity(state, target) if isinstance(state, Ensemble)
+             else float(np.vdot(target.amplitudes, state @ target.amplitudes).real))
+        stages.append(StageResult(kind, label, coupled_probability(p, eta_in, passes), f))
         logs.append(math.log10(p) + passes * math.log10(eta_in))
-        return ens
+        return state
 
     segments = []
     for i, seg in enumerate(scenario.segments):
@@ -873,16 +921,17 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
         ens = stage("distribute", seg.name, 2, labels, heralded_ensemble, outcomes)
         for r in range(scenario.purify_rounds):
             maps = _purification_maps(scenario.nodes[seg.left], scenario.nodes[seg.right])
-            ens = stage("purify", f"{seg.name} round {r + 1}", 2, labels,
-                        _pair_stage, ens, ens, maps, labels, "purification")
+            ens = stage("purify", f"{seg.name} round {r + 1}", 2, labels, _pair_stage, ens, ens, maps, labels)
         segments.append((ens, labels))
 
-    ens, (left_end, right_end) = segments[0]
-    for seg, (ens_b, (_, right_end)) in zip(scenario.segments[1:], segments[1:]):
-        # the chain's left end is a spectator of the splice at seg.left
-        ends = (left_end, right_end)
-        ens = stage("extend", f"at {seg.left}", 1, ends,
-                    _pair_stage, ens, ens_b, _extension_maps(scenario.nodes[seg.left]), ends, "extension")
+    final, (left_end, right_end) = segments[0]
+    if len(segments) > 1:
+        rho = _density(final)
+        for seg, (ens_b, (_, right_end)) in zip(scenario.segments[1:], segments[1:]):
+            # the chain's left end is a spectator of the splice at seg.left
+            rho = stage("extend", f"at {seg.left}", 1, (left_end, right_end),
+                        _splice, rho, _density(ens_b), _extension_maps(scenario.nodes[seg.left]))
+        final = _eigen_ensemble(spin_register((left_end, right_end)), rho)
 
     total_p = math.prod(st.probability for st in stages)
     return ChainReport(
@@ -891,5 +940,5 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
         final_fidelity=stages[-1].fidelity,
         total_probability=total_p if total_p >= sys.float_info.min else 0.0,
         log10_total_probability=math.fsum(logs),
-        final_state=ens,
+        final_state=final,
     )

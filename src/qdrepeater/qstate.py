@@ -16,11 +16,11 @@ the one copied stack; a kept state therefore holds its whole stack alive
 depend only on constants or on already-checked inputs once and shares them
 read-only (see `timebin`, `scatter` and `protocols`).
 
-Mixed states are weighted lists of pure states (`Ensemble`), never dense
-density matrices.  Every chain mixture is over two spins, so a 4x4 density
-matrix would do; the mixtures stay ensembles until the benchmark's reference
-values are re-recorded, because exact pooling of the members moves the
-two-round chains by up to 6e-8.
+Mixed states are weighted lists of pure states (`Ensemble`).  Every chain
+mixture is over two spins: the chain's splices hold it as its 4x4 density
+matrix (see `protocols`), while distribution and purification keep
+ensembles until the benchmark's reference values are re-recorded, because
+exact pooling of the members moves the two-round chains by up to 6e-8.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """The tests, the CLI, the metrics and the scripts import only public names
-of the library and read no private name off its modules but the 13 that
+of the library and read no private name off its modules but the 14 that
 `PRIVATE_READS` pins, all read by the tests; no module imports a name it
 does not use, and every private top-level name of the library is read
 somewhere in it."""
@@ -120,6 +120,7 @@ PRIVATE_READS = [
     "qdrepeater.protocols._pair_stage", "qdrepeater.protocols._parity_operators",
     "qdrepeater.protocols._path_ends", "qdrepeater.protocols._pattern_corrections",
     "qdrepeater.protocols._plus_scatter", "qdrepeater.protocols._purification_maps",
+    "qdrepeater.protocols._splice",
 ]
 
 

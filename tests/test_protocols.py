@@ -1229,16 +1229,12 @@ _mixtures = st.builds(_two_spin_mixture, st.integers(0, 2 ** 32 - 1),
                       st.lists(st.integers(0, 4), min_size=1, max_size=4))
 
 
-@pytest.mark.parametrize("stage", ["purification", "extension"])
 @given(seed=st.integers(0, 2 ** 32 - 1), ens_a=_mixtures, ens_b=_mixtures)
 @settings(max_examples=40, deadline=None)
-def test_pair_stage_matches_scalar_oracle_bit_for_bit(stage, seed, ens_a, ens_b):
-    # the extension maps act on (z, z', d), the first spin of ens_a being a spectator
+def test_pair_stage_matches_scalar_oracle_bit_for_bit(seed, ens_a, ens_b):
     rng = np.random.default_rng(seed)
-    coeffs_a, coeffs_b = random_coeffs(rng), random_coeffs(rng)
-    maps = (protocols._purification_maps(coeffs_a, coeffs_b) if stage == "purification"
-            else protocols._extension_maps(coeffs_a))
-    ens, success = protocols._pair_stage(ens_a, ens_b, maps, ("e_a", "e_b"), stage)
+    maps = protocols._purification_maps(random_coeffs(rng), random_coeffs(rng))
+    ens, success = protocols._pair_stage(ens_a, ens_b, maps, ("e_a", "e_b"))
     oracle, oracle_success = pair_stage_scalar(ens_a, ens_b, maps, ("e_a", "e_b"))
     _assert_same_ensemble(ens, oracle)
     assert success == oracle_success
@@ -1253,16 +1249,48 @@ def _one_path_inputs(draw):
     return chain, pair, coeffs
 
 
+def _outer(amps):
+    return np.outer(amps, amps.conj())
+
+
 @given(_one_path_inputs())
 @settings(max_examples=60, deadline=None)
-def test_extension_takes_the_chain_pair_stage_path_bit_for_bit(inputs):
+def test_extension_branches_mix_to_the_chain_splice(inputs):
+    # extend_chain's live branches, weighted by their probabilities, add up
+    # to the splice's p rho'
     chain, pair, coeffs = inputs
-    ens, success = heralded_ensemble(extend_chain(chain, pair, ("z", "zp"), coeffs))
-    stage, stage_success = protocols._pair_stage(Ensemble(((1.0, chain),)), Ensemble(((1.0, pair),)),
-                                                 protocols._extension_maps(coeffs), ("a", "d"), "extension")
-    assert [s.register for _, s in ens.members] == [s.register for _, s in stage.members]
-    _assert_same_ensemble(ens, stage)
-    assert success == stage_success
+    live = [o for o in extend_chain(chain, pair, ("z", "zp"), coeffs) if o.post_state is not None]
+    assert {o.post_state.register.labels for o in live} == {("a", "d")}
+    rho, p = protocols._splice(_outer(chain.amplitudes), _outer(pair.amplitudes), protocols._extension_maps(coeffs))
+    mixed = sum(o.probability * _outer(o.post_state.amplitudes) for o in live)
+    assert np.max(np.abs(mixed - p * rho)) < 1e-12
+
+
+def _density_matrix(rng, rank):
+    """A random two-spin density matrix of rank ``rank``: random weights on random unit rows."""
+    rows = rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    weights = rng.uniform(1e-3, 1.0, rank)
+    return sum(w * _outer(row) for w, row in zip(weights / weights.sum(), rows))
+
+
+@st.composite
+def _splice_inputs(draw):
+    # a chain (a, z) and a segment (zp, d) as mixtures of rank 1 to 4, and a node
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = _node(draw(st.sampled_from(("ideal", "resonant", "detuned", "empty"))), rng)
+    return _density_matrix(rng, draw(st.integers(1, 4))), _density_matrix(rng, draw(st.integers(1, 4))), coeffs
+
+
+@given(_splice_inputs())
+@settings(max_examples=60, deadline=None)
+def test_splice_matches_the_density_matrix_oracle(inputs):
+    rho_chain, rho_seg, coeffs = inputs
+    maps = protocols._extension_maps(coeffs)
+    rho, p = protocols._splice(rho_chain, rho_seg, maps)
+    oracle, oracle_p = _rho_stage(rho_chain, rho_seg, maps)
+    assert np.max(np.abs(rho - oracle)) < 1e-12
+    assert p == pytest.approx(oracle_p, rel=0, abs=1e-12)
 
 
 # --- chains -----------------------------------------------------------------------

@@ -24,7 +24,7 @@ OUTPUTS = {
     },
     "purification_table": {
         "purification_rounds.csv": (
-            "mu0,round,mu_analytic,mu_simulated,success_probability,cumulative_success", 4 * 3),
+            "mu0,round,mu,success_probability,cumulative_success,mu_simulated", 4 * 3),
     },
 }
 
