@@ -19,7 +19,6 @@ from .protocols import (
     distribute_ghz,
     extend_chain,
     ghz_state,
-    heralded_ensemble,
     pcd,
     phi_minus,
     phi_plus,

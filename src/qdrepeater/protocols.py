@@ -32,10 +32,10 @@ Extension and purification are instruments: one fixed map per heralded branch
 (parity and two measured spins), stacked per coefficient set.  One routine
 applies either to pure states: the extension to a chain and a fresh pair in
 `extend_chain`, purification to every pair of mixture members in the chain's
-pair stage, whose heralded rows are pooled into one mixture.  A chain splice
-holds both two-spin mixtures as 4x4 density matrices and applies the
-extension instrument as one superoperator, T = sum_k A_k x conj(A_k), so
-nothing is pooled there; distribution and purification still pool.
+pair stage, whose heralded rows are pooled into one mixture.  A chain holds
+each two-spin mixture as its 4x4 density matrix; a splice applies the
+extension instrument as one superoperator, T = sum_k A_k x conj(A_k), and
+only a purification round expands the matrix into pure states, its eigenvectors.
 
 What is built from checked inputs and reused often enough to pay for its cache
 is built once and shared read-only: per process, a photon's path ends (as
@@ -472,25 +472,6 @@ def _scaled_ensemble(reg: Register, members, total: float) -> Ensemble:
     return Ensemble(tuple((w / residual, StateVector(reg, amps)) for w, amps in scaled))
 
 
-def heralded_ensemble(outcomes) -> tuple[Ensemble, float]:
-    """Mixture of corrected branch states, weighted by branch probability.
-
-    The protocol has already decided which branches are dead: those are the
-    outcomes without a post state.
-    """
-    live = [o for o in outcomes if o.post_state is not None]
-    for o in live:
-        if not 0.0 <= o.probability < math.inf:
-            raise ValueError(f"outcome {o.detection!r}: probability {o.probability} is negative or not finite")
-        if o.post_state.register != live[0].post_state.register:
-            raise RegisterError(f"outcome {o.detection!r}: post state is over another register than the first")
-    total = math.fsum(o.probability for o in live)
-    if total <= 0.0:
-        raise NoSurvivingBranchError("no surviving branches")
-    pairs = [(o.probability, o.post_state.amplitudes) for o in live]
-    return _normalized_ensemble(live[0].post_state.register, pairs), total
-
-
 # ---------------------------------------------------------------------------
 # parity-check detection
 # ---------------------------------------------------------------------------
@@ -730,11 +711,11 @@ def extend_chain(
 def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels) -> tuple[Ensemble, float]:
     """Every member pair of two two-spin mixtures through the purification instrument ``maps``.
 
-    `_apply_instrument` takes each pair to the two spins ``labels``.  Returns
-    the heralded mixture and its success probability at unit input coupling.
-    Accepted rows are listed pair by pair, branch by branch, the arrival
-    order in which `_normalized_ensemble` gives each row to the first
-    earlier distinct row it matches.
+    The one step that pools pure states: the eigenvectors of a chain segment's
+    4x4 matrix, or `purify_round`'s two Bell states.  `_apply_instrument` takes
+    each pair to the two spins ``labels``.  Returns the heralded mixture and its
+    success probability at unit input coupling.  Rows are listed pair by pair,
+    branch by branch, the order in which `_normalized_ensemble` pools them.
     """
     w_a, a = np.array([w for w, _ in ens_a.members]), np.array([s.amplitudes for _, s in ens_a.members])
     w_b, b = np.array([w for w, _ in ens_b.members]), np.array([s.amplitudes for _, s in ens_b.members])
@@ -745,11 +726,29 @@ def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels) -> tuple[Ensembl
     return _normalized_ensemble(spin_register(labels), list(zip(weights, rows))), math.fsum(weights)
 
 
-def _density(ens: Ensemble) -> np.ndarray:
-    """The density matrix sum_k w_k |psi_k><psi_k| of a mixture."""
-    w = np.array([w for w, _ in ens.members])
-    rows = np.array([s.amplitudes for _, s in ens.members])
+def _density(members) -> np.ndarray:
+    """The density matrix sum_k w_k |psi_k><psi_k| of (weight, state) members."""
+    w = np.array([w for w, _ in members])
+    rows = np.array([s.amplitudes for _, s in members])
     return (w[:, None] * rows).T @ rows.conj()
+
+
+def _segment(outcomes) -> tuple[np.ndarray, float]:
+    """A segment's 4x4 state, rho = sum_i p_i |psi_i><psi_i| / sum_i p_i over
+    the live ``outcomes`` of `distribute_bell`, and sum_i p_i."""
+    live = [(o.probability, o.post_state) for o in outcomes if o.post_state is not None]
+    total = math.fsum(p for p, _ in live)
+    if total <= 0.0:
+        raise NoSurvivingBranchError("no surviving branches")
+    return _density(live) / total, total
+
+
+def _purify(rho: np.ndarray, maps, labels) -> tuple[np.ndarray, float]:
+    """One purification round on two copies of the 4x4 state ``rho`` over ``labels``: the pair
+    stage on its eigenvectors, as the heralded matrix and its probability at unit input coupling."""
+    ens = _eigen_ensemble(spin_register(labels), rho)
+    ens, p = _pair_stage(ens, ens, maps, labels)
+    return _density(ens.members), p
 
 
 def _splice(rho_chain: np.ndarray, rho_seg: np.ndarray, maps) -> tuple[np.ndarray, float]:
@@ -876,11 +875,12 @@ class ChainReport:
 def run_chain(scenario: ChainScenario) -> ChainReport:
     """Distribute every segment, purify, then extend left to right.
 
-    Distribution and purification pool each segment's heralded mixture
-    (`heralded_ensemble`, `_pair_stage`).  From the first splice on, the
-    chain is its 4x4 density matrix, and each splice is one superoperator
-    step (`_splice`); the final state of a chain of more than one segment is
-    read off that matrix's eigenbasis.
+    Every stage maps a two-spin mixture's normalized 4x4 density matrix: a
+    segment starts at its live distribution outcomes' weighted mixture
+    (`_segment`), a purification round pools the pair stage's rows on the
+    matrix's eigenvectors (`_purify`), and a splice is one superoperator
+    step (`_splice`).  Stage fidelities are <Phi-|rho|Phi->; the final
+    state is read off the last matrix's eigenbasis.
 
     Each splice's recorded correction acts on the fresh end spin before the
     next splice's parity check.  At ideal nodes every splice order gives the
@@ -899,18 +899,16 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     logs: list[float] = []
 
     def stage(kind, label, passes, labels, run, *args):
-        """Run one stage, ``run(*args)`` giving (state, probability), and record it;
-        the state is a pooled mixture or a normalized 4x4 density matrix."""
+        """Run one stage, ``run(*args)`` giving (normalized 4x4 state, probability), and record it."""
         try:
-            state, p = run(*args)
+            rho, p = run(*args)
         except NoSurvivingBranchError as e:
             raise NoSurvivingBranchError(f"{kind} {label}: {e}") from None
-        target = phi_minus(labels)
-        f = (fidelity(state, target) if isinstance(state, Ensemble)
-             else float(np.vdot(target.amplitudes, state @ target.amplitudes).real))
+        target = phi_minus(labels).amplitudes
+        f = float(np.vdot(target, rho @ target).real)
         stages.append(StageResult(kind, label, coupled_probability(p, eta_in, passes), f))
         logs.append(math.log10(p) + passes * math.log10(eta_in))
-        return state
+        return rho
 
     segments = []
     for i, seg in enumerate(scenario.segments):
@@ -918,20 +916,17 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
         outcomes = distribute_bell(seg.noise_left, seg.noise_right,
                                    scenario.nodes[seg.left], scenario.nodes[seg.right],
                                    spin_labels=labels)
-        ens = stage("distribute", seg.name, 2, labels, heralded_ensemble, outcomes)
+        rho = stage("distribute", seg.name, 2, labels, _segment, outcomes)
         for r in range(scenario.purify_rounds):
             maps = _purification_maps(scenario.nodes[seg.left], scenario.nodes[seg.right])
-            ens = stage("purify", f"{seg.name} round {r + 1}", 2, labels, _pair_stage, ens, ens, maps, labels)
-        segments.append((ens, labels))
+            rho = stage("purify", f"{seg.name} round {r + 1}", 2, labels, _purify, rho, maps, labels)
+        segments.append((rho, labels))
 
-    final, (left_end, right_end) = segments[0]
-    if len(segments) > 1:
-        rho = _density(final)
-        for seg, (ens_b, (_, right_end)) in zip(scenario.segments[1:], segments[1:]):
-            # the chain's left end is a spectator of the splice at seg.left
-            rho = stage("extend", f"at {seg.left}", 1, (left_end, right_end),
-                        _splice, rho, _density(ens_b), _extension_maps(scenario.nodes[seg.left]))
-        final = _eigen_ensemble(spin_register((left_end, right_end)), rho)
+    rho, (left_end, right_end) = segments[0]
+    for seg, (rho_b, (_, right_end)) in zip(scenario.segments[1:], segments[1:]):
+        # the chain's left end is a spectator of the splice at seg.left
+        rho = stage("extend", f"at {seg.left}", 1, (left_end, right_end),
+                    _splice, rho, rho_b, _extension_maps(scenario.nodes[seg.left]))
 
     total_p = math.prod(st.probability for st in stages)
     return ChainReport(
@@ -940,5 +935,5 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
         final_fidelity=stages[-1].fidelity,
         total_probability=total_p if total_p >= sys.float_info.min else 0.0,
         log10_total_probability=math.fsum(logs),
-        final_state=final,
+        final_state=_eigen_ensemble(spin_register((left_end, right_end)), rho),
     )

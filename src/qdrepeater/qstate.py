@@ -17,10 +17,10 @@ depend only on constants or on already-checked inputs once and shares them
 read-only (see `timebin`, `scatter` and `protocols`).
 
 Mixed states are weighted lists of pure states (`Ensemble`).  Every chain
-mixture is over two spins: the chain's splices hold it as its 4x4 density
-matrix (see `protocols`), while distribution and purification keep
-ensembles until the benchmark's reference values are re-recorded, because
-exact pooling of the members moves the two-round chains by up to 6e-8.
+mixture is over two spins, and every chain stage holds it as its 4x4
+density matrix (see `protocols`).  Ensembles remain for a chain's reported
+final state, the matrix's eigenvectors, and inside a purification round,
+which pools the heralded rows of those eigenvectors.
 """
 
 from __future__ import annotations

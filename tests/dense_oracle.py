@@ -68,7 +68,6 @@ from qdrepeater.protocols import (
     coupled_probability,
     distribute_bell,
     ghz_state,
-    heralded_ensemble,
     pcd,
     phi_minus,
     spin_register,
@@ -652,8 +651,8 @@ def extend_chain_gates(ghz, bell, joint_node, coeffs, eta_in=1.0):
 
 
 def merge(weighted):
-    """The library's ensemble merge of (weight, state) pairs, through `heralded_ensemble`."""
-    return heralded_ensemble([HeraldedOutcome("", w, (), st, None) for w, st in weighted])
+    """(weight, normalized state) pairs pooled by `pool_scalar`, and the `math.fsum` of their weights."""
+    return pool_scalar(weighted), math.fsum(w for w, _ in weighted)
 
 
 def equal_upto_phase_scalar(va, vb, atol) -> bool:
@@ -766,9 +765,9 @@ def run_chain_gates(scenario):
     segments = []
     for i, seg in enumerate(scenario.segments):
         labels = (f"e{i}_{seg.left}", f"e{i}_{seg.right}")
-        ens, p = heralded_ensemble(distribute_bell(
+        ens, p = merge([(o.probability, o.post_state) for o in distribute_bell(
             seg.noise_left, seg.noise_right, scenario.nodes[seg.left], scenario.nodes[seg.right],
-            eta_in=scenario.eta_in, spin_labels=labels))
+            eta_in=scenario.eta_in, spin_labels=labels) if o.post_state is not None])
         stages.append(StageResult("distribute", seg.name, p, fidelity(ens, phi_minus(labels))))
         for r in range(scenario.purify_rounds):
             ens, p = purify_gates(ens, labels, scenario.nodes[seg.left], scenario.nodes[seg.right],

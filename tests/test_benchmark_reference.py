@@ -60,7 +60,7 @@ def _chain_scenario(task):
 _TWO_ROUND_POOLING = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP items 1a and 2: purification's pooling, the one lossy step left in these chains, "
     "merges members equal up to numpy's rtol 1e-5, which moves the two-round chains by up to "
-    "5.8e-8 from the exact 4x4 mixture"))
+    "5.8e-8 in a stage probability and 5.7e-9 in a fidelity from the exact 4x4 mixture"))
 
 
 @pytest.mark.parametrize("slot", [
