@@ -13,7 +13,8 @@ Four protocols are implemented by exact state-vector evolution:
   spin) amplitude array already corrected.  Probabilities (the rows'
   squared norms), states and fidelities are read off it in whole-array
   steps, the listed states are checked as one stack (`StateVector.rows`)
-  and the outcomes built in one pass.  The tests' oracle,
+  and the outcomes built in one pass.  A chain segment forms its 4x4 state
+  from the array's live rows and builds no outcome.  The tests' oracle,
   `distribution_branches`, builds the array uncorrected.
 * Parity-check detection (PCD): a single probe photon is split over two
   local cavities, recombined and detected; the detected polarization heralds
@@ -237,30 +238,21 @@ def _pattern_corrections(correction_for, n: int):
     return labels, tb_names, corrections, index, sign
 
 
-def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, correction_for, target_sign, eta_in):
-    """Heralded outcomes of n-photon distribution, built photon by photon,
-    with fidelities to the target (|up...up> + target_sign |dn...dn>)/sqrt(2).
+def _distribution_amplitudes(noises, coeffs_list, phase_photon, correction_for):
+    """The corrected (port pattern, time bin, spin) amplitude array of n-photon
+    distribution, built photon by photon, and its rows' squared norms.
 
     The source emits (|H...H> + |V...V>)/sqrt(2), and every photon runs its
     own path to its own spin, so the state before detection is
     (x_i v_i[H] + x_i v_i[V])/sqrt(2) with x the tensor product; photon
     ``phase_photon`` gets the pi phase.  Each correction is applied to each
     photon's factor, and the products, from the last photon to the first,
-    form the corrected (port pattern, time bin, spin) amplitude array in
-    ``itertools.product`` order.  A row's probability is its squared norm;
-    they add up to the norm left after scattering, stray ports included.
-
-    A pattern is listed once, or once per live time-bin outcome when some
-    fiber's late bin rotates differently from its early one.  Collective
-    noise factors out, so every live time-bin outcome of a pattern heralds
-    the first one's state up to a phase.  A late rotation equal to the
-    early one times e^{i phi} still splits, into outcomes of one state
-    (fidelity (1 + cos phi)/2 at ideal nodes, `channel_mixing_weight`),
-    which the chain's pooling merges.  The listed states are checked as one
-    stack, each a view of its row, and a dead pattern keeps its place.
+    form the array in ``itertools.product`` order.  A row's probability is
+    its squared norm; they add up to the norm left after scattering, stray
+    ports included, or the array is not returned.
     """
-    n = len(spin_labels)
-    labels, tb_names, corrections, index, sign = _pattern_corrections(correction_for, n)
+    n = len(noises)
+    *_, index, sign = _pattern_corrections(correction_for, n)
     v = _photon_transfers(noises, coeffs_list, phase_photon)
     # <x_i a_i, x_i b_i> = prod_i <a_i, b_i> gives the full norm, stray ports included
     flat = v.reshape(n, 16, 2)
@@ -282,6 +274,27 @@ def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, corre
     probs = np.einsum("kjs,kjs->kj", parts, parts)
     if abs(float(np.sum(probs)) - survival) > 1e-10:
         raise RuntimeError("port detections do not add up to the surviving norm")
+    return amps, probs
+
+
+def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, correction_for, target_sign, eta_in):
+    """Heralded outcomes of n-photon distribution, read off
+    `_distribution_amplitudes`, with fidelities to the target
+    (|up...up> + target_sign |dn...dn>)/sqrt(2).
+
+    A pattern is listed once, or once per live time-bin outcome when some
+    fiber's late bin rotates differently from its early one.  Collective
+    noise factors out, so every live time-bin outcome of a pattern heralds
+    the first one's state up to a phase.  A late rotation equal to the
+    early one times e^{i phi} still splits, into outcomes of one state
+    (fidelity (1 + cos phi)/2 at ideal nodes, `channel_mixing_weight`); a
+    chain segment adds such outcomes into its 4x4 state as it adds any
+    other (`_segment`).  The listed states are checked as one stack, each a
+    view of its row, and a dead pattern keeps its place.
+    """
+    n = len(spin_labels)
+    labels, tb_names, corrections, _, _ = _pattern_corrections(correction_for, n)
+    amps, probs = _distribution_amplitudes(noises, coeffs_list, phase_photon, correction_for)
 
     split = any(ch.delta_l != ch.delta or ch.eta_l != ch.eta for ch in noises)
     live = probs > _ZERO
@@ -733,14 +746,22 @@ def _density(members) -> np.ndarray:
     return (w[:, None] * rows).T @ rows.conj()
 
 
-def _segment(outcomes) -> tuple[np.ndarray, float]:
-    """A segment's 4x4 state, rho = sum_i p_i |psi_i><psi_i| / sum_i p_i over
-    the live ``outcomes`` of `distribute_bell`, and sum_i p_i."""
-    live = [(o.probability, o.post_state) for o in outcomes if o.post_state is not None]
-    total = math.fsum(p for p, _ in live)
-    if total <= 0.0:
+def _segment(noise_a: NoiseChannel, noise_b: NoiseChannel, coeffs_a: ScatterCoeffs,
+             coeffs_b: ScatterCoeffs) -> tuple[np.ndarray, float]:
+    """A segment's 4x4 state and its heralding probability at unit input coupling.
+
+    The live rows of Bell distribution's corrected amplitude array, those whose
+    squared norm p_i is above the dead-branch weight, are the segment's
+    heralded outcomes unnormalized, so rho = sum_i |row_i><row_i| / sum_i p_i;
+    no outcome list is built.  `distribute_bell` lists the same rows.
+    """
+    amps, probs = _distribution_amplitudes((noise_a, noise_b), (coeffs_a, coeffs_b), 1, _bell_correction)
+    live = probs > _ZERO
+    if not live.any():
         raise NoSurvivingBranchError("no surviving branches")
-    return _density(live) / total, total
+    rows = amps[live]
+    total = math.fsum(probs[live].tolist())
+    return rows.T @ rows.conj() / total, total
 
 
 def _purify(rho: np.ndarray, maps, labels) -> tuple[np.ndarray, float]:
@@ -876,10 +897,11 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     """Distribute every segment, purify, then extend left to right.
 
     Every stage maps a two-spin mixture's normalized 4x4 density matrix: a
-    segment starts at its live distribution outcomes' weighted mixture
-    (`_segment`), a purification round pools the pair stage's rows on the
-    matrix's eigenvectors (`_purify`), and a splice is one superoperator
-    step (`_splice`).  Stage fidelities are <Phi-|rho|Phi->; the final
+    segment starts at the matrix of the live rows of Bell distribution's
+    corrected amplitude array, with no outcome list (`_segment`), a
+    purification round pools the pair stage's rows on the matrix's
+    eigenvectors (`_purify`), and a splice is one superoperator step
+    (`_splice`).  Stage fidelities are <Phi-|rho|Phi->; the final
     state is read off the last matrix's eigenbasis.
 
     Each splice's recorded correction acts on the fresh end spin before the
@@ -913,10 +935,8 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     segments = []
     for i, seg in enumerate(scenario.segments):
         labels = (f"e{i}_{seg.left}", f"e{i}_{seg.right}")
-        outcomes = distribute_bell(seg.noise_left, seg.noise_right,
-                                   scenario.nodes[seg.left], scenario.nodes[seg.right],
-                                   spin_labels=labels)
-        rho = stage("distribute", seg.name, 2, labels, _segment, outcomes)
+        rho = stage("distribute", seg.name, 2, labels, _segment, seg.noise_left, seg.noise_right,
+                    scenario.nodes[seg.left], scenario.nodes[seg.right])
         for r in range(scenario.purify_rounds):
             maps = _purification_maps(scenario.nodes[seg.left], scenario.nodes[seg.right])
             rho = stage("purify", f"{seg.name} round {r + 1}", 2, labels, _purify, rho, maps, labels)

@@ -20,8 +20,9 @@ correction tables one numpy element at a time; the library builds them as
 lists, and the tests hold the two to equal arrays.
 
 `run_pcd` evolves the probe photon of a parity check together with the
-spins through the detector optics and measures it.  The library applies
-the same optics as two diagonal spin operators; the tests compare the two.
+spins through the detector optics and measures it, the spins' even and odd
+parts apart.  The library applies the same optics as two diagonal spin
+operators; the tests compare the two.
 `pcd_per_parity` applies those operators one parity at a time with
 `apply_map` and builds every port's state on its own; the library forms
 both parities and their ideal targets in one broadcast product.
@@ -472,14 +473,13 @@ def _cpbs_interference():
     return LinearMap(m, unitary=True)
 
 
-def run_pcd(state, spin1, spin2, coeffs, eta_in=1.0):
-    """Probe (x) spins -> BS -> routing -> scatter in each arm -> routing ->
-    CPBS -> HWP, then detect the probe.
+#: projectors of (spin1, spin2) onto equal (even) and unequal (odd) spins
+PARITY_PROJECTORS = {"even": LinearMap(np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)),
+                     "odd": LinearMap(np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex))}
 
-    Returns one `HeraldedOutcome` per detector port R_a1, R_a2, L_a1, L_a2
-    with the raw post state of that port; fidelities compare it with the
-    ideal-interface branch of the same parity.
-    """
+
+def _pcd_optics(state, spin1, spin2, coeffs):
+    """Probe (x) spins -> BS -> routing -> scatter in each arm -> routing -> CPBS -> HWP."""
     work = tensor(probe_state(), state)
     work = apply_map(work, hadamard(), ["probe_path"])
     work = apply_map(work, routing_map(), ["probe_pol", "probe_dir"])
@@ -487,7 +487,27 @@ def run_pcd(state, spin1, spin2, coeffs, eta_in=1.0):
     work = apply_map(work, _arm_scatter(coeffs, 1), ["probe_path", "probe_pol", "probe_dir", spin2])
     work = apply_map(work, routing_map(), ["probe_pol", "probe_dir"])
     work = apply_map(work, _cpbs_interference(), ["probe_pol", "probe_path"])
-    work = apply_map(work, hadamard(), ["probe_pol"])
+    return apply_map(work, hadamard(), ["probe_pol"])
+
+
+def run_pcd(state, spin1, spin2, coeffs, eta_in=1.0):
+    """Run the probe's optics (`_pcd_optics`) on the spins, then detect the probe.
+
+    Returns one `HeraldedOutcome` per detector port R_a1, R_a2, L_a1, L_a2
+    with the raw post state of that port; fidelities compare it with the
+    ideal-interface branch of the same parity.
+
+    The optics are linear, so they run on the spins' even and odd parts
+    apart.  The R ports detect the sum of both outputs.  The L ports detect
+    the odd part's output alone, and the even part must herald nothing
+    there, so the rounding of a large even part lands in no small odd branch.
+    """
+    parts = {parity: _pcd_optics(apply_map(state, proj, [spin1, spin2]), spin1, spin2, coeffs)
+             for parity, proj in PARITY_PROJECTORS.items()}
+    probe = ["probe_pol", "probe_path", "probe_dir"]
+    if any(br.outcome[0] == "L" and br.probability > ZERO for br in measure(parts["even"], probe)):
+        raise RuntimeError("the even spins reached an odd port")
+    work = StateVector(parts["even"].register, parts["even"].amplitudes + parts["odd"].amplitudes)
 
     ideal_targets = {}
     for parity, kraus in (("even", K_EVEN_IDEAL), ("odd", K_ODD_IDEAL)):
@@ -495,7 +515,9 @@ def run_pcd(state, spin1, spin2, coeffs, eta_in=1.0):
         ideal_targets[parity] = branch.normalized() if branch.norm2 > ZERO else None
 
     outcomes = []
-    for br in measure(work, ["probe_pol", "probe_path", "probe_dir"]):
+    ports = ([br for br in measure(work, probe) if br.outcome[0] == "R"]
+             + [br for br in measure(parts["odd"], probe) if br.outcome[0] == "L"])
+    for br in ports:
         pol_out, path_out, dir_out = br.outcome
         if dir_out != "up":
             if br.probability > 1e-10:

@@ -667,6 +667,11 @@ def _pcd_inputs(draw):
 
 
 @given(_pcd_inputs())
+# the odd ports herald |dn,up> at 1.4e-24, just above the dead-branch weight;
+# run on the whole state, the dense optics' rounding of |up,up> put its
+# fidelity 5.3e-10 off
+@example((StateVector(spin_register(("e0", "e1")), [1j, 0, 1.73201893e-12j, 0]), "e0", "e1",
+          ScatterCoeffs(t=-0.005014980843849264, t0=-0.9611059573289995), 1.0))
 @settings(max_examples=60, deadline=None)
 def test_pcd_matches_dense_oracle(inputs):
     state, spin1, spin2, coeffs, eta_in = inputs
@@ -1595,17 +1600,41 @@ _NEAR_COLLECTIVE_PRACTICAL = (REF, resonant_coeffs(CavityParams(g=2.4, kappa_s=0
                               _late_rotated(NoiseChannel.identity(), 1e-12))
 
 
-@given(_nodes, _nodes, _near_collective_fibers, _near_collective_fibers)
-@example(*_NEAR_COLLECTIVE_PRACTICAL)
+#: uncoupled nodes behind collective fibers: the odd class's rows lie below the
+#: dead-branch weight (per-photon Gram products would give them 4.3e-19), so
+#: the segment's probability is the even class's alone
+_UNCOUPLED = resonant_coeffs(CavityParams(g=0.0, kappa_s=0.1))
+_UNCOUPLED_SEGMENT = (_UNCOUPLED, _UNCOUPLED, symmetric_from_angles(0.3, 1.0, 2.0), QUIET, 0.8)
+
+
+@given(_nodes, _nodes, _near_collective_fibers, _near_collective_fibers, st.floats(0.0, 1.0, exclude_min=True))
+@example(*_NEAR_COLLECTIVE_PRACTICAL, 1.0)
+@example(*_UNCOUPLED_SEGMENT)
 @settings(max_examples=30, deadline=None)
-def test_a_segment_is_the_mixture_of_its_distribution_outcomes(left, right, noise_left, noise_right):
+def test_a_segment_is_the_mixture_of_its_distribution_outcomes(left, right, noise_left, noise_right, eta_in):
     # no outcome is pooled into another, however close their states
-    scenario = _chain_scenario({"n0": left, "n1": right}, [(noise_left, noise_right)], 0, 1.0)
+    scenario = _chain_scenario({"n0": left, "n1": right}, [(noise_left, noise_right)], 0, eta_in)
     report = run_chain(scenario)
     rho, p = segment_rho(scenario.segments[0], scenario.nodes, report.end_labels)
     final = sum(w * _outer(s.amplitudes) for w, s in report.final_state.members)
     assert np.max(np.abs(final - rho)) < 1e-12
-    assert report.total_probability == pytest.approx(p, rel=0, abs=1e-12)
+    (stage,) = report.stages
+    assert stage.probability == pytest.approx(protocols.coupled_probability(p, eta_in, 2), rel=1e-12, abs=0.0)
+    target = phi_minus(report.end_labels).amplitudes
+    assert stage.fidelity == pytest.approx(float(np.vdot(target, rho @ target).real), rel=0, abs=1e-12)
+
+
+def test_run_chain_builds_no_distribution_outcome_list(monkeypatch):
+    # a segment's state comes from the amplitude rows; the public outcome
+    # list, and the states and fidelities it checks, are never built
+    def refused(*args, **kwargs):
+        raise AssertionError("run_chain built a distribution outcome list")
+
+    monkeypatch.setattr(protocols, "distribute_bell", refused)
+    monkeypatch.setattr(protocols, "_distribution_outcomes", refused)
+    report = run_chain(_PURIFIED_PRACTICAL_SEGMENT)
+    assert [s.stage for s in report.stages] == ["distribute", "purify"]
+    assert 0.0 < report.total_probability < 1.0
 
 
 @pytest.mark.parametrize("segments", [3, 4])
