@@ -28,7 +28,6 @@ from .protocols import (
     spin_register,
 )
 from .qstate import (
-    Ensemble,
     LinearMap,
     Register,
     RegisterError,

@@ -32,20 +32,23 @@ Four protocols are implemented by exact state-vector evolution:
 Extension and purification are instruments: one fixed map per heralded branch
 (parity and two measured spins), stacked per coefficient set.  One routine
 applies either to pure states: the extension to a chain and a fresh pair in
-`extend_chain`, purification to every pair of mixture members in the chain's
-pair stage, whose heralded rows are pooled into one mixture.  A chain holds
-each two-spin mixture as its 4x4 density matrix; a splice applies the
-extension instrument as one superoperator, T = sum_k A_k x conj(A_k), and
-only a purification round expands the matrix into pure states, its eigenvectors.
+`extend_chain`, purification to every pair of members of one mixture in the
+pair stage, whose heralded rows are pooled into one mixture, held there as a
+weight vector and a stack of unit rows.  Everywhere else a two-spin mixture
+is its 4x4 density matrix: a chain holds each stage's, a splice applies the
+extension instrument as one superoperator, T = sum_k A_k x conj(A_k), only a
+purification round expands the matrix into pure states, its eigenvectors,
+and a chain reports its last matrix as its final state.
 
 What is built from checked inputs and reused often enough to pay for its cache
 is built once and shared read-only: per process, a photon's path ends (as
-`timebin`'s encoder and decoder maps) and both instruments' coefficient-free
-tables; per coefficient set (the last 16 each), `scatter_map`'s scattering of a
-spin in |+> and the purification instrument; per label tuple (the last 64), the
-targets `ghz_state`, `phi_minus` and `phi_plus`; per rule and n, the pattern
-corrections.  A repeated distribution builds no map; the parity operators and
-the extension instrument, a few microseconds each, are built on each call.
+`timebin`'s encoder and decoder maps), both instruments' coefficient-free
+tables and the Bell rows every chain stage and `purify_round` read; per
+coefficient set (the last 16 each), `scatter_map`'s scattering of a spin in
+|+> and the purification instrument; per rule and n, the pattern
+corrections.  A repeated distribution builds no map; the parity operators,
+the extension instrument and `ghz_state`, a few microseconds each, are built
+on each call.
 
 Branch probabilities are exact: imperfect cavity coefficients shrink the
 pre-detection norm, and one minus the sum of all heralded probabilities is
@@ -65,7 +68,6 @@ import numpy as np
 
 from .cavity import IDEAL, ScatterCoeffs
 from .qstate import (
-    Ensemble,
     Register,
     RegisterError,
     StateVector,
@@ -131,16 +133,7 @@ def spin_register(labels) -> Register:
 
 
 def ghz_state(labels, sign: int = 1) -> StateVector:
-    """(|up...up> + sign |dn...dn>)/sqrt(2) over fresh spin subsystems.
-
-    The state is read-only, so it is built once per label tuple and sign for
-    the targets of chain stages; the last 64 are kept, as a chain's labels grow.
-    """
-    return _ghz_state(tuple(labels), sign)
-
-
-@functools.lru_cache(maxsize=64)
-def _ghz_state(labels: tuple[str, ...], sign: int) -> StateVector:
+    """(|up...up> + sign |dn...dn>)/sqrt(2) over fresh spin subsystems."""
     reg = spin_register(labels)
     return superposition(reg, [
         (RT2, {lab: "up" for lab in reg.labels}),
@@ -154,6 +147,12 @@ def phi_minus(labels) -> StateVector:
 
 def phi_plus(labels) -> StateVector:
     return ghz_state(labels, +1)
+
+
+#: Phi- and Phi+ over two spins, the rows of one read-only array: every chain
+#: stage's target (row 0) and the eigenbasis of `purify_round`'s mixture
+_BELL = np.array([[RT2, 0.0, 0.0, -RT2], [RT2, 0.0, 0.0, RT2]], dtype=complex)
+_BELL.setflags(write=False)
 
 
 def uniform_spins(labels) -> StateVector:
@@ -424,8 +423,9 @@ def channel_mixing_weight(channels) -> float:
     return float((1.0 + c.real) / 2.0)
 
 
-def _normalized_ensemble(reg: Register, pairs) -> Ensemble:
-    """Ensemble over ``reg`` from (weight, unit amplitude row) pairs.
+def _normalized_ensemble(weights, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture of unit amplitude rows ``rows`` of weights ``weights``, as
+    (weights that sum to 1, rows).
 
     A row equal up to a global phase to an earlier distinct row is the same
     pure state, and its weight joins the first such row.  Only rows whose
@@ -433,12 +433,11 @@ def _normalized_ensemble(reg: Register, pairs) -> Ensemble:
     a match moves no entry's magnitude by more than atol + 1e-5 |entry|, so
     matching keys differ by at most dim * atol + 1e-5 * key, and the window
     is twice that.  The rows then join their distinct rows in arrival order,
-    so the weights add up in that order.  If more distinct rows than the
-    register dimension d remain, the mixture is rebuilt from the eigenbasis
-    of its density matrix, which holds any d-dimensional mixture exactly in
-    d pure components.  Exact sums keep the total at 1.
+    so the weights add up in that order.  If more distinct rows than their
+    dimension d remain, the mixture is rebuilt from the eigenbasis of its
+    density matrix, which holds any d-dimensional mixture exactly in d pure
+    components.  Exact sums keep the total at 1.
     """
-    rows = np.array([amps for _, amps in pairs])
     n, dim = rows.shape
     key = np.abs(rows).sum(axis=1)
     order = key.argsort(kind="stable")     # np.lexsort's code; the default sort adds 0.25 MB of RSS
@@ -452,37 +451,38 @@ def _normalized_ensemble(reg: Register, pairs) -> Ensemble:
     by_row = np.lexsort((earlier, later))    # by later row, then by earlier row
     later, earlier = later.take(by_row), earlier.take(by_row)
     hit = _equal_upto_phase(rows.take(earlier, axis=0), rows.take(later, axis=0), _MERGE_TOL)
-    weights = [w for w, _ in pairs]
+    weights = list(weights)
     free = [True] * n               # whether a row is still a distinct row
     for i, j in zip(later[hit].tolist(), earlier[hit].tolist()):
         if free[i] and free[j]:
             free[i] = False
             weights[j] += weights[i]
-    distinct = [(w, amps) for w, (_, amps), f in zip(weights, pairs, free) if f]
-    total = math.fsum(w for w, _ in distinct)
+    keep = [i for i, f in enumerate(free) if f]
+    weights, rows = [weights[i] for i in keep], rows[keep]
+    total = math.fsum(weights)
 
-    if len(distinct) > reg.dim:
-        vecs = np.array([amps for _, amps in distinct])
-        scale = np.array([w / total for w, _ in distinct])[:, None, None]
+    if len(keep) > dim:
+        scale = np.array([w / total for w in weights])[:, None, None]
         # (w / total) * outer, added one at a time from zero as a running sum adds them
-        return _eigen_ensemble(reg, np.add.reduce(scale * (vecs[:, :, None] * vecs.conj()[:, None, :]),
-                                                  axis=0, initial=0.0))
-    return _scaled_ensemble(reg, distinct, total)
+        return _eigen_ensemble(np.add.reduce(scale * (rows[:, :, None] * rows.conj()[:, None, :]),
+                                             axis=0, initial=0.0))
+    return _scaled_ensemble(weights, rows, total)
 
 
-def _eigen_ensemble(reg: Register, rho: np.ndarray) -> Ensemble:
-    """The mixture over ``reg`` held by the density matrix ``rho``: its eigenvectors
-    of eigenvalue above the dead-branch weight, dominant first."""
+def _eigen_ensemble(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture held by the density matrix ``rho``: its eigenvectors of
+    eigenvalue above the dead-branch weight, dominant first, as (weights, rows)."""
     eigvals, eigvecs = np.linalg.eigh(rho)
-    members = [(float(lam), eigvecs[:, i]) for i, lam in enumerate(eigvals) if lam > _ZERO][::-1]
-    return _scaled_ensemble(reg, members, math.fsum(w for w, _ in members))
+    keep = [i for i, lam in enumerate(eigvals) if lam > _ZERO][::-1]
+    weights = [float(eigvals[i]) for i in keep]
+    return _scaled_ensemble(weights, eigvecs.T[keep], math.fsum(weights))
 
 
-def _scaled_ensemble(reg: Register, members, total: float) -> Ensemble:
-    """(weight, unit amplitude row) members scaled to weights that sum to 1."""
-    scaled = [(w / total, amps) for w, amps in members]
-    residual = math.fsum(w for w, _ in scaled)
-    return Ensemble(tuple((w / residual, StateVector(reg, amps)) for w, amps in scaled))
+def _scaled_ensemble(weights, rows: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights scaled to sum to 1, twice by exact sums, and their rows."""
+    scaled = [w / total for w in weights]
+    residual = math.fsum(scaled)
+    return np.array([w / residual for w in scaled]), rows
 
 
 # ---------------------------------------------------------------------------
@@ -721,29 +721,20 @@ def extend_chain(
     return outcomes
 
 
-def _pair_stage(ens_a: Ensemble, ens_b: Ensemble, maps, labels) -> tuple[Ensemble, float]:
-    """Every member pair of two two-spin mixtures through the purification instrument ``maps``.
+def _pair_stage(weights: np.ndarray, rows: np.ndarray, maps):
+    """Every pair of members of one two-spin mixture, two copies of the unit
+    rows ``rows`` of weights ``weights``, through the purification instrument ``maps``.
 
     The one step that pools pure states: the eigenvectors of a chain segment's
-    4x4 matrix, or `purify_round`'s two Bell states.  `_apply_instrument` takes
-    each pair to the two spins ``labels``.  Returns the heralded mixture and its
-    success probability at unit input coupling.  Rows are listed pair by pair,
-    branch by branch, the order in which `_normalized_ensemble` pools them.
+    4x4 matrix, or `purify_round`'s two Bell states.  Returns the heralded
+    mixture as `_normalized_ensemble` pools it, from rows listed pair by pair,
+    branch by branch, and its success probability at unit input coupling.
     """
-    w_a, a = np.array([w for w, _ in ens_a.members]), np.array([s.amplitudes for _, s in ens_a.members])
-    w_b, b = np.array([w for w, _ in ens_b.members]), np.array([s.amplitudes for _, s in ens_b.members])
-    w, live, rows = _apply_instrument(w_a, a, w_b, b, maps)
+    w, live, out = _apply_instrument(weights, rows, weights, rows, maps)
     if not live.any():
         raise NoSurvivingBranchError("purification heralded no surviving branches")
-    weights = w[live].tolist()
-    return _normalized_ensemble(spin_register(labels), list(zip(weights, rows))), math.fsum(weights)
-
-
-def _density(members) -> np.ndarray:
-    """The density matrix sum_k w_k |psi_k><psi_k| of (weight, state) members."""
-    w = np.array([w for w, _ in members])
-    rows = np.array([s.amplitudes for _, s in members])
-    return (w[:, None] * rows).T @ rows.conj()
+    kept = w[live].tolist()
+    return _normalized_ensemble(kept, out), math.fsum(kept)
 
 
 def _segment(noise_a: NoiseChannel, noise_b: NoiseChannel, coeffs_a: ScatterCoeffs,
@@ -764,12 +755,11 @@ def _segment(noise_a: NoiseChannel, noise_b: NoiseChannel, coeffs_a: ScatterCoef
     return rows.T @ rows.conj() / total, total
 
 
-def _purify(rho: np.ndarray, maps, labels) -> tuple[np.ndarray, float]:
-    """One purification round on two copies of the 4x4 state ``rho`` over ``labels``: the pair
-    stage on its eigenvectors, as the heralded matrix and its probability at unit input coupling."""
-    ens = _eigen_ensemble(spin_register(labels), rho)
-    ens, p = _pair_stage(ens, ens, maps, labels)
-    return _density(ens.members), p
+def _purify(rho: np.ndarray, maps) -> tuple[np.ndarray, float]:
+    """One purification round on two copies of the 4x4 state ``rho``: the pair stage on its
+    eigenvectors, as the heralded matrix and its probability at unit input coupling."""
+    (w, rows), p = _pair_stage(*_eigen_ensemble(rho), maps)
+    return (w[:, None] * rows).T @ rows.conj(), p
 
 
 def _splice(rho_chain: np.ndarray, rho_seg: np.ndarray, maps) -> tuple[np.ndarray, float]:
@@ -794,18 +784,20 @@ def _splice(rho_chain: np.ndarray, rho_seg: np.ndarray, maps) -> tuple[np.ndarra
 def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[PurificationState, float]:
     """One purification round on two copies of the (mu, 1-mu) Bell mixture.
 
-    This is the chain's mixture purification applied to the mixture of
-    Phi- (weight mu) and Phi+ (weight 1-mu), with ``coeffs`` at both
+    This is the chain's pair stage on the mixture's eigenbasis, Phi-
+    (weight mu) and Phi+ (weight 1-mu), with ``coeffs`` at both
     parties.  At ideal coefficients the kept weight follows
     mu -> mu^2/(mu^2 + (1-mu)^2) with success probability mu^2 + (1-mu)^2.
     """
     check_mu(mu)
-    labels = ("e_a", "e_b")
-    mixture = ((mu, phi_minus(labels)), (1.0 - mu, phi_plus(labels)))
-    ens = Ensemble(tuple((w, st) for w, st in mixture if w > 0.0))
-    ens, success = _pair_stage(ens, ens, _purification_maps(coeffs, coeffs), labels)
-    return PurificationState(mu=fidelity(ens, phi_minus(labels)), round=1,
-                             success_probability=success), 1.0 - success
+    weights = np.array([mu, 1.0 - mu])
+    kept = weights > 0.0
+    (w, rows), success = _pair_stage(weights[kept], _BELL[kept], _purification_maps(coeffs, coeffs))
+    # the weighted sum of each row's fidelity |<Phi-|row>|^2 / |row|^2, which
+    # stays in [0, 1] where <Phi-|rho|Phi-> can round below 0
+    mu_out = sum(wk * float(abs(np.vdot(_BELL[0], row)) ** 2 / float(np.vdot(row, row).real))
+                 for wk, row in zip(w.tolist(), rows))
+    return PurificationState(mu=mu_out, round=1, success_probability=success), 1.0 - success
 
 
 def purify_analytic(mu: float, rounds: int) -> list[PurificationState]:
@@ -890,7 +882,7 @@ class ChainReport:
     final_fidelity: float
     total_probability: float
     log10_total_probability: float
-    final_state: Ensemble
+    final_state: np.ndarray
 
 
 def run_chain(scenario: ChainScenario) -> ChainReport:
@@ -902,7 +894,7 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     purification round pools the pair stage's rows on the matrix's
     eigenvectors (`_purify`), and a splice is one superoperator step
     (`_splice`).  Stage fidelities are <Phi-|rho|Phi->; the final
-    state is read off the last matrix's eigenbasis.
+    state is the last matrix, read-only.
 
     Each splice's recorded correction acts on the fresh end spin before the
     next splice's parity check.  At ideal nodes every splice order gives the
@@ -920,14 +912,13 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     stages: list[StageResult] = []
     logs: list[float] = []
 
-    def stage(kind, label, passes, labels, run, *args):
+    def stage(kind, label, passes, run, *args):
         """Run one stage, ``run(*args)`` giving (normalized 4x4 state, probability), and record it."""
         try:
             rho, p = run(*args)
         except NoSurvivingBranchError as e:
             raise NoSurvivingBranchError(f"{kind} {label}: {e}") from None
-        target = phi_minus(labels).amplitudes
-        f = float(np.vdot(target, rho @ target).real)
+        f = float(np.vdot(_BELL[0], rho @ _BELL[0]).real)
         stages.append(StageResult(kind, label, coupled_probability(p, eta_in, passes), f))
         logs.append(math.log10(p) + passes * math.log10(eta_in))
         return rho
@@ -935,18 +926,18 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
     segments = []
     for i, seg in enumerate(scenario.segments):
         labels = (f"e{i}_{seg.left}", f"e{i}_{seg.right}")
-        rho = stage("distribute", seg.name, 2, labels, _segment, seg.noise_left, seg.noise_right,
+        rho = stage("distribute", seg.name, 2, _segment, seg.noise_left, seg.noise_right,
                     scenario.nodes[seg.left], scenario.nodes[seg.right])
         for r in range(scenario.purify_rounds):
             maps = _purification_maps(scenario.nodes[seg.left], scenario.nodes[seg.right])
-            rho = stage("purify", f"{seg.name} round {r + 1}", 2, labels, _purify, rho, maps, labels)
+            rho = stage("purify", f"{seg.name} round {r + 1}", 2, _purify, rho, maps)
         segments.append((rho, labels))
 
     rho, (left_end, right_end) = segments[0]
     for seg, (rho_b, (_, right_end)) in zip(scenario.segments[1:], segments[1:]):
         # the chain's left end is a spectator of the splice at seg.left
-        rho = stage("extend", f"at {seg.left}", 1, (left_end, right_end),
-                    _splice, rho, rho_b, _extension_maps(scenario.nodes[seg.left]))
+        rho = stage("extend", f"at {seg.left}", 1, _splice, rho, rho_b, _extension_maps(scenario.nodes[seg.left]))
+    rho.setflags(write=False)
 
     total_p = math.prod(st.probability for st in stages)
     return ChainReport(
@@ -955,5 +946,5 @@ def run_chain(scenario: ChainScenario) -> ChainReport:
         final_fidelity=stages[-1].fidelity,
         total_probability=total_p if total_p >= sys.float_info.min else 0.0,
         log10_total_probability=math.fsum(logs),
-        final_state=_eigen_ensemble(spin_register((left_end, right_end)), rho),
+        final_state=rho,
     )

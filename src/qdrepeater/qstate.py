@@ -16,11 +16,10 @@ the one copied stack; a kept state therefore holds its whole stack alive
 depend only on constants or on already-checked inputs once and shares them
 read-only (see `timebin`, `scatter` and `protocols`).
 
-Mixed states are weighted lists of pure states (`Ensemble`).  Every chain
-mixture is over two spins, and every chain stage holds it as its 4x4
-density matrix (see `protocols`).  Ensembles remain for a chain's reported
-final state, the matrix's eigenvectors, and inside a purification round,
-which pools the heralded rows of those eigenvectors.
+There is no mixed-state type.  Every mixture the library forms is over two
+spins and is held as its 4x4 density matrix, or, inside a purification
+round's pair stage, as a weight vector and a stack of unit amplitude rows
+(see `protocols`).
 """
 
 from __future__ import annotations
@@ -208,27 +207,6 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class Ensemble:
-    """Weighted list of normalized pure states representing a mixed state."""
-
-    members: tuple[tuple[float, StateVector], ...]
-
-    def __post_init__(self):
-        members = tuple((float(w), s) for w, s in self.members)
-        object.__setattr__(self, "members", members)
-        if not members:
-            raise ValueError("ensemble needs at least one member")
-        total = sum(w for w, _ in members)
-        if not abs(total - 1.0) <= ATOL:
-            raise ValueError(f"ensemble weights sum to {total}, expected 1")
-        for w, s in members:
-            if not -ATOL <= w <= 1.0 + ATOL:
-                raise ValueError(f"ensemble weight {w} outside [0, 1]")
-            if not s.is_normalized:
-                raise ValueError("ensemble members must be normalized")
-
-
-@dataclass(frozen=True)
 class LinearMap:
     """Square matrix acting on a target sub-register.
 
@@ -311,12 +289,10 @@ def apply_map(state: StateVector, m: LinearMap, targets) -> StateVector:
     return StateVector(state.register, np.moveaxis(psi, range(len(pos)), pos).reshape(-1))
 
 
-def fidelity(state: StateVector | Ensemble, target: StateVector) -> float:
+def fidelity(state: StateVector, target: StateVector) -> float:
     """Overlap fidelity with a normalized pure target; phase-insensitive."""
     if not target.is_normalized:
         raise ValueError("fidelity target must be normalized")
-    if isinstance(state, Ensemble):
-        return float(sum(w * fidelity(s, target) for w, s in state.members))
     if state.register.dims != target.register.dims or state.register.labels != target.register.labels:
         raise RegisterError("fidelity requires matching registers")
     n2 = state.norm2

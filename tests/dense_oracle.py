@@ -40,6 +40,8 @@ array step, and the tests hold the two stacks to be equal entry for entry.
 `scatter` applies the library's `scatter_map` to one photon and one spin
 of a register.
 
+A mixture of pure states here is a pair (weights, rows): a weight vector and
+a stack of unit amplitude rows, the form the library's pair stage pools.
 `pool_scalar` pools a mixture's members one `np.allclose` at a time; the
 library compares, all at once, only the pairs of members whose sums of
 entry magnitudes lie within one window.
@@ -49,7 +51,8 @@ each map to all of them as array products.
 
 `run_chain_rho` runs a chain on 4x4 density matrices: every stage is
 rho' = sum_A A (rho_a x rho_b) A^dagger over the library's cached branch
-maps, so nothing is pooled under a tolerance (ROADMAP item 2's step).
+maps, so nothing is pooled under a tolerance (ROADMAP item 2's step); it
+returns the stages and the final matrix.
 """
 
 import functools
@@ -75,7 +78,6 @@ from qdrepeater.protocols import (
     uniform_spins,
 )
 from qdrepeater.qstate import (
-    Ensemble,
     LinearMap,
     Register,
     RegisterError,
@@ -674,7 +676,24 @@ def extend_chain_gates(ghz, bell, joint_node, coeffs, eta_in=1.0):
 
 def merge(weighted):
     """(weight, normalized state) pairs pooled by `pool_scalar`, and the `math.fsum` of their weights."""
-    return pool_scalar(weighted), math.fsum(w for w, _ in weighted)
+    return pool_scalar([(w, state.amplitudes) for w, state in weighted]), math.fsum(w for w, _ in weighted)
+
+
+def members(mixture, labels):
+    """The (weight, state over the spins ``labels``) members of the mixture (weights, rows)."""
+    weights, rows = mixture
+    return [(w, StateVector(spin_register(labels), row)) for w, row in zip(weights.tolist(), rows)]
+
+
+def mixture_fidelity(mixture, labels) -> float:
+    """sum_k w_k F(row_k, Phi-) of the mixture (weights, rows) over the spins ``labels``."""
+    target = phi_minus(labels)
+    return float(sum(w * fidelity(state, target) for w, state in members(mixture, labels)))
+
+
+def density(mixture) -> np.ndarray:
+    """sum_k w_k |row_k><row_k| of the mixture (weights, rows)."""
+    return sum(w * np.outer(row, row.conj()) for w, row in zip(*mixture))
 
 
 def equal_upto_phase_scalar(va, vb, atol) -> bool:
@@ -688,26 +707,27 @@ def equal_upto_phase_scalar(va, vb, atol) -> bool:
     return bool(np.allclose(va, phase * vb, atol=atol))
 
 
-def pool_scalar(pairs) -> Ensemble:
-    """The mixture of (weight, normalized state) pairs, pooled one pair at a time.
+def pool_scalar(pairs):
+    """The mixture of (weight, unit amplitude row) pairs, pooled one pair at a
+    time, as (weights, rows).
 
-    Each state's weight joins the first distinct state so far that equals it
-    up to a phase, compared one by one with `equal_upto_phase_scalar`, or the
-    state becomes a distinct state itself.  More distinct states than the
-    register dimension are rebuilt from the eigenbasis of the density matrix.
+    Each row's weight joins the first distinct row so far that equals it up
+    to a phase, compared one by one with `equal_upto_phase_scalar`, or the
+    row becomes a distinct row itself.  More distinct rows than their
+    dimension are rebuilt from the eigenbasis of the density matrix.
     """
-    reg = pairs[0][1].register
+    dim = len(pairs[0][1])
     distinct = []
-    for w, state in pairs:
+    for w, amps in pairs:
         for i, (wd, ad) in enumerate(distinct):
-            if equal_upto_phase_scalar(ad, state.amplitudes, MERGE_TOL):
+            if equal_upto_phase_scalar(ad, amps, MERGE_TOL):
                 distinct[i] = (wd + w, ad)
                 break
         else:
-            distinct.append((w, state.amplitudes))
+            distinct.append((w, amps))
     total = math.fsum(w for w, _ in distinct)
-    if len(distinct) > reg.dim:
-        rho = np.zeros((reg.dim, reg.dim), dtype=complex)
+    if len(distinct) > dim:
+        rho = np.zeros((dim, dim), dtype=complex)
         for w, amps in distinct:
             rho += (w / total) * np.outer(amps, amps.conj())
         eigvals, eigvecs = np.linalg.eigh(rho)
@@ -716,28 +736,28 @@ def pool_scalar(pairs) -> Ensemble:
         total = math.fsum(w for w, _ in distinct)
     scaled = [(w / total, amps) for w, amps in distinct]
     residual = math.fsum(w for w, _ in scaled)
-    return Ensemble(tuple((w / residual, StateVector(reg, amps)) for w, amps in scaled))
+    return np.array([w / residual for w, _ in scaled]), np.array([amps for _, amps in scaled])
 
 
-def pair_stage_scalar(ens_a, ens_b, maps, labels):
-    """The library's pair stage one member pair and one branch map at a time.
+def pair_stage_scalar(weights, rows, maps):
+    """The library's pair stage on the mixture (weights, rows), one member pair
+    and one branch map at a time.
 
     Each pair's Kronecker product goes through each map as its own matrix
     product; a branch of weight at most ZERO is dead.  The heralded rows,
     listed pair by pair and branch by branch, are pooled with `pool_scalar`.
-    Returns (ensemble, success probability at unit input coupling).
+    Returns (mixture, success probability at unit input coupling).
     """
-    reg = spin_register(labels)
     accepted = []
-    for w1, s1 in ens_a.members:
-        for w2, s2 in ens_b.members:
-            psi = np.kron(s1.amplitudes, s2.amplitudes)
+    for w1, r1 in zip(weights.tolist(), rows):
+        for w2, r2 in zip(weights.tolist(), rows):
+            psi = np.kron(r1, r2)
             for m in maps:
                 out = (psi.reshape(-1, m.shape[1]) @ m.T).reshape(-1)
                 p = float(np.vdot(out, out).real)
                 w = w1 * w2 * p
                 if w > ZERO:
-                    accepted.append((w, StateVector(reg, out / math.sqrt(p))))
+                    accepted.append((w, out / math.sqrt(p)))
     return pool_scalar(accepted), math.fsum(w for w, _ in accepted)
 
 
@@ -745,19 +765,20 @@ def relabel(state, labels):
     return StateVector(spin_register(labels), state.amplitudes)
 
 
-def purify_gates(ens, labels, coeffs_a, coeffs_b, eta_in=1.0):
-    """One purification round on a two-spin mixture, member pair by member pair.
+def purify_gates(mixture, labels, coeffs_a, coeffs_b, eta_in=1.0):
+    """One purification round on the two-spin mixture (weights, rows) over
+    ``labels``, member pair by member pair.
 
     Both copies are Hadamard-rotated, one parity check per party keeps equal
     parities (odd-odd after a flip of the first copy), the first copy is
     measured in the Hadamard basis and unequal outcomes flip the phase of the
-    kept copy.  Returns (ensemble, success probability).
+    kept copy.  Returns (mixture, success probability).
     """
     la, lb = labels
     lac, lbc = f"{la}_c", f"{lb}_c"
     accepted = []
-    for w1, s1 in ens.members:
-        for w2, s2 in ens.members:
+    for w1, s1 in members(mixture, labels):
+        for w2, s2 in members(mixture, labels):
             st = tensor(s1, relabel(s2, (lac, lbc)))
             st = apply_gates(st, [("h", lab) for lab in (la, lb, lac, lbc)])
             for parity, (p_a, post_a) in parity_branches(st, la, lac, coeffs_a, eta_in).items():
@@ -787,35 +808,33 @@ def run_chain_gates(scenario):
     segments = []
     for i, seg in enumerate(scenario.segments):
         labels = (f"e{i}_{seg.left}", f"e{i}_{seg.right}")
-        ens, p = merge([(o.probability, o.post_state) for o in distribute_bell(
+        mixture, p = merge([(o.probability, o.post_state) for o in distribute_bell(
             seg.noise_left, seg.noise_right, scenario.nodes[seg.left], scenario.nodes[seg.right],
             eta_in=scenario.eta_in, spin_labels=labels) if o.post_state is not None])
-        stages.append(StageResult("distribute", seg.name, p, fidelity(ens, phi_minus(labels))))
+        stages.append(StageResult("distribute", seg.name, p, mixture_fidelity(mixture, labels)))
         for r in range(scenario.purify_rounds):
-            ens, p = purify_gates(ens, labels, scenario.nodes[seg.left], scenario.nodes[seg.right],
-                                  scenario.eta_in)
-            stages.append(StageResult("purify", f"{seg.name} round {r + 1}", p,
-                                      fidelity(ens, phi_minus(labels))))
-        segments.append((ens, labels))
+            mixture, p = purify_gates(mixture, labels, scenario.nodes[seg.left], scenario.nodes[seg.right],
+                                      scenario.eta_in)
+            stages.append(StageResult("purify", f"{seg.name} round {r + 1}", p, mixture_fidelity(mixture, labels)))
+        segments.append((mixture, labels))
 
-    ens, (left_end, right_end) = segments[0]
-    for seg, (ens_b, labels_b) in zip(scenario.segments[1:], segments[1:]):
+    mixture, (left_end, right_end) = segments[0]
+    for seg, (mixture_b, labels_b) in zip(scenario.segments[1:], segments[1:]):
         collected = []
-        for w1, s1 in ens.members:
-            for w2, s2 in ens_b.members:
+        for w1, s1 in members(mixture, (left_end, right_end)):
+            for w2, s2 in members(mixture_b, labels_b):
                 for out in extend_chain_gates(s1, s2, (right_end, labels_b[0]),
                                               scenario.nodes[seg.left], scenario.eta_in):
                     if out.post_state is not None:
                         collected.append((w1 * w2 * out.probability, out.post_state))
-        ens, p = merge(collected)
+        mixture, p = merge(collected)
         right_end = labels_b[1]
-        stages.append(StageResult("extend", f"at {seg.left}", p,
-                                  fidelity(ens, phi_minus((left_end, right_end)))))
+        stages.append(StageResult("extend", f"at {seg.left}", p, mixture_fidelity(mixture, (left_end, right_end))))
     return ChainReport(stages=tuple(stages), end_labels=(left_end, right_end),
-                       final_fidelity=fidelity(ens, phi_minus((left_end, right_end))),
+                       final_fidelity=mixture_fidelity(mixture, (left_end, right_end)),
                        total_probability=math.prod(st.probability for st in stages),
                        log10_total_probability=math.fsum(math.log10(st.probability) for st in stages),
-                       final_state=ens)
+                       final_state=density(mixture))
 
 
 def _rho_stage(rho_a, rho_b, maps):
@@ -842,8 +861,9 @@ def segment_rho(seg, nodes, labels):
     return rho / p, p
 
 
-def run_chain_rho(scenario) -> list[StageResult]:
-    """`run_chain`'s stages with every two-spin mixture held as its 4x4 density matrix.
+def run_chain_rho(scenario) -> tuple[list[StageResult], np.ndarray]:
+    """`run_chain`'s stages and final state with every two-spin mixture held
+    as its 4x4 density matrix.
 
     A segment starts at its `segment_rho`.  Each purification round and each
     extension is one `_rho_stage` over the cached branch maps of
@@ -874,4 +894,4 @@ def run_chain_rho(scenario) -> list[StageResult]:
     for seg, (rho_b, (_, right_end)) in zip(scenario.segments[1:], segments[1:]):
         rho, p = _rho_stage(rho, rho_b, protocols._extension_maps(scenario.nodes[seg.left]))
         record("extend", f"at {seg.left}", p, 1, rho, (left_end, right_end))
-    return stages
+    return stages, rho

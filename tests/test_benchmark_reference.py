@@ -1,8 +1,9 @@
 """Every `chain` and `ghz` variant the benchmark can draw matches
 `perfbench/reference.json` under the benchmark's own check, and the
 `cli-sweep` calls of seed 1 pass that workload's check, in any order and
-mixed with other calls in one process.  The `chain` variants are also held
-to the 4x4 density-matrix chain of `dense_oracle.run_chain_rho`.
+mixed with other calls in one process.  The `chain` variants' stages and
+final states are also held to the 4x4 density-matrix chain of
+`dense_oracle.run_chain_rho`.
 
 `perfbench/workloads.py` is read and executed in a fresh module, so nothing
 is written under `perfbench/` (no bytecode cache either).  A change that moves
@@ -14,6 +15,7 @@ import pathlib
 import random
 import types
 
+import numpy as np
 import pytest
 
 from qdrepeater.protocols import ChainScenario, SegmentSpec, run_chain
@@ -69,11 +71,12 @@ _TWO_ROUND_POOLING = pytest.mark.xfail(strict=True, raises=AssertionError, reaso
 def test_chain_variants_match_the_density_matrix_oracle(slot):
     for variant in range(WORKLOADS.CHAIN_POOL):
         scenario = _chain_scenario(WORKLOADS.chain_variant(slot, variant))
-        report, exact = run_chain(scenario), run_chain_rho(scenario)
+        report, (exact, rho) = run_chain(scenario), run_chain_rho(scenario)
         assert [(st.stage, st.label) for st in report.stages] == [(st.stage, st.label) for st in exact]
         for got, want in zip(report.stages, exact):
             assert got.probability == pytest.approx(want.probability, rel=0, abs=1e-12), (variant, got)
             assert got.fidelity == pytest.approx(want.fidelity, rel=0, abs=1e-12), (variant, got)
+        assert np.max(np.abs(report.final_state - rho)) < 1e-12, variant
 
 
 CLI_CALLS = WORKLOADS.cli_calls(1)     # the held-out seed 7919 stays out of the tests

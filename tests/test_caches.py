@@ -3,11 +3,12 @@
 Registers keep their sizes, a photon's path ends are built once per
 process, the |+> scattering and the purification instrument once per
 coefficient set, both instruments' coefficient-free tables once per
-process, the pattern corrections once per rule and n, and the spin targets
-once per label tuple.  The parity operators and the extension instrument
-(each a few microseconds of array arithmetic) and the maps the cached
-pieces start from (`encode_map`, `decode_map`, `scatter_map`) are built
-afresh on each call, the maps read-only like every `LinearMap`.  These tests hold
+process and the pattern corrections once per rule and n; the Bell rows of
+chain stages and `purify_round` are one read-only module constant.  The
+parity operators, the extension instrument and the spin targets (each a few
+microseconds of array arithmetic) and the maps the cached pieces start from
+(`encode_map`, `decode_map`, `scatter_map`) are built afresh on each call,
+the maps read-only like every `LinearMap`.  These tests hold
 the saving (a repeated distribution makes no singular value decomposition
 and no Kronecker product, and checks its listed live states as one stack;
 a parity check builds and applies no map and checks its states as one
@@ -206,7 +207,7 @@ def test_fresh_maps_are_read_only(build):
     assert build().matrix[0, 0] != 7.0
 
 
-#: every cached map and target, as the array a caller could try to write to
+#: every cached map and the Bell rows, as the array a caller could try to write to
 CACHED_ARRAYS = {
     "decoder ends": lambda: protocols._path_ends()[0],
     "encoder end": lambda: protocols._path_ends()[1],
@@ -217,9 +218,7 @@ CACHED_ARRAYS = {
     "purification table": lambda: protocols._instrument_tables()[1],
     "purification rotation": lambda: protocols._instrument_tables()[2],
     "purification maps": lambda: protocols._purification_maps(_practical(), IDEAL),
-    "ghz_state": lambda: ghz_state(("a", "b", "c")).amplitudes,
-    "phi_minus": lambda: phi_minus(("a", "b")).amplitudes,
-    "phi_plus": lambda: phi_plus(("a", "b")).amplitudes,
+    "Bell rows": lambda: protocols._BELL,
 }
 
 
@@ -256,8 +255,7 @@ def test_scan_finds_cached_functions():
 
 
 def test_every_cached_function_is_checked_read_only_or_exempt():
-    # an entry of CACHED_ARRAYS checks a function it calls, or the private
-    # function behind the public one it calls (`ghz_state`)
+    # an entry of CACHED_ARRAYS checks a function it calls
     called = {name for entry in CACHED_ARRAYS.values() for name in entry.__code__.co_names}
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "qdrepeater"
     cached = [name for f in sorted(src.glob("*.py")) for name in cached_functions(f.read_text(encoding="utf-8"))]
@@ -273,7 +271,6 @@ def test_cached_maps_are_shared_per_input():
     assert isinstance(scatter_map(_practical()), LinearMap)
     assert protocols._purification_maps(_practical(), IDEAL) is protocols._purification_maps(_practical(), IDEAL)
     assert protocols._instrument_tables() is protocols._instrument_tables()
-    assert phi_minus(("a", "b")) is phi_minus(["a", "b"])
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -287,6 +284,8 @@ def test_cached_targets_equal_a_fresh_superposition(sign):
         assert np.array_equal(target.amplitudes, fresh.amplitudes)
     pair = (phi_plus if sign == 1 else phi_minus)(("x", "y"))
     assert np.array_equal(pair.amplitudes, np.array([RT2, 0.0, 0.0, sign * RT2]))
+    # the Bell rows hold Phi- first, then Phi+
+    assert np.array_equal(protocols._BELL[(sign + 1) // 2], pair.amplitudes)
 
 
 def test_a_register_that_read_its_sizes_still_equals_and_hashes_as_one_that_did_not():

@@ -33,7 +33,6 @@ from qdrepeater.protocols import (
     uniform_spins,
 )
 from qdrepeater.qstate import (
-    Ensemble,
     LinearMap,
     Register,
     RegisterError,
@@ -41,7 +40,6 @@ from qdrepeater.qstate import (
     Subsystem,
     apply_map,
     basis_state,
-    fidelity,
     superposition,
     tensor,
 )
@@ -57,6 +55,7 @@ from dense_oracle import (
     extend_chain_gates,
     extension_maps_loop,
     ghz_correction_search,
+    mixture_fidelity,
     pair_stage_scalar,
     pcd_per_parity,
     pattern_corrections_loop,
@@ -1026,11 +1025,27 @@ def test_purify_round_matches_gate_oracle(mu, seed):
     coeffs = IDEAL if seed is None else random_coeffs(np.random.default_rng(seed))
     state, discarded = purify_round(mu, coeffs)
     labels = ("e_a", "e_b")
-    mixture = ((mu, phi_minus(labels)), (1.0 - mu, phi_plus(labels)))
-    ens, success = purify_gates(Ensemble(tuple(m for m in mixture if m[0] > 0.0)), labels, coeffs, coeffs)
-    assert state.mu == pytest.approx(fidelity(ens, phi_minus(labels)), abs=1e-12)
+    weights = np.array([mu, 1.0 - mu])
+    rows = np.array([phi_minus(labels).amplitudes, phi_plus(labels).amplitudes])
+    mixture, success = purify_gates((weights[weights > 0.0], rows[weights > 0.0]), labels, coeffs, coeffs)
+    assert state.mu == pytest.approx(mixture_fidelity(mixture, labels), abs=1e-12)
     assert state.success_probability == pytest.approx(success, abs=1e-12)
     assert discarded == pytest.approx(1.0 - success, abs=1e-12)
+
+
+@given(st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_purify_round_is_the_chain_round_on_the_bell_mixture(mu, seed):
+    # the chain's round on mu|Phi-><Phi-| + (1-mu)|Phi+><Phi+| runs the pair
+    # stage on the matrix's own eigenbasis; purify_round feeds it Phi- and Phi+
+    coeffs = random_coeffs(np.random.default_rng(seed))
+    state, discarded = purify_round(mu, coeffs)
+    labels = ("e_a", "e_b")
+    rho = mu * _outer(phi_minus(labels).amplitudes) + (1.0 - mu) * _outer(phi_plus(labels).amplitudes)
+    out, p = protocols._purify(rho, protocols._purification_maps(coeffs, coeffs))
+    assert abs(state.mu - _weight(out, phi_minus(labels))) <= 1e-14
+    assert abs(state.success_probability - p) <= 1e-14
+    assert abs(discarded - (1.0 - p)) <= 1e-14
 
 
 def test_purify_rejects_bad_mu():
@@ -1084,8 +1099,9 @@ POOL_REG = spin_register(("e_a", "e_b"))
 
 
 def _pool(pairs):
-    """(weight, unit amplitude row) pairs over `POOL_REG` pooled as the pair stage pools its rows."""
-    return protocols._normalized_ensemble(POOL_REG, pairs)
+    """(weight, unit amplitude row) pairs over `POOL_REG` pooled as the pair stage pools its rows,
+    as (weights, rows)."""
+    return protocols._normalized_ensemble([w for w, _ in pairs], np.array([row for _, row in pairs]))
 
 
 #: how a member is made from its base row, and whether it pools with the base
@@ -1159,8 +1175,8 @@ def test_pooling_rule_against_the_base_row(kind):
     rng = np.random.default_rng(11)
     row = _unit_row(rng)
     made = _pool_member(row, kind, 0.0, rng)
-    ens = _pool([(0.5, made), (0.5, row)])
-    assert len(ens.members) == (1 if POOL_KINDS[kind] else 2)
+    weights, rows = _pool([(0.5, made), (0.5, row)])
+    assert len(weights) == len(rows) == (1 if POOL_KINDS[kind] else 2)
     if kind == "rtol":
         # beyond atol alone: the pooling rests on numpy's default rtol
         assert not np.allclose(made, row, rtol=0.0, atol=1e-10)
@@ -1170,8 +1186,9 @@ def test_a_row_that_matches_two_representatives_joins_the_first():
     rng = np.random.default_rng(5)
     row = _unit_row(rng)
     rows = [row, _pool_member(row, "far", 0.0, rng), _pool_member(row, "near", 0.0, rng)]
-    ens = _pool(list(zip((0.5, 0.25, 0.25), rows)))
-    assert [w for w, _ in ens.members] == [0.75, 0.25]
+    weights, pooled = _pool(list(zip((0.5, 0.25, 0.25), rows)))
+    assert weights.tolist() == [0.75, 0.25]
+    assert pooled.tobytes() == np.array(rows[:2]).tobytes()
 
 
 #: the Bell states over (e_a, e_b), which pair stages map onto each other
@@ -1201,9 +1218,10 @@ _TWO_BELL_STATES = _bell_outcomes(17, np.random.default_rng(19).integers(0, 2, 1
 _FOUR_BELL_STATES = _bell_outcomes(23, [0, 1, 2, 3])
 
 
-def _assert_same_ensemble(ens, oracle):
-    assert [w for w, _ in ens.members] == [w for w, _ in oracle.members]
-    assert [s.amplitudes.tobytes() for _, s in ens.members] == [s.amplitudes.tobytes() for _, s in oracle.members]
+def _assert_same_mixture(mixture, oracle):
+    (weights, rows), (oracle_weights, oracle_rows) = mixture, oracle
+    assert weights.tolist() == oracle_weights.tolist()
+    assert rows.shape == oracle_rows.shape and rows.tobytes() == oracle_rows.tobytes()
 
 
 @given(_pool_inputs)
@@ -1213,8 +1231,8 @@ def _assert_same_ensemble(ens, oracle):
 @example(_FOUR_BELL_STATES)
 @settings(max_examples=60, deadline=None)
 def test_pooling_matches_scalar_oracle_bit_for_bit(outcomes):
-    ens = _pool([(o.probability, o.post_state.amplitudes) for o in outcomes])
-    _assert_same_ensemble(ens, pool_scalar([(o.probability, o.post_state) for o in outcomes]))
+    pairs = [(o.probability, o.post_state.amplitudes) for o in outcomes]
+    _assert_same_mixture(_pool(pairs), pool_scalar(pairs))
 
 
 def test_pooling_compares_only_rows_within_the_key_window(monkeypatch):
@@ -1234,27 +1252,26 @@ def test_pooling_compares_only_rows_within_the_key_window(monkeypatch):
 
 
 def _two_spin_mixture(seed, kinds):
-    """A mixture of random weights whose members are Bell states (kinds 0-3)
-    or random rows (kind 4), each at a random global phase."""
+    """A mixture (weights, rows) of random weights whose members are Bell
+    states (kinds 0-3) or random rows (kind 4), each at a random global phase."""
     rng = np.random.default_rng(seed)
     rows = [_unit_row(rng) if k == 4 else _BELL_ROWS[k] for k in kinds]
     weights = rng.uniform(1e-3, 1.0, len(kinds))
-    return Ensemble(tuple((w, StateVector(POOL_REG, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * row))
-                          for w, row in zip(weights / weights.sum(), rows)))
+    return weights / weights.sum(), np.array([np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * row for row in rows])
 
 
 _mixtures = st.builds(_two_spin_mixture, st.integers(0, 2 ** 32 - 1),
                       st.lists(st.integers(0, 4), min_size=1, max_size=4))
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), ens_a=_mixtures, ens_b=_mixtures)
+@given(seed=st.integers(0, 2 ** 32 - 1), mixture=_mixtures)
 @settings(max_examples=40, deadline=None)
-def test_pair_stage_matches_scalar_oracle_bit_for_bit(seed, ens_a, ens_b):
+def test_pair_stage_matches_scalar_oracle_bit_for_bit(seed, mixture):
     rng = np.random.default_rng(seed)
     maps = protocols._purification_maps(random_coeffs(rng), random_coeffs(rng))
-    ens, success = protocols._pair_stage(ens_a, ens_b, maps, ("e_a", "e_b"))
-    oracle, oracle_success = pair_stage_scalar(ens_a, ens_b, maps, ("e_a", "e_b"))
-    _assert_same_ensemble(ens, oracle)
+    pooled, success = protocols._pair_stage(*mixture, maps)
+    oracle, oracle_success = pair_stage_scalar(*mixture, maps)
+    _assert_same_mixture(pooled, oracle)
     assert success == oracle_success
 
 
@@ -1354,8 +1371,8 @@ def test_chain_with_purification_round():
 
 def test_deep_practical_chain_stays_compact():
     # noisy practical segments, purification and extension together once blew
-    # ensembles up through duplicated members; mixtures over two spins must
-    # stay at a handful of members with weights summing to 1
+    # ensembles up through duplicated members; the final state is one 4x4
+    # matrix of trace 1
     ch = NoiseChannel(0.6, 0.8, 0.8, -0.6)
     sc = resonant_coeffs(CavityParams(g=2.4, kappa_s=0.2, gamma=0.1))
     scenario = ChainScenario(
@@ -1364,9 +1381,8 @@ def test_deep_practical_chain_stays_compact():
                   SegmentSpec("BC", "B", "C")],
         purify_rounds=1, eta_in=0.9)
     report = run_chain(scenario)
-    assert len(report.final_state.members) <= 8
-    total = sum(w for w, _ in report.final_state.members)
-    assert total == pytest.approx(1.0, abs=1e-12)
+    assert report.final_state.shape == (4, 4)
+    assert np.trace(report.final_state).real == pytest.approx(1.0, abs=1e-12)
     assert 0.0 < report.total_probability < 1.0
     assert 0.0 < report.final_fidelity <= 1.0
 
@@ -1542,12 +1558,30 @@ def test_run_chain_invariants_under_collective_fiber_noise(inputs):
         assert 0.0 <= stage.fidelity <= 1.0 + _ROUNDING
     assert report.total_probability == pytest.approx(
         math.prod(stage.probability for stage in report.stages), abs=1e-12)
-    assert math.fsum(w for w, _ in report.final_state.members) == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(report.final_state).real == pytest.approx(1.0, abs=1e-12)
     # heralded states do not depend on collective fiber rotations
     assert [(s.stage, s.label) for s in report.stages] == [(s.stage, s.label) for s in quiet.stages]
     for stage, reference in zip(report.stages, quiet.stages):
         assert stage.probability == pytest.approx(reference.probability, abs=1e-10)
         assert stage.fidelity == pytest.approx(reference.fidelity, abs=1e-10)
+
+
+@given(st.integers(1, 4), st.integers(0, 2), st.lists(_nodes, min_size=5, max_size=5),
+       st.lists(st.tuples(_chain_fibers, _chain_fibers), min_size=4, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_final_state_is_a_read_only_density_matrix(segments, rounds, nodes, fibers):
+    scenario = _chain_scenario({f"n{i}": c for i, c in enumerate(nodes[:segments + 1])}, fibers[:segments],
+                               rounds, 1.0)
+    report = run_chain(scenario)
+    rho = report.final_state
+    assert rho.shape == (4, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        rho[0, 0] = 0.0
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+    target = phi_minus(report.end_labels).amplitudes
+    assert report.final_fidelity == float(np.vdot(target, rho @ target).real)
 
 
 @st.composite
@@ -1588,9 +1622,7 @@ def test_run_chain_matches_gate_oracle(scenario):
     assert report.total_probability == pytest.approx(oracle.total_probability, abs=1e-12)
     assert report.final_fidelity == pytest.approx(oracle.final_fidelity, abs=1e-12)
     # the fidelity misses a flip of both spins, which keeps every Bell state
-    rho, rho_oracle = ([sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in r.final_state.members)
-                        for r in (report, oracle)])
-    assert np.max(np.abs(rho - rho_oracle)) < 1e-12
+    assert np.max(np.abs(report.final_state - oracle.final_state)) < 1e-12
 
 
 #: practical nodes behind near-collective fibers whose outcome states differ by
@@ -1616,8 +1648,7 @@ def test_a_segment_is_the_mixture_of_its_distribution_outcomes(left, right, nois
     scenario = _chain_scenario({"n0": left, "n1": right}, [(noise_left, noise_right)], 0, eta_in)
     report = run_chain(scenario)
     rho, p = segment_rho(scenario.segments[0], scenario.nodes, report.end_labels)
-    final = sum(w * _outer(s.amplitudes) for w, s in report.final_state.members)
-    assert np.max(np.abs(final - rho)) < 1e-12
+    assert np.max(np.abs(report.final_state - rho)) < 1e-12
     (stage,) = report.stages
     assert stage.probability == pytest.approx(protocols.coupled_probability(p, eta_in, 2), rel=1e-12, abs=0.0)
     target = phi_minus(report.end_labels).amplitudes

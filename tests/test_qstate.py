@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdrepeater.qstate import (
-    Ensemble,
     LinearMap,
     Register,
     RegisterError,
@@ -253,26 +252,6 @@ def test_fidelity_of_orthogonal_bell_states():
     assert fidelity(bell_minus(reg), bell_plus(reg)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ensemble_fidelity_is_the_mixture_weight():
-    reg = two_spins()
-    ens = Ensemble(((0.7, bell_minus(reg)), (0.3, bell_plus(reg))))
-    assert fidelity(ens, bell_minus(reg)) == pytest.approx(0.7, abs=1e-12)
-
-
-@given(st.floats(0.0, 1.0))
-@settings(max_examples=30, deadline=None)
-def test_ensemble_fidelity_is_affine(w):
-    reg = two_spins()
-    a, b = bell_minus(reg), bell_plus(reg)
-    target = bell_minus(reg)
-    if w in (0.0, 1.0):
-        ens = Ensemble(((1.0, a if w == 1.0 else b),))
-    else:
-        ens = Ensemble(((w, a), (1.0 - w, b)))
-    expected = w * fidelity(a, target) + (1.0 - w) * fidelity(b, target)
-    assert fidelity(ens, target) == pytest.approx(expected, abs=1e-12)
-
-
 def test_fidelity_rejects_zero_norm():
     reg = two_spins()
     zero = StateVector(reg, np.zeros(4))
@@ -296,12 +275,6 @@ def test_amplitudes_cannot_exceed_unit_norm():
 def test_nan_amplitudes_rejected():
     with pytest.raises(ValueError):
         StateVector(spin("e"), [np.nan, 0.0])
-
-
-def test_ensemble_weights_must_sum_to_one():
-    reg = two_spins()
-    with pytest.raises(ValueError):
-        Ensemble(((0.5, bell_minus(reg)), (0.4, bell_plus(reg))))
 
 
 def test_allclose_upto_phase():
@@ -335,13 +308,6 @@ _PLUS = superposition(_QUBIT, [(1 / math.sqrt(2), {"a": "0"}), (1 / math.sqrt(2)
     (lambda: StateVector(_QUBIT, np.ones(3)), RegisterError,
      "amplitude length 3 does not match register dimension 2"),
     (lambda: StateVector(_QUBIT, np.zeros(2)).normalized(), ValueError, "cannot normalize a zero-norm state"),
-    (lambda: Ensemble(()), ValueError, "ensemble needs at least one member"),
-    (lambda: Ensemble(((1.5, _PLUS), (-0.5, _PLUS))), ValueError, "ensemble weight 1.5 outside [0, 1]"),
-    (lambda: Ensemble(((float("nan"), _PLUS),)), ValueError, "ensemble weights sum to nan, expected 1"),
-    (lambda: Ensemble(((math.inf, _PLUS), (-math.inf, _PLUS))), ValueError,
-     "ensemble weights sum to nan, expected 1"),
-    (lambda: Ensemble(((1.0, StateVector(_QUBIT, [0.5, 0.5])),)), ValueError,
-     "ensemble members must be normalized"),
     (lambda: LinearMap(np.zeros((2, 3))), ValueError, "linear map must be square, got shape (2, 3)"),
     (lambda: LinearMap(np.diag([0.5, (1 + 1e-9) * 1j])), ValueError,
      "largest singular value 1.000000001 exceeds 1; map would grow norm"),
