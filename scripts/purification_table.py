@@ -4,8 +4,8 @@
 Runs `qdrepeater purify --simulate` for several starting weights, prints
 their rows as one table and writes it to results/purification_rounds.csv,
 with the CLI's columns and cells: `mu` is the recursion, and `mu_simulated`
-replays every round through the two parity checks on the four-spin ensemble
-and must agree with it to full precision.
+replays every round through the two parity checks as one Bell-basis step of
+`purify_round` on the two copies and must agree with it to full precision.
 """
 
 import contextlib

@@ -32,18 +32,19 @@ Four protocols are implemented by exact state-vector evolution:
 Extension and purification are instruments: one fixed map per heralded branch
 (parity and two measured spins), stacked per coefficient set.  One routine
 applies either to pure states: the extension to a chain and a fresh pair in
-`extend_chain`, purification to every pair of members of one mixture in the
-pair stage, whose heralded rows are pooled into one mixture, held there as a
-weight vector and a stack of unit rows.  Everywhere else a two-spin mixture
-is its 4x4 density matrix: a chain holds each stage's, a splice applies the
-extension instrument as one superoperator, T = sum_k A_k x conj(A_k), only a
-purification round expands the matrix into pure states, its eigenvectors,
-and a chain reports its last matrix as its final state.
+`extend_chain`, purification to every pair of members of a chain's mixture
+in the pair stage, whose heralded rows are pooled into one mixture.
+Everywhere else a two-spin mixture is its 4x4 density matrix: a chain holds
+each stage's, a splice applies the extension instrument as one
+superoperator, T = sum_k A_k x conj(A_k), only a chain's purification round
+expands the matrix into pure states, its eigenvectors, and a chain reports
+its last matrix as its final state.  `purify_round`'s Bell mixture stays
+diagonal in the Bell basis, so its round is one contraction of the instrument.
 
 What is built from checked inputs and reused often enough to pay for its cache
 is built once and shared read-only: per process, a photon's path ends (as
 `timebin`'s encoder and decoder maps), both instruments' coefficient-free
-tables and the Bell rows every chain stage and `purify_round` read; per
+tables and the Bell signs, read by `purify_round` and every chain stage; per
 coefficient set (the last 16 each), `scatter_map`'s scattering of a spin in
 |+> and the purification instrument; per rule and n, the pattern
 corrections.  A repeated distribution builds no map; the parity operators,
@@ -149,9 +150,11 @@ def phi_plus(labels) -> StateVector:
     return ghz_state(labels, +1)
 
 
-#: Phi- and Phi+ over two spins, the rows of one read-only array: every chain
-#: stage's target (row 0) and the eigenbasis of `purify_round`'s mixture
-_BELL = np.array([[RT2, 0.0, 0.0, -RT2], [RT2, 0.0, 0.0, RT2]], dtype=complex)
+#: Phi-, Phi+, Psi- and Psi+ over two spins times sqrt(2), read-only: as signs, they keep products
+#: that are 0 in exact arithmetic at 0.0; `_BELL` scales Phi- (every chain stage's target) and Phi+
+_BELL_SIGNS = np.array([[1, 0, 0, -1], [1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0]], dtype=complex)
+_BELL_SIGNS.setflags(write=False)
+_BELL = RT2 * _BELL_SIGNS[:2]
 _BELL.setflags(write=False)
 
 
@@ -725,8 +728,8 @@ def _pair_stage(weights: np.ndarray, rows: np.ndarray, maps):
     """Every pair of members of one two-spin mixture, two copies of the unit
     rows ``rows`` of weights ``weights``, through the purification instrument ``maps``.
 
-    The one step that pools pure states: the eigenvectors of a chain segment's
-    4x4 matrix, or `purify_round`'s two Bell states.  Returns the heralded
+    The one step that pools pure states, the eigenvectors of a chain
+    segment's 4x4 matrix; `purify_round` does not use it.  Returns the heralded
     mixture as `_normalized_ensemble` pools it, from rows listed pair by pair,
     branch by branch, and its success probability at unit input coupling.
     """
@@ -784,20 +787,22 @@ def _splice(rho_chain: np.ndarray, rho_seg: np.ndarray, maps) -> tuple[np.ndarra
 def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[PurificationState, float]:
     """One purification round on two copies of the (mu, 1-mu) Bell mixture.
 
-    This is the chain's pair stage on the mixture's eigenbasis, Phi-
-    (weight mu) and Phi+ (weight 1-mu), with ``coeffs`` at both
-    parties.  At ideal coefficients the kept weight follows
+    The mixture is diagonal in the Bell basis B, so Bell state m keeps weight
+    sum_k sum_ij w_i w_j |<B_m|A_k|B_i B_j>|^2 over the branch maps A_k of
+    `_purification_maps`, with ``coeffs`` at both parties.  The sign table
+    gives each amplitude times 2 sqrt(2), hence the exact division by 8; every
+    term is nonnegative, so small weights keep their relative accuracy.  At
+    ideal coefficients it follows
     mu -> mu^2/(mu^2 + (1-mu)^2) with success probability mu^2 + (1-mu)^2.
     """
     check_mu(mu)
-    weights = np.array([mu, 1.0 - mu])
-    kept = weights > 0.0
-    (w, rows), success = _pair_stage(weights[kept], _BELL[kept], _purification_maps(coeffs, coeffs))
-    # the weighted sum of each row's fidelity |<Phi-|row>|^2 / |row|^2, which
-    # stays in [0, 1] where <Phi-|rho|Phi-> can round below 0
-    mu_out = sum(wk * float(abs(np.vdot(_BELL[0], row)) ** 2 / float(np.vdot(row, row).real))
-                 for wk, row in zip(w.tolist(), rows))
-    return PurificationState(mu=mu_out, round=1, success_probability=success), 1.0 - success
+    amps = _BELL_SIGNS @ _purification_maps(coeffs, coeffs) @ np.kron(_BELL_SIGNS[:2], _BELL_SIGNS[:2]).T
+    w = np.array([mu, 1.0 - mu])
+    out = ((abs(amps) ** 2).sum(axis=0) @ np.kron(w, w) / 8.0).tolist()
+    success = math.fsum(out)
+    if not success > _ZERO:
+        raise NoSurvivingBranchError("purification heralded no surviving branches")
+    return PurificationState(mu=out[0] / success, round=1, success_probability=success), 1.0 - success
 
 
 def purify_analytic(mu: float, rounds: int) -> list[PurificationState]:

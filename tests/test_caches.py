@@ -3,8 +3,9 @@
 Registers keep their sizes, a photon's path ends are built once per
 process, the |+> scattering and the purification instrument once per
 coefficient set, both instruments' coefficient-free tables once per
-process and the pattern corrections once per rule and n; the Bell rows of
-chain stages and `purify_round` are one read-only module constant.  The
+process and the pattern corrections once per rule and n; the Bell signs
+`purify_round` contracts with, and the Bell rows chain stages read, are
+read-only module constants.  The
 parity operators, the extension instrument and the spin targets (each a few
 microseconds of array arithmetic) and the maps the cached pieces start from
 (`encode_map`, `decode_map`, `scatter_map`) are built afresh on each call,
@@ -170,22 +171,20 @@ def test_pcd_builds_no_map_and_checks_its_states_as_one_stack(monkeypatch, rng, 
 def test_a_new_coefficient_set_builds_its_instruments_without_kron_or_gate_products(monkeypatch, rng):
     protocols._instrument_tables()      # the tables are the process's, built by any earlier instrument
     coeffs_a, coeffs_b = random_coeffs(rng), random_coeffs(rng)     # sets no earlier call has seen
-    krons, gates = [], []
-    kron, gate_product = np.kron, protocols._gate_product
+    krons, kron = [], np.kron
 
     def counted_kron(*args, **kwargs):
         krons.append(args)
         return kron(*args, **kwargs)
 
-    def counted_gate_product(names):
-        gates.append(names)
-        return gate_product(names)
+    def gate_product(names):
+        raise AssertionError(f"a new coefficient set took the gate product {tuple(names)}")
 
     monkeypatch.setattr(np, "kron", counted_kron)
-    monkeypatch.setattr(protocols, "_gate_product", counted_gate_product)
+    monkeypatch.setattr(protocols, "_gate_product", gate_product)
     maps = [protocols._extension_maps(coeffs_a), protocols._purification_maps(coeffs_a, coeffs_b)]
     monkeypatch.undo()
-    assert krons == [] and gates == []
+    assert krons == []
     assert [m.shape for m in maps] == [(8, 2, 8), (8, 4, 16)]
 
 
@@ -207,7 +206,7 @@ def test_fresh_maps_are_read_only(build):
     assert build().matrix[0, 0] != 7.0
 
 
-#: every cached map and the Bell rows, as the array a caller could try to write to
+#: every cached map, the Bell signs and the Bell rows, as the array a caller could try to write to
 CACHED_ARRAYS = {
     "decoder ends": lambda: protocols._path_ends()[0],
     "encoder end": lambda: protocols._path_ends()[1],
@@ -218,6 +217,7 @@ CACHED_ARRAYS = {
     "purification table": lambda: protocols._instrument_tables()[1],
     "purification rotation": lambda: protocols._instrument_tables()[2],
     "purification maps": lambda: protocols._purification_maps(_practical(), IDEAL),
+    "Bell signs": lambda: protocols._BELL_SIGNS,
     "Bell rows": lambda: protocols._BELL,
 }
 
@@ -284,8 +284,9 @@ def test_cached_targets_equal_a_fresh_superposition(sign):
         assert np.array_equal(target.amplitudes, fresh.amplitudes)
     pair = (phi_plus if sign == 1 else phi_minus)(("x", "y"))
     assert np.array_equal(pair.amplitudes, np.array([RT2, 0.0, 0.0, sign * RT2]))
-    # the Bell rows hold Phi- first, then Phi+
+    # the Bell rows hold Phi- first, then Phi+, the first two signs scaled
     assert np.array_equal(protocols._BELL[(sign + 1) // 2], pair.amplitudes)
+    assert np.array_equal(RT2 * protocols._BELL_SIGNS[(sign + 1) // 2], pair.amplitudes)
 
 
 def test_a_register_that_read_its_sizes_still_equals_and_hashes_as_one_that_did_not():

@@ -402,15 +402,17 @@ def test_purify_simulation_follows_the_recursion_on_every_round(capsys):
         assert float(row[-1]) == pytest.approx(float(row[header.index("mu")]), abs=1e-10)
 
 
-#: every simulated round's mu is the weighted sum of its pooled rows'
-#: fidelities; <Phi-|rho|Phi-> prints round 2 as 1.99840802908e-08
+#: every simulated round's mu is the Phi- weight of one Bell-basis step, a
+#: sum of nonnegative terms, so it keeps the recursion's digits at every
+#: round; <Phi-|rho|Phi-> in the computational basis prints round 2 as
+#: 1.99840802908e-08
 PURIFY_SMALL_MU = """\
 mu0,round,mu,success_probability,cumulative_success,mu_simulated
 0.01175,1,0.000141345080481,0.976776125,0.976776125,0.000141345080481
 0.01175,2,1.99840802805e-08,0.999717349796,0.976500039029,1.99840802805e-08
 0.01175,3,3.99363480621e-16,0.999999960032,0.9765,3.99363480621e-16
-0.01175,4,1.59491189654e-31,1,0.9765,1.02952200055e-34
-0.01175,5,2.54374395771e-62,1,0.9765,1.02952200055e-34
+0.01175,4,1.59491189654e-31,1,0.9765,1.59491189654e-31
+0.01175,5,2.54374395771e-62,1,0.9765,2.54374395771e-62
 """
 
 

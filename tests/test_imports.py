@@ -114,11 +114,12 @@ def test_scan_flags_private_attribute_reads():
 #: entry, so the list is exact.  `_normalized_ensemble` is read because the
 #: pooling lost its public route with `heralded_ensemble`; it leaves `src/`
 #: with the pooling itself (ROADMAP item 2).  `_purify` is read to hold
-#: `purify_round` to the chain's round, `_BELL` to check it is read-only.
+#: `purify_round` to the chain's round, `_BELL` and `_BELL_SIGNS` to check
+#: they are read-only.
 PRIVATE_READS = [
     "qdrepeater.cli._read_config", "qdrepeater.protocols._BELL",
-    "qdrepeater.protocols._bell_correction", "qdrepeater.protocols._equal_upto_phase",
-    "qdrepeater.protocols._extension_maps", "qdrepeater.protocols._gate_product",
+    "qdrepeater.protocols._BELL_SIGNS", "qdrepeater.protocols._bell_correction",
+    "qdrepeater.protocols._equal_upto_phase", "qdrepeater.protocols._extension_maps",
     "qdrepeater.protocols._ghz_correction", "qdrepeater.protocols._instrument_tables",
     "qdrepeater.protocols._normalized_ensemble", "qdrepeater.protocols._pair_stage",
     "qdrepeater.protocols._parity_operators", "qdrepeater.protocols._path_ends",

@@ -221,6 +221,19 @@ def test_one_purification_round_matches_its_closed_form(mu, coeffs):
     assert form.mu == pytest.approx(state.mu, abs=1e-10)
 
 
+@given(st.floats(-10.0, 0.0), st.integers(0, 2 ** 32 - 1) | _node())
+@example(-10.0, IDEAL)
+@example(-10.0, 0)
+@settings(max_examples=60, deadline=None)
+def test_one_purification_round_matches_its_closed_form_relatively(log_mu, node):
+    # the kept weight shrinks round after round, so it is held to relative accuracy
+    coeffs = random_coeffs(np.random.default_rng(node)) if isinstance(node, int) else node
+    state, _ = purify_round(10.0 ** log_mu, coeffs)
+    form = purification_metrics(10.0 ** log_mu, coeffs)
+    assert abs(state.mu - form.mu) <= 1e-10 * form.mu
+    assert abs(state.success_probability - form.success_probability) <= 1e-10 * form.success_probability
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 1.0])
 def test_purification_closed_form_reduces_to_the_ideal_recursion(mu):
     (ideal,) = purify_analytic(mu, 1)

@@ -1036,8 +1036,9 @@ def test_purify_round_matches_gate_oracle(mu, seed):
 @given(st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_purify_round_is_the_chain_round_on_the_bell_mixture(mu, seed):
-    # the chain's round on mu|Phi-><Phi-| + (1-mu)|Phi+><Phi+| runs the pair
-    # stage on the matrix's own eigenbasis; purify_round feeds it Phi- and Phi+
+    # two independent computations of one round: the chain's pools the pair
+    # stage's rows on the matrix's eigenvectors, purify_round contracts the
+    # instrument with the Bell basis, in which the mixture is diagonal
     coeffs = random_coeffs(np.random.default_rng(seed))
     state, discarded = purify_round(mu, coeffs)
     labels = ("e_a", "e_b")
@@ -1046,6 +1047,17 @@ def test_purify_round_is_the_chain_round_on_the_bell_mixture(mu, seed):
     assert abs(state.mu - _weight(out, phi_minus(labels))) <= 1e-14
     assert abs(state.success_probability - p) <= 1e-14
     assert abs(discarded - (1.0 - p)) <= 1e-14
+
+
+def test_purify_round_reaches_no_pooling(monkeypatch, rng):
+    def pooled(*args):
+        raise AssertionError("purify_round reached the pair stage's pooling")
+    for name in ("_pair_stage", "_apply_instrument", "_normalized_ensemble", "_eigen_ensemble", "_equal_upto_phase"):
+        monkeypatch.setattr(protocols, name, pooled)
+    for coeffs in (IDEAL, random_coeffs(rng)):
+        for mu in (0.0, 1e-30, 0.7, 1.0):
+            state, _ = purify_round(mu, coeffs)
+            assert 0.0 <= state.mu <= 1.0 and state.success_probability > 0.0
 
 
 def test_purify_rejects_bad_mu():
