@@ -46,10 +46,14 @@ is built once and shared read-only: per process, a photon's path ends (as
 `timebin`'s encoder and decoder maps), both instruments' coefficient-free
 tables and the Bell signs, read by `purify_round` and every chain stage; per
 coefficient set (the last 16 each), `scatter_map`'s scattering of a spin in
-|+> and the purification instrument; per rule and n, the pattern
-corrections.  A repeated distribution builds no map; the parity operators,
-the extension instrument and `ghz_state`, a few microseconds each, are built
-on each call.
+|+> and the purification instrument; per correction rule and spin labels
+(the last 16), distribution's outcome table: the spins' register, each
+pattern's correction on the labels, every detection label, and each
+photon's correction as one gather and sign over its transfer amplitudes.
+A repeated distribution builds no map, no register and no label, and reads
+its states off the formed array in place when every row heralds; the
+parity operators, the extension instrument and `ghz_state`, a few
+microseconds each, are built on each call.
 
 Branch probabilities are exact: imperfect cavity coefficients shrink the
 pre-detection norm, and one minus the sum of all heralded probabilities is
@@ -134,8 +138,12 @@ def spin_register(labels) -> Register:
 
 
 def ghz_state(labels, sign: int = 1) -> StateVector:
-    """(|up...up> + sign |dn...dn>)/sqrt(2) over fresh spin subsystems."""
+    """(|up...up> + sign |dn...dn>)/sqrt(2) over fresh spin subsystems; ``sign`` is +1 or -1."""
+    if sign not in (1, -1):
+        raise ValueError(f"GHZ sign must be +1 or -1, not {sign!r}")
     reg = spin_register(labels)
+    if not reg.subsystems:
+        raise ValueError("a GHZ state needs at least one spin label")
     return superposition(reg, [
         (RT2, {lab: "up" for lab in reg.labels}),
         (sign * RT2, {lab: "dn" for lab in reg.labels}),
@@ -215,46 +223,63 @@ def _photon_transfers(noises, coeffs_list, phase_photon: int) -> np.ndarray:
     return (plus @ paths.reshape(n, 4, 4)).reshape(n, 2, 2, 2, 2, 2)     # paths as (p, d) x (t, s)
 
 
-@functools.cache
-def _pattern_corrections(correction_for, n: int):
-    """Pattern labels, time-bin names and pattern corrections in product
-    order, once per rule and n for every distribution, with each correction photon by photon:
-    photon i's factor of pattern k, rows (port, spin), is corrected to
-    sign[i, k, b] * factor[index[i, k, b]] for spin b, as the x and z gates
-    one by one do.  Both are built as nested lists and kept as read-only arrays."""
+@functools.lru_cache(maxsize=16)
+def _pattern_corrections(correction_for, spin_labels: tuple[str, ...]):
+    """The outcome table of distribution by the rule ``correction_for`` over
+    the spins ``spin_labels``, built once per rule and labels for every
+    distribution (the last 16 kept), each part in product order: the spins'
+    `Register`; each port pattern's correction, its gates on the labels;
+    each pattern's detection label, and each (pattern, time bin) row's
+    ``pattern:bins``, listed when the fibers split; and every photon's
+    correction as a read-only pair (gather, sign) over the flat output v of
+    `_photon_transfers`.  Photon i's factor of pattern k, axes (s, k, t,
+    spin), is corrected to v.take(gather[i]) * sign[i], as the rule's x and z
+    gates one by one do: x swaps spin i's up and dn, z negates its dn.
+    """
+    n = len(spin_labels)
     patterns = list(itertools.product(_PORTS, repeat=n))
     corrections = [correction_for(pattern) for pattern in patterns]
-    index = [[[2 * _PORTS.index(p[i]), 2 * _PORTS.index(p[i]) + 1] for p in patterns] for i in range(n)]
-    sign = [[[1.0, 1.0] for _ in patterns] for _ in range(n)]
+    # at j = i 2^n + k: whether photon i's gates of pattern k swap its spins, and each spin's sign
+    flip, sign = [0] * (n << n), [1.0] * (2 * n << n)
     for k, gates in enumerate(corrections):
-        for g, i in gates:      # x swaps spin i's up and dn, z negates its dn
+        for g, i in gates:
+            j = (i << n) + k
             if g == "x":
-                index[i][k], sign[i][k] = index[i][k][::-1], sign[i][k][::-1]
+                flip[j] ^= 1
+                sign[2 * j], sign[2 * j + 1] = sign[2 * j + 1], sign[2 * j]
             else:
-                sign[i][k][1] *= -1.0
-    index, sign = np.array(index, dtype=np.intp), np.array(sign)
-    for table in (index, sign):
+                sign[2 * j + 1] = -sign[2 * j + 1]
+    # photon i's port in pattern k as (i, k, 1), and where each v[i, p, d, spin, t, s] lies
+    port = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)[:, None, None] & 1
+    at = np.arange(32 * n).reshape(n, 2, 2, 2, 2, 2)
+    gather = at[np.arange(n)[:, None, None], np.take(_PORT_AXES[0], port), np.take(_PORT_AXES[1], port),
+                np.arange(2) ^ np.reshape(flip, (n, -1, 1))]
+    gather = np.ascontiguousarray(gather.transpose(0, 4, 1, 3, 2))
+    sign = np.reshape(sign, (n, 1, -1, 1, 2))
+    for table in (gather, sign):
         table.setflags(write=False)
-    labels = ["".join(pol + ("↑" if d == "up" else "↓") for pol, d in pattern) for pattern in patterns]
-    tb_names = [",".join(bins) for bins in itertools.product(TB_DECODED, repeat=n)]
-    return labels, tb_names, corrections, index, sign
+    labels = ["".join(p) for p in itertools.product([pol + ("↑" if d == "up" else "↓") for pol, d in _PORTS],
+                                                    repeat=n)]
+    bins = [":" + ",".join(b) for b in itertools.product(TB_DECODED, repeat=n)]
+    gates = [tuple((g, spin_labels[i]) for g, i in c) for c in corrections]
+    return spin_register(spin_labels), gates, labels, [a + b for a in labels for b in bins], gather, sign
 
 
-def _distribution_amplitudes(noises, coeffs_list, phase_photon, correction_for):
+def _distribution_amplitudes(noises, coeffs_list, phase_photon, gather, sign):
     """The corrected (port pattern, time bin, spin) amplitude array of n-photon
     distribution, built photon by photon, and its rows' squared norms.
 
     The source emits (|H...H> + |V...V>)/sqrt(2), and every photon runs its
     own path to its own spin, so the state before detection is
     (x_i v_i[H] + x_i v_i[V])/sqrt(2) with x the tensor product; photon
-    ``phase_photon`` gets the pi phase.  Each correction is applied to each
+    ``phase_photon`` gets the pi phase.  Each correction, the table pair
+    ``gather``, ``sign`` of `_pattern_corrections`, is applied to each
     photon's factor, and the products, from the last photon to the first,
     form the array in ``itertools.product`` order.  A row's probability is
     its squared norm; they add up to the norm left after scattering, stray
     ports included, or the array is not returned.
     """
     n = len(noises)
-    *_, index, sign = _pattern_corrections(correction_for, n)
     v = _photon_transfers(noises, coeffs_list, phase_photon)
     # <x_i a_i, x_i b_i> = prod_i <a_i, b_i> gives the full norm, stray ports included
     flat = v.reshape(n, 16, 2)
@@ -263,9 +288,7 @@ def _distribution_amplitudes(noises, coeffs_list, phase_photon, correction_for):
 
     # photon i's corrected factor of pattern k, f[i, s, k, t, spin], contiguous
     # so that each product below runs along whole rows
-    ports = v[:, _PORT_AXES[0], _PORT_AXES[1]].transpose(0, 1, 2, 4, 3).reshape(n, 4, 2, 2)
-    f = np.ascontiguousarray((ports[np.arange(n)[:, None, None], index] * sign[..., None, None])
-                             .transpose(0, 3, 1, 4, 2))
+    f = v.take(gather) * sign
     amps = RT2 * f[-1]
     for fi in f[-2::-1]:        # axes (s, k, time bins, spins), photon i's bin and spin first
         span = 2 * amps.shape[2]
@@ -291,12 +314,17 @@ def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, corre
     early one times e^{i phi} still splits, into outcomes of one state
     (fidelity (1 + cos phi)/2 at ideal nodes, `channel_mixing_weight`); a
     chain segment adds such outcomes into its 4x4 state as it adds any
-    other (`_segment`).  The listed states are checked as one stack, each a
-    view of its row, and a dead pattern keeps its place.
+    other (`_segment`).  A dead pattern keeps its place.
+
+    The register, corrections and detection labels are read from the outcome
+    table of `_pattern_corrections`.  The listed states are checked as one
+    stack by `StateVector.rows`, each a view of its row of the stack's one
+    copy; when the fibers split and every row heralds, the rows are
+    normalized in place in the formed array, and that copy is the only one.
     """
     n = len(spin_labels)
-    labels, tb_names, corrections, _, _ = _pattern_corrections(correction_for, n)
-    amps, probs = _distribution_amplitudes(noises, coeffs_list, phase_photon, correction_for)
+    register, gates, labels, split_labels, gather, sign = _pattern_corrections(correction_for, spin_labels)
+    amps, probs = _distribution_amplitudes(noises, coeffs_list, phase_photon, gather, sign)
 
     split = any(ch.delta_l != ch.delta or ch.eta_l != ch.eta for ch in noises)
     live = probs > _ZERO
@@ -304,9 +332,11 @@ def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, corre
     # sum of the live probabilities, which adds them one by one in their order
     heralds = live.any(axis=1)
     pats, tbs = np.nonzero(live) if split else (np.flatnonzero(heralds), live.argmax(axis=1)[heralds])
-    heralded = probs[pats, tbs] if split else np.where(live, probs, 0.0).cumsum(axis=1)[pats, -1]
-    posts = amps[pats, tbs]
-    posts /= np.sqrt(probs[pats, tbs])[:, None]
+    listed = probs[pats, tbs]
+    heralded = listed if split else np.where(live, probs, 0.0).cumsum(axis=1)[pats, -1]
+    # split with every row heralding, each row is normalized in place, in the formed array
+    posts = amps.reshape(probs.size, -1) if split and live.all() else amps[pats, tbs]
+    posts /= np.sqrt(listed)[:, None]
     # the target's two nonzero entries, elementwise as a stacked product starts BLAS threads
     overlaps = posts[:, 0] * RT2 + posts[:, -1] * (target_sign * RT2)
     parts = posts.view(np.float64)
@@ -314,19 +344,23 @@ def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, corre
     scaled = heralded * eta_in ** n      # `coupled_probability`, on every outcome at once
     heralded = np.where(scaled >= sys.float_info.min, scaled, 0.0)
 
-    gates = [tuple((g, spin_labels[i]) for g, i in gates_idx) for gates_idx in corrections]
-    states = StateVector.rows(spin_register(spin_labels), posts)
+    names, rows = (split_labels, pats * probs.shape[1] + tbs) if split else (labels, pats)
     new = object.__new__
     outcomes = []
-    for k, j, p, state, fid in zip(pats.tolist(), tbs.tolist(), heralded.tolist(), states, fids.tolist()):
+    for k, r, p, state, fid in zip(pats.tolist(), rows.tolist(), heralded.tolist(),
+                                   StateVector.rows(register, posts), fids.tolist()):
         o = new(HeraldedOutcome)        # fields set as the frozen __init__ sets them; it checks nothing
-        o.__dict__.update(detection=f"{labels[k]}:{tb_names[j]}" if split else labels[k], probability=p,
-                          correction=gates[k], post_state=state, fidelity=fid)
+        o.__dict__.update(detection=names[r], probability=p, correction=gates[k], post_state=state, fidelity=fid)
         outcomes.append(o)
-    dead = np.flatnonzero(~heralds)    # each after the live outcomes of the patterns before it
-    for at, k in zip((np.searchsorted(pats, dead) + np.arange(len(dead))).tolist(), dead.tolist()):
-        outcomes.insert(at, HeraldedOutcome(labels[k], 0.0, gates[k], None, None))
+    if not heralds.all():
+        dead = np.flatnonzero(~heralds)    # each after the live outcomes of the patterns before it
+        for at, k in zip((np.searchsorted(pats, dead) + np.arange(len(dead))).tolist(), dead.tolist()):
+            outcomes.insert(at, HeraldedOutcome(labels[k], 0.0, gates[k], None, None))
     return outcomes
+
+
+#: the spins of `distribute_bell` unless named, whose table a chain segment reads
+_BELL_LABELS = ("e_a", "e_b")
 
 
 def _bell_correction(pattern):
@@ -371,7 +405,7 @@ def distribute_bell(
     coeffs_a: ScatterCoeffs,
     coeffs_b: ScatterCoeffs,
     eta_in: float = 1.0,
-    spin_labels=("e_a", "e_b"),
+    spin_labels=_BELL_LABELS,
 ) -> list[HeraldedOutcome]:
     """Distribute one Bell pair between two nodes; herald on both photons.
 
@@ -409,7 +443,7 @@ def distribute_ghz(
     coeffs = list(coeffs)
     if len(noise) != n or len(coeffs) != n:
         raise ValueError("need one noise channel and one coefficient set per photon")
-    labels = [f"e_{chr(ord('a') + i)}" for i in range(n)]
+    labels = tuple(f"e_{chr(ord('a') + i)}" for i in range(n))
     return _distribution_outcomes(noise, coeffs, 0, labels, _ghz_correction, 1, eta_in)
 
 
@@ -749,7 +783,8 @@ def _segment(noise_a: NoiseChannel, noise_b: NoiseChannel, coeffs_a: ScatterCoef
     heralded outcomes unnormalized, so rho = sum_i |row_i><row_i| / sum_i p_i;
     no outcome list is built.  `distribute_bell` lists the same rows.
     """
-    amps, probs = _distribution_amplitudes((noise_a, noise_b), (coeffs_a, coeffs_b), 1, _bell_correction)
+    *_, gather, sign = _pattern_corrections(_bell_correction, _BELL_LABELS)
+    amps, probs = _distribution_amplitudes((noise_a, noise_b), (coeffs_a, coeffs_b), 1, gather, sign)
     live = probs > _ZERO
     if not live.any():
         raise NoSurvivingBranchError("no surviving branches")

@@ -16,8 +16,9 @@ pattern at a time, correcting each state with one dense matrix.  The
 library forms the array already corrected, each correction applied to
 each photon's factor, and lists the outcomes in whole-array steps; the
 tests compare the two.  `pattern_corrections_loop` writes those per-photon
-correction tables one numpy element at a time; the library builds them as
-lists, and the tests hold the two to equal arrays.
+correction tables, positions in the flat per-photon transfers and signs,
+one numpy element at a time; the library builds them in whole-list steps,
+and the tests hold the two to equal arrays.
 
 `run_pcd` evolves the probe photon of a parity check together with the
 spins through the detector optics and measures it, the spins' even and odd
@@ -349,21 +350,30 @@ def distribution_branches(noises, coeffs_list, phase_photon):
 
 
 def pattern_corrections_loop(correction_for, n):
-    """(index, sign) tables of per-photon corrections, as `distribute_ghz`
-    reads them: photon i's factor of pattern k is corrected to
-    sign[i, k, b] * factor[index[i, k, b]] for spin b, written one element
-    at a time, each gate of a pattern's rule in the rule's order."""
-    index = np.empty((n, 2 ** n, 2), dtype=np.intp)
-    sign = np.ones((n, 2 ** n, 2))
+    """(gather, sign) tables of per-photon corrections, as `distribute_ghz`
+    reads them off the flat per-photon transfers v[i, p, d, spin, t, s]:
+    photon i's factor of pattern k is corrected to
+    sign[i, 0, k, 0, b] * v.flat[gather[i, s, k, t, b]] for spin b, written
+    one element at a time, each gate of a pattern's rule in the rule's
+    order; gather names the entry at the photon's port (p, d) whose spin
+    the gates moved to b."""
+    index = np.empty((n, 2 ** n, 2), dtype=np.intp)     # 2 * port + the spin that lands on b
+    sign = np.ones((n, 1, 2 ** n, 1, 2))
     for k, pattern in enumerate(itertools.product(PORTS, repeat=n)):
         for i, port in enumerate(pattern):
             index[i, k] = 2 * PORTS.index(port) + np.arange(2)
         for g, i in correction_for(pattern):      # x swaps spin i's up and dn, z negates its dn
             if g == "x":
-                index[i, k], sign[i, k] = index[i, k, ::-1], sign[i, k, ::-1]
+                index[i, k], sign[i, 0, k, 0] = index[i, k, ::-1], sign[i, 0, k, 0, ::-1]
             else:
-                sign[i, k, 1] *= -1.0
-    return index, sign
+                sign[i, 0, k, 0, 1] *= -1.0
+    gather = np.empty((n, 2, 2 ** n, 2, 2), dtype=np.intp)
+    for i, s, k, t, b in itertools.product(range(n), range(2), range(2 ** n), range(2), range(2)):
+        port, spin = divmod(int(index[i, k, b]), 2)
+        pol, d = PORTS[port]
+        gather[i, s, k, t, b] = np.ravel_multi_index(
+            (i, POL_CIRCULAR.index(pol), DIRECTION.index(d), spin, t, s), (n, 2, 2, 2, 2, 2))
+    return gather, sign
 
 
 def ghz_correction_search(n):

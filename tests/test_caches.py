@@ -3,7 +3,9 @@
 Registers keep their sizes, a photon's path ends are built once per
 process, the |+> scattering and the purification instrument once per
 coefficient set, both instruments' coefficient-free tables once per
-process and the pattern corrections once per rule and n; the Bell signs
+process and distribution's outcome table (the spins' register, the labeled
+corrections, the detection labels and each photon's correction as a
+read-only gather and sign) once per rule and spin labels; the Bell signs
 `purify_round` contracts with, and the Bell rows chain stages read, are
 read-only module constants.  The
 parity operators, the extension instrument and the spin targets (each a few
@@ -11,7 +13,8 @@ microseconds of array arithmetic) and the maps the cached pieces start from
 (`encode_map`, `decode_map`, `scatter_map`) are built afresh on each call,
 the maps read-only like every `LinearMap`.  These tests hold
 the saving (a repeated distribution makes no singular value decomposition
-and no Kronecker product, and checks its listed live states as one stack;
+and no Kronecker product, builds no register, formats no detection label,
+and checks its listed live states as one stack;
 a parity check builds and applies no map and checks its states as one
 stack; a new coefficient set's instruments take no Kronecker product and
 no gate product), show that nothing cached can be written to and that
@@ -107,6 +110,54 @@ def test_a_repeated_ghz_distribution_makes_no_kron_and_checks_its_live_states_as
     [(register, shape, states)] = stacks
     assert shape == (len(live), 2 ** 4)
     assert all(o.post_state is state and o.post_state.register is register for o, state in zip(live, states))
+
+
+@pytest.fixture
+def registers_built(monkeypatch):
+    built = []
+    for cls in (Register, Subsystem):
+        def counted(self, post_init=cls.__post_init__):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+def test_a_repeated_ghz_distribution_builds_no_register_and_formats_no_label(registers_built, rng):
+    noises = [random_asymmetric(rng)] + [random_symmetric(rng) for _ in range(3)]
+    empty = resonant_coeffs(CavityParams(g=0.0))
+    coeffs = [empty, empty, IDEAL, _practical()]
+    first = distribute_ghz(4, noises, coeffs)
+    registers_built.clear()
+    again = distribute_ghz(4, noises, coeffs)
+    assert registers_built == []
+    assert {o.post_state is None for o in again} == {True, False}      # dead patterns and live rows
+    assert [(o.detection, o.probability, o.fidelity) for o in again] == \
+           [(o.detection, o.probability, o.fidelity) for o in first]
+    # the labels, corrections and register are the cached table's own objects, not made anew
+    for old, new in zip(first, again):
+        assert new.detection is old.detection and new.correction is old.correction
+        if new.post_state is not None:
+            assert new.post_state.register is old.post_state.register
+
+
+def test_bell_distribution_over_its_own_labels_gets_its_own_register_and_gates(rng):
+    noise_a, noise_b = random_asymmetric(rng), random_asymmetric(rng)
+
+    def run(*labels):
+        return distribute_bell(noise_a, noise_b, _practical(), IDEAL, **({"spin_labels": labels} if labels else {}))
+
+    runs = [(("x", "y"), run("x", "y")), (("e_a", "e_b"), run()), (("x", "y"), run("x", "y"))]
+    for labels, outcomes in runs:
+        live = [o for o in outcomes if o.post_state is not None]
+        assert live and {o.post_state.register for o in live} == {spin_register(labels)}
+        assert {o.correction for o in outcomes} == {(), (("x", labels[1]),)}
+        # the labels name the spins and nothing else
+        assert [(o.detection, o.probability, o.fidelity, o.post_state.amplitudes.tobytes()) for o in live] == \
+               [(o.detection, o.probability, o.fidelity, o.post_state.amplitudes.tobytes())
+                for o in runs[1][1] if o.post_state is not None]
+    assert runs[0][1][0].post_state.register is runs[2][1][0].post_state.register
 
 
 def test_an_outcome_built_in_one_pass_equals_one_built_by_its_constructor(rng):
@@ -211,8 +262,8 @@ CACHED_ARRAYS = {
     "decoder ends": lambda: protocols._path_ends()[0],
     "encoder end": lambda: protocols._path_ends()[1],
     "plus scatter": lambda: protocols._plus_scatter(_practical()),
-    "correction index": lambda: protocols._pattern_corrections(protocols._ghz_correction, 3)[3],
-    "correction sign": lambda: protocols._pattern_corrections(protocols._ghz_correction, 3)[4],
+    "correction gather": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[4],
+    "correction sign": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[5],
     "extension table": lambda: protocols._instrument_tables()[0],
     "purification table": lambda: protocols._instrument_tables()[1],
     "purification rotation": lambda: protocols._instrument_tables()[2],

@@ -1,8 +1,8 @@
 """The tests, the CLI, the metrics and the scripts import only public names
-of the library and read no private name off its modules but the 17 that
-`PRIVATE_READS` pins, all read by the tests; no module imports a name it
-does not use, and every private top-level name of the library is read
-somewhere in it."""
+of the library and read or ``setattr`` no private name off its modules but
+the 21 that `PRIVATE_READS` pins, all by the tests; no module imports a
+name it does not use, and every private top-level name of the library is
+read somewhere in it."""
 
 import ast
 import pathlib
@@ -77,7 +77,10 @@ def private_attribute_reads(source: str, modules) -> list[str]:
     """Every ``_``-prefixed attribute read off a name bound to a qdrepeater
     module, as ``qdrepeater.module._name``; ``modules`` are the package's
     module names.  A name is bound by ``import qdrepeater[.m] [as x]`` or by
-    ``from qdrepeater import m [as x]`` (``from . import m`` inside the package)."""
+    ``from qdrepeater import m [as x]`` (``from . import m`` inside the package).
+    A ``setattr`` call (``monkeypatch.setattr`` too) reaches the same way into
+    its target: a bound module and a string ``"_name"``, or one dotted string
+    ``"qdrepeater.module._name"``."""
     tree = ast.parse(source)
     bound = {}
     for node in ast.walk(tree):
@@ -95,6 +98,15 @@ def private_attribute_reads(source: str, modules) -> list[str]:
                 base = base.value
             if isinstance(base, ast.Name) and base.id in bound:
                 found.append(".".join([bound[base.id], *path, node.attr]))
+        elif isinstance(node, ast.Call) and "setattr" in (getattr(node.func, "attr", None),
+                                                          getattr(node.func, "id", None)):
+            target = [a.value if isinstance(a, ast.Constant) else a for a in node.args[:2]]
+            if len(target) == 2 and isinstance(target[0], ast.Name) and target[0].id in bound and \
+                    isinstance(target[1], str) and _is_private(target[1]):
+                found.append(f"{bound[target[0].id]}.{target[1]}")
+            elif target and isinstance(target[0], str) and target[0].split(".")[0] == "qdrepeater" and \
+                    _is_private(target[0].split(".")[-1]):
+                found.append(target[0])
     return sorted(found)
 
 
@@ -109,17 +121,31 @@ def test_scan_flags_private_attribute_reads():
     assert private_attribute_reads("from .protocols import pcd\npcd._x\n", modules) == []
 
 
+def test_scan_flags_private_setattr_targets():
+    modules = {"protocols", "timebin"}
+    source = ("from qdrepeater import protocols as p\nimport os\n"
+              "monkeypatch.setattr(p, '_a', f)\nsetattr(p, '_b', f)\nmonkeypatch.setattr(p, 'c', f)\n"
+              "monkeypatch.setattr('qdrepeater.timebin._d', f)\nmonkeypatch.setattr('qdrepeater.timebin.e', f)\n"
+              "monkeypatch.setattr(os, '_f', f)\nmonkeypatch.setattr(p, name, f)\nmonkeypatch.setattr(p)\nsetattr()\n")
+    assert private_attribute_reads(source, modules) == [
+        "qdrepeater.protocols._a", "qdrepeater.protocols._b", "qdrepeater.timebin._d"]
+
+
 #: every private name the tests, the CLI, the metrics and the scripts read
 #: off a library module; a new reach-in fails here, and so does a stale
 #: entry, so the list is exact.  `_normalized_ensemble` is read because the
 #: pooling lost its public route with `heralded_ensemble`; it leaves `src/`
 #: with the pooling itself (ROADMAP item 2).  `_purify` is read to hold
 #: `purify_round` to the chain's round, `_BELL` and `_BELL_SIGNS` to check
-#: they are read-only.
+#: they are read-only; `_distribution_outcomes`, `_gate_product`,
+#: `_apply_instrument` and `_eigen_ensemble` are replaced by ``monkeypatch`` to
+#: show that a path never reaches them.
 PRIVATE_READS = [
     "qdrepeater.cli._read_config", "qdrepeater.protocols._BELL",
-    "qdrepeater.protocols._BELL_SIGNS", "qdrepeater.protocols._bell_correction",
-    "qdrepeater.protocols._equal_upto_phase", "qdrepeater.protocols._extension_maps",
+    "qdrepeater.protocols._BELL_SIGNS", "qdrepeater.protocols._apply_instrument",
+    "qdrepeater.protocols._bell_correction", "qdrepeater.protocols._distribution_outcomes",
+    "qdrepeater.protocols._eigen_ensemble", "qdrepeater.protocols._equal_upto_phase",
+    "qdrepeater.protocols._extension_maps", "qdrepeater.protocols._gate_product",
     "qdrepeater.protocols._ghz_correction", "qdrepeater.protocols._instrument_tables",
     "qdrepeater.protocols._normalized_ensemble", "qdrepeater.protocols._pair_stage",
     "qdrepeater.protocols._parity_operators", "qdrepeater.protocols._path_ends",

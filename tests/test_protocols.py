@@ -564,9 +564,10 @@ def test_ghz_corrections_follow_the_searched_corrections(n):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_correction_tables_equal_their_element_by_element_oracle(rule, n):
     correction_for = {"bell": protocols._bell_correction, "ghz": protocols._ghz_correction}[rule]
-    tables = protocols._pattern_corrections(correction_for, n)[3:]
-    for got, want in zip(tables, pattern_corrections_loop(correction_for, n)):
-        assert got.dtype == want.dtype and got.shape == want.shape == (n, 2 ** n, 2)
+    tables = protocols._pattern_corrections(correction_for, tuple(f"s{i}" for i in range(n)))[4:]
+    shapes = [(n, 2, 2 ** n, 2, 2), (n, 1, 2 ** n, 1, 2)]
+    for got, want, shape in zip(tables, pattern_corrections_loop(correction_for, n), shapes):
+        assert got.dtype == want.dtype and got.shape == want.shape == shape
         assert got.flags.c_contiguous and not got.flags.writeable
         assert np.array_equal(got, want)
 
@@ -577,6 +578,27 @@ def test_ghz_noise_immunity(rng):
         outs = distribute_ghz(n, chans, [IDEAL] * n)
         assert all(abs(o.fidelity - 1.0) < 1e-10 for o in outs)
         assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("sign", [0, 0.5, -2, 1j, float("nan")])
+def test_ghz_state_rejects_a_sign_other_than_plus_or_minus_one(sign):
+    # a sign off +-1 would give an unnormalized target: norm**2 0.5 at 0, 0.625 at 0.5
+    with pytest.raises(ValueError, match=r"GHZ sign must be \+1 or -1, not"):
+        ghz_state(("a", "b"), sign)
+
+
+@pytest.mark.parametrize("labels", [(), []])
+def test_ghz_state_rejects_an_empty_label_list(labels):
+    with pytest.raises(ValueError, match="a GHZ state needs at least one spin label"):
+        ghz_state(labels)
+    with pytest.raises(ValueError, match="a GHZ state needs at least one spin label"):
+        phi_minus(labels)
+
+
+@pytest.mark.parametrize("sign", [1, -1, 1.0, np.int64(-1)])
+def test_ghz_state_keeps_both_signs(sign):
+    state = ghz_state(("a",), sign)
+    assert np.array_equal(state.amplitudes, np.array([RT2, sign * RT2], dtype=complex))
 
 
 # --- parity-check detection --------------------------------------------------------
@@ -1052,8 +1074,11 @@ def test_purify_round_is_the_chain_round_on_the_bell_mixture(mu, seed):
 def test_purify_round_reaches_no_pooling(monkeypatch, rng):
     def pooled(*args):
         raise AssertionError("purify_round reached the pair stage's pooling")
-    for name in ("_pair_stage", "_apply_instrument", "_normalized_ensemble", "_eigen_ensemble", "_equal_upto_phase"):
-        monkeypatch.setattr(protocols, name, pooled)
+    monkeypatch.setattr(protocols, "_pair_stage", pooled)
+    monkeypatch.setattr(protocols, "_apply_instrument", pooled)
+    monkeypatch.setattr(protocols, "_normalized_ensemble", pooled)
+    monkeypatch.setattr(protocols, "_eigen_ensemble", pooled)
+    monkeypatch.setattr(protocols, "_equal_upto_phase", pooled)
     for coeffs in (IDEAL, random_coeffs(rng)):
         for mu in (0.0, 1e-30, 0.7, 1.0):
             state, _ = purify_round(mu, coeffs)
