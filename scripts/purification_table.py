@@ -5,7 +5,9 @@ Runs `qdrepeater purify --simulate` for several starting weights, prints
 their rows as one table and writes it to results/purification_rounds.csv,
 with the CLI's columns and cells: `mu` is the recursion, and `mu_simulated`
 replays every round through the two parity checks as one Bell-basis step of
-`purify_round` on the two copies and must agree with it to full precision.
+`purify_round` on the two copies and must agree with it to full precision:
+the script exits with status 1, naming the row, when a row's `mu_simulated`
+is off `mu` by more than 1e-10 relative, and writes no table.
 """
 
 import contextlib
@@ -16,6 +18,8 @@ import sys
 from qdrepeater.cli import main
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
+#: the largest relative gap a row's simulated weight may leave to the recursion
+RTOL = 1e-10
 
 
 def run():
@@ -29,6 +33,14 @@ def run():
             return code
         header, *rows = table.getvalue().splitlines()
         lines = (lines or [header]) + rows
+    names = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(names, line.split(",")))
+        mu, simulated = float(row["mu"]), float(row["mu_simulated"])
+        if not abs(simulated - mu) <= RTOL * abs(mu):
+            print(f"mu0 {row['mu0']}, round {row['round']}: mu_simulated {row['mu_simulated']} is off "
+                  f"mu {row['mu']} by more than {RTOL:g} relative", file=sys.stderr)
+            return 1
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     target = OUT / "purification_rounds.csv"

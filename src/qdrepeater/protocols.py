@@ -44,9 +44,11 @@ diagonal in the Bell basis, so its round is one contraction of the instrument.
 What is built from checked inputs and reused often enough to pay for its cache
 is built once and shared read-only: per process, a photon's path ends (as
 `timebin`'s encoder and decoder maps), both instruments' coefficient-free
-tables and the Bell signs, read by `purify_round` and every chain stage; per
+tables and the Bell signs, read by `purify_round` and every chain stage,
+with their pairs over two copies, from which the Bell weight table is built; per
 coefficient set (the last 16 each), `scatter_map`'s scattering of a spin in
-|+> and the purification instrument; per correction rule and spin labels
+|+>, the purification instrument and `purify_round`'s Bell weight table, so
+a repeated round is one 4x4 product; per correction rule and spin labels
 (the last 16), distribution's outcome table: the spins' register, each
 pattern's correction on the labels, every detection label, and each
 photon's correction as one gather and sign over its transfer amplitudes.
@@ -164,6 +166,9 @@ _BELL_SIGNS = np.array([[1, 0, 0, -1], [1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0]
 _BELL_SIGNS.setflags(write=False)
 _BELL = RT2 * _BELL_SIGNS[:2]
 _BELL.setflags(write=False)
+#: the signs of the pairs B_i x B_j of two copies, i and j over Phi- and Phi+, as rows 2i + j, read-only
+_BELL_PAIRS = np.kron(_BELL_SIGNS[:2], _BELL_SIGNS[:2])
+_BELL_PAIRS.setflags(write=False)
 
 
 def uniform_spins(labels) -> StateVector:
@@ -693,6 +698,18 @@ def _purification_maps(coeffs_a: ScatterCoeffs, coeffs_b: ScatterCoeffs) -> np.n
     return maps
 
 
+@functools.lru_cache(maxsize=16)
+def _bell_weights(coeffs: ScatterCoeffs) -> np.ndarray:
+    """The purification round's Bell weight table at ``coeffs`` on both parties, a read-only
+    (4, 4) real array cached for every `purify_round` at the same coefficients:
+    W[m, 2i + j] = 8 sum_k |<B_m|A_k|B_i B_j>|^2 over the branch maps A_k of
+    `_purification_maps`, m over Phi-, Phi+, Psi-, Psi+ and i, j over Phi- and Phi+."""
+    amps = _BELL_SIGNS @ _purification_maps(coeffs, coeffs) @ _BELL_PAIRS.T
+    weights = (abs(amps) ** 2).sum(axis=0)
+    weights.setflags(write=False)
+    return weights
+
+
 def _apply_instrument(w_a, a, w_b, b, maps):
     """Each pair of weighted rows of ``a`` and ``b`` through each map of the
     (branch, out, in) stack ``maps``, which meets the pair's np.kron on its
@@ -824,16 +841,17 @@ def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[Purification
 
     The mixture is diagonal in the Bell basis B, so Bell state m keeps weight
     sum_k sum_ij w_i w_j |<B_m|A_k|B_i B_j>|^2 over the branch maps A_k of
-    `_purification_maps`, with ``coeffs`` at both parties.  The sign table
-    gives each amplitude times 2 sqrt(2), hence the exact division by 8; every
+    `_purification_maps`, with ``coeffs`` at both parties: one 4x4 product of
+    the Bell weight table `_bell_weights`, cached per coefficient set (the
+    last 16), with the pair weights w_i w_j.  The sign table gives each
+    amplitude times 2 sqrt(2), hence the exact division by 8; every
     term is nonnegative, so small weights keep their relative accuracy.  At
     ideal coefficients it follows
     mu -> mu^2/(mu^2 + (1-mu)^2) with success probability mu^2 + (1-mu)^2.
     """
     check_mu(mu)
-    amps = _BELL_SIGNS @ _purification_maps(coeffs, coeffs) @ np.kron(_BELL_SIGNS[:2], _BELL_SIGNS[:2]).T
     w = np.array([mu, 1.0 - mu])
-    out = ((abs(amps) ** 2).sum(axis=0) @ np.kron(w, w) / 8.0).tolist()
+    out = (_bell_weights(coeffs) @ (w[:, None] * w).ravel() / 8.0).tolist()
     success = math.fsum(out)
     if not success > _ZERO:
         raise NoSurvivingBranchError("purification heralded no surviving branches")

@@ -5,7 +5,8 @@ States are dense amplitude vectors over a register of named subsystems
 implicitly: a heralded (non-unitary) map shrinks the squared norm, and that
 deficit is exactly the probability lost to undetected channels.
 
-Objects are checked when they are built: a `StateVector` checks its length
+Objects are checked when they are built: a `Subsystem` checks that its
+label and level names are strings, a `StateVector` checks its length
 and norm and keeps read-only amplitudes, and a `LinearMap` checks its shape
 and that it cannot grow the norm, however a caller builds it.
 `StateVector.rows` checks a 2-D stack of amplitude rows once, with the same
@@ -46,7 +47,12 @@ class Subsystem:
     levels: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise RegisterError(f"subsystem label {self.label!r} is not a string")
         object.__setattr__(self, "levels", tuple(self.levels))
+        for name in self.levels:
+            if not isinstance(name, str):
+                raise RegisterError(f"{self.label}: level name {name!r} is not a string")
         if len(self.levels) < 2:
             raise RegisterError(f"{self.label}: a subsystem needs at least two levels")
         if len(set(self.levels)) != len(self.levels):

@@ -1,13 +1,14 @@
 """Objects built from already-checked inputs are built and checked once.
 
 Registers keep their sizes, a photon's path ends are built once per
-process, the |+> scattering and the purification instrument once per
-coefficient set, both instruments' coefficient-free tables once per
+process, the |+> scattering, the purification instrument and
+`purify_round`'s Bell weight table once per coefficient set (the last 16
+each), both instruments' coefficient-free tables once per
 process and distribution's outcome table (the spins' register, the labeled
 corrections, the detection labels and each photon's correction as a
 read-only gather and sign) once per rule and spin labels; the Bell signs
-`purify_round` contracts with, and the Bell rows chain stages read, are
-read-only module constants.  The
+and their pairs over two copies, from which the weight table is built, and
+the Bell rows chain stages read, are read-only module constants.  The
 parity operators, the extension instrument and the spin targets (each a few
 microseconds of array arithmetic) and the maps the cached pieces start from
 (`encode_map`, `decode_map`, `scatter_map`) are built afresh on each call,
@@ -16,11 +17,13 @@ the saving (a repeated distribution makes no singular value decomposition
 and no Kronecker product, builds no register, formats no detection label,
 and checks its listed live states as one stack;
 a parity check builds and applies no map and checks its states as one
-stack; a new coefficient set's instruments take no Kronecker product and
-no gate product), show that nothing cached can be written to and that
-every cached function of the library is listed here or exempted with a
-reason, that an outcome built without its constructor equals one built
-with it, and that user-built maps keep every check.
+stack; a repeated purification round builds no instrument and takes no
+Kronecker product; a new coefficient set's instruments and Bell weight
+table take no Kronecker product and no gate product), show that nothing
+cached can be written to and that every cached function of the library is
+listed here or exempted with a reason, that an outcome built without its
+constructor equals one built with it, and that user-built maps keep every
+check.
 """
 
 import ast
@@ -34,7 +37,7 @@ import pytest
 from qdrepeater import protocols, qstate
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
 from qdrepeater.protocols import (HeraldedOutcome, distribute_bell, distribute_ghz, ghz_state, pcd, phi_minus,
-                                  phi_plus, spin_register)
+                                  phi_plus, purify_round, spin_register)
 from qdrepeater.qstate import (LinearMap, Register, StateVector, Subsystem, apply_map, basis_state, fidelity,
                                superposition)
 from qdrepeater.scatter import scatter_map
@@ -233,10 +236,35 @@ def test_a_new_coefficient_set_builds_its_instruments_without_kron_or_gate_produ
 
     monkeypatch.setattr(np, "kron", counted_kron)
     monkeypatch.setattr(protocols, "_gate_product", gate_product)
-    maps = [protocols._extension_maps(coeffs_a), protocols._purification_maps(coeffs_a, coeffs_b)]
+    maps = [protocols._extension_maps(coeffs_a), protocols._purification_maps(coeffs_a, coeffs_b),
+            protocols._bell_weights(coeffs_b)]
     monkeypatch.undo()
     assert krons == []
-    assert [m.shape for m in maps] == [(8, 2, 8), (8, 4, 16)]
+    assert [m.shape for m in maps] == [(8, 2, 8), (8, 4, 16), (4, 4)]
+
+
+def test_a_repeated_purification_round_builds_no_instrument_and_takes_no_kron(monkeypatch, rng):
+    coeffs = random_coeffs(rng)      # a set no earlier call has seen
+    first = [purify_round(mu, coeffs) for mu in (0.7, 1e-9)]
+    calls = []
+
+    def counted(name, real):
+        def count(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return count
+
+    monkeypatch.setattr(protocols, "_purification_maps", counted("_purification_maps", protocols._purification_maps))
+    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
+    again = [purify_round(mu, dataclasses.replace(coeffs)) for mu in (0.7, 1e-9)]   # an equal, new object
+    monkeypatch.undo()
+    assert calls == []
+
+    def floats(result):
+        state, discarded = result
+        return [x.hex() for x in (state.mu, state.success_probability, discarded)]
+
+    assert [floats(r) for r in again] == [floats(r) for r in first]
 
 
 def test_a_user_built_map_keeps_its_svd_check(svd_calls):
@@ -257,7 +285,7 @@ def test_fresh_maps_are_read_only(build):
     assert build().matrix[0, 0] != 7.0
 
 
-#: every cached map, the Bell signs and the Bell rows, as the array a caller could try to write to
+#: every cached map, the Bell signs, their pairs and the Bell rows, as the array a caller could try to write to
 CACHED_ARRAYS = {
     "decoder ends": lambda: protocols._path_ends()[0],
     "encoder end": lambda: protocols._path_ends()[1],
@@ -268,7 +296,9 @@ CACHED_ARRAYS = {
     "purification table": lambda: protocols._instrument_tables()[1],
     "purification rotation": lambda: protocols._instrument_tables()[2],
     "purification maps": lambda: protocols._purification_maps(_practical(), IDEAL),
+    "Bell weights": lambda: protocols._bell_weights(_practical()),
     "Bell signs": lambda: protocols._BELL_SIGNS,
+    "Bell pair signs": lambda: protocols._BELL_PAIRS,
     "Bell rows": lambda: protocols._BELL,
 }
 
@@ -321,6 +351,7 @@ def test_cached_maps_are_shared_per_input():
     assert protocols._plus_scatter(_practical()) is protocols._plus_scatter(_practical())
     assert isinstance(scatter_map(_practical()), LinearMap)
     assert protocols._purification_maps(_practical(), IDEAL) is protocols._purification_maps(_practical(), IDEAL)
+    assert protocols._bell_weights(_practical()) is protocols._bell_weights(_practical())
     assert protocols._instrument_tables() is protocols._instrument_tables()
 
 

@@ -402,6 +402,24 @@ def test_purify_simulation_follows_the_recursion_on_every_round(capsys):
         assert float(row[-1]) == pytest.approx(float(row[header.index("mu")]), abs=1e-10)
 
 
+#: starting weights log-spaced from 1e-10 to 0.99, the script's grid and the small weight pinned below
+PURIFY_MU0 = [f"{1e-10 * (0.99 / 1e-10) ** (k / 11):.12g}" for k in range(12)] + [
+    "0.6", "0.7", "0.8", "0.9", "0.01175"]
+
+
+@pytest.mark.parametrize("mu0", PURIFY_MU0)
+def test_purify_simulation_keeps_the_recursion_to_relative_precision(capsys, mu0):
+    # absolute bounds cannot see a small weight off by orders of magnitude; every
+    # simulated round's weight is a sum of nonnegative terms, so it is held relatively
+    code, out, _ = run(capsys, "purify", "--simulate", "--mu", mu0, "--rounds", "5")
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.strip().splitlines())
+    assert len(rows) == 5
+    for row in rows:
+        mu, simulated = float(row[header.index("mu")]), float(row[header.index("mu_simulated")])
+        assert abs(simulated - mu) <= 1e-10 * abs(mu), row
+
+
 #: every simulated round's mu is the Phi- weight of one Bell-basis step, a
 #: sum of nonnegative terms, so it keeps the recursion's digits at every
 #: round; <Phi-|rho|Phi-> in the computational basis prints round 2 as

@@ -1794,6 +1794,11 @@ def _spins_and_qutrit(labels, qutrit):
      "Bell distribution needs exactly two spin labels, not ['a']"),
     (lambda: distribute_bell(QUIET, QUIET, IDEAL, IDEAL, spin_labels=("a", "a")), RegisterError,
      "duplicate subsystem labels in register: ['a', 'a']"),
+    (lambda: distribute_bell(QUIET, QUIET, IDEAL, IDEAL, spin_labels=(1, 2.5)), RegisterError,
+     "subsystem label 1 is not a string"),
+    (lambda: distribute_bell(QUIET, QUIET, IDEAL, IDEAL, spin_labels=("a", 2.5)), RegisterError,
+     "subsystem label 2.5 is not a string"),
+    (lambda: ghz_state((3,)), RegisterError, "subsystem label 3 is not a string"),
     (lambda: distribute_ghz(2.5, [QUIET] * 3, [IDEAL] * 3), ValueError,
      "GHZ distribution needs a whole number of parties, not 2.5"),
     (lambda: distribute_ghz(3.0, [QUIET] * 3, [IDEAL] * 3), ValueError,

@@ -304,6 +304,9 @@ _PLUS = superposition(_QUBIT, [(1 / math.sqrt(2), {"a": "0"}), (1 / math.sqrt(2)
 @pytest.mark.parametrize("build,error,message", [
     (lambda: Subsystem("x", ("a",)), RegisterError, "x: a subsystem needs at least two levels"),
     (lambda: Subsystem("x", ("a", "a")), RegisterError, "x: duplicate level names"),
+    (lambda: Subsystem(None, ("u", "d")), RegisterError, "subsystem label None is not a string"),
+    (lambda: Subsystem("a", (0, 1)), RegisterError, "a: level name 0 is not a string"),
+    (lambda: Subsystem("a", ("u", b"d")), RegisterError, "a: level name b'd' is not a string"),
     (lambda: _QUBIT.basis_index({"q": "0"}), RegisterError, "no subsystem labeled 'q'"),
     (lambda: StateVector(_QUBIT, np.ones(3)), RegisterError,
      "amplitude length 3 does not match register dimension 2"),
