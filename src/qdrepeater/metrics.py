@@ -52,13 +52,12 @@ class DistributionMetrics:
     eta_d: float
     f_even: float | None
     f_odd: float | None
-    eta_in_adjusted: float | None = None
+    eta_in_adjusted: float
 
 
-def _metrics(coeffs: ScatterCoeffs, eta_in: float | None, passes: int) -> DistributionMetrics:
+def _metrics(coeffs: ScatterCoeffs, eta_in: float, passes: int) -> DistributionMetrics:
     """The closed forms, with ``eta_in`` applied once per photon pass."""
-    if eta_in is not None:
-        check_eta_in(eta_in)
+    check_eta_in(eta_in)
     u = 1.0 + 2.0 * coeffs.t
     v = 1.0 + 2.0 * coeffs.t0
     eta_even = (abs(u) ** 2 + abs(v) ** 2 + 2.0 * abs(1.0 + coeffs.t + coeffs.t0) ** 2) / 4.0
@@ -69,10 +68,10 @@ def _metrics(coeffs: ScatterCoeffs, eta_in: float | None, passes: int) -> Distri
     f_even = abs(coeffs.t0 - coeffs.t) ** 2 / (2.0 * eta_even) if eta_even > 0.0 else None
     return DistributionMetrics(
         eta_d_even=eta_even, eta_d_odd=eta_odd, eta_d=eta, f_even=f_even, f_odd=1.0 if eta_odd > 0.0 else None,
-        eta_in_adjusted=coupled_probability(eta, eta_in, passes) if eta_in is not None else None)
+        eta_in_adjusted=coupled_probability(eta, eta_in, passes))
 
 
-def distribution_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> DistributionMetrics:
+def distribution_metrics(coeffs: ScatterCoeffs, eta_in: float = 1.0) -> DistributionMetrics:
     """Heralded efficiency and fidelity of one Bell distribution run.
 
     ``eta_in`` multiplies the total efficiency once per photon pass; a
@@ -81,7 +80,7 @@ def distribution_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> 
     return _metrics(coeffs, eta_in, passes=2)
 
 
-def pcd_metrics(coeffs: ScatterCoeffs, eta_in: float | None = None) -> DistributionMetrics:
+def pcd_metrics(coeffs: ScatterCoeffs, eta_in: float = 1.0) -> DistributionMetrics:
     """Heralded efficiency and fidelity of one parity check (single photon pass)."""
     return _metrics(coeffs, eta_in, passes=1)
 

@@ -13,9 +13,9 @@ Four protocols are implemented by exact state-vector evolution:
   spin) amplitude array already corrected.  Probabilities (the rows'
   squared norms), states and fidelities are read off it in whole-array
   steps, the listed states are checked as one stack (`StateVector.rows`)
-  and the outcomes built in one pass.  A chain segment forms its 4x4 state
-  from the array's live rows and builds no outcome.  The tests' oracle,
-  `distribution_branches`, builds the array uncorrected.
+  and each outcome is built by its constructor.  A chain segment forms its
+  4x4 state from the array's live rows and builds no outcome.  The tests'
+  oracle, `distribution_branches`, builds the array uncorrected.
 * Parity-check detection (PCD): a single probe photon is split over two
   local cavities, recombined and detected; the detected polarization heralds
   the even or odd parity subspace of the two spins without measuring them.
@@ -69,7 +69,8 @@ import itertools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,9 +108,8 @@ _PORTS = (("R", "up"), ("L", "dn"))
 _GATES = {"x": sigma_x(), "z": sigma_z(), "h": hadamard()}
 
 
-@dataclass(frozen=True)
-class HeraldedOutcome:
-    """One detection branch of a heralded protocol."""
+class HeraldedOutcome(NamedTuple):
+    """One detection branch of a heralded protocol, an immutable named tuple."""
 
     detection: str
     probability: float
@@ -350,13 +350,9 @@ def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, corre
     heralded = np.where(scaled >= sys.float_info.min, scaled, 0.0)
 
     names, rows = (split_labels, pats * probs.shape[1] + tbs) if split else (labels, pats)
-    new = object.__new__
-    outcomes = []
-    for k, r, p, state, fid in zip(pats.tolist(), rows.tolist(), heralded.tolist(),
-                                   StateVector.rows(register, posts), fids.tolist()):
-        o = new(HeraldedOutcome)        # fields set as the frozen __init__ sets them; it checks nothing
-        o.__dict__.update(detection=names[r], probability=p, correction=gates[k], post_state=state, fidelity=fid)
-        outcomes.append(o)
+    outcomes = [HeraldedOutcome(names[r], p, gates[k], state, fid)
+                for k, r, p, state, fid in zip(pats.tolist(), rows.tolist(), heralded.tolist(),
+                                               StateVector.rows(register, posts), fids.tolist())]
     if not heralds.all():
         dead = np.flatnonzero(~heralds)    # each after the live outcomes of the patterns before it
         for at, k in zip((np.searchsorted(pats, dead) + np.arange(len(dead))).tolist(), dead.tolist()):
@@ -770,8 +766,8 @@ def extend_chain(
     outcomes = [HeraldedOutcome(f"{parity}:{m1},{m2}", 0.0, _extension_gates(parity, m1, m2, label_d),
                                 None, None) for parity, m1, m2 in _BRANCHES]
     for k, final in zip(np.flatnonzero(live).tolist(), StateVector.rows(reg, rows)):
-        outcomes[k] = replace(outcomes[k], probability=coupled_probability(float(w[k]), eta_in, 1),
-                              post_state=final, fidelity=fidelity(final, target))
+        outcomes[k] = outcomes[k]._replace(probability=coupled_probability(float(w[k]), eta_in, 1),
+                                           post_state=final, fidelity=fidelity(final, target))
     return outcomes
 
 

@@ -6,16 +6,18 @@ implicitly: a heralded (non-unitary) map shrinks the squared norm, and that
 deficit is exactly the probability lost to undetected channels.
 
 Objects are checked when they are built: a `Subsystem` checks that its
-label and level names are strings, a `StateVector` checks its length
-and norm and keeps read-only amplitudes, and a `LinearMap` checks its shape
-and that it cannot grow the norm, however a caller builds it.
-`StateVector.rows` checks a 2-D stack of amplitude rows once, with the same
-rules and errors, and returns one state per row, each a read-only view of
-the one copied stack; a kept state therefore holds its whole stack alive
-(512 KiB for the 1,024 outcomes of a five-party GHZ distribution).  A
-`Register` computes its sizes once.  The library builds the maps and targets that
-depend only on constants or on already-checked inputs once and shares them
-read-only (see `timebin`, `scatter` and `protocols`).
+label and level names are strings and its levels a tuple or a list, a
+`StateVector` checks its length and norm and keeps read-only amplitudes,
+and a `LinearMap` checks its shape and that it cannot grow the norm, however
+a caller builds it.  One routine, `_checked_stack`, copies and checks a 2-D
+stack of amplitude rows: the constructor runs it on its one row, and
+`StateVector.rows` on a whole stack, returning one state per row, each a
+read-only view of the one copied stack; a kept state therefore holds its
+whole stack alive (512 KiB for the 1,024 outcomes of a five-party GHZ
+distribution).  A `Register` computes its sizes once.  The library builds
+the maps and targets that depend only on constants or on already-checked
+inputs once and shares them read-only (see `timebin`, `scatter` and
+`protocols`).
 
 There is no mixed-state type.  Every mixture the library forms is over two
 spins and is held as its 4x4 density matrix, or, inside a purification
@@ -49,6 +51,8 @@ class Subsystem:
     def __post_init__(self):
         if not isinstance(self.label, str):
             raise RegisterError(f"subsystem label {self.label!r} is not a string")
+        if not isinstance(self.levels, (tuple, list)):
+            raise RegisterError(f"{self.label}: levels {self.levels!r} are not a tuple or a list")
         object.__setattr__(self, "levels", tuple(self.levels))
         for name in self.levels:
             if not isinstance(name, str):
@@ -151,40 +155,16 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
-        if amps.shape != (self.register.dim,):
-            raise RegisterError(
-                f"amplitude length {amps.shape[0]} does not match register dimension {self.register.dim}"
-            )
-        n2 = float(np.vdot(amps, amps).real)
-        if not n2 <= 1.0 + _NORM_SLACK:
-            raise ValueError(f"norm**2 = {n2} exceeds 1; amplitudes cannot grow")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        amps = _checked_stack(self.register, np.reshape(self.amplitudes, (1, -1)))
+        object.__setattr__(self, "amplitudes", amps[0])
 
     @classmethod
     def rows(cls, register: Register, amplitudes) -> list["StateVector"]:
-        """One state per row of a 2-D stack, checked once as a whole.
-
-        The stack is copied once and made read-only; each state's amplitudes
-        are a view of its row.  A malformed stack or a row that would fail
-        the single constructor raises that constructor's error.
-        """
-        stack = np.array(amplitudes, dtype=np.complex128)
-        if stack.ndim != 2:
-            raise RegisterError(f"amplitude stack of shape {stack.shape} is not 2-D")
-        if stack.shape[1] != register.dim:
-            raise RegisterError(
-                f"amplitude length {stack.shape[1]} does not match register dimension {register.dim}"
-            )
-        parts = stack.view(np.float64)
-        bad = ~(np.einsum("ij,ij->i", parts, parts) <= 1.0 + _NORM_SLACK)     # a NaN row too
-        if bad.any():
-            row = stack[bad.argmax()]
-            raise ValueError(f"norm**2 = {float(np.vdot(row, row).real)} exceeds 1; amplitudes cannot grow")
-        stack.setflags(write=False)
+        """One state per row of a 2-D stack, checked once as a whole by the
+        constructor's rules; each state's amplitudes are a view of its row
+        of the stack's one read-only copy."""
         states = []
-        for row in stack:       # each field set as the frozen __init__ makes it, without a second check
+        for row in _checked_stack(register, amplitudes):    # each field set as __post_init__ sets it
             state = object.__new__(cls)
             object.__setattr__(state, "register", register)
             object.__setattr__(state, "amplitudes", row)
@@ -210,6 +190,25 @@ class StateVector:
 
     def tensor_axes(self) -> np.ndarray:
         return self.amplitudes.reshape(self.register.dims if self.register.subsystems else (1,))
+
+
+def _checked_stack(register: Register, amplitudes) -> np.ndarray:
+    """A read-only complex copy of the 2-D stack ``amplitudes``, each row an
+    amplitude vector over ``register`` of squared norm at most 1 (a NaN row fails)."""
+    stack = np.array(amplitudes, dtype=np.complex128)
+    if stack.ndim != 2:
+        raise RegisterError(f"amplitude stack of shape {stack.shape} is not 2-D")
+    if stack.shape[1] != register.dim:
+        raise RegisterError(
+            f"amplitude length {stack.shape[1]} does not match register dimension {register.dim}"
+        )
+    parts = stack.view(np.float64)
+    norms, limit = np.einsum("ij,ij->i", parts, parts), 1.0 + _NORM_SLACK
+    if not norms.max(initial=0.0) <= limit:     # a nan row makes the max nan
+        row = stack[(~(norms <= limit)).argmax()]
+        raise ValueError(f"norm**2 = {float(np.vdot(row, row).real)} exceeds 1; amplitudes cannot grow")
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True)

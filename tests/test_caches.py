@@ -21,9 +21,9 @@ stack; a repeated purification round builds no instrument and takes no
 Kronecker product; a new coefficient set's instruments and Bell weight
 table take no Kronecker product and no gate product), show that nothing
 cached can be written to and that every cached function of the library is
-listed here or exempted with a reason, that an outcome built without its
-constructor equals one built with it, and that user-built maps keep every
-check.
+listed here or exempted with a reason, that a distribution's outcomes
+equal ones built afresh and cannot be written to, and that user-built maps
+keep every check.
 """
 
 import ast
@@ -163,7 +163,7 @@ def test_bell_distribution_over_its_own_labels_gets_its_own_register_and_gates(r
     assert runs[0][1][0].post_state.register is runs[2][1][0].post_state.register
 
 
-def test_an_outcome_built_in_one_pass_equals_one_built_by_its_constructor(rng):
+def test_a_distribution_outcome_equals_a_fresh_one_and_is_immutable(rng):
     noises = [random_asymmetric(rng)] + [random_symmetric(rng) for _ in range(3)]
     empty = resonant_coeffs(CavityParams(g=0.0))
     runs = [distribute_ghz(4, noises, [empty, empty, IDEAL, _practical()]),
@@ -176,8 +176,7 @@ def test_an_outcome_built_in_one_pass_equals_one_built_by_its_constructor(rng):
             fresh = HeraldedOutcome(o.detection, o.probability, o.correction, o.post_state, o.fidelity)
             assert type(o) is HeraldedOutcome
             assert o == fresh and repr(o) == repr(fresh)
-            assert list(vars(o).items()) == list(vars(fresh).items())
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 o.probability = 1.0
 
 

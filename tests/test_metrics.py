@@ -124,7 +124,8 @@ def test_input_coupling_adjustments():
     p = pcd_metrics(IDEAL, eta_in=0.9)
     assert d.eta_in_adjusted == pytest.approx(0.81)   # two photon passes
     assert p.eta_in_adjusted == pytest.approx(0.9)    # one photon pass
-    assert distribution_metrics(IDEAL).eta_in_adjusted is None
+    unit = distribution_metrics(IDEAL)
+    assert unit.eta_in_adjusted == unit.eta_d         # eta_in 1.0 unless given
 
 
 @pytest.mark.parametrize("metrics,passes,eta_in", [(distribution_metrics, 2, 1e-160), (pcd_metrics, 1, 1e-310)])

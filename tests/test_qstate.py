@@ -307,6 +307,8 @@ _PLUS = superposition(_QUBIT, [(1 / math.sqrt(2), {"a": "0"}), (1 / math.sqrt(2)
     (lambda: Subsystem(None, ("u", "d")), RegisterError, "subsystem label None is not a string"),
     (lambda: Subsystem("a", (0, 1)), RegisterError, "a: level name 0 is not a string"),
     (lambda: Subsystem("a", ("u", b"d")), RegisterError, "a: level name b'd' is not a string"),
+    (lambda: Subsystem("a", "ud"), RegisterError, "a: levels 'ud' are not a tuple or a list"),
+    (lambda: Subsystem("a", {"x": 1, "y": 2}), RegisterError, "a: levels {'x': 1, 'y': 2} are not a tuple or a list"),
     (lambda: _QUBIT.basis_index({"q": "0"}), RegisterError, "no subsystem labeled 'q'"),
     (lambda: StateVector(_QUBIT, np.ones(3)), RegisterError,
      "amplitude length 3 does not match register dimension 2"),
