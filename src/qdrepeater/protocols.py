@@ -12,10 +12,11 @@ Four protocols are implemented by exact state-vector evolution:
   so the products of the corrected factors form the (pattern, time bin,
   spin) amplitude array already corrected.  Probabilities (the rows'
   squared norms), states and fidelities are read off it in whole-array
-  steps, the listed states are checked as one stack (`StateVector.rows`)
-  and each outcome is built by its constructor.  A chain segment forms its
-  4x4 state from the array's live rows and builds no outcome.  The tests'
-  oracle, `distribution_branches`, builds the array uncorrected.
+  steps, the listed states are filled in bulk from one checked stack
+  (`StateVector.rows`) and the outcomes built by one ``map`` of their
+  constructor.  A chain segment forms its 4x4 state from the array's live
+  rows and builds no outcome.  The tests' oracle, `distribution_branches`,
+  builds the array uncorrected.
 * Parity-check detection (PCD): a single probe photon is split over two
   local cavities, recombined and detected; the detected polarization heralds
   the even or odd parity subspace of the two spins without measuring them.
@@ -93,6 +94,7 @@ from .timebin import (
     POL_CIRCULAR,
     TB_DECODED,
     NoiseChannel,
+    _rotations,
     decode_map,
     encode_map,
     phase_shift_map,
@@ -218,12 +220,12 @@ def _photon_transfers(noises, coeffs_list, phase_photon: int) -> np.ndarray:
     bin and runs encode -> fiber -> decode -> (pi phase, photon
     ``phase_photon`` only) -> quarter-wave relabel -> scatter off its spin
     in |+>, to circular polarization p, direction d and decoded time bin t.
-    The channels were checked when built, so each enters as its matrix.
+    The channels were checked when built, so their rotations enter as one array.
     """
     decs, enc = _path_ends()
     n = len(noises)
     phased = (np.arange(n) == phase_photon).astype(np.intp)
-    paths = decs[phased] @ np.stack([ch.matrix() for ch in noises]) @ enc
+    paths = decs[phased] @ _rotations(noises) @ enc
     plus = np.stack([_plus_scatter(cf) for cf in coeffs_list])
     return (plus @ paths.reshape(n, 4, 4)).reshape(n, 2, 2, 2, 2, 2)     # paths as (p, d) x (t, s)
 
@@ -350,9 +352,8 @@ def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, corre
     heralded = np.where(scaled >= sys.float_info.min, scaled, 0.0)
 
     names, rows = (split_labels, pats * probs.shape[1] + tbs) if split else (labels, pats)
-    outcomes = [HeraldedOutcome(names[r], p, gates[k], state, fid)
-                for k, r, p, state, fid in zip(pats.tolist(), rows.tolist(), heralded.tolist(),
-                                               StateVector.rows(register, posts), fids.tolist())]
+    outcomes = list(map(HeraldedOutcome, map(names.__getitem__, rows.tolist()), heralded.tolist(),
+                        map(gates.__getitem__, pats.tolist()), StateVector.rows(register, posts), fids.tolist()))
     if not heralds.all():
         dead = np.flatnonzero(~heralds)    # each after the live outcomes of the patterns before it
         for at, k in zip((np.searchsorted(pats, dead) + np.arange(len(dead))).tolist(), dead.tolist()):

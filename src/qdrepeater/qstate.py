@@ -7,14 +7,17 @@ deficit is exactly the probability lost to undetected channels.
 
 Objects are checked when they are built: a `Subsystem` checks that its
 label and level names are strings and its levels a tuple or a list, a
-`StateVector` checks its length and norm and keeps read-only amplitudes,
-and a `LinearMap` checks its shape and that it cannot grow the norm, however
-a caller builds it.  One routine, `_checked_stack`, copies and checks a 2-D
-stack of amplitude rows: the constructor runs it on its one row, and
-`StateVector.rows` on a whole stack, returning one state per row, each a
-read-only view of the one copied stack; a kept state therefore holds its
-whole stack alive (512 KiB for the 1,024 outcomes of a five-party GHZ
-distribution).  A `Register` computes its sizes once.  The library builds
+`Register` that its subsystems are a tuple or a list of `Subsystem`s, a
+`StateVector` that its amplitudes are 1-D, its length and norm, and keeps
+read-only amplitudes, and a `LinearMap` checks its shape and that it cannot
+grow the norm, however a caller builds it.  One routine, `_checked_stack`,
+copies and checks a 2-D stack of amplitude rows: the constructor runs it on
+its one row, and `StateVector.rows` on a whole stack.  A `StateVector` is a
+frozen dataclass with slots, no ``__dict__``: `rows` fills one bare state
+per row through the class's slot descriptors, as the constructor leaves
+one, each a read-only view of the one copied stack; a kept state therefore
+holds its whole stack alive (512 KiB for the 1,024 outcomes of a five-party
+GHZ distribution).  A `Register` computes its sizes once.  The library builds
 the maps and targets that depend only on constants or on already-checked
 inputs once and shares them read-only (see `timebin`, `scatter` and
 `protocols`).
@@ -27,7 +30,9 @@ round's pair stage, as a weight vector and a stack of unit amplitude rows
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,7 +85,12 @@ class Register:
     subsystems: tuple[Subsystem, ...]
 
     def __post_init__(self):
+        if not isinstance(self.subsystems, (tuple, list)):
+            raise RegisterError(f"register subsystems {self.subsystems!r} are not a tuple or a list")
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
+        for s in self.subsystems:
+            if not isinstance(s, Subsystem):
+                raise RegisterError(f"register item {s!r} is not a Subsystem")
         labels = [s.label for s in self.subsystems]
         if len(set(labels)) != len(labels):
             raise RegisterError(f"duplicate subsystem labels in register: {labels}")
@@ -147,7 +157,7 @@ class Register:
         return tuple(reversed(out))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class StateVector:
     """Complex amplitudes over a register; norm**2 carries branch probability."""
 
@@ -155,20 +165,21 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _checked_stack(self.register, np.reshape(self.amplitudes, (1, -1)))
-        object.__setattr__(self, "amplitudes", amps[0])
+        amps = np.asarray(self.amplitudes)
+        if amps.ndim != 1:
+            raise RegisterError(f"amplitude vector of shape {amps.shape} is not 1-D")
+        object.__setattr__(self, "amplitudes", _checked_stack(self.register, amps[None])[0])
 
     @classmethod
     def rows(cls, register: Register, amplitudes) -> list["StateVector"]:
         """One state per row of a 2-D stack, checked once as a whole by the
         constructor's rules; each state's amplitudes are a view of its row
         of the stack's one read-only copy."""
-        states = []
-        for row in _checked_stack(register, amplitudes):    # each field set as __post_init__ sets it
-            state = object.__new__(cls)
-            object.__setattr__(state, "register", register)
-            object.__setattr__(state, "amplitudes", row)
-            states.append(state)
+        stack = _checked_stack(register, amplitudes)
+        states = list(map(object.__new__, itertools.repeat(cls, len(stack))))
+        # each slot filled through its descriptor, as __post_init__ leaves it
+        collections.deque(map(cls.register.__set__, states, itertools.repeat(register)), maxlen=0)
+        collections.deque(map(cls.amplitudes.__set__, states, stack), maxlen=0)
         return states
 
     @property

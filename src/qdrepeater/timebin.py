@@ -14,9 +14,10 @@ so `decode` applies one 0/1 map, `decode_map()`, as `encode` applies
 `encode_map()`, and relabels the bins as arrival classes sp and lp.  The
 tests run the decoder's elements step by step as that map's reference.
 Both maps are built and checked on each call; the compiled distribution
-in `protocols` reads them once per process.  A fiber's 4x4 rotation is
-`NoiseChannel.matrix()`, whose blocks the channel checked when it was
-built; `apply_noise` checks it again as a unitary map.
+in `protocols` reads them once per process.  `_rotations` writes the 4x4
+rotations of checked fibers out in one array, all of a distribution's at
+once; `NoiseChannel.matrix()` is one fiber's, which `apply_noise` checks
+again as a unitary map.
 
 Each optical element is a plain function of one photon or a matrix:
 `qwp`, `delay` and `pockels` act on the photon named; a half-wave plate or a
@@ -97,19 +98,25 @@ class NoiseChannel:
                 raise ValueError(f"{which}-bin rotation is not normalized: |delta|^2+|eta|^2 != 1")
 
     def matrix(self) -> np.ndarray:
-        """The rotation on (polarization, raw time bin): one polarization block
-        [[delta, -conj(eta)], [eta, conj(delta)]] per bin, written out in one
-        array.  Both blocks were checked at construction; `apply_noise`
-        checks the matrix again as a unitary `LinearMap`."""
-        d, e, dl, el, z = self.delta, self.eta, self.delta_l, self.eta_l, 0j
-        return np.array([d, z, -e.conjugate(), z,
-                         z, dl, z, -el.conjugate(),
-                         e, z, d.conjugate(), z,
-                         z, el, z, dl.conjugate()], dtype=complex).reshape(4, 4)
+        """The rotation on (polarization, raw time bin), `_rotations` of this
+        channel alone.  Both blocks were checked at construction;
+        `apply_noise` checks the matrix again as a unitary `LinearMap`."""
+        return _rotations((self,))[0]
 
     @classmethod
     def identity(cls) -> "NoiseChannel":
         return cls(1.0, 0.0)
+
+
+def _rotations(channels) -> np.ndarray:
+    """The (n, 4, 4) rotations of n checked channels on (polarization, raw
+    time bin): one polarization block [[delta, -conj(eta)], [eta, conj(delta)]]
+    per bin, all written out in one array."""
+    z = 0j
+    return np.array([(ch.delta, z, -ch.eta.conjugate(), z,
+                      z, ch.delta_l, z, -ch.eta_l.conjugate(),
+                      ch.eta, z, ch.delta.conjugate(), z,
+                      z, ch.eta_l, z, ch.delta_l.conjugate()) for ch in channels], dtype=complex).reshape(-1, 4, 4)
 
 
 def routing_map() -> LinearMap:

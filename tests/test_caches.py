@@ -22,8 +22,10 @@ Kronecker product; a new coefficient set's instruments and Bell weight
 table take no Kronecker product and no gate product), show that nothing
 cached can be written to and that every cached function of the library is
 listed here or exempted with a reason, that a distribution's outcomes
-equal ones built afresh and cannot be written to, and that user-built maps
-keep every check.
+equal ones built afresh and cannot be written to, that the outcomes of a
+split five-party distribution, a parity check and an extension equal ones
+built by the constructors, each state slotted, frozen and a view of one
+read-only stack, and that user-built maps keep every check.
 """
 
 import ast
@@ -36,8 +38,8 @@ import pytest
 
 from qdrepeater import protocols, qstate
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
-from qdrepeater.protocols import (HeraldedOutcome, distribute_bell, distribute_ghz, ghz_state, pcd, phi_minus,
-                                  phi_plus, purify_round, spin_register)
+from qdrepeater.protocols import (HeraldedOutcome, distribute_bell, distribute_ghz, extend_chain, ghz_state, pcd,
+                                  phi_minus, phi_plus, purify_round, spin_register)
 from qdrepeater.qstate import (LinearMap, Register, StateVector, Subsystem, apply_map, basis_state, fidelity,
                                superposition)
 from qdrepeater.scatter import scatter_map
@@ -178,6 +180,36 @@ def test_a_distribution_outcome_equals_a_fresh_one_and_is_immutable(rng):
             assert o == fresh and repr(o) == repr(fresh)
             with pytest.raises(AttributeError):
                 o.probability = 1.0
+
+
+def test_bulk_built_outcomes_equal_constructed_ones_over_one_read_only_stack(rng):
+    noises = [random_asymmetric(rng)] + [random_symmetric(rng) for _ in range(4)]
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    runs = [distribute_ghz(5, noises, [IDEAL, _practical(), IDEAL, _practical(), random_coeffs(rng)]),
+            pcd(StateVector(spin_register(("a", "b", "c")), amps / np.linalg.norm(amps)), "c", "a", _practical()),
+            extend_chain(ghz_state(("a", "b", "z")), phi_minus(("zp", "d")), ("z", "zp"), random_coeffs(rng))]
+    assert len(runs[0]) == 1024         # the split fiber lists every live (pattern, time bin) row
+    for outcomes in runs:
+        states = [o.post_state for o in outcomes if o.post_state is not None]
+        assert states
+        stack = states[0].amplitudes.base
+        assert stack.ndim == 2 and not stack.flags.writeable
+        for o in outcomes:
+            state = o.post_state
+            fresh = HeraldedOutcome(o.detection, o.probability, o.correction,
+                                    None if state is None else StateVector(state.register, state.amplitudes),
+                                    o.fidelity)
+            assert type(o) is HeraldedOutcome
+            assert o._replace(post_state=None) == fresh._replace(post_state=None)
+            if state is None:
+                continue
+            assert type(state) is StateVector and not hasattr(state, "__dict__")
+            assert state.register is fresh.post_state.register
+            assert state.amplitudes.tobytes() == fresh.post_state.amplitudes.tobytes()
+            assert state.amplitudes.base is stack and not state.amplitudes.flags.writeable
+            for name in ("register", "amplitudes"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(state, name, getattr(fresh.post_state, name))
 
 
 PAIR = spin_register(("a", "b"))

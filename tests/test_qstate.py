@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -309,9 +310,15 @@ _PLUS = superposition(_QUBIT, [(1 / math.sqrt(2), {"a": "0"}), (1 / math.sqrt(2)
     (lambda: Subsystem("a", ("u", b"d")), RegisterError, "a: level name b'd' is not a string"),
     (lambda: Subsystem("a", "ud"), RegisterError, "a: levels 'ud' are not a tuple or a list"),
     (lambda: Subsystem("a", {"x": 1, "y": 2}), RegisterError, "a: levels {'x': 1, 'y': 2} are not a tuple or a list"),
+    (lambda: Register(("a", "b")), RegisterError, "register item 'a' is not a Subsystem"),
+    (lambda: Register((Subsystem("a", ("u", "d")), None)), RegisterError, "register item None is not a Subsystem"),
+    (lambda: Register(Subsystem("a", ("u", "d"))), RegisterError,
+     "register subsystems Subsystem(label='a', levels=('u', 'd')) are not a tuple or a list"),
     (lambda: _QUBIT.basis_index({"q": "0"}), RegisterError, "no subsystem labeled 'q'"),
     (lambda: StateVector(_QUBIT, np.ones(3)), RegisterError,
      "amplitude length 3 does not match register dimension 2"),
+    (lambda: StateVector(_PAIR, np.eye(2) / 2), RegisterError, "amplitude vector of shape (2, 2) is not 1-D"),
+    (lambda: StateVector(_QUBIT, 1.0), RegisterError, "amplitude vector of shape () is not 1-D"),
     (lambda: StateVector(_QUBIT, np.zeros(2)).normalized(), ValueError, "cannot normalize a zero-norm state"),
     (lambda: LinearMap(np.zeros((2, 3))), ValueError, "linear map must be square, got shape (2, 3)"),
     (lambda: LinearMap(np.diag([0.5, (1 + 1e-9) * 1j])), ValueError,
@@ -371,6 +378,15 @@ def test_rows_copies_the_stack_into_read_only_views():
         assert not state.amplitudes.flags.writeable
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
+
+
+def test_a_state_is_slotted_and_frozen():
+    for state in (StateVector(_PAIR, [1.0, 0, 0, 0]), *StateVector.rows(_PAIR, np.eye(4))):
+        assert not hasattr(state, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.amplitudes = np.zeros(4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.register = _QUBIT
 
 
 def test_rows_of_an_empty_stack_is_empty():
