@@ -31,28 +31,25 @@ Four protocols are implemented by exact state-vector evolution:
   using one PCD per party.
 
 Extension and purification are instruments: one fixed map per heralded branch
-(parity and two measured spins), stacked per coefficient set.  One routine
-applies either to pure states: the extension to a chain and a fresh pair in
-`extend_chain`, purification to every pair of members of a chain's mixture
-in the pair stage, whose heralded rows are pooled into one mixture.
+(parity and two measured spins), stacked per coefficient set from a node's
+terms and an exact table, so an entry 0 in exact arithmetic reads 0.0.  One
+routine applies either to pure states: the extension to a chain and a fresh
+pair in `extend_chain`, purification to every pair of members of a chain's
+mixture in the pair stage, whose heralded rows are pooled into one mixture.
 Everywhere else a two-spin mixture is its 4x4 density matrix: a chain holds
 each stage's, a splice applies the extension instrument as one
 superoperator, T = sum_k A_k x conj(A_k), only a chain's purification round
 expands the matrix into pure states, its eigenvectors, and a chain reports
 its last matrix as its final state.  `purify_round`'s Bell mixture stays
-diagonal in the Bell basis, so its round is one contraction of the instrument.
+diagonal in the Bell basis, so its round is one 4x4 product.
 
-What is built from checked inputs and reused often enough to pay for its cache
-is built once and shared read-only: per process, a photon's path ends (as
-`timebin`'s encoder and decoder maps), both instruments' coefficient-free
-tables and the Bell signs, read by `purify_round` and every chain stage,
-with their pairs over two copies, from which the Bell weight table is built; per
-coefficient set (the last 16 each), `scatter_map`'s scattering of a spin in
-|+>, the purification instrument and `purify_round`'s Bell weight table, so
-a repeated round is one 4x4 product; per correction rule and spin labels
-(the last 16), distribution's outcome table: the spins' register, each
-pattern's correction on the labels, every detection label, and each
-photon's correction as one gather and sign over its transfer amplitudes.
+Built once per process and shared read-only: a photon's path ends, both
+instruments' tables and the Bell signs with their pairs over two copies; per
+coefficient set (the last 16 each): `scatter_map`'s scattering of a spin in
+|+>, the purification stack and the Bell weight table; per correction rule
+and spin labels (the last 16): distribution's outcome table, the spins'
+register, each pattern's correction on the labels, every detection label and
+each photon's correction as one gather and sign over its transfer amplitudes.
 A repeated distribution builds no map, no register and no label, and reads
 its states off the formed array in place when every row heralds; the
 parity operators, the extension instrument and `ghz_state`, a few
@@ -82,10 +79,6 @@ from .qstate import (
     StateVector,
     Subsystem,
     _equal_upto_phase,
-    fidelity,
-    hadamard,
-    sigma_x,
-    sigma_z,
     superposition,
 )
 from .scatter import scatter_map
@@ -106,8 +99,6 @@ _MERGE_TOL = 1e-10
 
 #: structurally possible single-photon detections after the decoder routing
 _PORTS = (("R", "up"), ("L", "dn"))
-
-_GATES = {"x": sigma_x(), "z": sigma_z(), "h": hadamard()}
 
 
 class HeraldedOutcome(NamedTuple):
@@ -309,6 +300,12 @@ def _distribution_amplitudes(noises, coeffs_list, phase_photon, gather, sign):
     return amps, probs
 
 
+def _ghz_fidelities(rows: np.ndarray, sign: int) -> np.ndarray:
+    """Each C-contiguous row's fidelity to (|up...up> + sign |dn...dn>)/sqrt(2), elementwise off its end entries."""
+    parts = rows.view(np.float64)
+    return np.abs(rows[:, 0] * RT2 + rows[:, -1] * (sign * RT2)) ** 2 / np.einsum("ij,ij->i", parts, parts)
+
+
 def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, correction_for, target_sign, eta_in):
     """Heralded outcomes of n-photon distribution, read off
     `_distribution_amplitudes`, with fidelities to the target
@@ -344,10 +341,7 @@ def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, corre
     # split with every row heralding, each row is normalized in place, in the formed array
     posts = amps.reshape(probs.size, -1) if split and live.all() else amps[pats, tbs]
     posts /= np.sqrt(listed)[:, None]
-    # the target's two nonzero entries, elementwise as a stacked product starts BLAS threads
-    overlaps = posts[:, 0] * RT2 + posts[:, -1] * (target_sign * RT2)
-    parts = posts.view(np.float64)
-    fids = np.abs(overlaps) ** 2 / np.einsum("ij,ij->i", parts, parts)
+    fids = _ghz_fidelities(posts, target_sign)
     scaled = heralded * eta_in ** n      # `coupled_probability`, on every outcome at once
     heralded = np.where(scaled >= sys.float_info.min, scaled, 0.0)
 
@@ -528,15 +522,25 @@ def _scaled_ensemble(weights, rows: np.ndarray, total: float) -> tuple[np.ndarra
 # parity-check detection
 # ---------------------------------------------------------------------------
 
+def _node_terms(coeffs: ScatterCoeffs) -> np.ndarray:
+    """A node's u = r + t and v = r0 + t0, the probe's factor in an arm whose spin is up (dn)."""
+    return np.array([coeffs.r + coeffs.t, coeffs.r0 + coeffs.t0])
+
+
+#: the coefficients of u (row 0) and v (row 1) in the even, then the odd diagonal of `_parity_operators`
+_PARITY_RULE = np.array([[1, 0.5, 0.5, 0, 0, 0.5, -0.5, 0], [0, 0.5, 0.5, 1, 0, -0.5, 0.5, 0]], dtype=complex)
+_PARITY_RULE.setflags(write=False)
+
+
 def _parity_operators(coeffs: ScatterCoeffs) -> np.ndarray:
     """The probe optics of a PCD as one diagonal operator per parity.
 
     The probe never flips a spin: an arm whose spin is up (dn) multiplies
-    the probe by u = r + t (v = r0 + t0), and the output combiner turns the
+    the probe by u (v) of `_node_terms`, and the output combiner turns the
     two arms into their half sum (even) or half difference (odd).  On
-    (spin1, spin2) that gives diag(u, (u+v)/2, (u+v)/2, v) for even and
-    diag(0, (u-v)/2, (v-u)/2, 0) for odd, the two rows of the returned
-    (2, 4) array.
+    (spin1, spin2) that gives u diag(1, 1/2, 1/2, 0) + v diag(0, 1/2, 1/2, 1)
+    for even and (u - v) diag(0, 1/2, -1/2, 0) for odd, `_PARITY_RULE` on
+    (u, v), the two rows of the returned (2, 4) array.
 
     The operators cannot grow a norm.  `ScatterCoeffs` keeps
     |1 + t|^2 + |t|^2 <= 1, and as (1 + t) - t = 1 the parallelogram law
@@ -545,10 +549,7 @@ def _parity_operators(coeffs: ScatterCoeffs) -> np.ndarray:
     |even_k|^2 + |odd_k|^2 is |u|^2, |v|^2 or (|u|^2 + |v|^2)/2, at most 1
     (each within twice the constructor's slack of 1e-12).
     """
-    u = coeffs.r + coeffs.t
-    v = coeffs.r0 + coeffs.t0
-    return np.array([[u, (u + v) / 2.0, (u + v) / 2.0, v],
-                     [0.0, (u - v) / 2.0, (v - u) / 2.0, 0.0]], dtype=complex)
+    return (_node_terms(coeffs) @ _PARITY_RULE).reshape(2, 4)
 
 
 #: the detector ports in output order; an R click heralds the even parity
@@ -625,15 +626,15 @@ def pcd(
 
 #: the heralded branches of one parity check followed by the measurement of
 #: two spins, as (parity, m1, m2): even before odd, outcomes in product order,
-#: so branch i takes row i // 4 of `_parity_operators` (`_BRANCH_PARITY`) and ends in <m1 m2| = row i % 4
+#: so branch i takes row i // 4 of `_parity_operators` and ends in <m1 m2| = row i % 4
 _BRANCHES = tuple((parity, m1, m2) for parity in ("even", "odd")
                   for m1, m2 in itertools.product(("up", "dn"), repeat=2))
-_BRANCH_PARITY = np.arange(len(_BRANCHES)) // 4
+_GATES = {"x": np.array([[0, 1], [1, 0]]), "z": np.array([[1, 0], [0, -1]]), "h": np.array([[1, 1], [1, -1]])}
 
 
 def _gate_product(names) -> np.ndarray:
-    """The single-spin gates ``names``, applied in order, as one 2x2 matrix."""
-    return functools.reduce(lambda m, g: _GATES[g].matrix @ m, names, np.eye(2))
+    """The integer single-spin gates ``names`` (h is sqrt(2) H), applied in order, as one 2x2 matrix."""
+    return functools.reduce(lambda m, g: _GATES[g] @ m, names, np.eye(2, dtype=int))
 
 
 def _extension_gates(parity, m1, m2, label_d):
@@ -642,20 +643,24 @@ def _extension_gates(parity, m1, m2, label_d):
 
 
 @functools.cache
-def _instrument_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coefficient-free parts of both instruments, read-only, built once per
-    process for every extension and new purification instrument: extension's
-    E[i, o, j, d] = (H x H)[i % 4, j] G_i[o, d], with G_i branch i's recorded correction on
-    d; purification's A_i, the gates after its checks, and R = H^{x4}, the rotation before them."""
-    h = _GATES["h"].matrix
-    ext = np.empty((len(_BRANCHES), 2, 4, 2), dtype=complex)
-    pur = np.empty((len(_BRANCHES), 4, 16), dtype=complex)
+def _instrument_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Both instruments' coefficients, read-only, built once per process from `_PARITY_RULE` and the
+    integer gates with one power-of-two scale: each is 0 or a power of two, so its product with a term
+    is exact.  Extension's (2, 128) table is u's and v's in (h x h)[i % 4, j] K_parity[j] G_i[o, d] / 2,
+    G_i branch i's correction on d; purification's (2, 2, 512) one is u_a u_b's, u_a d_b's, d_a u_b's and
+    d_a d_b's (d = u - v, an odd check's only term) in A_i diag(K_a x K_b) h^{x4} / 16, A_i its gates."""
+    h = _GATES["h"]
+    rule = _PARITY_RULE.real.reshape(2, 2, 2, 2)          # (u or v, parity, spin1, spin2)
+    rule_ud = np.stack((rule[0] + rule[1], -rule[1]))    # u K_u + v K_v = u (K_u + K_v) - d K_v
+    ext, pur = np.empty((2, len(_BRANCHES), 2, 4, 2)), np.empty((2, 2, len(_BRANCHES), 4, 16))
     for i, (parity, m1, m2) in enumerate(_BRANCHES):
         gate = _gate_product(g for g, _ in _extension_gates(parity, m1, m2, None))
-        ext[i] = np.kron(h, h)[i % 4, None, :, None] * gate[:, None, :]
+        ext[:, i] = np.kron(h, h)[i % 4, :, None] * gate[:, None, :] * rule[:, i // 4].reshape(2, 1, 4, 1) / 2
         pre = _gate_product(("x", "h") if parity == "odd" else ("h",))
-        pur[i] = np.kron(np.kron(pre, pre)[i % 4], np.kron(_gate_product(("z", "h") if m1 != m2 else ("h",)), h))
-    tables = ext, pur, functools.reduce(np.kron, [h] * 4)
+        after = np.kron(np.kron(pre, pre)[i % 4], np.kron(_gate_product(("z", "h") if m1 != m2 else ("h",)), h))
+        check = np.einsum("kac,lbd->klabcd", rule_ud[:, i // 4], rule_ud[:, i // 4]).reshape(2, 2, 16, 1)
+        pur[:, :, i] = after @ (check * functools.reduce(np.kron, [h] * 4)) / 16
+    tables = ext.reshape(2, -1).astype(complex), pur.reshape(2, 2, -1).astype(complex)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -668,9 +673,9 @@ def _extension_maps(coeffs: ScatterCoeffs) -> np.ndarray:
     Each is G_d <m1 m2|(H x H) K_parity: the parity check of z and z', their
     Hadamard rotation and measurement, and the recorded correction on the
     fresh end spin d.  The input coupling is left to the caller.
-    The stack is the table E of `_instrument_tables` times K_parity along j.
+    The stack is (u, v) times the extension table of `_instrument_tables`.
     """
-    return (_instrument_tables()[0] * _parity_operators(coeffs)[_BRANCH_PARITY][:, None, :, None]).reshape(8, 2, 8)
+    return (_node_terms(coeffs) @ _instrument_tables()[0]).reshape(8, 2, 8)
 
 
 @functools.lru_cache(maxsize=16)
@@ -684,13 +689,12 @@ def _purification_maps(coeffs_a: ScatterCoeffs, coeffs_b: ScatterCoeffs) -> np.n
     recorded flip of a and b), a and b are measured in the Hadamard basis,
     unequal outcomes record a phase flip on a', and a', b' are rotated back.
     One probe photon per party, so the caller scales by eta_in squared.
-    Map i is A_i diag(check_parity) R, with A_i and R from `_instrument_tables`.
+    The stack is the purification table of `_instrument_tables` times b's (u, d), each product exact,
+    then a's, elementwise: an entry 0 in exact arithmetic adds equal products of opposite sign.
     """
-    _, pur, rotate = _instrument_tables()
-    kraus_a, kraus_b = _parity_operators(coeffs_a), _parity_operators(coeffs_b)
-    # both checks are diagonal: entry (a, b, a', b') is K_a[a, a'] K_b[b, b'], one row per parity
-    check = np.einsum("kac,kbd->kabcd", kraus_a.reshape(2, 2, 2), kraus_b.reshape(2, 2, 2)).reshape(2, 16)
-    maps = pur @ (check[_BRANCH_PARITY][:, :, None] * rotate)
+    (u_a, v_a), (u_b, v_b) = _node_terms(coeffs_a), _node_terms(coeffs_b)
+    by_b = np.array([u_b, u_b - v_b]) @ _instrument_tables()[1]
+    maps = (u_a * by_b[0] + (u_a - v_a) * by_b[1]).reshape(8, 4, 16)
     maps.setflags(write=False)
     return maps
 
@@ -700,8 +704,11 @@ def _bell_weights(coeffs: ScatterCoeffs) -> np.ndarray:
     """The purification round's Bell weight table at ``coeffs`` on both parties, a read-only
     (4, 4) real array cached for every `purify_round` at the same coefficients:
     W[m, 2i + j] = 8 sum_k |<B_m|A_k|B_i B_j>|^2 over the branch maps A_k of
-    `_purification_maps`, m over Phi-, Phi+, Psi-, Psi+ and i, j over Phi- and Phi+."""
-    amps = _BELL_SIGNS @ _purification_maps(coeffs, coeffs) @ _BELL_PAIRS.T
+    `_purification_maps`, m over Phi-, Phi+, Psi-, Psi+ and i, j over Phi- and Phi+.  With the parties'
+    (u, d) shared, u d and d u are one term, so <Psi-|A_k|Phi- Phi-> (0 here) keeps no coefficient."""
+    u, v = _node_terms(coeffs)
+    (uu, ud), (du, dd) = _BELL_SIGNS.real @ _instrument_tables()[1].real.reshape(2, 2, 8, 4, 16) @ _BELL_PAIRS.real.T
+    amps = u * u * uu + u * (u - v) * (ud + du) + (u - v) * (u - v) * dd
     weights = (abs(amps) ** 2).sum(axis=0)
     weights.setflags(write=False)
     return weights
@@ -739,7 +746,8 @@ def extend_chain(
     extended GHZ state (|up...up> - |dn...dn>)/sqrt(2) after the recorded
     correction on the fresh end spin.  Each post state is over the rest of
     the chain in its order, then d.  `_apply_instrument` runs the branches
-    of `_extension_maps`, and the live states are checked as one stack.
+    of `_extension_maps`; the live states are checked as one stack and read
+    by `_ghz_fidelities`, as distribution reads its own.
     """
     check_eta_in(eta_in)
     _check_normalized(ghz, "the chain state")
@@ -759,16 +767,16 @@ def extend_chain(
             raise RegisterError(f"extension needs two-level spins; {s.label!r} has {s.dim} levels")
 
     reg = joint.without((label_z, label_zp))
-    target = phi_minus(reg.labels)
     # (rest of the chain, z) times (z', d): the maps meet (z, z', d) and leave d last
     chain = np.moveaxis(ghz.tensor_axes(), ghz.register.position(label_z), -1).reshape(1, -1)
     pair = np.moveaxis(bell.tensor_axes(), bell.register.position(label_zp), 0).reshape(1, -1)
     w, live, rows = _apply_instrument(np.ones(1), chain, np.ones(1), pair, _extension_maps(coeffs))
     outcomes = [HeraldedOutcome(f"{parity}:{m1},{m2}", 0.0, _extension_gates(parity, m1, m2, label_d),
                                 None, None) for parity, m1, m2 in _BRANCHES]
-    for k, final in zip(np.flatnonzero(live).tolist(), StateVector.rows(reg, rows)):
+    fids = _ghz_fidelities(rows, -1).tolist()
+    for k, final, fid in zip(np.flatnonzero(live).tolist(), StateVector.rows(reg, rows), fids):
         outcomes[k] = outcomes[k]._replace(probability=coupled_probability(float(w[k]), eta_in, 1),
-                                           post_state=final, fidelity=fidelity(final, target))
+                                           post_state=final, fidelity=fid)
     return outcomes
 
 

@@ -256,14 +256,6 @@ class LinearMap:
 
 # Common single-subsystem maps.
 
-def sigma_x() -> LinearMap:
-    return LinearMap(np.array([[0, 1], [1, 0]], dtype=complex), unitary=True)
-
-
-def sigma_z() -> LinearMap:
-    return LinearMap(np.array([[1, 0], [0, -1]], dtype=complex), unitary=True)
-
-
 def hadamard() -> LinearMap:
     return LinearMap(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2), unitary=True)
 

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qdrepeater import CavityParams, NoiseChannel, resonant_coeffs
+from qdrepeater import CavityParams, LinearMap, NoiseChannel, resonant_coeffs
+
+
+def sigma_x() -> LinearMap:
+    return LinearMap(np.array([[0, 1], [1, 0]], dtype=complex), unitary=True)
+
+
+def sigma_z() -> LinearMap:
+    return LinearMap(np.array([[1, 0], [0, -1]], dtype=complex), unitary=True)
 
 
 @pytest.fixture

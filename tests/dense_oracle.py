@@ -33,9 +33,14 @@ extension and purification gate by gate: a parity check from the `pcd`
 ports, Hadamard and Pauli gates one spin at a time, and `measure`.  The
 library applies each heralded branch as one cached map; the tests compare
 the two.  `extension_maps_loop` and `purification_maps_loop` build those
-map stacks one branch at a time from Kronecker and matrix products; the
-library multiplies coefficient-free tables by the parity operators in one
-array step, and the tests hold the two stacks to be equal entry for entry.
+map stacks one branch at a time from Kronecker and matrix products of
+integer gates with exact power-of-two scales; the library multiplies its
+nodes' terms by exact tables of their coefficients.  The extension stack
+equals its oracle entry for entry.  The purification oracle is exact
+arithmetic on the nodes' rounded u and v, rounded once
+(`exact_purification_maps`), so its zeros are the structural ones; the
+library's stack has the same zeros and is within a rounding elsewhere, and
+`exact_bell_weights` gives `_bell_weights`' zeros the same way.
 
 `measure` is the projective measurement these references detect with, and
 `scatter` applies the library's `scatter_map` to one photon and one spin
@@ -87,8 +92,6 @@ from qdrepeater.qstate import (
     apply_map,
     fidelity,
     hadamard,
-    sigma_x,
-    sigma_z,
     superposition,
     tensor,
 )
@@ -112,6 +115,8 @@ from qdrepeater.timebin import (
     routing_map,
     tb_label,
 )
+
+from conftest import sigma_x, sigma_z
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -618,9 +623,13 @@ def extension_gates(parity, m1, m2, label_d):
     return ((("x", label_d),) if parity == "odd" else ()) + ((("z", label_d),) if m1 != m2 else ())
 
 
+#: x, z and sqrt(2) h as integers, from which the instrument stacks below are built with exact scales
+INTEGER_GATES = {"x": np.array([[0, 1], [1, 0]]), "z": np.array([[1, 0], [0, -1]]), "h": np.array([[1, 1], [1, -1]])}
+
+
 def gate_product(names):
-    """The single-spin gates ``names``, applied in order, as one 2x2 matrix."""
-    return functools.reduce(lambda m, g: GATES[g].matrix @ m, names, np.eye(2))
+    """The integer gates ``names``, applied in order, as one 2x2 integer matrix."""
+    return functools.reduce(lambda m, g: INTEGER_GATES[g] @ m, names, np.eye(2, dtype=int))
 
 
 #: (parity, m1, m2) of each instrument branch, in the library's order
@@ -629,34 +638,77 @@ BRANCHES = tuple((parity, m1, m2) for parity in ("even", "odd")
 
 
 def extension_maps_loop(coeffs):
-    """The (8, 2, 8) extension stack, branch by branch: G_d <m1 m2|(H x H) K_parity."""
-    h = GATES["h"].matrix
+    """The (8, 2, 8) extension stack, branch by branch: G_d <m1 m2|(H x H) K_parity,
+    with H x H the integer H2 x H2 over 2."""
+    h = INTEGER_GATES["h"]
     kraus = protocols._parity_operators(coeffs)
     maps = np.empty((len(BRANCHES), 2, 8), dtype=complex)
     for i, (parity, m1, m2) in enumerate(BRANCHES):
-        row = (np.kron(h, h) @ np.diag(kraus[i // 4]))[i % 4]
+        row = (np.kron(h, h) @ np.diag(kraus[i // 4]))[i % 4] / 2
         gate = gate_product(g for g, _ in extension_gates(parity, m1, m2, None))
         maps[i] = np.kron(row, gate)
     return maps
 
 
-def purification_maps_loop(coeffs_a, coeffs_b):
-    """The (8, 4, 16) purification stack, branch by branch: the kept copy
-    after Hadamards on all four spins, the two parity checks, the Hadamard
-    measurement of a and b and the recorded corrections."""
-    h = GATES["h"].matrix
+def exact_parity_operators(coeffs):
+    """Both parity operators of a node in exact integer arithmetic, from u = r + t and
+    v = r0 + t0 as the rounded sums they are: the real and the imaginary parts of the
+    (2, 4) rows diag(u, (u+v)/2, (u+v)/2, v) and diag(0, (u-v)/2, (v-u)/2, 0), as object
+    arrays of Python integers over one power of two, and its exponent."""
+    ratios = [x.as_integer_ratio() for z in (coeffs.r + coeffs.t, coeffs.r0 + coeffs.t0) for x in (z.real, z.imag)]
+    e = max(d.bit_length() for _, d in ratios)      # each d is a power of two below 2**e
+    (ur, ui), (vr, vi) = np.array([n << (e + 1 - d.bit_length()) for n, d in ratios], dtype=object).reshape(2, 2)
+    # u, v over 2**e, so the operators' halves are whole over 2**(e + 1)
+    return [np.array([[2 * u, u + v, u + v, 2 * v], [0, u - v, v - u, 0]], dtype=object)
+            for u, v in ((ur, vr), (ui, vi))] + [e + 1]
+
+
+def exact_purification_maps(coeffs_a, coeffs_b):
+    """The (8, 4, 16) purification stack, branch by branch, in exact integer arithmetic: the
+    kept copy after Hadamards on all four spins, the two parity checks, the Hadamard
+    measurement of a and b and the recorded corrections, every gate an integer one.  Returns
+    the real and the imaginary parts as object arrays of Python integers over one power of two
+    (the eight Hadamards' 1/sqrt(2) an exact 1/16 of it), and its exponent."""
+    h = INTEGER_GATES["h"]
     rotate = functools.reduce(np.kron, [h] * 4)
-    kraus_a, kraus_b = protocols._parity_operators(coeffs_a), protocols._parity_operators(coeffs_b)
-    maps = np.empty((len(BRANCHES), 4, 16), dtype=complex)
+    ar, ai, ea = exact_parity_operators(coeffs_a)
+    br, bi, eb = exact_parity_operators(coeffs_b)
+    maps = np.empty((2, len(BRANCHES), 4, 16), dtype=object)
     for i, (parity, m1, m2) in enumerate(BRANCHES):
         # both checks are diagonal: entry (a, b, a', b') is K_a[a, a'] K_b[b, b']
         k = i // 4
-        check = np.einsum("ac,bd->abcd", kraus_a[k].reshape(2, 2), kraus_b[k].reshape(2, 2)).reshape(16)
+        kron = [np.einsum("ac,bd->abcd", x[k].reshape(2, 2), y[k].reshape(2, 2)).reshape(16)
+                for x, y in ((ar, br), (ai, bi), (ar, bi), (ai, br))]
         pre = gate_product(("x", "h") if parity == "odd" else ("h",))
         row = np.kron(pre, pre)[i % 4]
         post = np.kron(gate_product(("z", "h") if m1 != m2 else ("h",)), h)
-        maps[i] = np.kron(row, post) @ (check[:, None] * rotate)
-    return maps
+        for part, check in enumerate((kron[0] - kron[1], kron[2] + kron[3])):
+            maps[part, i] = np.kron(row, post) @ (check[:, None] * rotate)
+    return maps[0], maps[1], ea + eb + 4
+
+
+def rounded(parts, e):
+    """Integers over 2**e as the nearest floats: Python's integer division rounds correctly."""
+    return np.array([n / (1 << e) for n in parts.ravel()]).reshape(parts.shape)
+
+
+def purification_maps_loop(coeffs_a, coeffs_b):
+    """`exact_purification_maps`, each entry rounded once to the nearest complex float."""
+    re, im, e = exact_purification_maps(coeffs_a, coeffs_b)
+    return rounded(re, e) + 1j * rounded(im, e)
+
+
+#: Phi-, Phi+, Psi- and Psi+ times sqrt(2) as integer signs, and the pairs of Phi- and Phi+ over two copies
+BELL_SIGNS = np.array([[1, 0, 0, -1], [1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0]])
+BELL_PAIRS = np.kron(BELL_SIGNS[:2], BELL_SIGNS[:2])
+
+
+def exact_bell_weights(coeffs):
+    """`_bell_weights` from `exact_purification_maps` at ``coeffs`` on both parties,
+    W[m, 2i + j] = sum_k |<B_m|A_k|B_i B_j>|^2 over the sign tables, exact until its one rounding."""
+    re, im, e = exact_purification_maps(coeffs, coeffs)
+    squares = [(BELL_SIGNS @ part @ BELL_PAIRS.T) ** 2 for part in (re, im)]
+    return rounded((squares[0] + squares[1]).sum(axis=0), 2 * e)
 
 
 def extend_chain_gates(ghz, bell, joint_node, coeffs, eta_in=1.0):
@@ -811,14 +863,30 @@ def purify_gates(mixture, labels, coeffs_a, coeffs_b, eta_in=1.0):
     return merge(accepted)
 
 
+def eigen_mixture(weighted):
+    """(weight, normalized state) pairs as the eigenbasis of their density matrix, with no
+    tolerance: the mixture (weights that sum to 1, rows) of its eigenvectors of eigenvalue
+    above ZERO, dominant first, and the `math.fsum` of the pairs' weights."""
+    total = math.fsum(w for w, _ in weighted)
+    rho = sum(w * np.outer(state.amplitudes, state.amplitudes.conj()) for w, state in weighted) / total
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    keep = [i for i, lam in enumerate(eigvals.tolist()) if lam > ZERO][::-1]
+    weights = eigvals[keep]
+    return (weights / math.fsum(weights.tolist()), eigvecs.T[keep]), total
+
+
 def run_chain_gates(scenario):
-    """`run_chain` with `purify_gates` and `extend_chain_gates` on every member pair."""
+    """`run_chain` with `purify_gates` and `extend_chain_gates` on every member pair.
+
+    A segment's mixture is the eigenbasis of its outcomes' density matrix (`eigen_mixture`), as
+    `run_chain` forms it from the exact 4x4 state; purification rounds and splices pool their
+    members with `merge`, the library's rule, until the pooling leaves the library."""
     scenario.validate()
     stages = []
     segments = []
     for i, seg in enumerate(scenario.segments):
         labels = (f"e{i}_{seg.left}", f"e{i}_{seg.right}")
-        mixture, p = merge([(o.probability, o.post_state) for o in distribute_bell(
+        mixture, p = eigen_mixture([(o.probability, o.post_state) for o in distribute_bell(
             seg.noise_left, seg.noise_right, scenario.nodes[seg.left], scenario.nodes[seg.right],
             eta_in=scenario.eta_in, spin_labels=labels) if o.post_state is not None])
         stages.append(StageResult("distribute", seg.name, p, mixture_fidelity(mixture, labels)))

@@ -3,19 +3,20 @@
 Registers keep their sizes, a photon's path ends are built once per
 process, the |+> scattering, the purification instrument and
 `purify_round`'s Bell weight table once per coefficient set (the last 16
-each), both instruments' coefficient-free tables once per
-process and distribution's outcome table (the spins' register, the labeled
-corrections, the detection labels and each photon's correction as a
-read-only gather and sign) once per rule and spin labels; the Bell signs
-and their pairs over two copies, from which the weight table is built, and
-the Bell rows chain stages read, are read-only module constants.  The
-parity operators, the extension instrument and the spin targets (each a few
-microseconds of array arithmetic) and the maps the cached pieces start from
-(`encode_map`, `decode_map`, `scatter_map`) are built afresh on each call,
-the maps read-only like every `LinearMap`.  These tests hold
-the saving (a repeated distribution makes no singular value decomposition
-and no Kronecker product, builds no register, formats no detection label,
-and checks its listed live states as one stack;
+each), both instruments' exact dyadic tables, from which a node's terms
+give every branch map, once per process and distribution's outcome table
+(the spins' register, the labeled corrections, the detection labels and
+each photon's correction as a read-only gather and sign) once per rule and
+spin labels; the parity rule the tables are built from, the Bell signs and
+their pairs over two copies, with which the weight table reads the
+purification table, and the Bell rows chain stages read, are read-only
+module constants.  The parity operators, the extension instrument and the
+spin targets (each a few microseconds of array arithmetic) and the maps
+the cached pieces start from (`encode_map`, `decode_map`, `scatter_map`)
+are built afresh on each call, the maps read-only like every `LinearMap`.
+These tests hold the saving (a repeated distribution makes no singular
+value decomposition and no Kronecker product, builds no register, formats
+no detection label, and checks its listed live states as one stack;
 a parity check builds and applies no map and checks its states as one
 stack; a repeated purification round builds no instrument and takes no
 Kronecker product; a new coefficient set's instruments and Bell weight
@@ -316,7 +317,8 @@ def test_fresh_maps_are_read_only(build):
     assert build().matrix[0, 0] != 7.0
 
 
-#: every cached map, the Bell signs, their pairs and the Bell rows, as the array a caller could try to write to
+#: every cached map, the parity rule, the Bell signs, their pairs and the Bell rows, as the array a caller could
+#: try to write to
 CACHED_ARRAYS = {
     "decoder ends": lambda: protocols._path_ends()[0],
     "encoder end": lambda: protocols._path_ends()[1],
@@ -325,7 +327,7 @@ CACHED_ARRAYS = {
     "correction sign": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[5],
     "extension table": lambda: protocols._instrument_tables()[0],
     "purification table": lambda: protocols._instrument_tables()[1],
-    "purification rotation": lambda: protocols._instrument_tables()[2],
+    "parity rule": lambda: protocols._PARITY_RULE,
     "purification maps": lambda: protocols._purification_maps(_practical(), IDEAL),
     "Bell weights": lambda: protocols._bell_weights(_practical()),
     "Bell signs": lambda: protocols._BELL_SIGNS,

@@ -1,6 +1,6 @@
 """The tests, the CLI, the metrics and the scripts import only public names
 of the library and read or ``setattr`` no private name off its modules but
-the 23 that `PRIVATE_READS` pins, all by the tests; no module imports a
+the 24 that `PRIVATE_READS` pins, all by the tests; no module imports a
 name it does not use, and every private top-level name of the library is
 read somewhere in it."""
 
@@ -136,13 +136,14 @@ def test_scan_flags_private_setattr_targets():
 #: entry, so the list is exact.  `_normalized_ensemble` is read because the
 #: pooling lost its public route with `heralded_ensemble`; it leaves `src/`
 #: with the pooling itself (ROADMAP item 2).  `_purify` is read to hold
-#: `purify_round` to the chain's round, `_BELL` and `_BELL_SIGNS` to check
-#: they are read-only; `_distribution_outcomes`, `_gate_product`,
+#: `purify_round` to the chain's round, `_BELL`, `_BELL_SIGNS` and
+#: `_PARITY_RULE` to check they are read-only; `_distribution_outcomes`, `_gate_product`,
 #: `_apply_instrument` and `_eigen_ensemble` are replaced by ``monkeypatch`` to
 #: show that a path never reaches them.
 PRIVATE_READS = [
     "qdrepeater.cli._read_config", "qdrepeater.protocols._BELL",
     "qdrepeater.protocols._BELL_PAIRS", "qdrepeater.protocols._BELL_SIGNS",
+    "qdrepeater.protocols._PARITY_RULE",
     "qdrepeater.protocols._apply_instrument", "qdrepeater.protocols._bell_correction",
     "qdrepeater.protocols._bell_weights", "qdrepeater.protocols._distribution_outcomes",
     "qdrepeater.protocols._eigen_ensemble", "qdrepeater.protocols._equal_upto_phase",
@@ -166,7 +167,9 @@ def test_private_attribute_reads_are_pinned():
 def unused_imports(source: str) -> list[str]:
     """Every name an import binds that the module never reads.
 
-    ``import a.b`` binds ``a``; ``__future__`` imports bind nothing.
+    ``import a.b`` binds ``a``; ``__future__`` imports bind nothing.  Only a
+    name loaded counts as a read: an assignment or annotation target of the
+    same name, such as a field ``fidelity: float``, reads nothing.
     """
     tree = ast.parse(source)
     bound = set()
@@ -175,13 +178,15 @@ def unused_imports(source: str) -> list[str]:
             bound.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(a.asname or a.name for a in node.names)
-    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)})
 
 
 def test_scan_flags_unused_imports():
     assert unused_imports("import os\nimport numpy as np\nnp.zeros(1)\n") == ["os"]
     assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []
     assert unused_imports("from x import y, z as w\ndef f(q: w): return q\n") == ["y"]
+    assert unused_imports("from x import fidelity\nclass C:\n    fidelity: float | None\n") == ["fidelity"]
+    assert unused_imports("from x import y, z\ny = 1\ndel z\n") == ["y", "z"]
 
 
 def test_no_module_imports_a_name_it_does_not_use():

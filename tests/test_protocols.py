@@ -52,6 +52,7 @@ from dense_oracle import (
     apply_gates,
     collect_outcomes_scalar,
     distribution_branches,
+    exact_bell_weights,
     extend_chain_gates,
     extension_maps_loop,
     ghz_correction_search,
@@ -984,14 +985,56 @@ def test_cached_instruments_lose_weight(kind_a, kind_b, seed):
 @given(st.sampled_from(_NODE_KINDS), st.sampled_from(_NODE_KINDS), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_instrument_stacks_equal_their_branch_by_branch_oracles(kind_a, kind_b, seed):
-    # the table products give every entry of today's per-branch Kronecker and matrix products exactly
+    # the extension table's products give every entry of the per-branch Kronecker and matrix
+    # products exactly; the purification stack is 0.0 exactly where the exact oracle is, and
+    # elsewhere within its own rounding (1.7e-16 at most over 3,000 draws) and the oracle's one
     rng = np.random.default_rng(seed)
     coeffs_a, coeffs_b = _node(kind_a, rng), _node(kind_b, rng)
     ext, pur = protocols._extension_maps(coeffs_a), protocols._purification_maps(coeffs_a, coeffs_b)
     assert (ext.shape, pur.shape) == ((8, 2, 8), (8, 4, 16))
     assert ext.dtype == pur.dtype == np.complex128
     assert np.array_equal(ext, extension_maps_loop(coeffs_a))
-    assert np.array_equal(pur, purification_maps_loop(coeffs_a, coeffs_b))
+    oracle = purification_maps_loop(coeffs_a, coeffs_b)
+    assert np.array_equal(pur == 0, oracle == 0)
+    assert np.max(np.abs(pur - oracle)) <= 2.3e-16
+
+
+@given(st.sampled_from(_NODE_KINDS), st.sampled_from(_NODE_KINDS), st.integers(0, 2 ** 32 - 1))
+@example("ideal", "empty", 0)
+@example("empty", "ideal", 0)
+@example("ideal", "detuned", 1)     # IDEAL's u and v are +-1, so its products cancel across the table's terms
+@settings(max_examples=100, deadline=None)
+def test_instrument_stacks_and_bell_weights_read_exactly_zero_where_exact_arithmetic_does(kind_a, kind_b, seed):
+    # the oracle is exact arithmetic on the nodes' u and v, rounded once: below 1e-15 it is the
+    # structural zero, here at every draw, IDEAL and g = 0 ("empty") included, two nodes and one
+    rng = np.random.default_rng(seed)
+    coeffs_a, coeffs_b = _node(kind_a, rng), _node(kind_b, rng)
+    for pair in ((coeffs_a, coeffs_b), (coeffs_a, coeffs_a)):
+        assert not protocols._purification_maps(*pair)[np.abs(purification_maps_loop(*pair)) < 1e-15].any()
+    assert not protocols._bell_weights(coeffs_a)[exact_bell_weights(coeffs_a) < 1e-15].any()
+    # at g = 0, u == v: every odd branch, a multiple of u - v, is 0.0 at every entry
+    if "empty" in (kind_a, kind_b):
+        assert not protocols._purification_maps(coeffs_a, coeffs_b)[4:].any()
+    if kind_a == "empty":
+        assert not protocols._extension_maps(coeffs_a)[4:].any()
+
+
+def test_instrument_tables_hold_only_zeros_and_signed_powers_of_two():
+    # so every product of a coefficient with a node's term is exact
+    for table in protocols._instrument_tables():
+        assert not table.imag.any()
+        mags = np.abs(table.real[table.real != 0])
+        assert np.array_equal(mags, 2.0 ** np.round(np.log2(mags)))
+
+
+def test_purification_stack_has_its_structural_zeros_at_the_reference_nodes():
+    # 384 of 512 entries vanish in exact arithmetic at IDEAL on both parties, 304 at (g=1.2, ks=0.2)
+    practical = resonant_coeffs(CavityParams(g=1.2, kappa_s=0.2))
+    assert [int(np.sum(protocols._purification_maps(c, c) == 0)) for c in (IDEAL, practical)] == [384, 304]
+    # no Psi- weight from two Phi- copies at equal nodes, and none of the weights that vanish at IDEAL
+    assert protocols._bell_weights(practical)[2, 0] == 0.0
+    assert protocols._bell_weights(IDEAL).tolist() == [[8.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 8.0],
+                                                        [0.0] * 4, [0.0] * 4]
 
 
 @given(_extension_inputs())

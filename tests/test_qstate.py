@@ -16,13 +16,12 @@ from qdrepeater.qstate import (
     basis_state,
     fidelity,
     hadamard,
-    sigma_x,
     superposition,
     tensor,
 )
 from qdrepeater.timebin import phase_shift_map
 
-from conftest import allclose_upto_phase, schmidt_rank
+from conftest import allclose_upto_phase, schmidt_rank, sigma_x
 from dense_oracle import measure
 
 RT2 = 1.0 / math.sqrt(2.0)

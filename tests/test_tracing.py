@@ -30,7 +30,7 @@ def test_tracer_installs_and_restores_every_layer(monkeypatch):
     try:
         assert qstate.StateVector.__post_init__ is not originals[qstate.StateVector]
         qstate.apply_map(qstate.basis_state(qstate.Register((qstate.Subsystem("s", ("up", "dn")),))),
-                         qstate.sigma_x(), ["s"])
+                         qstate.hadamard(), ["s"])
     finally:
         tracer.uninstall()
     assert {cls: cls.__post_init__ for cls in originals} == originals
