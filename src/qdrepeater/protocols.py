@@ -7,16 +7,16 @@ Four protocols are implemented by exact state-vector evolution:
   spin per node and detected.  Every two-photon (n-photon) detection pattern
   heralds a spin state; a fixed single-spin correction, given by a rule per
   pattern, turns each pattern into the same target state.  Each photon's
-  path is compiled into a small transfer array from cached pieces of the
-  dense time-bin pipeline's matrices.  Corrections act photon by photon,
-  so the products of the corrected factors form the (pattern, time bin,
-  spin) amplitude array already corrected.  Probabilities (the rows'
-  squared norms), states and fidelities are read off it in whole-array
-  steps, the listed states are filled in bulk from one checked stack
-  (`StateVector.rows`) and the outcomes built by one ``map`` of their
-  constructor.  A chain segment forms its 4x4 state from the array's live
-  rows and builds no outcome.  The tests' oracle, `distribution_branches`,
-  builds the array uncorrected.
+  path is its node's terms (1, t, t0) times one exact table, composed once
+  from the dense time-bin pipeline's matrices, then its fiber's rotation.
+  Corrections act photon by photon, so the products of the corrected
+  factors form the (pattern, time bin, spin) amplitude array already
+  corrected.  Probabilities (the rows' squared norms), states and
+  fidelities are read off it in whole-array steps, the listed states are
+  filled in bulk from one checked stack (`StateVector.rows`) and the
+  outcomes built by one ``map`` of their constructor.  A chain segment forms
+  its 4x4 state from the array's live rows and builds no outcome.  The
+  tests' oracle, `distribution_branches`, builds the array uncorrected.
 * Parity-check detection (PCD): a single probe photon is split over two
   local cavities, recombined and detected; the detected polarization heralds
   the even or odd parity subspace of the two spins without measuring them.
@@ -43,17 +43,18 @@ expands the matrix into pure states, its eigenvectors, and a chain reports
 its last matrix as its final state.  `purify_round`'s Bell mixture stays
 diagonal in the Bell basis, so its round is one 4x4 product.
 
-Built once per process and shared read-only: a photon's path ends, both
-instruments' tables and the Bell signs with their pairs over two copies; per
-coefficient set (the last 16 each): `scatter_map`'s scattering of a spin in
-|+>, the purification stack and the Bell weight table; per correction rule
-and spin labels (the last 16): distribution's outcome table, the spins'
-register, each pattern's correction on the labels, every detection label and
-each photon's correction as one gather and sign over its transfer amplitudes.
-A repeated distribution builds no map, no register and no label, and reads
-its states off the formed array in place when every row heralds; the
-parity operators, the extension instrument and `ghz_state`, a few
-microseconds each, are built on each call.
+Built once per process and shared read-only: the photons' transfer table,
+both instruments' tables and the Bell signs with their pairs over two
+copies; per coefficient set (the last 16 each): the purification stack and
+the Bell weight table; per correction rule and spin labels (the last 16):
+distribution's outcome table, the spins' register, each pattern's
+correction on the labels, every detection label and each photon's
+correction as one gather and sign over its transfer amplitudes.  Past the
+first in a process, no distribution builds a map, at any coefficients; a
+repeated one builds no register and no label, and reads its states off the
+formed array in place when every row heralds; the parity operators, the
+extension instrument and `ghz_state`, a few microseconds each, are built on
+each call.
 
 Branch probabilities are exact: imperfect cavity coefficients shrink the
 pre-detection norm, and one minus the sum of all heralded probabilities is
@@ -81,7 +82,6 @@ from .qstate import (
     _equal_upto_phase,
     superposition,
 )
-from .scatter import scatter_map
 from .timebin import (
     DIRECTION,
     POL_CIRCULAR,
@@ -89,7 +89,6 @@ from .timebin import (
     NoiseChannel,
     _rotations,
     decode_map,
-    encode_map,
     phase_shift_map,
 )
 
@@ -181,27 +180,32 @@ _PORT_AXES = ([POL_CIRCULAR.index(pol) for pol, _ in _PORTS], [DIRECTION.index(d
 
 
 @functools.cache
-def _path_ends() -> tuple[np.ndarray, np.ndarray]:
-    """The source columns of the decoder and the encoder around a fiber,
-    read-only, for every photon of every distribution: decoders (2, 8, 4) from the fiber's
-    Hs, Hl, Vs, Vl to the (polarization, direction, decoded time bin) output, tag up, the
-    second with the pi phase plate; the encoder (4, 2) from the source's H and V."""
-    dec = decode_map().matrix[:, [0, 1, 4, 5]]
-    decs = np.stack((dec, np.kron(phase_shift_map(math.pi).matrix, np.eye(4)) @ dec))
-    enc = encode_map().matrix[:, [0, 2]]
-    for end in (decs, enc):
-        end.setflags(write=False)
-    return decs, enc
+def _transfer_table() -> np.ndarray:
+    """Each photon's path after its fiber as its node's terms (1, t, t0)
+    times this read-only (2, 3, 64) table, built once per process: per phase
+    setting (slice 1 with the pi plate) and term, a map from the fiber's
+    (polarization, raw time bin) to (circular polarization, direction, spin,
+    decoded time bin).
 
-
-@functools.lru_cache(maxsize=16)
-def _plus_scatter(coeffs: ScatterCoeffs) -> np.ndarray:
-    """`scatter_map` on a spin in |+>: a read-only (8, 4) array from the
-    photon's (polarization, direction) to (polarization, direction, spin),
-    cached per coefficient set, as every photon of a distribution meets one."""
-    m = scatter_map(coeffs).matrix.reshape(8, 4, 2) @ np.array([RT2, RT2])
-    m.setflags(write=False)
-    return m
+    It composes `decode_map` (tag up), the exact pi plate and the scattering
+    of a spin in |+> by the rule ``p ^ d == s`` of `scatter.scatter_map`: a
+    coupled column reflects with 1 + t and keeps t, an uncoupled one 1 + t0
+    and t0.  Each entry is one product of entries 0 or +-1, times
+    1/sqrt(2), so it is exactly 0 or +-1/sqrt(2).
+    """
+    dec = decode_map().matrix[:, [0, 1, 4, 5]]             # tag up: Hs, Hl, Vs, Vl in
+    decs = np.stack((dec, np.kron(phase_shift_map(math.pi).matrix, np.eye(4)) @ dec)).reshape(2, 4, 2, 4)
+    rule = np.zeros((3, 8, 8))
+    for p, d, s in itertools.product((0, 1), repeat=3):
+        col = 4 * p + 2 * d + s
+        term = 1 if p ^ d == s else 2
+        rule[0, col ^ 0b110, col] = 1.0                      # reflection flips polarization and direction
+        rule[term, col ^ 0b110, col] = rule[term, col, col] = 1.0
+    # on a spin in |+>, each term from (p, d) to (p, d, spin), then after the decoder's (p, d) x (t, in)
+    plus = rule.reshape(3, 8, 4, 2).sum(axis=3)
+    table = RT2 * np.einsum("kop,hpti->hkoti", plus, decs).reshape(2, 3, 64)
+    table.setflags(write=False)
+    return table
 
 
 def _photon_transfers(noises, coeffs_list, phase_photon: int) -> np.ndarray:
@@ -210,15 +214,16 @@ def _photon_transfers(noises, coeffs_list, phase_photon: int) -> np.ndarray:
     The photon leaves the source with polarization s (H, V) in the early
     bin and runs encode -> fiber -> decode -> (pi phase, photon
     ``phase_photon`` only) -> quarter-wave relabel -> scatter off its spin
-    in |+>, to circular polarization p, direction d and decoded time bin t.
-    The channels were checked when built, so their rotations enter as one array.
+    in |+>, to circular polarization p, direction d and decoded time bin t:
+    the node's terms (1, t, t0) times `_transfer_table`, times the fiber's
+    rotation of the encoder's columns Hs -> Hs and Vs -> Hl, its first two.
+    Channels and nodes were checked when built, so each enters as one array.
     """
-    decs, enc = _path_ends()
     n = len(noises)
-    phased = (np.arange(n) == phase_photon).astype(np.intp)
-    paths = decs[phased] @ _rotations(noises) @ enc
-    plus = np.stack([_plus_scatter(cf) for cf in coeffs_list])
-    return (plus @ paths.reshape(n, 4, 4)).reshape(n, 2, 2, 2, 2, 2)     # paths as (p, d) x (t, s)
+    terms = np.array([(1.0, cf.t, cf.t0) for cf in coeffs_list])
+    table = _transfer_table()[(np.arange(n) == phase_photon).astype(np.intp)]
+    paths = (terms[:, None, :] @ table).reshape(n, 16, 4)
+    return (paths @ _rotations(noises)[:, :, :2]).reshape(n, 2, 2, 2, 2, 2)
 
 
 @functools.lru_cache(maxsize=16)
@@ -383,6 +388,12 @@ def check_mu(mu: float) -> None:
         raise ValueError(f"mu = {mu} outside [0, 1]")
 
 
+def _check_kind(what: str, value, kind: type) -> None:
+    """Reject ``value``, the argument named ``what``, unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+
+
 def _check_normalized(state: StateVector, what: str) -> None:
     if abs(state.norm2 - 1.0) > 1e-9:
         raise ValueError(f"{what} must be normalized")
@@ -410,6 +421,9 @@ def distribute_bell(
     (|up,up> - |dn,dn>)/sqrt(2).
     """
     check_eta_in(eta_in)
+    for what, value, kind in (("noise_a", noise_a, NoiseChannel), ("noise_b", noise_b, NoiseChannel),
+                              ("coeffs_a", coeffs_a, ScatterCoeffs), ("coeffs_b", coeffs_b, ScatterCoeffs)):
+        _check_kind(what, value, kind)
     spin_labels = tuple(spin_labels)
     if len(spin_labels) != 2:
         raise ValueError(f"Bell distribution needs exactly two spin labels, not {list(spin_labels)}")
@@ -439,6 +453,9 @@ def distribute_ghz(
     coeffs = list(coeffs)
     if len(noise) != n or len(coeffs) != n:
         raise ValueError("need one noise channel and one coefficient set per photon")
+    for i, (ch, cf) in enumerate(zip(noise, coeffs)):
+        _check_kind(f"noise[{i}]", ch, NoiseChannel)
+        _check_kind(f"coeffs[{i}]", cf, ScatterCoeffs)
     labels = tuple(f"e_{chr(ord('a') + i)}" for i in range(n))
     return _distribution_outcomes(noise, coeffs, 0, labels, _ghz_correction, 1, eta_in)
 
@@ -581,6 +598,7 @@ def pcd(
     live ports' states are checked as one stack (`StateVector.rows`).
     """
     check_eta_in(eta_in)
+    _check_kind("coeffs", coeffs, ScatterCoeffs)
     reg = state.register
     for lab in (spin1, spin2):
         if not reg.has(lab):
@@ -750,6 +768,7 @@ def extend_chain(
     by `_ghz_fidelities`, as distribution reads its own.
     """
     check_eta_in(eta_in)
+    _check_kind("coeffs", coeffs, ScatterCoeffs)
     _check_normalized(ghz, "the chain state")
     _check_normalized(bell, "the fresh pair")
     label_z, label_zp = joint_node
@@ -855,6 +874,7 @@ def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[Purification
     mu -> mu^2/(mu^2 + (1-mu)^2) with success probability mu^2 + (1-mu)^2.
     """
     check_mu(mu)
+    _check_kind("coeffs", coeffs, ScatterCoeffs)
     w = np.array([mu, 1.0 - mu])
     out = (_bell_weights(coeffs) @ (w[:, None] * w).ravel() / 8.0).tolist()
     success = math.fsum(out)
@@ -904,7 +924,11 @@ class ChainScenario:
     def validate(self):
         if not self.segments:
             raise ValueError("scenario needs at least one segment")
+        for name, coeffs in self.nodes.items():
+            _check_kind(f"node {name!r}", coeffs, ScatterCoeffs)
         for seg in self.segments:
+            _check_kind(f"segment {seg.name}: noise_left", seg.noise_left, NoiseChannel)
+            _check_kind(f"segment {seg.name}: noise_right", seg.noise_right, NoiseChannel)
             for node in (seg.left, seg.right):
                 if node not in self.nodes:
                     raise ValueError(f"segment {seg.name}: unknown node {node!r}")

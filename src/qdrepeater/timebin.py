@@ -13,11 +13,13 @@ Time bins are discrete delay counters.  The decoder only routes amplitude,
 so `decode` applies one 0/1 map, `decode_map()`, as `encode` applies
 `encode_map()`, and relabels the bins as arrival classes sp and lp.  The
 tests run the decoder's elements step by step as that map's reference.
-Both maps are built and checked on each call; the compiled distribution
-in `protocols` reads them once per process.  `_rotations` writes the 4x4
-rotations of checked fibers out in one array, all of a distribution's at
-once; `NoiseChannel.matrix()` is one fiber's, which `apply_noise` checks
-again as a unitary map.
+Both maps are built and checked on each call; distribution in `protocols`
+composes `decode_map()`, the exact pi plate and the scattering rule into
+one table once per process, and meets the encoder as the first two columns
+of the fibers' rotations.  `_rotations` writes the 4x4 rotations of
+checked fibers out in one array, all of a distribution's at once;
+`NoiseChannel.matrix()` is one fiber's, which `apply_noise` checks again
+as a unitary map.
 
 Each optical element is a plain function of one photon or a matrix:
 `qwp`, `delay` and `pockels` act on the photon named; a half-wave plate or a
@@ -29,6 +31,7 @@ with `apply_map` to the subsystems it acts on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +147,14 @@ def pc_map(tb_levels: tuple[str, ...], window) -> LinearMap:
 
 
 def phase_shift_map(angle: float) -> LinearMap:
-    """Phase plate: multiplies the second polarization level (V or L) by exp(i angle)."""
-    return LinearMap(np.diag([1.0, np.exp(1j * angle)]), unitary=True)
+    """Phase plate: multiplies the second polarization level (V or L) by exp(i angle).
+
+    The angle's whole quarter turns enter as a power of i, so every multiple
+    of pi/2 gives exactly +-1 or +-i and an angle in [0, pi/2) keeps its
+    bits; a non-finite angle gives nan, which the unitarity check rejects."""
+    quarters, rest = divmod(angle, math.pi / 2)
+    turn = {0: 1, 1: 1j, 2: -1, 3: -1j}.get(quarters % 4, math.nan)
+    return LinearMap(np.diag([1.0, turn * np.exp(1j * rest)]), unitary=True)
 
 
 def qwp(state: StateVector, photon: str) -> StateVector:

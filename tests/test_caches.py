@@ -1,22 +1,24 @@
 """Objects built from already-checked inputs are built and checked once.
 
-Registers keep their sizes, a photon's path ends are built once per
-process, the |+> scattering, the purification instrument and
-`purify_round`'s Bell weight table once per coefficient set (the last 16
-each), both instruments' exact dyadic tables, from which a node's terms
-give every branch map, once per process and distribution's outcome table
-(the spins' register, the labeled corrections, the detection labels and
-each photon's correction as a read-only gather and sign) once per rule and
-spin labels; the parity rule the tables are built from, the Bell signs and
-their pairs over two copies, with which the weight table reads the
-purification table, and the Bell rows chain stages read, are read-only
-module constants.  The parity operators, the extension instrument and the
-spin targets (each a few microseconds of array arithmetic) and the maps
-the cached pieces start from (`encode_map`, `decode_map`, `scatter_map`)
-are built afresh on each call, the maps read-only like every `LinearMap`.
-These tests hold the saving (a repeated distribution makes no singular
-value decomposition and no Kronecker product, builds no register, formats
-no detection label, and checks its listed live states as one stack;
+Registers keep their sizes, the photons' exact transfer table, from which
+a node's terms (1, t, t0) give each photon's path, is built once per
+process, the purification instrument and `purify_round`'s Bell weight
+table once per coefficient set (the last 16 each), both instruments' exact
+dyadic tables, from which a node's terms give every branch map, once per
+process and distribution's outcome table (the spins' register, the labeled
+corrections, the detection labels and each photon's correction as a
+read-only gather and sign) once per rule and spin labels; the parity rule
+the tables are built from, the Bell signs and their pairs over two copies,
+with which the weight table reads the purification table, and the Bell
+rows chain stages read, are read-only module constants.  The parity
+operators, the extension instrument and the spin targets (each a few
+microseconds of array arithmetic) and the maps the cached pieces start
+from (`encode_map`, `decode_map`, `scatter_map`) are built afresh on each
+call, the maps read-only like every `LinearMap`.  These tests hold the
+saving (a distribution, a chain or a crosscheck at coefficients never seen
+makes no singular value decomposition; a repeated distribution takes no
+Kronecker product, builds no register, formats no detection label, and
+checks its listed live states as one stack;
 a parity check builds and applies no map and checks its states as one
 stack; a repeated purification round builds no instrument and takes no
 Kronecker product; a new coefficient set's instruments and Bell weight
@@ -39,8 +41,10 @@ import pytest
 
 from qdrepeater import protocols, qstate
 from qdrepeater.cavity import IDEAL, CavityParams, resonant_coeffs
-from qdrepeater.protocols import (HeraldedOutcome, distribute_bell, distribute_ghz, extend_chain, ghz_state, pcd,
-                                  phi_minus, phi_plus, purify_round, spin_register)
+from qdrepeater.metrics import crosscheck
+from qdrepeater.protocols import (ChainScenario, HeraldedOutcome, SegmentSpec, distribute_bell, distribute_ghz,
+                                  extend_chain, ghz_state, pcd, phi_minus, phi_plus, purify_round, run_chain,
+                                  spin_register)
 from qdrepeater.qstate import (LinearMap, Register, StateVector, Subsystem, apply_map, basis_state, fidelity,
                                superposition)
 from qdrepeater.scatter import scatter_map
@@ -70,17 +74,24 @@ def svd_calls(monkeypatch):
     return calls
 
 
-def test_a_repeated_distribution_makes_no_svd(svd_calls, rng):
+def test_a_distribution_at_coefficients_never_seen_makes_no_svd(svd_calls, rng):
     noises = [random_asymmetric(rng) for _ in range(3)]
-    runs = [lambda: distribute_bell(noises[0], noises[1], _practical(), _practical()),
-            lambda: distribute_ghz(3, noises, [_practical() for _ in range(3)])]
+    nodes = [random_coeffs(rng) for _ in range(3)]    # drawn afresh, so no cache has met them
+    scenario = ChainScenario({"A": nodes[0], "B": nodes[1], "C": nodes[2]},
+                             [SegmentSpec("s0", "A", "B", noises[0], noises[1]), SegmentSpec("s1", "B", "C")],
+                             purify_rounds=1)
+    runs = [lambda: distribute_bell(noises[0], noises[1], nodes[0], nodes[1]),
+            lambda: distribute_ghz(3, noises, nodes),
+            lambda: run_chain(scenario).final_fidelity,
+            lambda: crosscheck(nodes[2]).max_deviation]
     first = [run() for run in runs]
-    svd_calls.clear()
     again = [run() for run in runs]
     assert svd_calls == []
-    for old, new in zip(first, again):
-        assert [(o.detection, o.probability, o.fidelity) for o in old] == \
-               [(o.detection, o.probability, o.fidelity) for o in new]
+
+    def listed(result):
+        return [(o.detection, o.probability, o.fidelity) for o in result] if isinstance(result, list) else result
+
+    assert [listed(r) for r in again] == [listed(r) for r in first]
 
 
 def test_a_repeated_ghz_distribution_makes_no_kron_and_checks_its_live_states_as_one_stack(monkeypatch, rng):
@@ -320,9 +331,7 @@ def test_fresh_maps_are_read_only(build):
 #: every cached map, the parity rule, the Bell signs, their pairs and the Bell rows, as the array a caller could
 #: try to write to
 CACHED_ARRAYS = {
-    "decoder ends": lambda: protocols._path_ends()[0],
-    "encoder end": lambda: protocols._path_ends()[1],
-    "plus scatter": lambda: protocols._plus_scatter(_practical()),
+    "transfer table": lambda: protocols._transfer_table(),
     "correction gather": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[4],
     "correction sign": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[5],
     "extension table": lambda: protocols._instrument_tables()[0],
@@ -381,7 +390,7 @@ def test_every_cached_function_is_checked_read_only_or_exempt():
 
 
 def test_cached_maps_are_shared_per_input():
-    assert protocols._plus_scatter(_practical()) is protocols._plus_scatter(_practical())
+    assert protocols._transfer_table() is protocols._transfer_table()
     assert isinstance(scatter_map(_practical()), LinearMap)
     assert protocols._purification_maps(_practical(), IDEAL) is protocols._purification_maps(_practical(), IDEAL)
     assert protocols._bell_weights(_practical()) is protocols._bell_weights(_practical())

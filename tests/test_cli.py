@@ -705,7 +705,7 @@ def test_photon_phase_defaults_to_pi(tmp_path, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
-    assert "|V,up,s>,-0.707106781187," in outputs[0]
+    assert "|V,up,s>,-0.707106781187,0\n" in outputs[0]     # exp(i pi) is exactly -1
 
 
 @pytest.mark.parametrize("amplitudes", ["h = nan", "h = inf", "v = 1e400", "h = 1\nv = -infj"])

@@ -1,6 +1,6 @@
 """The tests, the CLI, the metrics and the scripts import only public names
 of the library and read or ``setattr`` no private name off its modules but
-the 24 that `PRIVATE_READS` pins, all by the tests; no module imports a
+the 23 that `PRIVATE_READS` pins, all by the tests; no module imports a
 name it does not use, and every private top-level name of the library is
 read somewhere in it."""
 
@@ -150,10 +150,9 @@ PRIVATE_READS = [
     "qdrepeater.protocols._extension_maps", "qdrepeater.protocols._gate_product",
     "qdrepeater.protocols._ghz_correction", "qdrepeater.protocols._instrument_tables",
     "qdrepeater.protocols._normalized_ensemble", "qdrepeater.protocols._pair_stage",
-    "qdrepeater.protocols._parity_operators", "qdrepeater.protocols._path_ends",
-    "qdrepeater.protocols._pattern_corrections", "qdrepeater.protocols._plus_scatter",
+    "qdrepeater.protocols._parity_operators", "qdrepeater.protocols._pattern_corrections",
     "qdrepeater.protocols._purification_maps", "qdrepeater.protocols._purify",
-    "qdrepeater.protocols._splice",
+    "qdrepeater.protocols._splice", "qdrepeater.protocols._transfer_table",
 ]
 
 

@@ -43,7 +43,7 @@ from qdrepeater.qstate import (
     superposition,
     tensor,
 )
-from qdrepeater.timebin import TB_DECODED, NoiseChannel
+from qdrepeater.timebin import TB_DECODED, NoiseChannel, encode_map
 
 from conftest import allclose_upto_phase, random_asymmetric, random_coeffs, random_symmetric, symmetric_from_angles
 from dense_oracle import (
@@ -60,6 +60,7 @@ from dense_oracle import (
     pair_stage_scalar,
     pcd_per_parity,
     pattern_corrections_loop,
+    photon_transfer,
     pool_scalar,
     purification_maps_loop,
     purify_gates,
@@ -293,6 +294,31 @@ def test_dense_oracle_decodes_without_the_routing_map(monkeypatch):
     grouped, survival = run_distribution(["a", "b"], [QUIET, QUIET], [REF, IDEAL], "b", ["e_a", "e_b"])
     assert list(grouped) == list(itertools.product(PORTS, repeat=2))
     assert 0.0 < survival <= 1.0
+
+
+def test_transfer_table_is_read_only_and_each_entry_is_zero_or_a_signed_root_half():
+    table = protocols._transfer_table()
+    assert table.shape == (2, 3, 64)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 7.0
+    assert not table.imag.any()
+    assert set(table.real.ravel().tolist()) == {0.0, RT2, -RT2}
+
+
+@pytest.mark.parametrize("phased", [0, 1])
+def test_a_nodes_terms_times_the_transfer_table_are_its_element_maps(phased, rng):
+    # random, ideal, empty (g = 0, so t = t0) and detuned nodes, each behind quiet, collective and split fibers
+    nodes = [random_coeffs(rng) for _ in range(20)] + [
+        IDEAL, resonant_coeffs(CavityParams(g=0.0)), resonant_coeffs(CavityParams(g=1.2, kappa_s=0.2, delta=0.7))]
+    table = protocols._transfer_table()[phased]
+    encoder = encode_map().matrix[:, [0, 2]]
+    for node in nodes:
+        for noise in (QUIET, random_symmetric(rng), random_asymmetric(rng)):
+            got = (np.array([1.0, node.t, node.t0]) @ table).reshape(16, 4) @ noise.matrix() @ encoder
+            # the oracle's v[s, (p, d, t), spin] from decode_map, the pi plate, scatter_map on |+> and encode_map,
+            # in the table's order (p, d, spin, t) x s
+            want = photon_transfer(noise, node, phased).reshape(2, 4, 2, 2).transpose(1, 3, 2, 0).reshape(16, 2)
+            assert np.max(np.abs(got - want)) <= 2e-16
 
 
 def _unlisted_branches(outcomes, n):
@@ -1862,8 +1888,31 @@ def _spins_and_qutrit(labels, qutrit):
     (lambda: purify_analytic(1.25, 1), ValueError, "mu = 1.25 outside [0, 1]"),
     (lambda: purify_round(-0.5), ValueError, "mu = -0.5 outside [0, 1]"),
     (lambda: purification_metrics(float("nan"), IDEAL), ValueError, "mu = nan outside [0, 1]"),
+    # a node that is not a ScatterCoeffs or a fiber that is not a NoiseChannel, at each entry point
+    pytest.param(lambda: distribute_bell(QUIET, QUIET, CavityParams(g=1.0), IDEAL), ValueError,
+                 "coeffs_a must be a ScatterCoeffs, not CavityParams", id="distribute_bell-node"),
+    pytest.param(lambda: distribute_bell(QUIET, (1.0, 0.0), IDEAL, IDEAL), ValueError,
+                 "noise_b must be a NoiseChannel, not tuple", id="distribute_bell-fiber"),
+    pytest.param(lambda: distribute_ghz(3, [QUIET] * 3, [IDEAL, CavityParams(g=1.0), IDEAL]), ValueError,
+                 "coeffs[1] must be a ScatterCoeffs, not CavityParams", id="distribute_ghz-node"),
+    pytest.param(lambda: distribute_ghz(3, [QUIET, QUIET, (1.0, 0.0)], [IDEAL] * 3), ValueError,
+                 "noise[2] must be a NoiseChannel, not tuple", id="distribute_ghz-fiber"),
+    pytest.param(lambda: pcd(uniform_spins(("a", "b")), "a", "b", CavityParams(g=1.0)), ValueError,
+                 "coeffs must be a ScatterCoeffs, not CavityParams", id="pcd-node"),
+    pytest.param(lambda: extend_chain(phi_minus(("a", "z")), phi_minus(("zp", "d")), ("z", "zp"),
+                                      CavityParams(g=1.0)), ValueError,
+                 "coeffs must be a ScatterCoeffs, not CavityParams", id="extend_chain-node"),
+    pytest.param(lambda: purify_round(0.7, CavityParams(g=1.0)), ValueError,
+                 "coeffs must be a ScatterCoeffs, not CavityParams", id="purify_round-node"),
+    pytest.param(lambda: run_chain(ChainScenario(nodes={"A": IDEAL, "B": CavityParams(g=1.0)},
+                                                 segments=[SegmentSpec("AB", "A", "B")])), ValueError,
+                 "node 'B' must be a ScatterCoeffs, not CavityParams", id="run_chain-node"),
+    pytest.param(lambda: run_chain(ChainScenario(nodes={"A": IDEAL, "B": IDEAL},
+                                                 segments=[SegmentSpec("AB", "A", "B", (1.0, 0.0))])), ValueError,
+                 "segment AB: noise_left must be a NoiseChannel, not tuple", id="run_chain-fiber"),
 ])
 def test_boundary_checks_raise(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+

@@ -301,6 +301,18 @@ def test_phase_element_flips_v_sign():
     assert out.amplitude({"a_pol": "V"}) == pytest.approx(-RT2)
 
 
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_phase_plate_at_a_whole_number_of_quarter_turns_is_exact(k):
+    m = phase_shift_map(k * math.pi / 2).matrix
+    assert m[0, 0] == 1.0 and m[0, 1] == m[1, 0] == 0.0
+    assert m[1, 1] == (1, 1j, -1, -1j)[k % 4]
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-300, 0.3, 0.7, math.pi / 4, math.nextafter(math.pi / 2, 0.0)])
+def test_phase_plate_below_a_quarter_turn_keeps_its_bits(angle):
+    assert phase_shift_map(angle).matrix[1, 1] == np.exp(1j * angle)
+
+
 def test_bs_splits_path():
     state = basis_state(photon_register("a"))
     out = apply_map(state, hadamard(), ["a_dir"])
