@@ -1029,15 +1029,17 @@ def test_instrument_stacks_equal_their_branch_by_branch_oracles(kind_a, kind_b, 
 @example("ideal", "empty", 0)
 @example("empty", "ideal", 0)
 @example("ideal", "detuned", 1)     # IDEAL's u and v are +-1, so its products cancel across the table's terms
+@example("resonant", "ideal", 165)  # u = -v to 3e-9: the Phi- to Phi+ weights are 9.1e-17, not zero
 @settings(max_examples=100, deadline=None)
 def test_instrument_stacks_and_bell_weights_read_exactly_zero_where_exact_arithmetic_does(kind_a, kind_b, seed):
-    # the oracle is exact arithmetic on the nodes' u and v, rounded once: below 1e-15 it is the
-    # structural zero, here at every draw, IDEAL and g = 0 ("empty") included, two nodes and one
+    # the oracle is exact arithmetic on the nodes' u and v, rounded once: its 0.0 entries are the
+    # structural zeros, and a tiny entry is a true one, not a zero; here at every draw, IDEAL and
+    # g = 0 ("empty") included, two nodes and one
     rng = np.random.default_rng(seed)
     coeffs_a, coeffs_b = _node(kind_a, rng), _node(kind_b, rng)
     for pair in ((coeffs_a, coeffs_b), (coeffs_a, coeffs_a)):
-        assert not protocols._purification_maps(*pair)[np.abs(purification_maps_loop(*pair)) < 1e-15].any()
-    assert not protocols._bell_weights(coeffs_a)[exact_bell_weights(coeffs_a) < 1e-15].any()
+        assert not protocols._purification_maps(*pair)[purification_maps_loop(*pair) == 0].any()
+    assert not protocols._bell_weights(coeffs_a)[exact_bell_weights(coeffs_a) == 0].any()
     # at g = 0, u == v: every odd branch, a multiple of u - v, is 0.0 at every entry
     if "empty" in (kind_a, kind_b):
         assert not protocols._purification_maps(coeffs_a, coeffs_b)[4:].any()
