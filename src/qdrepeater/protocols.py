@@ -12,9 +12,7 @@ Four protocols are implemented by exact state-vector evolution:
   Corrections act photon by photon, so the products of the corrected
   factors form the (pattern, time bin, spin) amplitude array already
   corrected.  Probabilities (the rows' squared norms), states and
-  fidelities are read off it in whole-array steps, the listed states are
-  filled in bulk from one checked stack (`StateVector.rows`) and the
-  outcomes built by one ``map`` of their constructor.  A chain segment forms
+  fidelities are read off it in whole-array steps.  A chain segment forms
   its 4x4 state from the array's live rows and builds no outcome.  The
   tests' oracle, `distribution_branches`, builds the array uncorrected.
 * Parity-check detection (PCD): a single probe photon is split over two
@@ -23,12 +21,17 @@ Four protocols are implemented by exact state-vector evolution:
   The probe never flips a spin, so its optics act on the two spins as one
   diagonal operator per parity.  One broadcast product of both diagonals
   and the ideal interface's two with the state's amplitude array gives
-  both heralded branches and their fidelity targets; the live ports'
-  states are checked as one stack.
+  both heralded branches and their fidelity targets.
 * Chain extension: a PCD plus two single-spin measurements splices a fresh
   Bell pair onto an existing entangled chain.
 * Purification: two noisy copies are distilled into one of higher quality
   using one PCD per party.
+
+Distribution, the PCD and extension list their branches by one rule,
+`_listed_outcomes`: each in its place, a dead one as (label, 0.0, gates,
+None, None), a live one's probability times eta_in per photon pass (0.0
+below the smallest normal float) and its state a row of one checked stack
+(`StateVector.rows`), every outcome built once by its constructor.
 
 Extension and purification are instruments: one fixed map per heralded branch
 (parity and two measured spins), stacked per coefficient set from a node's
@@ -232,8 +235,8 @@ def _pattern_corrections(correction_for, spin_labels: tuple[str, ...]):
     the spins ``spin_labels``, built once per rule and labels for every
     distribution (the last 16 kept), each part in product order: the spins'
     `Register`; each port pattern's correction, its gates on the labels;
-    each pattern's detection label, and each (pattern, time bin) row's
-    ``pattern:bins``, listed when the fibers split; and every photon's
+    the detection labels, each pattern's, then each (pattern, time bin)
+    row's ``pattern:bins``, listed when the fibers split; and every photon's
     correction as a read-only pair (gather, sign) over the flat output v of
     `_photon_transfers`.  Photon i's factor of pattern k, axes (s, k, t,
     spin), is corrected to v.take(gather[i]) * sign[i], as the rule's x and z
@@ -265,7 +268,7 @@ def _pattern_corrections(correction_for, spin_labels: tuple[str, ...]):
                                                     repeat=n)]
     bins = [":" + ",".join(b) for b in itertools.product(TB_DECODED, repeat=n)]
     gates = [tuple((g, spin_labels[i]) for g, i in c) for c in corrections]
-    return spin_register(spin_labels), gates, labels, [a + b for a in labels for b in bins], gather, sign
+    return spin_register(spin_labels), gates, labels + [a + b for a in labels for b in bins], gather, sign
 
 
 def _distribution_amplitudes(noises, coeffs_list, phase_photon, gather, sign):
@@ -326,38 +329,29 @@ def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, corre
     other (`_segment`).  A dead pattern keeps its place.
 
     The register, corrections and detection labels are read from the outcome
-    table of `_pattern_corrections`.  The listed states are checked as one
-    stack by `StateVector.rows`, each a view of its row of the stack's one
-    copy; when the fibers split and every row heralds, the rows are
-    normalized in place in the formed array, and that copy is the only one.
+    table of `_pattern_corrections`, and `_listed_outcomes` lists the
+    branches; when the fibers split and every row heralds, the rows are
+    normalized in place in the formed array, so the stack's copy is the only one.
     """
-    n = len(spin_labels)
-    register, gates, labels, split_labels, gather, sign = _pattern_corrections(correction_for, spin_labels)
+    register, gates, names, gather, sign = _pattern_corrections(correction_for, spin_labels)
     amps, probs = _distribution_amplitudes(noises, coeffs_list, phase_photon, gather, sign)
 
     split = any(ch.delta_l != ch.delta or ch.eta_l != ch.eta for ch in noises)
     live = probs > _ZERO
-    # unsplit, a pattern lists its first live time-bin outcome with a running
-    # sum of the live probabilities, which adds them one by one in their order
     heralds = live.any(axis=1)
-    pats, tbs = np.nonzero(live) if split else (np.flatnonzero(heralds), live.argmax(axis=1)[heralds])
+    # a branch per pattern, at its first live row; split, per live row, and per dead pattern at its first row
+    pats, tbs = np.nonzero(live | (np.arange(probs.shape[1]) == 0) & ~heralds[:, None]) if split else \
+        (np.arange(len(probs)), live.argmax(axis=1))
     listed = probs[pats, tbs]
-    heralded = listed if split else np.where(live, probs, 0.0).cumsum(axis=1)[pats, -1]
+    alive = listed > _ZERO
+    # unsplit, a pattern's probability is a running sum of its live rows, which adds them one by one in their order
+    heralded = listed if split else np.where(live, probs, 0.0).cumsum(axis=1)[:, -1]
     # split with every row heralding, each row is normalized in place, in the formed array
-    posts = amps.reshape(probs.size, -1) if split and live.all() else amps[pats, tbs]
-    posts /= np.sqrt(listed)[:, None]
-    fids = _ghz_fidelities(posts, target_sign)
-    scaled = heralded * eta_in ** n      # `coupled_probability`, on every outcome at once
-    heralded = np.where(scaled >= sys.float_info.min, scaled, 0.0)
-
-    names, rows = (split_labels, pats * probs.shape[1] + tbs) if split else (labels, pats)
-    outcomes = list(map(HeraldedOutcome, map(names.__getitem__, rows.tolist()), heralded.tolist(),
-                        map(gates.__getitem__, pats.tolist()), StateVector.rows(register, posts), fids.tolist()))
-    if not heralds.all():
-        dead = np.flatnonzero(~heralds)    # each after the live outcomes of the patterns before it
-        for at, k in zip((np.searchsorted(pats, dead) + np.arange(len(dead))).tolist(), dead.tolist()):
-            outcomes.insert(at, HeraldedOutcome(labels[k], 0.0, gates[k], None, None))
-    return outcomes
+    posts = amps.reshape(probs.size, -1) if split and live.all() else amps[pats[alive], tbs[alive]]
+    posts /= np.sqrt(listed[alive])[:, None]
+    at = np.where(alive, len(probs) + pats * probs.shape[1] + tbs, pats) if split else pats
+    return _listed_outcomes(map(names.__getitem__, at.tolist()), map(gates.__getitem__, pats.tolist()), heralded,
+                            alive, register, posts, _ghz_fidelities(posts, target_sign).tolist(), eta_in, len(noises))
 
 
 #: the spins of `distribute_bell` unless named, whose table a chain segment reads
@@ -404,6 +398,21 @@ def coupled_probability(p: float, eta_in: float, passes: int) -> float:
     input coupler, reported as 0.0 below the smallest normal float."""
     scaled = p * eta_in ** passes
     return scaled if scaled >= sys.float_info.min else 0.0
+
+
+def _listed_outcomes(names, gates, probs, live, register, rows, fids, eta_in, passes) -> list[HeraldedOutcome]:
+    """Every branch of a heralded protocol in its place, built once in one pass of the constructor, from
+    each branch's name, gates, probability at unit input coupling and liveness, and the live branches'
+    unit rows and fidelities.  A live branch's probability is its `coupled_probability`, taken on all at
+    once, and the rows are checked as one stack by `StateVector.rows`; a dead branch is (name, 0.0,
+    gates, None, None)."""
+    scaled = probs * eta_in ** passes
+    heralded = np.where(live & (scaled >= sys.float_info.min), scaled, 0.0).tolist()
+    posts, fids = list(StateVector.rows(register, rows)), list(fids)
+    for k in np.flatnonzero(~live).tolist():      # each dead branch's None in its place, in order
+        posts.insert(k, None)
+        fids.insert(k, None)
+    return list(map(HeraldedOutcome, names, heralded, gates, posts, fids))
 
 
 def distribute_bell(
@@ -594,8 +603,7 @@ def pcd(
     branch for the same input spins, or is None where that branch is dead.
 
     Both parities and both ideal-interface branches come from one broadcast
-    product of the four diagonals with the state's amplitude array; the
-    live ports' states are checked as one stack (`StateVector.rows`).
+    product of the four diagonals with the state's amplitude array.
     """
     check_eta_in(eta_in)
     _check_kind("coeffs", coeffs, ScatterCoeffs)
@@ -624,18 +632,14 @@ def pcd(
     overlaps = np.abs(np.einsum("ij,ij->i", rows[2:].conj(), rows[:2])) ** 2
 
     # both ports of a parity carry K/sqrt(2), so each heralds half of the
-    # probability and the same state; a parity whose ports carry no more
-    # than the dead-branch weight has probability 0 and post state None
-    live = [i for i, k in enumerate(_PCD_PARITY) if norm2[k] / 2.0 > _ZERO]
+    # probability and the same state, or is dead with its parity
+    probs = norm2[_PCD_PARITY] / 2.0
+    live = probs > _ZERO
     parity = _PCD_PARITY[live]
     posts = _PCD_SIGN[live, None] * (rows[parity] / np.sqrt(norm2[parity])[:, None])
-    norm2, overlaps = norm2.tolist(), overlaps.tolist()
-    outcomes = [HeraldedOutcome(label, 0.0, (), None, None) for label in _PCD_PORTS]
-    for i, k, post in zip(live, parity.tolist(), StateVector.rows(reg, posts)):
-        p, ideal = norm2[k], norm2[2 + k]
-        fid = overlaps[k] / (ideal * p) if ideal > _ZERO else None
-        outcomes[i] = HeraldedOutcome(_PCD_PORTS[i], coupled_probability(p / 2.0, eta_in, 1), (), post, fid)
-    return outcomes
+    fids = [o / (ideal * p) if ideal > _ZERO else None
+            for o, ideal, p in zip(overlaps[parity].tolist(), norm2[2 + parity].tolist(), norm2[parity].tolist())]
+    return _listed_outcomes(_PCD_PORTS, [()] * 4, probs, live, reg, posts, fids, eta_in, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +768,8 @@ def extend_chain(
     extended GHZ state (|up...up> - |dn...dn>)/sqrt(2) after the recorded
     correction on the fresh end spin.  Each post state is over the rest of
     the chain in its order, then d.  `_apply_instrument` runs the branches
-    of `_extension_maps`; the live states are checked as one stack and read
-    by `_ghz_fidelities`, as distribution reads its own.
+    of `_extension_maps`, and `_ghz_fidelities` reads the live states, as
+    distribution reads its own.
     """
     check_eta_in(eta_in)
     _check_kind("coeffs", coeffs, ScatterCoeffs)
@@ -790,13 +794,9 @@ def extend_chain(
     chain = np.moveaxis(ghz.tensor_axes(), ghz.register.position(label_z), -1).reshape(1, -1)
     pair = np.moveaxis(bell.tensor_axes(), bell.register.position(label_zp), 0).reshape(1, -1)
     w, live, rows = _apply_instrument(np.ones(1), chain, np.ones(1), pair, _extension_maps(coeffs))
-    outcomes = [HeraldedOutcome(f"{parity}:{m1},{m2}", 0.0, _extension_gates(parity, m1, m2, label_d),
-                                None, None) for parity, m1, m2 in _BRANCHES]
-    fids = _ghz_fidelities(rows, -1).tolist()
-    for k, final, fid in zip(np.flatnonzero(live).tolist(), StateVector.rows(reg, rows), fids):
-        outcomes[k] = outcomes[k]._replace(probability=coupled_probability(float(w[k]), eta_in, 1),
-                                           post_state=final, fidelity=fid)
-    return outcomes
+    return _listed_outcomes([f"{parity}:{m1},{m2}" for parity, m1, m2 in _BRANCHES],
+                            [_extension_gates(*branch, label_d) for branch in _BRANCHES], w, live, reg, rows,
+                            _ghz_fidelities(rows, -1).tolist(), eta_in, 1)
 
 
 def _pair_stage(weights: np.ndarray, rows: np.ndarray, maps):

@@ -332,8 +332,8 @@ def test_fresh_maps_are_read_only(build):
 #: try to write to
 CACHED_ARRAYS = {
     "transfer table": lambda: protocols._transfer_table(),
-    "correction gather": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[4],
-    "correction sign": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[5],
+    "correction gather": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[-2],
+    "correction sign": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[-1],
     "extension table": lambda: protocols._instrument_tables()[0],
     "purification table": lambda: protocols._instrument_tables()[1],
     "parity rule": lambda: protocols._PARITY_RULE,
