@@ -36,6 +36,7 @@ from .protocols import (
     PurificationState,
     channel_mixing_weight,
     check_eta_in,
+    check_kind,
     check_mu,
     coupled_probability,
     distribute_bell,
@@ -58,6 +59,7 @@ class DistributionMetrics:
 def _metrics(coeffs: ScatterCoeffs, eta_in: float, passes: int) -> DistributionMetrics:
     """The closed forms, with ``eta_in`` applied once per photon pass."""
     check_eta_in(eta_in)
+    check_kind("coeffs", coeffs, ScatterCoeffs)
     u = 1.0 + 2.0 * coeffs.t
     v = 1.0 + 2.0 * coeffs.t0
     eta_even = (abs(u) ** 2 + abs(v) ** 2 + 2.0 * abs(1.0 + coeffs.t + coeffs.t0) ** 2) / 4.0
@@ -143,6 +145,7 @@ def purification_metrics(mu: float, coeffs: ScatterCoeffs) -> PurificationState:
     recursion of `purify_analytic`.
     """
     check_mu(mu)
+    check_kind("coeffs", coeffs, ScatterCoeffs)
     u, v = coeffs.r + coeffs.t, coeffs.r0 + coeffs.t0
     a, b, z = abs(u) ** 2, abs(v) ** 2, u * v.conjugate()
     s16 = (2.0 * abs(u - v) ** 4 * mu ** 2

@@ -46,13 +46,15 @@ expands the matrix into pure states, its eigenvectors, and a chain reports
 its last matrix as its final state.  `purify_round`'s Bell mixture stays
 diagonal in the Bell basis, so its round is one 4x4 product.
 
-Built once per process and shared read-only: the photons' transfer table,
-both instruments' tables and the Bell signs with their pairs over two
-copies; per coefficient set (the last 16 each): the purification stack and
-the Bell weight table; per correction rule and spin labels (the last 16):
-distribution's outcome table, the spins' register, each pattern's
-correction on the labels, every detection label and each photon's
-correction as one gather and sign over its transfer amplitudes.  Past the
+Built once per process and shared read-only (`_read_only`): the photons'
+transfer table, both instruments' tables and every module constant array
+(the Bell signs with their pairs over two copies, the parity rule, the
+PCD's port tables, the integer gates); per coefficient set (the last 16
+each): the purification stack and the Bell weight table; per correction
+rule and spin labels (the last 16): distribution's outcome table, the
+spins' register, each pattern's correction on the labels, every detection
+label and each photon's correction as one gather and sign over its
+transfer amplitudes.  Past the
 first in a process, no distribution builds a map, at any coefficients; a
 repeated one builds no register and no label, and reads its states off the
 formed array in place when every row heralds; the parity operators, the
@@ -71,6 +73,7 @@ import itertools
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -101,6 +104,12 @@ _MERGE_TOL = 1e-10
 
 #: structurally possible single-photon detections after the decoder routing
 _PORTS = (("R", "up"), ("L", "dn"))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only, as every array built once and shared is."""
+    array.setflags(write=False)
+    return array
 
 
 class HeraldedOutcome(NamedTuple):
@@ -157,13 +166,10 @@ def phi_plus(labels) -> StateVector:
 
 #: Phi-, Phi+, Psi- and Psi+ over two spins times sqrt(2), read-only: as signs, they keep products
 #: that are 0 in exact arithmetic at 0.0; `_BELL` scales Phi- (every chain stage's target) and Phi+
-_BELL_SIGNS = np.array([[1, 0, 0, -1], [1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0]], dtype=complex)
-_BELL_SIGNS.setflags(write=False)
-_BELL = RT2 * _BELL_SIGNS[:2]
-_BELL.setflags(write=False)
+_BELL_SIGNS = _read_only(np.array([[1, 0, 0, -1], [1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0]], dtype=complex))
+_BELL = _read_only(RT2 * _BELL_SIGNS[:2])
 #: the signs of the pairs B_i x B_j of two copies, i and j over Phi- and Phi+, as rows 2i + j, read-only
-_BELL_PAIRS = np.kron(_BELL_SIGNS[:2], _BELL_SIGNS[:2])
-_BELL_PAIRS.setflags(write=False)
+_BELL_PAIRS = _read_only(np.kron(_BELL_SIGNS[:2], _BELL_SIGNS[:2]))
 
 
 def uniform_spins(labels) -> StateVector:
@@ -206,9 +212,7 @@ def _transfer_table() -> np.ndarray:
         rule[term, col ^ 0b110, col] = rule[term, col, col] = 1.0
     # on a spin in |+>, each term from (p, d) to (p, d, spin), then after the decoder's (p, d) x (t, in)
     plus = rule.reshape(3, 8, 4, 2).sum(axis=3)
-    table = RT2 * np.einsum("kop,hpti->hkoti", plus, decs).reshape(2, 3, 64)
-    table.setflags(write=False)
-    return table
+    return _read_only(RT2 * np.einsum("kop,hpti->hkoti", plus, decs).reshape(2, 3, 64))
 
 
 def _photon_transfers(noises, coeffs_list, phase_photon: int) -> np.ndarray:
@@ -260,10 +264,8 @@ def _pattern_corrections(correction_for, spin_labels: tuple[str, ...]):
     at = np.arange(32 * n).reshape(n, 2, 2, 2, 2, 2)
     gather = at[np.arange(n)[:, None, None], np.take(_PORT_AXES[0], port), np.take(_PORT_AXES[1], port),
                 np.arange(2) ^ np.reshape(flip, (n, -1, 1))]
-    gather = np.ascontiguousarray(gather.transpose(0, 4, 1, 3, 2))
-    sign = np.reshape(sign, (n, 1, -1, 1, 2))
-    for table in (gather, sign):
-        table.setflags(write=False)
+    gather = _read_only(np.ascontiguousarray(gather.transpose(0, 4, 1, 3, 2)))
+    sign = _read_only(np.reshape(sign, (n, 1, -1, 1, 2)))
     labels = ["".join(p) for p in itertools.product([pol + ("↑" if d == "up" else "↓") for pol, d in _PORTS],
                                                     repeat=n)]
     bins = [":" + ",".join(b) for b in itertools.product(TB_DECODED, repeat=n)]
@@ -338,10 +340,10 @@ def _distribution_outcomes(noises, coeffs_list, phase_photon, spin_labels, corre
 
     split = any(ch.delta_l != ch.delta or ch.eta_l != ch.eta for ch in noises)
     live = probs > _ZERO
-    heralds = live.any(axis=1)
-    # a branch per pattern, at its first live row; split, per live row, and per dead pattern at its first row
-    pats, tbs = np.nonzero(live | (np.arange(probs.shape[1]) == 0) & ~heralds[:, None]) if split else \
-        (np.arange(len(probs)), live.argmax(axis=1))
+    # a branch per pattern, at its first live row or, if none is live, its first row; split, per live row too
+    branch = live.copy() if split else np.zeros_like(live)
+    branch[np.arange(len(probs)), live.argmax(axis=1)] = True
+    pats, tbs = branch.nonzero()
     listed = probs[pats, tbs]
     alive = listed > _ZERO
     # unsplit, a pattern's probability is a running sum of its live rows, which adds them one by one in their order
@@ -382,7 +384,7 @@ def check_mu(mu: float) -> None:
         raise ValueError(f"mu = {mu} outside [0, 1]")
 
 
-def _check_kind(what: str, value, kind: type) -> None:
+def check_kind(what: str, value, kind: type) -> None:
     """Reject ``value``, the argument named ``what``, unless it is a ``kind``."""
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
@@ -409,7 +411,7 @@ def _listed_outcomes(names, gates, probs, live, register, rows, fids, eta_in, pa
     scaled = probs * eta_in ** passes
     heralded = np.where(live & (scaled >= sys.float_info.min), scaled, 0.0).tolist()
     posts, fids = list(StateVector.rows(register, rows)), list(fids)
-    for k in np.flatnonzero(~live).tolist():      # each dead branch's None in its place, in order
+    for k in (~live).nonzero()[0].tolist():      # each dead branch's None in its place, in order
         posts.insert(k, None)
         fids.insert(k, None)
     return list(map(HeraldedOutcome, names, heralded, gates, posts, fids))
@@ -432,7 +434,7 @@ def distribute_bell(
     check_eta_in(eta_in)
     for what, value, kind in (("noise_a", noise_a, NoiseChannel), ("noise_b", noise_b, NoiseChannel),
                               ("coeffs_a", coeffs_a, ScatterCoeffs), ("coeffs_b", coeffs_b, ScatterCoeffs)):
-        _check_kind(what, value, kind)
+        check_kind(what, value, kind)
     spin_labels = tuple(spin_labels)
     if len(spin_labels) != 2:
         raise ValueError(f"Bell distribution needs exactly two spin labels, not {list(spin_labels)}")
@@ -463,8 +465,8 @@ def distribute_ghz(
     if len(noise) != n or len(coeffs) != n:
         raise ValueError("need one noise channel and one coefficient set per photon")
     for i, (ch, cf) in enumerate(zip(noise, coeffs)):
-        _check_kind(f"noise[{i}]", ch, NoiseChannel)
-        _check_kind(f"coeffs[{i}]", cf, ScatterCoeffs)
+        check_kind(f"noise[{i}]", ch, NoiseChannel)
+        check_kind(f"coeffs[{i}]", cf, ScatterCoeffs)
     labels = tuple(f"e_{chr(ord('a') + i)}" for i in range(n))
     return _distribution_outcomes(noise, coeffs, 0, labels, _ghz_correction, 1, eta_in)
 
@@ -554,8 +556,8 @@ def _node_terms(coeffs: ScatterCoeffs) -> np.ndarray:
 
 
 #: the coefficients of u (row 0) and v (row 1) in the even, then the odd diagonal of `_parity_operators`
-_PARITY_RULE = np.array([[1, 0.5, 0.5, 0, 0, 0.5, -0.5, 0], [0, 0.5, 0.5, 1, 0, -0.5, 0.5, 0]], dtype=complex)
-_PARITY_RULE.setflags(write=False)
+_PARITY_RULE = _read_only(np.array([[1, 0.5, 0.5, 0, 0, 0.5, -0.5, 0], [0, 0.5, 0.5, 1, 0, -0.5, 0.5, 0]],
+                                    dtype=complex))
 
 
 def _parity_operators(coeffs: ScatterCoeffs) -> np.ndarray:
@@ -578,12 +580,12 @@ def _parity_operators(coeffs: ScatterCoeffs) -> np.ndarray:
     return (_node_terms(coeffs) @ _PARITY_RULE).reshape(2, 4)
 
 
-#: the detector ports in output order; an R click heralds the even parity
-#: (row 0 of `_parity_operators`), an L click the odd one (row 1)
+#: the detector ports in output order and each one's parity, read-only: an R click
+#: heralds the even parity (row 0 of `_parity_operators`), an L click the odd one (row 1)
 _PCD_PORTS = ("R_a1", "R_a2", "L_a1", "L_a2")
-_PCD_PARITY = np.array([0, 0, 1, 1])
-#: the sign each port gives the heralded amplitudes
-_PCD_SIGN = np.array([1.0, 1.0, 1.0, -1.0])
+_PCD_PARITY = _read_only(np.array([0, 0, 1, 1]))
+#: the sign each port gives the heralded amplitudes, read-only
+_PCD_SIGN = _read_only(np.array([1.0, 1.0, 1.0, -1.0]))
 
 
 def pcd(
@@ -606,7 +608,7 @@ def pcd(
     product of the four diagonals with the state's amplitude array.
     """
     check_eta_in(eta_in)
-    _check_kind("coeffs", coeffs, ScatterCoeffs)
+    check_kind("coeffs", coeffs, ScatterCoeffs)
     reg = state.register
     for lab in (spin1, spin2):
         if not reg.has(lab):
@@ -651,7 +653,8 @@ def pcd(
 #: so branch i takes row i // 4 of `_parity_operators` and ends in <m1 m2| = row i % 4
 _BRANCHES = tuple((parity, m1, m2) for parity in ("even", "odd")
                   for m1, m2 in itertools.product(("up", "dn"), repeat=2))
-_GATES = {"x": np.array([[0, 1], [1, 0]]), "z": np.array([[1, 0], [0, -1]]), "h": np.array([[1, 1], [1, -1]])}
+#: x, z and sqrt(2) H as integer matrices, read-only
+_GATES = {g: _read_only(np.array(m)) for g, m in zip("xzh", ([[0, 1], [1, 0]], [[1, 0], [0, -1]], [[1, 1], [1, -1]]))}
 
 
 def _gate_product(names) -> np.ndarray:
@@ -682,10 +685,7 @@ def _instrument_tables() -> tuple[np.ndarray, np.ndarray]:
         after = np.kron(np.kron(pre, pre)[i % 4], np.kron(_gate_product(("z", "h") if m1 != m2 else ("h",)), h))
         check = np.einsum("kac,lbd->klabcd", rule_ud[:, i // 4], rule_ud[:, i // 4]).reshape(2, 2, 16, 1)
         pur[:, :, i] = after @ (check * functools.reduce(np.kron, [h] * 4)) / 16
-    tables = ext.reshape(2, -1).astype(complex), pur.reshape(2, 2, -1).astype(complex)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return _read_only(ext.reshape(2, -1).astype(complex)), _read_only(pur.reshape(2, 2, -1).astype(complex))
 
 
 def _extension_maps(coeffs: ScatterCoeffs) -> np.ndarray:
@@ -716,9 +716,7 @@ def _purification_maps(coeffs_a: ScatterCoeffs, coeffs_b: ScatterCoeffs) -> np.n
     """
     (u_a, v_a), (u_b, v_b) = _node_terms(coeffs_a), _node_terms(coeffs_b)
     by_b = np.array([u_b, u_b - v_b]) @ _instrument_tables()[1]
-    maps = (u_a * by_b[0] + (u_a - v_a) * by_b[1]).reshape(8, 4, 16)
-    maps.setflags(write=False)
-    return maps
+    return _read_only((u_a * by_b[0] + (u_a - v_a) * by_b[1]).reshape(8, 4, 16))
 
 
 @functools.lru_cache(maxsize=16)
@@ -731,9 +729,7 @@ def _bell_weights(coeffs: ScatterCoeffs) -> np.ndarray:
     u, v = _node_terms(coeffs)
     (uu, ud), (du, dd) = _BELL_SIGNS.real @ _instrument_tables()[1].real.reshape(2, 2, 8, 4, 16) @ _BELL_PAIRS.real.T
     amps = u * u * uu + u * (u - v) * (ud + du) + (u - v) * (u - v) * dd
-    weights = (abs(amps) ** 2).sum(axis=0)
-    weights.setflags(write=False)
-    return weights
+    return _read_only((abs(amps) ** 2).sum(axis=0))
 
 
 def _apply_instrument(w_a, a, w_b, b, maps):
@@ -772,7 +768,7 @@ def extend_chain(
     distribution reads its own.
     """
     check_eta_in(eta_in)
-    _check_kind("coeffs", coeffs, ScatterCoeffs)
+    check_kind("coeffs", coeffs, ScatterCoeffs)
     _check_normalized(ghz, "the chain state")
     _check_normalized(bell, "the fresh pair")
     label_z, label_zp = joint_node
@@ -874,7 +870,7 @@ def purify_round(mu: float, coeffs: ScatterCoeffs = IDEAL) -> tuple[Purification
     mu -> mu^2/(mu^2 + (1-mu)^2) with success probability mu^2 + (1-mu)^2.
     """
     check_mu(mu)
-    _check_kind("coeffs", coeffs, ScatterCoeffs)
+    check_kind("coeffs", coeffs, ScatterCoeffs)
     w = np.array([mu, 1.0 - mu])
     out = (_bell_weights(coeffs) @ (w[:, None] * w).ravel() / 8.0).tolist()
     success = math.fsum(out)
@@ -924,11 +920,13 @@ class ChainScenario:
     def validate(self):
         if not self.segments:
             raise ValueError("scenario needs at least one segment")
+        check_kind("nodes", self.nodes, Mapping)
         for name, coeffs in self.nodes.items():
-            _check_kind(f"node {name!r}", coeffs, ScatterCoeffs)
-        for seg in self.segments:
-            _check_kind(f"segment {seg.name}: noise_left", seg.noise_left, NoiseChannel)
-            _check_kind(f"segment {seg.name}: noise_right", seg.noise_right, NoiseChannel)
+            check_kind(f"node {name!r}", coeffs, ScatterCoeffs)
+        for i, seg in enumerate(self.segments):
+            check_kind(f"segments[{i}]", seg, SegmentSpec)
+            check_kind(f"segment {seg.name}: noise_left", seg.noise_left, NoiseChannel)
+            check_kind(f"segment {seg.name}: noise_right", seg.noise_right, NoiseChannel)
             for node in (seg.left, seg.right):
                 if node not in self.nodes:
                     raise ValueError(f"segment {seg.name}: unknown node {node!r}")

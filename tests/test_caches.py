@@ -7,10 +7,10 @@ table once per coefficient set (the last 16 each), both instruments' exact
 dyadic tables, from which a node's terms give every branch map, once per
 process and distribution's outcome table (the spins' register, the labeled
 corrections, the detection labels and each photon's correction as a
-read-only gather and sign) once per rule and spin labels; the parity rule
-the tables are built from, the Bell signs and their pairs over two copies,
-with which the weight table reads the purification table, and the Bell
-rows chain stages read, are read-only module constants.  The parity
+read-only gather and sign) once per rule and spin labels; every array a
+module holds, as a constant or as a value of a module-level dict (the
+parity rule, the Bell signs and rows, the PCD's port tables, the gates),
+is read-only, found by a scan of the library's modules.  The parity
 operators, the extension instrument and the spin targets (each a few
 microseconds of array arithmetic) and the maps the cached pieces start
 from (`encode_map`, `decode_map`, `scatter_map`) are built afresh on each
@@ -33,6 +33,7 @@ read-only stack, and that user-built maps keep every check.
 
 import ast
 import dataclasses
+import importlib
 import math
 import pathlib
 
@@ -328,20 +329,15 @@ def test_fresh_maps_are_read_only(build):
     assert build().matrix[0, 0] != 7.0
 
 
-#: every cached map, the parity rule, the Bell signs, their pairs and the Bell rows, as the array a caller could
-#: try to write to
+#: every cached map, as the array a caller could try to write to
 CACHED_ARRAYS = {
     "transfer table": lambda: protocols._transfer_table(),
     "correction gather": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[-2],
     "correction sign": lambda: protocols._pattern_corrections(protocols._ghz_correction, ("a", "b", "c"))[-1],
     "extension table": lambda: protocols._instrument_tables()[0],
     "purification table": lambda: protocols._instrument_tables()[1],
-    "parity rule": lambda: protocols._PARITY_RULE,
     "purification maps": lambda: protocols._purification_maps(_practical(), IDEAL),
     "Bell weights": lambda: protocols._bell_weights(_practical()),
-    "Bell signs": lambda: protocols._BELL_SIGNS,
-    "Bell pair signs": lambda: protocols._BELL_PAIRS,
-    "Bell rows": lambda: protocols._BELL,
 }
 
 
@@ -352,6 +348,28 @@ def test_cached_maps_and_targets_are_read_only(name):
     with pytest.raises(ValueError, match="read-only"):
         array[corner] = 7.0
     assert CACHED_ARRAYS[name]()[corner] != 7.0
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qdrepeater"
+
+
+def module_arrays() -> dict[str, np.ndarray]:
+    """Every module-level array of the library, and every array value of a module-level dict, by name."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("qdrepeater" if path.stem == "__init__" else f"qdrepeater.{path.stem}")
+        for name, value in vars(module).items():
+            items = value.items() if isinstance(value, dict) else [("", value)]
+            found.update({f"{path.stem}.{name}" + (f"[{key!r}]" if key else ""): array for key, array in items
+                          if isinstance(array, np.ndarray)})
+    return found
+
+
+def test_every_module_level_array_is_read_only():
+    arrays = module_arrays()
+    # the scan reaches constants and dict values alike
+    assert {"protocols._BELL_SIGNS", "protocols._PCD_SIGN", "protocols._GATES['h']"} <= set(arrays)
+    assert [name for name, array in arrays.items() if array.flags.writeable] == []
 
 
 #: cached functions of the library that hold no array, each with the reason
@@ -380,8 +398,7 @@ def test_scan_finds_cached_functions():
 def test_every_cached_function_is_checked_read_only_or_exempt():
     # an entry of CACHED_ARRAYS checks a function it calls
     called = {name for entry in CACHED_ARRAYS.values() for name in entry.__code__.co_names}
-    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "qdrepeater"
-    cached = [name for f in sorted(src.glob("*.py")) for name in cached_functions(f.read_text(encoding="utf-8"))]
+    cached = [name for f in sorted(SRC.glob("*.py")) for name in cached_functions(f.read_text(encoding="utf-8"))]
     assert "_instrument_tables" in cached
     unchecked = [name for name in cached
                  if name not in called and name.lstrip("_") not in called and name not in CACHE_EXEMPT]

@@ -1,6 +1,6 @@
 """The tests, the CLI, the metrics and the scripts import only public names
 of the library and read or ``setattr`` no private name off its modules but
-the 23 that `PRIVATE_READS` pins, all by the tests; no module imports a
+the 20 that `PRIVATE_READS` pins, all by the tests; no module imports a
 name it does not use, and every private top-level name of the library is
 read somewhere in it."""
 
@@ -136,18 +136,15 @@ def test_scan_flags_private_setattr_targets():
 #: entry, so the list is exact.  `_normalized_ensemble` is read because the
 #: pooling lost its public route with `heralded_ensemble`; it leaves `src/`
 #: with the pooling itself (ROADMAP item 2).  `_purify` is read to hold
-#: `purify_round` to the chain's round, `_BELL`, `_BELL_SIGNS` and
-#: `_PARITY_RULE` to check they are read-only; `_distribution_outcomes`, `_gate_product`,
-#: `_apply_instrument` and `_eigen_ensemble` are replaced by ``monkeypatch`` to
-#: show that a path never reaches them.
+#: `purify_round` to the chain's round, `_BELL` and `_BELL_SIGNS` to check
+#: them against fresh Bell states; `_gate_product`, `_apply_instrument` and
+#: `_eigen_ensemble` are replaced by ``monkeypatch`` to show that a path never
+#: reaches them.
 PRIVATE_READS = [
-    "qdrepeater.cli._read_config", "qdrepeater.protocols._BELL",
-    "qdrepeater.protocols._BELL_PAIRS", "qdrepeater.protocols._BELL_SIGNS",
-    "qdrepeater.protocols._PARITY_RULE",
+    "qdrepeater.cli._read_config", "qdrepeater.protocols._BELL", "qdrepeater.protocols._BELL_SIGNS",
     "qdrepeater.protocols._apply_instrument", "qdrepeater.protocols._bell_correction",
-    "qdrepeater.protocols._bell_weights", "qdrepeater.protocols._distribution_outcomes",
-    "qdrepeater.protocols._eigen_ensemble", "qdrepeater.protocols._equal_upto_phase",
-    "qdrepeater.protocols._extension_maps", "qdrepeater.protocols._gate_product",
+    "qdrepeater.protocols._bell_weights", "qdrepeater.protocols._eigen_ensemble",
+    "qdrepeater.protocols._equal_upto_phase", "qdrepeater.protocols._extension_maps", "qdrepeater.protocols._gate_product",
     "qdrepeater.protocols._ghz_correction", "qdrepeater.protocols._instrument_tables",
     "qdrepeater.protocols._normalized_ensemble", "qdrepeater.protocols._pair_stage",
     "qdrepeater.protocols._parity_operators", "qdrepeater.protocols._pattern_corrections",

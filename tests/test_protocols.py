@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from qdrepeater import protocols
 from qdrepeater.cavity import IDEAL, CavityParams, ScatterCoeffs, resonant_coeffs
-from qdrepeater.metrics import chain_analytic, distribution_metrics, pcd_metrics, purification_metrics
+from qdrepeater.metrics import (chain_analytic, crosscheck, distribution_metrics, extension_metrics, pcd_metrics,
+                                purification_metrics)
 from qdrepeater.protocols import (
     ChainScenario,
     HeraldedOutcome,
@@ -1763,14 +1764,79 @@ def test_a_segment_is_the_mixture_of_its_distribution_outcomes(left, right, nois
     assert stage.fidelity == pytest.approx(float(np.vdot(target, rho @ target).real), rel=0, abs=1e-12)
 
 
+#: a node with g = 0: t = t0, so the odd parity and every branch that needs it herald nothing
+_EMPTY = resonant_coeffs(CavityParams(g=0.0))
+
+
+def _split_ghz(rng):
+    """A four-party GHZ distribution with a split fiber and two empty nodes, which leave patterns dead."""
+    noises = [random_asymmetric(rng)] + [random_symmetric(rng) for _ in range(3)]
+    coeffs = [_EMPTY, _EMPTY, IDEAL, random_coeffs(rng)]
+    quiet = {o.detection: o.correction for o in distribute_ghz(4, [QUIET] * 4, coeffs)}    # each pattern's gates
+    patterns = ["".join(p) for p in itertools.product(("R↑", "L↓"), repeat=4)]
+    return (lambda eta_in: distribute_ghz(4, noises, coeffs, eta_in)), 4, \
+        {p: quiet[p] for p in patterns}, lambda detection: detection.split(":")[0]
+
+
+def _even_pcd(rng):
+    """A parity check of a state with no odd part on its two spins, so the L ports are dead."""
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps[2:6] = 0.0                 # a != b
+    state = StateVector(spin_register(("a", "b", "c")), amps / np.linalg.norm(amps))
+    coeffs = random_coeffs(rng)
+    return (lambda eta_in: pcd(state, "a", "b", coeffs, eta_in)), 1, \
+        dict.fromkeys(["R_a1", "R_a2", "L_a1", "L_a2"], ()), lambda detection: detection
+
+
+def _empty_extension(rng):
+    """An extension at an empty node, whose odd branches are dead."""
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    chain = StateVector(spin_register(("a", "z")), amps / np.linalg.norm(amps))
+    gates = {f"{parity}:{m1},{m2}": ((("x", "d"),) if parity == "odd" else ()) + ((("z", "d"),) if m1 != m2 else ())
+             for parity in ("even", "odd") for m1, m2 in itertools.product(("up", "dn"), repeat=2)}
+    return (lambda eta_in: extend_chain(chain, phi_minus(("zp", "d")), ("z", "zp"), _EMPTY, eta_in)), 1, \
+        gates, lambda detection: detection
+
+
+@pytest.mark.parametrize("case", [_split_ghz, _even_pcd, _empty_extension],
+                         ids=["split-ghz", "even-pcd", "empty-extension"])
+def test_every_protocol_lists_its_branches_by_one_rule(rng, case):
+    run, passes, gates, branch_of = case(rng)
+    unit = run(1.0)
+    # every branch in its own place, in order, a dead one listed once as (name, 0.0, gates, None, None)
+    branches = [branch_of(o.detection) for o in unit]
+    assert list(dict.fromkeys(branches)) == list(gates)
+    assert branches == sorted(branches, key=list(gates).index)
+    dead = [o for o in unit if o.post_state is None]
+    assert 0 < len(dead) < len(unit)
+    for o, branch in zip(unit, branches):
+        if o.post_state is None:
+            assert o == HeraldedOutcome(branch, 0.0, gates[branch], None, None) and branches.count(branch) == 1
+        else:
+            assert o.correction == gates[branch] and o.probability > 0.0 and o.fidelity is not None
+    # a live branch's probability is `coupled_probability` of its own at unit coupling, bit for bit, and its
+    # state and fidelity stay; the last eta_in underflows on every live branch
+    for eta_in in (0.37, 1e-120, 1e-310):
+        scaled = run(eta_in)
+        assert [(o.detection, o.correction, o.fidelity) for o in scaled] == \
+               [(o.detection, o.correction, o.fidelity) for o in unit]
+        for o, u in zip(scaled, unit):
+            want = 0.0 if u.post_state is None else protocols.coupled_probability(u.probability, eta_in, passes)
+            assert o.probability.hex() == want.hex()
+            assert (o.post_state is None) == (u.post_state is None)
+            if u.post_state is not None:
+                assert o.post_state.amplitudes.tobytes() == u.post_state.amplitudes.tobytes()
+    assert {o.probability for o in scaled} == {0.0}
+
+
 def test_run_chain_builds_no_distribution_outcome_list(monkeypatch):
     # a segment's state comes from the amplitude rows; the public outcome
-    # list, and the states and fidelities it checks, are never built
+    # list, and the state stack every listed outcome is checked in, are never built
     def refused(*args, **kwargs):
         raise AssertionError("run_chain built a distribution outcome list")
 
     monkeypatch.setattr(protocols, "distribute_bell", refused)
-    monkeypatch.setattr(protocols, "_distribution_outcomes", refused)
+    monkeypatch.setattr(StateVector, "rows", refused)
     report = run_chain(_PURIFIED_PRACTICAL_SEGMENT)
     assert [s.stage for s in report.stages] == ["distribute", "purify"]
     assert 0.0 < report.total_probability < 1.0
@@ -1912,6 +1978,28 @@ def _spins_and_qutrit(labels, qutrit):
     pytest.param(lambda: run_chain(ChainScenario(nodes={"A": IDEAL, "B": IDEAL},
                                                  segments=[SegmentSpec("AB", "A", "B", (1.0, 0.0))])), ValueError,
                  "segment AB: noise_left must be a NoiseChannel, not tuple", id="run_chain-fiber"),
+    # the closed forms reject a node that is not a ScatterCoeffs as the protocols do
+    pytest.param(lambda: distribution_metrics(CavityParams(g=1.0)), ValueError,
+                 "coeffs must be a ScatterCoeffs, not CavityParams", id="distribution_metrics-node"),
+    pytest.param(lambda: pcd_metrics(CavityParams(g=1.0), eta_in=0.5), ValueError,
+                 "coeffs must be a ScatterCoeffs, not CavityParams", id="pcd_metrics-node"),
+    pytest.param(lambda: extension_metrics(CavityParams(g=1.0)), ValueError,
+                 "coeffs must be a ScatterCoeffs, not CavityParams", id="extension_metrics-node"),
+    pytest.param(lambda: purification_metrics(0.7, CavityParams(g=1.0)), ValueError,
+                 "coeffs must be a ScatterCoeffs, not CavityParams", id="purification_metrics-node"),
+    pytest.param(lambda: crosscheck(CavityParams(g=1.0)), ValueError,
+                 "coeffs must be a ScatterCoeffs, not CavityParams", id="crosscheck-node"),
+    # a scenario whose nodes are not a mapping or whose segment is not a SegmentSpec
+    pytest.param(lambda: run_chain(ChainScenario(nodes=[("A", IDEAL), ("B", IDEAL)],
+                                                 segments=[SegmentSpec("AB", "A", "B")])), ValueError,
+                 "nodes must be a Mapping, not list", id="run_chain-nodes"),
+    pytest.param(lambda: run_chain(ChainScenario(nodes={"A": IDEAL, "B": IDEAL, "C": IDEAL},
+                                                 segments=[SegmentSpec("AB", "A", "B"), ("BC", "B", "C")])),
+                 ValueError, "segments[1] must be a SegmentSpec, not tuple", id="run_chain-segment"),
+    pytest.param(lambda: chain_analytic(ChainScenario(nodes={"A": IDEAL, "B": IDEAL}, segments=[("AB", "A", "B")])),
+                 ValueError, "segments[0] must be a SegmentSpec, not tuple", id="chain_analytic-segment"),
+    pytest.param(lambda: ChainScenario(nodes=None, segments=[SegmentSpec("AB", "A", "B")]).validate(), ValueError,
+                 "nodes must be a Mapping, not NoneType", id="validate-nodes"),
 ])
 def test_boundary_checks_raise(build, error, message):
     with pytest.raises(error) as info:
