@@ -338,6 +338,11 @@ CACHED_ARRAYS = {
     "purification table": lambda: protocols._instrument_tables()[1],
     "purification maps": lambda: protocols._purification_maps(_practical(), IDEAL),
     "Bell weights": lambda: protocols._bell_weights(_practical()),
+    # constants named here too, so that renaming one fails a check instead of leaving the scan
+    "parity rule": lambda: module_arrays()["protocols._PARITY_RULE"],
+    "Bell signs": lambda: module_arrays()["protocols._BELL_SIGNS"],
+    "Bell pair signs": lambda: module_arrays()["protocols._BELL_PAIRS"],
+    "Bell rows": lambda: module_arrays()["protocols._BELL"],
 }
 
 
